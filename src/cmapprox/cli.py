@@ -9,8 +9,9 @@ Subcommands:
     sharpness      sharp-constant experiments (scalar sup, shift integrals)
     report         aggregate CSVs into a pass/fail summary by bound tag
 
-Exit codes: 0 all pass, 1 any row failed or a fit missed its window,
-2 usage errors.  Output ordering is deterministic regardless of --jobs.
+Exit codes: 0 all pass, 1 any row failed or a fit missed its window
+(or standard output was closed early), 2 usage errors.  Output is
+deterministic: rows are sorted by their grid coordinates.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import functionals as fns
 from . import opcalc, rates
@@ -59,9 +59,11 @@ def write_json(path: str, rows):
         fh.write("\n")
 
 
-def _parse_list(text: str, cast=float):
+def _parse_list(text: str, cast, flag: str):
     items = [x for x in text.split(",") if x.strip()]
     if not items:
+        print(f"error: --{flag} needs a comma-separated list of values, got {text!r}",
+              file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
     return [cast(x) for x in items]
 
@@ -78,7 +80,7 @@ def _load_config(args) -> dict:
     for key, cast in (("t", float), ("n", int), ("alpha", float)):
         val = getattr(args, key, None)
         if val is not None:
-            cfg[key] = _parse_list(val, cast)
+            cfg[key] = _parse_list(val, cast, key)
     return cfg
 
 
@@ -96,18 +98,6 @@ BOUND_FIELDS = ["scheme", "generator", "t", "n", "alpha", "vector_id",
                 "error", "bound", "slack", "tag", "pass"]
 
 
-def _run_grid(tasks, jobs):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(lambda f: f(), tasks))
-    else:
-        results = [f() for f in tasks]
-    rows = [r for chunk in results for r in chunk]
-    rows.sort(key=lambda r: (r["scheme"], r["generator"], r["t"], r["n"],
-                             r["alpha"], r["vector_id"]))
-    return rows
-
-
 def cmd_functionals(args) -> int:
     cfg = _load_config(args)
     name = cfg.get("scheme") or args.g
@@ -118,8 +108,8 @@ def cmd_functionals(args) -> int:
     if isinstance(g, ScaledFamily):
         print("error: functionals needs a fixed function (give t)", file=sys.stderr)
         return USAGE_ERROR
-    ns = _parse_list(args.n or "1", int)
-    alphas = _parse_list(args.alpha or "0,0.5,1", float)
+    ns = _parse_list(args.n or "1", int, "n")
+    alphas = _parse_list(args.alpha or "0,0.5,1", float, "alpha")
     rows = []
     for n in ns:
         gn = power_scale(g, n)
@@ -148,7 +138,7 @@ def cmd_functionals(args) -> int:
     return 0
 
 
-def _suite_tasks(cfg, seed):
+def _suite_rows(cfg, seed):
     scheme = cfg.get("scheme", "euler")
     gen = cfg.get("generator", "diag_imag:k=128")
     suite = cfg.get("suite", "first")
@@ -158,37 +148,28 @@ def _suite_tasks(cfg, seed):
     Mc = opcalc.semigroup_constants(A)
     M0 = Mc.M[0]
     ts, ns, alphas = _grids(cfg)
-    tasks = []
-    for t in ts:
-        for n in ns:
-            if suite == "first":
-                tasks.append(lambda t=t, n=n: [
-                    r.row() for r in rates.first_order_bounds(g, A, t, n, alphas, vectors, M0)])
-            elif suite == "nonb2":
-                tasks.append(lambda t=t, n=n: [
-                    r.row() for r in rates.non_b2_bounds(g, A, t, n, alphas, vectors, M0)])
-            elif suite == "second":
-                tasks.append(lambda t=t, n=n: [
-                    r.row() for r in rates.second_order_bounds(g, A, t, n, vectors, M0)])
-            elif suite == "holo":
-                cfn = (lambda n, a: rates.euler_sharp_r(n, a)) if scheme == "euler" else None
-                tasks.append(lambda t=t, n=n, cfn=cfn: [
-                    r.row() for r in rates.holomorphic_bounds(g, A, t, n, alphas, vectors, Mc,
-                                                              c_alpha_fn=cfn)])
-            elif suite == "holo2":
-                tasks.append(lambda t=t, n=n: [
-                    r.row() for r in rates.holomorphic_second_order(g, A, t, n, alphas,
-                                                                    vectors, Mc)])
-            else:
-                print(f"error: unknown suite {suite!r}", file=sys.stderr)
-                raise SystemExit(USAGE_ERROR)
-    return tasks
+    cfn = rates.euler_sharp_r if scheme == "euler" else None
+    suites = {
+        "first": lambda t, n: rates.first_order_bounds(g, A, t, n, alphas, vectors, M0),
+        "nonb2": lambda t, n: rates.non_b2_bounds(g, A, t, n, alphas, vectors, M0),
+        "second": lambda t, n: rates.second_order_bounds(g, A, t, n, vectors, M0),
+        "holo": lambda t, n: rates.holomorphic_bounds(g, A, t, n, alphas, vectors, Mc,
+                                                      c_alpha_fn=cfn),
+        "holo2": lambda t, n: rates.holomorphic_second_order(g, A, t, n, alphas, vectors, Mc),
+    }
+    if suite not in suites:
+        print(f"error: unknown suite {suite!r}; available: {', '.join(suites)}",
+              file=sys.stderr)
+        raise SystemExit(USAGE_ERROR)
+    rows = [r.row() for t in ts for n in ns for r in suites[suite](t, n)]
+    rows.sort(key=lambda r: (r["scheme"], r["generator"], r["t"], r["n"],
+                             r["alpha"], r["vector_id"]))
+    return rows
 
 
 def cmd_verify_bounds(args) -> int:
     cfg = _load_config(args)
-    tasks = _suite_tasks(cfg, args.seed)
-    rows = _run_grid(tasks, args.jobs)
+    rows = _suite_rows(cfg, args.seed)
     write_csv(args.out, BOUND_FIELDS, rows)
     if args.json and args.out:
         write_json(args.out + ".json", rows)
@@ -231,13 +212,13 @@ def cmd_orders(args) -> int:
     gen = cfg.get("generator", "diag_imag:k=128")
     g = make_builtin(scheme)
     A = opcalc.make_generator(gen)
-    vectors = opcalc.test_vectors(A, seed=args.seed)
+    Y = rates._coords(A, opcalc.test_vectors(A, seed=args.seed))
     ts, ns, alphas = _grids(cfg)
     rows = []
     for t in ts:
         points = []
         for n in ns:
-            errs = rates._errors(g, A, t, n, vectors)
+            errs = rates._errors(g, A, t, n, Y)
             points.append((n, max(errs)))
         fit = rates.fit_order(points)
         rows.append({
@@ -253,7 +234,7 @@ def cmd_orders(args) -> int:
 
 
 def cmd_sharpness(args) -> int:
-    ns = _parse_list(args.n or "4,16,64,256,1024", int)
+    ns = _parse_list(args.n or "4,16,64,256,1024", int, "n")
     bad = False
     rows = []
     if args.which in ("euler", "both"):
@@ -298,9 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output CSV path (default: stdout)")
         sp.add_argument("--json", action="store_true", help="also write a JSON mirror")
-        sp.add_argument("--jobs", type=int, default=0, help="parallel grid workers")
-        sp.add_argument("--tol-rel", type=float, default=1e-9)
-        sp.add_argument("--tol-abs", type=float, default=1e-13)
         sp.add_argument("--seed", type=lambda s: int(s, 0), default=opcalc.DEFAULT_SEED)
         sp.add_argument("--scheme")
         sp.add_argument("--generator")
@@ -342,7 +320,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, inside the handler
+        return code
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`): send what is left to devnull
+        # so the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return FAILURE
     except (ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

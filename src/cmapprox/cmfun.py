@@ -1,8 +1,9 @@
 """Bounded completely monotone functions, their normalized classes, and power scaling.
 
-A CMFunction bundles a pointwise evaluator (real and complex-halfplane),
-an optional explicit representing measure, the moments m_0..m_4 of that
-measure (extended reals), and class tags.  The normalized classes are
+A CMFunction bundles one pointwise evaluator (numpy arrays of real z >= 0
+or of complex z with Re z >= 0), an optional explicit representing
+measure, the moments m_0..m_4 of that measure (extended reals), and class
+tags.  The normalized classes are
 
     B1: m_0 = m_1 = 1;  B2: additionally m_2 < inf;  B3, B4 likewise.
 
@@ -16,14 +17,12 @@ filled in closed form from those of g.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measures import PolyExpSegment, PositiveMeasure, PowerLawSegment
+from .measures import PolyExpSegment, PositiveMeasure, PowerLawSegment, _powerlaw_laplace
 from .polyexp import monomial_exp_integral
 
 __all__ = [
@@ -67,8 +66,7 @@ class CMFunction:
     """A bounded completely monotone function on [0, inf)."""
 
     name: str
-    eval_real: object                       # vectorized callable, real z >= 0
-    eval_complex: object = None             # callable, single complex z with Re z >= 0
+    evaluate: object                        # numpy array -> array; real input gives real output
     measure: PositiveMeasure | None = None
     moments: tuple = (1.0, 1.0, math.inf, math.inf, math.inf)
     lk: int | None = None                   # exponent with g in L^k(0,inf), if known
@@ -85,15 +83,13 @@ class CMFunction:
         return self.limit_at_inf == 0.0
 
     def __call__(self, z):
-        return self.eval_real(np.asarray(z, dtype=float))
+        """g(z) for real z >= 0 (scalar or array), with real values."""
+        return self.evaluate(np.asarray(z, dtype=float))
 
-    def eval_at(self, z: complex) -> complex:
-        """g(z) for a single complex z with Re z >= 0."""
-        if self.eval_complex is not None:
-            return complex(self.eval_complex(z))
-        if self.measure is not None:
-            return self.measure.laplace(z)
-        raise NotImplementedError(f"{self.name}: no complex evaluator")
+    def eval_at(self, z):
+        """g(z) for complex z with Re z >= 0: a complex for a scalar, else an array."""
+        w = self.evaluate(np.asarray(z, dtype=complex))
+        return complex(w) if np.ndim(w) == 0 else w
 
     def eval_imag(self, s: float) -> complex:
         """Continuous boundary extension g(i s)."""
@@ -144,22 +140,25 @@ def check_bk(g: CMFunction, k: int) -> bool:
     return f"B{k}" in g.class_tags
 
 
+def _elementwise(scalar):
+    """An array evaluator from a scalar complex one; real input gives real output."""
+
+    def evaluate(z):
+        out = np.array([scalar(complex(x)) for x in z.ravel()], dtype=complex).reshape(z.shape)
+        return out if np.iscomplexobj(z) else out.real
+
+    return evaluate
+
+
 def from_measure(nu: PositiveMeasure, name: str = "measure") -> CMFunction:
     """Laplace transform of a finite positive measure."""
     mass = nu.total_mass()
     if not math.isfinite(mass):
         raise ValueError("measure must have finite total mass")
     moments = tuple(nu.moment(k) for k in range(5))
-
-    def eval_real(z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.array([nu.laplace(complex(zz)).real for zz in z])
-        return out if out.size > 1 else float(out[0])
-
     return CMFunction(
         name=name,
-        eval_real=eval_real,
-        eval_complex=nu.laplace,
+        evaluate=_elementwise(nu.laplace),
         measure=nu,
         moments=moments,
         limit_at_inf=nu.zero_atom_mass(),
@@ -202,22 +201,16 @@ def power_scale(g: CMFunction, n: int) -> CMFunction:
         raise ValueError("power scaling requires a B1 function")
     if n == 1:
         return g
-    base_real = g.eval_real
-    base_cplx = g.eval_at
+    base = g.evaluate
 
-    def eval_real(z):
-        return base_real(np.asarray(z, dtype=float) / n) ** n
-
-    def eval_complex(z):
-        w = base_cplx(z / n)
+    def evaluate(z):
         # integer powers are branch-insensitive
-        return w ** n
+        return base(z / n) ** n
 
     lk = None if g.lk is None else max(1, math.ceil(g.lk / n))
     return CMFunction(
         name=f"{g.name}_pow{n}",
-        eval_real=eval_real,
-        eval_complex=eval_complex,
+        evaluate=evaluate,
         measure=None,
         moments=_scaled_moments(g.moments, n),
         lk=lk,
@@ -234,8 +227,7 @@ def exponential() -> CMFunction:
     nu = PositiveMeasure(atoms=((1.0, 1.0),))
     return CMFunction(
         name="exp",
-        eval_real=lambda z: np.exp(-np.asarray(z, dtype=float)),
-        eval_complex=lambda z: cmath.exp(-z),
+        evaluate=lambda z: np.exp(-z),
         measure=nu,
         moments=(1.0, 1.0, 1.0, 1.0, 1.0),
         lk=1,
@@ -248,8 +240,7 @@ def euler() -> CMFunction:
     nu = PositiveMeasure(segments=(PolyExpSegment(0.0, math.inf, (1.0,), 1.0),))
     return CMFunction(
         name="euler",
-        eval_real=lambda z: 1.0 / (1.0 + np.asarray(z, dtype=float)),
-        eval_complex=lambda z: 1.0 / (1.0 + z),
+        evaluate=lambda z: 1.0 / (1.0 + z),
         measure=nu,
         moments=(1.0, 1.0, 2.0, 6.0, 24.0),
         lk=2,
@@ -273,14 +264,9 @@ def euler_power(n: int) -> CMFunction:
     coeffs = [0.0] * (n - 1) + [coeff]
     nu = PositiveMeasure(segments=(PolyExpSegment(0.0, math.inf, tuple(coeffs), float(n)),))
     g = from_measure(nu, name=f"euler_gamma{n}")
-
-    def eval_real(z):
-        return (1.0 + np.asarray(z, dtype=float) / n) ** (-n)
-
     return replace(
         g,
-        eval_real=eval_real,
-        eval_complex=lambda z: (1.0 + z / n) ** (-n),
+        evaluate=lambda z: (1.0 + z / n) ** (-n),
         moments=_scaled_moments((1.0, 1.0, 2.0, 6.0, 24.0), n),
         lk=1,
     )
@@ -290,18 +276,12 @@ def spline() -> CMFunction:
     """g(z) = (1 - e^{-2z})/(2z), measure = (1/2) Lebesgue on [0,2]."""
     nu = PositiveMeasure(segments=(PolyExpSegment(0.0, 2.0, (0.5,), 0.0),))
 
-    def eval_real(z):
-        z = np.asarray(z, dtype=float)
+    def evaluate(z):
+        # expm1 keeps full relative accuracy for small real and complex z
         small = np.abs(z) < 1e-8
         zz = np.where(small, 1.0, z)
         out = -np.expm1(-2.0 * zz) / (2.0 * zz)
         return np.where(small, 1.0 - z + (2.0 / 3.0) * z ** 2, out)
-
-    def eval_complex(z):
-        if abs(z) < 1e-4:
-            # (1 - e^{-2z})/(2z) = sum_k (-2z)^k/(k+1)!
-            return 1.0 + z * (-1.0 + z * (2.0 / 3.0 + z * (-1.0 / 3.0 + z * (2.0 / 15.0))))
-        return (1.0 - cmath.exp(-2.0 * z)) / (2.0 * z)
 
     def deriv(z, k):
         # g^(k)(z) = (1/2) int_0^2 (-s)^k e^{-zs} ds
@@ -309,8 +289,7 @@ def spline() -> CMFunction:
 
     return CMFunction(
         name="spline",
-        eval_real=eval_real,
-        eval_complex=eval_complex,
+        evaluate=evaluate,
         measure=nu,
         moments=(1.0, 1.0, 4.0 / 3.0, 2.0, 16.0 / 5.0),
         lk=2,
@@ -329,8 +308,7 @@ def kendall(t: float) -> CMFunction:
     inv_t = 1.0 / t
     return CMFunction(
         name=f"kendall(t={t:g})",
-        eval_real=lambda z: (1.0 - t) + t * np.exp(-np.asarray(z, dtype=float) / t),
-        eval_complex=lambda z: (1.0 - t) + t * cmath.exp(-z / t),
+        evaluate=lambda z: (1.0 - t) + t * np.exp(-z / t),
         measure=nu,
         moments=(1.0, 1.0, inv_t, inv_t ** 2, inv_t ** 3),
         lk=None,
@@ -361,22 +339,14 @@ def yosida(t: float) -> CMFunction:
         if m > 400:
             break
     nu = PositiveMeasure(atoms=((0.0, math.exp(-t)),), segments=tuple(segs))
-    moments = tuple(nu.moment(k) for k in range(5))
-
-    def eval_real(z):
-        z = np.asarray(z, dtype=float)
-        return np.exp(-t * z / (t + z))
-
-    g = CMFunction(
+    return CMFunction(
         name=f"yosida(t={t:g})",
-        eval_real=eval_real,
-        eval_complex=lambda z: cmath.exp(-t * z / (t + z)),
+        evaluate=lambda z: np.exp(-t * z / (t + z)),
         measure=nu,
-        moments=moments,
+        moments=tuple(nu.moment(k) for k in range(5)),
         lk=None,
         limit_at_inf=math.exp(-t),
     )
-    return g
 
 
 def hille() -> CMFunction:
@@ -384,18 +354,11 @@ def hille() -> CMFunction:
     ks = range(0, 31)
     atoms = tuple((float(k), math.exp(-1.0 - math.lgamma(k + 1))) for k in ks)
     nu = PositiveMeasure(atoms=atoms)
-    moments = tuple(nu.moment(k) for k in range(5))
-
-    def eval_real(z):
-        z = np.asarray(z, dtype=float)
-        return np.exp(np.expm1(-z))
-
     return CMFunction(
         name="hille",
-        eval_real=eval_real,
-        eval_complex=lambda z: cmath.exp(cmath.exp(-z) - 1.0),
+        evaluate=lambda z: np.exp(np.expm1(-z)),
         measure=nu,
-        moments=moments,
+        moments=tuple(nu.moment(k) for k in range(5)),
         lk=None,
         limit_at_inf=math.exp(-1.0),
     )
@@ -425,36 +388,18 @@ def chung(a, t: float) -> CMFunction:
         segs.append(PolyExpSegment(0.0, math.inf, tuple(coeffs), t))
     atoms = ((0.0, a[0]),) if a and a[0] > 0.0 else ()
     nu = PositiveMeasure(atoms=atoms, segments=tuple(segs))
-    moments = tuple(nu.moment(k) for k in range(5))
 
-    def eval_real(z):
-        z = np.asarray(z, dtype=float)
-        x = t / (t + z)
-        return sum(ak * x ** k for k, ak in enumerate(a))
-
-    def eval_complex(z):
+    def evaluate(z):
         x = t / (t + z)
         return sum(ak * x ** k for k, ak in enumerate(a))
 
     return CMFunction(
         name=f"chung(t={t:g})",
-        eval_real=eval_real,
-        eval_complex=eval_complex,
+        evaluate=evaluate,
         measure=nu,
-        moments=moments,
+        moments=tuple(nu.moment(k) for k in range(5)),
         limit_at_inf=a[0] if a else 0.0,
     )
-
-
-@lru_cache(maxsize=200000)
-def _powerlaw_F(p: float, zr: float, zi: float) -> complex:
-    """F(p, z) = int_0^inf e^{-zs} (1+s)^{-p} ds."""
-    if zr == 0.0 and zi == 0.0:
-        return complex(1.0 / (p - 1.0))
-    import mpmath
-
-    z = mpmath.mpc(zr, zi)
-    return complex(mpmath.exp(z) * z ** (p - 1) * mpmath.gammainc(1 - p, z))
 
 
 def frac_tail(gamma: float) -> CMFunction:
@@ -471,25 +416,21 @@ def frac_tail(gamma: float) -> CMFunction:
         segments=(PowerLawSegment(w, 2.0 + gamma),),
     )
 
-    def eval_complex(z):
-        return (1.0 - gamma) + w * _powerlaw_F(2.0 + gamma, float(np.real(z)), float(np.imag(z)))
-
-    def eval_real(z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.array([eval_complex(complex(zz)).real for zz in z])
-        return out if out.size > 1 else float(out[0])
+    def scalar(z):
+        return (1.0 - gamma) + w * _powerlaw_laplace(2.0 + gamma, z.real, z.imag)
 
     def deriv(z, k):
-        # g^(k)(z) = w (-1)^k sum_j C(k,j)(-1)^{k-j} F(2+gamma-j, z)
+        # g^(k)(z) = w (-1)^k sum_j C(k,j)(-1)^{k-j} F(2+gamma-j, z),
+        # F(p, z) = int_0^inf e^{-zs} (1+s)^{-p} ds
         acc = 0.0
         for j in range(k + 1):
-            acc += math.comb(k, j) * (-1.0) ** (k - j) * _powerlaw_F(2.0 + gamma - j, z, 0.0).real
+            F = _powerlaw_laplace(2.0 + gamma - j, z, 0.0).real
+            acc += math.comb(k, j) * (-1.0) ** (k - j) * F
         return w * (-1.0) ** k * acc
 
     return CMFunction(
         name=f"frac_tail(gamma={gamma:g})",
-        eval_real=eval_real,
-        eval_complex=eval_complex,
+        evaluate=_elementwise(scalar),
         measure=nu,
         moments=(1.0, 1.0, math.inf, math.inf, math.inf),
         limit_at_inf=1.0 - gamma,

@@ -23,11 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
 from . import quadrature
 from .cmfun import CMFunction, check_b1, check_bk, power_scale
-from .specialfns import digamma, log_gamma
 
 __all__ = [
     "GDensity",
@@ -156,7 +155,7 @@ def delta(g: CMFunction, alpha: float, z):
     z = np.asarray(z, dtype=float)
     use_series = (z < _SERIES_CUTOFF) & math.isfinite(g.moments[2])
     zz = np.where(z == 0.0, 1.0, z)
-    direct = (g.eval_real(zz) - np.exp(-zz)) / zz ** alpha
+    direct = (g(zz) - np.exp(-zz)) / zz ** alpha
     series = _diff_series(g, zz) / zz ** alpha if math.isfinite(g.moments[2]) else direct
     out = np.where(use_series, series, direct)
     if np.any(z == 0.0):
@@ -192,11 +191,11 @@ def L_upper_bound(g: CMFunction):
     Returns sqrt((1+g'(1)) * int_0^1 g / (1-g(1))^2 - 1) + 2e int_0^1 (g+g'),
     with int_0^1 g' = g(1) - 1.  Degenerate when g(1) = 1 (flagged +inf).
     """
-    g1 = float(np.atleast_1d(g.eval_real(np.asarray([1.0])))[0])
+    g1 = float(g(1.0))
     dg1 = g.derivative(1.0, 1)
     if 1.0 - g1 <= 0.0:
         return math.inf, "degenerate"
-    beta = quadrature.integrate(lambda s: np.asarray(g.eval_real(s), dtype=float), 0.0, 1.0)
+    beta = quadrature.integrate(g, 0.0, 1.0)
     inner = (1.0 + dg1) * beta / (1.0 - g1) ** 2 - 1.0
     term1 = math.sqrt(max(inner, 0.0))
     term2 = 2.0 * math.e * (beta + g1 - 1.0)
@@ -293,7 +292,7 @@ def c_alpha_quad(g: CMFunction, alpha: float, rel_tol: float = 1e-11) -> QuadVal
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    gamma_factor = math.exp(-log_gamma(2.0 - alpha))
+    gamma_factor = math.exp(-gammaln(2.0 - alpha))
     c_inf = g.limit_at_inf
     z0 = 40.0
 
@@ -317,7 +316,7 @@ def c_alpha_quad(g: CMFunction, alpha: float, rel_tol: float = 1e-11) -> QuadVal
 
     def residual(z):
         z = np.asarray(z, dtype=float)
-        return (g.eval_real(z) - np.exp(-z) - c_inf) / z ** (1.0 + alpha)
+        return (g(z) - np.exp(-z) - c_inf) / z ** (1.0 + alpha)
 
     tail = quadrature.integrate_semi_infinite(residual, z0, rel_tol=rel_tol)
     analytic = c_inf * z0 ** (-alpha) / alpha
@@ -344,10 +343,10 @@ def euler_c_alpha_exact(n: int, alpha: float) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     if alpha == 0.0:
-        return math.log(n) - digamma(n)
+        return math.log(n) - float(digamma(n))
     if alpha == 1.0:
-        return digamma(n + 1) - math.log(n)
-    ratio = math.exp(log_gamma(n + alpha) - alpha * math.log(n) - log_gamma(n))
+        return float(digamma(n + 1)) - math.log(n)
+    ratio = math.exp(gammaln(n + alpha) - alpha * math.log(n) - gammaln(n))
     return (1.0 - ratio) / (alpha * (1.0 - alpha))
 
 

@@ -13,19 +13,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaincc
 
-from .polyexp import monomial_exp_integral, polyexp_laplace_complex, polyexp_moment
+from .polyexp import polyexp_laplace_complex, polyexp_moment
 
 __all__ = ["PolyExpSegment", "PowerLawSegment", "PositiveMeasure"]
-
-
-class DivergentMomentError(ArithmeticError):
-    """A requested moment diverges (infinite-mass tail), as opposed to failing numerically."""
 
 
 @dataclass(frozen=True)
@@ -79,9 +74,12 @@ class PolyExpSegment:
         return polyexp_laplace_complex(self.coeffs, self.rate, self.a, self.b, z)
 
 
-@lru_cache(maxsize=100000)
+@lru_cache(maxsize=200000)
 def _powerlaw_laplace(p: float, zr: float, zi: float) -> complex:
-    """int_0^inf e^{-zs} (1+s)^{-p} ds = e^z z^{p-1} Gamma(1-p, z), Re z > 0."""
+    """int_0^inf e^{-zs} (1+s)^{-p} ds = e^z z^{p-1} Gamma(1-p, z) for Re z >= 0,
+    and 1/(p-1) at z = 0."""
+    if zr == 0.0 and zi == 0.0:
+        return complex(1.0 / (p - 1.0))
     import mpmath
 
     z = mpmath.mpc(zr, zi)
@@ -137,8 +135,6 @@ class PowerLawSegment:
         return self.weight * total
 
     def laplace(self, z: complex) -> complex:
-        if z == 0:
-            return complex(self.moment(0))
         return self.weight * _powerlaw_laplace(self.exponent, float(np.real(z)), float(np.imag(z)))
 
 
@@ -186,9 +182,6 @@ class PositiveMeasure:
             total += pm
         return total
 
-    def tail_moment(self, k: int, lo: float) -> float:
-        return self.partial_moment(k, lo, math.inf)
-
     # -- transforms -------------------------------------------------------
 
     def laplace(self, z: complex) -> complex:
@@ -199,16 +192,6 @@ class PositiveMeasure:
         for seg in self.segments:
             total += seg.laplace(z)
         return total
-
-    def laplace_real(self, z):
-        """Vectorized Laplace transform for real z >= 0."""
-        z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
-        for loc, w in self.atoms:
-            out = out + w * np.exp(-z * loc)
-        for seg in self.segments:
-            out = out + np.array([seg.laplace(float(zz)).real for zz in np.atleast_1d(z)]).reshape(z.shape)
-        return out
 
     def kernel_integral(self, kernel, rel_tol: float = 1e-12) -> float:
         """int kernel(tau) nu(dtau) with `kernel` vectorized over tau >= 0.

@@ -3,9 +3,9 @@
 Generators are dense complex matrices A with spectrum in the closed
 right half-plane (so that -A generates a bounded semigroup e^{-tA}).
 Diagonalizable structure is carried explicitly (V, eigs, V^{-1}) so that
-matrix functions can be evaluated spectrally; a Pade matrix-exponential
-path and a measure-quadrature path exist independently and are
-cross-validated, not trusted as oracles.
+matrix functions are functions of the eigenvalue array: f(A) = V f(Lambda)
+V^{-1}.  A Pade matrix-exponential path and a measure-quadrature path
+exist independently and are cross-validated, not trusted as oracles.
 
 Operator norm is the spectral 2-norm throughout, which makes M_0 = 1
 exact for normal gallery members.
@@ -14,13 +14,13 @@ exact for normal gallery members.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .cmfun import CMFunction, ScaledFamily
-from . import quadrature
 
 __all__ = [
     "GeneratorMatrix",
@@ -31,8 +31,10 @@ __all__ = [
     "laplacian_dirichlet_1d",
     "make_generator",
     "semigroup_at",
+    "frac_on_spectrum",
     "frac_power",
     "hp_apply",
+    "scheme_on_spectrum",
     "scheme_apply",
     "semigroup_constants",
     "test_vectors",
@@ -40,6 +42,10 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 0x5EED
+
+# ||V^H V - I||_F below which V counts as unitary, so that
+# ||V diag(d) V^{-1}|| = max |d| up to a relative error of the same size
+UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -70,9 +76,19 @@ class GeneratorMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def unitary(self) -> bool:
+        """Whether the eigenbasis V is unitary (always for diagonal structure)."""
+        if self.structure == "diagonal":
+            return True
+        if self.structure != "diagonalizable":
+            return False
+        gram = self.V.conj().T @ self.V
+        return bool(np.linalg.norm(gram - np.eye(self.dim)) <= UNITARY_TOL)
+
     def spectral_map(self, f) -> np.ndarray:
-        """V f(Lambda) V^{-1} with f applied entrywise to the eigenvalues."""
-        vals = np.array([f(lam) for lam in self.eigs], dtype=complex)
+        """V f(Lambda) V^{-1} with f applied to the array of eigenvalues."""
+        vals = np.asarray(f(self.eigs), dtype=complex)
         if self.structure == "diagonal":
             return np.diag(vals)
         if self.structure == "diagonalizable":
@@ -178,19 +194,22 @@ def semigroup_at(A: GeneratorMatrix, t: float) -> np.ndarray:
     return scipy.linalg.expm(-t * A.matrix)
 
 
-def frac_power(A: GeneratorMatrix, alpha: float) -> np.ndarray:
-    """A^alpha via the eigendecomposition with the principal branch (0^alpha := 0)."""
-    if A.structure not in ("diagonal", "diagonalizable"):
-        raise ValueError("fractional powers need diagonal/diagonalizable structure")
+def frac_on_spectrum(lam, alpha: float) -> np.ndarray:
+    """lam^alpha on the principal branch, arg(lam) in [-pi/2, pi/2];
+    0^alpha := 0 for alpha > 0 and 1 for alpha = 0."""
     if not 0.0 <= alpha <= 4.0:
         raise ValueError("alpha must lie in [0, 4]")
+    lam = np.asarray(lam, dtype=complex)
+    zero = lam == 0
+    vals = np.where(zero, 1.0, lam) ** alpha
+    return np.where(zero, 0.0 if alpha > 0 else 1.0, vals)
 
-    def f(lam):
-        if lam == 0:
-            return 0.0 if alpha > 0 else 1.0
-        return lam ** alpha  # principal branch: arg(lam) in [-pi/2, pi/2]
 
-    return A.spectral_map(f)
+def frac_power(A: GeneratorMatrix, alpha: float) -> np.ndarray:
+    """A^alpha via the eigendecomposition (see frac_on_spectrum)."""
+    if A.structure not in ("diagonal", "diagonalizable"):
+        raise ValueError("fractional powers need diagonal/diagonalizable structure")
+    return A.spectral_map(lambda lam: frac_on_spectrum(lam, alpha))
 
 
 def hp_apply(g: CMFunction, A: GeneratorMatrix, path: str = "auto") -> np.ndarray:
@@ -264,14 +283,23 @@ def _hp_rational(g: CMFunction, A: np.ndarray | GeneratorMatrix) -> np.ndarray:
     return np.linalg.matrix_power(base, n)
 
 
-def scheme_apply(g, A: GeneratorMatrix, t: float, n: int, path: str = "auto") -> np.ndarray:
-    """g_t^n((t/n) A), the scheme matrix approximating e^{-tA}.
+def scheme_on_spectrum(g, t: float, n: int, lam) -> np.ndarray:
+    """g_t(t lam / n)^n on an array of (complex) spectral points.
 
     `g` is a CMFunction or a ScaledFamily (then g_t = family.at(t)).
     """
     gt = g.at(t) if isinstance(g, ScaledFamily) else g
+    w = gt.eval_at(t * np.asarray(lam) / n)
+    # polar form |w|^n e^{i n arg w}: on the unit circle np.hypot gives |w| = 1
+    # up to rounding, usually exactly, where w ** n = exp(n log w) drifts by n ulp
+    return np.hypot(w.real, w.imag) ** n * np.exp(1j * n * np.arctan2(w.imag, w.real))
+
+
+def scheme_apply(g, A: GeneratorMatrix, t: float, n: int, path: str = "auto") -> np.ndarray:
+    """g_t^n((t/n) A), the scheme matrix approximating e^{-tA}."""
     if path == "auto" and A.structure in ("diagonal", "diagonalizable"):
-        return A.spectral_map(lambda lam: gt.eval_at(t * lam / n) ** n)
+        return A.spectral_map(lambda lam: scheme_on_spectrum(g, t, n, lam))
+    gt = g.at(t) if isinstance(g, ScaledFamily) else g
     B = hp_apply(gt, _scaled_generator(A, t / n), path=path)
     return np.linalg.matrix_power(B, n)
 
@@ -280,12 +308,6 @@ def _scaled_generator(A: GeneratorMatrix, c: float) -> GeneratorMatrix:
     return GeneratorMatrix(c * A.matrix, A.structure, A.spectrum_location,
                            name=A.name, eigs=None if A.eigs is None else c * A.eigs,
                            V=A.V, Vinv=A.Vinv)
-
-
-def scheme_scalar(g, t: float, n: int, lam) -> np.ndarray:
-    """g_t(t lam / n)^n on an array of (complex) spectral points."""
-    gt = g.at(t) if isinstance(g, ScaledFamily) else g
-    return np.array([gt.eval_at(t * l / n) ** n for l in np.atleast_1d(lam)])
 
 
 # ----------------------------------------------------------------------

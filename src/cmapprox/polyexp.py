@@ -19,7 +19,6 @@ from scipy.special import gammainc, gammaln
 
 __all__ = [
     "monomial_exp_integral",
-    "polyexp_integral",
     "polyexp_moment",
     "polyexp_laplace_complex",
 ]
@@ -42,15 +41,6 @@ def monomial_exp_integral(m: int, c: float, a: float, b: float) -> float:
     hi = 1.0 if math.isinf(b) else float(gammainc(m + 1, c * b))
     lo = float(gammainc(m + 1, c * a))
     return scale * (hi - lo)
-
-
-def polyexp_integral(coeffs, rate: float, a: float, b: float) -> float:
-    """int_a^b p(s) exp(-rate s) ds for p(s) = sum_j coeffs[j] s^j."""
-    return sum(
-        cj * monomial_exp_integral(j, rate, a, b)
-        for j, cj in enumerate(coeffs)
-        if cj != 0.0
-    )
 
 
 def polyexp_moment(coeffs, rate: float, a: float, b: float, k: int) -> float:

@@ -9,7 +9,6 @@ vectorized over numpy arrays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,10 +87,3 @@ def integrate_semi_infinite(f, a: float, rel_tol: float = 1e-12,
         lo = hi
         width *= 2.0
     return TailResult(total, False, lo)
-
-
-def integrate_maybe_infinite(f, a: float, b: float, **kw) -> float:
-    """Convenience dispatcher for a finite or infinite upper limit."""
-    if math.isinf(b):
-        return integrate_semi_infinite(f, a, **kw).value
-    return integrate(f, a, b)

@@ -5,6 +5,11 @@ pass flag applies the floating-point slack policy
 
     pass  <=>  error <= bound * (1 + 1e-9) + 1e-13.
 
+Errors and norms are computed on the eigenvalue array: with the test
+vectors as columns of X and Y = V^{-1} X, a matrix function f(A) has
+||f(A) x_i|| = ||V (f(Lambda) y_i)|| and, for unitary V, operator norm
+max |f(lambda)|; a non-unitary V falls back to the dense SVD.
+
 Order fits are least-squares slopes on (log n, log error); optimality
 experiments reduce to scalar sweeps over dense spectral grids via the
 spectral mapping of the calculus.
@@ -13,14 +18,14 @@ spectral mapping of the calculus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc
 
 from . import functionals, opcalc
 from .cmfun import CMFunction, ScaledFamily, power_scale
-from .opcalc import GeneratorMatrix, frac_power, scheme_apply, semigroup_at
+from .opcalc import GeneratorMatrix, frac_on_spectrum, scheme_on_spectrum
 
 __all__ = [
     "BoundReport",
@@ -106,16 +111,47 @@ def _scheme_name(g) -> str:
     return g.name
 
 
-def _errors(g, A: GeneratorMatrix, t: float, n: int, vectors) -> list[float]:
-    S = scheme_apply(g, A, t, n)
-    E = semigroup_at(A, t)
-    D = S - E
-    return [float(np.linalg.norm(D @ x)) for x in vectors]
+def _coords(A: GeneratorMatrix, vectors) -> np.ndarray:
+    """Y = V^{-1} X: the test vectors (columns of X) in the eigenbasis of A."""
+    if A.structure not in ("diagonal", "diagonalizable"):
+        raise ValueError("bound suites need diagonal/diagonalizable structure")
+    X = np.column_stack(vectors)
+    return X if A.structure == "diagonal" else A.Vinv @ X
 
 
-def _frac_norms(A: GeneratorMatrix, alpha: float, vectors) -> list[float]:
-    P = frac_power(A, alpha)
-    return [float(np.linalg.norm(P @ x)) for x in vectors]
+def _norms(A: GeneratorMatrix, d: np.ndarray, Y: np.ndarray) -> list[float]:
+    """||V diag(d) V^{-1} x_i|| = ||V (d * y_i)|| for each column y_i of Y."""
+    Z = d[:, None] * Y
+    if A.structure == "diagonalizable":
+        Z = A.V @ Z
+    return [float(v) for v in np.linalg.norm(Z, axis=0)]
+
+
+def _opnorm(A: GeneratorMatrix, d: np.ndarray) -> float:
+    """||V diag(d) V^{-1}||: max |d| for unitary V, else the dense SVD."""
+    if A.unitary:
+        return float(np.max(np.abs(d)))
+    return opcalc.opnorm(A.spectral_map(lambda lam: d))
+
+
+def _defect(g, A: GeneratorMatrix, t: float, n: int) -> np.ndarray:
+    """scheme - e^{-tA} on the spectrum."""
+    return scheme_on_spectrum(g, t, n, A.eigs) - np.exp(-t * A.eigs)
+
+
+def _residual(g, A: GeneratorMatrix, t: float, n: int) -> np.ndarray:
+    """scheme - e^{-tA} - (2n)^{-1}(g_t''(0)-1) t^2 e^{-tA} A^2 on the spectrum."""
+    h = _resolve(g, t).moments[2] - 1.0
+    lam = A.eigs
+    return _defect(g, A, t, n) - (h * t ** 2 / (2.0 * n)) * (np.exp(-t * lam) * lam ** 2)
+
+
+def _errors(g, A: GeneratorMatrix, t: float, n: int, Y) -> list[float]:
+    return _norms(A, _defect(g, A, t, n), Y)
+
+
+def _frac_norms(A: GeneratorMatrix, alpha: float, Y) -> list[float]:
+    return _norms(A, frac_on_spectrum(A.eigs, alpha), Y)
 
 
 # ----------------------------------------------------------------------
@@ -134,10 +170,11 @@ def first_order_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
     if not math.isfinite(gt.moments[2]):
         raise ValueError("first-order suite requires a B2 (family of) function(s)")
     h = gt.moments[2] - 1.0
-    errs = _errors(g, A, t, n, vectors)
+    Y = _coords(A, vectors)
+    errs = _errors(g, A, t, n, Y)
     out = []
     for alpha in alphas:
-        norms = _frac_norms(A, alpha, vectors)
+        norms = _frac_norms(A, alpha, Y)
         for i, (err, nx) in enumerate(zip(errs, norms)):
             if alpha == 2.0:
                 bound = M * 0.5 * h * t ** 2 / n * nx
@@ -162,10 +199,11 @@ def non_b2_bounds(g: CMFunction, A: GeneratorMatrix, t: float, n: int, alphas,
     dg = g.derivative(1.0 / n, 1)
     lead = 4.0 * math.e * M * (1.0 + 1.0 / abs(dg))
     root = max(1.0 + dg, 0.0)
-    errs = _errors(g, A, t, n, vectors)
+    Y = _coords(A, vectors)
+    errs = _errors(g, A, t, n, Y)
     out = []
     for alpha in alphas:
-        norms = _frac_norms(A, alpha, vectors)
+        norms = _frac_norms(A, alpha, Y)
         for i, (err, nx) in enumerate(zip(errs, norms)):
             if alpha == 1.0:
                 bound = lead * math.sqrt(root) * t * nx
@@ -175,15 +213,6 @@ def non_b2_bounds(g: CMFunction, A: GeneratorMatrix, t: float, n: int, alphas,
                 tag = "slope-frac"
             out.append(BoundReport(g.name, A.name, t, n, alpha, i, err, bound, tag))
     return out
-
-
-def _residual_matrix(g, A: GeneratorMatrix, t: float, n: int) -> np.ndarray:
-    gt = _resolve(g, t)
-    h = gt.moments[2] - 1.0
-    S = scheme_apply(g, A, t, n)
-    E = semigroup_at(A, t)
-    A2 = A.spectral_map(lambda lam: lam ** 2)
-    return S - E - (h * t ** 2 / (2.0 * n)) * (E @ A2)
 
 
 def second_order_bounds(g, A: GeneratorMatrix, t: float, n: int,
@@ -200,12 +229,12 @@ def second_order_bounds(g, A: GeneratorMatrix, t: float, n: int,
     h4 = gt.moments[4] - 1.0
     C = math.sqrt(h2 * h4 / 2.0)
     C1 = h4
-    R = _residual_matrix(g, A, t, n)
-    n3 = _frac_norms(A, 3.0, vectors)
-    n4 = _frac_norms(A, 4.0, vectors)
+    Y = _coords(A, vectors)
+    errs = _norms(A, _residual(g, A, t, n), Y)
+    n3 = _frac_norms(A, 3.0, Y)
+    n4 = _frac_norms(A, 4.0, Y)
     out = []
-    for i, x in enumerate(vectors):
-        err = float(np.linalg.norm(R @ x))
+    for i, err in enumerate(errs):
         b1 = M * C * t ** 3 * n ** -1.5 * n3[i]
         b2 = M * C1 * t ** 3 * n ** -2.0 * (n3[i] + t * n4[i])
         out.append(BoundReport(_scheme_name(g), A.name, t, n, 3.0, i, err, b1, "second-order-A3"))
@@ -230,16 +259,15 @@ def holomorphic_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
     h = gt.moments[2] - 1.0
     M0, M1, M2 = Mc.M[0], Mc.M[1], Mc.M[2]
     K = 3.0 * M0 + 3.0 * M1 + M2 / 2.0
-    S = scheme_apply(g, A, t, n)
-    E = semigroup_at(A, t)
-    D = S - E
+    d = _defect(g, A, t, n)
     out = [BoundReport(_scheme_name(g), A.name, t, n, 0.0, -1,
-                       opcalc.opnorm(D), K * h / n, "holo-opnorm")]
-    errs = [float(np.linalg.norm(D @ x)) for x in vectors]
+                       _opnorm(A, d), K * h / n, "holo-opnorm")]
+    Y = _coords(A, vectors)
+    errs = _norms(A, d, Y)
     sharp_ok = not isinstance(g, ScaledFamily) and g.tail_integrable and g.measure is not None
     c_cache = {}
     for alpha in alphas:
-        norms = _frac_norms(A, alpha, vectors)
+        norms = _frac_norms(A, alpha, Y)
         if sharp_ok or c_alpha_fn is not None:
             if alpha not in c_cache:
                 if c_alpha_fn is not None:
@@ -278,13 +306,13 @@ def holomorphic_second_order(g: CMFunction, A: GeneratorMatrix, t: float, n: int
     gn = power_scale(g, n)
     b_n = functionals.b_of(gn)
     d1_n = functionals.d1_of(gn)
-    R = _residual_matrix(g, A, t, n)
+    Y = _coords(A, vectors)
+    errs = _norms(A, _residual(g, A, t, n), Y)
     out = []
     for alpha in alphas:
         K = abs(b_n) * Mc[3.0 - alpha] + 0.5 * d1_n * Mc[4.0 - alpha]
-        norms = _frac_norms(A, alpha, vectors)
-        for i, x in enumerate(vectors):
-            err = float(np.linalg.norm(R @ x))
+        norms = _frac_norms(A, alpha, Y)
+        for i, err in enumerate(errs):
             out.append(BoundReport(g.name, A.name, t, n, alpha, i, err,
                                    K * t ** alpha * norms[i], "holo-second"))
     return out
@@ -312,8 +340,7 @@ def optimality_lower(g: CMFunction, alpha: float, t: float, n_grid,
             lam = mods.astype(complex)
         else:
             raise ValueError("spectrum must be 'imaginary' or 'positive'")
-        vals = np.array([g.eval_at(t * l / n) ** n for l in lam])
-        diff = vals - np.exp(-t * lam)
+        diff = scheme_on_spectrum(g, t, n, lam) - np.exp(-t * lam)
         if order == 2 and spectrum == "positive":
             h = g.moments[2] - 1.0
             diff = diff - (h * t ** 2 / (2.0 * n)) * lam ** 2 * np.exp(-t * lam)

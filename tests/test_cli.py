@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -41,16 +44,14 @@ def test_functionals_usage_errors(capsys):
     assert "unknown" in capsys.readouterr().err
 
 
-def test_verify_bounds_deterministic_across_jobs(tmp_path):
+def test_verify_bounds_deterministic(tmp_path):
     argv = ["verify-bounds", "--scheme", "euler", "--generator", "diag_imag:k=16",
             "--suite", "first", "--t", "0.5,1", "--n", "4,16", "--alpha", "1,2"]
-    out1, out2, out3 = (tmp_path / f"b{i}.csv" for i in (1, 2, 3))
+    out1, out2 = (tmp_path / f"b{i}.csv" for i in (1, 2))
     assert cli.main(argv + ["--out", str(out1)]) == 0
     assert cli.main(argv + ["--out", str(out2)]) == 0
-    assert cli.main(argv + ["--out", str(out3), "--jobs", "4"]) == 0
     b1 = out1.read_bytes()
     assert b1 == out2.read_bytes()
-    assert b1 == out3.read_bytes()
     rows = _read_csv(out1)
     assert rows and all(r["pass"] == "true" for r in rows)
     # 2 t * 2 n * 2 alpha * 8 vectors
@@ -84,6 +85,35 @@ def test_verify_bounds_usage_errors(tmp_path, capsys):
     assert "available" in capsys.readouterr().err
     assert cli.main(["verify-bounds", "--scheme", "mystery", "--generator",
                      "diag_imag:k=8", "--suite", "first", "--n", "4"]) == 2
+
+
+def test_empty_list_names_the_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-bounds", "--scheme", "euler", "--generator", "diag_imag:k=8",
+                  "--suite", "first", "--n", ","])
+    assert exc.value.code == 2
+    assert "--n" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["functionals", "--g", "euler", "--alpha", ","])
+    assert exc.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_without_traceback():
+    # the reader of the pipe is gone before the first write, as after `| head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cmapprox.cli", "verify-bounds", "--scheme", "euler",
+             "--generator", "diag_imag:k=8", "--suite", "first", "--n", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == ""
 
 
 def test_config_file_with_flag_overrides(tmp_path):

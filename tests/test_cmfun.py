@@ -4,13 +4,15 @@ import cmath
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmapprox import cmfun, quadrature
 from cmapprox.measures import PolyExpSegment, PositiveMeasure
 
-from conftest import b2_builtins
+from conftest import b2_builtins, mp_eval_map
 
 
 # ----------------------------------------------------------------------
@@ -127,6 +129,45 @@ def test_scalar_convergence_bounds():
                 assert diff <= t * (1.0 + g.derivative(t / n, 1)) + 1e-10
                 if math.isfinite(h):
                     assert diff <= h * t * t / (2.0 * n) + 1e-10
+
+
+def _flush(x):
+    """Components below 1e-12 become 0: the mpmath reference would need
+    hundreds of digits there to beat the cancellation in spline."""
+    return 0.0 if abs(x) < 1e-12 else x
+
+
+# small points reach both sides of spline's series cutoff |z| = 1e-8
+_SMALL = st.one_of(st.just(0.0), st.floats(1e-12, 1e-4))
+_COMPLEX_POINTS = st.lists(st.one_of(
+    st.builds(complex, st.floats(0.0, 30.0).map(_flush), st.floats(-30.0, 30.0).map(_flush)),
+    st.builds(complex, _SMALL, _SMALL),
+    st.builds(complex, _SMALL, _SMALL.map(lambda y: -y)),
+), min_size=1, max_size=6)
+_REAL_POINTS = st.lists(st.one_of(st.floats(0.0, 30.0).map(_flush), _SMALL),
+                        min_size=1, max_size=6)
+
+
+def _mp_reference(name, z):
+    # enough digits to survive the cancellation in (1 - e^{-2z})/(2z) at tiny z
+    digits = 40 + (int(-math.log10(abs(z))) if 0 < abs(z) < 1 else 0)
+    with mpmath.workdps(digits):
+        return complex(mp_eval_map()[name](mpmath.mpmathify(z)))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(zs=_COMPLEX_POINTS, xs=_REAL_POINTS)
+def test_vectorized_evaluators_match_scalar_reference(zs, xs):
+    for g in b2_builtins() + [cmfun.frac_tail(0.5)]:
+        vals = g.eval_at(np.array(zs))
+        for z, v in zip(zs, vals):
+            ref = _mp_reference(g.name, z)
+            assert abs(v - ref) <= 1e-12 * abs(ref) + 1e-15, (g.name, z)
+        real_vals = g(np.array(xs))
+        assert not np.iscomplexobj(real_vals)
+        for x, v in zip(xs, real_vals):
+            ref = _mp_reference(g.name, x).real
+            assert abs(v - ref) <= 1e-12 * abs(ref) + 1e-15, (g.name, x)
 
 
 def test_laplace_consistency():

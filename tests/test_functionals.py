@@ -2,13 +2,11 @@
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
 from cmapprox import cmfun, quadrature
 from cmapprox import functionals as F
-from cmapprox.specialfns import digamma, log_gamma
 
 from conftest import b2_builtins
 
@@ -298,35 +296,6 @@ def test_check_polynomial_rate():
     assert all(math.isfinite(v) and v > 0 for v in rep.values())
     rep_e = F.check_polynomial_rate(cmfun.euler(), 1.0)
     assert rep_e["c_scaled_slope"] <= 2.0 + 1e-9  # 1+g'(1/n) = 1-(1+1/n)^{-2} <= 2/n
-
-
-# ----------------------------------------------------------------------
-# special functions
-# ----------------------------------------------------------------------
-
-def test_digamma_anchors():
-    assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-13)
-    # series oracle: psi(x) = -gamma + sum_k (x-1)/(k(k+x-1)), tail ~ (x-1)/K
-    K = 1_000_000
-    k = np.arange(1, K + 1, dtype=float)
-    for x in (0.3, 2.5, 7.0):
-        acc = -EULER_GAMMA + float(np.sum((x - 1.0) / (k * (k + x - 1.0)))) + (x - 1.0) / K
-        assert digamma(x) == pytest.approx(acc, abs=5e-7)
-    for n in (1, 5, 40):
-        assert digamma(n + 1.0) - digamma(float(n)) == pytest.approx(1.0 / n, abs=1e-13)
-
-
-def test_log_gamma_anchors():
-    assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-13)
-    for x in (1e-2, 0.7, 1.0, 2.0, 11.5, 1e3, 1e6):
-        ref = float(mpmath.loggamma(x))
-        assert abs(log_gamma(x) - ref) <= 1e-12 + 1e-14 * abs(ref)
-    ref = float(mpmath.digamma(1e6))
-    assert abs(digamma(1e6) - ref) <= 1e-12 + 1e-14 * abs(ref)
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        digamma(-1.0)
 
 
 def test_functional_values_container():

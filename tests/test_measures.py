@@ -88,10 +88,6 @@ def test_measure_laplace_mixed():
     z = 0.7 + 0.3j
     expected = 0.25 + 0.25 * cmath.exp(-2.0 * z) + 0.5 / (1.0 + z)
     assert nu.laplace(z) == pytest.approx(expected, rel=1e-13)
-    zs = np.array([0.0, 0.5, 3.0])
-    real_vals = nu.laplace_real(zs)
-    for zz, v in zip(zs, real_vals):
-        assert v == pytest.approx(nu.laplace(complex(zz)).real, rel=1e-12)
 
 
 def test_kernel_integral_atoms_and_divergence():

@@ -228,12 +228,50 @@ def test_scheme_apply_matrix_power_path():
     assert opnorm(spec - quad) <= 1e-8
 
 
-def test_scheme_scalar_matches_apply():
-    A = diag_imag(8)
-    g = cmfun.spline()
-    B = scheme_apply(g, A, 2.0, 5)
-    vals = opcalc.scheme_scalar(g, 2.0, 5, A.eigs)
-    assert np.allclose(np.diag(B), vals, atol=1e-13)
+def _nonnormal(d=24):
+    """Diagonalizable but not normal: a non-orthogonal eigenbasis."""
+    rng = np.random.default_rng(7)
+    V = (np.eye(d) + 0.3 * np.triu(rng.standard_normal((d, d)), 1)).astype(complex)
+    eigs = np.logspace(-1, 1, d) + 1j * np.linspace(-2.0, 2.0, d)
+    Vinv = np.linalg.inv(V)
+    return GeneratorMatrix(V @ np.diag(eigs) @ Vinv, "diagonalizable", "rhp",
+                           name="nonnormal", eigs=eigs, V=V, Vinv=Vinv)
+
+
+def test_eigen_path_matches_dense():
+    from cmapprox import rates
+
+    def close(got, want):
+        return abs(got - want) <= 1e-9 * abs(want) + 1e-11
+
+    gallery = [diag_imag(24), diag_positive(24), laplacian_dirichlet_1d(24),
+               advection_periodic(24)]
+    assert all(A.unitary for A in gallery)
+    B = _nonnormal()
+    assert not B.unitary
+    for A in gallery + [B]:
+        vectors = opcalc.test_vectors(A)
+        Y = rates._coords(A, vectors)
+        for alpha in (0.0, 0.5, 1.0, 2.5):
+            P = frac_power(A, alpha)
+            for got, x in zip(rates._frac_norms(A, alpha, Y), vectors):
+                assert close(got, np.linalg.norm(P @ x))
+        for g in (cmfun.euler(), cmfun.spline(), cmfun.make_builtin("kendall")):
+            for t, n in ((0.5, 3), (1.0, 200)):
+                S, E = scheme_apply(g, A, t, n), semigroup_at(A, t)
+                D = S - E
+                for got, x in zip(rates._errors(g, A, t, n, Y), vectors):
+                    assert close(got, np.linalg.norm(D @ x))
+                assert close(rates._opnorm(A, rates._defect(g, A, t, n)), opnorm(D))
+                h = (g.at(t) if isinstance(g, cmfun.ScaledFamily) else g).moments[2] - 1.0
+                R = D - (h * t ** 2 / (2.0 * n)) * (E @ frac_power(A, 2.0))
+                for got, x in zip(rates._norms(A, rates._residual(g, A, t, n), Y), vectors):
+                    assert close(got, np.linalg.norm(R @ x))
+    # rows carry Python scalars, so the CSV prints pass as true/false
+    A = laplacian_dirichlet_1d(24)
+    rows = rates.holomorphic_bounds(cmfun.spline(), A, 1.0, 4, (0.5,), opcalc.test_vectors(A),
+                                    semigroup_constants(A))
+    assert all(type(r.error) is float and type(r.passed) is bool for r in rows)
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +314,7 @@ def test_defect_factorization():
     for g in (cmfun.euler(), cmfun.spline()):
         lhs = hp_apply(g, A) - semigroup_at(A, 1.0)
         for alpha in (0.5, 1.0, 2.0):
-            D = A.spectral_map(lambda lam: complex(F.delta(g, alpha, float(lam.real))))
+            D = A.spectral_map(lambda lam: F.delta(g, alpha, lam.real))
             rhs = frac_power(A, alpha) @ D
             assert opnorm(lhs - rhs) <= 1e-8
 

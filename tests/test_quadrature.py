@@ -37,13 +37,6 @@ def test_integrate_semi_infinite_divergent_flags():
     assert not res.converged
 
 
-def test_integrate_maybe_infinite_dispatch():
-    a = quadrature.integrate_maybe_infinite(lambda x: np.exp(-x), 0.0, math.inf)
-    assert a == pytest.approx(1.0, rel=1e-11)
-    b = quadrature.integrate_maybe_infinite(lambda x: np.exp(-x), 0.0, 1.0)
-    assert b == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
-
-
 def test_monomial_exp_integral_against_quadrature():
     for m, c, a, b in ((0, 1.0, 0.0, 3.0), (2, 0.5, 1.0, 4.0), (5, 2.0, 0.0, math.inf),
                        (3, 0.0, 0.0, 2.0)):
