@@ -161,6 +161,9 @@ def _suite_rows(cfg, seed):
         print(f"error: unknown suite {suite!r}; available: {', '.join(suites)}",
               file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
+    if suite in ("holo", "holo2") and not (math.isfinite(Mc.M[1]) and math.isfinite(Mc.M[2])):
+        raise ValueError(f"suite {suite!r} needs a sectorial generator; the spectrum of "
+                         f"{gen!r} is not sectorial (M_1 = {Mc.M[1]}, M_2 = {Mc.M[2]})")
     rows = [r.row() for t in ts for n in ns for r in suites[suite](t, n)]
     rows.sort(key=lambda r: (r["scheme"], r["generator"], r["t"], r["n"],
                              r["alpha"], r["vector_id"]))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -194,7 +195,16 @@ def _scaled_moments(moments, n: int):
 
 
 def power_scale(g: CMFunction, n: int) -> CMFunction:
-    """g_n(z) = g(z/n)^n with derivatives at zero in closed form."""
+    """g_n(z) = g(z/n)^n with derivatives at zero in closed form.
+
+    Repeated calls with the same (g, n) return the same object, so results
+    cached on g_n (the c_alpha quadrature) are shared across callers.
+    """
+    return _power_scale(g, n)
+
+
+@lru_cache(maxsize=None)
+def _power_scale(g: CMFunction, n: int) -> CMFunction:
     if n < 1:
         raise ValueError("n must be a positive integer")
     if not check_b1(g):

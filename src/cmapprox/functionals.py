@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import digamma, gammaln
+from scipy.special import bernoulli, gammaln
 
 from . import quadrature
 from .cmfun import CMFunction, check_b1, check_bk, power_scale
@@ -151,13 +152,25 @@ def _diff_series(g: CMFunction, z):
 
 
 def delta(g: CMFunction, alpha: float, z):
-    """Delta_alpha(z) = (g(z) - e^{-z}) / z^alpha for z > 0 (vectorized)."""
+    """Delta_alpha(z) = (g(z) - e^{-z}) / z^alpha for z > 0 (vectorized).
+
+    Below _SERIES_CUTOFF (on B2) the difference comes from the moment
+    series, elsewhere from g directly; each point is evaluated one way only.
+    """
     z = np.asarray(z, dtype=float)
-    use_series = (z < _SERIES_CUTOFF) & math.isfinite(g.moments[2])
     zz = np.where(z == 0.0, 1.0, z)
-    direct = (g(zz) - np.exp(-zz)) / zz ** alpha
-    series = _diff_series(g, zz) / zz ** alpha if math.isfinite(g.moments[2]) else direct
-    out = np.where(use_series, series, direct)
+    series = (zz < _SERIES_CUTOFF) & math.isfinite(g.moments[2])
+
+    def form(x, by_series: bool):
+        diff = _diff_series(g, x) if by_series else g(x) - np.exp(-x)
+        return diff / x ** alpha
+
+    if series.all() or not series.any():
+        out = np.asarray(form(zz, bool(series.any())))
+    else:
+        out = np.empty_like(zz)
+        out[series] = form(zz[series], True)
+        out[~series] = form(zz[~series], False)
     if np.any(z == 0.0):
         if alpha == 2.0 and math.isfinite(g.moments[2]):
             out = np.where(z == 0.0, 0.5 * (g.moments[2] - 1.0), out)
@@ -288,10 +301,16 @@ def c_alpha_quad(g: CMFunction, alpha: float, rel_tol: float = 1e-11) -> QuadVal
     When g(inf) = c > 0 the constant part of the tail is integrated
     analytically for alpha > 0; for alpha = 0 the integral genuinely
     diverges (logarithmically) and a truncated value is returned with
-    converged=False.
+    converged=False.  The quadrature runs once per (g, alpha, rel_tol)
+    in a process; later calls return the stored value.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
+    return _c_alpha_quadrature(g, alpha, rel_tol)
+
+
+@lru_cache(maxsize=None)
+def _c_alpha_quadrature(g: CMFunction, alpha: float, rel_tol: float) -> QuadValue:
     gamma_factor = math.exp(-gammaln(2.0 - alpha))
     c_inf = g.limit_at_inf
     z0 = 40.0
@@ -334,20 +353,52 @@ def c_alpha(g: CMFunction, alpha: float) -> float:
     return qv.value
 
 
+# The large-n series below are summed at m = max(n, _SHIFT) and carried
+# down to n by the recurrences of Gamma and psi; at m >= 32 the terms up
+# to B_12 leave a truncation error far below one ulp.
+_SHIFT = 32
+_B = bernoulli(12)
+
+
+def _log_gamma_ratio(n: int, a: float) -> float:
+    """log(Gamma(n+a) / (n^a Gamma(n))) without the cancellation of log-gammas.
+
+    At m: sum_k (-1)^{k+1} (B_{k+1}(a) - B_{k+1}) / (k(k+1) m^k); then
+    Gamma(n+a)/Gamma(n) = Gamma(m+a)/Gamma(m) prod_{j=n}^{m-1} j/(j+a).
+    """
+    m = max(n, _SHIFT)
+    series = 0.0
+    for k in range(1, 12):
+        bpoly = sum(math.comb(k + 1, i) * _B[i] * a ** (k + 1 - i) for i in range(k + 1))
+        series += (-1) ** (k + 1) * bpoly / (k * (k + 1) * m ** k)
+    j = np.arange(n, m, dtype=float)
+    return series - float(np.sum(np.log1p(a / j))) + a * math.log(m / n)
+
+
+def _log_minus_digamma(n: int) -> float:
+    """log n - psi(n): 1/(2m) + sum_k B_2k / (2k m^2k) at m, then
+    psi(n) = psi(m) - sum_{j=n}^{m-1} 1/j."""
+    m = max(n, _SHIFT)
+    series = 0.5 / m + sum(_B[2 * k] / (2 * k * m ** (2 * k)) for k in range(1, 7))
+    j = np.arange(n, m, dtype=float)
+    return series + float(np.sum(1.0 / j)) - math.log(m / n)
+
+
 def euler_c_alpha_exact(n: int, alpha: float) -> float:
     """Closed form for Euler's scheme:
 
     c_alpha[g_n] = [1 - Gamma(n+alpha)/(n^alpha Gamma(n))]/(alpha(1-alpha)),
     with digamma endpoints c_0 = log n - psi(n), c_1 = psi(n+1) - log n.
+    The ratio and the endpoints come from their large-n series, so the
+    value keeps full relative accuracy however large n is.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if alpha == 0.0:
-        return math.log(n) - float(digamma(n))
+        return _log_minus_digamma(n)
     if alpha == 1.0:
-        return float(digamma(n + 1)) - math.log(n)
-    ratio = math.exp(gammaln(n + alpha) - alpha * math.log(n) - gammaln(n))
-    return (1.0 - ratio) / (alpha * (1.0 - alpha))
+        return 1.0 / n - _log_minus_digamma(n)
+    return -math.expm1(_log_gamma_ratio(n, alpha)) / (alpha * (1.0 - alpha))
 
 
 # ----------------------------------------------------------------------

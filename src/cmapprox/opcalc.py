@@ -326,7 +326,8 @@ class SemigroupConstants:
         # for positive real spectrum; conservative bound otherwise)
         lo, hi = int(math.floor(beta)), int(math.ceil(beta))
         if self.method == "closed-form":
-            return (beta / math.e) ** beta
+            # an imaginary spectrum (M_1 = inf) leaves |t lam|^beta unbounded
+            return (beta / math.e) ** beta if math.isfinite(self.M[1]) else math.inf
         return 3.0 * (self.M[lo] + self.M[hi])
 
 

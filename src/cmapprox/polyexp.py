@@ -5,7 +5,8 @@ Everything here reduces to the monomial integral
     I(m, c; a, b) = int_a^b s^m exp(-c s) ds,
 
 which has a closed form via the regularized lower incomplete gamma
-function for c > 0 and the power rule for c = 0.  Evaluations are done
+function, and a Taylor series in c when c b < 1e-3 (the power rule at
+c = 0, and no overflow of c^-(m+1) at tiny rates).  Evaluations are done
 in the log domain so that large polynomial degrees (Gamma densities of
 Euler powers) do not overflow.
 """
@@ -32,10 +33,14 @@ def monomial_exp_integral(m: int, c: float, a: float, b: float) -> float:
         return 0.0
     if c < 0.0:
         raise ValueError("negative exponential rate")
-    if c == 0.0:
-        if math.isinf(b):
-            return math.inf
-        return (b ** (m + 1) - a ** (m + 1)) / (m + 1)
+    if c == 0.0 and math.isinf(b):
+        return math.inf
+    if c * b < 1e-3:
+        # e^{-cs} is within 1e-3 of 1 on [a, b]: its Taylor series, whose
+        # terms fall by c b / k, is exact at c = 0 and avoids the overflow
+        # of c^-(m+1) below
+        return sum((-c) ** k / math.factorial(k) * (b ** (m + k + 1) - a ** (m + k + 1))
+                   / (m + k + 1) for k in range(8))
     # Gamma(m+1)/c^(m+1) * (P(m+1, c b) - P(m+1, c a))
     scale = math.exp(gammaln(m + 1) - (m + 1) * math.log(c))
     hi = 1.0 if math.isinf(b) else float(gammainc(m + 1, c * b))

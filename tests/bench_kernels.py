@@ -1,0 +1,39 @@
+"""Micro-benchmarks of the quadrature kernels (pytest-benchmark).
+
+    PYTHONPATH=src python -m pytest tests/bench_kernels.py --benchmark-only
+
+The file name is outside the default `test_*.py` pattern, so a plain
+`pytest` run does not collect it.  The case is the costliest quadrature of
+the `functionals` command: c_1 of the spline scheme at n = 1024, whose
+defect needs about 12k panels.
+"""
+
+import pytest
+
+from cmapprox import cmfun, quadrature
+from cmapprox import functionals as F
+
+N = 1024
+ALPHA = 1.0
+
+
+@pytest.fixture(scope="module")
+def spline_n():
+    return cmfun.power_scale(cmfun.spline(), N)
+
+
+def test_bench_integrate_spline_defect(benchmark, spline_n):
+    # the head [0, 1] of c_1[g_1024]: Delta_2 of the spline power
+    value = benchmark(quadrature.integrate, lambda z: F.delta(spline_n, 1.0 + ALPHA, z),
+                      0.0, 1.0, rel_tol=1e-11)
+    assert value > 0.0
+
+
+def test_bench_c_alpha_quad(benchmark, spline_n):
+    # clear the per-process cache so that every round runs the quadrature
+    def run():
+        F._c_alpha_quadrature.cache_clear()
+        return F.c_alpha_quad(spline_n, ALPHA)
+
+    qv = benchmark(run)
+    assert qv.converged

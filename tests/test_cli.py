@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from cmapprox import cli
+from cmapprox import cli, cmfun
+from cmapprox import functionals as fns
 from cmapprox.functionals import euler_c_alpha_exact
 
 
@@ -85,6 +86,27 @@ def test_verify_bounds_usage_errors(tmp_path, capsys):
     assert "available" in capsys.readouterr().err
     assert cli.main(["verify-bounds", "--scheme", "mystery", "--generator",
                      "diag_imag:k=8", "--suite", "first", "--n", "4"]) == 2
+
+
+@pytest.mark.parametrize("suite", ["holo", "holo2"])
+def test_holo_suites_refuse_imaginary_spectrum(suite, capsys):
+    rc = cli.main(["verify-bounds", "--scheme", "spline", "--generator", "diag_imag:k=64",
+                   "--suite", suite, "--n", "4,16", "--alpha", "0.5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"'{suite}'" in captured.err and "diag_imag:k=64" in captured.err
+
+
+def test_holo_run_computes_each_c_alpha_once(tmp_path):
+    # 3 t x 4 n x 3 alpha cells ask for c_alpha[g_n] 36 times; 12 are distinct
+    fns._c_alpha_quadrature.cache_clear()
+    cmfun._power_scale.cache_clear()
+    assert cli.main(["verify-bounds", "--scheme", "spline", "--generator", "laplacian:d=16",
+                     "--suite", "holo", "--t", "0.25,1,4", "--n", "4,16,64,256",
+                     "--alpha", "0,0.5,1", "--out", str(tmp_path / "h.csv")]) == 0
+    info = fns._c_alpha_quadrature.cache_info()
+    assert (info.misses, info.hits) == (12, 24)
 
 
 def test_empty_list_names_the_flag(capsys):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -78,6 +79,20 @@ def test_delta_values():
         assert abs(below - above) <= 2e-4 * max(abs(below), 1e-10) + 1e-12
 
 
+def test_delta_matches_both_forms_reference():
+    # reference: both forms at every point, then a select; delta evaluates
+    # each point one way only and must agree exactly
+    z = np.concatenate([np.logspace(-6, 3, 400), [9.999e-4, 1e-3, 1.0001e-3]])
+    gs = [*b2_builtins(), cmfun.frac_tail(0.5), cmfun.power_scale(cmfun.spline(), 64)]
+    for g in gs:
+        for alpha in (0.0, 1.5, 2.0):
+            direct = (g(z) - np.exp(-z)) / z ** alpha
+            want = direct
+            if math.isfinite(g.moments[2]):
+                want = np.where(z < F._SERIES_CUTOFF, F._diff_series(g, z) / z ** alpha, direct)
+            assert np.array_equal(F.delta(g, alpha, z), want)
+
+
 # ----------------------------------------------------------------------
 # L and Delta_1
 # ----------------------------------------------------------------------
@@ -144,6 +159,22 @@ def test_c_alpha_convexity_in_alpha():
         c0, c1 = F.c_alpha(g, 0.0), F.c_alpha(g, 1.0)
         for alpha in (0.25, 0.5, 0.75):
             assert F.c_alpha(g, alpha) <= (1 - alpha) * c0 + alpha * c1 + 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 4, 1024, 65536])
+def test_euler_exact_against_mpmath(n):
+    # 50-digit reference; the tolerance was fixed at 1e-12 relative up front
+    with mpmath.workdps(50):
+        for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
+            a = mpmath.mpf(alpha)
+            if alpha == 0.0:
+                want = mpmath.log(n) - mpmath.digamma(n)
+            elif alpha == 1.0:
+                want = mpmath.digamma(n + 1) - mpmath.log(n)
+            else:
+                log_ratio = mpmath.loggamma(n + a) - a * mpmath.log(n) - mpmath.loggamma(n)
+                want = -mpmath.expm1(log_ratio) / (a * (1 - a))
+            assert F.euler_c_alpha_exact(n, alpha) == pytest.approx(float(want), rel=1e-12)
 
 
 def test_euler_exact_envelopes():

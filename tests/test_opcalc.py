@@ -291,6 +291,7 @@ def test_constants_imaginary():
     Mc = semigroup_constants(diag_imag(16))
     assert Mc.M[0] == 1.0
     assert all(math.isinf(m) for m in Mc.M[1:])
+    assert all(math.isinf(Mc[beta]) for beta in (0.5, 1.5, 2.5, 3.5))
 
 
 def test_constants_sampled_nilpotent():

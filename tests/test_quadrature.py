@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmapprox import polyexp, quadrature
 
@@ -17,6 +18,46 @@ def test_integrate_polynomial_exact():
 def test_integrate_oscillatory():
     val = quadrature.integrate(lambda x: np.sin(10.0 * x), 0.0, math.pi)
     assert val == pytest.approx((1.0 - math.cos(10.0 * math.pi)) / 10.0, abs=1e-12)
+
+
+def test_integrate_batches_many_panels():
+    # sin(2000 x) over [0, 10] needs thousands of panels: several integrand
+    # calls, none with more than the nodes of one batch
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.sin(2000.0 * x)
+
+    val = quadrature.integrate(f, 0.0, 10.0)
+    assert val == pytest.approx((1.0 - math.cos(20000.0)) / 2000.0, abs=1e-12)
+    assert len(sizes) > 1
+    assert max(sizes) == quadrature._BATCH * 60
+
+
+def test_integrate_returns_at_max_depth():
+    # a jump never meets the tolerance: the panel holding it is accepted at
+    # max_depth, so the result is off by at most that panel's width
+    calls = []
+
+    def step(x):
+        calls.append(1)
+        return (x > 1.0 / 3.0).astype(float)
+
+    val = quadrature.integrate(step, 0.0, 1.0, max_depth=20)
+    assert abs(val - 2.0 / 3.0) <= 2.0 ** -20
+    assert len(calls) <= 21
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(m=st.integers(0, 6), c=st.floats(0.0, 2.0), a=st.floats(0.0, 3.0),
+       width=st.floats(0.01, 5.0))
+def test_integrate_monomial_exp_property(m, c, a, width):
+    # c * a <= 6 keeps the closed form's incomplete-gamma difference accurate
+    b = a + width
+    want = polyexp.monomial_exp_integral(m, c, a, b)
+    got = quadrature.integrate(lambda s: s ** m * np.exp(-c * s), a, b)
+    assert got == pytest.approx(want, rel=1e-11)
 
 
 def test_integrate_semi_infinite_gaussian():
@@ -47,9 +88,12 @@ def test_monomial_exp_integral_against_quadrature():
 
 
 def test_monomial_exp_small_rate_stability():
-    # c*(b-a) << 1 hits the series branch; compare against mpmath-free limit
+    # c*b << 1 hits the series branch; compare against the c = 0 limit
     got = polyexp.monomial_exp_integral(2, 1e-9, 1.0, 2.0)
     assert got == pytest.approx(7.0 / 3.0, rel=1e-8)
+    # c^-(m+1) would overflow here; e^{-cs} = 1 to double precision
+    assert polyexp.monomial_exp_integral(6, 1e-50, 0.0, 2.0) == pytest.approx(2.0 ** 7 / 7.0,
+                                                                             rel=1e-15)
 
 
 def test_polyexp_moment_shifts_degree():
