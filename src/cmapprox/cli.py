@@ -5,7 +5,7 @@ Subcommands:
     functionals    rate functionals of a named function over an (n, alpha) grid
     verify-bounds  error-vs-bound suites (first/second order, holomorphic)
     optimality     lower-bound exponent fits from scalar spectral sweeps
-    orders         empirical convergence-order fits per (t, alpha)
+    orders         empirical convergence-order fits per t
     sharpness      sharp-constant experiments (scalar sup, shift integrals)
     report         aggregate CSVs into a pass/fail summary by bound tag
 
@@ -108,8 +108,8 @@ def cmd_functionals(args) -> int:
     if isinstance(g, ScaledFamily):
         print("error: functionals needs a fixed function (give t)", file=sys.stderr)
         return USAGE_ERROR
-    ns = _parse_list(args.n or "1", int, "n")
-    alphas = _parse_list(args.alpha or "0,0.5,1", float, "alpha")
+    ns = [int(x) for x in cfg.get("n", [1])]
+    alphas = [float(x) for x in cfg.get("alpha", [0.0, 0.5, 1.0])]
     rows = []
     for n in ns:
         gn = power_scale(g, n)
@@ -146,7 +146,7 @@ def _suite_rows(cfg, seed):
     A = opcalc.make_generator(gen)
     vectors = opcalc.test_vectors(A, seed=seed)
     Mc = opcalc.semigroup_constants(A)
-    M0 = Mc.M[0]
+    M0 = Mc[0]
     ts, ns, alphas = _grids(cfg)
     cfn = rates.euler_sharp_r if scheme == "euler" else None
     suites = {
@@ -161,9 +161,9 @@ def _suite_rows(cfg, seed):
         print(f"error: unknown suite {suite!r}; available: {', '.join(suites)}",
               file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
-    if suite in ("holo", "holo2") and not (math.isfinite(Mc.M[1]) and math.isfinite(Mc.M[2])):
+    if suite in ("holo", "holo2") and not (math.isfinite(Mc[1]) and math.isfinite(Mc[2])):
         raise ValueError(f"suite {suite!r} needs a sectorial generator; the spectrum of "
-                         f"{gen!r} is not sectorial (M_1 = {Mc.M[1]}, M_2 = {Mc.M[2]})")
+                         f"{gen!r} is not sectorial (M_1 = {Mc[1]}, M_2 = {Mc[2]})")
     rows = [r.row() for t in ts for n in ns for r in suites[suite](t, n)]
     rows.sort(key=lambda r: (r["scheme"], r["generator"], r["t"], r["n"],
                              r["alpha"], r["vector_id"]))
@@ -261,11 +261,15 @@ def cmd_report(args) -> int:
     summary = {}
     for path in args.inputs:
         with open(path) as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            if "pass" not in (reader.fieldnames or ()):
+                print(f"error: {path} has no 'pass' column, so it has nothing to report",
+                      file=sys.stderr)
+                return USAGE_ERROR
+            for row in reader:
                 tag = row.get("tag") or row.get("experiment") or "untagged"
-                ok = row.get("pass", "true") == "true"
                 cell = summary.setdefault(tag, {"pass": 0, "fail": 0})
-                cell["pass" if ok else "fail"] += 1
+                cell["pass" if row["pass"] == "true" else "fail"] += 1
     rows = [{"tag": tag, "passed": c["pass"], "failed": c["fail"],
              "status": "ok" if c["fail"] == 0 else "FAIL"}
             for tag, c in sorted(summary.items())]
@@ -273,49 +277,40 @@ def cmd_report(args) -> int:
     return FAILURE if any(r["failed"] for r in rows) else 0
 
 
+# every option a subcommand may take; each subcommand registers only those it reads
+OPTIONS = {
+    "config": {"help": "JSON config file"},
+    "out": {"help": "output CSV path (default: stdout)"},
+    "json": {"action": "store_true", "help": "also write a JSON mirror"},
+    "seed": {"type": lambda s: int(s, 0), "default": opcalc.DEFAULT_SEED},
+    **{name: {} for name in ("scheme", "generator", "suite", "t", "n", "alpha")},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cmapprox",
                                 description="semigroup approximation verification toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--out", help="output CSV path (default: stdout)")
-        sp.add_argument("--json", action="store_true", help="also write a JSON mirror")
-        sp.add_argument("--seed", type=lambda s: int(s, 0), default=opcalc.DEFAULT_SEED)
-        sp.add_argument("--scheme")
-        sp.add_argument("--generator")
-        sp.add_argument("--suite")
-        sp.add_argument("--t")
-        sp.add_argument("--n")
-        sp.add_argument("--alpha")
+    def command(name, help, func, *options):
+        sp = sub.add_parser(name, help=help)
+        for opt in options:
+            sp.add_argument(f"--{opt}", **OPTIONS[opt])
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("functionals", help="rate functionals over an (n, alpha) grid")
-    common(sp)
+    sp = command("functionals", "rate functionals over an (n, alpha) grid", cmd_functionals,
+                 "config", "out", "json", "scheme", "n", "alpha")
     sp.add_argument("--g", help="function name, e.g. euler or kendall:t=0.5")
-    sp.set_defaults(func=cmd_functionals)
-
-    sp = sub.add_parser("verify-bounds", help="error-vs-bound suites")
-    common(sp)
-    sp.set_defaults(func=cmd_verify_bounds)
-
-    sp = sub.add_parser("optimality", help="lower-bound exponent fits")
-    common(sp)
-    sp.set_defaults(func=cmd_optimality)
-
-    sp = sub.add_parser("orders", help="convergence-order fits")
-    common(sp)
-    sp.set_defaults(func=cmd_orders)
-
-    sp = sub.add_parser("sharpness", help="sharp-constant experiments")
-    common(sp)
+    command("verify-bounds", "error-vs-bound suites", cmd_verify_bounds, *OPTIONS)
+    command("optimality", "lower-bound exponent fits", cmd_optimality,
+            "config", "out", "scheme", "t", "n", "alpha")
+    command("orders", "convergence-order fits", cmd_orders,
+            "config", "out", "seed", "scheme", "generator", "t", "n")
+    sp = command("sharpness", "sharp-constant experiments", cmd_sharpness, "out", "n")
     sp.add_argument("--which", choices=("euler", "shift", "both"), default="both")
-    sp.set_defaults(func=cmd_sharpness)
-
-    sp = sub.add_parser("report", help="aggregate CSVs into a pass/fail summary")
-    common(sp)
+    sp = command("report", "aggregate CSVs into a pass/fail summary", cmd_report, "out")
     sp.add_argument("inputs", nargs="+", help="CSV files to aggregate")
-    sp.set_defaults(func=cmd_report)
     return p
 
 

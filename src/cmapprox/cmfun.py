@@ -73,6 +73,7 @@ class CMFunction:
     lk: int | None = None                   # exponent with g in L^k(0,inf), if known
     limit_at_inf: float = 0.0               # g(inf) = mass of the atom at 0
     deriv_real: object = None               # optional callable (z, order) -> value
+    rational_n: int | None = None           # n with g(z) = (1 + z/n)^{-n} (Euler type)
 
     @property
     def class_tags(self) -> frozenset:
@@ -225,6 +226,7 @@ def _power_scale(g: CMFunction, n: int) -> CMFunction:
         moments=_scaled_moments(g.moments, n),
         lk=lk,
         limit_at_inf=g.limit_at_inf ** n,
+        rational_n=None if g.rational_n is None else g.rational_n * n,
     )
 
 
@@ -255,6 +257,7 @@ def euler() -> CMFunction:
         moments=(1.0, 1.0, 2.0, 6.0, 24.0),
         lk=2,
         deriv_real=lambda z, k: (-1.0) ** k * math.factorial(k) * (1.0 + z) ** (-k - 1),
+        rational_n=1,
     )
 
 
@@ -279,6 +282,7 @@ def euler_power(n: int) -> CMFunction:
         evaluate=lambda z: (1.0 + z / n) ** (-n),
         moments=_scaled_moments((1.0, 1.0, 2.0, 6.0, 24.0), n),
         lk=1,
+        rational_n=n,
     )
 
 

@@ -7,8 +7,10 @@ matrix functions are functions of the eigenvalue array: f(A) = V f(Lambda)
 V^{-1}.  A Pade matrix-exponential path and a measure-quadrature path
 exist independently and are cross-validated, not trusted as oracles.
 
-Operator norm is the spectral 2-norm throughout, which makes M_0 = 1
-exact for normal gallery members.
+Operator norm is the spectral 2-norm throughout.  The semigroup
+constants M_beta = sup_t ||(tA)^beta e^{-tA}|| come from one closed form on
+the eigenvalues, kappa(V) (beta/e)^beta max_lambda (|lambda|/Re lambda)^beta,
+exact for normal A (kappa = 1) and an upper bound otherwise.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ class GeneratorMatrix:
 
     matrix: np.ndarray
     structure: str                 # "diagonal" | "diagonalizable" | "general"
-    spectrum_location: str         # "imaginary" | "positive" | "rhp"
     name: str = "A"
     eigs: np.ndarray | None = None
     V: np.ndarray | None = None
@@ -109,14 +110,13 @@ def diag_imag(k: int = 128, mod_min: float = 1e-1, mod_max: float = 1e2) -> Gene
     mods = np.logspace(math.log10(mod_min), math.log10(mod_max), k)
     signs = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
     eigs = 1j * signs * mods
-    return GeneratorMatrix(np.diag(eigs), "diagonal", "imaginary",
+    return GeneratorMatrix(np.diag(eigs), "diagonal",
                            name=f"diag_imag:k={k},max={mod_max:g}", eigs=eigs)
 
 
 def diag_positive(k: int = 128, lam_min: float = 1e-2, lam_max: float = 1e2) -> GeneratorMatrix:
     eigs = np.logspace(math.log10(lam_min), math.log10(lam_max), k).astype(complex)
-    return GeneratorMatrix(np.diag(eigs), "diagonal", "positive",
-                           name=f"diag_pos:k={k}", eigs=eigs)
+    return GeneratorMatrix(np.diag(eigs), "diagonal", name=f"diag_pos:k={k}", eigs=eigs)
 
 
 def advection_periodic(d: int = 256) -> GeneratorMatrix:
@@ -128,8 +128,7 @@ def advection_periodic(d: int = 256) -> GeneratorMatrix:
     eigs = d * (1.0 - omega.conj())
     F = np.exp(2j * np.pi * np.outer(j, j) / d) / math.sqrt(d)
     Vinv = F.conj().T
-    return GeneratorMatrix(A, "diagonalizable", "rhp",
-                           name=f"advection:d={d}", eigs=eigs, V=F, Vinv=Vinv)
+    return GeneratorMatrix(A, "diagonalizable", name=f"advection:d={d}", eigs=eigs, V=F, Vinv=Vinv)
 
 
 def laplacian_dirichlet_1d(d: int = 128) -> GeneratorMatrix:
@@ -139,7 +138,7 @@ def laplacian_dirichlet_1d(d: int = 128) -> GeneratorMatrix:
     eigs = (2.0 - 2.0 * np.cos(k * np.pi / (d + 1))).astype(complex)
     j = np.arange(1, d + 1)
     V = np.sqrt(2.0 / (d + 1)) * np.sin(np.outer(j, k) * np.pi / (d + 1)).astype(complex)
-    return GeneratorMatrix(A, "diagonalizable", "positive",
+    return GeneratorMatrix(A, "diagonalizable",
                            name=f"laplacian:d={d}", eigs=eigs, V=V, Vinv=V.conj().T)
 
 
@@ -269,17 +268,13 @@ def _hp_quadrature(g: CMFunction, A: GeneratorMatrix, rel_tol: float = 1e-10) ->
     return out
 
 
-def _hp_rational(g: CMFunction, A: np.ndarray | GeneratorMatrix) -> np.ndarray:
-    """(I + A/n)^{-n} for g(z) = (1 + z/n)^{-n}, by binary-powered solves."""
-    import re
-
-    m = re.match(r"euler(?:_gamma(\d+)|_pow(\d+))?$", g.name)
-    if not m:
-        raise ValueError("rational route applies to Euler-type functions only")
-    n = int(m.group(1) or m.group(2) or 1)
-    M = A.matrix if isinstance(A, GeneratorMatrix) else np.asarray(A, dtype=complex)
-    d = M.shape[0]
-    base = np.linalg.solve(np.eye(d, dtype=complex) + M / n, np.eye(d, dtype=complex))
+def _hp_rational(g: CMFunction, A: GeneratorMatrix) -> np.ndarray:
+    """(I + A/n)^{-n} for g(z) = (1 + z/n)^{-n} (n = g.rational_n), by binary-powered solves."""
+    n = g.rational_n
+    if n is None:
+        raise ValueError(f"{g.name}: rational route applies to Euler-type functions only")
+    eye = np.eye(A.dim, dtype=complex)
+    base = np.linalg.solve(eye + A.matrix / n, eye)
     return np.linalg.matrix_power(base, n)
 
 
@@ -305,7 +300,7 @@ def scheme_apply(g, A: GeneratorMatrix, t: float, n: int, path: str = "auto") ->
 
 
 def _scaled_generator(A: GeneratorMatrix, c: float) -> GeneratorMatrix:
-    return GeneratorMatrix(c * A.matrix, A.structure, A.spectrum_location,
+    return GeneratorMatrix(c * A.matrix, A.structure,
                            name=A.name, eigs=None if A.eigs is None else c * A.eigs,
                            V=A.V, Vinv=A.Vinv)
 
@@ -316,43 +311,36 @@ def _scaled_generator(A: GeneratorMatrix, c: float) -> GeneratorMatrix:
 
 @dataclass(frozen=True)
 class SemigroupConstants:
-    M: tuple            # (M0, M1, M2, M3, M4)
-    method: str         # "closed-form" | "sampled-sup"
+    """Upper bounds M_beta >= sup_t ||(tA)^beta e^{-tA}||, read as Mc[beta].
 
-    def __getitem__(self, beta):
-        if float(beta).is_integer():
-            return self.M[int(beta)]
-        # moment interpolation for non-integer orders (valid closed form
-        # for positive real spectrum; conservative bound otherwise)
-        lo, hi = int(math.floor(beta)), int(math.ceil(beta))
-        if self.method == "closed-form":
-            # an imaginary spectrum (M_1 = inf) leaves |t lam|^beta unbounded
-            return (beta / math.e) ** beta if math.isfinite(self.M[1]) else math.inf
-        return 3.0 * (self.M[lo] + self.M[hi])
+    For a normal A, ||f(A)|| = max_lambda |f(lambda)| and
+    sup_t (t|lambda|)^beta e^{-t Re lambda} = (beta/e)^beta (|lambda|/Re lambda)^beta,
+    so M_beta = kappa (beta/e)^beta rho^beta with kappa = ||V|| ||V^{-1}||
+    covering a non-normal eigenbasis.
+    """
+
+    rho: float      # max |lambda|/Re lambda over lambda != 0 (inf off a sector)
+    kappa: float    # ||V|| ||V^{-1}||; 1 for a unitary eigenbasis
+
+    def __getitem__(self, beta) -> float:
+        if beta < 0:
+            raise ValueError(f"M_beta is defined for beta >= 0, got beta = {beta}")
+        return self.kappa * (beta / math.e) ** beta * self.rho ** beta
 
 
 def semigroup_constants(A: GeneratorMatrix) -> SemigroupConstants:
-    """M_beta = sup_t ||(tA)^beta e^{-tA}||.
+    """M_beta for every real beta >= 0 from the eigenvalues of A.
 
-    Positive real spectrum: M_beta = (beta/e)^beta exactly (scalar sup of
-    (t lam)^beta e^{-t lam}, attained inside the spectrum for the dense
-    gallery grids).  Imaginary spectrum: M_0 = 1, M_beta = inf for
-    beta > 0.  Otherwise a sampled sup over a log grid in t.
+    rho is inf if some lambda != 0 has Re lambda <= 0 (then M_beta = inf
+    for beta > 0) and 0 if every eigenvalue is 0.  Without an
+    eigendecomposition no finite bound is certified: every M_beta is inf.
     """
-    if A.spectrum_location == "positive":
-        M = tuple((b / math.e) ** b if b > 0 else 1.0 for b in range(5))
-        return SemigroupConstants(M, "closed-form")
-    if A.spectrum_location == "imaginary":
-        return SemigroupConstants((1.0, math.inf, math.inf, math.inf, math.inf),
-                                  "closed-form")
-    ts = np.logspace(-6, 6, 512)
-    M = []
-    for b in range(5):
-        sup = 0.0
-        for t in ts:
-            B = semigroup_at(A, t)
-            if b > 0:
-                B = np.linalg.matrix_power(t * A.matrix, b) @ B
-            sup = max(sup, opnorm(B))
-        M.append(sup)
-    return SemigroupConstants(tuple(M), "sampled-sup")
+    if A.structure not in ("diagonal", "diagonalizable"):
+        return SemigroupConstants(math.inf, math.inf)
+    lam = A.eigs[A.eigs != 0]
+    if np.any(lam.real <= 0):
+        rho = math.inf
+    else:
+        rho = float(np.max(np.abs(lam) / lam.real, initial=0.0))
+    kappa = 1.0 if A.unitary else opnorm(A.V) * opnorm(A.Vinv)
+    return SemigroupConstants(rho, kappa)

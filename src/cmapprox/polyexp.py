@@ -5,10 +5,11 @@ Everything here reduces to the monomial integral
     I(m, c; a, b) = int_a^b s^m exp(-c s) ds,
 
 which has a closed form via the regularized lower incomplete gamma
-function, and a Taylor series in c when c b < 1e-3 (the power rule at
-c = 0, and no overflow of c^-(m+1) at tiny rates).  Evaluations are done
-in the log domain so that large polynomial degrees (Gamma densities of
-Euler powers) do not overflow.
+function when c b >= m + 1, and otherwise the all-positive Kummer series
+of int_0^x, which is the power rule at c = 0 and never forms the
+c^-(m+1) Gamma(m+1) that overflows at small rates or high degrees.  The
+Gamma prefactor is taken in the log domain so that large polynomial
+degrees (Gamma densities of Euler powers) do not overflow.
 """
 
 from __future__ import annotations
@@ -35,17 +36,26 @@ def monomial_exp_integral(m: int, c: float, a: float, b: float) -> float:
         raise ValueError("negative exponential rate")
     if c == 0.0 and math.isinf(b):
         return math.inf
-    if c * b < 1e-3:
-        # e^{-cs} is within 1e-3 of 1 on [a, b]: its Taylor series, whose
-        # terms fall by c b / k, is exact at c = 0 and avoids the overflow
-        # of c^-(m+1) below
-        return sum((-c) ** k / math.factorial(k) * (b ** (m + k + 1) - a ** (m + k + 1))
-                   / (m + k + 1) for k in range(8))
+    if c * b < m + 1:
+        return _lower_series(m, c, b) - _lower_series(m, c, a)
     # Gamma(m+1)/c^(m+1) * (P(m+1, c b) - P(m+1, c a))
     scale = math.exp(gammaln(m + 1) - (m + 1) * math.log(c))
     hi = 1.0 if math.isinf(b) else float(gammainc(m + 1, c * b))
     lo = float(gammainc(m + 1, c * a))
     return scale * (hi - lo)
+
+
+def _lower_series(m: int, c: float, x: float) -> float:
+    """int_0^x s^m e^{-cs} ds = x^{m+1} e^{-cx} sum_k (cx)^k / ((m+1)...(m+k+1)),
+    for c x < m + 1, where the terms fall at least geometrically."""
+    cx = c * x
+    term = total = 1.0 / (m + 1)
+    k = 1
+    while term > 1e-17 * total:
+        term *= cx / (m + 1 + k)
+        total += term
+        k += 1
+    return x ** (m + 1) * math.exp(-cx) * total
 
 
 def polyexp_moment(coeffs, rate: float, a: float, b: float, k: int) -> float:

@@ -257,7 +257,7 @@ def holomorphic_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
     """
     gt = _resolve(g, t)
     h = gt.moments[2] - 1.0
-    M0, M1, M2 = Mc.M[0], Mc.M[1], Mc.M[2]
+    M0, M1, M2 = Mc[0], Mc[1], Mc[2]
     K = 3.0 * M0 + 3.0 * M1 + M2 / 2.0
     d = _defect(g, A, t, n)
     out = [BoundReport(_scheme_name(g), A.name, t, n, 0.0, -1,

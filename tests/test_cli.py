@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -180,7 +182,7 @@ def test_sharpness_command(tmp_path):
     assert all(r["pass"] == "true" for r in rows)
 
 
-def test_report_aggregation(tmp_path):
+def test_report_aggregation(tmp_path, capsys):
     b = tmp_path / "b.csv"
     assert cli.main(["verify-bounds", "--scheme", "euler", "--generator",
                      "diag_imag:k=8", "--suite", "first", "--n", "4,8",
@@ -204,3 +206,57 @@ def test_report_aggregation(tmp_path):
     assert any(r["status"] == "FAIL" for r in rows)
     # missing input file is a usage error
     assert cli.main(["report", str(tmp_path / "ghost.csv")]) == 2
+    # a CSV without a pass column has checked nothing: a usage error, not "ok"
+    orders = tmp_path / "orders.csv"
+    assert cli.main(["orders", "--scheme", "euler", "--generator", "laplacian:d=8",
+                     "--n", "4,8", "--out", str(orders)]) == 0
+    capsys.readouterr()
+    assert cli.main(["report", str(b), str(orders), "--out", str(summary)]) == 2
+    assert str(orders) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["functionals", "--g", "euler", "--seed", "1"],
+    ["functionals", "--g", "euler", "--t", "1"],
+    ["optimality", "--scheme", "euler", "--n", "4,8", "--json"],
+    ["optimality", "--scheme", "euler", "--n", "4,8", "--generator", "diag_pos:k=8"],
+    ["orders", "--scheme", "euler", "--n", "4,8", "--alpha", "1"],
+    ["orders", "--scheme", "euler", "--n", "4,8", "--suite", "first"],
+    ["sharpness", "--n", "4", "--seed", "1"],
+    ["sharpness", "--n", "4", "--config", "c.json"],
+    ["report", "x.csv", "--n", "4"],
+])
+def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_functionals_reads_grids_from_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": [2, 4], "alpha": [0.5]}))
+    out = tmp_path / "fn.csv"
+    assert cli.main(["functionals", "--g", "euler", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    assert [(r["n"], r["alpha"]) for r in _read_csv(out)] == [("2", "0.5"), ("4", "0.5")]
+
+
+def _readme_commands():
+    """The `cmapprox ...` lines of the README "Command line" block, continuations joined."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    section = text[text.index("## Command line"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("cmapprox ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 7
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()

@@ -1,10 +1,13 @@
 """Operator side: gallery generators, matrix functions, semigroup constants."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from cmapprox import cmfun, opcalc, quadrature
 from cmapprox.opcalc import (
@@ -27,7 +30,7 @@ from conftest import b2_builtins
 
 def _nilpotent():
     A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    return GeneratorMatrix(A, "general", "rhp", name="nilpotent")
+    return GeneratorMatrix(A, "general", name="nilpotent")
 
 
 # ----------------------------------------------------------------------
@@ -68,15 +71,14 @@ def test_diag_imag_semigroup_is_isometry():
 def test_make_generator_parsing():
     assert make_generator("diag_imag:k=16,max=10").dim == 16
     assert make_generator("laplacian:d=8").dim == 8
-    assert make_generator("diag_pos").spectrum_location == "positive"
+    assert np.all(make_generator("diag_pos").eigs.real > 0)
     with pytest.raises(ValueError, match="available"):
         make_generator("hyperbola")
 
 
 def test_generator_rejects_left_half_plane():
     with pytest.raises(ValueError):
-        GeneratorMatrix(np.diag([-1.0 + 0j]), "diagonal", "positive",
-                        eigs=np.array([-1.0 + 0j]))
+        GeneratorMatrix(np.diag([-1.0 + 0j]), "diagonal", eigs=np.array([-1.0 + 0j]))
 
 
 def test_probe_vectors_are_unit_and_deterministic():
@@ -117,10 +119,9 @@ def test_semigroup_property():
 def test_frac_power_values():
     A = diag_positive(8)
     assert np.allclose(frac_power(A, 1.0), A.matrix, atol=1e-13)
-    B = GeneratorMatrix(np.diag([4.0 + 0j]), "diagonal", "positive",
-                        eigs=np.array([4.0 + 0j]))
+    B = GeneratorMatrix(np.diag([4.0 + 0j]), "diagonal", eigs=np.array([4.0 + 0j]))
     assert frac_power(B, 0.5)[0, 0] == pytest.approx(2.0, abs=1e-14)
-    C = GeneratorMatrix(np.diag([1j]), "diagonal", "imaginary", eigs=np.array([1j]))
+    C = GeneratorMatrix(np.diag([1j]), "diagonal", eigs=np.array([1j]))
     assert frac_power(C, 0.5)[0, 0] == pytest.approx(cmath.exp(1j * math.pi / 4), abs=1e-14)
     with pytest.raises(ValueError):
         frac_power(A, -0.5)
@@ -131,7 +132,7 @@ def test_frac_power_values():
 
 
 def test_frac_power_zero_eigenvalue():
-    A = GeneratorMatrix(np.diag([0.0 + 0j, 1.0 + 0j]), "diagonal", "positive",
+    A = GeneratorMatrix(np.diag([0.0 + 0j, 1.0 + 0j]), "diagonal",
                         eigs=np.array([0.0 + 0j, 1.0 + 0j]))
     P = frac_power(A, 0.5)
     assert P[0, 0] == 0.0 and P[1, 1] == pytest.approx(1.0)
@@ -148,8 +149,7 @@ def test_hp_apply_exponential_is_semigroup():
 
 
 def test_hp_apply_scalar_values():
-    one = GeneratorMatrix(np.diag([1.0 + 0j]), "diagonal", "positive",
-                          eigs=np.array([1.0 + 0j]))
+    one = GeneratorMatrix(np.diag([1.0 + 0j]), "diagonal", eigs=np.array([1.0 + 0j]))
     assert hp_apply(cmfun.euler(), one)[0, 0] == pytest.approx(0.5, abs=1e-13)
     g = cmfun.kendall(0.5)
     val = hp_apply(g, one)[0, 0]
@@ -191,6 +191,17 @@ def test_hp_apply_rational_route():
         hp_apply(cmfun.euler(), A, path="fourier")
 
 
+def test_rational_route_reads_rational_n_not_the_name():
+    A = laplacian_dirichlet_1d(8)
+    composed = cmfun.power_scale(cmfun.euler_power(2), 2)  # (1 + z/4)^{-4}
+    renamed = dataclasses.replace(cmfun.euler_power(4), name="x")
+    for g in (composed, renamed):
+        assert g.rational_n == 4
+        dev = opnorm(hp_apply(g, A, path="rational") - hp_apply(g, A, path="spectral"))
+        assert dev <= 1e-11
+    assert cmfun.power_scale(cmfun.spline(), 4).rational_n is None
+
+
 # ----------------------------------------------------------------------
 # scheme_apply
 # ----------------------------------------------------------------------
@@ -203,8 +214,7 @@ def test_scheme_apply_exponential_exact():
 
 
 def test_scheme_apply_euler_scalar():
-    one = GeneratorMatrix(np.diag([1.0 + 0j]), "diagonal", "positive",
-                          eigs=np.array([1.0 + 0j]))
+    one = GeneratorMatrix(np.diag([1.0 + 0j]), "diagonal", eigs=np.array([1.0 + 0j]))
     # g(t lam/n)^n = (1 + 1/2)^{-2} = 4/9 at t = 1, n = 2
     assert scheme_apply(cmfun.euler(), one, 1.0, 2)[0, 0] == pytest.approx(4.0 / 9.0, rel=1e-13)
 
@@ -234,7 +244,7 @@ def _nonnormal(d=24):
     V = (np.eye(d) + 0.3 * np.triu(rng.standard_normal((d, d)), 1)).astype(complex)
     eigs = np.logspace(-1, 1, d) + 1j * np.linspace(-2.0, 2.0, d)
     Vinv = np.linalg.inv(V)
-    return GeneratorMatrix(V @ np.diag(eigs) @ Vinv, "diagonalizable", "rhp",
+    return GeneratorMatrix(V @ np.diag(eigs) @ Vinv, "diagonalizable",
                            name="nonnormal", eigs=eigs, V=V, Vinv=Vinv)
 
 
@@ -280,27 +290,114 @@ def test_eigen_path_matches_dense():
 
 def test_constants_positive_closed_form():
     Mc = semigroup_constants(diag_positive(16))
-    assert Mc.method == "closed-form"
-    assert Mc.M[0] == 1.0
-    assert Mc.M[1] == pytest.approx(math.exp(-1.0), rel=1e-14)
-    assert Mc.M[2] == pytest.approx(4.0 * math.exp(-2.0), rel=1e-14)
+    assert Mc[0] == 1.0
+    assert Mc[1] == pytest.approx(math.exp(-1.0), rel=1e-14)
+    assert Mc[2] == pytest.approx(4.0 * math.exp(-2.0), rel=1e-14)
     assert Mc[1.5] == pytest.approx((1.5 / math.e) ** 1.5, rel=1e-14)
+    with pytest.raises(ValueError):
+        Mc[-0.5]
 
 
 def test_constants_imaginary():
     Mc = semigroup_constants(diag_imag(16))
-    assert Mc.M[0] == 1.0
-    assert all(math.isinf(m) for m in Mc.M[1:])
+    assert Mc[0] == 1.0
+    assert all(math.isinf(Mc[beta]) for beta in (1, 2, 3, 4))
     assert all(math.isinf(Mc[beta]) for beta in (0.5, 1.5, 2.5, 3.5))
 
 
 def test_constants_sampled_nilpotent():
+    # no eigendecomposition, so no finite bound is certified; inf is the
+    # true M_0 here, since ||e^{-tA}|| = ||I - tA|| grows without bound
     Mc = semigroup_constants(_nilpotent())
-    assert Mc.method == "sampled-sup"
-    # ||e^{-tA}|| = ||I - tA|| > 1 for t > 0
-    assert Mc.M[0] > 1.0
-    assert all(m >= 0.0 for m in Mc.M)
-    assert Mc[0.5] >= Mc.M[0]  # conservative interpolation
+    assert Mc[0] > 1.0
+    assert all(Mc[b] >= 0.0 for b in range(5))
+    assert Mc[0.5] >= Mc[0]
+
+
+def test_constants_advection_exact():
+    # |lambda|/Re lambda = 1/sin(pi j/d) on the circle d(1 - omega^j), largest at j = 1
+    d = 64
+    Mc = semigroup_constants(advection_periodic(d))
+    rho = 1.0 / math.sin(math.pi / d)
+    assert Mc[0] == 1.0
+    assert Mc[1] == pytest.approx(1.0 / (math.e * math.sin(math.pi / d)), rel=1e-12)
+    for beta in (0.5, 1.5, 2, 3, 4):
+        assert Mc[beta] == pytest.approx((beta / math.e) ** beta * rho ** beta, rel=1e-12)
+
+
+BETAS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
+_eig = st.one_of(
+    st.just(0j),
+    st.builds(lambda y: complex(0.0, y), st.floats(-4.0, 4.0)),
+    st.builds(complex, st.floats(0.1, 4.0), st.floats(-4.0, 4.0)),
+)
+
+
+def _dense_semigroup_powers(A: GeneratorMatrix, t: float) -> dict:
+    """||(tA)^beta e^{-tA}|| for each beta in BETAS: expm and matrix powers for
+    integer beta, the eigenbasis with the principal branch otherwise."""
+    E = scipy.linalg.expm(-t * A.matrix)
+    out = {}
+    for beta in BETAS:
+        if float(beta).is_integer():
+            B = np.linalg.matrix_power(t * A.matrix, int(beta)) @ E
+        else:
+            z = t * A.eigs
+            f = np.where(z == 0, 0.0, z ** beta * np.exp(-z))
+            B = A.V @ np.diag(f) @ A.Vinv
+        out[beta] = np.linalg.norm(B, 2)
+    return out
+
+
+def _check_constants_bound(A: GeneratorMatrix, tight: bool):
+    Mc = semigroup_constants(A)
+    normA = np.linalg.norm(A.matrix, 2)
+    # the maximizers t = beta/Re lambda of the scalar sups, plus a log grid
+    re = A.eigs.real[A.eigs.real > 0]
+    ts = sorted({0.0, *np.logspace(-2, 1.5, 15), *(b / r for b in BETAS[1:] for r in re)})
+    best = dict.fromkeys(BETAS, 0.0)
+    for t in ts:
+        for beta, got in _dense_semigroup_powers(A, t).items():
+            # dense roundoff: about eps (1 + ||tA||) for e^{-tA}, times ||tA||^beta
+            noise = 1e-13 * (1.0 + t * normA) ** (beta + 1.0)
+            assert got <= Mc[beta] * (1.0 + 1e-9) + noise, (beta, t, got, Mc[beta])
+            best[beta] = max(best[beta], got)
+    if tight:
+        for beta in BETAS:
+            if math.isfinite(Mc[beta]):
+                assert best[beta] >= Mc[beta] * (1.0 - 1e-9) - 1e-12, (beta, best[beta])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(_eig, min_size=1, max_size=8), st.integers(0, 2 ** 32 - 1))
+def test_constants_bound_normal_property(eigs, seed):
+    rng = np.random.default_rng(seed)
+    d = len(eigs)
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    lam = np.array(eigs, dtype=complex)
+    A = GeneratorMatrix(Q @ np.diag(lam) @ Q.conj().T, "diagonalizable",
+                        eigs=lam, V=Q, Vinv=Q.conj().T)
+    assert A.unitary and semigroup_constants(A).kappa == 1.0
+    # for normal A the closed form is the sup itself, attained at t = beta/Re lambda
+    _check_constants_bound(A, tight=True)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(_eig, min_size=2, max_size=8), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.1, 1.0))
+def test_constants_bound_nonnormal_property(eigs, seed, skew):
+    rng = np.random.default_rng(seed)
+    d = len(eigs)
+    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    # a unitary factor keeps A from being triangular, where scipy's expm
+    # divides by differences of eigenvalues
+    V = Q @ (np.eye(d) + skew * np.triu(G, 1))
+    Vinv = np.linalg.inv(V)
+    lam = np.array(eigs, dtype=complex)
+    A = GeneratorMatrix(V @ np.diag(lam) @ Vinv, "diagonalizable", eigs=lam, V=V, Vinv=Vinv)
+    assert not A.unitary and semigroup_constants(A).kappa > 1.0
+    _check_constants_bound(A, tight=False)
 
 
 # ----------------------------------------------------------------------

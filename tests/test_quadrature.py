@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +95,13 @@ def test_monomial_exp_small_rate_stability():
     # c^-(m+1) would overflow here; e^{-cs} = 1 to double precision
     assert polyexp.monomial_exp_integral(6, 1e-50, 0.0, 2.0) == pytest.approx(2.0 ** 7 / 7.0,
                                                                              rel=1e-15)
+    # Gamma(m+1)/c^(m+1) overflows before P(m+1, c b) can cancel it; the
+    # reference is the lower incomplete gamma in 50-digit arithmetic
+    with mpmath.workdps(50):
+        for m, c in ((100, 0.01), (150, 0.01)):
+            want = mpmath.gammainc(m + 1, 0, c) / mpmath.mpf(c) ** (m + 1)
+            assert polyexp.monomial_exp_integral(m, c, 0.0, 1.0) == pytest.approx(
+                float(want), rel=1e-12)
 
 
 def test_polyexp_moment_shifts_degree():
