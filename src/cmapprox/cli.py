@@ -138,16 +138,33 @@ def cmd_functionals(args) -> int:
     return 0
 
 
+# the alpha range each suite's theorem covers (see the docstrings in rates);
+# `second` reads no alpha
+SUITE_ALPHA = {"first": (0.0, 2.0), "nonb2": (0.0, 1.0), "second": None,
+               "holo": (0.0, 1.0), "holo2": (0.0, 3.0)}
+
+
 def _suite_rows(cfg, seed):
     scheme = cfg.get("scheme", "euler")
     gen = cfg.get("generator", "diag_imag:k=128")
     suite = cfg.get("suite", "first")
+    ts, ns, alphas = _grids(cfg)
+    if suite not in SUITE_ALPHA:
+        print(f"error: unknown suite {suite!r}; available: {', '.join(SUITE_ALPHA)}",
+              file=sys.stderr)
+        raise SystemExit(USAGE_ERROR)
+    if SUITE_ALPHA[suite] is not None:
+        lo, hi = SUITE_ALPHA[suite]
+        for alpha in alphas:
+            if not lo <= alpha <= hi:
+                print(f"error: --alpha {alpha:g} is outside [{lo:g}, {hi:g}], the range of "
+                      f"suite {suite!r}", file=sys.stderr)
+                raise SystemExit(USAGE_ERROR)
     g = make_builtin(scheme)
     A = opcalc.make_generator(gen)
     vectors = opcalc.test_vectors(A, seed=seed)
     Mc = opcalc.semigroup_constants(A)
     M0 = Mc[0]
-    ts, ns, alphas = _grids(cfg)
     cfn = rates.euler_sharp_r if scheme == "euler" else None
     suites = {
         "first": lambda t, n: rates.first_order_bounds(g, A, t, n, alphas, vectors, M0),
@@ -157,10 +174,6 @@ def _suite_rows(cfg, seed):
                                                       c_alpha_fn=cfn),
         "holo2": lambda t, n: rates.holomorphic_second_order(g, A, t, n, alphas, vectors, Mc),
     }
-    if suite not in suites:
-        print(f"error: unknown suite {suite!r}; available: {', '.join(suites)}",
-              file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
     if suite in ("holo", "holo2") and not (math.isfinite(Mc[1]) and math.isfinite(Mc[2])):
         raise ValueError(f"suite {suite!r} needs a sectorial generator; the spectrum of "
                          f"{gen!r} is not sectorial (M_1 = {Mc[1]}, M_2 = {Mc[2]})")

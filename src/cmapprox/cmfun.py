@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measures import PolyExpSegment, PositiveMeasure, PowerLawSegment, _powerlaw_laplace
+from .measures import PolyExpSegment, PositiveMeasure, PowerLawSegment, powerlaw_laplace
 from .polyexp import monomial_exp_integral
 
 __all__ = [
@@ -424,27 +424,25 @@ def frac_tail(gamma: float) -> CMFunction:
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("frac_tail requires gamma in (0, 1)")
-    w = gamma * (gamma + 1.0)
-    nu = PositiveMeasure(
-        atoms=((0.0, 1.0 - gamma),),
-        segments=(PowerLawSegment(w, 2.0 + gamma),),
-    )
+    w, p = gamma * (gamma + 1.0), 2.0 + gamma
+    nu = PositiveMeasure(atoms=((0.0, 1.0 - gamma),), segments=(PowerLawSegment(w, p),))
 
-    def scalar(z):
-        return (1.0 - gamma) + w * _powerlaw_laplace(2.0 + gamma, z.real, z.imag)
+    def evaluate(z):
+        out = (1.0 - gamma) + w * powerlaw_laplace(p, z)
+        return out if np.iscomplexobj(z) else out.real
 
     def deriv(z, k):
-        # g^(k)(z) = w (-1)^k sum_j C(k,j)(-1)^{k-j} F(2+gamma-j, z),
+        # g^(k)(z) = w (-1)^k sum_j C(k,j)(-1)^{k-j} F(p-j, z),
         # F(p, z) = int_0^inf e^{-zs} (1+s)^{-p} ds
         acc = 0.0
         for j in range(k + 1):
-            F = _powerlaw_laplace(2.0 + gamma - j, z, 0.0).real
+            F = float(powerlaw_laplace(p - j, z).real)
             acc += math.comb(k, j) * (-1.0) ** (k - j) * F
         return w * (-1.0) ** k * acc
 
     return CMFunction(
         name=f"frac_tail(gamma={gamma:g})",
-        evaluate=_elementwise(scalar),
+        evaluate=evaluate,
         measure=nu,
         moments=(1.0, 1.0, math.inf, math.inf, math.inf),
         limit_at_inf=1.0 - gamma,
@@ -460,11 +458,13 @@ def yosida_family() -> ScaledFamily:
     return ScaledFamily("yosida", yosida)
 
 
-BUILTIN_NAMES = ("euler", "spline", "kendall", "yosida", "hille", "chung", "frac_tail", "exp")
+BUILTIN_NAMES = ("euler", "euler_pow<N>", "spline", "kendall", "yosida", "hille", "chung",
+                 "frac_tail", "exp")
 
 
 def make_builtin(spec: str):
-    """Parse a constructor string like 'kendall:t=0.5' or 'frac_tail:gamma=0.3'."""
+    """Parse a constructor string like 'kendall:t=0.5', 'frac_tail:gamma=0.3' or
+    'euler_pow4' (= power_scale(euler(), 4))."""
     name, _, argstr = spec.partition(":")
     kwargs = {}
     if argstr:
@@ -473,6 +473,8 @@ def make_builtin(spec: str):
             kwargs[key.strip()] = val
     if name == "euler":
         return euler()
+    if name.startswith("euler_pow") and name[len("euler_pow"):].isdigit():
+        return power_scale(euler(), int(name[len("euler_pow"):]))
     if name == "spline":
         return spline()
     if name == "exp":

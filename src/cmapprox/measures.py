@@ -7,6 +7,9 @@ power-law tail w(1+s)^{-p} on [0, inf) (covers heavy-tailed examples
 whose second moment diverges).  Moments, partial moments, and Laplace
 transforms are all closed-form up to incomplete gamma/beta functions,
 so downstream functionals can be computed without sampling the measure.
+The power-law Laplace transform e^z E_p(z) is evaluated on whole arrays
+of z (`powerlaw_laplace`): a power series near 0, a continued fraction
+beyond.
 """
 
 from __future__ import annotations
@@ -14,13 +17,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from scipy.special import digamma
 
 from .polyexp import polyexp_laplace_complex, polyexp_moment
 
-__all__ = ["PolyExpSegment", "PowerLawSegment", "PositiveMeasure"]
+__all__ = ["PolyExpSegment", "PowerLawSegment", "PositiveMeasure", "powerlaw_laplace"]
 
 
 @dataclass(frozen=True)
@@ -74,17 +77,69 @@ class PolyExpSegment:
         return polyexp_laplace_complex(self.coeffs, self.rate, self.a, self.b, z)
 
 
-@lru_cache(maxsize=200000)
-def _powerlaw_laplace(p: float, zr: float, zi: float) -> complex:
-    """int_0^inf e^{-zs} (1+s)^{-p} ds = e^z z^{p-1} Gamma(1-p, z) for Re z >= 0,
-    and 1/(p-1) at z = 0."""
-    if zr == 0.0 and zi == 0.0:
-        return complex(1.0 / (p - 1.0))
-    import mpmath
+SERIES_RADIUS = 1.5    # power series for |z| <= 1.5, continued fraction beyond
+SERIES_TERMS = 60      # 1.5^60/60! < 1e-70
+CF_STEPS = 400         # just past |z| = 1.5 on the imaginary axis it takes about 125
 
-    z = mpmath.mpc(zr, zi)
-    val = mpmath.exp(z) * z ** (p - 1) * mpmath.gammainc(1 - p, z)
-    return complex(val)
+
+def powerlaw_laplace(p: float, z) -> np.ndarray:
+    """F(p, z) = int_0^inf e^{-zs} (1+s)^{-p} ds = e^z E_p(z) on an array of
+    complex z with Re z >= 0, for real p; F(p, 0) = 1/(p-1), or inf for p <= 1.
+
+    Against 40-digit references the relative error is at most about 2e-13 for
+    p at least 0.05 from an integer, and grows like 1/dist(p, Z) closer to one
+    (1e-11 at 1e-3, 1e-8 at 1e-6), where the series' Gamma(1-p) z^{p-1} and
+    its k = p-1 term nearly cancel; a whole p takes the exact log form.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(z.shape, dtype=complex)
+    zero, far = z == 0, np.abs(z) > SERIES_RADIUS
+    out[zero] = 1.0 / (p - 1.0) if p > 1.0 else math.inf
+    near = ~(zero | far)
+    out[near] = np.exp(z[near]) * _expint_series(p, z[near])
+    out[far] = _expint_fraction(p, z[far])
+    return out
+
+
+def _expint_series(p: float, z: np.ndarray) -> np.ndarray:
+    """E_p(z) = Gamma(1-p) z^{p-1} - sum_k (-z)^k / (k! (1-p+k)); for a whole
+    p >= 1 the Gamma pole and the k = p-1 term merge into
+    (-z)^{p-1}/(p-1)! (psi(p) - log z)."""
+    m = p - 1.0
+    whole = m >= 0.0 and m == int(m)
+    term = np.ones_like(z)
+    acc = np.zeros_like(z)
+    for k in range(SERIES_TERMS):
+        if k:
+            term = term * (-z / k)
+        if not (whole and k == m):
+            acc += term / (k - m)
+    if whole:
+        pole = (-z) ** int(m) / math.factorial(int(m)) * (digamma(p) - np.log(z))
+    else:
+        pole = math.gamma(-m) * z ** m
+    return pole - acc
+
+
+def _expint_fraction(p: float, z: np.ndarray) -> np.ndarray:
+    """e^z E_p(z) = 1/(z+p- 1p/(z+p+2- 2(p+1)/(z+p+4- ...))) by the modified
+    Lentz method, each entry stopping once its update factor is 1 to eps."""
+    b = z + p
+    c = np.full_like(z, 1e300)
+    d = 1.0 / b
+    h = d
+    active = np.ones(z.shape, dtype=bool)
+    for i in range(1, CF_STEPS):
+        if not active.any():
+            break
+        a = -i * (p - 1.0 + i)
+        b = b + 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h = np.where(active, h * delta, h)
+        active &= np.abs(delta - 1.0) > np.finfo(float).eps
+    return h
 
 
 @dataclass(frozen=True)
@@ -135,7 +190,7 @@ class PowerLawSegment:
         return self.weight * total
 
     def laplace(self, z: complex) -> complex:
-        return self.weight * _powerlaw_laplace(self.exponent, float(np.real(z)), float(np.imag(z)))
+        return self.weight * complex(powerlaw_laplace(self.exponent, z))
 
 
 @dataclass(frozen=True)

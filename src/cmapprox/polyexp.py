@@ -4,7 +4,7 @@ Everything here reduces to the monomial integral
 
     I(m, c; a, b) = int_a^b s^m exp(-c s) ds,
 
-which has a closed form via the regularized lower incomplete gamma
+which has a closed form via the regularized upper incomplete gamma
 function when c b >= m + 1, and otherwise the all-positive Kummer series
 of int_0^x, which is the power rule at c = 0 and never forms the
 c^-(m+1) Gamma(m+1) that overflows at small rates or high degrees.  The
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+from scipy.special import gammaincc, gammaln
 
 __all__ = [
     "monomial_exp_integral",
@@ -38,11 +38,11 @@ def monomial_exp_integral(m: int, c: float, a: float, b: float) -> float:
         return math.inf
     if c * b < m + 1:
         return _lower_series(m, c, b) - _lower_series(m, c, a)
-    # Gamma(m+1)/c^(m+1) * (P(m+1, c b) - P(m+1, c a))
+    # Gamma(m+1)/c^(m+1) * (Q(m+1, c a) - Q(m+1, c b)): the upper tails keep
+    # their relative accuracy where P(m+1, c a) and P(m+1, c b) both round to 1
     scale = math.exp(gammaln(m + 1) - (m + 1) * math.log(c))
-    hi = 1.0 if math.isinf(b) else float(gammainc(m + 1, c * b))
-    lo = float(gammainc(m + 1, c * a))
-    return scale * (hi - lo)
+    tail_b = 0.0 if math.isinf(b) else float(gammaincc(m + 1, c * b))
+    return scale * (float(gammaincc(m + 1, c * a)) - tail_b)
 
 
 def _lower_series(m: int, c: float, x: float) -> float:

@@ -164,7 +164,9 @@ def first_order_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
 
     alpha=2:       M (g_t''(0)-1)/2 * t^2/n * ||A^2 x||
     alpha=1:       M sqrt(g_t''(0)-1) * t/sqrt(n) * ||A x||
-    alpha in (0,2): 4M ((g_t''(0)-1) t^2/n)^{alpha/2} * ||A^alpha x||
+    alpha in [0,2): 4M ((g_t''(0)-1) t^2/n)^{alpha/2} * ||A^alpha x||
+
+    (alpha = 0 gives 4M ||x||, which holds since ||g_t(tA/n)^n|| <= M.)
     """
     gt = _resolve(g, t)
     if not math.isfinite(gt.moments[2]):
@@ -194,7 +196,7 @@ def non_b2_bounds(g: CMFunction, A: GeneratorMatrix, t: float, n: int, alphas,
     """Bounds driven by g'(1/n) for B1 functions with g''(0) = inf:
 
     alpha=1:       4eM (1 + 1/|g'(1/n)|) sqrt(1+g'(1/n)) t ||Ax||
-    alpha in (0,1): 16eM (1 + 1/|g'(1/n)|) (1+g'(1/n))^{alpha/2} t^alpha ||A^alpha x||
+    alpha in [0,1): 16eM (1 + 1/|g'(1/n)|) (1+g'(1/n))^{alpha/2} t^alpha ||A^alpha x||
     """
     dg = g.derivative(1.0 / n, 1)
     lead = 4.0 * math.e * M * (1.0 + 1.0 / abs(dg))
@@ -301,7 +303,9 @@ def holomorphic_second_order(g: CMFunction, A: GeneratorMatrix, t: float, n: int
                              Mc: opcalc.SemigroupConstants) -> list[BoundReport]:
     """Second-order residual bound on sectorial generators:
 
-    ||R_n x|| <= (|b[g_n]| M_{3-alpha} + d1[g_n]/2 M_{4-alpha}) t^alpha ||A^alpha x||.
+    ||R_n x|| <= (|b[g_n]| M_{3-alpha} + d1[g_n]/2 M_{4-alpha}) t^alpha ||A^alpha x||
+
+    for alpha in [0, 3], where both M indices are >= 0.
     """
     gn = power_scale(g, n)
     b_n = functionals.b_of(gn)

@@ -3,14 +3,17 @@
     PYTHONPATH=src python -m pytest tests/bench_kernels.py --benchmark-only
 
 The file name is outside the default `test_*.py` pattern, so a plain
-`pytest` run does not collect it.  The case is the costliest quadrature of
-the `functionals` command: c_1 of the spline scheme at n = 1024, whose
-defect needs about 12k panels.
+`pytest` run does not collect it.  The quadrature cases are the costliest
+quadrature of the `functionals` command: c_1 of the spline scheme at
+n = 1024, whose defect needs about 12k panels.  The frac_tail case is one
+`eval_at` of the non-B2 suite: g(t lambda/n) on the 256 eigenvalues of
+`diag_imag:k=256,min=0.1,max=100` at t = 1, n = 4, which puts points on
+both sides of the power-law kernel's series/continued-fraction switch.
 """
 
 import pytest
 
-from cmapprox import cmfun, quadrature
+from cmapprox import cmfun, opcalc, quadrature
 from cmapprox import functionals as F
 
 N = 1024
@@ -37,3 +40,11 @@ def test_bench_c_alpha_quad(benchmark, spline_n):
 
     qv = benchmark(run)
     assert qv.converged
+
+
+def test_bench_frac_tail_eval_at(benchmark):
+    g = cmfun.frac_tail(0.5)
+    t, n = 1.0, 4
+    z = t * opcalc.make_generator("diag_imag:k=256,min=0.1,max=100").eigs / n
+    values = benchmark(g.eval_at, z)
+    assert values.shape == (256,)

@@ -47,6 +47,19 @@ def test_functionals_usage_errors(capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+def test_functionals_euler_pow_string(tmp_path):
+    # euler_pow4 is (1 + z/4)^{-4}, Euler's scheme at n = 4
+    out = tmp_path / "fn.csv"
+    assert cli.main(["functionals", "--g", "euler_pow4", "--n", "1", "--alpha", "0,0.5,1",
+                     "--out", str(out)]) == 0
+    rows = _read_csv(out)
+    assert [r["g"] for r in rows] == ["euler_pow4"] * 3
+    for r in rows:
+        assert float(r["c_alpha_quadrature"]) == pytest.approx(
+            euler_c_alpha_exact(4, float(r["alpha"])), abs=1e-8)
+    assert cmfun.make_builtin("euler_pow4").rational_n == 4
+
+
 def test_verify_bounds_deterministic(tmp_path):
     argv = ["verify-bounds", "--scheme", "euler", "--generator", "diag_imag:k=16",
             "--suite", "first", "--t", "0.5,1", "--n", "4,16", "--alpha", "1,2"]
@@ -98,6 +111,32 @@ def test_holo_suites_refuse_imaginary_spectrum(suite, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"'{suite}'" in captured.err and "diag_imag:k=64" in captured.err
+
+
+@pytest.mark.parametrize("suite, alpha, admitted", [
+    ("first", "3", "0.5,2"),
+    ("nonb2", "2", "0,1"),
+    ("holo", "2.5", "0,1"),
+    ("holo2", "3.5", "0,3"),
+])
+def test_suites_refuse_alpha_outside_their_theorem(suite, alpha, admitted, monkeypatch,
+                                                   capsys):
+    base = ["verify-bounds", "--scheme", "spline", "--generator", "laplacian:d=8",
+            "--suite", suite, "--n", "4"]
+    assert cli.main(base + ["--alpha", admitted]) == 0
+    capsys.readouterr()
+
+    # the grid is checked before any generator is built
+    def no_compute(spec):
+        raise AssertionError("generator built before the alpha check")
+
+    monkeypatch.setattr(cli.opcalc, "make_generator", no_compute)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(base + ["--alpha", f"0.5,{alpha}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--alpha" in captured.err and alpha in captured.err and f"'{suite}'" in captured.err
 
 
 def test_holo_run_computes_each_c_alpha_once(tmp_path):

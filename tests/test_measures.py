@@ -3,11 +3,14 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmapprox import quadrature
-from cmapprox.measures import PolyExpSegment, PositiveMeasure, PowerLawSegment
+from cmapprox.measures import (SERIES_RADIUS, PolyExpSegment, PositiveMeasure,
+                               PowerLawSegment, powerlaw_laplace)
 
 
 def test_dirac_moment():
@@ -78,6 +81,38 @@ def test_powerlaw_laplace_vs_quadrature():
         val = seg.laplace(z)
         assert val.real == pytest.approx(q.value, rel=1e-10, abs=1e-12)
         assert val.imag == pytest.approx(qi.value, rel=1e-10, abs=1e-12)
+
+
+# exponents of frac_tail's F(2+gamma-j, .): (1, 3) for g and g', (0, 1) for g'';
+# kept 0.05 from the integers, where the series cancels (see powerlaw_laplace),
+# plus the whole exponents that take its log branch
+_EXPONENTS = st.one_of(st.floats(1.05, 1.95), st.floats(2.05, 2.95), st.floats(0.05, 0.95),
+                       st.sampled_from([1.0, 2.0, 3.0]))
+# |z| from 1e-8 to 1e3, with extra weight on both sides of the switch radius
+_MODULI = st.one_of(st.floats(-8.0, 3.0).map(lambda e: 10.0 ** e),
+                    st.floats(SERIES_RADIUS - 0.2, SERIES_RADIUS + 0.2))
+_POINTS = st.lists(st.one_of(
+    st.just(0j),
+    st.builds(complex, _MODULI, st.just(0.0)),                          # real axis
+    st.builds(lambda r, s: complex(0.0, s * r), _MODULI,                # imaginary axis
+              st.sampled_from([1.0, -1.0])),
+    st.builds(lambda r, th: r * cmath.exp(1j * th), _MODULI,            # open half-plane
+              st.floats(-1.55, 1.55)),
+), min_size=1, max_size=8)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(p=_EXPONENTS, zs=_POINTS)
+def test_powerlaw_laplace_matches_mpmath(p, zs):
+    vals = powerlaw_laplace(p, np.array(zs))
+    assert vals.shape == (len(zs),)
+    for z, v in zip(zs, vals):
+        if z == 0:
+            assert v == (1.0 / (p - 1.0) if p > 1.0 else math.inf)
+            continue
+        with mpmath.workdps(30):
+            ref = complex(mpmath.exp(z) * mpmath.expint(p, z))
+        assert abs(v - ref) <= 1e-12 * abs(ref) + 1e-15, (p, z)
 
 
 def test_measure_laplace_mixed():

@@ -104,6 +104,15 @@ def test_monomial_exp_small_rate_stability():
                 float(want), rel=1e-12)
 
 
+def test_monomial_exp_far_tail_keeps_relative_accuracy():
+    # P(m+1, c a) and P(m+1, c b) both round to 1 here; the upper tails do not
+    with mpmath.workdps(50):
+        for m, c, a, b in ((0, 64.0, 1.0, 4.0), (3, 40.0, 2.0, 5.0)):
+            want = mpmath.gammainc(m + 1, c * a, c * b) / mpmath.mpf(c) ** (m + 1)
+            assert polyexp.monomial_exp_integral(m, c, a, b) == pytest.approx(
+                float(want), rel=1e-12, abs=0.0)
+
+
 def test_polyexp_moment_shifts_degree():
     coeffs, rate = (0.3, 0.1), 0.7
     direct = polyexp.polyexp_moment(coeffs, rate, 0.0, 5.0, 2)
