@@ -8,7 +8,10 @@ tags.  The normalized classes are
     B1: m_0 = m_1 = 1;  B2: additionally m_2 < inf;  B3, B4 likewise.
 
 Derivatives at zero are g^(k)(0) = (-1)^k m_k and are stored exactly
-from the moments; finite differences appear only as test oracles.
+from the moments.  Derivatives at z > 0 come from `deriv_real` or the
+measure; a function with neither (a power-scaled one, such as
+`euler_pow4` under the `nonb2` suite) falls back to Richardson central
+differences.
 
 The power scaling g_n(z) = g(z/n)^n keeps no explicit measure (the
 n-fold convolution is not materialized); its derivatives at zero are
@@ -70,7 +73,6 @@ class CMFunction:
     evaluate: object                        # numpy array -> array; real input gives real output
     measure: PositiveMeasure | None = None
     moments: tuple = (1.0, 1.0, math.inf, math.inf, math.inf)
-    lk: int | None = None                   # exponent with g in L^k(0,inf), if known
     limit_at_inf: float = 0.0               # g(inf) = mass of the atom at 0
     deriv_real: object = None               # optional callable (z, order) -> value
     rational_n: int | None = None           # n with g(z) = (1 + z/n)^{-n} (Euler type)
@@ -93,14 +95,9 @@ class CMFunction:
         w = self.evaluate(np.asarray(z, dtype=complex))
         return complex(w) if np.ndim(w) == 0 else w
 
-    def eval_imag(self, s: float) -> complex:
-        """Continuous boundary extension g(i s)."""
-        return self.eval_at(1j * float(s))
-
-    def deriv0(self, k: int) -> float:
-        """g^(k)(0) = (-1)^k m_k (inf moments propagate as signed inf)."""
-        m = self.moments[k]
-        return ((-1.0) ** k) * m
+    def at(self, t: float) -> CMFunction:
+        """The member g_t of a family: a fixed function is its own (see ScaledFamily)."""
+        return self
 
     def derivative(self, z: float, order: int = 1) -> float:
         """g^(order)(z) for z > 0."""
@@ -129,6 +126,7 @@ class ScaledFamily:
 
     name: str
     factory: object
+    rational_n = None    # no family is of Euler type (1 + z/n)^{-n}
 
     def at(self, t: float) -> CMFunction:
         return self.factory(t)
@@ -142,16 +140,6 @@ def check_bk(g: CMFunction, k: int) -> bool:
     return f"B{k}" in g.class_tags
 
 
-def _elementwise(scalar):
-    """An array evaluator from a scalar complex one; real input gives real output."""
-
-    def evaluate(z):
-        out = np.array([scalar(complex(x)) for x in z.ravel()], dtype=complex).reshape(z.shape)
-        return out if np.iscomplexobj(z) else out.real
-
-    return evaluate
-
-
 def from_measure(nu: PositiveMeasure, name: str = "measure") -> CMFunction:
     """Laplace transform of a finite positive measure."""
     mass = nu.total_mass()
@@ -160,7 +148,7 @@ def from_measure(nu: PositiveMeasure, name: str = "measure") -> CMFunction:
     moments = tuple(nu.moment(k) for k in range(5))
     return CMFunction(
         name=name,
-        evaluate=_elementwise(nu.laplace),
+        evaluate=nu.laplace,
         measure=nu,
         moments=moments,
         limit_at_inf=nu.zero_atom_mass(),
@@ -218,13 +206,11 @@ def _power_scale(g: CMFunction, n: int) -> CMFunction:
         # integer powers are branch-insensitive
         return base(z / n) ** n
 
-    lk = None if g.lk is None else max(1, math.ceil(g.lk / n))
     return CMFunction(
         name=f"{g.name}_pow{n}",
         evaluate=evaluate,
         measure=None,
         moments=_scaled_moments(g.moments, n),
-        lk=lk,
         limit_at_inf=g.limit_at_inf ** n,
         rational_n=None if g.rational_n is None else g.rational_n * n,
     )
@@ -242,7 +228,6 @@ def exponential() -> CMFunction:
         evaluate=lambda z: np.exp(-z),
         measure=nu,
         moments=(1.0, 1.0, 1.0, 1.0, 1.0),
-        lk=1,
         deriv_real=lambda z, k: (-1.0) ** k * math.exp(-z),
     )
 
@@ -255,7 +240,6 @@ def euler() -> CMFunction:
         evaluate=lambda z: 1.0 / (1.0 + z),
         measure=nu,
         moments=(1.0, 1.0, 2.0, 6.0, 24.0),
-        lk=2,
         deriv_real=lambda z, k: (-1.0) ** k * math.factorial(k) * (1.0 + z) ** (-k - 1),
         rational_n=1,
     )
@@ -281,7 +265,6 @@ def euler_power(n: int) -> CMFunction:
         g,
         evaluate=lambda z: (1.0 + z / n) ** (-n),
         moments=_scaled_moments((1.0, 1.0, 2.0, 6.0, 24.0), n),
-        lk=1,
         rational_n=n,
     )
 
@@ -306,7 +289,6 @@ def spline() -> CMFunction:
         evaluate=evaluate,
         measure=nu,
         moments=(1.0, 1.0, 4.0 / 3.0, 2.0, 16.0 / 5.0),
-        lk=2,
         deriv_real=deriv,
     )
 
@@ -325,7 +307,6 @@ def kendall(t: float) -> CMFunction:
         evaluate=lambda z: (1.0 - t) + t * np.exp(-z / t),
         measure=nu,
         moments=(1.0, 1.0, inv_t, inv_t ** 2, inv_t ** 3),
-        lk=None,
         limit_at_inf=1.0 - t,
         deriv_real=lambda z, k: t * (-inv_t) ** k * math.exp(-z * inv_t),
     )
@@ -358,7 +339,6 @@ def yosida(t: float) -> CMFunction:
         evaluate=lambda z: np.exp(-t * z / (t + z)),
         measure=nu,
         moments=tuple(nu.moment(k) for k in range(5)),
-        lk=None,
         limit_at_inf=math.exp(-t),
     )
 
@@ -373,7 +353,6 @@ def hille() -> CMFunction:
         evaluate=lambda z: np.exp(np.expm1(-z)),
         measure=nu,
         moments=tuple(nu.moment(k) for k in range(5)),
-        lk=None,
         limit_at_inf=math.exp(-1.0),
     )
 
@@ -462,6 +441,11 @@ BUILTIN_NAMES = ("euler", "euler_pow<N>", "spline", "kendall", "yosida", "hille"
                  "frac_tail", "exp")
 
 
+# the constructors without parameters; a family takes t to pick its member g_t
+_NAMED = {"euler": euler, "spline": spline, "exp": exponential, "hille": hille,
+          "kendall": kendall_family, "yosida": yosida_family}
+
+
 def make_builtin(spec: str):
     """Parse a constructor string like 'kendall:t=0.5', 'frac_tail:gamma=0.3' or
     'euler_pow4' (= power_scale(euler(), 4))."""
@@ -471,20 +455,11 @@ def make_builtin(spec: str):
         for item in argstr.split(","):
             key, _, val = item.partition("=")
             kwargs[key.strip()] = val
-    if name == "euler":
-        return euler()
+    if name in _NAMED:
+        g = _NAMED[name]()
+        return g.at(float(kwargs["t"])) if "t" in kwargs else g
     if name.startswith("euler_pow") and name[len("euler_pow"):].isdigit():
         return power_scale(euler(), int(name[len("euler_pow"):]))
-    if name == "spline":
-        return spline()
-    if name == "exp":
-        return exponential()
-    if name == "hille":
-        return hille()
-    if name == "kendall":
-        return kendall(float(kwargs["t"])) if "t" in kwargs else kendall_family()
-    if name == "yosida":
-        return yosida(float(kwargs["t"])) if "t" in kwargs else yosida_family()
     if name == "frac_tail":
         return frac_tail(float(kwargs["gamma"]))
     if name == "chung":

@@ -68,23 +68,28 @@ class DivergentError(ArithmeticError):
 
 @dataclass(frozen=True)
 class GDensity:
-    """The density G with Delta_2 = Laplace(G), evaluated from the measure.
+    """The density G with Delta_2 = Laplace(G), evaluated from the measure,
+    or with pivot = 1 its companion G0:
 
-    G(s) = int_0^s (s - tau) nu(dtau)   for s in [0, 1],
-    G(s) = int_s^inf (tau - s) nu(dtau) for s > 1.
+    G(s) = int_0^s (p - tau) nu(dtau)   for s in [0, 1],
+    G(s) = int_s^inf (tau - p) nu(dtau) for s > 1,
+
+    with p = s for G and p = 1 for G0.
     """
 
     g: CMFunction
+    pivot: float | None = None
 
     def __call__(self, s):
         nu = self.g.measure
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.empty_like(s_arr)
         for i, si in enumerate(s_arr):
+            p = si if self.pivot is None else self.pivot
             if si <= 1.0:
-                out[i] = si * nu.partial_moment(0, 0.0, si) - nu.partial_moment(1, 0.0, si)
+                out[i] = p * nu.partial_moment(0, 0.0, si) - nu.partial_moment(1, 0.0, si)
             else:
-                out[i] = nu.partial_moment(1, si, math.inf) - si * nu.partial_moment(0, si, math.inf)
+                out[i] = nu.partial_moment(1, si, math.inf) - p * nu.partial_moment(0, si, math.inf)
         return out if np.ndim(s) else float(out[0])
 
     def peak(self) -> float:
@@ -92,30 +97,9 @@ class GDensity:
         return self(1.0)
 
     def integral(self) -> float:
-        """int_0^inf G = int (1-tau)^2/2 nu(dtau) = (g''(0)-1)/2."""
-        return 0.5 * self.g.measure.kernel_integral(lambda tau: (1.0 - tau) ** 2)
-
-
-@dataclass(frozen=True)
-class G0Density:
-    """G0(s) = int_0^s (1-tau) nu(dtau) on [0,1]; int_s^inf (tau-1) nu(dtau) beyond."""
-
-    g: CMFunction
-
-    def __call__(self, s):
-        nu = self.g.measure
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty_like(s_arr)
-        for i, si in enumerate(s_arr):
-            if si <= 1.0:
-                out[i] = nu.partial_moment(0, 0.0, si) - nu.partial_moment(1, 0.0, si)
-            else:
-                out[i] = nu.partial_moment(1, si, math.inf) - nu.partial_moment(0, si, math.inf)
-        return out if np.ndim(s) else float(out[0])
-
-    def integral(self) -> float:
-        """int G0 = int (1-tau)^2 nu(dtau) = g''(0) - 1."""
-        return self.g.measure.kernel_integral(lambda tau: (1.0 - tau) ** 2)
+        """int_0^inf G = int (1-tau)^2/2 nu(dtau) = (g''(0)-1)/2; twice that for G0."""
+        scale = 0.5 if self.pivot is None else 1.0
+        return scale * self.g.measure.kernel_integral(lambda tau: (1.0 - tau) ** 2)
 
 
 def g_density(g: CMFunction) -> GDensity:
@@ -126,10 +110,10 @@ def g_density(g: CMFunction) -> GDensity:
     return GDensity(g)
 
 
-def g0_density(g: CMFunction) -> G0Density:
+def g0_density(g: CMFunction) -> GDensity:
     if g.measure is None:
         raise RequiresMeasureError(f"{g.name}: G0 density needs an explicit measure")
-    return G0Density(g)
+    return GDensity(g, pivot=1.0)
 
 
 # ----------------------------------------------------------------------

@@ -7,14 +7,14 @@ power-law tail w(1+s)^{-p} on [0, inf) (covers heavy-tailed examples
 whose second moment diverges).  Moments, partial moments, and Laplace
 transforms are all closed-form up to incomplete gamma/beta functions,
 so downstream functionals can be computed without sampling the measure.
-The power-law Laplace transform e^z E_p(z) is evaluated on whole arrays
-of z (`powerlaw_laplace`): a power series near 0, a continued fraction
-beyond.
+Laplace transforms are evaluated on whole arrays of z: the polynomial-
+exponential part by `polyexp_laplace_complex`, the power-law part
+e^z E_p(z) by `powerlaw_laplace` (a power series near 0, a continued
+fraction beyond).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -71,10 +71,9 @@ class PolyExpSegment:
             return 0.0
         return polyexp_moment(self.coeffs, self.rate, lo, hi, k)
 
-    def laplace(self, z: complex) -> complex:
-        if z == 0:
-            return complex(self.moment(0))
-        return polyexp_laplace_complex(self.coeffs, self.rate, self.a, self.b, z)
+    def laplace(self, z):
+        """int_a^b e^{-zs} density(s) ds on an array of complex z (a complex for 0-d z)."""
+        return polyexp_laplace_complex(self.coeffs, self.rate, self.a, self.b, z)[()]
 
 
 SERIES_RADIUS = 1.5    # power series for |z| <= 1.5, continued fraction beyond
@@ -189,8 +188,9 @@ class PowerLawSegment:
             total += c * piece
         return self.weight * total
 
-    def laplace(self, z: complex) -> complex:
-        return self.weight * complex(powerlaw_laplace(self.exponent, z))
+    def laplace(self, z):
+        """int_0^inf e^{-zs} density(s) ds on an array of complex z (a complex for 0-d z)."""
+        return self.weight * powerlaw_laplace(self.exponent, z)[()]
 
 
 @dataclass(frozen=True)
@@ -239,14 +239,16 @@ class PositiveMeasure:
 
     # -- transforms -------------------------------------------------------
 
-    def laplace(self, z: complex) -> complex:
-        """int e^{-zs} nu(ds) for Re z >= 0 (includes the imaginary axis)."""
-        total = 0.0 + 0.0j
+    def laplace(self, z):
+        """int e^{-zs} nu(ds) on an array of z with Re z >= 0 (includes the
+        imaginary axis); real z gives real values, a 0-d z a scalar."""
+        zc = np.asarray(z, dtype=complex)
+        total = np.zeros_like(zc)
         for loc, w in self.atoms:
-            total += w * cmath.exp(-z * loc)
+            total += w * np.exp(-zc * loc)
         for seg in self.segments:
-            total += seg.laplace(z)
-        return total
+            total += seg.laplace(zc)
+        return (total if np.iscomplexobj(z) else total.real)[()]
 
     def kernel_integral(self, kernel, rel_tol: float = 1e-12) -> float:
         """int kernel(tau) nu(dtau) with `kernel` vectorized over tau >= 0.

@@ -2,10 +2,13 @@
 
 Generators are dense complex matrices A with spectrum in the closed
 right half-plane (so that -A generates a bounded semigroup e^{-tA}).
-Diagonalizable structure is carried explicitly (V, eigs, V^{-1}) so that
+An eigendecomposition is carried explicitly (eigs, V, V^{-1}) so that
 matrix functions are functions of the eigenvalue array: f(A) = V f(Lambda)
-V^{-1}.  A Pade matrix-exponential path and a measure-quadrature path
-exist independently and are cross-validated, not trusted as oracles.
+V^{-1}.  The fields say what is known: eigs is None means there is no
+eigendecomposition, V is None means the eigenbasis is the identity (A is
+diagonal); both are checked against the matrix on construction.  A Pade
+matrix-exponential path and a measure-quadrature path exist independently
+and are cross-validated, not trusted as oracles.
 
 Operator norm is the spectral 2-norm throughout.  The semigroup
 constants M_beta = sup_t ||(tA)^beta e^{-tA}|| come from one closed form on
@@ -22,7 +25,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .cmfun import CMFunction, ScaledFamily
+from .cmfun import CMFunction
 
 __all__ = [
     "GeneratorMatrix",
@@ -55,23 +58,25 @@ class GeneratorMatrix:
     """Dense complex square matrix with right-half-plane spectrum."""
 
     matrix: np.ndarray
-    structure: str                 # "diagonal" | "diagonalizable" | "general"
     name: str = "A"
-    eigs: np.ndarray | None = None
-    V: np.ndarray | None = None
+    eigs: np.ndarray | None = None   # None: no eigendecomposition
+    V: np.ndarray | None = None      # None: the eigenbasis is the identity
     Vinv: np.ndarray | None = None
 
     def __post_init__(self):
         A = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", A)
-        if self.eigs is not None:
-            object.__setattr__(self, "eigs", np.asarray(self.eigs, dtype=complex))
-            if np.min(self.eigs.real) < -1e-12:
-                raise ValueError("spectrum must lie in the closed right half-plane")
-        if self.structure == "diagonalizable":
-            recon = self.V @ np.diag(self.eigs) @ self.Vinv
-            if np.linalg.norm(recon - A) > 1e-12 * max(np.linalg.norm(A), 1.0):
-                raise ValueError("diagonalization factors do not reproduce the matrix")
+        if self.eigs is None:
+            return
+        eigs = np.asarray(self.eigs, dtype=complex)
+        object.__setattr__(self, "eigs", eigs)
+        if np.min(eigs.real) < -1e-12:
+            raise ValueError("spectrum must lie in the closed right half-plane")
+        resid = np.diag(eigs) if self.V is None else self.V @ (eigs[:, None] * self.Vinv)
+        resid -= A
+        if np.linalg.norm(resid) > 1e-12 * max(np.linalg.norm(A), 1.0):
+            raise ValueError(f"{self.name}: eigs and V do not reproduce the matrix "
+                             "(without V it must be diag(eigs))")
 
     @property
     def dim(self) -> int:
@@ -79,22 +84,20 @@ class GeneratorMatrix:
 
     @cached_property
     def unitary(self) -> bool:
-        """Whether the eigenbasis V is unitary (always for diagonal structure)."""
-        if self.structure == "diagonal":
-            return True
-        if self.structure != "diagonalizable":
+        """Whether the eigenbasis V is unitary (always for the identity basis)."""
+        if self.eigs is None:
             return False
+        if self.V is None:
+            return True
         gram = self.V.conj().T @ self.V
         return bool(np.linalg.norm(gram - np.eye(self.dim)) <= UNITARY_TOL)
 
     def spectral_map(self, f) -> np.ndarray:
         """V f(Lambda) V^{-1} with f applied to the array of eigenvalues."""
+        if self.eigs is None:
+            raise ValueError(f"{self.name}: the spectral path needs an eigendecomposition")
         vals = np.asarray(f(self.eigs), dtype=complex)
-        if self.structure == "diagonal":
-            return np.diag(vals)
-        if self.structure == "diagonalizable":
-            return self.V @ (vals[:, None] * self.Vinv)
-        raise ValueError("spectral path needs diagonal/diagonalizable structure")
+        return np.diag(vals) if self.V is None else self.V @ (vals[:, None] * self.Vinv)
 
 
 def opnorm(B: np.ndarray) -> float:
@@ -110,13 +113,12 @@ def diag_imag(k: int = 128, mod_min: float = 1e-1, mod_max: float = 1e2) -> Gene
     mods = np.logspace(math.log10(mod_min), math.log10(mod_max), k)
     signs = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
     eigs = 1j * signs * mods
-    return GeneratorMatrix(np.diag(eigs), "diagonal",
-                           name=f"diag_imag:k={k},max={mod_max:g}", eigs=eigs)
+    return GeneratorMatrix(np.diag(eigs), name=f"diag_imag:k={k},max={mod_max:g}", eigs=eigs)
 
 
 def diag_positive(k: int = 128, lam_min: float = 1e-2, lam_max: float = 1e2) -> GeneratorMatrix:
     eigs = np.logspace(math.log10(lam_min), math.log10(lam_max), k).astype(complex)
-    return GeneratorMatrix(np.diag(eigs), "diagonal", name=f"diag_pos:k={k}", eigs=eigs)
+    return GeneratorMatrix(np.diag(eigs), name=f"diag_pos:k={k}", eigs=eigs)
 
 
 def advection_periodic(d: int = 256) -> GeneratorMatrix:
@@ -128,7 +130,7 @@ def advection_periodic(d: int = 256) -> GeneratorMatrix:
     eigs = d * (1.0 - omega.conj())
     F = np.exp(2j * np.pi * np.outer(j, j) / d) / math.sqrt(d)
     Vinv = F.conj().T
-    return GeneratorMatrix(A, "diagonalizable", name=f"advection:d={d}", eigs=eigs, V=F, Vinv=Vinv)
+    return GeneratorMatrix(A, name=f"advection:d={d}", eigs=eigs, V=F, Vinv=Vinv)
 
 
 def laplacian_dirichlet_1d(d: int = 128) -> GeneratorMatrix:
@@ -138,27 +140,43 @@ def laplacian_dirichlet_1d(d: int = 128) -> GeneratorMatrix:
     eigs = (2.0 - 2.0 * np.cos(k * np.pi / (d + 1))).astype(complex)
     j = np.arange(1, d + 1)
     V = np.sqrt(2.0 / (d + 1)) * np.sin(np.outer(j, k) * np.pi / (d + 1)).astype(complex)
-    return GeneratorMatrix(A, "diagonalizable",
-                           name=f"laplacian:d={d}", eigs=eigs, V=V, Vinv=V.conj().T)
+    return GeneratorMatrix(A, name=f"laplacian:d={d}", eigs=eigs, V=V, Vinv=V.conj().T)
+
+
+# each gallery member with its keys (in constructor order) and their defaults
+GALLERY = {
+    "diag_imag": (diag_imag, {"k": 128, "min": 1e-1, "max": 1e2}),
+    "diag_pos": (diag_positive, {"k": 128, "min": 1e-2, "max": 1e2}),
+    "advection": (advection_periodic, {"d": 256}),
+    "laplacian": (laplacian_dirichlet_1d, {"d": 128}),
+}
 
 
 def make_generator(spec: str) -> GeneratorMatrix:
-    """Parse gallery strings like 'diag_imag:k=128,max=100'."""
+    """Parse gallery strings like 'diag_imag:k=128,max=100'; k and d are
+    positive integers, min and max positive numbers."""
     name, _, argstr = spec.partition(":")
-    kw = {}
+    if name not in GALLERY:
+        raise ValueError(f"unknown generator {name!r}; available: {', '.join(GALLERY)}")
+    build, kw = GALLERY[name]
+    kw = dict(kw)
     for item in filter(None, argstr.split(",")):
-        key, _, val = item.partition("=")
-        kw[key.strip()] = float(val)
-    if name == "diag_imag":
-        return diag_imag(int(kw.get("k", 128)), kw.get("min", 1e-1), kw.get("max", 1e2))
-    if name == "diag_pos":
-        return diag_positive(int(kw.get("k", 128)), kw.get("min", 1e-2), kw.get("max", 1e2))
-    if name == "advection":
-        return advection_periodic(int(kw.get("d", 256)))
-    if name == "laplacian":
-        return laplacian_dirichlet_1d(int(kw.get("d", 128)))
-    raise ValueError(
-        f"unknown generator {name!r}; available: diag_imag, diag_pos, advection, laplacian")
+        key, _, val = (x.strip() for x in item.partition("="))
+        bad = f"--generator {spec!r}: {key}={val!r}"
+        if key not in kw:
+            raise ValueError(f"{bad} is not a key of {name}, which takes {', '.join(kw)}")
+        try:
+            x = float(val)
+        except ValueError:
+            raise ValueError(f"{bad} is not a number") from None
+        if not 0 < x < math.inf:
+            raise ValueError(f"{bad} is not a positive number")
+        if key in ("k", "d"):
+            if x != int(x):
+                raise ValueError(f"{bad} is not a whole number")
+            x = int(x)
+        kw[key] = x
+    return build(*kw.values())
 
 
 def test_vectors(A: GeneratorMatrix, count: int = 8, seed: int = DEFAULT_SEED) -> list[np.ndarray]:
@@ -169,8 +187,8 @@ def test_vectors(A: GeneratorMatrix, count: int = 8, seed: int = DEFAULT_SEED) -
     for _ in range(3):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         vecs.append(v / np.linalg.norm(v))
-    if A.structure in ("diagonal", "diagonalizable"):
-        basis = np.eye(d, dtype=complex) if A.structure == "diagonal" else A.V
+    if A.eigs is not None:
+        basis = np.eye(d, dtype=complex) if A.V is None else A.V
         picks = [(0, d - 1), (0, d // 2), (d // 4, 3 * d // 4), (d // 3, d - 2)]
         for i, j in picks:
             v = basis[:, i] + basis[:, j]
@@ -188,7 +206,7 @@ def semigroup_at(A: GeneratorMatrix, t: float) -> np.ndarray:
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return np.eye(A.dim, dtype=complex)
-    if A.structure in ("diagonal", "diagonalizable"):
+    if A.eigs is not None:
         return A.spectral_map(lambda lam: np.exp(-t * lam))
     return scipy.linalg.expm(-t * A.matrix)
 
@@ -206,8 +224,6 @@ def frac_on_spectrum(lam, alpha: float) -> np.ndarray:
 
 def frac_power(A: GeneratorMatrix, alpha: float) -> np.ndarray:
     """A^alpha via the eigendecomposition (see frac_on_spectrum)."""
-    if A.structure not in ("diagonal", "diagonalizable"):
-        raise ValueError("fractional powers need diagonal/diagonalizable structure")
     return A.spectral_map(lambda lam: frac_on_spectrum(lam, alpha))
 
 
@@ -219,7 +235,7 @@ def hp_apply(g: CMFunction, A: GeneratorMatrix, path: str = "auto") -> np.ndarra
     "rational": repeated solves for Euler-type g(z) = (1 + z/n)^{-n}.
     """
     if path == "auto":
-        path = "spectral" if A.structure in ("diagonal", "diagonalizable") else "quadrature"
+        path = "spectral" if A.eigs is not None else "quadrature"
     if path == "spectral":
         return A.spectral_map(g.eval_at)
     if path == "quadrature":
@@ -281,10 +297,9 @@ def _hp_rational(g: CMFunction, A: GeneratorMatrix) -> np.ndarray:
 def scheme_on_spectrum(g, t: float, n: int, lam) -> np.ndarray:
     """g_t(t lam / n)^n on an array of (complex) spectral points.
 
-    `g` is a CMFunction or a ScaledFamily (then g_t = family.at(t)).
+    `g` is a CMFunction (g_t = g) or a ScaledFamily; g.at(t) picks g_t.
     """
-    gt = g.at(t) if isinstance(g, ScaledFamily) else g
-    w = gt.eval_at(t * np.asarray(lam) / n)
+    w = g.at(t).eval_at(t * np.asarray(lam) / n)
     # polar form |w|^n e^{i n arg w}: on the unit circle np.hypot gives |w| = 1
     # up to rounding, usually exactly, where w ** n = exp(n log w) drifts by n ulp
     return np.hypot(w.real, w.imag) ** n * np.exp(1j * n * np.arctan2(w.imag, w.real))
@@ -292,17 +307,15 @@ def scheme_on_spectrum(g, t: float, n: int, lam) -> np.ndarray:
 
 def scheme_apply(g, A: GeneratorMatrix, t: float, n: int, path: str = "auto") -> np.ndarray:
     """g_t^n((t/n) A), the scheme matrix approximating e^{-tA}."""
-    if path == "auto" and A.structure in ("diagonal", "diagonalizable"):
+    if path == "auto" and A.eigs is not None:
         return A.spectral_map(lambda lam: scheme_on_spectrum(g, t, n, lam))
-    gt = g.at(t) if isinstance(g, ScaledFamily) else g
-    B = hp_apply(gt, _scaled_generator(A, t / n), path=path)
+    B = hp_apply(g.at(t), _scaled_generator(A, t / n), path=path)
     return np.linalg.matrix_power(B, n)
 
 
 def _scaled_generator(A: GeneratorMatrix, c: float) -> GeneratorMatrix:
-    return GeneratorMatrix(c * A.matrix, A.structure,
-                           name=A.name, eigs=None if A.eigs is None else c * A.eigs,
-                           V=A.V, Vinv=A.Vinv)
+    return GeneratorMatrix(c * A.matrix, name=A.name,
+                           eigs=None if A.eigs is None else c * A.eigs, V=A.V, Vinv=A.Vinv)
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +348,7 @@ def semigroup_constants(A: GeneratorMatrix) -> SemigroupConstants:
     for beta > 0) and 0 if every eigenvalue is 0.  Without an
     eigendecomposition no finite bound is certified: every M_beta is inf.
     """
-    if A.structure not in ("diagonal", "diagonalizable"):
+    if A.eigs is None:
         return SemigroupConstants(math.inf, math.inf)
     lam = A.eigs[A.eigs != 0]
     if np.any(lam.real <= 0):

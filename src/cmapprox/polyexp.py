@@ -9,7 +9,9 @@ function when c b >= m + 1, and otherwise the all-positive Kummer series
 of int_0^x, which is the power rule at c = 0 and never forms the
 c^-(m+1) Gamma(m+1) that overflows at small rates or high degrees.  The
 Gamma prefactor is taken in the log domain so that large polynomial
-degrees (Gamma densities of Euler powers) do not overflow.
+degrees (Gamma densities of Euler powers) do not overflow.  Complex
+rates (Laplace transforms) run on whole arrays: the same Kummer series
+inside |c| b < m + 1, an upward recurrence outside.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def monomial_exp_integral(m: int, c: float, a: float, b: float) -> float:
     if c == 0.0 and math.isinf(b):
         return math.inf
     if c * b < m + 1:
-        return _lower_series(m, c, b) - _lower_series(m, c, a)
+        return float(_lower_series(m, c, b) - _lower_series(m, c, a))
     # Gamma(m+1)/c^(m+1) * (Q(m+1, c a) - Q(m+1, c b)): the upper tails keep
     # their relative accuracy where P(m+1, c a) and P(m+1, c b) both round to 1
     scale = math.exp(gammaln(m + 1) - (m + 1) * math.log(c))
@@ -45,17 +47,21 @@ def monomial_exp_integral(m: int, c: float, a: float, b: float) -> float:
     return scale * (float(gammaincc(m + 1, c * a)) - tail_b)
 
 
-def _lower_series(m: int, c: float, x: float) -> float:
-    """int_0^x s^m e^{-cs} ds = x^{m+1} e^{-cx} sum_k (cx)^k / ((m+1)...(m+k+1)),
-    for c x < m + 1, where the terms fall at least geometrically."""
-    cx = c * x
-    term = total = 1.0 / (m + 1)
+def _lower_series(m: int, lam, x: float):
+    """int_0^x s^m e^{-lam s} ds = x^{m+1} e^{-lam x} sum_k (lam x)^k / ((m+1)...(m+k+1)),
+    for |lam| x < m + 1, where the terms fall at least geometrically; lam is a
+    real rate or an array of complex ones."""
+    lx = lam * x
+    # ratio >= |lam x| of every entry, so bound >= |term| of every entry
+    ratio = abs(lx) if np.isscalar(lx) else float(np.abs(lx).max(initial=0.0))
+    term = total = bound = 1.0 / (m + 1)
     k = 1
-    while term > 1e-17 * total:
-        term *= cx / (m + 1 + k)
-        total += term
+    while bound > 1e-17 / (m + 1):
+        term = term * (lx / (m + 1 + k))
+        total = total + term
+        bound *= ratio / (m + 1 + k)
         k += 1
-    return x ** (m + 1) * math.exp(-cx) * total
+    return x ** (m + 1) * np.exp(-lx) * total
 
 
 def polyexp_moment(coeffs, rate: float, a: float, b: float, k: int) -> float:
@@ -67,39 +73,40 @@ def polyexp_moment(coeffs, rate: float, a: float, b: float, k: int) -> float:
     )
 
 
-def polyexp_laplace_complex(coeffs, rate: float, a: float, b: float, z: complex) -> complex:
-    """int_a^b p(s) exp(-(rate + z) s) ds for complex z with Re z >= 0.
+def polyexp_laplace_complex(coeffs, rate: float, a: float, b: float, z) -> np.ndarray:
+    """int_a^b p(s) exp(-(rate + z) s) ds on an array of complex z with Re z >= 0.
 
-    Uses the upward recurrence I_m = (a^m e^{-la} - b^m e^{-lb})/l + (m/l) I_{m-1}
-    with l = rate + z.  Intended for modest polynomial degree; falls back to
-    high-precision incomplete gammas when the recurrence is unreliable.
+    Per monomial I_m = int_a^b s^m e^{-lam s} ds with lam = rate + z:
+    I_0 = e^{-lam a} (-expm1(-lam (b-a)))/lam; above it, on a finite segment
+    where |lam| b < m+1, the Kummer series of int_0^b minus that of int_0^a,
+    and elsewhere the upward recurrence
+    I_m = (a^m e^{-lam a} - b^m e^{-lam b})/lam + (m/lam) I_{m-1}.
     """
-    lam = complex(rate) + complex(z)
-    if lam == 0:
+    z = np.asarray(z, dtype=complex)
+    lam = rate + z.ravel()
+    finite = not math.isinf(b)
+    if not finite and np.any(lam == 0):
         raise ValueError("zero decay rate on an unbounded segment")
-    deg = len(coeffs) - 1
-    if abs(lam) < 0.25 * max(deg, 1) and deg > 2:
-        import mpmath
-
-        total = mpmath.mpc(0)
-        la = mpmath.mpc(lam)
-        for j, cj in enumerate(coeffs):
-            if cj == 0.0:
-                continue
-            if math.isinf(b):
-                g = mpmath.gammainc(j + 1, la * a)
-            else:
-                g = mpmath.gammainc(j + 1, la * a, la * b)
-            total += cj * g / la ** (j + 1)
-        return complex(total)
-
-    ea = np.exp(-lam * a)
-    eb = 0.0 if math.isinf(b) else np.exp(-lam * b)
-    vals = np.empty(deg + 1, dtype=complex)
-    vals[0] = (ea - eb) / lam
-    pa, pb = 1.0, 1.0
-    for m in range(1, deg + 1):
-        pa *= a
-        pb = 0.0 if math.isinf(b) else pb * b
-        vals[m] = (pa * ea - pb * eb) / lam + (m / lam) * vals[m - 1]
-    return complex(sum(cj * vals[j] for j, cj in enumerate(coeffs) if cj != 0.0))
+    safe = np.where(lam == 0, 1.0, lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ea = np.exp(-lam * a)
+        if finite:
+            eb = np.exp(-lam * b)
+            I = ea * np.where(lam == 0, b - a, -np.expm1(-safe * (b - a)) / safe)
+        else:
+            eb = 0.0
+            I = ea / lam
+        total = coeffs[0] * I
+        pa = pb = 1.0
+        for m in range(1, len(coeffs)):
+            pa *= a
+            pb = pb * b if finite else 0.0
+            I = (pa * ea - pb * eb) / safe + (m / safe) * I
+            if coeffs[m] == 0.0:
+                continue  # entries left to the series below only feed further series
+            if finite:
+                series = np.abs(lam) * b < m + 1
+                near = lam[series]
+                I[series] = _lower_series(m, near, b) - _lower_series(m, near, a)
+            total = total + coeffs[m] * I
+    return total.reshape(z.shape)

@@ -24,11 +24,12 @@ import numpy as np
 from scipy.special import gammainc
 
 from . import functionals, opcalc
-from .cmfun import CMFunction, ScaledFamily, power_scale
+from .cmfun import CMFunction, power_scale
 from .opcalc import GeneratorMatrix, frac_on_spectrum, scheme_on_spectrum
 
 __all__ = [
     "BoundReport",
+    "within_bound",
     "OrderFit",
     "fit_order",
     "first_order_bounds",
@@ -43,6 +44,11 @@ __all__ = [
 
 SLACK_REL = 1e-9
 SLACK_ABS = 1e-13
+
+
+def within_bound(error: float, bound: float) -> bool:
+    """The slack policy: error <= bound * (1 + SLACK_REL) + SLACK_ABS."""
+    return error <= bound * (1.0 + SLACK_REL) + SLACK_ABS
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,7 @@ class BoundReport:
 
     @property
     def passed(self) -> bool:
-        return self.error <= self.bound * (1.0 + SLACK_REL) + SLACK_ABS
+        return within_bound(self.error, self.bound)
 
     def row(self) -> dict:
         return {
@@ -103,26 +109,18 @@ def fit_order(points) -> OrderFit:
 # helpers
 # ----------------------------------------------------------------------
 
-def _resolve(g, t: float) -> CMFunction:
-    return g.at(t) if isinstance(g, ScaledFamily) else g
-
-
-def _scheme_name(g) -> str:
-    return g.name
-
-
 def _coords(A: GeneratorMatrix, vectors) -> np.ndarray:
     """Y = V^{-1} X: the test vectors (columns of X) in the eigenbasis of A."""
-    if A.structure not in ("diagonal", "diagonalizable"):
-        raise ValueError("bound suites need diagonal/diagonalizable structure")
+    if A.eigs is None:
+        raise ValueError(f"{A.name}: bound suites need an eigendecomposition")
     X = np.column_stack(vectors)
-    return X if A.structure == "diagonal" else A.Vinv @ X
+    return X if A.V is None else A.Vinv @ X
 
 
 def _norms(A: GeneratorMatrix, d: np.ndarray, Y: np.ndarray) -> list[float]:
     """||V diag(d) V^{-1} x_i|| = ||V (d * y_i)|| for each column y_i of Y."""
     Z = d[:, None] * Y
-    if A.structure == "diagonalizable":
+    if A.V is not None:
         Z = A.V @ Z
     return [float(v) for v in np.linalg.norm(Z, axis=0)]
 
@@ -141,7 +139,7 @@ def _defect(g, A: GeneratorMatrix, t: float, n: int) -> np.ndarray:
 
 def _residual(g, A: GeneratorMatrix, t: float, n: int) -> np.ndarray:
     """scheme - e^{-tA} - (2n)^{-1}(g_t''(0)-1) t^2 e^{-tA} A^2 on the spectrum."""
-    h = _resolve(g, t).moments[2] - 1.0
+    h = g.at(t).moments[2] - 1.0
     lam = A.eigs
     return _defect(g, A, t, n) - (h * t ** 2 / (2.0 * n)) * (np.exp(-t * lam) * lam ** 2)
 
@@ -168,7 +166,7 @@ def first_order_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
 
     (alpha = 0 gives 4M ||x||, which holds since ||g_t(tA/n)^n|| <= M.)
     """
-    gt = _resolve(g, t)
+    gt = g.at(t)
     if not math.isfinite(gt.moments[2]):
         raise ValueError("first-order suite requires a B2 (family of) function(s)")
     h = gt.moments[2] - 1.0
@@ -187,7 +185,7 @@ def first_order_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
             else:
                 bound = 4.0 * M * (h * t ** 2 / n) ** (alpha / 2.0) * nx
                 tag = "first-order-frac"
-            out.append(BoundReport(_scheme_name(g), A.name, t, n, alpha, i, err, bound, tag))
+            out.append(BoundReport(g.name, A.name, t, n, alpha, i, err, bound, tag))
     return out
 
 
@@ -224,7 +222,7 @@ def second_order_bounds(g, A: GeneratorMatrix, t: float, n: int,
     ||Rx|| <= M C(g_t) t^3 n^{-3/2} ||A^3 x||,  C = sqrt((g''(0)-1)(g''''(0)-1)/2)
     ||Rx|| <= M C1(g_t) t^3 n^{-2} (||A^3 x|| + t ||A^4 x||),  C1 = g''''(0)-1
     """
-    gt = _resolve(g, t)
+    gt = g.at(t)
     if not math.isfinite(gt.moments[4]):
         raise ValueError("second-order suite requires B4")
     h2 = gt.moments[2] - 1.0
@@ -239,8 +237,8 @@ def second_order_bounds(g, A: GeneratorMatrix, t: float, n: int,
     for i, err in enumerate(errs):
         b1 = M * C * t ** 3 * n ** -1.5 * n3[i]
         b2 = M * C1 * t ** 3 * n ** -2.0 * (n3[i] + t * n4[i])
-        out.append(BoundReport(_scheme_name(g), A.name, t, n, 3.0, i, err, b1, "second-order-A3"))
-        out.append(BoundReport(_scheme_name(g), A.name, t, n, 4.0, i, err, b2, "second-order-A4"))
+        out.append(BoundReport(g.name, A.name, t, n, 3.0, i, err, b1, "second-order-A3"))
+        out.append(BoundReport(g.name, A.name, t, n, 4.0, i, err, b2, "second-order-A4"))
     return out
 
 
@@ -257,16 +255,16 @@ def holomorphic_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
     `c_alpha_fn(n, alpha)` overrides the quadrature c_alpha (e.g. the
     closed form for Euler's scheme).
     """
-    gt = _resolve(g, t)
+    gt = g.at(t)
     h = gt.moments[2] - 1.0
     M0, M1, M2 = Mc[0], Mc[1], Mc[2]
     K = 3.0 * M0 + 3.0 * M1 + M2 / 2.0
     d = _defect(g, A, t, n)
-    out = [BoundReport(_scheme_name(g), A.name, t, n, 0.0, -1,
+    out = [BoundReport(g.name, A.name, t, n, 0.0, -1,
                        _opnorm(A, d), K * h / n, "holo-opnorm")]
     Y = _coords(A, vectors)
     errs = _norms(A, d, Y)
-    sharp_ok = not isinstance(g, ScaledFamily) and g.tail_integrable and g.measure is not None
+    sharp_ok = gt is g and g.tail_integrable and g.measure is not None
     c_cache = {}
     for alpha in alphas:
         norms = _frac_norms(A, alpha, Y)
@@ -278,14 +276,14 @@ def holomorphic_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
                     c_cache[alpha] = functionals.c_alpha_quad(power_scale(g, n), alpha).value
         for i, (err, nx) in enumerate(zip(errs, norms)):
             if alpha == 1.0:
-                out.append(BoundReport(_scheme_name(g), A.name, t, n, alpha, i, err,
+                out.append(BoundReport(g.name, A.name, t, n, alpha, i, err,
                                        (2.0 * M0 + 1.5 * M1) * h / n * t * nx, "holo-A1"))
             elif 0.0 < alpha < 1.0:
-                out.append(BoundReport(_scheme_name(g), A.name, t, n, alpha, i, err,
+                out.append(BoundReport(g.name, A.name, t, n, alpha, i, err,
                                        3.0 * M0 * K * h / n * t ** alpha * nx, "holo-frac"))
             if alpha in c_cache:
                 bound = Mc[2.0 - alpha] * c_cache[alpha] * t ** alpha * nx
-                out.append(BoundReport(_scheme_name(g), A.name, t, n, alpha, i, err,
+                out.append(BoundReport(g.name, A.name, t, n, alpha, i, err,
                                        bound, "holo-sharp"))
     return out
 

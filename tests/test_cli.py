@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from cmapprox import cli, cmfun
+from cmapprox import cli, cmfun, rates
 from cmapprox import functionals as fns
 from cmapprox.functionals import euler_c_alpha_exact
 
@@ -219,6 +219,86 @@ def test_sharpness_command(tmp_path):
     rows = _read_csv(out)
     assert {r["experiment"] for r in rows} == {"euler-scalar", "shift-I1I2"}
     assert all(r["pass"] == "true" for r in rows)
+
+
+def test_sharpness_euler_rows_check_the_bound(monkeypatch, capsys):
+    # holo-sharp at alpha = 0 on a positive spectrum: sup <= M_2 r_{0,n}, M_2 = (2/e)^2
+    def bound(n):
+        return (2.0 / math.e) ** 2 * rates.euler_sharp_r(n, 0.0)
+
+    rep = rates.euler_scalar_sharpness([1, 4, 1024])
+    ratios = [r["sup"] / bound(r["n"]) for r in rep["rows"]]
+    assert ratios == pytest.approx([0.645, 0.886, 0.9995], abs=1e-3)
+
+    sup = 1.01 * bound(4)
+    monkeypatch.setattr(cli.rates, "euler_scalar_sharpness", lambda ns: {
+        "rows": [{"n": 4, "sup": sup, "t_star": 1.0, "n_sup": 4 * sup}],
+        "limit": 2.0 * math.exp(-2.0), "fitted_next_order": 0.0})
+    assert cli.main(["sharpness", "--which", "euler", "--n", "4"]) == 1
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.endswith(",pass") and row.endswith(",false")
+
+
+def test_functionals_read_rational_n(tmp_path):
+    # euler_pow2 at n = 2 is Euler's scheme at n = 4, so it gets the same closed forms
+    rows = {}
+    for g, n in (("euler_pow2", "2"), ("euler", "4")):
+        out = tmp_path / f"{g}.csv"
+        assert cli.main(["functionals", "--g", g, "--n", n, "--alpha", "0,0.5,1",
+                         "--out", str(out)]) == 0
+        rows[g] = _read_csv(out)
+    for a, b in zip(rows["euler_pow2"], rows["euler"]):
+        assert a["L"] == b["L"] != "nan"
+        assert a["c_alpha_exact"] == b["c_alpha_exact"] != "nan"
+    # and the holo suite the same sharp constants r_{alpha, 2n}
+    bounds = {}
+    for g, n in (("euler_pow2", "2"), ("euler", "4")):
+        out = tmp_path / f"{g}-holo.csv"
+        assert cli.main(["verify-bounds", "--scheme", g, "--generator", "laplacian:d=16",
+                         "--suite", "holo", "--n", n, "--alpha", "0,0.5,1",
+                         "--out", str(out)]) == 0
+        bounds[g] = [r["bound"] for r in _read_csv(out) if r["tag"] == "holo-sharp"]
+    assert len(bounds["euler"]) == 24 and bounds["euler_pow2"] == bounds["euler"]
+
+
+@pytest.mark.parametrize("spec, key, value", [
+    ("diag_imag:k=4,foo=3", "foo", "3"),
+    ("diag_imag:k=abc", "k", "abc"),
+    ("diag_imag:k=0", "k", "0"),
+    ("laplacian:d=0", "d", "0"),
+])
+def test_generator_strings_are_checked(spec, key, value, capsys):
+    rc = cli.main(["verify-bounds", "--scheme", "euler", "--generator", spec,
+                   "--suite", "first", "--n", "4", "--alpha", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--generator" in captured.err and f"{key}='{value}'" in captured.err
+    if key == "foo":
+        assert "takes k, min, max" in captured.err
+
+
+def test_commands_run_without_mpmath(tmp_path):
+    bump = tmp_path / "bump.json"
+    bump.write_text(json.dumps(
+        {"segments": [{"a": 0, "b": 2, "poly": [0, 0, 3.75, -3.75, 0.9375]}]}))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    blocked = "import sys; sys.modules['mpmath'] = None; "
+    probe = subprocess.run([sys.executable, "-c", blocked + "import mpmath"],
+                           capture_output=True, env=env, timeout=120)
+    assert probe.returncode != 0  # the block holds
+    run_cli = blocked + "from cmapprox.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in (
+        ["verify-bounds", "--scheme", f"measure:{bump}", "--generator", "laplacian:d=64",
+         "--suite", "first", "--n", "4,16", "--alpha", "1,2"],
+        ["verify-bounds", "--scheme", "frac_tail:gamma=0.5", "--generator", "diag_imag:k=64",
+         "--suite", "nonb2", "--n", "4,16", "--alpha", "0.5,1"],
+    ):
+        proc = subprocess.run([sys.executable, "-c", run_cli, *argv],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().count("\n") > 1
 
 
 def test_report_aggregation(tmp_path, capsys):

@@ -30,7 +30,7 @@ from conftest import b2_builtins
 
 def _nilpotent():
     A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    return GeneratorMatrix(A, "general", name="nilpotent")
+    return GeneratorMatrix(A, name="nilpotent")
 
 
 # ----------------------------------------------------------------------
@@ -78,7 +78,17 @@ def test_make_generator_parsing():
 
 def test_generator_rejects_left_half_plane():
     with pytest.raises(ValueError):
-        GeneratorMatrix(np.diag([-1.0 + 0j]), "diagonal", eigs=np.array([-1.0 + 0j]))
+        GeneratorMatrix(np.diag([-1.0 + 0j]), eigs=np.array([-1.0 + 0j]))
+
+
+def test_generator_without_basis_must_be_diagonal():
+    # no V means the eigenbasis is the identity, so the matrix must be diag(eigs):
+    # otherwise semigroup_at would drop the off-diagonal part of expm(-M)
+    with pytest.raises(ValueError):
+        GeneratorMatrix(np.array([[1, 5], [0, 2]]), eigs=np.array([1, 2]))
+    A = GeneratorMatrix(np.array([[1, 0], [0, 2]]), eigs=np.array([1, 2]))
+    assert A.unitary
+    assert semigroup_at(A, 1.0) == pytest.approx(np.diag(np.exp([-1.0, -2.0])), abs=1e-15)
 
 
 def test_probe_vectors_are_unit_and_deterministic():
@@ -119,9 +129,9 @@ def test_semigroup_property():
 def test_frac_power_values():
     A = diag_positive(8)
     assert np.allclose(frac_power(A, 1.0), A.matrix, atol=1e-13)
-    B = GeneratorMatrix(np.diag([4.0 + 0j]), "diagonal", eigs=np.array([4.0 + 0j]))
+    B = GeneratorMatrix(np.diag([4.0 + 0j]), eigs=np.array([4.0 + 0j]))
     assert frac_power(B, 0.5)[0, 0] == pytest.approx(2.0, abs=1e-14)
-    C = GeneratorMatrix(np.diag([1j]), "diagonal", eigs=np.array([1j]))
+    C = GeneratorMatrix(np.diag([1j]), eigs=np.array([1j]))
     assert frac_power(C, 0.5)[0, 0] == pytest.approx(cmath.exp(1j * math.pi / 4), abs=1e-14)
     with pytest.raises(ValueError):
         frac_power(A, -0.5)
@@ -132,7 +142,7 @@ def test_frac_power_values():
 
 
 def test_frac_power_zero_eigenvalue():
-    A = GeneratorMatrix(np.diag([0.0 + 0j, 1.0 + 0j]), "diagonal",
+    A = GeneratorMatrix(np.diag([0.0 + 0j, 1.0 + 0j]),
                         eigs=np.array([0.0 + 0j, 1.0 + 0j]))
     P = frac_power(A, 0.5)
     assert P[0, 0] == 0.0 and P[1, 1] == pytest.approx(1.0)
@@ -149,7 +159,7 @@ def test_hp_apply_exponential_is_semigroup():
 
 
 def test_hp_apply_scalar_values():
-    one = GeneratorMatrix(np.diag([1.0 + 0j]), "diagonal", eigs=np.array([1.0 + 0j]))
+    one = GeneratorMatrix(np.diag([1.0 + 0j]), eigs=np.array([1.0 + 0j]))
     assert hp_apply(cmfun.euler(), one)[0, 0] == pytest.approx(0.5, abs=1e-13)
     g = cmfun.kendall(0.5)
     val = hp_apply(g, one)[0, 0]
@@ -214,7 +224,7 @@ def test_scheme_apply_exponential_exact():
 
 
 def test_scheme_apply_euler_scalar():
-    one = GeneratorMatrix(np.diag([1.0 + 0j]), "diagonal", eigs=np.array([1.0 + 0j]))
+    one = GeneratorMatrix(np.diag([1.0 + 0j]), eigs=np.array([1.0 + 0j]))
     # g(t lam/n)^n = (1 + 1/2)^{-2} = 4/9 at t = 1, n = 2
     assert scheme_apply(cmfun.euler(), one, 1.0, 2)[0, 0] == pytest.approx(4.0 / 9.0, rel=1e-13)
 
@@ -244,7 +254,7 @@ def _nonnormal(d=24):
     V = (np.eye(d) + 0.3 * np.triu(rng.standard_normal((d, d)), 1)).astype(complex)
     eigs = np.logspace(-1, 1, d) + 1j * np.linspace(-2.0, 2.0, d)
     Vinv = np.linalg.inv(V)
-    return GeneratorMatrix(V @ np.diag(eigs) @ Vinv, "diagonalizable",
+    return GeneratorMatrix(V @ np.diag(eigs) @ Vinv,
                            name="nonnormal", eigs=eigs, V=V, Vinv=Vinv)
 
 
@@ -375,7 +385,7 @@ def test_constants_bound_normal_property(eigs, seed):
     d = len(eigs)
     Q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     lam = np.array(eigs, dtype=complex)
-    A = GeneratorMatrix(Q @ np.diag(lam) @ Q.conj().T, "diagonalizable",
+    A = GeneratorMatrix(Q @ np.diag(lam) @ Q.conj().T,
                         eigs=lam, V=Q, Vinv=Q.conj().T)
     assert A.unitary and semigroup_constants(A).kappa == 1.0
     # for normal A the closed form is the sup itself, attained at t = beta/Re lambda
@@ -395,7 +405,7 @@ def test_constants_bound_nonnormal_property(eigs, seed, skew):
     V = Q @ (np.eye(d) + skew * np.triu(G, 1))
     Vinv = np.linalg.inv(V)
     lam = np.array(eigs, dtype=complex)
-    A = GeneratorMatrix(V @ np.diag(lam) @ Vinv, "diagonalizable", eigs=lam, V=V, Vinv=Vinv)
+    A = GeneratorMatrix(V @ np.diag(lam) @ Vinv, eigs=lam, V=V, Vinv=Vinv)
     assert not A.unitary and semigroup_constants(A).kappa > 1.0
     _check_constants_bound(A, tight=False)
 

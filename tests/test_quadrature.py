@@ -130,3 +130,41 @@ def test_polyexp_laplace_complex():
     got = polyexp.polyexp_laplace_complex(coeffs, rate, 0.0, 1.0, z)
     want = (1.0 - cmath.exp(-(1.0 + z))) / (1.0 + z)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+# one monomial s^m on [a, b], b = a + width or inf, against
+# gamma(m+1, lam a, lam b)/lam^(m+1) at 40 digits.  Widths stay below 4 so that
+# |z| b <= 6e3: the phase of e^{-zb} moves by |z b| ulp when z b is rounded,
+# which no double-precision kernel can undo.
+_SEGMENTS = st.tuples(
+    st.integers(0, 8),
+    st.one_of(st.just(0.0), st.floats(0.0, 2.0, exclude_min=True)),
+    st.one_of(st.just(math.inf), st.floats(-2.0, math.log10(4.0)).map(lambda e: 10.0 ** e)),
+    st.one_of(st.just(0.0), st.floats(-2.0, 1.5).map(lambda e: 10.0 ** e)),
+)
+_MODULI = st.floats(-8.0, 3.0).map(lambda e: 10.0 ** e)
+_Z = st.one_of(
+    st.builds(lambda r, s: complex(0.0, s * r), _MODULI, st.sampled_from([1.0, -1.0])),
+    st.builds(complex, _MODULI, st.just(0.0)),                              # positive axis
+    st.builds(lambda r, th: r * cmath.exp(1j * th), _MODULI, st.floats(-1.5, 1.5)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seg=_SEGMENTS, zs=st.lists(_Z, min_size=1, max_size=8))
+def test_polyexp_laplace_monomials_match_mpmath(seg, zs):
+    m, a, width, rate = seg
+    b = a + width
+    if math.isinf(b) and rate == 0.0:
+        rate = 1.0  # an unbounded segment needs a positive rate
+    coeffs = (0.0,) * m + (1.0,)
+    vals = polyexp.polyexp_laplace_complex(coeffs, rate, a, b, np.array(zs))
+    assert vals.shape == (len(zs),)
+    for z, v in zip(zs, vals):
+        with mpmath.workdps(40):
+            lam = mpmath.mpf(rate) + mpmath.mpc(z)
+            upper = [] if math.isinf(b) else [lam * b]
+            ref = complex(mpmath.gammainc(m + 1, lam * a, *upper) / lam ** (m + 1))
+        # below the smallest normal double no relative accuracy is representable
+        assert abs(v - ref) <= 1e-12 * abs(ref) + np.finfo(float).tiny, (m, a, b, rate, z)
+
