@@ -104,7 +104,7 @@ def cmd_functionals(args) -> int:
     if not name:
         print("error: --g is required", file=sys.stderr)
         return USAGE_ERROR
-    g = make_builtin(name)
+    g = make_builtin(name, flag="--scheme" if cfg.get("scheme") else "--g")
     if isinstance(g, ScaledFamily):
         print("error: functionals needs a fixed function (give t)", file=sys.stderr)
         return USAGE_ERROR

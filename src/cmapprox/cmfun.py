@@ -441,30 +441,26 @@ BUILTIN_NAMES = ("euler", "euler_pow<N>", "spline", "kendall", "yosida", "hille"
                  "frac_tail", "exp")
 
 
-# the constructors without parameters; a family takes t to pick its member g_t
-_NAMED = {"euler": euler, "spline": spline, "exp": exponential, "hille": hille,
-          "kendall": kendall_family, "yosida": yosida_family}
+# each constructor string: its builder, the keys it takes and those it needs;
+# a family without t is the family itself, with t its member g_t
+_BUILDERS = {
+    "euler": (euler, (), ()),
+    "spline": (spline, (), ()),
+    "exp": (exponential, (), ()),
+    "hille": (hille, (), ()),
+    "kendall": (lambda t=None: kendall_family() if t is None else kendall(t), ("t",), ()),
+    "yosida": (lambda t=None: yosida_family() if t is None else yosida(t), ("t",), ()),
+    "chung": (chung, ("a", "t"), ("a", "t")),
+    "frac_tail": (frac_tail, ("gamma",), ("gamma",)),
+}
 
 
-def make_builtin(spec: str):
+def make_builtin(spec: str, flag: str = "--scheme"):
     """Parse a constructor string like 'kendall:t=0.5', 'frac_tail:gamma=0.3' or
-    'euler_pow4' (= power_scale(euler(), 4))."""
+    'euler_pow4' (= power_scale(euler(), 4)).  A key the constructor does not
+    take, a value that is not a finite number, a missing key or a value out
+    of range raises ValueError naming `flag`, the key and the value."""
     name, _, argstr = spec.partition(":")
-    kwargs = {}
-    if argstr:
-        for item in argstr.split(","):
-            key, _, val = item.partition("=")
-            kwargs[key.strip()] = val
-    if name in _NAMED:
-        g = _NAMED[name]()
-        return g.at(float(kwargs["t"])) if "t" in kwargs else g
-    if name.startswith("euler_pow") and name[len("euler_pow"):].isdigit():
-        return power_scale(euler(), int(name[len("euler_pow"):]))
-    if name == "frac_tail":
-        return frac_tail(float(kwargs["gamma"]))
-    if name == "chung":
-        coeffs = [float(x) for x in kwargs["a"].split("+")]
-        return chung(coeffs, float(kwargs["t"]))
     if name == "measure":
         import json
 
@@ -481,4 +477,33 @@ def make_builtin(spec: str):
             for s in desc.get("segments", [])
         )
         return from_measure(PositiveMeasure(atoms=atoms, segments=segs), name=f"measure:{argstr}")
-    raise ValueError(f"unknown function name {name!r}; available: {', '.join(BUILTIN_NAMES)}")
+    pow_n = name[len("euler_pow"):]
+    if name.startswith("euler_pow") and pow_n.isdigit() and int(pow_n) > 0:
+        build, takes, needs = (lambda: power_scale(euler(), int(pow_n))), (), ()
+    elif name in _BUILDERS:
+        build, takes, needs = _BUILDERS[name]
+    else:
+        raise ValueError(f"unknown function name {name!r}; available: {', '.join(BUILTIN_NAMES)}")
+    where = f"{flag} {spec!r}"
+    kwargs = {}
+    for item in filter(None, argstr.split(",")):
+        key, _, val = (x.strip() for x in item.partition("="))
+        bad = f"{where}: {key}={val!r}"
+        if key not in takes:
+            raise ValueError(f"{bad} is not a key of {name}, which takes "
+                             f"{', '.join(takes) or 'no keys'}")
+        try:
+            # a: the coefficients of chung, joined by '+'
+            x = [float(v) for v in val.split("+")] if key == "a" else [float(val)]
+        except ValueError:
+            raise ValueError(f"{bad} is not a number") from None
+        if not all(map(math.isfinite, x)):
+            raise ValueError(f"{bad} is not a finite number")
+        kwargs[key] = x if key == "a" else x[0]
+    for key in needs:
+        if key not in kwargs:
+            raise ValueError(f"{where}: {name} needs {key}=<value>")
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import bernoulli, gammaln
 
 from . import quadrature
 from .cmfun import CMFunction, check_b1, check_bk, power_scale
@@ -215,11 +214,15 @@ def euler_power_L(n: int) -> float:
 
     With nu_n = n^n s^{n-1} e^{-ns}/(n-1)! ds one has
     int_0^1 nu_n = P(n, n) and int_0^1 s nu_n = P(n+1, n), so
-    L[g_n] = P(n, n) - P(n+1, n) (regularized lower incomplete gamma P).
+    L[g_n] = P(n, n) - P(n+1, n) = n^n e^{-n}/n! (regularized lower
+    incomplete gamma P).  Below _SHIFT the factorial is exact; above it
+    Stirling's series n!/(n^n e^{-n}) = sqrt(2 pi n) exp(sum_k B_2k /
+    (2k(2k-1) n^{2k-1})) keeps full relative accuracy.
     """
-    from scipy.special import gammainc
-
-    return float(gammainc(n, n) - gammainc(n + 1, n))
+    if n < _SHIFT:
+        return n ** n / math.factorial(n) * math.exp(-n)
+    series = sum(_B[2 * k] / (2 * k * (2 * k - 1) * n ** (2 * k - 1)) for k in range(1, 7))
+    return math.exp(-series) / math.sqrt(2.0 * math.pi * n)
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +298,7 @@ def c_alpha_quad(g: CMFunction, alpha: float, rel_tol: float = 1e-11) -> QuadVal
 
 @lru_cache(maxsize=None)
 def _c_alpha_quadrature(g: CMFunction, alpha: float, rel_tol: float) -> QuadValue:
-    gamma_factor = math.exp(-gammaln(2.0 - alpha))
+    gamma_factor = 1.0 / math.gamma(2.0 - alpha)
     c_inf = g.limit_at_inf
     z0 = 40.0
 
@@ -341,7 +344,8 @@ def c_alpha(g: CMFunction, alpha: float) -> float:
 # down to n by the recurrences of Gamma and psi; at m >= 32 the terms up
 # to B_12 leave a truncation error far below one ulp.
 _SHIFT = 32
-_B = bernoulli(12)
+# Bernoulli numbers B_0..B_12 (B_1 = -1/2)
+_B = (1, -1/2, 1/6, 0, -1/30, 0, 1/42, 0, -1/30, 0, 5/66, 0, -691/2730)
 
 
 def _log_gamma_ratio(n: int, a: float) -> float:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from .polyexp import polyexp_laplace_complex, polyexp_moment
 
@@ -79,6 +78,7 @@ class PolyExpSegment:
 SERIES_RADIUS = 1.5    # power series for |z| <= 1.5, continued fraction beyond
 SERIES_TERMS = 60      # 1.5^60/60! < 1e-70
 CF_STEPS = 400         # just past |z| = 1.5 on the imaginary axis it takes about 125
+EULER_GAMMA = 0.5772156649015329  # Euler-Mascheroni constant, -psi(1)
 
 
 def powerlaw_laplace(p: float, z) -> np.ndarray:
@@ -114,10 +114,15 @@ def _expint_series(p: float, z: np.ndarray) -> np.ndarray:
         if not (whole and k == m):
             acc += term / (k - m)
     if whole:
-        pole = (-z) ** int(m) / math.factorial(int(m)) * (digamma(p) - np.log(z))
+        pole = (-z) ** int(m) / math.factorial(int(m)) * (_digamma_whole(int(p)) - np.log(z))
     else:
         pole = math.gamma(-m) * z ** m
     return pole - acc
+
+
+def _digamma_whole(p: int) -> float:
+    """psi(p) = H_{p-1} - Euler's gamma for a whole p >= 1."""
+    return math.fsum(1.0 / j for j in range(1, p)) - EULER_GAMMA
 
 
 def _expint_fraction(p: float, z: np.ndarray) -> np.ndarray:

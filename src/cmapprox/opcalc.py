@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .cmfun import CMFunction
 
@@ -108,17 +107,25 @@ def opnorm(B: np.ndarray) -> float:
 # gallery
 # ----------------------------------------------------------------------
 
+def _num(x: float) -> str:
+    """The shortest of '%g' and repr that reads back as x exactly."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def diag_imag(k: int = 128, mod_min: float = 1e-1, mod_max: float = 1e2) -> GeneratorMatrix:
     """Diagonal skew generator with log-spaced imaginary eigenvalues (alternating signs)."""
     mods = np.logspace(math.log10(mod_min), math.log10(mod_max), k)
     signs = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
     eigs = 1j * signs * mods
-    return GeneratorMatrix(np.diag(eigs), name=f"diag_imag:k={k},max={mod_max:g}", eigs=eigs)
+    name = f"diag_imag:k={k},min={_num(mod_min)},max={_num(mod_max)}"
+    return GeneratorMatrix(np.diag(eigs), name=name, eigs=eigs)
 
 
 def diag_positive(k: int = 128, lam_min: float = 1e-2, lam_max: float = 1e2) -> GeneratorMatrix:
     eigs = np.logspace(math.log10(lam_min), math.log10(lam_max), k).astype(complex)
-    return GeneratorMatrix(np.diag(eigs), name=f"diag_pos:k={k}", eigs=eigs)
+    name = f"diag_pos:k={k},min={_num(lam_min)},max={_num(lam_max)}"
+    return GeneratorMatrix(np.diag(eigs), name=name, eigs=eigs)
 
 
 def advection_periodic(d: int = 256) -> GeneratorMatrix:
@@ -154,7 +161,8 @@ GALLERY = {
 
 def make_generator(spec: str) -> GeneratorMatrix:
     """Parse gallery strings like 'diag_imag:k=128,max=100'; k and d are
-    positive integers, min and max positive numbers."""
+    positive integers, min and max positive numbers.  The name of the
+    generator built is its full spec, which parses back to the same one."""
     name, _, argstr = spec.partition(":")
     if name not in GALLERY:
         raise ValueError(f"unknown generator {name!r}; available: {', '.join(GALLERY)}")
@@ -208,6 +216,8 @@ def semigroup_at(A: GeneratorMatrix, t: float) -> np.ndarray:
         return np.eye(A.dim, dtype=complex)
     if A.eigs is not None:
         return A.spectral_map(lambda lam: np.exp(-t * lam))
+    import scipy.linalg
+
     return scipy.linalg.expm(-t * A.matrix)
 
 
@@ -248,6 +258,8 @@ def hp_apply(g: CMFunction, A: GeneratorMatrix, path: str = "auto") -> np.ndarra
 def _hp_quadrature(g: CMFunction, A: GeneratorMatrix, rel_tol: float = 1e-10) -> np.ndarray:
     if g.measure is None:
         raise ValueError(f"{g.name}: quadrature route needs an explicit measure")
+    import scipy.linalg
+
     d = A.dim
     out = np.zeros((d, d), dtype=complex)
     for loc, w in g.measure.atoms:

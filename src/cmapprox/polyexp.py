@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 __all__ = [
     "monomial_exp_integral",
@@ -42,7 +41,9 @@ def monomial_exp_integral(m: int, c: float, a: float, b: float) -> float:
         return float(_lower_series(m, c, b) - _lower_series(m, c, a))
     # Gamma(m+1)/c^(m+1) * (Q(m+1, c a) - Q(m+1, c b)): the upper tails keep
     # their relative accuracy where P(m+1, c a) and P(m+1, c b) both round to 1
-    scale = math.exp(gammaln(m + 1) - (m + 1) * math.log(c))
+    from scipy.special import gammaincc
+
+    scale = math.exp(math.lgamma(m + 1) - (m + 1) * math.log(c))
     tail_b = 0.0 if math.isinf(b) else float(gammaincc(m + 1, c * b))
     return scale * (float(gammaincc(m + 1, c * a)) - tail_b)
 

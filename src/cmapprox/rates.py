@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from . import functionals, opcalc
 from .cmfun import CMFunction, power_scale
@@ -406,6 +405,8 @@ def _W_density(n: int, tau: np.ndarray) -> np.ndarray:
     built from the Gamma measure nu_n = n^n s^{n-1} e^{-ns}/(n-1)! ds via
     int_0^tau nu_n = P(n, n tau) and int_0^tau y nu_n(dy) = P(n+1, n tau).
     """
+    from scipy.special import gammainc
+
     tau = np.asarray(tau, dtype=float)
     p0 = gammainc(n, n * tau)
     p1 = gammainc(n + 1, n * tau)

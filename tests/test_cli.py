@@ -9,7 +9,9 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 from cmapprox import cli, cmfun, rates
 from cmapprox import functionals as fns
@@ -278,12 +280,70 @@ def test_generator_strings_are_checked(spec, key, value, capsys):
         assert "takes k, min, max" in captured.err
 
 
+@pytest.mark.parametrize("spec, named", [
+    ("frac_tail", "gamma=<value>"),
+    ("chung:a=0.5+0.5", "t=<value>"),
+    ("kendall:t=abc", "t='abc'"),
+    ("euler:foo=1", "foo='1'"),
+])
+def test_scheme_strings_are_checked(spec, named, capsys):
+    rc = cli.main(["verify-bounds", "--scheme", spec, "--generator", "diag_imag:k=8",
+                   "--suite", "first", "--n", "4", "--alpha", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--scheme {spec!r}" in captured.err and named in captured.err
+    if spec == "euler:foo=1":
+        assert "takes no keys" in captured.err
+
+
+def test_functionals_names_the_g_flag(capsys):
+    assert cli.main(["functionals", "--g", "kendall:s=1", "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "--g 'kendall:s=1'" in err and "s='1'" in err and "takes t" in err
+
+
+def _src_env():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+@pytest.mark.parametrize("argv", [
+    ["functionals", "--g", "euler", "--n", "1,1024", "--alpha", "0,0.5,1"],
+    ["verify-bounds", "--scheme", "spline", "--generator", "laplacian:d=64",
+     "--suite", "holo", "--n", "4,16", "--alpha", "0,0.5,1"],
+    ["verify-bounds", "--scheme", "frac_tail:gamma=0.5", "--generator", "diag_imag:k=32",
+     "--suite", "nonb2", "--n", "4,16", "--alpha", "0.5,1"],
+], ids=["functionals", "holo", "nonb2"])
+def test_spectral_and_functional_commands_load_no_scipy(argv, tmp_path):
+    run_cli = ("import sys; from cmapprox.cli import main; code = main(sys.argv[1:]); "
+               "loaded = sorted(m for m in sys.modules if m.startswith('scipy')); "
+               "assert not loaded, loaded; sys.exit(code)")
+    out = str(tmp_path / "out.csv")
+    proc = subprocess.run([sys.executable, "-c", run_cli, *argv, "--out", out],
+                          capture_output=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert len(_read_csv(out)) > 1
+
+
+def test_scipy_paths_import_it_when_run(tmp_path):
+    from cmapprox import opcalc
+
+    A = opcalc.GeneratorMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]), name="upper")
+    assert np.allclose(opcalc.semigroup_at(A, 0.7), scipy.linalg.expm(-0.7 * A.matrix),
+                       rtol=0.0, atol=1e-15)
+    L = opcalc.laplacian_dirichlet_1d(4)
+    B = opcalc.hp_apply(cmfun.euler(), L, path="quadrature")
+    assert np.allclose(B, opcalc.hp_apply(cmfun.euler(), L, path="spectral"), atol=1e-9)
+    assert cli.main(["sharpness", "--which", "shift", "--n", "4,16",
+                     "--out", str(tmp_path / "shift.csv")]) == 0
+
+
 def test_commands_run_without_mpmath(tmp_path):
     bump = tmp_path / "bump.json"
     bump.write_text(json.dumps(
         {"segments": [{"a": 0, "b": 2, "poly": [0, 0, 3.75, -3.75, 0.9375]}]}))
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env = _src_env()
     blocked = "import sys; sys.modules['mpmath'] = None; "
     probe = subprocess.run([sys.executable, "-c", blocked + "import mpmath"],
                            capture_output=True, env=env, timeout=120)

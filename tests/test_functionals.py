@@ -1,6 +1,7 @@
 """Rate functionals: densities, dual evaluation routes, special functions."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -129,6 +130,21 @@ def test_euler_power_L_matches_measure_route():
     for n in (2, 8, 32):
         assert F.euler_power_L(n) == pytest.approx(
             F.functional_L(cmfun.euler_power(n)), abs=1e-12)
+
+
+def test_euler_power_L_matches_mpmath():
+    # L[g_n] = n^n e^{-n}/n!; the tolerance was fixed at 1e-15 relative up front
+    with mpmath.workdps(50):
+        for n in (*range(1, 41), 1024, 2 ** 16, 10 ** 6):
+            want = mpmath.mpf(n) ** n * mpmath.exp(-n) / mpmath.factorial(n)
+            assert F.euler_power_L(n) == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
+
+def test_bernoulli_numbers_are_exact():
+    assert len(F._B) == 13
+    for k, b in enumerate(F._B):
+        p, q = mpmath.bernfrac(k)
+        assert b == float(Fraction(int(p), int(q)))
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmapprox import quadrature
+from cmapprox import measures, quadrature
 from cmapprox.measures import (SERIES_RADIUS, PolyExpSegment, PositiveMeasure,
                                PowerLawSegment, powerlaw_laplace)
 
@@ -144,3 +144,11 @@ def test_laplace_complex_recurrence_high_degree():
     z = 0.05 + 0.02j
     exact = (1.0 + z / n) ** (-n)
     assert seg.laplace(z) == pytest.approx(exact, rel=1e-11)
+
+
+def test_whole_digamma_matches_mpmath():
+    # 30-digit reference; the tolerance was fixed at 4e-16 relative up front
+    for p in range(1, 65):
+        with mpmath.workdps(30):
+            want = float(mpmath.digamma(p))
+        assert measures._digamma_whole(p) == pytest.approx(want, rel=4e-16, abs=0.0)

@@ -76,6 +76,31 @@ def test_make_generator_parsing():
         make_generator("hyperbola")
 
 
+def test_gallery_names_are_full_specs():
+    assert diag_imag(256).name == "diag_imag:k=256,min=0.1,max=100"
+    assert diag_positive(128, 1e-4, 1e-2).name == "diag_pos:k=128,min=0.0001,max=0.01"
+    assert make_generator("diag_pos:k=8").name == "diag_pos:k=8,min=0.01,max=100"
+    assert make_generator("laplacian:d=8").name == "laplacian:d=8"
+
+
+_SPECS = st.one_of(
+    st.builds(lambda name, k, lo, hi: f"{name}:k={k},min={lo!r},max={hi!r}",
+              st.sampled_from(["diag_imag", "diag_pos"]), st.integers(1, 16),
+              st.floats(1e-8, 1e8), st.floats(1e-8, 1e8)),
+    st.builds(lambda name, d: f"{name}:d={d}",
+              st.sampled_from(["laplacian", "advection"]), st.integers(1, 16)),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(spec=_SPECS)
+def test_generator_names_round_trip(spec):
+    A = make_generator(spec)
+    B = make_generator(A.name)
+    assert B.name == A.name
+    assert np.array_equal(B.eigs, A.eigs)
+
+
 def test_generator_rejects_left_half_plane():
     with pytest.raises(ValueError):
         GeneratorMatrix(np.diag([-1.0 + 0j]), eigs=np.array([-1.0 + 0j]))
