@@ -4,10 +4,14 @@ Subcommands:
 
     functionals    rate functionals of a named function over an (n, alpha) grid
     verify-bounds  error-vs-bound suites (first/second order, holomorphic)
-    optimality     lower-bound exponent fits from scalar spectral sweeps
-    orders         empirical convergence-order fits per t
+    orders         n-exponent fits of ||E_n A^{-alpha}|| on the spectrum, per (t, alpha)
     sharpness      sharp-constant experiments (scalar sup, shift integrals)
     report         aggregate CSVs into a pass/fail summary by bound tag
+
+`orders` passes a row when the fit is conclusive (r^2 >= 0.98) and its slope
+is within rates.EXPONENT_TOL of rates.expected_exponent.  Every grid value,
+from a flag or from --config, is checked in one place: t positive and
+finite, n a whole number >= 1, alpha finite.
 
 Exit codes: 0 all pass, 1 any row failed or a fit missed its window
 (or standard output was closed early), 2 usage errors.  Output is
@@ -59,39 +63,66 @@ def write_json(path: str, rows):
         fh.write("\n")
 
 
-def _parse_list(text: str, cast, flag: str):
-    items = [x for x in text.split(",") if x.strip()]
-    if not items:
-        print(f"error: --{flag} needs a comma-separated list of values, got {text!r}",
-              file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
-    return [cast(x) for x in items]
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(USAGE_ERROR)
+
+
+# what the values of each grid must be, whether they come from a flag or --config
+GRID = {
+    "t": ("a positive finite number", lambda x: 0.0 < x < math.inf),
+    "n": ("a whole number >= 1", lambda x: x >= 1 and x.is_integer()),
+    "alpha": ("a finite number", math.isfinite),
+}
+
+
+def _check_grid(key: str, values) -> list:
+    """The values of grid `key` as numbers (n as ints); exit 2 naming the flag otherwise."""
+    if isinstance(values, str):
+        values = [x for x in values.split(",") if x.strip()]
+    elif not isinstance(values, list):
+        values = [values]
+    if not values:
+        _usage_error(f"--{key} needs a comma-separated list of values")
+    what, ok = GRID[key]
+    out = []
+    for raw in values:
+        try:
+            x = float(raw)
+        except (TypeError, ValueError):
+            x = math.nan
+        if not ok(x):
+            _usage_error(f"--{key} {str(raw).strip()} is not {what}")
+        out.append(int(x) if key == "n" else x)
+    return out
 
 
 def _load_config(args) -> dict:
+    """--config entries overridden by the flags given, every grid checked."""
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = json.load(fh)
-    for key in ("scheme", "generator", "suite"):
+    for key in ("scheme", "generator", "suite", *GRID):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    for key, cast in (("t", float), ("n", int), ("alpha", float)):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = _parse_list(val, cast, key)
+    for key in GRID:
+        if key in cfg:
+            cfg[key] = _check_grid(key, cfg[key])
     return cfg
 
 
 def _grids(cfg):
-    ts = [float(x) for x in cfg.get("t", [1.0])]
-    ns = [int(x) for x in cfg.get("n", [])]
-    alphas = [float(x) for x in cfg.get("alpha", [1.0])]
-    if not ns or any(n < 1 for n in ns) or any(t <= 0 for t in ts):
-        print("error: need a nonempty positive n grid and positive t grid", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
-    return ts, ns, alphas
+    if "n" not in cfg:
+        _usage_error("--n is required")
+    return cfg.get("t", [1.0]), cfg["n"], cfg.get("alpha", [1.0])
+
+
+def _check_alpha_range(alphas, lo: float, hi: float, what: str):
+    for alpha in alphas:
+        if not lo <= alpha <= hi:
+            _usage_error(f"--alpha {alpha:g} is outside [{lo:g}, {hi:g}], the range of {what}")
 
 
 BOUND_FIELDS = ["scheme", "generator", "t", "n", "alpha", "vector_id",
@@ -108,8 +139,8 @@ def cmd_functionals(args) -> int:
     if isinstance(g, ScaledFamily):
         print("error: functionals needs a fixed function (give t)", file=sys.stderr)
         return USAGE_ERROR
-    ns = [int(x) for x in cfg.get("n", [1])]
-    alphas = [float(x) for x in cfg.get("alpha", [0.0, 0.5, 1.0])]
+    ns = cfg.get("n", [1])
+    alphas = cfg.get("alpha", [0.0, 0.5, 1.0])
     rows = []
     for n in ns:
         gn = power_scale(g, n)
@@ -150,16 +181,9 @@ def _suite_rows(cfg, seed):
     suite = cfg.get("suite", "first")
     ts, ns, alphas = _grids(cfg)
     if suite not in SUITE_ALPHA:
-        print(f"error: unknown suite {suite!r}; available: {', '.join(SUITE_ALPHA)}",
-              file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        _usage_error(f"unknown suite {suite!r}; available: {', '.join(SUITE_ALPHA)}")
     if SUITE_ALPHA[suite] is not None:
-        lo, hi = SUITE_ALPHA[suite]
-        for alpha in alphas:
-            if not lo <= alpha <= hi:
-                print(f"error: --alpha {alpha:g} is outside [{lo:g}, {hi:g}], the range of "
-                      f"suite {suite!r}", file=sys.stderr)
-                raise SystemExit(USAGE_ERROR)
+        _check_alpha_range(alphas, *SUITE_ALPHA[suite], f"suite {suite!r}")
     g = make_builtin(scheme)
     A = opcalc.make_generator(gen)
     vectors = opcalc.test_vectors(A, seed=seed)
@@ -194,65 +218,40 @@ def cmd_verify_bounds(args) -> int:
     return FAILURE if any(not r["pass"] for r in rows) else 0
 
 
-def cmd_optimality(args) -> int:
-    cfg = _load_config(args)
-    scheme = cfg.get("scheme", "euler")
-    g = make_builtin(scheme)
-    if isinstance(g, ScaledFamily):
-        print("error: optimality needs a fixed function", file=sys.stderr)
-        return USAGE_ERROR
-    ts, ns, alphas = _grids(cfg)
-    spectrum = cfg.get("spectrum", "imaginary")
-    order = int(cfg.get("order", 1))
-    rows = []
-    bad = False
-    for t in ts:
-        for alpha in alphas:
-            rep = rates.optimality_lower(g, alpha, t, ns, spectrum, order=order)
-            tol = float(cfg.get("exponent_tol", 0.1))
-            ok = rep["flag"] == "ok" and abs(rep["fitted_exponent"] - rep["expected_exponent"]) <= tol
-            bad = bad or not ok
-            rows.append({
-                "scheme": scheme, "spectrum": spectrum, "t": t, "alpha": alpha,
-                "order": order, "fitted_exponent": rep["fitted_exponent"],
-                "expected_exponent": rep["expected_exponent"],
-                "r_squared": rep["r_squared"], "flag": rep["flag"], "pass": ok,
-            })
-    fields = ["scheme", "spectrum", "t", "alpha", "order", "fitted_exponent",
-              "expected_exponent", "r_squared", "flag", "pass"]
-    write_csv(args.out, fields, rows)
-    return FAILURE if bad else 0
+ORDER_FIELDS = ["scheme", "generator", "t", "alpha", "slope", "expected_exponent",
+                "intercept", "r_squared", "used_points", "flag", "tag", "pass"]
 
 
 def cmd_orders(args) -> int:
     cfg = _load_config(args)
     scheme = cfg.get("scheme", "euler")
-    gen = cfg.get("generator", "diag_imag:k=128")
-    g = make_builtin(scheme)
-    A = opcalc.make_generator(gen)
-    Y = rates._coords(A, opcalc.test_vectors(A, seed=args.seed))
+    suite = cfg.get("suite", "first")
+    if suite not in ("first", "second"):
+        _usage_error(f"--suite {suite!r} is not a suite of orders, which takes first or second")
     ts, ns, alphas = _grids(cfg)
+    _check_alpha_range(alphas, 0.0, 4.0, "orders")
+    g = make_builtin(scheme)
+    A = opcalc.make_generator(cfg.get("generator", "diag_imag:k=128"))
+    second = suite == "second"
     rows = []
     for t in ts:
-        points = []
-        for n in ns:
-            errs = rates._errors(g, A, t, n, Y)
-            points.append((n, max(errs)))
-        fit = rates.fit_order(points)
-        rows.append({
-            "scheme": scheme, "generator": gen, "t": t,
-            "slope": fit.slope, "intercept": fit.intercept,
-            "r_squared": fit.r_squared, "used_points": fit.used_points,
-            "flag": fit.flag,
-        })
-    fields = ["scheme", "generator", "t", "slope", "intercept", "r_squared",
-              "used_points", "flag"]
-    write_csv(args.out, fields, rows)
-    return 0
+        for alpha in alphas:
+            fit = rates.spectral_order(g, A, t, ns, alpha, second)
+            expected = rates.expected_exponent(A, alpha, second)
+            flag = fit.flag or ("inconclusive" if fit.r_squared < 0.98 else "")
+            rows.append({
+                "scheme": scheme, "generator": A.name, "t": t, "alpha": alpha,
+                "slope": fit.slope, "expected_exponent": expected,
+                "intercept": fit.intercept, "r_squared": fit.r_squared,
+                "used_points": fit.used_points, "flag": flag, "tag": f"order-{suite}",
+                "pass": not flag and abs(fit.slope - expected) <= rates.EXPONENT_TOL,
+            })
+    write_csv(args.out, ORDER_FIELDS, rows)
+    return FAILURE if any(not r["pass"] for r in rows) else 0
 
 
 def cmd_sharpness(args) -> int:
-    ns = _parse_list(args.n or "4,16,64,256,1024", int, "n")
+    ns = _load_config(args).get("n", [4, 16, 64, 256, 1024])
     bad = False
     rows = []
     if args.which in ("euler", "both"):
@@ -323,10 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
                  "config", "out", "json", "scheme", "n", "alpha")
     sp.add_argument("--g", help="function name, e.g. euler or kendall:t=0.5")
     command("verify-bounds", "error-vs-bound suites", cmd_verify_bounds, *OPTIONS)
-    command("optimality", "lower-bound exponent fits", cmd_optimality,
-            "config", "out", "scheme", "t", "n", "alpha")
-    command("orders", "convergence-order fits", cmd_orders,
-            "config", "out", "seed", "scheme", "generator", "t", "n")
+    command("orders", "convergence-order fits of ||E_n A^{-alpha}||", cmd_orders,
+            "config", "out", "scheme", "generator", "suite", "t", "n", "alpha")
     sp = command("sharpness", "sharp-constant experiments", cmd_sharpness, "out", "n")
     sp.add_argument("--which", choices=("euler", "shift", "both"), default="both")
     sp = command("report", "aggregate CSVs into a pass/fail summary", cmd_report, "out")

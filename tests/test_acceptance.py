@@ -249,24 +249,27 @@ def test_c09_euler_scalar_sharpness():
 
 
 def test_c10_optimality_exponents():
+    # ||E_n A^{-alpha}|| on 400 log-spaced moduli of one axis is the scalar sup
     g = cmfun.euler()
     n_grid = [2 ** k for k in range(4, 13)]
+    imag = opcalc.make_generator("diag_imag:k=400,min=0.01,max=1e5")
+    pos = opcalc.make_generator("diag_pos:k=400,min=0.01,max=1e5")
     cases = [
-        dict(alpha=0.5, spectrum="imaginary", order=1),
-        dict(alpha=1.0, spectrum="imaginary", order=1),
-        dict(alpha=0.0, spectrum="positive", order=1),
-        dict(alpha=0.0, spectrum="positive", order=2),
+        dict(A=imag, alpha=0.5, second=False),
+        dict(A=imag, alpha=1.0, second=False),
+        dict(A=pos, alpha=0.0, second=False),
+        dict(A=pos, alpha=0.0, second=True),
     ]
     ok = True
     details = []
     for case in cases:
-        rep = rates.optimality_lower(g, case["alpha"], 1.0, n_grid,
-                                     case["spectrum"], order=case["order"])
-        good = rep["flag"] == "ok" and abs(
-            rep["fitted_exponent"] - rep["expected_exponent"]) <= 0.1
+        fit = rates.spectral_order(g, case["A"], 1.0, n_grid, case["alpha"], case["second"])
+        expected = rates.expected_exponent(case["A"], case["alpha"], case["second"])
+        good = fit.r_squared >= 0.98 and abs(fit.slope - expected) <= 0.1
         ok = ok and good
-        details.append(f"{case['spectrum'][:4]}/a={case['alpha']}/o={case['order']}: "
-                       f"{rep['fitted_exponent']:.3f} vs {rep['expected_exponent']:.2f}")
+        details.append(f"{case['A'].name.split(':')[0]}/a={case['alpha']}/"
+                       f"o={1 + case['second']}: "
+                       f"{fit.slope:.3f} vs {expected:.2f}")
     _report(10, "lower-bound exponents on dense spectral grids", ok, "; ".join(details))
 
 

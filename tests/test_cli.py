@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, CSV determinism, report aggregation."""
 
+import argparse
 import csv
 import json
 import math
@@ -194,14 +195,16 @@ def test_config_file_with_flag_overrides(tmp_path):
 
 
 def test_optimality_command(tmp_path):
+    # alpha = 1 on an imaginary spectrum decays like n^{-1/2}
     out = tmp_path / "o.csv"
-    rc = cli.main(["optimality", "--scheme", "euler", "--n",
+    rc = cli.main(["orders", "--scheme", "euler",
+                   "--generator", "diag_imag:k=400,min=0.01,max=1e5", "--n",
                    ",".join(str(2 ** k) for k in range(4, 11)),
                    "--alpha", "1", "--out", str(out)])
     assert rc == 0
     (row,) = _read_csv(out)
     assert row["pass"] == "true"
-    assert float(row["fitted_exponent"]) == pytest.approx(-0.5, abs=0.1)
+    assert float(row["slope"]) == pytest.approx(-0.5, abs=0.1)
 
 
 def test_orders_command(tmp_path):
@@ -386,30 +389,64 @@ def test_report_aggregation(tmp_path, capsys):
     # missing input file is a usage error
     assert cli.main(["report", str(tmp_path / "ghost.csv")]) == 2
     # a CSV without a pass column has checked nothing: a usage error, not "ok"
-    orders = tmp_path / "orders.csv"
-    assert cli.main(["orders", "--scheme", "euler", "--generator", "laplacian:d=8",
-                     "--n", "4,8", "--out", str(orders)]) == 0
+    fn = tmp_path / "fn.csv"
+    assert cli.main(["functionals", "--g", "euler", "--n", "1,2", "--out", str(fn)]) == 0
     capsys.readouterr()
-    assert cli.main(["report", str(b), str(orders), "--out", str(summary)]) == 2
-    assert str(orders) in capsys.readouterr().err
+    assert cli.main(["report", str(b), str(fn), "--out", str(summary)]) == 2
+    assert str(fn) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
     ["functionals", "--g", "euler", "--seed", "1"],
     ["functionals", "--g", "euler", "--t", "1"],
-    ["optimality", "--scheme", "euler", "--n", "4,8", "--json"],
-    ["optimality", "--scheme", "euler", "--n", "4,8", "--generator", "diag_pos:k=8"],
-    ["orders", "--scheme", "euler", "--n", "4,8", "--alpha", "1"],
-    ["orders", "--scheme", "euler", "--n", "4,8", "--suite", "first"],
+    ["orders", "--scheme", "euler", "--n", "4,8", "--seed", "1"],
+    ["orders", "--scheme", "euler", "--n", "4,8", "--json"],
     ["sharpness", "--n", "4", "--seed", "1"],
     ["sharpness", "--n", "4", "--config", "c.json"],
     ["report", "x.csv", "--n", "4"],
+    ["optimality", "--scheme", "euler", "--n", "4,8"],
 ])
 def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    # a subcommand that does not exist is refused as an invalid choice
+    rejected = "invalid choice: 'optimality'" if argv[0] == "optimality" else \
+        "unrecognized arguments"
+    assert rejected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-bounds", "--t", "nan", "--n", "4"], "--t nan is not a positive finite number"),
+    (["verify-bounds", "--t", "inf", "--n", "4"], "--t inf is not a positive finite number"),
+    (["verify-bounds", "--t", "0", "--n", "4"], "--t 0 is not a positive finite number"),
+    (["orders", "--t", "nan", "--n", "4"], "--t nan is not a positive finite number"),
+    (["orders", "--n", "abc"], "--n abc is not a whole number >= 1"),
+    (["verify-bounds", "--n", "2.5"], "--n 2.5 is not a whole number >= 1"),
+    (["orders", "--n", "4", "--alpha", "abc"], "--alpha abc is not a finite number"),
+    (["verify-bounds", "--n", "4", "--alpha", "inf"], "--alpha inf is not a finite number"),
+    (["orders", "--n", "4", "--alpha", "4.5"],
+     "--alpha 4.5 is outside [0, 4], the range of orders"),
+    (["orders", "--n", "4", "--suite", "holo"],
+     "--suite 'holo' is not a suite of orders, which takes first or second"),
+    (["functionals", "--g", "euler", "--n", "0"], "--n 0 is not a whole number >= 1"),
+    (["functionals", "--g", "euler", "--alpha", "nan"], "--alpha nan is not a finite number"),
+    (["sharpness", "--n", "1.5"], "--n 1.5 is not a whole number >= 1"),
+    (["orders", "--config", "cfg.json"], "--t -1 is not a positive finite number"),
+])
+def test_grid_values_are_checked_before_any_work(argv, message, tmp_path, monkeypatch,
+                                                 capsys):
+    # flags and --config entries go through one check, ahead of any generator
+    def no_compute(spec):
+        raise AssertionError("generator built before the grid check")
+
+    monkeypatch.setattr(cli.opcalc, "make_generator", no_compute)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"t": [1, -1], "n": [4]}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_functionals_reads_grids_from_config(tmp_path):
@@ -430,6 +467,17 @@ def _readme_commands():
     block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("cmapprox ")]
+
+
+def test_readme_and_docstring_name_every_subcommand():
+    # the README block runs each registered subcommand and no other;
+    # the cli docstring lists exactly those
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    registered = set(sub.choices)
+    assert {argv[0] for argv in _readme_commands()} == registered
+    listed = cli.__doc__.split("Subcommands:")[1].split("\n\n")[1]
+    assert {line.split()[0] for line in listed.splitlines()} == registered
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):

@@ -319,6 +319,27 @@ def test_eigen_path_matches_dense():
     assert all(type(r.error) is float and type(r.passed) is bool for r in rows)
 
 
+def test_spectral_order_non_normal_matches_dense():
+    # Euler's scheme by dense solves and expm, A^{-k} by integer powers of inv(A):
+    # no eigendecomposition enters the reference points
+    from cmapprox import rates
+
+    B = _nonnormal()
+    d, t, ns = B.dim, 1.0, [4, 8, 16, 32, 64, 128]
+    eye = np.eye(d)
+    E = scipy.linalg.expm(-t * B.matrix)
+    for k in (0, 1):
+        W = np.linalg.matrix_power(np.linalg.inv(B.matrix), k)
+        points = [(n, opnorm((np.linalg.matrix_power(np.linalg.solve(eye + t * B.matrix / n,
+                                                                     eye), n) - E) @ W))
+                  for n in ns]
+        want = rates.fit_order(points)
+        got = rates.spectral_order(cmfun.euler(), B, t, ns, alpha=k)
+        assert got.used_points == want.used_points == len(ns)
+        assert got.slope == pytest.approx(want.slope, rel=1e-9)
+        assert got.intercept == pytest.approx(want.intercept, rel=1e-9)
+
+
 # ----------------------------------------------------------------------
 # semigroup constants
 # ----------------------------------------------------------------------

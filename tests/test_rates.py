@@ -1,11 +1,12 @@
 """Verification harness: order fits, slack policy, bound suites, sharpness."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from cmapprox import cmfun, opcalc, rates
+from cmapprox import cli, cmfun, opcalc, rates
 from cmapprox.rates import (
     BoundReport,
     first_order_bounds,
@@ -129,12 +130,22 @@ def test_holomorphic_sharp_euler_closed_form_bounds():
             assert r.bound <= 2.0 / n + 1.0  # r_{alpha,n} ~ 1/(2n) scale
 
 
-def test_optimality_inconclusive_flag():
-    # one point cannot support a fit
-    res = rates.optimality_lower(cmfun.euler(), 1.0, 1.0, [4], "positive")
-    assert res["flag"] == "inconclusive"
-    with pytest.raises(ValueError):
-        rates.optimality_lower(cmfun.euler(), 1.0, 1.0, [4, 8], "sectorial")
+def test_optimality_inconclusive_flag(tmp_path):
+    # one point cannot support a fit: the row fails and orders exits 1
+    out = tmp_path / "o.csv"
+    assert cli.main(["orders", "--scheme", "euler", "--generator", "diag_pos:k=400",
+                     "--n", "4", "--out", str(out)]) == 1
+    with open(out) as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["flag"] == "too-few-points" and row["pass"] == "false"
+
+
+def test_second_order_fit_needs_finite_second_moment(capsys):
+    # g''(0) = inf leaves the residual undefined: a usage error, not an "exact" row
+    assert cli.main(["orders", "--scheme", "frac_tail:gamma=0.5", "--generator",
+                     "laplacian:d=16", "--n", "4,8,16,32", "--suite", "second"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "frac_tail(gamma=0.5)" in captured.err
 
 
 # ----------------------------------------------------------------------
