@@ -9,7 +9,8 @@ Subcommands:
     report         aggregate CSVs into a pass/fail summary by bound tag
 
 `orders` passes a row when the fit is conclusive (r^2 >= 0.98) and its slope
-is within rates.EXPONENT_TOL of rates.expected_exponent.  Every grid value,
+is within rates.EXPONENT_TOL of rates.expected_exponent, or when every point
+is roundoff (flag "exact").  Every grid value,
 from a flag or from --config, is checked in one place: t positive and
 finite, n a whole number >= 1, alpha finite.
 
@@ -161,6 +162,7 @@ def cmd_functionals(args) -> int:
                 "c_alpha_quadrature": qv.value, "c_alpha_exact": exact,
                 "d0": d0, "d1": d1, "residual_flags": qv.flag,
             })
+    rows.sort(key=lambda r: (r["n"], r["alpha"]))
     fields = ["g", "n", "alpha", "L", "a", "b", "c_alpha_quadrature",
               "c_alpha_exact", "d0", "d1", "residual_flags"]
     write_csv(args.out, fields, rows)
@@ -244,14 +246,16 @@ def cmd_orders(args) -> int:
                 "slope": fit.slope, "expected_exponent": expected,
                 "intercept": fit.intercept, "r_squared": fit.r_squared,
                 "used_points": fit.used_points, "flag": flag, "tag": f"order-{suite}",
-                "pass": not flag and abs(fit.slope - expected) <= rates.EXPONENT_TOL,
+                "pass": flag == "exact" or (not flag and
+                                            abs(fit.slope - expected) <= rates.EXPONENT_TOL),
             })
+    rows.sort(key=lambda r: (r["t"], r["alpha"]))
     write_csv(args.out, ORDER_FIELDS, rows)
     return FAILURE if any(not r["pass"] for r in rows) else 0
 
 
 def cmd_sharpness(args) -> int:
-    ns = _load_config(args).get("n", [4, 16, 64, 256, 1024])
+    ns = sorted(_load_config(args).get("n", [4, 16, 64, 256, 1024]))
     bad = False
     rows = []
     if args.which in ("euler", "both"):

@@ -2,13 +2,20 @@
 
 Generators are dense complex matrices A with spectrum in the closed
 right half-plane (so that -A generates a bounded semigroup e^{-tA}).
-An eigendecomposition is carried explicitly (eigs, V, V^{-1}) so that
-matrix functions are functions of the eigenvalue array: f(A) = V f(Lambda)
-V^{-1}.  The fields say what is known: eigs is None means there is no
-eigendecomposition, V is None means the eigenbasis is the identity (A is
-diagonal); both are checked against the matrix on construction.  A Pade
-matrix-exponential path and a measure-quadrature path exist independently
-and are cross-validated, not trusted as oracles.
+An eigendecomposition A = V diag(eigs) V^{-1} is carried as the eigenvalue
+array and an Eigenbasis, which applies V and V^{-1} to blocks of columns
+without forming them: the identity for diagonal generators, an orthonormal
+DST-I for the Dirichlet Laplacian and a unitary DFT for the periodic
+advection operator (both O(d log d) per column by numpy.fft), and dense
+user-given factors otherwise.  Matrix functions are functions of the
+eigenvalue array: f(A) = V f(Lambda) V^{-1}.  eigs is None means there is
+no eigendecomposition.  On construction the decomposition is checked
+against the matrix, ||V diag(eigs) V^{-1} - A||_F <= 1e-12 max(||A||_F, 1):
+exactly for the identity (O(d^2)) and for dense factors (O(d^3), which
+their kappa costs anyway), and for the DST and DFT by a fixed-seed random
+block P, A (V P) = V (eigs * P) and V^{-1} (V P) = P, in O(d^2) work.
+A Pade matrix-exponential path and a measure-quadrature path exist
+independently and are cross-validated, not trusted as oracles.
 
 Operator norm is the spectral 2-norm throughout.  The semigroup
 constants M_beta = sup_t ||(tA)^beta e^{-tA}|| come from one closed form on
@@ -19,7 +26,7 @@ exact for normal A (kappa = 1) and an upper bound otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -28,6 +35,11 @@ from .cmfun import CMFunction
 
 __all__ = [
     "GeneratorMatrix",
+    "Eigenbasis",
+    "IdentityBasis",
+    "SineBasis",
+    "FourierBasis",
+    "DenseBasis",
     "SemigroupConstants",
     "diag_imag",
     "diag_positive",
@@ -47,9 +59,130 @@ __all__ = [
 
 DEFAULT_SEED = 0x5EED
 
-# ||V^H V - I||_F below which V counts as unitary, so that
+# ||V^H V - I||_F below which a dense V counts as unitary, so that
 # ||V diag(d) V^{-1}|| = max |d| up to a relative error of the same size
 UNITARY_TOL = 1e-10
+
+# the construction check: ||V diag(eigs) V^{-1} - A||_F relative to
+# max(||A||_F, 1), and the columns of the random block that estimates it
+# for the unitary structured bases
+RECON_TOL = 1e-12
+PROBE_COLUMNS = 4
+
+
+# ----------------------------------------------------------------------
+# eigenbases
+# ----------------------------------------------------------------------
+
+class Eigenbasis:
+    """An eigenvector matrix V as an operator on blocks of columns:
+    apply(Y) = V Y and solve(X) = V^{-1} X along axis 0.  The structured
+    kinds are unitary, so kappa = ||V|| ||V^{-1}|| = 1."""
+
+    unitary = True
+    kappa = 1.0
+
+    def apply(self, Y: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def solve(self, X: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def similarity(self, vals: np.ndarray) -> np.ndarray:
+        """V diag(vals) V^{-1} as a dense matrix."""
+        eye = np.eye(len(vals), dtype=complex)
+        return self.apply(vals[:, None] * self.solve(eye))
+
+    def reproduces(self, A: np.ndarray, eigs: np.ndarray) -> bool:
+        """A (V P) = V (eigs * P) and V^{-1} (V P) = P on a fixed random block P.
+
+        V is unitary, so W = V P is as random as P and
+        ||A W - V (eigs * P)||_F sqrt(d)/||P||_F estimates
+        ||V diag(eigs) V^{-1} - A||_F.
+        """
+        d = len(eigs)
+        rng = np.random.default_rng(DEFAULT_SEED)
+        P = rng.standard_normal((d, PROBE_COLUMNS)) + 1j * rng.standard_normal((d, PROBE_COLUMNS))
+        W, p = self.apply(P), np.linalg.norm(P)
+        resid = np.linalg.norm(A @ W - self.apply(eigs[:, None] * P)) * math.sqrt(d) / p
+        return bool(resid <= RECON_TOL * max(np.linalg.norm(A), 1.0)
+                    and np.linalg.norm(self.solve(W) - P) <= RECON_TOL * p)
+
+
+def _recon_ok(resid: np.ndarray, A: np.ndarray) -> bool:
+    return bool(np.linalg.norm(resid) <= RECON_TOL * max(np.linalg.norm(A), 1.0))
+
+
+class IdentityBasis(Eigenbasis):
+    """V = I: the generator is diag(eigs)."""
+
+    def apply(self, Y):
+        return Y
+
+    def solve(self, X):
+        return X
+
+    def reproduces(self, A, eigs):
+        return _recon_ok(np.diag(eigs) - A, A)
+
+
+class SineBasis(Eigenbasis):
+    """Orthonormal DST-I, V_jk = sqrt(2/(d+1)) sin(jk pi/(d+1)) for j, k = 1..d.
+
+    V is real, symmetric and orthogonal, so V^{-1} = V.  The FFT of the odd
+    extension (0, y, 0, -reversed y) of length 2(d+1) is -2i times the sine
+    sums at k = 1..d.
+    """
+
+    def apply(self, Y):
+        d = Y.shape[0]
+        ext = np.zeros((2 * (d + 1),) + Y.shape[1:], dtype=complex)
+        ext[1:d + 1] = Y
+        ext[d + 2:] = -Y[::-1]
+        return (0.5j * math.sqrt(2.0 / (d + 1))) * np.fft.fft(ext, axis=0)[1:d + 1]
+
+    def solve(self, X):
+        return self.apply(X)
+
+
+class FourierBasis(Eigenbasis):
+    """Unitary DFT, V_jk = e^{2 pi i jk/d}/sqrt(d) for j, k = 0..d-1:
+    V = sqrt(d) ifft and V^{-1} = V^H = fft/sqrt(d)."""
+
+    def apply(self, Y):
+        return np.fft.ifft(Y, axis=0, norm="ortho")
+
+    def solve(self, X):
+        return np.fft.fft(X, axis=0, norm="ortho")
+
+
+class DenseBasis(Eigenbasis):
+    """User-given dense factors V and V^{-1} (any diagonalizable generator)."""
+
+    def __init__(self, V, Vinv):
+        self.V = np.asarray(V, dtype=complex)
+        self.Vinv = np.asarray(Vinv, dtype=complex)
+
+    def apply(self, Y):
+        return self.V @ Y
+
+    def solve(self, X):
+        return self.Vinv @ X
+
+    def similarity(self, vals):
+        return self.V @ (vals[:, None] * self.Vinv)
+
+    def reproduces(self, A, eigs):
+        return _recon_ok(self.similarity(eigs) - A, A)
+
+    @cached_property
+    def unitary(self) -> bool:
+        gram = self.V.conj().T @ self.V
+        return bool(np.linalg.norm(gram - np.eye(len(gram))) <= UNITARY_TOL)
+
+    @cached_property
+    def kappa(self) -> float:
+        return 1.0 if self.unitary else opnorm(self.V) * opnorm(self.Vinv)
 
 
 @dataclass(frozen=True)
@@ -58,45 +191,38 @@ class GeneratorMatrix:
 
     matrix: np.ndarray
     name: str = "A"
-    eigs: np.ndarray | None = None   # None: no eigendecomposition
-    V: np.ndarray | None = None      # None: the eigenbasis is the identity
-    Vinv: np.ndarray | None = None
+    eigs: np.ndarray | None = None        # None: no eigendecomposition
+    basis: Eigenbasis = field(default_factory=IdentityBasis)
 
     def __post_init__(self):
         A = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", A)
         if self.eigs is None:
+            if not isinstance(self.basis, IdentityBasis):
+                raise ValueError(f"{self.name}: an eigenbasis needs its eigenvalues")
             return
         eigs = np.asarray(self.eigs, dtype=complex)
         object.__setattr__(self, "eigs", eigs)
         if np.min(eigs.real) < -1e-12:
             raise ValueError("spectrum must lie in the closed right half-plane")
-        resid = np.diag(eigs) if self.V is None else self.V @ (eigs[:, None] * self.Vinv)
-        resid -= A
-        if np.linalg.norm(resid) > 1e-12 * max(np.linalg.norm(A), 1.0):
-            raise ValueError(f"{self.name}: eigs and V do not reproduce the matrix "
-                             "(without V it must be diag(eigs))")
+        if not self.basis.reproduces(A, eigs):
+            raise ValueError(f"{self.name}: eigs and the basis do not reproduce the matrix "
+                             "(without a basis it must be diag(eigs))")
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
+    @property
     def unitary(self) -> bool:
-        """Whether the eigenbasis V is unitary (always for the identity basis)."""
-        if self.eigs is None:
-            return False
-        if self.V is None:
-            return True
-        gram = self.V.conj().T @ self.V
-        return bool(np.linalg.norm(gram - np.eye(self.dim)) <= UNITARY_TOL)
+        """Whether the eigenbasis V is unitary (always for the gallery's bases)."""
+        return self.eigs is not None and self.basis.unitary
 
     def spectral_map(self, f) -> np.ndarray:
         """V f(Lambda) V^{-1} with f applied to the array of eigenvalues."""
         if self.eigs is None:
             raise ValueError(f"{self.name}: the spectral path needs an eigendecomposition")
-        vals = np.asarray(f(self.eigs), dtype=complex)
-        return np.diag(vals) if self.V is None else self.V @ (vals[:, None] * self.Vinv)
+        return self.basis.similarity(np.asarray(f(self.eigs), dtype=complex))
 
 
 def opnorm(B: np.ndarray) -> float:
@@ -135,9 +261,7 @@ def advection_periodic(d: int = 256) -> GeneratorMatrix:
     omega = np.exp(2j * np.pi * j / d)
     # the lower shift maps the k-th Fourier column to omega^{-k} times itself
     eigs = d * (1.0 - omega.conj())
-    F = np.exp(2j * np.pi * np.outer(j, j) / d) / math.sqrt(d)
-    Vinv = F.conj().T
-    return GeneratorMatrix(A, name=f"advection:d={d}", eigs=eigs, V=F, Vinv=Vinv)
+    return GeneratorMatrix(A, name=f"advection:d={d}", eigs=eigs, basis=FourierBasis())
 
 
 def laplacian_dirichlet_1d(d: int = 128) -> GeneratorMatrix:
@@ -145,9 +269,7 @@ def laplacian_dirichlet_1d(d: int = 128) -> GeneratorMatrix:
     A = (2.0 * np.eye(d) - np.eye(d, k=1) - np.eye(d, k=-1)).astype(complex)
     k = np.arange(1, d + 1)
     eigs = (2.0 - 2.0 * np.cos(k * np.pi / (d + 1))).astype(complex)
-    j = np.arange(1, d + 1)
-    V = np.sqrt(2.0 / (d + 1)) * np.sin(np.outer(j, k) * np.pi / (d + 1)).astype(complex)
-    return GeneratorMatrix(A, name=f"laplacian:d={d}", eigs=eigs, V=V, Vinv=V.conj().T)
+    return GeneratorMatrix(A, name=f"laplacian:d={d}", eigs=eigs, basis=SineBasis())
 
 
 # each gallery member with its keys (in constructor order) and their defaults
@@ -196,11 +318,13 @@ def test_vectors(A: GeneratorMatrix, count: int = 8, seed: int = DEFAULT_SEED) -
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         vecs.append(v / np.linalg.norm(v))
     if A.eigs is not None:
-        basis = np.eye(d, dtype=complex) if A.V is None else A.V
         picks = [(0, d - 1), (0, d // 2), (d // 4, 3 * d // 4), (d // 3, d - 2)]
-        for i, j in picks:
-            v = basis[:, i] + basis[:, j]
-            vecs.append(v / np.linalg.norm(v))
+        E = np.zeros((d, len(picks)), dtype=complex)
+        for col, (i, j) in enumerate(picks):
+            E[i, col] += 1.0
+            E[j, col] += 1.0
+        mixes = A.basis.apply(E)
+        vecs.extend(v / np.linalg.norm(v) for v in mixes.T)
     return vecs[:count]
 
 
@@ -327,7 +451,7 @@ def scheme_apply(g, A: GeneratorMatrix, t: float, n: int, path: str = "auto") ->
 
 def _scaled_generator(A: GeneratorMatrix, c: float) -> GeneratorMatrix:
     return GeneratorMatrix(c * A.matrix, name=A.name,
-                           eigs=None if A.eigs is None else c * A.eigs, V=A.V, Vinv=A.Vinv)
+                           eigs=None if A.eigs is None else c * A.eigs, basis=A.basis)
 
 
 # ----------------------------------------------------------------------
@@ -367,5 +491,4 @@ def semigroup_constants(A: GeneratorMatrix) -> SemigroupConstants:
         rho = math.inf
     else:
         rho = float(np.max(np.abs(lam) / lam.real, initial=0.0))
-    kappa = 1.0 if A.unitary else opnorm(A.V) * opnorm(A.Vinv)
-    return SemigroupConstants(rho, kappa)
+    return SemigroupConstants(rho, A.basis.kappa)

@@ -6,9 +6,11 @@ pass flag applies the floating-point slack policy
     pass  <=>  error <= bound * (1 + 1e-9) + 1e-13.
 
 Errors and norms are computed on the eigenvalue array: with the test
-vectors as columns of X and Y = V^{-1} X, a matrix function f(A) has
-||f(A) x_i|| = ||V (f(Lambda) y_i)|| and, for unitary V, operator norm
-max |f(lambda)|; a non-unitary V falls back to the dense SVD.
+vectors as columns of X and Y = V^{-1} X (A.basis.solve: a DST, a DFT or
+the identity on the gallery), a matrix function f(A) has
+||f(A) x_i|| = ||V (f(Lambda) y_i)||.  For unitary V that is
+||f(Lambda) y_i|| and the operator norm is max |f(lambda)|; a non-unitary V
+is applied densely and its operator norms fall back to the dense SVD.
 
 Order fits are least-squares slopes on (log n, log error).  spectral_order
 fits the n-exponent of ||E_n A^{-alpha}|| with E_n the defect (or the
@@ -118,15 +120,15 @@ def _coords(A: GeneratorMatrix, vectors) -> np.ndarray:
     """Y = V^{-1} X: the test vectors (columns of X) in the eigenbasis of A."""
     if A.eigs is None:
         raise ValueError(f"{A.name}: bound suites need an eigendecomposition")
-    X = np.column_stack(vectors)
-    return X if A.V is None else A.Vinv @ X
+    return A.basis.solve(np.column_stack(vectors))
 
 
 def _norms(A: GeneratorMatrix, d: np.ndarray, Y: np.ndarray) -> list[float]:
-    """||V diag(d) V^{-1} x_i|| = ||V (d * y_i)|| for each column y_i of Y."""
+    """||V diag(d) V^{-1} x_i|| = ||V (d * y_i)|| for each column y_i of Y
+    (= ||d * y_i|| when V is unitary)."""
     Z = d[:, None] * Y
-    if A.V is not None:
-        Z = A.V @ Z
+    if not A.unitary:
+        Z = A.basis.apply(Z)
     return [float(v) for v in np.linalg.norm(Z, axis=0)]
 
 
@@ -335,13 +337,17 @@ def spectral_order(g, A: GeneratorMatrix, t: float, ns, alpha: float,
                    second: bool = False) -> OrderFit:
     """Fit of the n-exponent of ||E_n A^{-alpha}|| over the grid ns, where E_n is
     the defect (the second-order residual if `second`) on the spectrum and the
-    weight lambda^{-alpha} is 0 at lambda = 0, where E_n vanishes."""
+    weight lambda^{-alpha} is 0 at lambda = 0, where E_n vanishes.  Points at
+    or below 100 eps ||e^{-tA} A^{-alpha}||, the size of either term of E_n,
+    are roundoff and left out; with none left the flag is "exact"."""
     if A.eigs is None:
         raise ValueError(f"{A.name}: order fits need an eigendecomposition")
     zero = A.eigs == 0
     weight = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, frac_on_spectrum(A.eigs, alpha)))
     E = _residual if second else _defect
-    return fit_order([(n, _opnorm(A, E(g, A, t, n) * weight)) for n in ns])
+    floor = 100.0 * np.finfo(float).eps * _opnorm(A, np.exp(-t * A.eigs) * weight)
+    pts = [(n, _opnorm(A, E(g, A, t, n) * weight)) for n in ns]
+    return fit_order([(n, e) for n, e in pts if e > floor])
 
 
 def expected_exponent(A: GeneratorMatrix, alpha: float, second: bool = False) -> float:

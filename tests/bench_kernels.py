@@ -9,11 +9,15 @@ n = 1024, whose defect needs about 12k panels.  The frac_tail case is one
 `eval_at` of the non-B2 suite: g(t lambda/n) on the 256 eigenvalues of
 `diag_imag:k=256,min=0.1,max=100` at t = 1, n = 4, which puts points on
 both sides of the power-law kernel's series/continued-fraction switch.
+The holomorphic case is one (t, n) cell of the `holo` suite on
+`laplacian:d=2048` with Euler's scheme and its closed-form r_{alpha,n}, so
+that it times the operator side only: the DST-I eigenbasis and the
+eigenvalue-array norms.
 """
 
 import pytest
 
-from cmapprox import cmfun, opcalc, quadrature
+from cmapprox import cmfun, opcalc, quadrature, rates
 from cmapprox import functionals as F
 
 N = 1024
@@ -48,3 +52,12 @@ def test_bench_frac_tail_eval_at(benchmark):
     z = t * opcalc.make_generator("diag_imag:k=256,min=0.1,max=100").eigs / n
     values = benchmark(g.eval_at, z)
     assert values.shape == (256,)
+
+
+def test_bench_holomorphic_bounds_cell(benchmark):
+    A = opcalc.make_generator("laplacian:d=2048")
+    vectors = opcalc.test_vectors(A)
+    Mc = opcalc.semigroup_constants(A)
+    rows = benchmark(rates.holomorphic_bounds, cmfun.euler(), A, 1.0, 16, (0.0, 0.5, 1.0),
+                     vectors, Mc, c_alpha_fn=rates.euler_sharp_r)
+    assert len(rows) == 41 and all(r.passed for r in rows)

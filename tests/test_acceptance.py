@@ -320,7 +320,7 @@ def test_c13_hp_apply_cross_validation():
         lam = rng.uniform(0.1, 3.0, d) + 1j * rng.uniform(-2.0, 2.0, d)
         Vinv = np.linalg.inv(V)
         A = opcalc.GeneratorMatrix(V @ np.diag(lam) @ Vinv,
-                                   eigs=lam, V=V, Vinv=Vinv)
+                                   eigs=lam, basis=opcalc.DenseBasis(V, Vinv))
         S = opcalc.hp_apply(g, A, "spectral")
         Q = opcalc.hp_apply(g, A, "quadrature")
         R = opcalc.hp_apply(g, A, "rational")

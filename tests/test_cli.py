@@ -458,6 +458,23 @@ def test_functionals_reads_grids_from_config(tmp_path):
     assert [(r["n"], r["alpha"]) for r in _read_csv(out)] == [("2", "0.5"), ("4", "0.5")]
 
 
+def test_rows_are_sorted_by_grid_coordinates(tmp_path):
+    # the flags list the grids in reverse; the rows come out in grid order
+    out = tmp_path / "ord.csv"
+    cli.main(["orders", "--scheme", "euler", "--generator", "laplacian:d=16",
+              "--t", "4,1", "--n", "4,8,16,32", "--alpha", "1,0.5", "--out", str(out)])
+    assert [(r["t"], r["alpha"]) for r in _read_csv(out)] == [
+        ("1", "0.5"), ("1", "1"), ("4", "0.5"), ("4", "1")]
+    out = tmp_path / "fn.csv"
+    assert cli.main(["functionals", "--g", "euler", "--n", "8,1", "--alpha", "1,0",
+                     "--out", str(out)]) == 0
+    assert [(r["n"], r["alpha"]) for r in _read_csv(out)] == [
+        ("1", "0"), ("1", "1"), ("8", "0"), ("8", "1")]
+    out = tmp_path / "s.csv"
+    assert cli.main(["sharpness", "--which", "euler", "--n", "16,4", "--out", str(out)]) == 0
+    assert [r["n"] for r in _read_csv(out)] == ["4", "16"]
+
+
 def _readme_commands():
     """The `cmapprox ...` lines of the README "Command line" block, continuations joined."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

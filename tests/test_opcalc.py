@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cmapprox import cmfun, opcalc, quadrature
 from cmapprox.opcalc import (
+    DenseBasis,
     GeneratorMatrix,
     advection_periodic,
     diag_imag,
@@ -43,9 +44,64 @@ def test_laplacian_small_spectrum():
     got = sorted(np.linalg.eigvalsh(A.matrix.real))
     assert np.allclose(got, expected, atol=1e-12)
     assert np.allclose(sorted(A.eigs.real), expected, atol=1e-12)
-    # stored factors reproduce the matrix (checked in __post_init__, but
+    # the basis reproduces the matrix (checked in __post_init__, but
     # assert the eigenbasis is orthonormal too)
-    assert np.allclose(A.V @ A.Vinv, np.eye(3), atol=1e-12)
+    V, Vinv = A.basis.apply(np.eye(3)), A.basis.solve(np.eye(3))
+    assert np.allclose(V @ Vinv, np.eye(3), atol=1e-12)
+
+
+def _sine_factor(d):
+    j = np.arange(1, d + 1)
+    return math.sqrt(2.0 / (d + 1)) * np.sin(np.outer(j, j) * math.pi / (d + 1))
+
+
+def _fourier_factor(d):
+    j = np.arange(d)
+    return np.exp(2j * math.pi * np.outer(j, j) / d) / math.sqrt(d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("build, factor", [(laplacian_dirichlet_1d, _sine_factor),
+                                           (advection_periodic, _fourier_factor)])
+def test_gallery_basis_is_the_explicit_eigenbasis(build, factor, d):
+    A = build(d)
+    eye = np.eye(d, dtype=complex)
+    V, Vinv = A.basis.apply(eye), A.basis.solve(eye)
+    assert np.max(np.abs(V - factor(d))) <= 1e-13
+    assert np.max(np.abs(A.basis.solve(V) - eye)) <= 1e-13
+    assert np.max(np.abs(V.conj().T @ V - eye)) <= 1e-13
+    scale = np.max(np.abs(A.matrix))
+    assert np.max(np.abs(V @ np.diag(A.eigs) @ Vinv - A.matrix)) <= 1e-13 * scale
+    assert np.max(np.abs(A.spectral_map(lambda lam: lam) - A.matrix)) <= 1e-13 * scale
+    assert A.unitary and semigroup_constants(A).kappa == 1.0
+
+
+def test_construction_check_rejects_wrong_decompositions():
+    # eigenvalues out of the basis' order, for the probed DST and DFT bases
+    for A in (laplacian_dirichlet_1d(8), advection_periodic(8)):
+        with pytest.raises(ValueError, match="do not reproduce"):
+            GeneratorMatrix(A.matrix, eigs=A.eigs[::-1], basis=A.basis)
+    # a Vinv that is not the inverse of V, though V diag(eigs) V^{-1} is the matrix
+    rng = np.random.default_rng(3)
+    V = np.eye(4) + 0.5 * np.triu(rng.standard_normal((4, 4)), 1)
+    lam = np.array([1.0, 2.0, 3.0, 4.0])
+    M = V @ np.diag(lam) @ np.linalg.inv(V)
+    GeneratorMatrix(M, eigs=lam, basis=DenseBasis(V, np.linalg.inv(V)))
+    with pytest.raises(ValueError, match="do not reproduce"):
+        GeneratorMatrix(M, eigs=lam, basis=DenseBasis(V, np.linalg.inv(V).T))
+    # an ill-conditioned V hides the error from anything that only sees V P:
+    # V diag(eigs) V^{-1} - M = [[0, -1e-5], [0, 0]]
+    V, Vinv = np.diag([1.0, 1e-8]), np.diag([1.0, 1e8])
+    with pytest.raises(ValueError, match="do not reproduce"):
+        GeneratorMatrix(np.array([[1.0, 1e-5], [0.0, 2.0]]), eigs=np.array([1.0, 2.0]),
+                        basis=DenseBasis(V, Vinv))
+    # a non-diagonal matrix without a basis
+    L = laplacian_dirichlet_1d(8)
+    with pytest.raises(ValueError, match="do not reproduce"):
+        GeneratorMatrix(L.matrix, eigs=L.eigs)
+    # a basis without eigenvalues
+    with pytest.raises(ValueError, match="needs its eigenvalues"):
+        GeneratorMatrix(M, basis=DenseBasis(V, Vinv))
 
 
 def test_advection_eigs():
@@ -280,7 +336,7 @@ def _nonnormal(d=24):
     eigs = np.logspace(-1, 1, d) + 1j * np.linspace(-2.0, 2.0, d)
     Vinv = np.linalg.inv(V)
     return GeneratorMatrix(V @ np.diag(eigs) @ Vinv,
-                           name="nonnormal", eigs=eigs, V=V, Vinv=Vinv)
+                           name="nonnormal", eigs=eigs, basis=DenseBasis(V, Vinv))
 
 
 def test_eigen_path_matches_dense():
@@ -400,7 +456,7 @@ def _dense_semigroup_powers(A: GeneratorMatrix, t: float) -> dict:
         else:
             z = t * A.eigs
             f = np.where(z == 0, 0.0, z ** beta * np.exp(-z))
-            B = A.V @ np.diag(f) @ A.Vinv
+            B = A.basis.V @ np.diag(f) @ A.basis.Vinv
         out[beta] = np.linalg.norm(B, 2)
     return out
 
@@ -432,7 +488,7 @@ def test_constants_bound_normal_property(eigs, seed):
     Q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     lam = np.array(eigs, dtype=complex)
     A = GeneratorMatrix(Q @ np.diag(lam) @ Q.conj().T,
-                        eigs=lam, V=Q, Vinv=Q.conj().T)
+                        eigs=lam, basis=DenseBasis(Q, Q.conj().T))
     assert A.unitary and semigroup_constants(A).kappa == 1.0
     # for normal A the closed form is the sup itself, attained at t = beta/Re lambda
     _check_constants_bound(A, tight=True)
@@ -451,7 +507,7 @@ def test_constants_bound_nonnormal_property(eigs, seed, skew):
     V = Q @ (np.eye(d) + skew * np.triu(G, 1))
     Vinv = np.linalg.inv(V)
     lam = np.array(eigs, dtype=complex)
-    A = GeneratorMatrix(V @ np.diag(lam) @ Vinv, eigs=lam, V=V, Vinv=Vinv)
+    A = GeneratorMatrix(V @ np.diag(lam) @ Vinv, eigs=lam, basis=DenseBasis(V, Vinv))
     assert not A.unitary and semigroup_constants(A).kappa > 1.0
     _check_constants_bound(A, tight=False)
 

@@ -38,6 +38,32 @@ def test_fit_order_degenerate():
     assert fit.flag == "too-few-points"
 
 
+def test_spectral_order_floor_follows_the_semigroup_scale():
+    # exp is the semigroup itself, so its weighted defect is roundoff at every n,
+    # spread over a decade: against the largest point it looks like a rate,
+    # against ||e^{-tA} A^{-alpha}|| it is exact
+    A = opcalc.laplacian_dirichlet_1d(16)
+    g, ns, weight = cmfun.exponential(), (4, 8, 16, 32), 1.0 / A.eigs
+    pts = [(n, rates._opnorm(A, rates._defect(g, A, 1.0, n) * weight)) for n in ns]
+    assert fit_order(pts).used_points == 4
+    fit = rates.spectral_order(g, A, 1.0, ns, alpha=1.0)
+    assert fit.flag == "exact" and fit.used_points == 0
+    # a genuine rate stays above the floor
+    fit = rates.spectral_order(cmfun.euler(), A, 1.0, ns, alpha=1.0)
+    assert fit.used_points == 4 and fit.slope == pytest.approx(-1.0, abs=0.1)
+
+
+def test_exact_scheme_order_is_exact(tmp_path):
+    # exp is the semigroup itself: its defect is roundoff at every n, which the
+    # fit must not read as a slope
+    out = tmp_path / "o.csv"
+    assert cli.main(["orders", "--scheme", "exp", "--generator", "laplacian:d=16",
+                     "--n", "4,8,16,32", "--out", str(out)]) == 0
+    with open(out) as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["flag"] == "exact" and row["pass"] == "true"
+
+
 def test_slack_policy_boundary():
     mk = lambda err, bound: BoundReport("g", "A", 1.0, 2, 1.0, 0, err, bound, "t")
     assert mk(1.0, 1.0).passed
