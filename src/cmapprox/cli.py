@@ -8,11 +8,12 @@ Subcommands:
     sharpness      sharp-constant experiments (scalar sup, shift integrals)
     report         aggregate CSVs into a pass/fail summary by bound tag
 
-`orders` passes a row when the fit is conclusive (r^2 >= 0.98) and its slope
-is within rates.EXPONENT_TOL of rates.expected_exponent, or when every point
-is roundoff (flag "exact").  Every grid value,
-from a flag or from --config, is checked in one place: t positive and
-finite, n a whole number >= 1, alpha finite.
+The theorems live in rates: each verify-bounds suite checks its own inputs
+(rates.SUITES), rates.order_verdict passes or fails an `orders` fit against
+rates.expected_exponent, and rates.sharpness_rows checks each sharpness row;
+this module parses, loops, sorts and writes.  Every grid value, from a flag
+or from --config, is checked in one place: t positive and finite, n a whole
+number >= 1, alpha finite.
 
 Exit codes: 0 all pass, 1 any row failed or a fit missed its window
 (or standard output was closed early), 2 usage errors.  Output is
@@ -120,10 +121,12 @@ def _grids(cfg):
     return cfg.get("t", [1.0]), cfg["n"], cfg.get("alpha", [1.0])
 
 
-def _check_alpha_range(alphas, lo: float, hi: float, what: str):
-    for alpha in alphas:
-        if not lo <= alpha <= hi:
-            _usage_error(f"--alpha {alpha:g} is outside [{lo:g}, {hi:g}], the range of {what}")
+def _before_work(check, *args):
+    """check(*args), its ValueError a usage error before anything is built."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        _usage_error(str(exc))
 
 
 BOUND_FIELDS = ["scheme", "generator", "t", "n", "alpha", "vector_id",
@@ -134,12 +137,10 @@ def cmd_functionals(args) -> int:
     cfg = _load_config(args)
     name = cfg.get("scheme") or args.g
     if not name:
-        print("error: --g is required", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--g is required")
     g = make_builtin(name, flag="--scheme" if cfg.get("scheme") else "--g")
     if isinstance(g, ScaledFamily):
-        print("error: functionals needs a fixed function (give t)", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("functionals needs a fixed function (give t)")
     ns = cfg.get("n", [1])
     alphas = cfg.get("alpha", [0.0, 0.5, 1.0])
     rows = []
@@ -171,49 +172,16 @@ def cmd_functionals(args) -> int:
     return 0
 
 
-# the alpha range each suite's theorem covers (see the docstrings in rates);
-# `second` reads no alpha
-SUITE_ALPHA = {"first": (0.0, 2.0), "nonb2": (0.0, 1.0), "second": None,
-               "holo": (0.0, 1.0), "holo2": (0.0, 3.0)}
-
-
-def _suite_rows(cfg, seed):
-    scheme = cfg.get("scheme", "euler")
-    gen = cfg.get("generator", "diag_imag:k=128")
-    suite = cfg.get("suite", "first")
-    ts, ns, alphas = _grids(cfg)
-    if suite not in SUITE_ALPHA:
-        _usage_error(f"unknown suite {suite!r}; available: {', '.join(SUITE_ALPHA)}")
-    if SUITE_ALPHA[suite] is not None:
-        _check_alpha_range(alphas, *SUITE_ALPHA[suite], f"suite {suite!r}")
-    g = make_builtin(scheme)
-    A = opcalc.make_generator(gen)
-    vectors = opcalc.test_vectors(A, seed=seed)
-    Mc = opcalc.semigroup_constants(A)
-    M0 = Mc[0]
-    # Euler type: g_n(z) = (1 + z/(rn n))^{-rn n} has the closed-form r_{alpha, rn n}
-    rn = g.rational_n
-    cfn = None if rn is None else (lambda n, alpha: rates.euler_sharp_r(rn * n, alpha))
-    suites = {
-        "first": lambda t, n: rates.first_order_bounds(g, A, t, n, alphas, vectors, M0),
-        "nonb2": lambda t, n: rates.non_b2_bounds(g, A, t, n, alphas, vectors, M0),
-        "second": lambda t, n: rates.second_order_bounds(g, A, t, n, vectors, M0),
-        "holo": lambda t, n: rates.holomorphic_bounds(g, A, t, n, alphas, vectors, Mc,
-                                                      c_alpha_fn=cfn),
-        "holo2": lambda t, n: rates.holomorphic_second_order(g, A, t, n, alphas, vectors, Mc),
-    }
-    if suite in ("holo", "holo2") and not (math.isfinite(Mc[1]) and math.isfinite(Mc[2])):
-        raise ValueError(f"suite {suite!r} needs a sectorial generator; the spectrum of "
-                         f"{gen!r} is not sectorial (M_1 = {Mc[1]}, M_2 = {Mc[2]})")
-    rows = [r.row() for t in ts for n in ns for r in suites[suite](t, n)]
-    rows.sort(key=lambda r: (r["scheme"], r["generator"], r["t"], r["n"],
-                             r["alpha"], r["vector_id"]))
-    return rows
-
-
 def cmd_verify_bounds(args) -> int:
     cfg = _load_config(args)
-    rows = _suite_rows(cfg, args.seed)
+    ts, ns, alphas = _grids(cfg)
+    suite = _before_work(rates.suite, cfg.get("suite", "first"), alphas)
+    g = make_builtin(cfg.get("scheme", "euler"))
+    A = opcalc.make_generator(cfg.get("generator", "diag_imag:k=128"))
+    vectors = opcalc.test_vectors(A, seed=args.seed)
+    rows = [r.row() for t in ts for n in ns for r in suite(g, A, t, n, alphas, vectors)]
+    rows.sort(key=lambda r: (r["scheme"], r["generator"], r["t"], r["n"],
+                             r["alpha"], r["vector_id"]))
     write_csv(args.out, BOUND_FIELDS, rows)
     if args.json and args.out:
         write_json(args.out + ".json", rows)
@@ -231,7 +199,7 @@ def cmd_orders(args) -> int:
     if suite not in ("first", "second"):
         _usage_error(f"--suite {suite!r} is not a suite of orders, which takes first or second")
     ts, ns, alphas = _grids(cfg)
-    _check_alpha_range(alphas, 0.0, 4.0, "orders")
+    _before_work(rates.check_alphas, alphas, *rates.ORDER_ALPHA, "orders")
     g = make_builtin(scheme)
     A = opcalc.make_generator(cfg.get("generator", "diag_imag:k=128"))
     second = suite == "second"
@@ -240,14 +208,13 @@ def cmd_orders(args) -> int:
         for alpha in alphas:
             fit = rates.spectral_order(g, A, t, ns, alpha, second)
             expected = rates.expected_exponent(A, alpha, second)
-            flag = fit.flag or ("inconclusive" if fit.r_squared < 0.98 else "")
+            flag, ok = rates.order_verdict(fit, expected)
             rows.append({
                 "scheme": scheme, "generator": A.name, "t": t, "alpha": alpha,
                 "slope": fit.slope, "expected_exponent": expected,
                 "intercept": fit.intercept, "r_squared": fit.r_squared,
                 "used_points": fit.used_points, "flag": flag, "tag": f"order-{suite}",
-                "pass": flag == "exact" or (not flag and
-                                            abs(fit.slope - expected) <= rates.EXPONENT_TOL),
+                "pass": ok,
             })
     rows.sort(key=lambda r: (r["t"], r["alpha"]))
     write_csv(args.out, ORDER_FIELDS, rows)
@@ -256,28 +223,9 @@ def cmd_orders(args) -> int:
 
 def cmd_sharpness(args) -> int:
     ns = sorted(_load_config(args).get("n", [4, 16, 64, 256, 1024]))
-    bad = False
-    rows = []
-    if args.which in ("euler", "both"):
-        # holo-sharp at alpha = 0 on a positive spectrum:
-        # sup_t |(1+t/n)^{-n} - e^{-t}| <= M_2 r_{0,n}, with M_2 = (2/e)^2 there (rho = 1)
-        m2 = opcalc.SemigroupConstants(rho=1.0, kappa=1.0)[2.0]
-        rep = rates.euler_scalar_sharpness(ns)
-        for r in rep["rows"]:
-            ok = rates.within_bound(r["sup"], m2 * rates.euler_sharp_r(r["n"], 0.0))
-            bad = bad or not ok
-            rows.append({"experiment": "euler-scalar", "n": r["n"], "value": r["sup"],
-                         "scaled": r["n_sup"], "reference": rep["limit"], "pass": ok})
-    if args.which in ("shift", "both"):
-        rep = rates.shift_second_order_sharpness([n for n in ns if n >= 2])
-        for r in rep["rows"]:
-            ok = rates.within_bound(abs(r["I2"]), r["I2_bound"])
-            bad = bad or not ok
-            rows.append({"experiment": "shift-I1I2", "n": r["n"], "value": r["I1"],
-                         "scaled": r["I1_scaled"], "reference": rep["target"], "pass": ok})
-    fields = ["experiment", "n", "value", "scaled", "reference", "pass"]
-    write_csv(args.out, fields, rows)
-    return FAILURE if bad else 0
+    rows = rates.sharpness_rows(ns, euler=args.which != "shift", shift=args.which != "euler")
+    write_csv(args.out, ["experiment", "n", "value", "scaled", "reference", "pass"], rows)
+    return FAILURE if any(not r["pass"] for r in rows) else 0
 
 
 def cmd_report(args) -> int:
@@ -286,9 +234,7 @@ def cmd_report(args) -> int:
         with open(path) as fh:
             reader = csv.DictReader(fh)
             if "pass" not in (reader.fieldnames or ()):
-                print(f"error: {path} has no 'pass' column, so it has nothing to report",
-                      file=sys.stderr)
-                return USAGE_ERROR
+                raise ValueError(f"{path} has no 'pass' column, so it has nothing to report")
             for row in reader:
                 tag = row.get("tag") or row.get("experiment") or "untagged"
                 cell = summary.setdefault(tag, {"pass": 0, "fail": 0})

@@ -429,13 +429,13 @@ def d1_of(g: CMFunction) -> float:
     """d1[g] = int (1-s)^2 (1+s) s^{-2} G(s) ds = c_0[g] - c_1[g] - b[g].
 
     Computed through the identity so that it is available for
-    power-scaled functions without a materialized measure.
+    power-scaled functions without a materialized measure.  When g(inf) > 0,
+    c_0 diverges: the measure route gives inf, and the quadrature route
+    raises DivergentError rather than return a truncated value.
     """
     if not check_bk(g, 4):
         raise ValueError(f"{g.name}: d1[g] requires B4")
-    c0 = c_alpha(g, 0.0) if g.measure is not None else c_alpha_quad(g, 0.0).value
-    c1 = c_alpha(g, 1.0) if g.measure is not None else c_alpha_quad(g, 1.0).value
-    return c0 - c1 - b_of(g)
+    return c_alpha(g, 0.0) - c_alpha(g, 1.0) - b_of(g)
 
 
 @dataclass(frozen=True)

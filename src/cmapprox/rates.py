@@ -1,7 +1,8 @@
 """Verification harness: errors vs. theoretical bounds, order fits, sharpness.
 
-Every experiment produces BoundReport rows (one per test vector) whose
-pass flag applies the floating-point slack policy
+Each bound suite of SUITES produces BoundReport rows (one per test vector)
+for one (t, n) cell, after checking what its theorem asks of g, A and alpha;
+every row's pass flag applies the floating-point slack policy
 
     pass  <=>  error <= bound * (1 + 1e-9) + 1e-13.
 
@@ -16,8 +17,8 @@ Order fits are least-squares slopes on (log n, log error).  spectral_order
 fits the n-exponent of ||E_n A^{-alpha}|| with E_n the defect (or the
 second-order residual) on the eigenvalues; on a normal generator with a
 dense spectral grid that norm is the scalar supremum whose decay the
-paper's optimal rates describe, and expected_exponent gives the rate the
-spectrum admits.
+paper's optimal rates describe, expected_exponent gives the rate the
+spectrum admits, and order_verdict passes or fails the fit.
 """
 
 from __future__ import annotations
@@ -32,30 +33,30 @@ from .cmfun import CMFunction, power_scale
 from .opcalc import GeneratorMatrix, frac_on_spectrum, scheme_on_spectrum
 
 __all__ = [
-    "BoundReport",
-    "within_bound",
-    "OrderFit",
-    "fit_order",
-    "first_order_bounds",
-    "non_b2_bounds",
-    "second_order_bounds",
-    "holomorphic_bounds",
-    "holomorphic_second_order",
-    "spectral_order",
-    "expected_exponent",
-    "euler_scalar_sharpness",
-    "shift_second_order_sharpness",
+    "BoundReport", "within_bound", "OrderFit", "fit_order", "order_verdict", "suite",
+    "first_order_bounds", "non_b2_bounds", "second_order_bounds", "holomorphic_bounds",
+    "holomorphic_second_order", "spectral_order", "expected_exponent",
+    "euler_scalar_sharpness", "shift_second_order_sharpness", "sharpness_rows",
 ]
 
 SLACK_REL = 1e-9
 SLACK_ABS = 1e-13
-# largest |fitted - expected| exponent gap an order fit passes with
+# an order fit passes when r^2 >= R2_MIN and |fitted - expected| <= EXPONENT_TOL
+R2_MIN = 0.98
 EXPONENT_TOL = 0.1
+ORDER_ALPHA = (0.0, 4.0)
 
 
 def within_bound(error: float, bound: float) -> bool:
     """The slack policy: error <= bound * (1 + SLACK_REL) + SLACK_ABS."""
     return error <= bound * (1.0 + SLACK_REL) + SLACK_ABS
+
+
+def check_alphas(alphas, lo: float, hi: float, what: str) -> None:
+    """ValueError naming the first alpha outside [lo, hi], the range of `what`."""
+    for alpha in alphas:
+        if not lo <= alpha <= hi:
+            raise ValueError(f"--alpha {alpha:g} is outside [{lo:g}, {hi:g}], the range of {what}")
 
 
 @dataclass(frozen=True)
@@ -71,20 +72,11 @@ class BoundReport:
     tag: str
 
     @property
-    def slack(self) -> float:
-        return self.bound - self.error
-
-    @property
     def passed(self) -> bool:
         return within_bound(self.error, self.bound)
 
     def row(self) -> dict:
-        return {
-            "scheme": self.scheme, "generator": self.generator, "t": self.t,
-            "n": self.n, "alpha": self.alpha, "vector_id": self.vector_id,
-            "error": self.error, "bound": self.bound, "slack": self.slack,
-            "tag": self.tag, "pass": self.passed,
-        }
+        return {**vars(self), "slack": self.bound - self.error, "pass": self.passed}
 
 
 @dataclass(frozen=True)
@@ -110,6 +102,13 @@ def fit_order(points) -> OrderFit:
     ss_tot = float(np.sum((le - le.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
     return OrderFit(float(slope), float(intercept), r2, len(pts))
+
+
+def order_verdict(fit: OrderFit, expected: float) -> tuple[str, bool]:
+    """(flag, pass): the fit's flag, or "inconclusive" when r^2 < R2_MIN; it passes
+    "exact", or unflagged with its slope within EXPONENT_TOL of `expected`."""
+    flag = fit.flag or ("inconclusive" if fit.r_squared < R2_MIN else "")
+    return flag, flag == "exact" or (not flag and abs(fit.slope - expected) <= EXPONENT_TOL)
 
 
 # ----------------------------------------------------------------------
@@ -153,21 +152,91 @@ def _residual(g, A: GeneratorMatrix, t: float, n: int) -> np.ndarray:
     return _defect(g, A, t, n) - (h * t ** 2 / (2.0 * n)) * (np.exp(-t * lam) * lam ** 2)
 
 
-def _errors(g, A: GeneratorMatrix, t: float, n: int, Y) -> list[float]:
-    return _norms(A, _defect(g, A, t, n), Y)
-
-
 def _frac_norms(A: GeneratorMatrix, alpha: float, Y) -> list[float]:
     return _norms(A, frac_on_spectrum(A.eigs, alpha), Y)
+
+
+class _Cell:
+    """One (t, n) cell of a suite: the test vectors in the eigenbasis of A,
+    the error ||E x|| of each (E on the spectrum) and the rows added."""
+
+    def __init__(self, g, A: GeneratorMatrix, t: float, n: int, vectors, E: np.ndarray):
+        self.A, self.key, self.rows = A, (g.name, A.name, t, n), []
+        self.Y = _coords(A, vectors)
+        self.errors = _norms(A, E, self.Y)
+
+    def add(self, alpha: float, tag: str, factor: float, norms=None) -> None:
+        """Rows with bound factor * ||A^alpha x||, or factor * norms[i] when given."""
+        if norms is None:
+            norms = _frac_norms(self.A, alpha, self.Y)
+        self.rows += [BoundReport(*self.key, alpha, i, err, factor * nx, tag)
+                      for i, (err, nx) in enumerate(zip(self.errors, norms))]
 
 
 # ----------------------------------------------------------------------
 # bound suites
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Suite:
+    """A bound suite: the rates function (g, A, t, n, alphas, vectors) -> rows,
+    looked up when the suite runs so that a wrapper set on the module
+    attribute is the one called, and what its theorem asks of the inputs."""
+
+    bounds: str
+    alpha: tuple = (-math.inf, math.inf)   # the alpha range of the theorem
+    moment: int = 0           # g_t in B_k: g_t^(k)(0) finite
+    fixed: bool = False       # one function g, not a family g_t
+    tail: bool = False        # g(inf) = 0, else d1[g_n] = inf
+    sectorial: bool = False   # finite M_1 and M_2
+
+    def __call__(self, g, A, t, n, alphas, vectors) -> list[BoundReport]:
+        return globals()[self.bounds](g, A, t, n, alphas, vectors)
+
+
+SUITES = {
+    "first": Suite("first_order_bounds", (0.0, 2.0), moment=2),
+    "nonb2": Suite("non_b2_bounds", (0.0, 1.0), fixed=True),
+    "second": Suite("second_order_bounds", moment=4),
+    "holo": Suite("holomorphic_bounds", (0.0, 1.0), sectorial=True),
+    "holo2": Suite("holomorphic_second_order", (0.0, 3.0), moment=4, fixed=True, tail=True,
+                   sectorial=True),
+}
+
+
+def suite(name: str, alphas) -> Suite:
+    """SUITES[name], once every alpha lies in the range of its theorem;
+    a ValueError naming the suite and the input otherwise."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
+    check_alphas(alphas, *SUITES[name].alpha, f"suite {name!r}")
+    return SUITES[name]
+
+
+def _inputs(name: str, g, A: GeneratorMatrix, t: float, alphas):
+    """(g_t, the constants M_beta of A) once the inputs meet what suite `name`
+    asks of them; a ValueError naming the suite and the input otherwise."""
+    entry = suite(name, alphas)
+    gt = g.at(t)
+    if entry.fixed and gt is not g:
+        raise ValueError(f"suite {name!r} needs a fixed function: give t, as in {g.name}:t=0.5")
+    if entry.tail and not g.tail_integrable:
+        raise ValueError(f"suite {name!r} needs g(inf) = 0, and {g.name} has "
+                         f"g(inf) = {g.limit_at_inf:g}")
+    k, prime = entry.moment, "'" * entry.moment
+    if k and not math.isfinite(gt.moments[k]):
+        raise ValueError(f"suite {name!r} needs a B{k} function, with g{prime}(0) finite, "
+                         f"and {gt.name} is not one")
+    Mc = opcalc.semigroup_constants(A)
+    if entry.sectorial and not (math.isfinite(Mc[1]) and math.isfinite(Mc[2])):
+        raise ValueError(f"suite {name!r} needs a sectorial generator; the spectrum of "
+                         f"{A.name!r} is not sectorial (M_1 = {Mc[1]}, M_2 = {Mc[2]})")
+    return gt, Mc
+
+
 def first_order_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
-                       vectors, M: float) -> list[BoundReport]:
-    """First-order bounds for B2 (families):
+                       vectors) -> list[BoundReport]:
+    """First-order bounds for B2 (families), with M = M_0:
 
     alpha=2:       M (g_t''(0)-1)/2 * t^2/n * ||A^2 x||
     alpha=1:       M sqrt(g_t''(0)-1) * t/sqrt(n) * ||A x||
@@ -175,85 +244,60 @@ def first_order_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
 
     (alpha = 0 gives 4M ||x||, which holds since ||g_t(tA/n)^n|| <= M.)
     """
-    gt = g.at(t)
-    if not math.isfinite(gt.moments[2]):
-        raise ValueError("first-order suite requires a B2 (family of) function(s)")
-    h = gt.moments[2] - 1.0
-    Y = _coords(A, vectors)
-    errs = _errors(g, A, t, n, Y)
-    out = []
+    gt, Mc = _inputs("first", g, A, t, alphas)
+    M, h = Mc[0], gt.moments[2] - 1.0
+    cell = _Cell(g, A, t, n, vectors, _defect(g, A, t, n))
     for alpha in alphas:
-        norms = _frac_norms(A, alpha, Y)
-        for i, (err, nx) in enumerate(zip(errs, norms)):
-            if alpha == 2.0:
-                bound = M * 0.5 * h * t ** 2 / n * nx
-                tag = "first-order-A2"
-            elif alpha == 1.0:
-                bound = M * math.sqrt(h) * t / math.sqrt(n) * nx
-                tag = "first-order-A1"
-            else:
-                bound = 4.0 * M * (h * t ** 2 / n) ** (alpha / 2.0) * nx
-                tag = "first-order-frac"
-            out.append(BoundReport(g.name, A.name, t, n, alpha, i, err, bound, tag))
-    return out
+        if alpha == 2.0:
+            cell.add(alpha, "first-order-A2", M * 0.5 * h * t ** 2 / n)
+        elif alpha == 1.0:
+            cell.add(alpha, "first-order-A1", M * math.sqrt(h) * t / math.sqrt(n))
+        else:
+            cell.add(alpha, "first-order-frac", 4.0 * M * (h * t ** 2 / n) ** (alpha / 2.0))
+    return cell.rows
 
 
 def non_b2_bounds(g: CMFunction, A: GeneratorMatrix, t: float, n: int, alphas,
-                  vectors, M: float) -> list[BoundReport]:
-    """Bounds driven by g'(1/n) for B1 functions with g''(0) = inf:
+                  vectors) -> list[BoundReport]:
+    """Bounds driven by g'(1/n) for fixed B1 functions with g''(0) = inf, M = M_0:
 
     alpha=1:       4eM (1 + 1/|g'(1/n)|) sqrt(1+g'(1/n)) t ||Ax||
     alpha in [0,1): 16eM (1 + 1/|g'(1/n)|) (1+g'(1/n))^{alpha/2} t^alpha ||A^alpha x||
     """
+    _, Mc = _inputs("nonb2", g, A, t, alphas)
     dg = g.derivative(1.0 / n, 1)
-    lead = 4.0 * math.e * M * (1.0 + 1.0 / abs(dg))
+    lead = 4.0 * math.e * Mc[0] * (1.0 + 1.0 / abs(dg))
     root = max(1.0 + dg, 0.0)
-    Y = _coords(A, vectors)
-    errs = _errors(g, A, t, n, Y)
-    out = []
+    cell = _Cell(g, A, t, n, vectors, _defect(g, A, t, n))
     for alpha in alphas:
-        norms = _frac_norms(A, alpha, Y)
-        for i, (err, nx) in enumerate(zip(errs, norms)):
-            if alpha == 1.0:
-                bound = lead * math.sqrt(root) * t * nx
-                tag = "slope-A1"
-            else:
-                bound = 4.0 * lead * root ** (alpha / 2.0) * t ** alpha * nx
-                tag = "slope-frac"
-            out.append(BoundReport(g.name, A.name, t, n, alpha, i, err, bound, tag))
-    return out
+        if alpha == 1.0:
+            cell.add(alpha, "slope-A1", lead * math.sqrt(root) * t)
+        else:
+            cell.add(alpha, "slope-frac", 4.0 * lead * root ** (alpha / 2.0) * t ** alpha)
+    return cell.rows
 
 
-def second_order_bounds(g, A: GeneratorMatrix, t: float, n: int,
-                        vectors, M: float) -> list[BoundReport]:
-    """Residual R = scheme - e^{-tA} - (2n)^{-1}(g_t''(0)-1) t^2 e^{-tA} A^2, with
+def second_order_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
+                        vectors) -> list[BoundReport]:
+    """Residual R = scheme - e^{-tA} - (2n)^{-1}(g_t''(0)-1) t^2 e^{-tA} A^2 for
+    B4 (families), with M = M_0; `alphas` is not read:
 
     ||Rx|| <= M C(g_t) t^3 n^{-3/2} ||A^3 x||,  C = sqrt((g''(0)-1)(g''''(0)-1)/2)
     ||Rx|| <= M C1(g_t) t^3 n^{-2} (||A^3 x|| + t ||A^4 x||),  C1 = g''''(0)-1
     """
-    gt = g.at(t)
-    if not math.isfinite(gt.moments[4]):
-        raise ValueError("second-order suite requires B4")
-    h2 = gt.moments[2] - 1.0
-    h4 = gt.moments[4] - 1.0
-    C = math.sqrt(h2 * h4 / 2.0)
-    C1 = h4
-    Y = _coords(A, vectors)
-    errs = _norms(A, _residual(g, A, t, n), Y)
-    n3 = _frac_norms(A, 3.0, Y)
-    n4 = _frac_norms(A, 4.0, Y)
-    out = []
-    for i, err in enumerate(errs):
-        b1 = M * C * t ** 3 * n ** -1.5 * n3[i]
-        b2 = M * C1 * t ** 3 * n ** -2.0 * (n3[i] + t * n4[i])
-        out.append(BoundReport(g.name, A.name, t, n, 3.0, i, err, b1, "second-order-A3"))
-        out.append(BoundReport(g.name, A.name, t, n, 4.0, i, err, b2, "second-order-A4"))
-    return out
+    gt, Mc = _inputs("second", g, A, t, alphas)
+    M, h2, h4 = Mc[0], gt.moments[2] - 1.0, gt.moments[4] - 1.0
+    C, C1 = math.sqrt(h2 * h4 / 2.0), h4
+    cell = _Cell(g, A, t, n, vectors, _residual(g, A, t, n))
+    n3, n4 = _frac_norms(A, 3.0, cell.Y), _frac_norms(A, 4.0, cell.Y)
+    cell.add(3.0, "second-order-A3", M * C * t ** 3 * n ** -1.5, n3)
+    cell.add(4.0, "second-order-A4", M * C1 * t ** 3 * n ** -2.0,
+             [a + t * b for a, b in zip(n3, n4)])
+    return cell.rows
 
 
 def holomorphic_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
-                       vectors, Mc: opcalc.SemigroupConstants,
-                       c_alpha_fn=None) -> list[BoundReport]:
+                       vectors) -> list[BoundReport]:
     """Bound families for sectorial generators:
 
     op-norm:       K (g_t''(0)-1)/n,                    K = 3M0 + 3M1 + M2/2
@@ -261,40 +305,29 @@ def holomorphic_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
     alpha in (0,1): 3 M0 K (g_t''(0)-1)/n * t^alpha ||A^alpha x||
     sharp:         M_{2-alpha} c_alpha[g_n] t^alpha ||A^alpha x|| (fixed g only)
 
-    `c_alpha_fn(n, alpha)` overrides the quadrature c_alpha (e.g. the
-    closed form for Euler's scheme).
+    c_alpha[g_n] is Euler's r_{alpha,Nn} for g.rational_n = N, else the quadrature.
     """
-    gt = g.at(t)
+    gt, Mc = _inputs("holo", g, A, t, alphas)
     h = gt.moments[2] - 1.0
     M0, M1, M2 = Mc[0], Mc[1], Mc[2]
     K = 3.0 * M0 + 3.0 * M1 + M2 / 2.0
     d = _defect(g, A, t, n)
-    out = [BoundReport(g.name, A.name, t, n, 0.0, -1,
-                       _opnorm(A, d), K * h / n, "holo-opnorm")]
-    Y = _coords(A, vectors)
-    errs = _norms(A, d, Y)
-    sharp_ok = gt is g and g.tail_integrable and g.measure is not None
-    c_cache = {}
+    cell = _Cell(g, A, t, n, vectors, d)
+    cell.rows.append(BoundReport(*cell.key, 0.0, -1, _opnorm(A, d), K * h / n, "holo-opnorm"))
     for alpha in alphas:
-        norms = _frac_norms(A, alpha, Y)
-        if sharp_ok or c_alpha_fn is not None:
-            if alpha not in c_cache:
-                if c_alpha_fn is not None:
-                    c_cache[alpha] = c_alpha_fn(n, alpha)
-                else:
-                    c_cache[alpha] = functionals.c_alpha_quad(power_scale(g, n), alpha).value
-        for i, (err, nx) in enumerate(zip(errs, norms)):
-            if alpha == 1.0:
-                out.append(BoundReport(g.name, A.name, t, n, alpha, i, err,
-                                       (2.0 * M0 + 1.5 * M1) * h / n * t * nx, "holo-A1"))
-            elif 0.0 < alpha < 1.0:
-                out.append(BoundReport(g.name, A.name, t, n, alpha, i, err,
-                                       3.0 * M0 * K * h / n * t ** alpha * nx, "holo-frac"))
-            if alpha in c_cache:
-                bound = Mc[2.0 - alpha] * c_cache[alpha] * t ** alpha * nx
-                out.append(BoundReport(g.name, A.name, t, n, alpha, i, err,
-                                       bound, "holo-sharp"))
-    return out
+        nx = _frac_norms(A, alpha, cell.Y)
+        if alpha == 1.0:
+            cell.add(alpha, "holo-A1", (2.0 * M0 + 1.5 * M1) * h / n * t, nx)
+        elif 0.0 < alpha < 1.0:
+            cell.add(alpha, "holo-frac", 3.0 * M0 * K * h / n * t ** alpha, nx)
+        if g.rational_n is not None:
+            c = euler_sharp_r(g.rational_n * n, alpha)
+        elif gt is g and g.tail_integrable and g.measure is not None:
+            c = functionals.c_alpha_quad(power_scale(g, n), alpha).value
+        else:
+            continue
+        cell.add(alpha, "holo-sharp", Mc[2.0 - alpha] * c * t ** alpha, nx)
+    return cell.rows
 
 
 def euler_sharp_r(n: int, alpha: float) -> float:
@@ -306,27 +339,22 @@ def euler_sharp_r(n: int, alpha: float) -> float:
 
 
 def holomorphic_second_order(g: CMFunction, A: GeneratorMatrix, t: float, n: int,
-                             alphas, vectors,
-                             Mc: opcalc.SemigroupConstants) -> list[BoundReport]:
-    """Second-order residual bound on sectorial generators:
+                             alphas, vectors) -> list[BoundReport]:
+    """Second-order residual bound on sectorial generators, g fixed in B4 with g(inf) = 0:
 
     ||R_n x|| <= (|b[g_n]| M_{3-alpha} + d1[g_n]/2 M_{4-alpha}) t^alpha ||A^alpha x||
 
     for alpha in [0, 3], where both M indices are >= 0.
     """
+    _, Mc = _inputs("holo2", g, A, t, alphas)
     gn = power_scale(g, n)
     b_n = functionals.b_of(gn)
     d1_n = functionals.d1_of(gn)
-    Y = _coords(A, vectors)
-    errs = _norms(A, _residual(g, A, t, n), Y)
-    out = []
+    cell = _Cell(g, A, t, n, vectors, _residual(g, A, t, n))
     for alpha in alphas:
         K = abs(b_n) * Mc[3.0 - alpha] + 0.5 * d1_n * Mc[4.0 - alpha]
-        norms = _frac_norms(A, alpha, Y)
-        for i, err in enumerate(errs):
-            out.append(BoundReport(g.name, A.name, t, n, alpha, i, err,
-                                   K * t ** alpha * norms[i], "holo-second"))
-    return out
+        cell.add(alpha, "holo-second", K * t ** alpha)
+    return cell.rows
 
 
 # ----------------------------------------------------------------------
@@ -399,20 +427,20 @@ def euler_scalar_sharpness(n_grid) -> dict:
 def _W_density(n: int, tau: np.ndarray) -> np.ndarray:
     """Second-order density of Euler's g_n (two-sided around its break at 1):
 
-    W_n(tau) = tau P(n, n tau) - P(n+1, n tau)            for tau <= 1,
-               (1 - P(n+1, n tau)) - tau (1 - P(n, n tau)) for tau > 1,
+    W_n(tau) = tau P(n, n tau) - P(n+1, n tau)   for tau <= 1,
+               Q(n+1, n tau) - tau Q(n, n tau)   for tau > 1,
 
     built from the Gamma measure nu_n = n^n s^{n-1} e^{-ns}/(n-1)! ds via
     int_0^tau nu_n = P(n, n tau) and int_0^tau y nu_n(dy) = P(n+1, n tau).
+    Above 1 the upper tails Q = 1 - P are taken as they are: forming 1 - P
+    cancels to 0 once P rounds to 1, as it does for n tau far above n.
     """
-    from scipy.special import gammainc
+    from scipy.special import gammainc, gammaincc
 
     tau = np.asarray(tau, dtype=float)
-    p0 = gammainc(n, n * tau)
-    p1 = gammainc(n + 1, n * tau)
-    below = tau * p0 - p1
-    above = (1.0 - p1) - tau * (1.0 - p0)
-    return np.where(tau <= 1.0, below, above)
+    x = n * tau
+    return np.where(tau <= 1.0, tau * gammainc(n, x) - gammainc(n + 1, x),
+                    gammaincc(n + 1, x) - tau * gammaincc(n, x))
 
 
 def shift_second_order_sharpness(n_grid) -> dict:
@@ -435,3 +463,24 @@ def shift_second_order_sharpness(n_grid) -> dict:
             "I1_scaled": n ** 1.5 * abs(i1),
         })
     return {"rows": rows, "target": 1.0 / (3.0 * math.sqrt(2.0 * math.pi))}
+
+
+def sharpness_rows(ns, euler: bool, shift: bool) -> list[dict]:
+    """The sharp-constant rows over the grid ns, each checked under the BoundReport
+    slack: euler-scalar sup_t |(1+t/n)^{-n} - e^{-t}| <= M_2 r_{0,n}, the holo-sharp
+    bound at alpha = 0 on a positive spectrum (rho = 1); shift-I1I2 |I_{2,n}| <= 2/n^2."""
+    rows = []
+    if euler:
+        m2 = opcalc.SemigroupConstants(rho=1.0, kappa=1.0)[2.0]
+        rep = euler_scalar_sharpness(ns)
+        rows += [{"experiment": "euler-scalar", "n": r["n"], "value": r["sup"],
+                  "scaled": r["n_sup"], "reference": rep["limit"],
+                  "pass": within_bound(r["sup"], m2 * euler_sharp_r(r["n"], 0.0))}
+                 for r in rep["rows"]]
+    if shift:
+        rep = shift_second_order_sharpness([n for n in ns if n >= 2])
+        rows += [{"experiment": "shift-I1I2", "n": r["n"], "value": r["I1"],
+                  "scaled": r["I1_scaled"], "reference": rep["target"],
+                  "pass": within_bound(abs(r["I2"]), r["I2_bound"])}
+                 for r in rep["rows"]]
+    return rows

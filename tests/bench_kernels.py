@@ -57,7 +57,6 @@ def test_bench_frac_tail_eval_at(benchmark):
 def test_bench_holomorphic_bounds_cell(benchmark):
     A = opcalc.make_generator("laplacian:d=2048")
     vectors = opcalc.test_vectors(A)
-    Mc = opcalc.semigroup_constants(A)
     rows = benchmark(rates.holomorphic_bounds, cmfun.euler(), A, 1.0, 16, (0.0, 0.5, 1.0),
-                     vectors, Mc, c_alpha_fn=rates.euler_sharp_r)
+                     vectors)
     assert len(rows) == 41 and all(r.passed for r in rows)

@@ -126,7 +126,6 @@ def test_c04_c_alpha_asymptotics():
 def _first_order_suite_rows():
     A = opcalc.diag_imag(128)
     vectors = opcalc.test_vectors(A)
-    M0 = opcalc.semigroup_constants(A)[0]
     schemes = [cmfun.kendall_family(), cmfun.euler(), cmfun.yosida_family(),
                cmfun.spline(), cmfun.hille()]
     alphas = (2.0, 1.0, 0.5, 1.5)
@@ -138,7 +137,7 @@ def _first_order_suite_rows():
             ts = [0.25, 1.0]  # the Kendall family is defined for t <= 1 only
         for t in ts:
             for n in n_grid:
-                rows.extend(rates.first_order_bounds(g, A, t, n, alphas, vectors, M0))
+                rows.extend(rates.first_order_bounds(g, A, t, n, alphas, vectors))
     return A, vectors, rows
 
 
@@ -148,7 +147,7 @@ def test_c05_first_order_suite():
     # Kendall's alpha=2 bound must be exactly t(1-t)/(2n) ||A^2 x||
     kend = cmfun.kendall_family()
     t, n = 0.25, 16
-    reps = rates.first_order_bounds(kend, A, t, n, (2.0,), vectors, 1.0)
+    reps = rates.first_order_bounds(kend, A, t, n, (2.0,), vectors)
     A2 = A.spectral_map(lambda lam: lam ** 2)
     worst = 0.0
     for r in reps:
@@ -168,7 +167,7 @@ def test_c06_heavy_tail_suite():
         g = cmfun.frac_tail(gamma)
         for t in (0.25, 1.0, 4.0):
             for n in (16, 256, 4096):
-                reps = rates.non_b2_bounds(g, A, t, n, (1.0, 0.5), vectors, 1.0)
+                reps = rates.non_b2_bounds(g, A, t, n, (1.0, 0.5), vectors)
                 ok = ok and all(r.passed for r in reps)
         # the rate-carrying factor sqrt(1+g'(1/n)) of the alpha=1 bound
         # must scale like n^{-gamma/2}; the remaining factor tends to a
@@ -190,7 +189,7 @@ def test_c07_second_order_suite():
     for g in (cmfun.euler(), cmfun.spline()):
         for t in (0.25, 1.0, 4.0):
             for n in (4, 16, 64, 256):
-                reps = rates.second_order_bounds(g, A, t, n, vectors, 1.0)
+                reps = rates.second_order_bounds(g, A, t, n, (), vectors)
                 ok = ok and all(r.passed for r in reps)
 
     def residual_slope(g, A, vecs):
@@ -227,11 +226,8 @@ def test_c08_holomorphic_suite():
         alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
         for t in (0.25, 1.0, 4.0):
             for n in (4, 16, 64, 256):
-                reps = rates.holomorphic_bounds(cmfun.euler(), A, t, n, alphas,
-                                                vectors, Mc,
-                                                c_alpha_fn=rates.euler_sharp_r)
-                reps += rates.holomorphic_bounds(cmfun.spline(), A, t, n, alphas,
-                                                 vectors, Mc)
+                reps = rates.holomorphic_bounds(cmfun.euler(), A, t, n, alphas, vectors)
+                reps += rates.holomorphic_bounds(cmfun.spline(), A, t, n, alphas, vectors)
                 total += len(reps)
                 failed += sum(not r.passed for r in reps)
     ok = ok and failed == 0

@@ -116,6 +116,72 @@ def test_holo_suites_refuse_imaginary_spectrum(suite, capsys):
     assert f"'{suite}'" in captured.err and "diag_imag:k=64" in captured.err
 
 
+@pytest.mark.parametrize("scheme, suite, generator, alpha", [
+    ("kendall", "nonb2", "diag_imag:k=8", "0.5"),
+    ("yosida", "holo2", "laplacian:d=16", "1"),
+    ("kendall", "holo2", "laplacian:d=16", "1"),
+])
+def test_fixed_function_suites_refuse_families(scheme, suite, generator, alpha, capsys):
+    # nonb2 reads g'(1/n) and holo2 the functionals of g_n: a family g_t has neither
+    rc = cli.main(["verify-bounds", "--scheme", scheme, "--suite", suite,
+                   "--generator", generator, "--n", "4", "--alpha", alpha])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"'{suite}'" in captured.err and f"give t, as in {scheme}:t=" in captured.err
+
+
+@pytest.mark.parametrize("scheme, name", [
+    ("hille", "hille"),
+    ("kendall:t=0.5", "kendall(t=0.5)"),
+    ("yosida:t=1", "yosida(t=1)"),
+])
+def test_holo2_refuses_functions_with_an_atom_at_zero(scheme, name, capsys):
+    # g(inf) > 0 leaves an atom at 0 in g_n, so d1[g_n] = inf and no finite bound holds
+    rc = cli.main(["verify-bounds", "--scheme", scheme, "--suite", "holo2",
+                   "--generator", "laplacian:d=8", "--n", "1,2", "--alpha", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'holo2'" in captured.err and f"{name} has g(inf)" in captured.err
+
+
+def test_cli_looks_up_the_rates_functions_when_it_calls_them(monkeypatch, capsys):
+    # a profiler wraps the module attributes of rates after import: each suite of
+    # rates.SUITES and the functions with the orders and sharpness verdicts must be
+    # reached through the attribute, so that the wrapper is the one called
+    grid = ["--t", "1", "--n", "4,8"]
+    runs = {
+        "first_order_bounds": ["--scheme", "euler", "--generator", "diag_imag:k=8",
+                               "--suite", "first", "--alpha", "1"],
+        "non_b2_bounds": ["--scheme", "frac_tail:gamma=0.5", "--generator", "diag_imag:k=8",
+                          "--suite", "nonb2", "--alpha", "1"],
+        "second_order_bounds": ["--scheme", "euler", "--generator", "diag_pos:k=8",
+                                "--suite", "second"],
+        "holomorphic_bounds": ["--scheme", "euler", "--generator", "laplacian:d=8",
+                               "--suite", "holo", "--alpha", "1"],
+        "holomorphic_second_order": ["--scheme", "spline", "--generator", "laplacian:d=8",
+                                     "--suite", "holo2", "--alpha", "1"],
+    }
+    runs = {name: ["verify-bounds", *argv, *grid] for name, argv in runs.items()}
+    runs["order_verdict"] = ["orders", "--scheme", "euler", "--generator", "laplacian:d=16",
+                             "--n", "4,8,16,32"]
+    runs["sharpness_rows"] = ["sharpness", "--which", "euler", "--n", "4"]
+    for name, argv in runs.items():
+        real, calls = getattr(rates, name), []
+
+        def spy(*args, real=real, calls=calls, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rates, name, spy)
+        assert cli.main(argv) == 0, name
+        assert calls, f"cli did not reach rates.{name}"
+        if argv[0] == "verify-bounds":
+            assert [args[2:4] for args in calls] == [(1.0, 4), (1.0, 8)]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("suite, alpha, admitted", [
     ("first", "3", "0.5,2"),
     ("nonb2", "2", "0,1"),

@@ -353,3 +353,12 @@ def test_functional_values_container():
     assert set(fv.c) == {0.0, 0.5, 1.0}
     fv_ft = F.functional_values(cmfun.frac_tail(0.5))
     assert math.isnan(fv_ft.a) and fv_ft.b is None and fv_ft.c == {}
+
+
+@pytest.mark.parametrize("g", [cmfun.hille(), cmfun.kendall(0.5), cmfun.yosida(1.0)])
+def test_d1_diverges_when_g_has_an_atom_at_zero(g):
+    # g(inf) > 0: c_0 diverges, by the measure route as inf, and the quadrature
+    # route of g_n raises instead of returning the value truncated at z = 1e6
+    assert F.d1_of(g) == math.inf
+    with pytest.raises(F.DivergentError):
+        F.d1_of(cmfun.power_scale(g, 2))

@@ -3,6 +3,7 @@
 import csv
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -83,7 +84,7 @@ def test_first_order_exponential_zero_error():
     A = opcalc.diag_imag(16)
     vecs = opcalc.test_vectors(A, count=4)
     reports = first_order_bounds(cmfun.exponential(), A, 1.0, 4,
-                                 (2.0, 1.0, 0.5), vecs, M=1.0)
+                                 (2.0, 1.0, 0.5), vecs)
     for r in reports:
         assert r.error <= 1e-12 and r.passed
 
@@ -92,7 +93,7 @@ def test_first_order_requires_b2():
     A = opcalc.diag_imag(8)
     vecs = opcalc.test_vectors(A, count=2)
     with pytest.raises(ValueError):
-        first_order_bounds(cmfun.frac_tail(0.5), A, 1.0, 4, (1.0,), vecs, M=1.0)
+        first_order_bounds(cmfun.frac_tail(0.5), A, 1.0, 4, (1.0,), vecs)
 
 
 def test_first_order_kendall_alpha2_is_exact_on_diagonal():
@@ -104,7 +105,7 @@ def test_first_order_kendall_alpha2_is_exact_on_diagonal():
     tt, n = 0.5, 8
     gt = fam.at(tt)
     h = gt.moments[2] - 1.0
-    reports = first_order_bounds(fam, A, tt, n, (2.0,), vecs, M=1.0)
+    reports = first_order_bounds(fam, A, tt, n, (2.0,), vecs)
     A2 = opcalc.frac_power(A, 2.0)
     for r, x in zip(reports, vecs):
         want = 0.5 * h * tt ** 2 / n * float(np.linalg.norm(A2 @ x))
@@ -115,7 +116,7 @@ def test_first_order_kendall_alpha2_is_exact_on_diagonal():
 def test_second_order_exponential_zero_residual():
     A = opcalc.diag_positive(16)
     vecs = opcalc.test_vectors(A, count=4)
-    for r in second_order_bounds(cmfun.exponential(), A, 1.0, 4, vecs, M=1.0):
+    for r in second_order_bounds(cmfun.exponential(), A, 1.0, 4, (), vecs):
         assert r.error <= 1e-10 and r.passed
 
 
@@ -123,7 +124,7 @@ def test_second_order_requires_b4():
     A = opcalc.diag_positive(8)
     vecs = opcalc.test_vectors(A, count=2)
     with pytest.raises(ValueError):
-        second_order_bounds(cmfun.frac_tail(0.5), A, 1.0, 4, vecs, M=1.0)
+        second_order_bounds(cmfun.frac_tail(0.5), A, 1.0, 4, (), vecs)
 
 
 def test_first_order_opnorm_slope_euler_laplacian():
@@ -143,12 +144,11 @@ def test_first_order_opnorm_slope_euler_laplacian():
 
 def test_holomorphic_sharp_euler_closed_form_bounds():
     A = opcalc.diag_positive(32)
-    Mc = opcalc.semigroup_constants(A)
     vecs = opcalc.test_vectors(A, count=4)
     g = cmfun.euler()
     for n in (4, 32):
         reports = rates.holomorphic_bounds(g, A, 1.0, n, (0.0, 0.5, 1.0),
-                                           vecs, Mc, c_alpha_fn=rates.euler_sharp_r)
+                                           vecs)
         assert reports and all(r.passed for r in reports)
         sharp = [r for r in reports if r.tag == "holo-sharp"]
         assert sharp
@@ -189,6 +189,18 @@ def test_euler_scalar_sharpness_limit():
     # n * sup increases towards the limit from below
     n_sups = [r["n_sup"] for r in res["rows"]]
     assert n_sups[0] < n_sups[1] < n_sups[2] <= lead + 1e-9
+
+
+@pytest.mark.parametrize("n, tau", [(64, 2.0), (64, 3.0), (1024, 1.2), (1024, 2.0),
+                                    (16384, 1.05), (16384, 1.2), (65536, 1.02), (65536, 1.05)])
+def test_w_density_above_one_from_the_upper_tails(n, tau):
+    # W_n(tau) = Q(n+1, n tau) - tau Q(n, n tau) for tau > 1, against 150 digits;
+    # forming Q as 1 - P lost up to 9e-5 of W here, or all of it (W = 0)
+    with mpmath.workdps(150):
+        x = n * mpmath.mpf(tau)
+        want = float(mpmath.gammainc(n + 1, a=x, regularized=True)
+                     - mpmath.mpf(tau) * mpmath.gammainc(n, a=x, regularized=True))
+    assert float(rates._W_density(n, tau)) == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def test_shift_second_order_rows():
