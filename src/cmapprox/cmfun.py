@@ -13,9 +13,21 @@ measure; a function with neither (a power-scaled one, such as
 `euler_pow4` under the `nonb2` suite) falls back to Richardson central
 differences.
 
+Every B2 built-in also carries its log-defect L(w) = log g(w) + w
+(`LogDefect`): the cumulant series sum_{k>=2} (-1)^k kappa_k w^k/k! below a
+radius, a closed form above it, so that L keeps full relative precision
+near 0.  `CMFunction.defect` and `CMFunction.residual` build the defect
+g(z) - e^{-z} and its second-order remainder from it as
+e^{-z} expm1(L(z)), which does not cancel where g(z) and e^{-z} agree to
+many digits; see Higham, Accuracy and Stability of Numerical Algorithms
+(SIAM, 2nd ed. 2002), section 1.14.  A `from_measure` function in B1 (a
+`measure:` string) gets its cumulants from the raw moments of its measure;
+`frac_tail` (outside B2) carries none and takes the direct difference.
+
 The power scaling g_n(z) = g(z/n)^n keeps no explicit measure (the
 n-fold convolution is not materialized); its derivatives at zero are
-filled in closed form from those of g.
+filled in closed form from those of g, and its log-defect is
+L_n(z) = n L(z/n).
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ from .polyexp import monomial_exp_integral
 
 __all__ = [
     "CMFunction",
+    "LogDefect",
     "ScaledFamily",
     "from_measure",
     "power_scale",
@@ -65,6 +78,81 @@ def _classify(moments) -> frozenset:
     return frozenset(tags)
 
 
+# the log-defect series runs to w^SERIES_DEGREE; its radius is where that
+# term falls to SERIES_TAIL of the w^2 term
+SERIES_DEGREE = 32
+SERIES_TAIL = 1e-17
+
+
+@dataclass(frozen=True)
+class LogDefect:
+    """L_n(z) = n L(z/n) with L(w) = log g(w) + w, the log-defect of g_n.
+
+    For |w| < radius, L(w) = sum_{k>=2} coeffs[k-2] w^k, summed by Horner;
+    elsewhere L(w) = closed(w).  An empty series with an infinite radius is
+    L = 0, the exact zero of exp and kendall:t=1.
+    """
+
+    coeffs: tuple
+    radius: float
+    closed: object = None
+    scale: int = 1
+
+    def __call__(self, z, lead: bool = True):
+        """L_n(z); without `lead`, L_n(z) - coeffs[0] z^2/n, each part summed
+        without that leading term."""
+        n = self.scale
+        w = np.asarray(z) / n
+        out = np.empty_like(w)
+        near = np.abs(w) < self.radius
+        wn = w[near]
+        acc = np.zeros_like(wn)
+        for c in self.coeffs[:0:-1]:     # c_K .. c_3: acc = sum_{k>=3} c_k w^{k-2}
+            acc = (acc + c) * wn
+        if self.coeffs and lead:
+            acc = acc + self.coeffs[0]
+        out[near] = acc * wn * wn
+        if not near.all():
+            wf = w[~near]
+            with np.errstate(divide="ignore"):
+                val = self.closed(wf)
+            out[~near] = val if lead else val - self.coeffs[0] * wf * wf
+        return n * out
+
+
+def _log_series(taylor) -> list:
+    """The series coefficients c_2..c_SERIES_DEGREE of L = log g + w from
+    those of g, taylor[j] = g^(j)(0)/j! = (-1)^j m_j/j!: with taylor[0] = 1,
+    log g = sum_j l_j w^j where l_j = f_j - (1/j) sum_{i<j} i l_i f_{j-i},
+    and l_1 = -1 cancels w (the cumulants kappa_k = (-1)^k k! l_k)."""
+    l = [0.0] * (SERIES_DEGREE + 1)
+    for j in range(1, SERIES_DEGREE + 1):
+        l[j] = taylor[j] - sum(i * l[i] * taylor[j - i] for i in range(1, j)) / j
+    return l[2:]
+
+
+def _log_defect(coeffs, closed) -> LogDefect:
+    """L from its series coefficients c_2.. and its closed form.  The radius
+    is the smallest |w| at which one of the last four terms reaches
+    SERIES_TAIL |c_2 w^2|; there the closed form cancels by about
+    1/|c_2 w|, a few ulp for every built-in."""
+    last = [(k, c) for k, c in enumerate(coeffs[-4:], start=len(coeffs) - 2) if c != 0.0]
+    radius = min(((SERIES_TAIL * abs(coeffs[0]) / abs(c)) ** (1.0 / (k - 2)) for k, c in last),
+                 default=math.inf)
+    return LogDefect(tuple(float(c) for c in coeffs), radius, closed)
+
+
+_ZERO_DEFECT = LogDefect((), math.inf)
+
+
+def _expm1_minus(x):
+    """expm1(x) - x = sum_{k>=2} x^k/k! for |x| <= 1, to SERIES_DEGREE terms."""
+    acc = np.zeros_like(x)
+    for k in range(SERIES_DEGREE, 1, -1):
+        acc = (acc + 1.0) * x / k
+    return acc * x
+
+
 @dataclass(frozen=True)
 class CMFunction:
     """A bounded completely monotone function on [0, inf)."""
@@ -76,6 +164,7 @@ class CMFunction:
     limit_at_inf: float = 0.0               # g(inf) = mass of the atom at 0
     deriv_real: object = None               # optional callable (z, order) -> value
     rational_n: int | None = None           # n with g(z) = (1 + z/n)^{-n} (Euler type)
+    log_defect: LogDefect | None = None     # L(w) = log g(w) + w (B2 built-ins, measures)
 
     @property
     def class_tags(self) -> frozenset:
@@ -98,6 +187,44 @@ class CMFunction:
     def at(self, t: float) -> CMFunction:
         """The member g_t of a family: a fixed function is its own (see ScaledFamily)."""
         return self
+
+    def defect(self, z):
+        """g(z) - e^{-z} on an array of z >= 0 or of complex z with Re z >= 0."""
+        return self._difference(np.asarray(z), second=False)
+
+    def residual(self, z):
+        """g(z) - e^{-z} - (g''(0) - 1)/2 z^2 e^{-z}, the second-order remainder."""
+        return self._difference(np.asarray(z), second=True)
+
+    def _difference(self, z, second: bool):
+        """With x = L_n(z): e^{-z} expm1(x) where |x| <= 1, and for the remainder
+        e^{-z} ((expm1(x) - x) + (x - c_2 z^2/n)), each part without its
+        leading term.  Where |x| > 1 nothing cancels and the difference is taken
+        directly, with g(z) = e^{x - z} for |z| <= n (n ulp for the n-th
+        power would be worse) and g(z) itself beyond.  Without L every
+        point takes the direct difference."""
+        e = np.exp(-z)
+        L = self.log_defect
+        if L is None:
+            out = self.evaluate(z) - e
+            return out - 0.5 * (self.moments[2] - 1.0) * z * z * e if second else out
+        lead = L.coeffs[0] / L.scale if L.coeffs else 0.0
+        x = L(z)
+        out = np.empty_like(x)
+        small = np.abs(x) <= 1.0
+        xs, es = x[small], e[small]
+        if second:
+            out[small] = es * (_expm1_minus(xs) + L(z[small], lead=False))
+        else:
+            out[small] = es * np.expm1(xs)
+        if not small.all():
+            zb, xb, eb = z[~small], x[~small], e[~small]
+            inner = np.abs(zb) <= L.scale
+            gb = np.empty_like(xb)
+            gb[inner] = np.exp(xb[inner] - zb[inner])
+            gb[~inner] = self.evaluate(zb[~inner])
+            out[~small] = gb - eb - lead * zb * zb * eb if second else gb - eb
+        return out
 
     def derivative(self, z: float, order: int = 1) -> float:
         """g^(order)(z) for z > 0."""
@@ -129,7 +256,14 @@ class ScaledFamily:
     rational_n = None    # no family is of Euler type (1 + z/n)^{-n}
 
     def at(self, t: float) -> CMFunction:
-        return self.factory(t)
+        """g_t, built once per (factory, t) in a process, so that power_scale
+        and the results cached on g_t are shared across calls."""
+        return _family_member(self.factory, t)
+
+
+@lru_cache(maxsize=None)
+def _family_member(factory, t: float) -> CMFunction:
+    return factory(t)
 
 
 def check_b1(g: CMFunction) -> bool:
@@ -141,18 +275,27 @@ def check_bk(g: CMFunction, k: int) -> bool:
 
 
 def from_measure(nu: PositiveMeasure, name: str = "measure") -> CMFunction:
-    """Laplace transform of a finite positive measure."""
+    """Laplace transform of a finite positive measure.  In B1 with every
+    moment up to SERIES_DEGREE finite it carries its log-defect: the
+    cumulant series of nu (exactly 0 for delta_1, whose variance is 0) and
+    log g(w) + w beyond its radius."""
     mass = nu.total_mass()
     if not math.isfinite(mass):
         raise ValueError("measure must have finite total mass")
-    moments = tuple(nu.moment(k) for k in range(5))
-    return CMFunction(
+    m = [nu.moment(k) for k in range(SERIES_DEGREE + 1)]
+    g = CMFunction(
         name=name,
         evaluate=nu.laplace,
         measure=nu,
-        moments=moments,
+        moments=tuple(m[:5]),
         limit_at_inf=nu.zero_atom_mass(),
     )
+    if not (check_b1(g) and all(map(math.isfinite, m))):
+        return g
+    series = _log_series([(-1.0) ** j * mj / (mass * math.factorial(j)) for j, mj in enumerate(m)])
+    if series[0] == 0.0:
+        return replace(g, log_defect=_ZERO_DEFECT)
+    return replace(g, log_defect=_log_defect(series, lambda w: np.log(nu.laplace(w)) + w))
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +356,8 @@ def _power_scale(g: CMFunction, n: int) -> CMFunction:
         moments=_scaled_moments(g.moments, n),
         limit_at_inf=g.limit_at_inf ** n,
         rational_n=None if g.rational_n is None else g.rational_n * n,
+        log_defect=None if g.log_defect is None else replace(
+            g.log_defect, scale=g.log_defect.scale * n),
     )
 
 
@@ -229,6 +374,7 @@ def exponential() -> CMFunction:
         measure=nu,
         moments=(1.0, 1.0, 1.0, 1.0, 1.0),
         deriv_real=lambda z, k: (-1.0) ** k * math.exp(-z),
+        log_defect=_ZERO_DEFECT,
     )
 
 
@@ -242,7 +388,13 @@ def euler() -> CMFunction:
         moments=(1.0, 1.0, 2.0, 6.0, 24.0),
         deriv_real=lambda z, k: (-1.0) ** k * math.factorial(k) * (1.0 + z) ** (-k - 1),
         rational_n=1,
+        log_defect=_EULER_DEFECT,
     )
+
+
+# L(w) = w - log(1 + w) = sum_{k>=2} (-w)^k/k
+_EULER_DEFECT = _log_defect([(-1.0) ** k / k for k in range(2, SERIES_DEGREE + 1)],
+                            lambda w: w - np.log1p(w))
 
 
 def euler_power(n: int) -> CMFunction:
@@ -266,6 +418,7 @@ def euler_power(n: int) -> CMFunction:
         evaluate=lambda z: (1.0 + z / n) ** (-n),
         moments=_scaled_moments((1.0, 1.0, 2.0, 6.0, 24.0), n),
         rational_n=n,
+        log_defect=replace(_EULER_DEFECT, scale=n),
     )
 
 
@@ -284,12 +437,15 @@ def spline() -> CMFunction:
         # g^(k)(z) = (1/2) int_0^2 (-s)^k e^{-zs} ds
         return 0.5 * (-1.0) ** k * monomial_exp_integral(k, z, 0.0, 2.0)
 
+    # L(w) = log(sinh(w)/w), an even series; g^(j)(0)/j! = (-2)^j/(j+1)!
+    taylor = [(-2.0) ** j / math.factorial(j + 1) for j in range(SERIES_DEGREE + 1)]
     return CMFunction(
         name="spline",
         evaluate=evaluate,
         measure=nu,
         moments=(1.0, 1.0, 4.0 / 3.0, 2.0, 16.0 / 5.0),
         deriv_real=deriv,
+        log_defect=_log_defect(_log_series(taylor), lambda w: np.log(evaluate(w)) + w),
     )
 
 
@@ -302,13 +458,21 @@ def kendall(t: float) -> CMFunction:
         atoms.insert(0, (0.0, 1.0 - t))
     nu = PositiveMeasure(atoms=tuple(atoms))
     inv_t = 1.0 / t
+    evaluate = lambda z: (1.0 - t) + t * np.exp(-z / t)
+    if t == 1.0:
+        log_defect = _ZERO_DEFECT
+    else:
+        taylor = [1.0] + [t * (-inv_t) ** j / math.factorial(j)
+                          for j in range(1, SERIES_DEGREE + 1)]
+        log_defect = _log_defect(_log_series(taylor), lambda w: np.log(evaluate(w)) + w)
     return CMFunction(
         name=f"kendall(t={t:g})",
-        evaluate=lambda z: (1.0 - t) + t * np.exp(-z / t),
+        evaluate=evaluate,
         measure=nu,
         moments=(1.0, 1.0, inv_t, inv_t ** 2, inv_t ** 3),
         limit_at_inf=1.0 - t,
         deriv_real=lambda z, k: t * (-inv_t) ** k * math.exp(-z * inv_t),
+        log_defect=log_defect,
     )
 
 
@@ -334,12 +498,15 @@ def yosida(t: float) -> CMFunction:
         if m > 400:
             break
     nu = PositiveMeasure(atoms=((0.0, math.exp(-t)),), segments=tuple(segs))
+    # L(w) = w^2/(t + w) = sum_{k>=2} (-1)^k t^{1-k} w^k
+    series = [(-1.0) ** k * t ** (1 - k) for k in range(2, SERIES_DEGREE + 1)]
     return CMFunction(
         name=f"yosida(t={t:g})",
         evaluate=lambda z: np.exp(-t * z / (t + z)),
         measure=nu,
         moments=tuple(nu.moment(k) for k in range(5)),
         limit_at_inf=math.exp(-t),
+        log_defect=_log_defect(series, lambda w: w * w / (t + w)),
     )
 
 
@@ -348,12 +515,15 @@ def hille() -> CMFunction:
     ks = range(0, 31)
     atoms = tuple((float(k), math.exp(-1.0 - math.lgamma(k + 1))) for k in ks)
     nu = PositiveMeasure(atoms=atoms)
+    # L(w) = expm1(-w) + w = sum_{k>=2} (-w)^k/k!
+    series = [(-1.0) ** k / math.factorial(k) for k in range(2, SERIES_DEGREE + 1)]
     return CMFunction(
         name="hille",
         evaluate=lambda z: np.exp(np.expm1(-z)),
         measure=nu,
         moments=tuple(nu.moment(k) for k in range(5)),
         limit_at_inf=math.exp(-1.0),
+        log_defect=_log_defect(series, lambda w: np.expm1(-w) + w),
     )
 
 
@@ -386,12 +556,16 @@ def chung(a, t: float) -> CMFunction:
         x = t / (t + z)
         return sum(ak * x ** k for k, ak in enumerate(a))
 
+    # (t/(t+w))^k = sum_j C(k+j-1, j) (-w/t)^j
+    taylor = [1.0] + [sum(a[k] * math.comb(k + j - 1, j) for k in range(1, len(a)))
+                      * (-1.0 / t) ** j for j in range(1, SERIES_DEGREE + 1)]
     return CMFunction(
         name=f"chung(t={t:g})",
         evaluate=evaluate,
         measure=nu,
         moments=tuple(nu.moment(k) for k in range(5)),
         limit_at_inf=a[0] if a else 0.0,
+        log_defect=_log_defect(_log_series(taylor), lambda w: np.log(evaluate(w)) + w),
     )
 
 

@@ -14,7 +14,11 @@ Each functional has two evaluation routes: a measure route (exact up to
 closed-form partial moments, via Fubini kernels K(tau) = the s-integral
 of the weight against the G construction) and a z-quadrature route that
 only needs pointwise values of g (used for power-scaled functions whose
-measure is not materialized).
+measure is not materialized).  The quadrature route integrates Delta_alpha
+from `CMFunction.defect`, which for a g with a log-defect L_n is
+e^{-z} expm1(L_n(z)) and so keeps full relative precision at small z; the
+head [0, 1, 40] and the dyadic tail of each c_alpha go to one batched
+quadrature call.
 """
 
 from __future__ import annotations
@@ -119,41 +123,12 @@ def g0_density(g: CMFunction) -> GDensity:
 # defect
 # ----------------------------------------------------------------------
 
-_SERIES_CUTOFF = 1e-3
-
-
-def _diff_series(g: CMFunction, z):
-    """g(z) - e^{-z} by the moment series, for small z (avoids cancellation)."""
-    m2, m3, m4 = g.moments[2], g.moments[3], g.moments[4]
-    z = np.asarray(z, dtype=float)
-    out = 0.5 * (m2 - 1.0) * z ** 2
-    if math.isfinite(m3):
-        out = out - (m3 - 1.0) / 6.0 * z ** 3
-        if math.isfinite(m4):
-            out = out + (m4 - 1.0) / 24.0 * z ** 4
-    return out
-
-
 def delta(g: CMFunction, alpha: float, z):
-    """Delta_alpha(z) = (g(z) - e^{-z}) / z^alpha for z > 0 (vectorized).
-
-    Below _SERIES_CUTOFF (on B2) the difference comes from the moment
-    series, elsewhere from g directly; each point is evaluated one way only.
-    """
+    """Delta_alpha(z) = (g(z) - e^{-z}) / z^alpha for z > 0 (vectorized), with the
+    difference from g.defect."""
     z = np.asarray(z, dtype=float)
     zz = np.where(z == 0.0, 1.0, z)
-    series = (zz < _SERIES_CUTOFF) & math.isfinite(g.moments[2])
-
-    def form(x, by_series: bool):
-        diff = _diff_series(g, x) if by_series else g(x) - np.exp(-x)
-        return diff / x ** alpha
-
-    if series.all() or not series.any():
-        out = np.asarray(form(zz, bool(series.any())))
-    else:
-        out = np.empty_like(zz)
-        out[series] = form(zz[series], True)
-        out[~series] = form(zz[~series], False)
+    out = g.defect(zz) / zz ** alpha
     if np.any(z == 0.0):
         if alpha == 2.0 and math.isfinite(g.moments[2]):
             out = np.where(z == 0.0, 0.5 * (g.moments[2] - 1.0), out)
@@ -283,8 +258,9 @@ class QuadValue:
 def c_alpha_quad(g: CMFunction, alpha: float, rel_tol: float = 1e-11) -> QuadValue:
     """c_alpha[g] = Gamma(2-alpha)^{-1} int_0^inf Delta_{1+alpha}(z) dz.
 
-    Needs only pointwise values of g (plus moments for the small-z
-    series), so it applies to power-scaled functions without a measure.
+    Needs only pointwise values of g (through g.defect, with its log-defect
+    where g carries one), so it applies to power-scaled functions without a
+    measure.
     When g(inf) = c > 0 the constant part of the tail is integrated
     analytically for alpha > 0; for alpha = 0 the integral genuinely
     diverges (logarithmically) and a truncated value is returned with
@@ -301,33 +277,28 @@ def _c_alpha_quadrature(g: CMFunction, alpha: float, rel_tol: float) -> QuadValu
     gamma_factor = 1.0 / math.gamma(2.0 - alpha)
     c_inf = g.limit_at_inf
     z0 = 40.0
+    if c_inf == 0.0 or alpha == 0.0:
+        def integrand(z):
+            return delta(g, 1.0 + alpha, z)
+    else:
+        # beyond z0 the constant c_inf/z^{1+alpha} is integrated analytically
+        def integrand(z):
+            out = np.empty_like(z)
+            head = z < z0
+            out[head] = delta(g, 1.0 + alpha, z[head])
+            zt = z[~head]
+            out[~head] = (g(zt) - np.exp(-zt) - c_inf) / zt ** (1.0 + alpha)
+            return out
 
-    def integrand(z):
-        return delta(g, 1.0 + alpha, z)
-
-    head = quadrature.integrate(integrand, 0.0, min(z0, 1.0), rel_tol=rel_tol)
-    if z0 > 1.0:
-        head += quadrature.integrate(integrand, 1.0, z0, rel_tol=rel_tol)
-
-    if c_inf == 0.0:
-        tail = quadrature.integrate_semi_infinite(integrand, z0, rel_tol=rel_tol)
-        return QuadValue(gamma_factor * (head + tail.value), tail.converged,
-                         "" if tail.converged else "tail_divergent")
-
-    if alpha == 0.0:
-        # genuinely divergent: integrate the truncation to z = 1e6 and flag
-        tail = quadrature.integrate_semi_infinite(integrand, z0, rel_tol=rel_tol,
-                                                  max_span=1e6)
-        return QuadValue(gamma_factor * (head + tail.value), False, "tail_divergent")
-
-    def residual(z):
-        z = np.asarray(z, dtype=float)
-        return (g(z) - np.exp(-z) - c_inf) / z ** (1.0 + alpha)
-
-    tail = quadrature.integrate_semi_infinite(residual, z0, rel_tol=rel_tol)
-    analytic = c_inf * z0 ** (-alpha) / alpha
-    return QuadValue(gamma_factor * (head + tail.value + analytic), tail.converged,
-                     "" if tail.converged else "tail_divergent")
+    # with c_inf > 0 and alpha = 0 the integral diverges (logarithmically):
+    # the truncation at z = 1e6 is returned and flagged
+    divergent = c_inf > 0.0 and alpha == 0.0
+    res = quadrature.integrate_semi_infinite(integrand, (0.0, 1.0, z0), rel_tol=rel_tol,
+                                             max_span=1e6 if divergent else 1e15)
+    analytic = c_inf * z0 ** (-alpha) / alpha if c_inf > 0.0 and alpha > 0.0 else 0.0
+    converged = res.converged and not divergent
+    return QuadValue(gamma_factor * (res.value + analytic), converged,
+                     "" if converged else "tail_divergent")
 
 
 def c_alpha(g: CMFunction, alpha: float) -> float:

@@ -77,6 +77,7 @@ class PolyExpSegment:
 
 SERIES_RADIUS = 1.5    # power series for |z| <= 1.5, continued fraction beyond
 SERIES_TERMS = 60      # 1.5^60/60! < 1e-70
+SERIES_STOP = 1e-17    # a series term this small against its sum no longer moves it
 CF_STEPS = 400         # just past |z| = 1.5 on the imaginary axis it takes about 125
 EULER_GAMMA = 0.5772156649015329  # Euler-Mascheroni constant, -psi(1)
 
@@ -103,7 +104,9 @@ def powerlaw_laplace(p: float, z) -> np.ndarray:
 def _expint_series(p: float, z: np.ndarray) -> np.ndarray:
     """E_p(z) = Gamma(1-p) z^{p-1} - sum_k (-z)^k / (k! (1-p+k)); for a whole
     p >= 1 the Gamma pole and the k = p-1 term merge into
-    (-z)^{p-1}/(p-1)! (psi(p) - log z)."""
+    (-z)^{p-1}/(p-1)! (psi(p) - log z).  Past k = p the terms only shrink,
+    and the sum stops once each new one is below SERIES_STOP of its entry's
+    running sum."""
     m = p - 1.0
     whole = m >= 0.0 and m == int(m)
     term = np.ones_like(z)
@@ -112,7 +115,10 @@ def _expint_series(p: float, z: np.ndarray) -> np.ndarray:
         if k:
             term = term * (-z / k)
         if not (whole and k == m):
-            acc += term / (k - m)
+            step = term / (k - m)
+            acc += step
+            if k > p and np.all(np.abs(step) <= SERIES_STOP * np.abs(acc)):
+                break
     if whole:
         pole = (-z) ** int(m) / math.factorial(int(m)) * (_digamma_whole(int(p)) - np.log(z))
     else:
@@ -127,23 +133,25 @@ def _digamma_whole(p: int) -> float:
 
 def _expint_fraction(p: float, z: np.ndarray) -> np.ndarray:
     """e^z E_p(z) = 1/(z+p- 1p/(z+p+2- 2(p+1)/(z+p+4- ...))) by the modified
-    Lentz method, each entry stopping once its update factor is 1 to eps."""
-    b = z + p
-    c = np.full_like(z, 1e300)
+    Lentz method, each entry stopping once its update factor is 1 to eps;
+    only the entries still running are carried to the next step."""
+    b = z.ravel() + p
+    c = np.full_like(b, 1e300)
     d = 1.0 / b
-    h = d
-    active = np.ones(z.shape, dtype=bool)
+    h = d.copy()
+    active = np.arange(b.size)
     for i in range(1, CF_STEPS):
-        if not active.any():
+        if not active.size:
             break
         a = -i * (p - 1.0 + i)
         b = b + 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
         delta = c * d
-        h = np.where(active, h * delta, h)
-        active &= np.abs(delta - 1.0) > np.finfo(float).eps
-    return h
+        h[active] *= delta
+        going = np.abs(delta - 1.0) > np.finfo(float).eps
+        active, b, c, d = active[going], b[going], c[going], d[going]
+    return h.reshape(z.shape)
 
 
 @dataclass(frozen=True)
@@ -219,8 +227,8 @@ class PositiveMeasure:
     # -- moments ----------------------------------------------------------
 
     def moment(self, k: int) -> float:
-        if not 0 <= k <= 4:
-            raise ValueError("moments supported for k = 0..4")
+        if k < 0:
+            raise ValueError("moments are defined for k >= 0")
         total = sum(w * loc ** k for loc, w in self.atoms)
         for seg in self.segments:
             m = seg.moment(k)

@@ -12,6 +12,9 @@ the identity on the gallery), a matrix function f(A) has
 ||f(A) x_i|| = ||V (f(Lambda) y_i)||.  For unitary V that is
 ||f(Lambda) y_i|| and the operator norm is max |f(lambda)|; a non-unitary V
 is applied densely and its operator norms fall back to the dense SVD.
+The defect g_t(t lambda/n)^n - e^{-t lambda} and the second-order residual
+are those of g_n = power_scale(g_t, n) (CMFunction.defect and .residual):
+for a g with a log-defect they come from it without cancellation.
 
 Order fits are least-squares slopes on (log n, log error).  spectral_order
 fits the n-exponent of ||E_n A^{-alpha}|| with E_n the defect (or the
@@ -30,7 +33,7 @@ import numpy as np
 
 from . import functionals, opcalc
 from .cmfun import CMFunction, power_scale
-from .opcalc import GeneratorMatrix, frac_on_spectrum, scheme_on_spectrum
+from .opcalc import GeneratorMatrix, frac_on_spectrum
 
 __all__ = [
     "BoundReport", "within_bound", "OrderFit", "fit_order", "order_verdict", "suite",
@@ -139,17 +142,16 @@ def _opnorm(A: GeneratorMatrix, d: np.ndarray) -> float:
 
 
 def _defect(g, A: GeneratorMatrix, t: float, n: int) -> np.ndarray:
-    """scheme - e^{-tA} on the spectrum."""
-    return scheme_on_spectrum(g, t, n, A.eigs) - np.exp(-t * A.eigs)
+    """scheme - e^{-tA} on the spectrum: g_n(z) - e^{-z} at z = t lambda, g_n = (g_t)_n."""
+    return power_scale(g.at(t), n).defect(t * A.eigs)
 
 
 def _residual(g, A: GeneratorMatrix, t: float, n: int) -> np.ndarray:
     """scheme - e^{-tA} - (2n)^{-1}(g_t''(0)-1) t^2 e^{-tA} A^2 on the spectrum."""
-    h = g.at(t).moments[2] - 1.0
-    if not math.isfinite(h):
+    gt = g.at(t)
+    if not math.isfinite(gt.moments[2]):
         raise ValueError(f"{g.name}: the second-order residual needs a finite g''(0)")
-    lam = A.eigs
-    return _defect(g, A, t, n) - (h * t ** 2 / (2.0 * n)) * (np.exp(-t * lam) * lam ** 2)
+    return power_scale(gt, n).residual(t * A.eigs)
 
 
 def _frac_norms(A: GeneratorMatrix, alpha: float, Y) -> list[float]:
@@ -198,7 +200,7 @@ SUITES = {
     "first": Suite("first_order_bounds", (0.0, 2.0), moment=2),
     "nonb2": Suite("non_b2_bounds", (0.0, 1.0), fixed=True),
     "second": Suite("second_order_bounds", moment=4),
-    "holo": Suite("holomorphic_bounds", (0.0, 1.0), sectorial=True),
+    "holo": Suite("holomorphic_bounds", (0.0, 1.0), moment=2, sectorial=True),
     "holo2": Suite("holomorphic_second_order", (0.0, 3.0), moment=4, fixed=True, tail=True,
                    sectorial=True),
 }

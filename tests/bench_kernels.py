@@ -5,10 +5,12 @@
 The file name is outside the default `test_*.py` pattern, so a plain
 `pytest` run does not collect it.  The quadrature cases are the costliest
 quadrature of the `functionals` command: c_1 of the spline scheme at
-n = 1024, whose defect needs about 12k panels.  The frac_tail case is one
-`eval_at` of the non-B2 suite: g(t lambda/n) on the 256 eigenvalues of
-`diag_imag:k=256,min=0.1,max=100` at t = 1, n = 4, which puts points on
-both sides of the power-law kernel's series/continued-fraction switch.
+n = 1024, its head [0, 1] and the whole integral, whose 52 root panels
+(head breakpoints and dyadic tail) take 3,120 integrand points in one
+call.  The frac_tail case is the evaluation the non-B2 suite makes of
+g(t lambda/n) on the 256 eigenvalues of `diag_imag:k=256,min=0.1,max=100`
+at t = 1, n = 4, which puts points on both sides of the power-law
+kernel's series/continued-fraction switch.
 The holomorphic case is one (t, n) cell of the `holo` suite on
 `laplacian:d=2048` with Euler's scheme and its closed-form r_{alpha,n}, so
 that it times the operator side only: the DST-I eigenbasis and the

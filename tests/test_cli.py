@@ -10,11 +10,12 @@ import shlex
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
-from cmapprox import cli, cmfun, rates
+from cmapprox import cli, cmfun, opcalc, rates
 from cmapprox import functionals as fns
 from cmapprox.functionals import euler_c_alpha_exact
 
@@ -144,6 +145,44 @@ def test_holo2_refuses_functions_with_an_atom_at_zero(scheme, name, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "'holo2'" in captured.err and f"{name} has g(inf)" in captured.err
+
+
+def test_holo_refuses_functions_outside_b2(capsys):
+    # every holo bound carries g''(0) - 1: for frac_tail it is inf, and rows with
+    # an inf bound would pass without checking anything
+    rc = cli.main(["verify-bounds", "--scheme", "frac_tail:gamma=0.5", "--suite", "holo",
+                   "--generator", "laplacian:d=8", "--n", "4", "--alpha", "0.5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'holo'" in captured.err and "frac_tail(gamma=0.5) is not one" in captured.err
+
+
+def test_first_order_errors_at_small_moduli_match_mpmath(tmp_path):
+    # |t lambda| down to 1e-4 at n up to 16384: the defect is about 1e-13 of
+    # either term, and the error column must still be the 50-digit one
+    out = tmp_path / "first.csv"
+    spec = "diag_imag:k=128,min=1e-4,max=1e-2"
+    assert cli.main(["verify-bounds", "--scheme", "euler", "--generator", spec,
+                     "--suite", "first", "--t", "1", "--n", "1024,4096,16384",
+                     "--alpha", "1,2", "--out", str(out)]) == 0
+    A = opcalc.make_generator(spec)
+    Y = A.basis.solve(np.column_stack(opcalc.test_vectors(A)))
+    rows = [r for r in _read_csv(out) if int(r["n"]) == 4096]
+    assert len(rows) == 16
+    with mpmath.workdps(50):
+        z = [mpmath.mpc(lam) for lam in A.eigs]
+        d = [abs((1 + zj / 4096) ** -4096 - mpmath.exp(-zj)) for zj in z]
+        want = [float(mpmath.sqrt(sum((dj * abs(complex(y))) ** 2 for dj, y in zip(d, col))))
+                for col in Y.T]
+    for r in rows:
+        assert float(r["error"]) == pytest.approx(want[int(r["vector_id"])], rel=1e-10)
+
+
+def test_holo2_residuals_at_small_moduli_pass():
+    assert cli.main(["verify-bounds", "--scheme", "euler", "--generator",
+                     "diag_pos:k=128,min=1e-4,max=1e-1", "--suite", "holo2", "--t", "1",
+                     "--n", "4096,16384", "--alpha", "0,1,2", "--out", os.devnull]) == 0
 
 
 def test_cli_looks_up_the_rates_functions_when_it_calls_them(monkeypatch, capsys):
@@ -281,6 +320,16 @@ def test_orders_command(tmp_path):
     (row,) = _read_csv(out)
     assert float(row["slope"]) == pytest.approx(-1.0, abs=0.1)
     assert float(row["r_squared"]) > 0.99
+
+
+def test_orders_exact_scheme_over_a_long_grid(tmp_path):
+    # exp carries L = 0, so its defect is an exact zero at every n up to 1024
+    out = tmp_path / "ord.csv"
+    assert cli.main(["orders", "--scheme", "exp", "--generator", "laplacian:d=16",
+                     "--n", ",".join(str(4 * 2 ** k) for k in range(9)),
+                     "--out", str(out)]) == 0
+    (row,) = _read_csv(out)
+    assert row["flag"] == "exact" and row["pass"] == "true"
 
 
 def test_sharpness_command(tmp_path):

@@ -1,16 +1,18 @@
 """Rate functionals: densities, dual evaluation routes, special functions."""
 
+import cmath
 import math
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmapprox import cmfun, quadrature
 from cmapprox import functionals as F
 
-from conftest import b2_builtins
+from conftest import b2_builtins, mp_eval_map
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -70,28 +72,87 @@ def test_delta_values():
     assert F.delta(cmfun.euler(), 2.0, 0.0) == pytest.approx(0.5, abs=1e-14)
     with pytest.raises(ValueError):
         F.delta(cmfun.euler(), 1.0, 0.0)
-    # nonnegative and series/direct branches consistent near the switchover
+    # nonnegative on the positive axis
     for g in b2_builtins():
         for alpha in (0.0, 1.0, 2.0):
             z = np.array([5e-4, 9.9e-4, 1.1e-3, 0.5, 10.0])
             vals = F.delta(g, alpha, z)
             assert np.all(vals >= -1e-13)
-        below, above = F.delta(g, 2.0, 9.999e-4), F.delta(g, 2.0, 1.0001e-3)
-        assert abs(below - above) <= 2e-4 * max(abs(below), 1e-10) + 1e-12
 
 
-def test_delta_matches_both_forms_reference():
-    # reference: both forms at every point, then a select; delta evaluates
-    # each point one way only and must agree exactly
-    z = np.concatenate([np.logspace(-6, 3, 400), [9.999e-4, 1e-3, 1.0001e-3]])
-    gs = [*b2_builtins(), cmfun.frac_tail(0.5), cmfun.power_scale(cmfun.spline(), 64)]
-    for g in gs:
-        for alpha in (0.0, 1.5, 2.0):
-            direct = (g(z) - np.exp(-z)) / z ** alpha
-            want = direct
-            if math.isfinite(g.moments[2]):
-                want = np.where(z < F._SERIES_CUTOFF, F._diff_series(g, z) / z ** alpha, direct)
-            assert np.array_equal(F.delta(g, alpha, z), want)
+# the degree-4 bump (15/16) s^2 (2 - s)^2 on [0, 2], in B1 with g''(0) = 8/7
+_BUMP = (0.0, 0.0, 3.75, -3.75, 0.9375)
+
+
+def _mp_bump(z):
+    # int_0^2 s^m e^{-zs} ds = gamma(m+1, 2z)/z^{m+1}
+    return sum(c * mpmath.gammainc(m + 1, 0, 2 * z) / z ** (m + 1)
+               for m, c in enumerate(_BUMP) if c)
+
+
+# (function, 80-digit g, exact k2 = g''(0) - 1, ulp of the residual's leading
+# term allowed) for every built-in that carries a log-defect L, whose series
+# coefficients are exact to rounding, and for two from_measure functions,
+# whose coefficients come from rounded raw moments: the bump's c_3, 0 in
+# exact arithmetic, comes out 6e-16 against c_2 = 1/14, which leaves
+# |c_3/c_2| |w| <= 64 ulp of the leading term below the series radius
+_MP = mp_eval_map()
+_WITH_L = [(g, _MP[g.name], k2, 0) for g, k2 in (
+    (cmfun.euler(), 1), (cmfun.spline(), Fraction(1, 3)), (cmfun.kendall(0.5), 1),
+    (cmfun.yosida(1.0), 2), (cmfun.hille(), 1), (cmfun.chung((0.25, 0.5, 0.25), 1.0), 1.5))]
+_WITH_L += [
+    (cmfun.from_measure(cmfun.PositiveMeasure(
+        segments=(cmfun.PolyExpSegment(0.0, math.inf, (1.0,), 1.0),))), _MP["euler"], 1, 64),
+    (cmfun.from_measure(cmfun.PositiveMeasure(
+        segments=(cmfun.PolyExpSegment(0.0, 2.0, _BUMP),))), _mp_bump, Fraction(1, 7), 64),
+]
+_MODULI = st.floats(-8.0, 3.0).map(lambda e: 10.0 ** e)
+_Z = st.one_of(
+    st.builds(lambda r, s: complex(0.0, s * r), _MODULI, st.sampled_from([1.0, -1.0])),
+    st.builds(complex, _MODULI, st.just(0.0)),                              # positive axis
+    st.builds(lambda r, th: r * cmath.exp(1j * th), _MODULI, st.floats(-1.5, 1.5)),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(k=st.integers(0, len(_WITH_L) - 1), n=st.integers(1, 2 ** 16),
+       zs=st.lists(_Z, min_size=1, max_size=8))
+def test_defect_and_residual_match_mpmath(k, n, zs):
+    # g_n(z) - e^{-z} and g_n(z) - e^{-z} - k2/(2n) z^2 e^{-z} against 80 digits,
+    # within 1e-12 relative.  Allowed on top: where |L_n(z)| > 1, the direct
+    # difference of g_n(z) and e^{-z}, 4 ulp of them times 1 + |z| (the
+    # exponent of g_n carries |z| ulp), which matters only near the zeros of
+    # the defect; for the residual of a from_measure function, the ulp of its
+    # leading term listed above.  Below the smallest normal double nothing is
+    # relative.
+    g, mp_g, k2, lead_ulp = _WITH_L[k]
+    gn = cmfun.power_scale(g, n)
+    z = np.array(zs)
+    got_d, got_r = gn.defect(z), gn.residual(z)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    k2 = Fraction(k2)
+    with mpmath.workdps(80):
+        for zi, d, r in zip(zs, got_d, got_r):
+            zm = mpmath.mpc(zi)
+            gz, ez = mp_g(zm / n) ** n, mpmath.exp(-zm)
+            lead = mpmath.mpf(k2.numerator) / k2.denominator / (2 * n) * zm ** 2 * ez
+            direct = abs(n * (mpmath.log(mp_g(zm / n)) + zm / n)) > 1
+            terms = 4 * eps * (1 + abs(zi)) * float(abs(gz) + abs(ez) + abs(lead)) if direct else 0.0
+            want_d, want_r = complex(gz - ez), complex(gz - ez - lead)
+            assert abs(d - want_d) <= 1e-12 * abs(want_d) + terms + tiny, (g.name, n, zi)
+            assert abs(r - want_r) <= (1e-12 * abs(want_r) + lead_ulp * eps * float(abs(lead))
+                                       + terms + tiny), (g.name, n, zi)
+
+
+def test_zero_log_defect_is_exact():
+    # exp, kendall:t=1 and the measure delta_1 are e^{-z}: L = 0, so defect and
+    # residual are exact zeros
+    z = np.array([1e-8, 0.5, 30.0, 2.0j, 1e3 * cmath.exp(0.7j)])
+    delta_1 = cmfun.from_measure(cmfun.PositiveMeasure(atoms=((1.0, 1.0),)))
+    for g in (cmfun.exponential(), cmfun.kendall(1.0), delta_1):
+        for n in (1, 7, 2 ** 16):
+            gn = cmfun.power_scale(g, n)
+            assert not np.any(gn.defect(z)) and not np.any(gn.residual(z))
 
 
 # ----------------------------------------------------------------------
@@ -191,6 +252,18 @@ def test_euler_exact_against_mpmath(n):
                 log_ratio = mpmath.loggamma(n + a) - a * mpmath.log(n) - mpmath.loggamma(n)
                 want = -mpmath.expm1(log_ratio) / (a * (1 - a))
             assert F.euler_c_alpha_exact(n, alpha) == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [4 ** k for k in range(7)])
+@pytest.mark.parametrize("g", [cmfun.euler(), cmfun.from_measure(cmfun.PositiveMeasure(
+    segments=(cmfun.PolyExpSegment(0.0, math.inf, (1.0,), 1.0),)))], ids=["euler", "measure"])
+def test_c_alpha_quadrature_matches_euler_closed_form(g, n):
+    # the quadrature of the cancellation-free defect of g_n against the closed
+    # form, for Euler's g and for the Laplace transform of its measure e^{-s} ds
+    for alpha in (0.0, 0.5, 1.0):
+        qv = F.c_alpha_quad(cmfun.power_scale(g, n), alpha)
+        assert qv.converged
+        assert qv.value == pytest.approx(F.euler_c_alpha_exact(n, alpha), rel=1e-11, abs=0.0)
 
 
 def test_euler_exact_envelopes():

@@ -79,6 +79,55 @@ def test_integrate_semi_infinite_divergent_flags():
     assert not res.converged
 
 
+def test_integrate_panels_in_one_pass():
+    # arrays of edges give the integral over each panel, shaped like the edges
+    got = quadrature.integrate(lambda x: x ** 2, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+    assert got == pytest.approx([1.0 / 3.0, 7.0 / 3.0, 19.0 / 3.0], rel=1e-14)
+    assert quadrature.integrate(lambda x: x, np.zeros((1, 2)), np.ones((1, 2))).shape == (1, 2)
+
+
+def _count_integrate_calls(monkeypatch):
+    """Count the calls of quadrature.integrate, looked up as the tracer does."""
+    calls = []
+    inner = quadrature.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", counted)
+    return calls
+
+
+def test_semi_infinite_is_one_integrate_call(monkeypatch):
+    calls = _count_integrate_calls(monkeypatch)
+    # e^{-z}: [31, 63] and [63, 127] are the first two quiet panels
+    res = quadrature.integrate_semi_infinite(lambda z: np.exp(-z), 0.0)
+    assert res.converged and res.upper_limit == 127.0
+    assert res.value == pytest.approx(1.0, rel=1e-14)
+    # 1/z^2 from 1: the panel [2^k, 2^{k+1}] holds 2^{-k-1}, quiet from k = 43 on
+    res = quadrature.integrate_semi_infinite(lambda z: z ** -2.0, 1.0)
+    assert res.converged and res.upper_limit == 2.0 ** 45
+    assert res.value == pytest.approx(1.0 - 2.0 ** -45, rel=1e-14)
+    # 1/z never quiets: every panel up to the span cap is summed
+    res = quadrature.integrate_semi_infinite(lambda z: 1.0 / z, 1.0, max_span=1e6)
+    assert not res.converged and res.upper_limit == 2.0 ** 20
+    assert res.value == pytest.approx(20.0 * math.log(2.0), rel=1e-12)
+    # head breakpoints join the same call; e^{-40} is already quiet
+    res = quadrature.integrate_semi_infinite(lambda z: np.exp(-z), (0.0, 1.0, 40.0))
+    assert res.converged and res.upper_limit == 43.0
+    assert res.value == pytest.approx(1.0, rel=1e-12)
+    assert len(calls) == 4
+
+
+def test_semi_infinite_accepts_an_overflowing_far_tail():
+    # s^30 overflows to inf far out, where e^{-s} is 0: those panels give nan
+    # and are accepted as they are, after the sum has stopped
+    res = quadrature.integrate_semi_infinite(lambda s: s ** 30 * np.exp(-s), 0.0)
+    assert res.converged
+    assert res.value == pytest.approx(math.factorial(30), rel=1e-13)
+
+
 def test_monomial_exp_integral_against_quadrature():
     for m, c, a, b in ((0, 1.0, 0.0, 3.0), (2, 0.5, 1.0, 4.0), (5, 2.0, 0.0, math.inf),
                        (3, 0.0, 0.0, 2.0)):

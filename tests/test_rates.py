@@ -1,6 +1,7 @@
 """Verification harness: order fits, slack policy, bound suites, sharpness."""
 
 import csv
+import dataclasses
 import math
 
 import mpmath
@@ -40,15 +41,19 @@ def test_fit_order_degenerate():
 
 
 def test_spectral_order_floor_follows_the_semigroup_scale():
-    # exp is the semigroup itself, so its weighted defect is roundoff at every n,
-    # spread over a decade: against the largest point it looks like a rate,
-    # against ||e^{-tA} A^{-alpha}|| it is exact
+    # e^{-z} without its log-defect takes the direct difference, so its
+    # weighted defect is roundoff at every n, spread over a decade: against
+    # the largest point it looks like a rate, against ||e^{-tA} A^{-alpha}||
+    # it is exact
     A = opcalc.laplacian_dirichlet_1d(16)
-    g, ns, weight = cmfun.exponential(), (4, 8, 16, 32), 1.0 / A.eigs
+    g = dataclasses.replace(cmfun.exponential(), name="exp-direct", log_defect=None)
+    ns, weight = (4, 8, 16, 32), 1.0 / A.eigs
     pts = [(n, rates._opnorm(A, rates._defect(g, A, 1.0, n) * weight)) for n in ns]
     assert fit_order(pts).used_points == 4
     fit = rates.spectral_order(g, A, 1.0, ns, alpha=1.0)
     assert fit.flag == "exact" and fit.used_points == 0
+    # exp itself carries L = 0, and its defect is an exact zero
+    assert not np.any(rates._defect(cmfun.exponential(), A, 1.0, 4))
     # a genuine rate stays above the floor
     fit = rates.spectral_order(cmfun.euler(), A, 1.0, ns, alpha=1.0)
     assert fit.used_points == 4 and fit.slope == pytest.approx(-1.0, abs=0.1)
