@@ -100,7 +100,10 @@ def _check_grid(key: str, values) -> list:
 
 
 def _load_config(args) -> dict:
-    """--config entries overridden by the flags given, every grid checked."""
+    """--config entries overridden by the flags given, every grid checked
+    (and --json only with --out)."""
+    if getattr(args, "json", False) and not args.out:
+        _usage_error("--json writes a mirror of the --out file, so it needs --out")
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -167,7 +170,7 @@ def cmd_functionals(args) -> int:
     fields = ["g", "n", "alpha", "L", "a", "b", "c_alpha_quadrature",
               "c_alpha_exact", "d0", "d1", "residual_flags"]
     write_csv(args.out, fields, rows)
-    if args.json and args.out:
+    if args.json:
         write_json(args.out + ".json", rows)
     return 0
 
@@ -183,7 +186,7 @@ def cmd_verify_bounds(args) -> int:
     rows.sort(key=lambda r: (r["scheme"], r["generator"], r["t"], r["n"],
                              r["alpha"], r["vector_id"]))
     write_csv(args.out, BOUND_FIELDS, rows)
-    if args.json and args.out:
+    if args.json:
         write_json(args.out + ".json", rows)
     return FAILURE if any(not r["pass"] for r in rows) else 0
 
@@ -250,7 +253,7 @@ def cmd_report(args) -> int:
 OPTIONS = {
     "config": {"help": "JSON config file"},
     "out": {"help": "output CSV path (default: stdout)"},
-    "json": {"action": "store_true", "help": "also write a JSON mirror"},
+    "json": {"action": "store_true", "help": "also write a JSON mirror at OUT.json (needs --out)"},
     "seed": {"type": lambda s: int(s, 0), "default": opcalc.DEFAULT_SEED},
     **{name: {} for name in ("scheme", "generator", "suite", "t", "n", "alpha")},
 }

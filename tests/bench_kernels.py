@@ -14,7 +14,8 @@ kernel's series/continued-fraction switch.
 The holomorphic case is one (t, n) cell of the `holo` suite on
 `laplacian:d=2048` with Euler's scheme and its closed-form r_{alpha,n}, so
 that it times the operator side only: the DST-I eigenbasis and the
-eigenvalue-array norms.
+eigenvalue-array norms.  The generator case builds `laplacian:d=4096`,
+its eigenvalues and DST-I basis without a dense matrix.
 """
 
 import pytest
@@ -62,3 +63,8 @@ def test_bench_holomorphic_bounds_cell(benchmark):
     rows = benchmark(rates.holomorphic_bounds, cmfun.euler(), A, 1.0, 16, (0.0, 0.5, 1.0),
                      vectors)
     assert len(rows) == 41 and all(r.passed for r in rows)
+
+
+def test_bench_make_generator(benchmark):
+    A = benchmark(opcalc.make_generator, "laplacian:d=4096")
+    assert A.dim == 4096

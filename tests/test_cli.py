@@ -548,6 +548,10 @@ def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
     (["functionals", "--g", "euler", "--alpha", "nan"], "--alpha nan is not a finite number"),
     (["sharpness", "--n", "1.5"], "--n 1.5 is not a whole number >= 1"),
     (["orders", "--config", "cfg.json"], "--t -1 is not a positive finite number"),
+    (["functionals", "--g", "euler", "--n", "1", "--alpha", "0", "--json"],
+     "--json writes a mirror of the --out file, so it needs --out"),
+    (["verify-bounds", "--n", "4", "--json"],
+     "--json writes a mirror of the --out file, so it needs --out"),
 ])
 def test_grid_values_are_checked_before_any_work(argv, message, tmp_path, monkeypatch,
                                                  capsys):

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,16 +39,33 @@ def _nilpotent():
 # gallery
 # ----------------------------------------------------------------------
 
+def _laplacian(d):
+    """The Dirichlet Laplacian from its definition: tridiagonal (2, -1)."""
+    return 2.0 * np.eye(d) - np.eye(d, k=1) - np.eye(d, k=-1)
+
+
+def _advection(d):
+    """Periodic upwind advection from its definition: d (I - S), S the cyclic lower shift."""
+    return d * (np.eye(d) - np.roll(np.eye(d), 1, axis=0))
+
+
+def _diag_imag(k):
+    return np.diag(1j * (-1.0) ** np.arange(k) * np.logspace(-1, 2, k))
+
+
+def _diag_pos(k):
+    return np.diag(np.logspace(-2, 2, k))
+
+
 def test_laplacian_small_spectrum():
     A = laplacian_dirichlet_1d(3)
     expected = sorted([2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)])
-    got = sorted(np.linalg.eigvalsh(A.matrix.real))
-    assert np.allclose(got, expected, atol=1e-12)
+    assert np.allclose(sorted(np.linalg.eigvalsh(_laplacian(3))), expected, atol=1e-12)
     assert np.allclose(sorted(A.eigs.real), expected, atol=1e-12)
-    # the basis reproduces the matrix (checked in __post_init__, but
-    # assert the eigenbasis is orthonormal too)
+    # the eigenbasis is orthonormal and diagonalizes the tridiagonal matrix
     V, Vinv = A.basis.apply(np.eye(3)), A.basis.solve(np.eye(3))
     assert np.allclose(V @ Vinv, np.eye(3), atol=1e-12)
+    assert np.allclose(Vinv @ _laplacian(3) @ V, np.diag(A.eigs), atol=1e-12)
 
 
 def _sine_factor(d):
@@ -61,26 +79,39 @@ def _fourier_factor(d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
-@pytest.mark.parametrize("build, factor", [(laplacian_dirichlet_1d, _sine_factor),
-                                           (advection_periodic, _fourier_factor)])
-def test_gallery_basis_is_the_explicit_eigenbasis(build, factor, d):
-    A = build(d)
+@pytest.mark.parametrize("build, explicit, factor", [
+    (laplacian_dirichlet_1d, _laplacian, _sine_factor),
+    (advection_periodic, _advection, _fourier_factor),
+    (diag_imag, _diag_imag, np.eye),
+    (diag_positive, _diag_pos, np.eye),
+])
+def test_gallery_basis_is_the_explicit_eigenbasis(build, explicit, factor, d):
+    # the gallery carries no matrix: its eigenvalues and basis must rebuild
+    # the operator's closed form
+    A, M = build(d), explicit(d)
     eye = np.eye(d, dtype=complex)
     V, Vinv = A.basis.apply(eye), A.basis.solve(eye)
     assert np.max(np.abs(V - factor(d))) <= 1e-13
-    assert np.max(np.abs(A.basis.solve(V) - eye)) <= 1e-13
+    assert np.max(np.abs(Vinv @ V - eye)) <= 1e-13
     assert np.max(np.abs(V.conj().T @ V - eye)) <= 1e-13
-    scale = np.max(np.abs(A.matrix))
-    assert np.max(np.abs(V @ np.diag(A.eigs) @ Vinv - A.matrix)) <= 1e-13 * scale
-    assert np.max(np.abs(A.spectral_map(lambda lam: lam) - A.matrix)) <= 1e-13 * scale
+    scale = max(np.max(np.abs(M)), 1.0)
+    assert np.max(np.abs(V @ np.diag(A.eigs) @ Vinv - M)) <= 1e-13 * scale
+    assert np.max(np.abs(A.matrix - M)) <= 1e-13 * scale
     assert A.unitary and semigroup_constants(A).kappa == 1.0
 
 
 def test_construction_check_rejects_wrong_decompositions():
-    # eigenvalues out of the basis' order, for the probed DST and DFT bases
-    for A in (laplacian_dirichlet_1d(8), advection_periodic(8)):
+    L = laplacian_dirichlet_1d(8)
+    # the right eigenvalues pass; out of the basis' order they fail
+    for M, A in ((_laplacian(8), L), (_advection(8), advection_periodic(8))):
+        assert np.array_equal(GeneratorMatrix(M, eigs=A.eigs, basis=A.basis).matrix, M)
         with pytest.raises(ValueError, match="do not reproduce"):
-            GeneratorMatrix(A.matrix, eigs=A.eigs[::-1], basis=A.basis)
+            GeneratorMatrix(M, eigs=A.eigs[::-1], basis=A.basis)
+    # one off-diagonal entry of the Laplacian off by 1e-6
+    M = _laplacian(8)
+    M[2, 3] += 1e-6
+    with pytest.raises(ValueError, match="do not reproduce"):
+        GeneratorMatrix(M, eigs=L.eigs, basis=L.basis)
     # a Vinv that is not the inverse of V, though V diag(eigs) V^{-1} is the matrix
     rng = np.random.default_rng(3)
     V = np.eye(4) + 0.5 * np.triu(rng.standard_normal((4, 4)), 1)
@@ -96,12 +127,30 @@ def test_construction_check_rejects_wrong_decompositions():
         GeneratorMatrix(np.array([[1.0, 1e-5], [0.0, 2.0]]), eigs=np.array([1.0, 2.0]),
                         basis=DenseBasis(V, Vinv))
     # a non-diagonal matrix without a basis
-    L = laplacian_dirichlet_1d(8)
     with pytest.raises(ValueError, match="do not reproduce"):
-        GeneratorMatrix(L.matrix, eigs=L.eigs)
-    # a basis without eigenvalues
+        GeneratorMatrix(_laplacian(8), eigs=L.eigs)
+    # a basis without eigenvalues, and a generator with neither matrix nor eigenvalues
     with pytest.raises(ValueError, match="needs its eigenvalues"):
         GeneratorMatrix(M, basis=DenseBasis(V, Vinv))
+    with pytest.raises(ValueError, match="without them its matrix"):
+        GeneratorMatrix(name="empty")
+
+
+def test_cli_path_forms_no_dense_matrix():
+    # a gallery generator, its test vectors and a holo cell work on arrays of
+    # length d: one complex d x d array at d = 2048 would be 64 MiB
+    from cmapprox import rates
+
+    tracemalloc.start()
+    try:
+        A = make_generator("laplacian:d=2048")
+        vectors = opcalc.test_vectors(A)
+        rows = rates.holomorphic_bounds(cmfun.euler(), A, 1.0, 16, (0.0, 0.5, 1.0), vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 41
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_advection_eigs():
