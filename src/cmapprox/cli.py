@@ -154,8 +154,11 @@ def cmd_functionals(args) -> int:
         a = fns.a_of(gn) if math.isfinite(gn.moments[2]) else math.nan
         b = fns.b_of(gn) if math.isfinite(gn.moments[3]) else math.nan
         d0 = fns.d0_of(gn) if math.isfinite(gn.moments[4]) else math.nan
+        with_d1 = math.isfinite(gn.moments[4]) and gn.tail_integrable
+        # one quadrature for every alpha of g_n: the grid's, and 0 and 1 for d1
+        fns.c_alpha_quads(gn, [*alphas, 0.0, 1.0] if with_d1 else alphas)
         try:
-            d1 = fns.d1_of(gn) if math.isfinite(gn.moments[4]) and gn.tail_integrable else math.nan
+            d1 = fns.d1_of(gn) if with_d1 else math.nan
         except fns.DivergentError:
             d1 = math.nan
         for alpha in alphas:

@@ -16,16 +16,17 @@ of the weight against the G construction) and a z-quadrature route that
 only needs pointwise values of g (used for power-scaled functions whose
 measure is not materialized).  The quadrature route integrates Delta_alpha
 from `CMFunction.defect`, which for a g with a log-defect L_n is
-e^{-z} expm1(L_n(z)) and so keeps full relative precision at small z; the
-head [0, 1, 40] and the dyadic tail of each c_alpha go to one batched
-quadrature call.
+e^{-z} expm1(L_n(z)) and so keeps full relative precision at small z.  All
+the alphas asked for one g share one semi-infinite quadrature of a
+vector-valued integrand: the defect is evaluated once per point and divided
+by each power of z, and the head panel [0, 1] is taken in z = x^2, where
+the integrand is smooth for every alpha.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
     "c_alpha",
     "c_alpha_measure",
     "c_alpha_quad",
+    "c_alpha_quads",
     "euler_c_alpha_exact",
     "a_of",
     "b_of",
@@ -256,7 +258,8 @@ class QuadValue:
 
 
 def c_alpha_quad(g: CMFunction, alpha: float, rel_tol: float = 1e-11) -> QuadValue:
-    """c_alpha[g] = Gamma(2-alpha)^{-1} int_0^inf Delta_{1+alpha}(z) dz.
+    """c_alpha[g] = Gamma(2-alpha)^{-1} int_0^inf Delta_{1+alpha}(z) dz, read
+    from `c_alpha_quads` (one alpha).
 
     Needs only pointwise values of g (through g.defect, with its log-defect
     where g carries one), so it applies to power-scaled functions without a
@@ -264,41 +267,76 @@ def c_alpha_quad(g: CMFunction, alpha: float, rel_tol: float = 1e-11) -> QuadVal
     When g(inf) = c > 0 the constant part of the tail is integrated
     analytically for alpha > 0; for alpha = 0 the integral genuinely
     diverges (logarithmically) and a truncated value is returned with
-    converged=False.  The quadrature runs once per (g, alpha, rel_tol)
-    in a process; later calls return the stored value.
+    converged=False.
     """
-    if not 0.0 <= alpha <= 1.0:
+    return c_alpha_quads(g, (alpha,), rel_tol)[float(alpha)]
+
+
+# (g, alpha, rel_tol) -> QuadValue: each c_alpha quadrature runs once per process
+_C_ALPHA: dict = {}
+# The tail stops once two dyadic panels each hold less than this share of
+# the sum, so the truncated rest is about this size: with the head summed
+# to roundoff, 1e-13 would leave it the largest error of Euler's c_0 (2.5e-14
+# relative at n = 64).  A 1/z tail (g_1 for Euler or the spline) still
+# stops at z = 2^49, inside the span of 1e15.
+TAIL_REL = 1e-14
+
+
+def c_alpha_quads(g: CMFunction, alphas, rel_tol: float = 1e-11) -> dict:
+    """{alpha: c_alpha_quad(g, alpha)} for every alpha in alphas.
+
+    The alphas not yet computed for (g, rel_tol) in this process share one
+    quadrature, since the costly part of the integrand, the defect of g, is
+    the same for all of them; the divergent alpha = 0 of a g with g(inf) > 0
+    takes its own.  The values are stored, and later calls read them.
+    """
+    alphas = sorted({float(a) for a in alphas})
+    if not all(0.0 <= a <= 1.0 for a in alphas):
         raise ValueError("alpha must lie in [0, 1]")
-    return _c_alpha_quadrature(g, alpha, rel_tol)
+    todo = [a for a in alphas if (g, a, rel_tol) not in _C_ALPHA]
+    batches = [todo]
+    if g.limit_at_inf > 0.0 and 0.0 in todo:
+        batches = [[0.0], todo[1:]]
+    for batch in batches:
+        if batch:
+            values = _c_alpha_quadrature(g, tuple(batch), rel_tol)
+            _C_ALPHA.update(((g, a, rel_tol), qv) for a, qv in zip(batch, values))
+    return {a: _C_ALPHA[(g, a, rel_tol)] for a in alphas}
 
 
-@lru_cache(maxsize=None)
-def _c_alpha_quadrature(g: CMFunction, alpha: float, rel_tol: float) -> QuadValue:
-    gamma_factor = 1.0 / math.gamma(2.0 - alpha)
+def _c_alpha_quadrature(g: CMFunction, alphas: tuple, rel_tol: float) -> list[QuadValue]:
+    """One quadrature of int_0^inf D(z) z^{-1-alpha} dz, D = g - e^{-z}, for
+    every alpha in alphas.  On the head panel [0, 1], z = x^2 turns
+    z^{1-alpha} at 0 into the smooth x^{3-2 alpha}; beyond it z = x."""
+    al = np.array(alphas)[:, None]
     c_inf = g.limit_at_inf
     z0 = 40.0
-    if c_inf == 0.0 or alpha == 0.0:
-        def integrand(z):
-            return delta(g, 1.0 + alpha, z)
-    else:
-        # beyond z0 the constant c_inf/z^{1+alpha} is integrated analytically
-        def integrand(z):
-            out = np.empty_like(z)
-            head = z < z0
-            out[head] = delta(g, 1.0 + alpha, z[head])
-            zt = z[~head]
-            out[~head] = (g(zt) - np.exp(-zt) - c_inf) / zt ** (1.0 + alpha)
-            return out
-
     # with c_inf > 0 and alpha = 0 the integral diverges (logarithmically):
-    # the truncation at z = 1e6 is returned and flagged
-    divergent = c_inf > 0.0 and alpha == 0.0
+    # the truncation at z = 1e6 is returned and flagged; for alpha > 0 the
+    # constant c_inf/z^{1+alpha} beyond z0 is integrated analytically
+    divergent = c_inf > 0.0 and alphas == (0.0,)
+    tail_const = 0.0 if divergent else c_inf
+
+    def integrand(x):
+        head = x < 1.0
+        z = np.where(head, x * x, x)
+        num = g.defect(z)
+        if tail_const > 0.0:
+            far = z >= z0
+            zt = z[far]
+            num[far] = g(zt) - np.exp(-zt) - tail_const
+        return np.where(head, 2.0 * x, 1.0) * num * z ** (-1.0 - al)
+
     res = quadrature.integrate_semi_infinite(integrand, (0.0, 1.0, z0), rel_tol=rel_tol,
+                                             tail_rel=TAIL_REL,
                                              max_span=1e6 if divergent else 1e15)
-    analytic = c_inf * z0 ** (-alpha) / alpha if c_inf > 0.0 and alpha > 0.0 else 0.0
-    converged = res.converged and not divergent
-    return QuadValue(gamma_factor * (res.value + analytic), converged,
-                     "" if converged else "tail_divergent")
+    out = []
+    for alpha, value, stopped in zip(alphas, res.value.tolist(), res.stopped.tolist()):
+        analytic = tail_const * z0 ** (-alpha) / alpha if tail_const > 0.0 else 0.0
+        converged = stopped and not divergent
+        out.append(QuadValue((value + analytic) * (1.0 / math.gamma(2.0 - alpha)), converged,
+                             "" if converged else "tail_divergent"))
+    return out
 
 
 def c_alpha(g: CMFunction, alpha: float) -> float:
@@ -365,8 +403,14 @@ def euler_c_alpha_exact(n: int, alpha: float) -> float:
 # ----------------------------------------------------------------------
 
 def a_of(g: CMFunction) -> float:
+    """a[g] = (g''(0) - 1)/2, read from the log-defect L_n(z) = n L(z/n) as
+    its z^2 coefficient c_2/n where g carries one: for g_n the moment
+    g_n''(0) = 1 + (g''(0) - 1)/n would cancel."""
     if not check_bk(g, 2):
         raise ValueError(f"{g.name}: a[g] requires B2")
+    L = g.log_defect
+    if L is not None:
+        return L.coeffs[0] / L.scale if L.coeffs else 0.0
     return 0.5 * (g.moments[2] - 1.0)
 
 
@@ -406,6 +450,8 @@ def d1_of(g: CMFunction) -> float:
     """
     if not check_bk(g, 4):
         raise ValueError(f"{g.name}: d1[g] requires B4")
+    if g.measure is None:
+        c_alpha_quads(g, (0.0, 1.0))
     return c_alpha(g, 0.0) - c_alpha(g, 1.0) - b_of(g)
 
 
@@ -429,8 +475,10 @@ def functional_values(g: CMFunction, alphas=(0.0, 0.25, 0.5, 0.75, 1.0)) -> Func
     d0 = d0_of(g) if check_bk(g, 4) else None
     cs = {}
     if check_bk(g, 2) and g.tail_integrable:
-        for al in alphas:
-            cs[al] = c_alpha(g, al) if has_measure else c_alpha_quad(g, al).value
+        if has_measure:
+            cs = {al: c_alpha(g, al) for al in alphas}
+        else:
+            cs = {al: qv.value for al, qv in c_alpha_quads(g, alphas).items()}
     d1 = d1_of(g) if (check_bk(g, 4) and g.tail_integrable) else None
     return FunctionalValues(
         name=g.name, L=L, a=a, b=b, d0=d0, d1=d1, c=cs,
@@ -454,8 +502,7 @@ def asymptotic_c_check(g: CMFunction, n_grid, alphas=(0.0, 0.25, 0.5, 0.75, 1.0)
     rows = []
     for n in n_grid:
         gn = power_scale(g, n)
-        for al in alphas:
-            qv = c_alpha_quad(gn, al)
+        for al, qv in c_alpha_quads(gn, alphas).items():
             resid = n ** 2 * abs(qv.value - lead / n)
             rows.append({
                 "n": n, "alpha": al, "c": qv.value,

@@ -45,19 +45,25 @@ class PolyExpSegment:
         self._check_nonnegative()
 
     def _check_nonnegative(self):
-        poly = np.polynomial.Polynomial(self.coeffs)
         probes = [self.a, self.b if not math.isinf(self.b) else self.a + 1.0]
-        for r in poly.roots():
+        for r in np.roots(self.coeffs[::-1]):
             if abs(r.imag) < 1e-12 and self.a < r.real < (self.b if not math.isinf(self.b) else math.inf):
                 probes.append(r.real)
         lo, hi = self.a, (self.b if not math.isinf(self.b) else self.a + 10.0)
         probes.extend(np.linspace(lo, hi, 17))
-        if min(poly(np.asarray(probes))) < -1e-12:
+        if min(self._poly(np.asarray(probes))) < -1e-12:
             raise ValueError("segment density is negative somewhere on its interval")
+
+    def _poly(self, s: np.ndarray) -> np.ndarray:
+        """p(s) by Horner."""
+        acc = np.zeros_like(s)
+        for c in self.coeffs[::-1]:
+            acc = acc * s + c
+        return acc
 
     def density(self, s):
         s = np.asarray(s, dtype=float)
-        val = np.polynomial.polynomial.polyval(s, np.asarray(self.coeffs)) * np.exp(-self.rate * s)
+        val = self._poly(s) * np.exp(-self.rate * s)
         return np.where((s >= self.a) & (s <= self.b), val, 0.0)
 
     def moment(self, k: int) -> float:

@@ -31,6 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .cmfun import CMFunction
+from .quadrature import _rule
 
 __all__ = [
     "GeneratorMatrix",
@@ -167,6 +168,12 @@ class GeneratorMatrix:
         self.basis = IdentityBasis() if basis is None else basis
         if matrix is not None:
             self.matrix = np.asarray(matrix, dtype=complex)
+            shape = self.matrix.shape
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise ValueError(f"{name}: a generator matrix must be square, got shape {shape}")
+            if self.eigs is not None and self.eigs.shape != shape[:1]:
+                raise ValueError(f"{name}: {self.eigs.size} eigenvalues for a "
+                                 f"{shape[0]} x {shape[0]} matrix")
         if self.eigs is None:
             if matrix is None or not isinstance(self.basis, IdentityBasis):
                 raise ValueError(f"{name}: an eigenbasis needs its eigenvalues, "
@@ -362,7 +369,7 @@ def _hp_quadrature(g: CMFunction, A: GeneratorMatrix, rel_tol: float = 1e-10) ->
     for loc, w in g.measure.atoms:
         out += w * scipy.linalg.expm(-loc * A.matrix)
 
-    x40, w40 = np.polynomial.legendre.leggauss(40)
+    x40, w40 = _rule(40)
 
     def panel(seg, a, b):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)

@@ -11,14 +11,23 @@ than taking a whole refinement level at once, so the node array, and with
 it the peak memory of the integrand's temporaries, stays the same size
 however many panels a level holds.
 
+An integrand may be vector-valued: given m points it returns k values for
+each, as a (k, m) array, and each of the k components gets its own
+tolerance, relative to its own sum.  A panel is accepted once every
+component passes.  A scalar integrand, returning m values, is the case
+k = 1.  So several integrals of one costly function (the same defect
+divided by different powers) share every evaluation of it.
+
 `integrate` takes one interval or arrays of panel edges.  Given panels, it
-refines them all together against one tolerance, relative to the whole
-integral, and returns the integral over each.  A semi-infinite integral is
-one such call: the caller's head breakpoints and dyadically widening tail
-panels up to a span cap, summed until two consecutive tail panels fall
-below a relative threshold.  A panel whose rule sums are not finite (an
-integrand that overflows far out in a tail) is accepted as it is rather
-than bisected.  Integrands are expected to be vectorized over numpy arrays.
+refines them all together and returns the integral over each.  A
+semi-infinite integral sends the caller's head breakpoints and the first
+dyadically widening tail panels to one such call, and further tail panels
+in stages of growing size, each only while some component has not met its
+stop rule (two consecutive tail panels below a relative threshold); the
+later stages keep the tolerance reference of what is already summed.  A
+panel whose rule sums are not finite (an integrand that overflows far out
+in a tail) is accepted as it is rather than bisected.  Integrands are
+expected to be vectorized over numpy arrays.
 """
 
 from __future__ import annotations
@@ -30,25 +39,47 @@ import numpy as np
 _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
+def _legendre(order: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_order(x) and P_order'(x) by the three-term recurrence (|x| < 1)."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, order + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, order * (x * p1 - p0) / (x * x - 1.0)
+
+
 def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1]: Newton on
+    the recurrence from Tricomi's starting values, w = 2/((1-x^2) P'(x)^2),
+    symmetrized."""
     if order not in _RULES:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _RULES[order] = (x, w)
+        k = np.arange(order, 0, -1)
+        x = np.cos(np.pi * (k - 0.25) / (order + 0.5))
+        for _ in range(100):
+            p, dp = _legendre(order, x)
+            step = p / dp
+            x = x - step
+            if np.all(np.abs(step) <= 1e-16):
+                break
+        _, dp = _legendre(order, x)
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
+        _RULES[order] = (0.5 * (x - x[::-1]), 0.5 * (w + w[::-1]))
     return _RULES[order]
 
 
 _BATCH = 128   # panels per integrand call after the first, which takes every root panel
 
 
-def integrate(f, a, b, rel_tol: float = 1e-12, abs_tol: float = 1e-15, max_depth: int = 40):
+def integrate(f, a, b, rel_tol: float = 1e-12, abs_tol: float = 1e-15, max_depth: int = 40,
+              scale=0.0):
     """Integral of f over [a, b] (0 when b <= a).
 
     For arrays a and b, the integrals over the panels [a_i, b_i] as an
     array: the root panels go to f in one call, and every panel is accepted
-    once its estimate is within rel_tol of the sum over all of them.
+    once its estimate is within rel_tol of the sum over all of them, or of
+    `scale` (one value, or one per component) if that is larger.  For an f
+    with k components the result has a leading axis of length k.
     """
     lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    totals = np.zeros(lo.size)
     x20, w20 = _rule(20)
     x40, w40 = _rule(40)
     nodes = np.concatenate([x20, x40])
@@ -56,7 +87,8 @@ def integrate(f, a, b, rel_tol: float = 1e-12, abs_tol: float = 1e-15, max_depth
     pend_root = np.flatnonzero(hi.ravel() > lo.ravel())
     pend_lo, pend_hi = lo.ravel()[pend_root], hi.ravel()[pend_root]
     pend_depth = np.zeros(pend_root.size, int)
-    rough = None
+    totals = rough = None
+    vector = False
     batch = pend_root.size
     while pend_lo.size:
         lo_b, hi_b, depth, root = (v[-batch:] for v in (pend_lo, pend_hi, pend_depth, pend_root))
@@ -66,30 +98,49 @@ def integrate(f, a, b, rel_tol: float = 1e-12, abs_tol: float = 1e-15, max_depth
         half = 0.5 * (hi_b - lo_b)
         x = mid[:, None] + half[:, None] * nodes
         with np.errstate(all="ignore"):
-            vals = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-            coarse = half * np.sum(w20 * vals[:, :20], axis=1)
-            fine = half * np.sum(w40 * vals[:, 20:], axis=1)
+            vals = np.asarray(f(x.ravel()), dtype=float)
+            vector = vals.ndim == 2
+            vals = vals.reshape(-1, *x.shape)
+            coarse = half * (vals[..., :20] @ w20)
+            fine = half * (vals[..., 20:] @ w40)
             finite = np.isfinite(fine) & np.isfinite(coarse)
-            if rough is None:  # the first batch holds every root panel
-                rough = float(np.sum(np.abs(coarse[finite]))) + abs_tol
-            total = float(np.sum(totals[np.isfinite(totals)]))
-            tol = max(abs_tol, rel_tol * max(rough, abs(total)))
-            done = (np.abs(fine - coarse) <= tol) | (depth >= max_depth) | ~finite
-            np.add.at(totals, root[done], fine[done])
+            if totals is None:  # the first batch holds every root panel
+                totals = np.zeros((len(vals), lo.size))
+                rough = np.sum(np.abs(np.where(finite, coarse, 0.0)), axis=1) + abs_tol
+            total = np.sum(np.where(np.isfinite(totals), totals, 0.0), axis=1)
+            tol = np.maximum(abs_tol, rel_tol * np.maximum(np.maximum(rough, np.abs(total)), scale))
+            passed = (np.abs(fine - coarse) <= tol[:, None]) | ~finite
+            done = np.all(passed, axis=0) | (depth >= max_depth)
+            np.add.at(totals.T, root[done], fine[:, done].T)
         split = ~done
         pend_lo = np.concatenate([pend_lo, lo_b[split], mid[split]])
         pend_hi = np.concatenate([pend_hi, mid[split], hi_b[split]])
         pend_depth = np.concatenate([pend_depth, depth[split] + 1, depth[split] + 1])
         pend_root = np.concatenate([pend_root, root[split], root[split]])
         batch = _BATCH
-    return float(totals[0]) if lo.ndim == 0 else totals.reshape(lo.shape)
+    if totals is None:   # no panel of positive width: f is never called
+        totals = np.zeros((1, lo.size))
+    out = totals.reshape(len(totals), *lo.shape)
+    if vector:
+        return out
+    return float(out[0]) if lo.ndim == 0 else out[0]
 
 
 @dataclass
 class TailResult:
-    value: float
-    converged: bool
-    upper_limit: float
+    """A semi-infinite integral: for a k-component integrand, `value`,
+    `stopped` and `upper_limit` hold one entry per component."""
+
+    value: float | np.ndarray
+    stopped: bool | np.ndarray      # whether the stop rule was met
+    upper_limit: float | np.ndarray
+
+    @property
+    def converged(self) -> bool:
+        return bool(np.all(self.stopped))
+
+
+_FIRST_STAGE = 4   # dyadic tail panels sent with the head; each later stage doubles
 
 
 def integrate_semi_infinite(f, a, rel_tol: float = 1e-12,
@@ -100,22 +151,53 @@ def integrate_semi_infinite(f, a, rel_tol: float = 1e-12,
 
     The panels between the breakpoints and the dyadic panels [b, b+w],
     [b+w, b+3w], ... beyond the last breakpoint b, as long as they start
-    less than max_span past it, are integrated by one call of `integrate`.
-    The result sums the breakpoint panels and then the dyadic ones up to
-    the first two consecutive dyadic panels that each fall below tail_rel
-    times the running total.  If no two do (a tail that decays too slowly
-    or not at all), every panel is summed and converged=False.
+    less than max_span past it, are summed in order up to the first two
+    consecutive dyadic panels that each fall below tail_rel times the
+    running total.  If no two do (a tail that decays too slowly or not at
+    all), every panel is summed and the component is not stopped.
+
+    The breakpoint panels and the first _FIRST_STAGE dyadic panels go to
+    one call of `integrate`; then the next 8, 16, ... dyadic panels, each
+    stage only while some component has not stopped, with the tolerance
+    reference carried over from the panels already summed.  For an f with
+    k components every component stops on its own.
     """
     breaks = np.atleast_1d(np.asarray(a, dtype=float))
     starts = first_width * (2.0 ** np.arange(64) - 1.0)
     edges = np.concatenate([breaks, breaks[-1] + starts[1:np.searchsorted(starts, max_span) + 1]])
-    pieces = integrate(f, edges[:-1], edges[1:], rel_tol=rel_tol)
+    head = breaks.size - 1
+    parts, size, end = [], _FIRST_STAGE, 0
+    while True:
+        start, end = end, min(edges.size - 1, (end if parts else head) + size)
+        ref = 0.0
+        if parts:
+            done = np.concatenate(parts, axis=1)
+            ref = np.sum(np.abs(np.where(np.isfinite(done), done, 0.0)), axis=1)
+        piece = integrate(f, edges[start:end], edges[start + 1:end + 1], rel_tol=rel_tol,
+                          scale=ref)
+        parts.append(piece if piece.ndim == 2 else piece[None])
+        pieces = np.concatenate(parts, axis=1)
+        stops = [_stop(p, head, tail_rel) for p in pieces]
+        if end == edges.size - 1 or None not in stops:
+            break
+        size *= 2
+    value, upper = [], []
+    for p, stop in zip(pieces, stops):
+        last = p.size - 1 if stop is None else stop
+        with np.errstate(invalid="ignore"):
+            value.append(float(np.cumsum(p)[last]))
+        upper.append(float(edges[last + 1]))
+    stopped = [s is not None for s in stops]
+    if piece.ndim == 1:
+        return TailResult(value[0], stopped[0], upper[0])
+    return TailResult(np.array(value), np.array(stopped), np.array(upper))
+
+
+def _stop(pieces: np.ndarray, head: int, tail_rel: float) -> int | None:
+    """Index of the second of the first two consecutive quiet tail panels
+    (panels from `head` on), or None."""
     with np.errstate(invalid="ignore"):   # panels past the stop may hold inf or nan
         running = np.cumsum(pieces)
-    head = breaks.size - 1
-    quiet = np.abs(pieces[head:]) <= tail_rel * np.maximum(np.abs(running[head:]), 1e-300)
+        quiet = np.abs(pieces[head:]) <= tail_rel * np.maximum(np.abs(running[head:]), 1e-300)
     stop = np.flatnonzero(quiet[1:] & quiet[:-1])
-    if stop.size:
-        last = head + stop[0] + 1
-        return TailResult(float(running[last]), True, float(edges[last + 1]))
-    return TailResult(float(running[-1]), False, float(edges[-1]))
+    return head + int(stop[0]) + 1 if stop.size else None

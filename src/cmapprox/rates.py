@@ -316,6 +316,9 @@ def holomorphic_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
     d = _defect(g, A, t, n)
     cell = _Cell(g, A, t, n, vectors, d)
     cell.rows.append(BoundReport(*cell.key, 0.0, -1, _opnorm(A, d), K * h / n, "holo-opnorm"))
+    quad = g.rational_n is None and gt is g and g.tail_integrable and g.measure is not None
+    if quad:   # one quadrature for every alpha of the suite
+        functionals.c_alpha_quads(power_scale(g, n), alphas)
     for alpha in alphas:
         nx = _frac_norms(A, alpha, cell.Y)
         if alpha == 1.0:
@@ -324,7 +327,7 @@ def holomorphic_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
             cell.add(alpha, "holo-frac", 3.0 * M0 * K * h / n * t ** alpha, nx)
         if g.rational_n is not None:
             c = euler_sharp_r(g.rational_n * n, alpha)
-        elif gt is g and g.tail_integrable and g.measure is not None:
+        elif quad:
             c = functionals.c_alpha_quad(power_scale(g, n), alpha).value
         else:
             continue

@@ -3,11 +3,14 @@
     PYTHONPATH=src python -m pytest tests/bench_kernels.py --benchmark-only
 
 The file name is outside the default `test_*.py` pattern, so a plain
-`pytest` run does not collect it.  The quadrature cases are the costliest
-quadrature of the `functionals` command: c_1 of the spline scheme at
-n = 1024, its head [0, 1] and the whole integral, whose 52 root panels
-(head breakpoints and dyadic tail) take 3,120 integrand points in one
-call.  The frac_tail case is the evaluation the non-B2 suite makes of
+`pytest` run does not collect it.  The quadrature cases come from the
+spline scheme at n = 1024.  The first integrates Delta_{3/2} over [0, 1]
+in z, where its z^{1/2} at 0 makes bisection go 15 levels deep (1,740
+points in 15 calls), so it times the refinement loop of `integrate`.  The
+second is the three-alpha cell of the `functionals` command, c_0, c_{1/2}
+and c_1 in one quadrature (the head [0, 1] in z = x^2, where the
+singularity is gone): 6 root panels, the head and the first tail stage,
+and 600 integrand points in 3 calls.  The frac_tail case is the evaluation the non-B2 suite makes of
 g(t lambda/n) on the 256 eigenvalues of `diag_imag:k=256,min=0.1,max=100`
 at t = 1, n = 4, which puts points on both sides of the power-law
 kernel's series/continued-fraction switch.
@@ -24,7 +27,7 @@ from cmapprox import cmfun, opcalc, quadrature, rates
 from cmapprox import functionals as F
 
 N = 1024
-ALPHA = 1.0
+ALPHAS = (0.0, 0.5, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -33,20 +36,20 @@ def spline_n():
 
 
 def test_bench_integrate_spline_defect(benchmark, spline_n):
-    # the head [0, 1] of c_1[g_1024]: Delta_2 of the spline power
-    value = benchmark(quadrature.integrate, lambda z: F.delta(spline_n, 1.0 + ALPHA, z),
+    # Delta_{3/2} of the spline power over [0, 1] in z
+    value = benchmark(quadrature.integrate, lambda z: F.delta(spline_n, 1.5, z),
                       0.0, 1.0, rel_tol=1e-11)
     assert value > 0.0
 
 
 def test_bench_c_alpha_quad(benchmark, spline_n):
-    # clear the per-process cache so that every round runs the quadrature
+    # clear the per-process store so that every round runs the quadrature
     def run():
-        F._c_alpha_quadrature.cache_clear()
-        return F.c_alpha_quad(spline_n, ALPHA)
+        F._C_ALPHA.clear()
+        return F.c_alpha_quads(spline_n, ALPHAS)
 
-    qv = benchmark(run)
-    assert qv.converged
+    values = benchmark(run)
+    assert all(qv.converged for qv in values.values())
 
 
 def test_bench_frac_tail_eval_at(benchmark):

@@ -247,15 +247,29 @@ def test_suites_refuse_alpha_outside_their_theorem(suite, alpha, admitted, monke
     assert "--alpha" in captured.err and alpha in captured.err and f"'{suite}'" in captured.err
 
 
-def test_holo_run_computes_each_c_alpha_once(tmp_path):
-    # 3 t x 4 n x 3 alpha cells ask for c_alpha[g_n] 36 times; 12 are distinct
-    fns._c_alpha_quadrature.cache_clear()
+def test_holo_run_computes_each_c_alpha_once(tmp_path, monkeypatch):
+    # 3 t x 4 n x 3 alpha cells ask for c_alpha[g_n] 36 times; 12 are distinct,
+    # and the 3 alphas of each of the 4 g_n share one quadrature
+    fns._C_ALPHA.clear()
     cmfun._power_scale.cache_clear()
+    quadratures, reads = [], []
+    inner_quad, inner_read = fns._c_alpha_quadrature, fns.c_alpha_quad
+
+    def quadrature(g, alphas, rel_tol):
+        quadratures.append((g.name, alphas))
+        return inner_quad(g, alphas, rel_tol)
+
+    def read(g, alpha, *args):
+        reads.append((g.name, alpha))
+        return inner_read(g, alpha, *args)
+
+    monkeypatch.setattr(fns, "_c_alpha_quadrature", quadrature)
+    monkeypatch.setattr(fns, "c_alpha_quad", read)
     assert cli.main(["verify-bounds", "--scheme", "spline", "--generator", "laplacian:d=16",
                      "--suite", "holo", "--t", "0.25,1,4", "--n", "4,16,64,256",
                      "--alpha", "0,0.5,1", "--out", str(tmp_path / "h.csv")]) == 0
-    info = fns._c_alpha_quadrature.cache_info()
-    assert (info.misses, info.hits) == (12, 24)
+    assert sorted(quadratures) == [(f"spline_pow{n}", (0.0, 0.5, 1.0)) for n in (16, 256, 4, 64)]
+    assert len(reads) == 36 and len(set(reads)) == 12
 
 
 def test_empty_list_names_the_flag(capsys):
@@ -437,6 +451,22 @@ def test_spectral_and_functional_commands_load_no_scipy(argv, tmp_path):
     run_cli = ("import sys; from cmapprox.cli import main; code = main(sys.argv[1:]); "
                "loaded = sorted(m for m in sys.modules if m.startswith('scipy')); "
                "assert not loaded, loaded; sys.exit(code)")
+    out = str(tmp_path / "out.csv")
+    proc = subprocess.run([sys.executable, "-c", run_cli, *argv, "--out", out],
+                          capture_output=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert len(_read_csv(out)) > 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["functionals", "--g", "spline", "--n", "1,4,1024", "--alpha", "0,0.5,1"],
+    ["verify-bounds", "--scheme", "euler", "--generator", "advection:d=64",
+     "--suite", "first", "--t", "1", "--n", "4,16", "--alpha", "1"],
+], ids=["functionals", "advection"])
+def test_commands_load_no_numpy_polynomial(argv, tmp_path):
+    # the Gauss-Legendre rule and polynomial densities take numpy alone
+    run_cli = ("import sys; from cmapprox.cli import main; code = main(sys.argv[1:]); "
+               "assert 'numpy.polynomial' not in sys.modules; sys.exit(code)")
     out = str(tmp_path / "out.csv")
     proc = subprocess.run([sys.executable, "-c", run_cli, *argv, "--out", out],
                           capture_output=True, env=_src_env(), timeout=120)

@@ -266,6 +266,51 @@ def test_c_alpha_quadrature_matches_euler_closed_form(g, n):
         assert qv.value == pytest.approx(F.euler_c_alpha_exact(n, alpha), rel=1e-11, abs=0.0)
 
 
+@pytest.mark.parametrize("n", [4 ** k for k in range(7)])
+def test_c_alpha_quadrature_interior_alphas(n):
+    # z^{1-alpha} at 0 becomes x^{3-2 alpha} under z = x^2 on the head panel
+    gn = cmfun.power_scale(cmfun.euler(), n)
+    for alpha in (0.1, 0.25, 0.5):
+        qv = F.c_alpha_quad(gn, alpha)
+        assert qv.converged
+        assert qv.value == pytest.approx(F.euler_c_alpha_exact(n, alpha), rel=1e-13, abs=0.0)
+
+
+def test_c_alpha_three_alphas_share_one_quadrature(monkeypatch):
+    # the spline at n = 1024: one semi-infinite quadrature for alphas 0, 0.5
+    # and 1, in a few integrand calls; the reads after it compute nothing
+    gn = cmfun.power_scale(cmfun.spline(), 1024)
+    for alpha in (0.0, 0.5, 1.0):
+        F._C_ALPHA.pop((gn, alpha, 1e-11), None)
+    points = []
+    inner = quadrature.integrate
+
+    def counted(f, *args, **kwargs):
+        def g(x):
+            points.append(x.size)
+            return f(x)
+        return inner(g, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", counted)
+    values = F.c_alpha_quads(gn, (1.0, 0.0, 0.5, 0.0))
+    assert list(values) == [0.0, 0.5, 1.0]
+    assert [F.c_alpha_quad(gn, a) for a in values] == list(values.values())
+    assert len(points) <= 6 and sum(points) <= 6000
+    assert all(qv.converged for qv in values.values())
+    # c_0 >= c_alpha >= c_1 and each near a[g_n] = (1/3)/(2n)
+    c = [qv.value for qv in values.values()]
+    assert c[0] > c[1] > c[2]
+    assert c == pytest.approx([1.0 / 6144.0] * 3, rel=1e-3)
+
+
+def test_a_of_power_reads_the_log_defect():
+    # g_n''(0) = 1 + (g''(0) - 1)/n cancels in (g_n''(0) - 1)/2; c_2/n does not
+    for n in (1024, 65536):
+        gn = cmfun.power_scale(cmfun.spline(), n)
+        assert F.a_of(gn) == pytest.approx(float(Fraction(1, 6 * n)), rel=1e-15, abs=0.0)
+    assert F.a_of(cmfun.exponential()) == 0.0
+
+
 def test_euler_exact_envelopes():
     for n in (1, 2, 7, 33, 64):
         c0 = F.euler_c_alpha_exact(n, 0.0)

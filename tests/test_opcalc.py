@@ -136,6 +136,16 @@ def test_construction_check_rejects_wrong_decompositions():
         GeneratorMatrix(name="empty")
 
 
+def test_construction_checks_shapes():
+    # each fails here, naming the generator, not later inside numpy
+    with pytest.raises(ValueError, match=r"wide: a generator matrix must be square.*\(2, 3\)"):
+        GeneratorMatrix(np.ones((2, 3)), name="wide")
+    with pytest.raises(ValueError, match="flat: a generator matrix must be square"):
+        GeneratorMatrix(np.ones(3), name="flat")
+    with pytest.raises(ValueError, match="short: 2 eigenvalues for a 3 x 3 matrix"):
+        GeneratorMatrix(np.eye(3), name="short", eigs=np.ones(2))
+
+
 def test_cli_path_forms_no_dense_matrix():
     # a gallery generator, its test vectors and a holo cell work on arrays of
     # length d: one complex d x d array at d = 2048 would be 64 MiB
