@@ -138,6 +138,8 @@ BOUND_FIELDS = ["scheme", "generator", "t", "n", "alpha", "vector_id",
 
 def cmd_functionals(args) -> int:
     cfg = _load_config(args)
+    alphas = cfg.get("alpha", [0.0, 0.5, 1.0])
+    _before_work(rates.check_alphas, alphas, 0.0, 1.0, "functionals")
     name = cfg.get("scheme") or args.g
     if not name:
         raise ValueError("--g is required")
@@ -145,7 +147,6 @@ def cmd_functionals(args) -> int:
     if isinstance(g, ScaledFamily):
         raise ValueError("functionals needs a fixed function (give t)")
     ns = cfg.get("n", [1])
-    alphas = cfg.get("alpha", [0.0, 0.5, 1.0])
     rows = []
     for n in ns:
         gn = power_scale(g, n)

@@ -1,26 +1,24 @@
 """Rate functionals of completely monotone approximations.
 
-Implements the defect Delta_alpha(z) = (g(z) - e^{-z})/z^alpha, the
-second-order density G with Delta_2 = Laplace(G), and the functionals
+For g = g_n with measure nu, defect D(z) = g(z) - e^{-z} and log-defect
+L_n(z) = log g(z) + z = sum_{k>=2} l_k z^k / n^{k-1}:
 
     L[g]   = int_0^1 (1-s) nu(ds)            (operator-norm driver)
-    a[g]   = int G        = (g''(0)-1)/2
-    b[g]   = int (1-s) G  = (3 g''(0)+g'''(0)-2)/6
-    c_a[g] = Gamma(2-a)^{-1} int Delta_{1+a} = int G(s) s^{a-2} ds
-    d0[g]  = int (1-s)^2 G
-    d1[g]  = int (1-s)^2 (1+s) s^{-2} G = c_0 - c_1 - b
+    a[g]   = (g''(0)-1)/2                    = l_2/n
+    b[g]   = int (1-s)^3/6 nu(ds)            = l_3/n^2
+    d0[g]  = int (1-s)^4/12 nu(ds)           = a^2 + 2 l_4/n^3
+    c_a[g] = Gamma(2-a)^{-1} int_0^inf D(z) z^{-1-a} dz
+    d1[g]  = c_0 - c_1 - b
 
-Each functional has two evaluation routes: a measure route (exact up to
-closed-form partial moments, via Fubini kernels K(tau) = the s-integral
-of the weight against the G construction) and a z-quadrature route that
-only needs pointwise values of g (used for power-scaled functions whose
-measure is not materialized).  The quadrature route integrates Delta_alpha
-from `CMFunction.defect`, which for a g with a log-defect L_n is
-e^{-z} expm1(L_n(z)) and so keeps full relative precision at small z.  All
-the alphas asked for one g share one semi-infinite quadrature of a
-vector-valued integrand: the defect is evaluated once per point and divided
-by each power of z, and the head panel [0, 1] is taken in z = x^2, where
-the integrand is smooth for every alpha.
+a, b and d0 are read from the series of L_n, which carries no
+cancellation; the moments of nu are O(1) while b and d0 are O(1/n^2).
+c_alpha integrates D from `CMFunction.defect`, e^{-z} expm1(L_n(z)), which
+keeps full relative precision at small z.  All the alphas asked for one g
+share one semi-infinite quadrature of a vector-valued integrand: the defect
+is evaluated once per point and divided by each power of z, and the head
+panel [0, 1] is taken in z = x^2, where the integrand is smooth for every
+alpha.  d1 reads c_0 and c_1 from that quadrature.  `c_alpha_measure`
+computes c_alpha = int K(tau) nu(dtau) from the measure instead, as a check.
 """
 
 from __future__ import annotations
@@ -31,19 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .cmfun import CMFunction, check_b1, check_bk, power_scale
+from .cmfun import CMFunction, check_bk
 
 __all__ = [
-    "GDensity",
-    "FunctionalValues",
-    "g_density",
-    "g0_density",
-    "delta",
     "functional_L",
-    "delta1_norm",
     "L_upper_bound",
     "L_scaled_bound",
-    "c_alpha",
     "c_alpha_measure",
     "c_alpha_quad",
     "c_alpha_quads",
@@ -52,9 +43,6 @@ __all__ = [
     "b_of",
     "d0_of",
     "d1_of",
-    "functional_values",
-    "asymptotic_c_check",
-    "check_polynomial_rate",
     "euler_power_L",
 ]
 
@@ -68,94 +56,15 @@ class DivergentError(ArithmeticError):
 
 
 # ----------------------------------------------------------------------
-# densities
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GDensity:
-    """The density G with Delta_2 = Laplace(G), evaluated from the measure,
-    or with pivot = 1 its companion G0:
-
-    G(s) = int_0^s (p - tau) nu(dtau)   for s in [0, 1],
-    G(s) = int_s^inf (tau - p) nu(dtau) for s > 1,
-
-    with p = s for G and p = 1 for G0.
-    """
-
-    g: CMFunction
-    pivot: float | None = None
-
-    def __call__(self, s):
-        nu = self.g.measure
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty_like(s_arr)
-        for i, si in enumerate(s_arr):
-            p = si if self.pivot is None else self.pivot
-            if si <= 1.0:
-                out[i] = p * nu.partial_moment(0, 0.0, si) - nu.partial_moment(1, 0.0, si)
-            else:
-                out[i] = nu.partial_moment(1, si, math.inf) - p * nu.partial_moment(0, si, math.inf)
-        return out if np.ndim(s) else float(out[0])
-
-    def peak(self) -> float:
-        """max G = G(1) = int_0^1 (1 - tau) nu(dtau)."""
-        return self(1.0)
-
-    def integral(self) -> float:
-        """int_0^inf G = int (1-tau)^2/2 nu(dtau) = (g''(0)-1)/2; twice that for G0."""
-        scale = 0.5 if self.pivot is None else 1.0
-        return scale * self.g.measure.kernel_integral(lambda tau: (1.0 - tau) ** 2)
-
-
-def g_density(g: CMFunction) -> GDensity:
-    if g.measure is None:
-        raise RequiresMeasureError(f"{g.name}: G density needs an explicit measure")
-    if not check_b1(g):
-        raise ValueError("G density defined on B1")
-    return GDensity(g)
-
-
-def g0_density(g: CMFunction) -> GDensity:
-    if g.measure is None:
-        raise RequiresMeasureError(f"{g.name}: G0 density needs an explicit measure")
-    return GDensity(g, pivot=1.0)
-
-
-# ----------------------------------------------------------------------
-# defect
-# ----------------------------------------------------------------------
-
-def delta(g: CMFunction, alpha: float, z):
-    """Delta_alpha(z) = (g(z) - e^{-z}) / z^alpha for z > 0 (vectorized), with the
-    difference from g.defect."""
-    z = np.asarray(z, dtype=float)
-    zz = np.where(z == 0.0, 1.0, z)
-    out = g.defect(zz) / zz ** alpha
-    if np.any(z == 0.0):
-        if alpha == 2.0 and math.isfinite(g.moments[2]):
-            out = np.where(z == 0.0, 0.5 * (g.moments[2] - 1.0), out)
-        else:
-            raise ValueError("Delta_alpha undefined at z = 0 unless alpha = 2 on B2")
-    return out
-
-
-# ----------------------------------------------------------------------
-# L and the Delta_1 norm
+# L
 # ----------------------------------------------------------------------
 
 def functional_L(g: CMFunction) -> float:
-    """L[g] = int_0^1 (1-s) nu(ds) (measure route)."""
+    """L[g] = int_0^1 (1-s) nu(ds), from the partial moments of the measure."""
     if g.measure is None:
         raise RequiresMeasureError(f"{g.name}: L needs an explicit measure")
     nu = g.measure
     return nu.partial_moment(0, 0.0, 1.0) - nu.partial_moment(1, 0.0, 1.0)
-
-
-def delta1_norm(g: CMFunction) -> float:
-    """The transform mass of Delta_1: int |1 - tau| nu(dtau) = 2 L[g]."""
-    if g.measure is None:
-        raise RequiresMeasureError(f"{g.name}: needs an explicit measure")
-    return g.measure.kernel_integral(lambda tau: np.abs(1.0 - tau))
 
 
 def L_upper_bound(g: CMFunction):
@@ -203,11 +112,11 @@ def euler_power_L(n: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# c_alpha: measure route, quadrature route, Euler closed form
+# c_alpha: through the measure, by quadrature, Euler's closed form
 # ----------------------------------------------------------------------
 
 def _c_kernel(tau: np.ndarray, alpha: float) -> np.ndarray:
-    """K(tau) with c_alpha[g] = int K(tau) nu(dtau) (Fubini through G).
+    """K(tau) with c_alpha[g] = int K(tau) nu(dtau) (Fubini).
 
     K(tau) = int_tau^1 (s-tau) s^{alpha-2} ds  for tau <= 1,
              int_1^tau (tau-s) s^{alpha-2} ds  for tau > 1.
@@ -239,10 +148,10 @@ def _c_kernel(tau: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def c_alpha_measure(g: CMFunction, alpha: float) -> float:
-    """c_alpha by the measure route; inf when the integral diverges
-    (e.g. alpha = 0 with an atom at the origin)."""
+    """c_alpha = int K(tau) nu(dtau) through the measure of g; inf when the
+    integral diverges (e.g. alpha = 0 with an atom at the origin)."""
     if g.measure is None:
-        raise RequiresMeasureError(f"{g.name}: measure route needs an explicit measure")
+        raise RequiresMeasureError(f"{g.name}: c_alpha_measure needs an explicit measure")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if alpha == 0.0 and g.measure.zero_atom_mass() > 0.0:
@@ -258,12 +167,13 @@ class QuadValue:
 
 
 def c_alpha_quad(g: CMFunction, alpha: float, rel_tol: float = 1e-11) -> QuadValue:
-    """c_alpha[g] = Gamma(2-alpha)^{-1} int_0^inf Delta_{1+alpha}(z) dz, read
+    """c_alpha[g] = Gamma(2-alpha)^{-1} int_0^inf D(z) z^{-1-alpha} dz, read
     from `c_alpha_quads` (one alpha).
 
-    Needs only pointwise values of g (through g.defect, with its log-defect
-    where g carries one), so it applies to power-scaled functions without a
-    measure.
+    Needs only pointwise values of g (through g.defect and its log-defect),
+    so it applies to power-scaled functions without a measure.  A g without
+    a log-defect gets nan, flagged no_log_defect: its direct difference
+    g(z) - e^{-z} is roundoff at small z.
     When g(inf) = c > 0 the constant part of the tail is integrated
     analytically for alpha > 0; for alpha = 0 the integral genuinely
     diverges (logarithmically) and a truncated value is returned with
@@ -293,6 +203,8 @@ def c_alpha_quads(g: CMFunction, alphas, rel_tol: float = 1e-11) -> dict:
     alphas = sorted({float(a) for a in alphas})
     if not all(0.0 <= a <= 1.0 for a in alphas):
         raise ValueError("alpha must lie in [0, 1]")
+    if g.log_defect is None:
+        return {a: QuadValue(math.nan, False, "no_log_defect") for a in alphas}
     todo = [a for a in alphas if (g, a, rel_tol) not in _C_ALPHA]
     batches = [todo]
     if g.limit_at_inf > 0.0 and 0.0 in todo:
@@ -337,16 +249,6 @@ def _c_alpha_quadrature(g: CMFunction, alphas: tuple, rel_tol: float) -> list[Qu
         out.append(QuadValue((value + analytic) * (1.0 / math.gamma(2.0 - alpha)), converged,
                              "" if converged else "tail_divergent"))
     return out
-
-
-def c_alpha(g: CMFunction, alpha: float) -> float:
-    """c_alpha by the best available route (measure preferred)."""
-    if g.measure is not None:
-        return c_alpha_measure(g, alpha)
-    qv = c_alpha_quad(g, alpha)
-    if not qv.converged:
-        raise DivergentError(f"c_{alpha}[{g.name}] diverges")
-    return qv.value
 
 
 # The large-n series below are summed at m = max(n, _SHIFT) and carried
@@ -399,137 +301,45 @@ def euler_c_alpha_exact(n: int, alpha: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# b, d0, d1
+# a, b, d0, d1
 # ----------------------------------------------------------------------
 
-def a_of(g: CMFunction) -> float:
-    """a[g] = (g''(0) - 1)/2, read from the log-defect L_n(z) = n L(z/n) as
-    its z^2 coefficient c_2/n where g carries one: for g_n the moment
-    g_n''(0) = 1 + (g''(0) - 1)/n would cancel."""
-    if not check_bk(g, 2):
-        raise ValueError(f"{g.name}: a[g] requires B2")
+def _log_defect_terms(g: CMFunction, k: int, what: str) -> list:
+    """[l_2/n, ..., l_k/n^{k-1}], the z^2..z^k coefficients of the log-defect
+    L_n of g = g_n, for g in B_k.  ValueError for a g outside B_k, and for
+    one without a log-defect."""
+    if not check_bk(g, k):
+        raise ValueError(f"{g.name}: {what} requires B{k}")
     L = g.log_defect
-    if L is not None:
-        return L.coeffs[0] / L.scale if L.coeffs else 0.0
-    return 0.5 * (g.moments[2] - 1.0)
+    if L is None:
+        raise ValueError(f"{g.name}: {what} is read from the log-defect, which it does not carry")
+    coeffs = L.coeffs[:k - 1] + (0.0,) * max(k - 1 - len(L.coeffs), 0)
+    return [c / float(L.scale) ** (j - 1) for j, c in enumerate(coeffs, start=2)]
 
 
-def b_of(g: CMFunction, route: str = "closed") -> float:
-    """b[g] = int (1-s) G(s) ds = (3 g''(0) + g'''(0) - 2)/6."""
-    if not check_bk(g, 3):
-        raise ValueError(f"{g.name}: b[g] requires B3")
-    if route == "closed":
-        return (3.0 * g.moments[2] - g.moments[3] - 2.0) / 6.0
-    if route == "measure":
-        if g.measure is None:
-            raise RequiresMeasureError(f"{g.name}: measure route needs a measure")
-        return g.measure.kernel_integral(lambda tau: (1.0 - tau) ** 3 / 6.0)
-    raise ValueError("route must be 'closed' or 'measure'")
+def a_of(g: CMFunction) -> float:
+    """a[g] = (g''(0) - 1)/2 = kappa_2/2 = l_2/n."""
+    return _log_defect_terms(g, 2, "a[g]")[0]
 
 
-def d0_of(g: CMFunction, route: str = "closed") -> float:
-    """d0[g] = int (1-s)^2 G(s) ds = (-3 + 6 g''(0) + 4 g'''(0) + g''''(0))/12."""
-    if not check_bk(g, 4):
-        raise ValueError(f"{g.name}: d0[g] requires B4")
-    if route == "closed":
-        return (-3.0 + 6.0 * g.moments[2] - 4.0 * g.moments[3] + g.moments[4]) / 12.0
-    if route == "measure":
-        if g.measure is None:
-            raise RequiresMeasureError(f"{g.name}: measure route needs a measure")
-        return g.measure.kernel_integral(lambda tau: (1.0 - tau) ** 4 / 12.0)
-    raise ValueError("route must be 'closed' or 'measure'")
+def b_of(g: CMFunction) -> float:
+    """b[g] = int (1-s)^3/6 nu(ds) = -kappa_3/6 = l_3/n^2."""
+    return _log_defect_terms(g, 3, "b[g]")[1]
+
+
+def d0_of(g: CMFunction) -> float:
+    """d0[g] = int (1-s)^4/12 nu(ds) = (kappa_4 + 3 kappa_2^2)/12 = a^2 + 2 l_4/n^3."""
+    a, _, l4 = _log_defect_terms(g, 4, "d0[g]")
+    return a * a + 2.0 * l4
 
 
 def d1_of(g: CMFunction) -> float:
-    """d1[g] = int (1-s)^2 (1+s) s^{-2} G(s) ds = c_0[g] - c_1[g] - b[g].
-
-    Computed through the identity so that it is available for
-    power-scaled functions without a materialized measure.  When g(inf) > 0,
-    c_0 diverges: the measure route gives inf, and the quadrature route
-    raises DivergentError rather than return a truncated value.
-    """
-    if not check_bk(g, 4):
-        raise ValueError(f"{g.name}: d1[g] requires B4")
-    if g.measure is None:
-        c_alpha_quads(g, (0.0, 1.0))
-    return c_alpha(g, 0.0) - c_alpha(g, 1.0) - b_of(g)
-
-
-@dataclass(frozen=True)
-class FunctionalValues:
-    name: str
-    L: float
-    a: float
-    b: float | None
-    d0: float | None
-    d1: float | None
-    c: dict
-    provenance: str
-
-
-def functional_values(g: CMFunction, alphas=(0.0, 0.25, 0.5, 0.75, 1.0)) -> FunctionalValues:
-    has_measure = g.measure is not None
-    L = functional_L(g) if has_measure else math.nan
-    a = a_of(g) if check_bk(g, 2) else math.nan
-    b = b_of(g) if check_bk(g, 3) else None
-    d0 = d0_of(g) if check_bk(g, 4) else None
-    cs = {}
-    if check_bk(g, 2) and g.tail_integrable:
-        if has_measure:
-            cs = {al: c_alpha(g, al) for al in alphas}
-        else:
-            cs = {al: qv.value for al, qv in c_alpha_quads(g, alphas).items()}
-    d1 = d1_of(g) if (check_bk(g, 4) and g.tail_integrable) else None
-    return FunctionalValues(
-        name=g.name, L=L, a=a, b=b, d0=d0, d1=d1, c=cs,
-        provenance="measure" if has_measure else "quadrature",
-    )
-
-
-# ----------------------------------------------------------------------
-# reports
-# ----------------------------------------------------------------------
-
-def asymptotic_c_check(g: CMFunction, n_grid, alphas=(0.0, 0.25, 0.5, 0.75, 1.0)):
-    """Scaled residuals n^2 |c_alpha[g_n] - (g''(0)-1)/(2n)| over a grid.
-
-    Returns a list of rows {n, alpha, c, resid_scaled, flag}; the caller
-    asserts boundedness / reports the fitted constant.
-    """
-    if not check_bk(g, 2):
-        raise ValueError("asymptotic check requires B2")
-    lead = 0.5 * (g.moments[2] - 1.0)
-    rows = []
-    for n in n_grid:
-        gn = power_scale(g, n)
-        for al, qv in c_alpha_quads(gn, alphas).items():
-            resid = n ** 2 * abs(qv.value - lead / n)
-            rows.append({
-                "n": n, "alpha": al, "c": qv.value,
-                "resid_scaled": resid,
-                "flag": qv.flag,
-            })
-    return rows
-
-
-def check_polynomial_rate(g: CMFunction, gamma: float,
-                          tau_grid=None, n_grid=None):
-    """Fitted constants for the three equivalent polynomial-decay conditions:
-
-    (i)   g''(tau) <= c1 tau^{gamma-1} on (0, 1],
-    (ii)  int_0^s tau^2 nu(dtau) <= c2 s^{1-gamma},
-    (iii) 1 + g'(1/n) <= c3 n^{-gamma}.
-    """
-    if tau_grid is None:
-        tau_grid = np.logspace(-4, 0, 25)
-    if n_grid is None:
-        n_grid = [2 ** k for k in range(0, 15)]
-    c1 = max(g.derivative(t, 2) * t ** (1.0 - gamma) for t in tau_grid)
-    c2 = math.nan
-    if g.measure is not None:
-        c2 = max(
-            g.measure.partial_moment(2, 0.0, s) * s ** (gamma - 1.0)
-            for s in np.logspace(-2, 4, 25)
-        )
-    c3 = max((1.0 + g.derivative(1.0 / n, 1)) * n ** gamma for n in n_grid)
-    return {"c_second_deriv": c1, "c_truncated_moment": c2, "c_scaled_slope": c3}
+    """d1[g] = c_0[g] - c_1[g] - b[g], with c_0 and c_1 from `c_alpha_quads`.
+    When g(inf) > 0, c_0 diverges and DivergentError is raised rather than
+    a truncated value returned."""
+    b = _log_defect_terms(g, 4, "d1[g]")[1]
+    c = c_alpha_quads(g, (0.0, 1.0))
+    for alpha, qv in c.items():
+        if not qv.converged:
+            raise DivergentError(f"d1[{g.name}]: c_{alpha:g} has not converged ({qv.flag})")
+    return c[0.0].value - c[1.0].value - b

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import mpmath
-import pytest
 
 from cmapprox import cmfun
 
@@ -85,8 +84,3 @@ def mp_derivative_at_zero(f, order: int, h="1e-4", dps=60, one_sided=False):
         coarse = stencil(hh)
         fine = stencil(hh / 2)
         return float((4 * fine - coarse) / 3)
-
-
-@pytest.fixture(scope="session")
-def builtin_b2():
-    return b2_builtins()

@@ -51,6 +51,32 @@ def test_functionals_usage_errors(capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+def test_functionals_flag_a_g_without_log_defect(tmp_path):
+    # frac_tail carries no log-defect, so its c_alpha is not computed: every
+    # row is nan and flagged, where the direct difference gave an unflagged
+    # 0.375 for c_1 at n = 1 (the value is 3.092)
+    out = tmp_path / "ft.csv"
+    assert cli.main(["functionals", "--g", "frac_tail:gamma=0.5", "--n", "1,4",
+                     "--alpha", "0,0.5,1", "--out", str(out)]) == 0
+    rows = _read_csv(out)
+    assert len(rows) == 6
+    for r in rows:
+        assert r["c_alpha_quadrature"] == "nan" and r["residual_flags"] == "no_log_defect"
+        assert r["a"] == r["b"] == r["d0"] == r["d1"] == "nan"
+
+
+def test_functionals_alpha_is_checked_before_any_work(monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("function built before the alpha check")
+
+    monkeypatch.setattr(cli, "make_builtin", no_build)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["functionals", "--g", "euler", "--n", "1", "--alpha", "0.5,2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", "error: --alpha 2 is outside [0, 1], the range of functionals\n")
+
+
 def test_functionals_euler_pow_string(tmp_path):
     # euler_pow4 is (1 + z/4)^{-4}, Euler's scheme at n = 4
     out = tmp_path / "fn.csv"

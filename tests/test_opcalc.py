@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from cmapprox import cmfun, opcalc, quadrature
+from cmapprox import cmfun, opcalc
 from cmapprox.opcalc import (
     DenseBasis,
     GeneratorMatrix,
@@ -575,14 +575,13 @@ def test_constants_bound_nonnormal_property(eigs, seed, skew):
 # ----------------------------------------------------------------------
 
 def test_defect_factorization():
-    # g(A) - e^{-A} = A^alpha * Delta_alpha(A) on the spectral calculus
-    from cmapprox import functionals as F
-
+    # g(A) - e^{-A} = A^alpha * Delta_alpha(A) on the spectral calculus, with
+    # Delta_alpha(z) = (g(z) - e^{-z})/z^alpha
     A = laplacian_dirichlet_1d(16)
     for g in (cmfun.euler(), cmfun.spline()):
         lhs = hp_apply(g, A) - semigroup_at(A, 1.0)
         for alpha in (0.5, 1.0, 2.0):
-            D = A.spectral_map(lambda lam: F.delta(g, alpha, lam.real))
+            D = A.spectral_map(lambda lam: g.defect(lam.real) / lam.real ** alpha)
             rhs = frac_power(A, alpha) @ D
             assert opnorm(lhs - rhs) <= 1e-8
 
@@ -595,18 +594,3 @@ def test_residual_norm_bound():
         sup_r = max(float(np.atleast_1d(g(lam.real))[0]) - math.exp(-lam.real)
                     for lam in A.eigs)
         assert opnorm(R) <= sup_r + 1e-12
-
-
-def test_second_moment_operator_identity():
-    # int s^2 G(s) e^{-s lam} ds reproduces lam^{-2}(g(lam) - e^{-lam})
-    # ... i.e. the G density really is the Laplace density of Delta_2
-    from cmapprox import functionals as F
-
-    g = cmfun.euler()
-    G = F.g_density(g)
-    for lam in (0.5, 1.0, 3.0):
-        head = quadrature.integrate(lambda s: G(s) * np.exp(-lam * s), 0.0, 1.0)
-        tail = quadrature.integrate_semi_infinite(
-            lambda s: G(s) * np.exp(-lam * s), 1.0).value
-        want = (float(np.atleast_1d(g(lam))[0]) - math.exp(-lam)) / lam ** 2
-        assert head + tail == pytest.approx(want, rel=1e-9)

@@ -1,0 +1,25 @@
+"""Package hygiene: every name a module exports exists."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import cmapprox
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(cmapprox.__path__))
+
+
+def test_modules_are_found():
+    assert {"cli", "cmfun", "functionals", "opcalc", "rates"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_entries_exist(name):
+    # perfbench/tracer.py wraps the public names of each module through its
+    # __all__, so a stale entry would go unnoticed there
+    mod = importlib.import_module(f"cmapprox.{name}")
+    exported = getattr(mod, "__all__", ())
+    assert len(set(exported)) == len(exported)
+    missing = [attr for attr in exported if not hasattr(mod, attr)]
+    assert not missing, f"cmapprox.{name}.__all__ names missing {missing}"
