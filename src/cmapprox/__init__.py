@@ -3,9 +3,9 @@
 Verifies, on finite-dimensional generators, the convergence rates of
 Chernoff-type schemes g^n(tA/n) -> e^{-tA} built from bounded completely
 monotone functions g: exact measure representations, the rate
-functionals, Hille-Phillips operator calculus on matrices, and a
-harness checking upper bounds, sharp constants, and lower-bound
-exponents.
+functionals, the Hille-Phillips calculus on the spectra of normal
+generators, and a harness checking upper bounds, sharp constants, and
+lower-bound exponents.
 """
 
 from .cmfun import (
@@ -30,12 +30,8 @@ from .opcalc import (
     advection_periodic,
     diag_imag,
     diag_positive,
-    frac_power,
-    hp_apply,
     laplacian_dirichlet_1d,
     make_generator,
-    scheme_apply,
-    semigroup_at,
     semigroup_constants,
 )
 

@@ -9,9 +9,8 @@ tags.  The normalized classes are
 
 Derivatives at zero are g^(k)(0) = (-1)^k m_k and are stored exactly
 from the moments.  Derivatives at z > 0 come from `deriv_real` or the
-measure; a function with neither (a power-scaled one, such as
-`euler_pow4` under the `nonb2` suite) falls back to Richardson central
-differences.
+measure; a power-scaled function (such as `euler_pow4` under the `nonb2`
+suite) gets its first two from those of g by the chain rule.
 
 Every B2 built-in also carries its log-defect L(w) = log g(w) + w
 (`LogDefect`): the cumulant series sum_{k>=2} (-1)^k kappa_k w^k/k! below a
@@ -227,24 +226,13 @@ class CMFunction:
         return out
 
     def derivative(self, z: float, order: int = 1) -> float:
-        """g^(order)(z) for z > 0."""
+        """g^(order)(z) for z > 0, from deriv_real or else the measure."""
         if self.deriv_real is not None:
             return float(self.deriv_real(z, order))
-        if self.measure is not None:
-            kernel = lambda s: (-s) ** order * np.exp(-z * s)
-            return self.measure.kernel_integral(kernel)
-        # fallback: Richardson central differences
-        h = 1e-4 * max(1.0, abs(z))
-
-        def fd(hh):
-            if order == 1:
-                return (self(z + hh) - self(z - hh)) / (2 * hh)
-            if order == 2:
-                return (self(z + hh) - 2 * self(z) + self(z - hh)) / hh ** 2
-            raise ValueError("orders 1 and 2 only without measure")
-
-        c1, c2 = fd(h), fd(h / 2)
-        return float((4 * c2 - c1) / 3)
+        if self.measure is None:
+            raise ValueError(f"{self.name}: derivatives at z > 0 need deriv_real or a measure")
+        kernel = lambda s: (-s) ** order * np.exp(-z * s)
+        return self.measure.kernel_integral(kernel)
 
 
 @dataclass(frozen=True)
@@ -349,12 +337,24 @@ def _power_scale(g: CMFunction, n: int) -> CMFunction:
         # integer powers are branch-insensitive
         return base(z / n) ** n
 
+    def deriv(z, k):
+        # chain rule at w = z/n: g_n' = g^{n-1} g' and
+        # g_n'' = ((n-1) g^{n-2} g'^2 + g^{n-1} g'')/n
+        w = z / n
+        gw, d1 = float(g(w)), g.derivative(w, 1)
+        if k == 1:
+            return gw ** (n - 1) * d1
+        if k == 2:
+            return ((n - 1) * gw ** (n - 2) * d1 * d1 + gw ** (n - 1) * g.derivative(w, 2)) / n
+        raise ValueError(f"{g.name}_pow{n}: derivatives of orders 1 and 2 only, not {k}")
+
     return CMFunction(
         name=f"{g.name}_pow{n}",
         evaluate=evaluate,
         measure=None,
         moments=_scaled_moments(g.moments, n),
         limit_at_inf=g.limit_at_inf ** n,
+        deriv_real=deriv,
         rational_n=None if g.rational_n is None else g.rational_n * n,
         log_defect=None if g.log_defect is None else replace(
             g.log_defect, scale=g.log_defect.scale * n),

@@ -7,11 +7,10 @@ every row's pass flag applies the floating-point slack policy
     pass  <=>  error <= bound * (1 + 1e-9) + 1e-13.
 
 Errors and norms are computed on the eigenvalue array: with the test
-vectors as columns of X and Y = V^{-1} X (A.basis.solve: a DST, a DFT or
-the identity on the gallery), a matrix function f(A) has
-||f(A) x_i|| = ||V (f(Lambda) y_i)||.  For unitary V that is
-||f(Lambda) y_i|| and the operator norm is max |f(lambda)|; a non-unitary V
-is applied densely and its operator norms fall back to the dense SVD.
+vectors as columns of X and Y = V^H X (A.basis.solve: a DST, a DFT or
+the identity), a matrix function f(A) = V f(Lambda) V^H of the normal
+generator has ||f(A) x_i|| = ||f(Lambda) y_i|| and operator norm
+max |f(lambda)|, since V is unitary.
 The defect g_t(t lambda/n)^n - e^{-t lambda} and the second-order residual
 are those of g_n = power_scale(g_t, n) (CMFunction.defect and .residual):
 for a g with a log-defect they come from it without cancellation.
@@ -119,26 +118,18 @@ def order_verdict(fit: OrderFit, expected: float) -> tuple[str, bool]:
 # ----------------------------------------------------------------------
 
 def _coords(A: GeneratorMatrix, vectors) -> np.ndarray:
-    """Y = V^{-1} X: the test vectors (columns of X) in the eigenbasis of A."""
-    if A.eigs is None:
-        raise ValueError(f"{A.name}: bound suites need an eigendecomposition")
+    """Y = V^H X: the test vectors (columns of X) in the eigenbasis of A."""
     return A.basis.solve(np.column_stack(vectors))
 
 
-def _norms(A: GeneratorMatrix, d: np.ndarray, Y: np.ndarray) -> list[float]:
-    """||V diag(d) V^{-1} x_i|| = ||V (d * y_i)|| for each column y_i of Y
-    (= ||d * y_i|| when V is unitary)."""
-    Z = d[:, None] * Y
-    if not A.unitary:
-        Z = A.basis.apply(Z)
-    return [float(v) for v in np.linalg.norm(Z, axis=0)]
+def _norms(d: np.ndarray, Y: np.ndarray) -> list[float]:
+    """||V diag(d) V^H x_i|| = ||d * y_i|| for each column y_i of Y."""
+    return [float(v) for v in np.linalg.norm(d[:, None] * Y, axis=0)]
 
 
-def _opnorm(A: GeneratorMatrix, d: np.ndarray) -> float:
-    """||V diag(d) V^{-1}||: max |d| for unitary V, else the dense SVD."""
-    if A.unitary:
-        return float(np.max(np.abs(d)))
-    return opcalc.opnorm(A.spectral_map(lambda lam: d))
+def _opnorm(d: np.ndarray) -> float:
+    """||V diag(d) V^H|| = max |d|."""
+    return float(np.max(np.abs(d)))
 
 
 def _defect(g, A: GeneratorMatrix, t: float, n: int) -> np.ndarray:
@@ -155,7 +146,7 @@ def _residual(g, A: GeneratorMatrix, t: float, n: int) -> np.ndarray:
 
 
 def _frac_norms(A: GeneratorMatrix, alpha: float, Y) -> list[float]:
-    return _norms(A, frac_on_spectrum(A.eigs, alpha), Y)
+    return _norms(frac_on_spectrum(A.eigs, alpha), Y)
 
 
 class _Cell:
@@ -165,7 +156,7 @@ class _Cell:
     def __init__(self, g, A: GeneratorMatrix, t: float, n: int, vectors, E: np.ndarray):
         self.A, self.key, self.rows = A, (g.name, A.name, t, n), []
         self.Y = _coords(A, vectors)
-        self.errors = _norms(A, E, self.Y)
+        self.errors = _norms(E, self.Y)
 
     def add(self, alpha: float, tag: str, factor: float, norms=None) -> None:
         """Rows with bound factor * ||A^alpha x||, or factor * norms[i] when given."""
@@ -315,7 +306,7 @@ def holomorphic_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
     K = 3.0 * M0 + 3.0 * M1 + M2 / 2.0
     d = _defect(g, A, t, n)
     cell = _Cell(g, A, t, n, vectors, d)
-    cell.rows.append(BoundReport(*cell.key, 0.0, -1, _opnorm(A, d), K * h / n, "holo-opnorm"))
+    cell.rows.append(BoundReport(*cell.key, 0.0, -1, _opnorm(d), K * h / n, "holo-opnorm"))
     quad = g.rational_n is None and gt is g and g.tail_integrable and g.measure is not None
     if quad:   # one quadrature for every alpha of the suite
         functionals.c_alpha_quads(power_scale(g, n), alphas)
@@ -373,13 +364,11 @@ def spectral_order(g, A: GeneratorMatrix, t: float, ns, alpha: float,
     weight lambda^{-alpha} is 0 at lambda = 0, where E_n vanishes.  Points at
     or below 100 eps ||e^{-tA} A^{-alpha}||, the size of either term of E_n,
     are roundoff and left out; with none left the flag is "exact"."""
-    if A.eigs is None:
-        raise ValueError(f"{A.name}: order fits need an eigendecomposition")
     zero = A.eigs == 0
     weight = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, frac_on_spectrum(A.eigs, alpha)))
     E = _residual if second else _defect
-    floor = 100.0 * np.finfo(float).eps * _opnorm(A, np.exp(-t * A.eigs) * weight)
-    pts = [(n, _opnorm(A, E(g, A, t, n) * weight)) for n in ns]
+    floor = 100.0 * np.finfo(float).eps * _opnorm(np.exp(-t * A.eigs) * weight)
+    pts = [(n, _opnorm(E(g, A, t, n) * weight)) for n in ns]
     return fit_order([(n, e) for n, e in pts if e > floor])
 
 
@@ -476,7 +465,7 @@ def sharpness_rows(ns, euler: bool, shift: bool) -> list[dict]:
     bound at alpha = 0 on a positive spectrum (rho = 1); shift-I1I2 |I_{2,n}| <= 2/n^2."""
     rows = []
     if euler:
-        m2 = opcalc.SemigroupConstants(rho=1.0, kappa=1.0)[2.0]
+        m2 = opcalc.SemigroupConstants(rho=1.0)[2.0]
         rep = euler_scalar_sharpness(ns)
         rows += [{"experiment": "euler-scalar", "n": r["n"], "value": r["sup"],
                   "scaled": r["n_sup"], "reference": rep["limit"],

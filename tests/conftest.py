@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import mpmath
+import numpy as np
+import scipy.linalg
 
 from cmapprox import cmfun
 
@@ -84,3 +86,52 @@ def mp_derivative_at_zero(f, order: int, h="1e-4", dps=60, one_sided=False):
         coarse = stencil(hh)
         fine = stencil(hh / 2)
         return float((4 * fine - coarse) / 3)
+
+
+# ----------------------------------------------------------------------
+# dense references: the gallery operators from their definitions and the
+# schemes by expm and solves, sharing no code with cmapprox.opcalc
+# ----------------------------------------------------------------------
+
+def laplacian_matrix(d):
+    """The Dirichlet Laplacian from its definition: tridiagonal (2, -1)."""
+    return 2.0 * np.eye(d) - np.eye(d, k=1) - np.eye(d, k=-1)
+
+
+def advection_matrix(d):
+    """Periodic upwind advection from its definition: d (I - S), S the cyclic lower shift."""
+    return d * (np.eye(d) - np.roll(np.eye(d), 1, axis=0))
+
+
+def diag_imag_matrix(k):
+    """diag_imag:k=k with its default range [0.1, 100]."""
+    return np.diag(1j * (-1.0) ** np.arange(k) * np.logspace(-1, 2, k))
+
+
+def diag_pos_matrix(k):
+    """diag_pos:k=k with its default range [0.01, 100]."""
+    return np.diag(np.logspace(-2, 2, k))
+
+
+def dense_g(g, B):
+    """g(B) for a dense B with spectrum in the right half-plane: e^{-B} for exp,
+    (1-t) I + t e^{-B/t} for kendall(t), (I + B)^{-1} for euler, and for the
+    spline int_0^1 e^{-2sB} ds, the top-right block of expm([[-2B, I], [0, 0]]),
+    which needs no inverse of B."""
+    eye = np.eye(len(B))
+    if g.name == "exp":
+        return scipy.linalg.expm(-B)
+    if g.name.startswith("kendall(t="):
+        t = float(g.name[len("kendall(t="):-1])
+        return (1.0 - t) * eye + t * scipy.linalg.expm(-B / t)
+    if g.name == "euler":
+        return np.linalg.solve(eye + B, eye)
+    if g.name == "spline":
+        aug = np.block([[-2.0 * B, eye], [np.zeros_like(B), np.zeros_like(B)]])
+        return scipy.linalg.expm(aug)[:len(B), len(B):]
+    raise ValueError(f"no dense reference for {g.name}")
+
+
+def dense_scheme(g, M, t, n):
+    """g_t(tM/n)^n for a dense M, g a function or a family."""
+    return np.linalg.matrix_power(dense_g(g.at(t), t * M / n), n)

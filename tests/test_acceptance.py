@@ -15,7 +15,13 @@ import pytest
 from cmapprox import cmfun, functionals as F, opcalc, rates
 from cmapprox import quadrature
 
-from conftest import b2_builtins, mp_eval_map, mp_derivative_at_zero
+from conftest import (
+    b2_builtins,
+    diag_imag_matrix,
+    diag_pos_matrix,
+    mp_derivative_at_zero,
+    mp_eval_map,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -132,7 +138,8 @@ def test_c05_first_order_suite():
     kend = cmfun.kendall_family()
     t, n = 0.25, 16
     reps = rates.first_order_bounds(kend, A, t, n, (2.0,), vectors)
-    A2 = A.spectral_map(lambda lam: lam ** 2)
+    M = diag_imag_matrix(128)
+    A2 = M @ M
     worst = 0.0
     for r in reps:
         ref = t * (1.0 - t) / (2.0 * n) * float(np.linalg.norm(A2 @ vectors[r.vector_id]))
@@ -176,23 +183,23 @@ def test_c07_second_order_suite():
                 reps = rates.second_order_bounds(g, A, t, n, (), vectors)
                 ok = ok and all(r.passed for r in reps)
 
-    def residual_slope(g, A, vecs):
+    def residual_slope(g, A, M, vecs):
         # normalize per vector by ||A^3 x||, the quantity the bound scales
         # with; otherwise the top-of-spectrum components (where the error
         # saturates) dominate the raw norm and mask the asymptotic order
-        A3 = A.spectral_map(lambda lam: lam ** 3)
+        A3 = np.linalg.matrix_power(M, 3)
         norms = [float(np.linalg.norm(A3 @ x)) for x in vecs]
         Y = rates._coords(A, vecs)
         pts = []
         for k in range(2, 13):
             n = 2 ** k
-            errs = rates._norms(A, rates._residual(g, A, 1.0, n), Y)
+            errs = rates._norms(rates._residual(g, A, 1.0, n), Y)
             pts.append((n, max(e / norms[i] for i, e in enumerate(errs))))
         return rates.fit_order(pts).slope
 
-    skew = residual_slope(cmfun.euler(), A, vectors)
+    skew = residual_slope(cmfun.euler(), A, diag_imag_matrix(128), vectors)
     Ah = opcalc.diag_positive(128)
-    holo = residual_slope(cmfun.euler(), Ah, opcalc.test_vectors(Ah))
+    holo = residual_slope(cmfun.euler(), Ah, diag_pos_matrix(128), opcalc.test_vectors(Ah))
     ok = ok and skew <= -1.4 and holo <= -1.85
     _report(7, "second-order residual bounds and orders", ok,
             f"skew slope {skew:.3f} <= -1.4, holomorphic slope {holo:.3f} <= -1.85")
@@ -288,23 +295,3 @@ def test_c12_bspline_identity():
             worst = max(worst, abs(val - float(g(z)) ** n))
     _report(12, "B-spline recursion reproduces the spline scheme powers",
             worst <= 1e-10, f"max dev {worst:.2e}")
-
-
-def test_c13_hp_apply_cross_validation():
-    rng = np.random.default_rng(opcalc.DEFAULT_SEED)
-    g = cmfun.euler_power(4)
-    worst = 0.0
-    for _ in range(20):
-        d = 6
-        V = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        lam = rng.uniform(0.1, 3.0, d) + 1j * rng.uniform(-2.0, 2.0, d)
-        Vinv = np.linalg.inv(V)
-        A = opcalc.GeneratorMatrix(V @ np.diag(lam) @ Vinv,
-                                   eigs=lam, basis=opcalc.DenseBasis(V, Vinv))
-        S = opcalc.hp_apply(g, A, "spectral")
-        Q = opcalc.hp_apply(g, A, "quadrature")
-        R = opcalc.hp_apply(g, A, "rational")
-        ref = max(1.0, opcalc.opnorm(S))
-        worst = max(worst, opcalc.opnorm(S - Q) / ref, opcalc.opnorm(S - R) / ref)
-    _report(13, "spectral/quadrature/rational calculus paths agree",
-            worst <= 1e-8, f"max path deviation {worst:.2e}")

@@ -13,7 +13,6 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-import scipy.linalg
 
 from cmapprox import cli, cmfun, opcalc, rates
 from cmapprox import functionals as fns
@@ -501,16 +500,23 @@ def test_commands_load_no_numpy_polynomial(argv, tmp_path):
 
 
 def test_scipy_paths_import_it_when_run(tmp_path):
-    from cmapprox import opcalc
-
-    A = opcalc.GeneratorMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]), name="upper")
-    assert np.allclose(opcalc.semigroup_at(A, 0.7), scipy.linalg.expm(-0.7 * A.matrix),
-                       rtol=0.0, atol=1e-15)
-    L = opcalc.laplacian_dirichlet_1d(4)
-    B = opcalc.hp_apply(cmfun.euler(), L, path="quadrature")
-    assert np.allclose(B, opcalc.hp_apply(cmfun.euler(), L, path="spectral"), atol=1e-9)
-    assert cli.main(["sharpness", "--which", "shift", "--n", "4,16",
-                     "--out", str(tmp_path / "shift.csv")]) == 0
+    # scipy is loaded in two places, each when it runs: the incomplete-gamma
+    # branch of monomial_exp_integral (c b >= m + 1) and sharpness --which shift
+    probe = ("import math, sys; from cmapprox import polyexp; "
+             "assert not any(m.startswith('scipy') for m in sys.modules); "
+             "v = polyexp.monomial_exp_integral(0, 2.0, 1.0, 4.0); "
+             "assert abs(v - (math.exp(-2.0) - math.exp(-8.0)) / 2.0) <= 1e-16, v; "
+             "assert 'scipy.special' in sys.modules")
+    run_cli = ("import sys; from cmapprox.cli import main; "
+               "assert not any(m.startswith('scipy') for m in sys.modules); "
+               "code = main(sys.argv[1:]); assert 'scipy.special' in sys.modules; sys.exit(code)")
+    out = str(tmp_path / "shift.csv")
+    for argv in ([sys.executable, "-c", probe],
+                 [sys.executable, "-c", run_cli, "sharpness", "--which", "shift",
+                  "--n", "4,16", "--out", out]):
+        proc = subprocess.run(argv, capture_output=True, env=_src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+    assert len(_read_csv(out)) == 2
 
 
 def test_commands_run_without_mpmath(tmp_path):

@@ -1,6 +1,7 @@
 """Completely monotone built-ins: classes, scaling, pointwise invariants."""
 
 import cmath
+import dataclasses
 import json
 import math
 
@@ -87,6 +88,39 @@ def test_power_scale_rejects():
         cmfun.power_scale(cmfun.euler(), 0)
     with pytest.raises(ValueError):
         cmfun.power_scale(cmfun.from_measure(PositiveMeasure(atoms=((2.0, 1.0),))), 2)
+
+
+def test_rational_n_reads_the_power_not_the_name():
+    # the CLI and the holo suite read rational_n (Euler's closed-form r_{alpha,n}),
+    # so it must follow power scaling and survive a rename
+    composed = cmfun.power_scale(cmfun.euler_power(2), 2)  # (1 + z/4)^{-4}
+    renamed = dataclasses.replace(cmfun.euler_power(4), name="x")
+    for g in (composed, renamed):
+        assert g.rational_n == 4
+    assert cmfun.power_scale(cmfun.spline(), 4).rational_n is None
+
+
+@pytest.mark.parametrize("N", [4, 16])
+@pytest.mark.parametrize("n", [4, 64, 1024, 4096, 16384, 65536])
+def test_power_scaled_derivative_by_the_chain_rule(N, n):
+    # 1 + g'(1/n) of euler_pow<N>, the factor the nonb2 suite reads, against
+    # 40-digit mpmath: g_N'(z) = -(1 + z/N)^{-N-1}, g_N''(z) = (N+1)/N (1 + z/N)^{-N-2};
+    # 1 + g' is about (N+1)/(N n), so a few ulp of g' are ~1e-11 of it at n = 65536
+    g = cmfun.make_builtin(f"euler_pow{N}")
+    with mpmath.workdps(40):
+        z = mpmath.mpf(1) / n
+        first = float(1 - (1 + z / N) ** (-N - 1))
+        second = float((N + 1) * (1 + z / N) ** (-N - 2) / N)
+    assert 1.0 + g.derivative(1.0 / n, 1) == pytest.approx(first, rel=1e-10, abs=0.0)
+    assert g.derivative(1.0 / n, 2) == pytest.approx(second, rel=1e-14, abs=0.0)
+
+
+def test_derivative_needs_deriv_real_or_a_measure():
+    bare = cmfun.CMFunction(name="bare", evaluate=lambda z: 1.0 / (1.0 + z))
+    with pytest.raises(ValueError, match="bare: derivatives at z > 0 need"):
+        bare.derivative(0.5, 1)
+    with pytest.raises(ValueError, match="euler_pow4: derivatives of orders 1 and 2 only"):
+        cmfun.make_builtin("euler_pow4").derivative(0.5, 3)
 
 
 def test_euler_power_measure_matches_rational_form():

@@ -7,6 +7,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cmapprox import cli, cmfun, opcalc, rates
 from cmapprox.rates import (
@@ -15,6 +16,8 @@ from cmapprox.rates import (
     fit_order,
     second_order_bounds,
 )
+
+from conftest import dense_scheme, diag_imag_matrix, laplacian_matrix
 
 
 # ----------------------------------------------------------------------
@@ -48,7 +51,7 @@ def test_spectral_order_floor_follows_the_semigroup_scale():
     A = opcalc.laplacian_dirichlet_1d(16)
     g = dataclasses.replace(cmfun.exponential(), name="exp-direct", log_defect=None)
     ns, weight = (4, 8, 16, 32), 1.0 / A.eigs
-    pts = [(n, rates._opnorm(A, rates._defect(g, A, 1.0, n) * weight)) for n in ns]
+    pts = [(n, rates._opnorm(rates._defect(g, A, 1.0, n) * weight)) for n in ns]
     assert fit_order(pts).used_points == 4
     fit = rates.spectral_order(g, A, 1.0, ns, alpha=1.0)
     assert fit.flag == "exact" and fit.used_points == 0
@@ -103,7 +106,8 @@ def test_first_order_requires_b2():
 
 def test_first_order_kendall_alpha2_is_exact_on_diagonal():
     # kendall at parameter t has g_t''(0) - 1 = t(1-t)/... : the alpha = 2
-    # bound reduces to t(1-t)/(2n) ||A^2 x|| on unitary diagonal generators
+    # bound reduces to t(1-t)/(2n) ||A^2 x|| on unitary diagonal generators,
+    # with A^2 the square of the dense diagonal matrix
     fam = cmfun.make_builtin("kendall")
     A = opcalc.diag_imag(32)
     vecs = opcalc.test_vectors(A, count=4)
@@ -111,9 +115,9 @@ def test_first_order_kendall_alpha2_is_exact_on_diagonal():
     gt = fam.at(tt)
     h = gt.moments[2] - 1.0
     reports = first_order_bounds(fam, A, tt, n, (2.0,), vecs)
-    A2 = opcalc.frac_power(A, 2.0)
+    M = diag_imag_matrix(32)
     for r, x in zip(reports, vecs):
-        want = 0.5 * h * tt ** 2 / n * float(np.linalg.norm(A2 @ x))
+        want = 0.5 * h * tt ** 2 / n * float(np.linalg.norm(M @ (M @ x)))
         assert r.bound == pytest.approx(want, rel=1e-12)
         assert r.passed
 
@@ -134,17 +138,20 @@ def test_second_order_requires_b4():
 
 def test_first_order_opnorm_slope_euler_laplacian():
     # on a fixed positive-spectrum generator the operator-norm error of
-    # Euler's scheme decays like 1/n
-    A = opcalc.laplacian_dirichlet_1d(32)
+    # Euler's scheme decays like 1/n: dense solves and expm on the tridiagonal
+    # matrix, against which the suites' eigenvalue-array fit must agree
+    M = laplacian_matrix(32)
     g = cmfun.euler()
-    pts = []
-    for k in range(2, 10):
-        n = 2 ** k
-        D = opcalc.scheme_apply(g, A, 1.0, n) - opcalc.semigroup_at(A, 1.0)
-        pts.append((n, opcalc.opnorm(D)))
+    E = scipy.linalg.expm(-M)
+    ns = [2 ** k for k in range(2, 10)]
+    pts = [(n, np.linalg.norm(dense_scheme(g, M, 1.0, n) - E, 2)) for n in ns]
     fit = fit_order(pts)
     assert fit.slope == pytest.approx(-1.0, abs=0.05)
     assert fit.r_squared > 0.999
+    got = rates.spectral_order(g, opcalc.laplacian_dirichlet_1d(32), 1.0, ns, alpha=0.0)
+    assert got.used_points == fit.used_points == len(ns)
+    assert got.slope == pytest.approx(fit.slope, rel=1e-9)
+    assert got.intercept == pytest.approx(fit.intercept, rel=1e-9)
 
 
 def test_holomorphic_sharp_euler_closed_form_bounds():
