@@ -337,3 +337,60 @@ def test_residual_norm_bound():
         assert rates._opnorm(g.defect(lam)) <= sup_r + 1e-12
         R = np.diag(g(np.diag(M).real)) - scipy.linalg.expm(-M)
         assert np.linalg.norm(R, 2) <= sup_r + 1e-12
+
+
+# ----------------------------------------------------------------------
+# g(A) and the schemes on the spectrum
+# ----------------------------------------------------------------------
+
+def _on_spectrum(A, f):
+    """V diag(f) V^H as a dense matrix, with V and V^H applied by the basis."""
+    eye = np.eye(A.dim, dtype=complex)
+    return A.basis.apply(f[:, None] * A.basis.solve(eye))
+
+
+@pytest.mark.parametrize("build, explicit", [
+    (diag_imag, diag_imag_matrix), (diag_positive, diag_pos_matrix),
+    (laplacian_dirichlet_1d, laplacian_matrix), (advection_periodic, advection_matrix),
+], ids=["diag_imag", "diag_pos", "laplacian", "advection"])
+def test_g_of_A_on_the_spectrum_matches_dense(build, explicit):
+    # for a normal A the Hille-Phillips g(A) is g on the eigenvalues: against
+    # expm and solves of the operator's closed form
+    A, M = build(24), explicit(24)
+    for g in (cmfun.exponential(), cmfun.euler(), cmfun.spline(), cmfun.kendall(0.5)):
+        for t in (0.5, 2.0):
+            G = _on_spectrum(A, g.eval_at(t * A.eigs))
+            assert np.max(np.abs(G - dense_g(g, t * M))) <= 1e-11, (g.name, t)
+
+
+def test_g_of_A_is_a_contraction():
+    # |g(z)| <= g(0) = 1 on the closed right half-plane, so ||g(A)|| <= 1 for normal A
+    for A in (diag_imag(24), laplacian_dirichlet_1d(24), advection_periodic(24)):
+        for g in b2_builtins():
+            assert rates._opnorm(g.eval_at(A.eigs)) <= 1.0 + 1e-12, (A.name, g.name)
+
+
+def test_exponential_scheme_has_no_defect():
+    # (e^{-tA/n})^n = e^{-tA} for every n
+    for A in (diag_imag(16), laplacian_dirichlet_1d(16), advection_periodic(16)):
+        for n in (1, 3, 64):
+            assert rates._opnorm(rates._defect(cmfun.exponential(), A, 1.7, n)) <= 1e-15
+
+
+def test_scheme_values_from_closed_forms():
+    # g_t(t lambda/n)^n, read back from the defect as defect + e^{-t lambda}
+    one = GeneratorMatrix("one", [1.0])
+
+    def scheme(g, t, n):
+        return complex(rates._defect(g, one, t, n)[0]) + math.exp(-t)
+
+    assert scheme(cmfun.euler(), 1.0, 1) == pytest.approx(0.5, rel=1e-13)
+    assert scheme(cmfun.euler(), 1.0, 2) == pytest.approx(4.0 / 9.0, rel=1e-13)
+    assert scheme(cmfun.kendall(0.5), 1.0, 1) == pytest.approx(0.5 + 0.5 * math.exp(-2.0),
+                                                                rel=1e-13)
+    # the kendall family: g_t(t lambda/n) = (1 - t) + t e^{-lambda/n}
+    fam = cmfun.make_builtin("kendall")
+    A, t, n = diag_positive(8), 0.5, 3
+    want = ((1.0 - t) + t * np.exp(-A.eigs.real / n)) ** n
+    got = rates._defect(fam, A, t, n) + np.exp(-t * A.eigs)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
