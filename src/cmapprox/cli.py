@@ -31,7 +31,7 @@ import sys
 
 from . import functionals as fns
 from . import opcalc, rates
-from .cmfun import ScaledFamily, make_builtin, power_scale
+from .cmfun import ScaledFamily, check_bk, make_builtin, power_scale
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -152,10 +152,10 @@ def cmd_functionals(args) -> int:
         gn = power_scale(g, n)
         L = fns.euler_power_L(gn.rational_n) if gn.rational_n else (
             fns.functional_L(gn) if gn.measure is not None else math.nan)
-        a = fns.a_of(gn) if math.isfinite(gn.moments[2]) else math.nan
-        b = fns.b_of(gn) if math.isfinite(gn.moments[3]) else math.nan
-        d0 = fns.d0_of(gn) if math.isfinite(gn.moments[4]) else math.nan
-        with_d1 = math.isfinite(gn.moments[4]) and gn.tail_integrable
+        a = fns.a_of(gn) if check_bk(gn, 2) else math.nan
+        b = fns.b_of(gn) if check_bk(gn, 3) else math.nan
+        d0 = fns.d0_of(gn) if check_bk(gn, 4) else math.nan
+        with_d1 = check_bk(gn, 4) and gn.tail_integrable
         # one quadrature for every alpha of g_n: the grid's, and 0 and 1 for d1
         fns.c_alpha_quads(gn, [*alphas, 0.0, 1.0] if with_d1 else alphas)
         try:

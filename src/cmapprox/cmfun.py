@@ -2,8 +2,8 @@
 
 A CMFunction bundles one pointwise evaluator (numpy arrays of real z >= 0
 or of complex z with Re z >= 0), an optional explicit representing
-measure, the moments m_0..m_4 of that measure (extended reals), and class
-tags.  The normalized classes are
+measure and the moments m_0..m_4 of that measure (extended reals).  The
+normalized classes, tested by check_bk(g, k), are
 
     B1: m_0 = m_1 = 1;  B2: additionally m_2 < inf;  B3, B4 likewise.
 
@@ -55,26 +55,11 @@ __all__ = [
     "chung",
     "frac_tail",
     "exponential",
-    "check_b1",
     "check_bk",
     "BUILTIN_NAMES",
 ]
 
 MOMENT_TOL = 1e-12
-
-
-def _classify(moments) -> frozenset:
-    tags = {"BM"}
-    m0, m1, m2, m3, m4 = moments
-    if abs(m0 - 1.0) <= MOMENT_TOL and abs(m1 - 1.0) <= MOMENT_TOL:
-        tags.add("B1")
-        if math.isfinite(m2):
-            tags.add("B2")
-            if math.isfinite(m3):
-                tags.add("B3")
-                if math.isfinite(m4):
-                    tags.add("B4")
-    return frozenset(tags)
 
 
 # the log-defect series runs to w^SERIES_DEGREE; its radius is where that
@@ -166,10 +151,6 @@ class CMFunction:
     log_defect: LogDefect | None = None     # L(w) = log g(w) + w (B2 built-ins, measures)
 
     @property
-    def class_tags(self) -> frozenset:
-        return _classify(self.moments)
-
-    @property
     def tail_integrable(self) -> bool:
         """Whether int_1^inf g(s)/s ds < inf (fails iff g(inf) > 0 here)."""
         return self.limit_at_inf == 0.0
@@ -254,12 +235,11 @@ def _family_member(factory, t: float) -> CMFunction:
     return factory(t)
 
 
-def check_b1(g: CMFunction) -> bool:
-    return "B1" in g.class_tags
-
-
 def check_bk(g: CMFunction, k: int) -> bool:
-    return f"B{k}" in g.class_tags
+    """Whether g is in B_k (k = 1..4): m_0 = m_1 = 1 and m_2..m_k finite."""
+    m = g.moments
+    return (abs(m[0] - 1.0) <= MOMENT_TOL and abs(m[1] - 1.0) <= MOMENT_TOL
+            and all(map(math.isfinite, m[2:k + 1])))
 
 
 def from_measure(nu: PositiveMeasure, name: str = "measure") -> CMFunction:
@@ -278,7 +258,7 @@ def from_measure(nu: PositiveMeasure, name: str = "measure") -> CMFunction:
         moments=tuple(m[:5]),
         limit_at_inf=nu.zero_atom_mass(),
     )
-    if not (check_b1(g) and all(map(math.isfinite, m))):
+    if not (check_bk(g, 1) and all(map(math.isfinite, m))):
         return g
     series = _log_series([(-1.0) ** j * mj / (mass * math.factorial(j)) for j, mj in enumerate(m)])
     if series[0] == 0.0:
@@ -291,10 +271,8 @@ def from_measure(nu: PositiveMeasure, name: str = "measure") -> CMFunction:
 # ----------------------------------------------------------------------
 
 def _scaled_moments(moments, n: int):
-    """Moments (= signed derivatives at 0) of g_n from those of g."""
-    m0, m1, m2, m3, m4 = moments
-    if not (abs(m0 - 1.0) <= MOMENT_TOL and abs(m1 - 1.0) <= MOMENT_TOL):
-        raise ValueError("power scaling defined on B1 only")
+    """Moments (= signed derivatives at 0) of g_n from those of g in B1."""
+    _, _, m2, m3, m4 = moments
     g2 = m2  # g''(0)
     g3 = -m3
     g4 = m4
@@ -327,7 +305,7 @@ def power_scale(g: CMFunction, n: int) -> CMFunction:
 def _power_scale(g: CMFunction, n: int) -> CMFunction:
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if not check_b1(g):
+    if not check_bk(g, 1):
         raise ValueError("power scaling requires a B1 function")
     if n == 1:
         return g

@@ -166,7 +166,7 @@ class QuadValue:
     flag: str = ""
 
 
-def c_alpha_quad(g: CMFunction, alpha: float, rel_tol: float = 1e-11) -> QuadValue:
+def c_alpha_quad(g: CMFunction, alpha: float) -> QuadValue:
     """c_alpha[g] = Gamma(2-alpha)^{-1} int_0^inf D(z) z^{-1-alpha} dz, read
     from `c_alpha_quads` (one alpha).
 
@@ -179,11 +179,13 @@ def c_alpha_quad(g: CMFunction, alpha: float, rel_tol: float = 1e-11) -> QuadVal
     diverges (logarithmically) and a truncated value is returned with
     converged=False.
     """
-    return c_alpha_quads(g, (alpha,), rel_tol)[float(alpha)]
+    return c_alpha_quads(g, (alpha,))[float(alpha)]
 
 
-# (g, alpha, rel_tol) -> QuadValue: each c_alpha quadrature runs once per process
+# (g, alpha) -> QuadValue: each c_alpha quadrature runs once per process
 _C_ALPHA: dict = {}
+# the relative tolerance of each Gauss panel of the c_alpha quadrature
+REL_TOL = 1e-11
 # The tail stops once two dyadic panels each hold less than this share of
 # the sum, so the truncated rest is about this size: with the head summed
 # to roundoff, 1e-13 would leave it the largest error of Euler's c_0 (2.5e-14
@@ -192,10 +194,10 @@ _C_ALPHA: dict = {}
 TAIL_REL = 1e-14
 
 
-def c_alpha_quads(g: CMFunction, alphas, rel_tol: float = 1e-11) -> dict:
+def c_alpha_quads(g: CMFunction, alphas) -> dict:
     """{alpha: c_alpha_quad(g, alpha)} for every alpha in alphas.
 
-    The alphas not yet computed for (g, rel_tol) in this process share one
+    The alphas not yet computed for g in this process share one
     quadrature, since the costly part of the integrand, the defect of g, is
     the same for all of them; the divergent alpha = 0 of a g with g(inf) > 0
     takes its own.  The values are stored, and later calls read them.
@@ -205,18 +207,18 @@ def c_alpha_quads(g: CMFunction, alphas, rel_tol: float = 1e-11) -> dict:
         raise ValueError("alpha must lie in [0, 1]")
     if g.log_defect is None:
         return {a: QuadValue(math.nan, False, "no_log_defect") for a in alphas}
-    todo = [a for a in alphas if (g, a, rel_tol) not in _C_ALPHA]
+    todo = [a for a in alphas if (g, a) not in _C_ALPHA]
     batches = [todo]
     if g.limit_at_inf > 0.0 and 0.0 in todo:
         batches = [[0.0], todo[1:]]
     for batch in batches:
         if batch:
-            values = _c_alpha_quadrature(g, tuple(batch), rel_tol)
-            _C_ALPHA.update(((g, a, rel_tol), qv) for a, qv in zip(batch, values))
-    return {a: _C_ALPHA[(g, a, rel_tol)] for a in alphas}
+            values = _c_alpha_quadrature(g, tuple(batch))
+            _C_ALPHA.update(((g, a), qv) for a, qv in zip(batch, values))
+    return {a: _C_ALPHA[(g, a)] for a in alphas}
 
 
-def _c_alpha_quadrature(g: CMFunction, alphas: tuple, rel_tol: float) -> list[QuadValue]:
+def _c_alpha_quadrature(g: CMFunction, alphas: tuple) -> list[QuadValue]:
     """One quadrature of int_0^inf D(z) z^{-1-alpha} dz, D = g - e^{-z}, for
     every alpha in alphas.  On the head panel [0, 1], z = x^2 turns
     z^{1-alpha} at 0 into the smooth x^{3-2 alpha}; beyond it z = x."""
@@ -239,7 +241,7 @@ def _c_alpha_quadrature(g: CMFunction, alphas: tuple, rel_tol: float) -> list[Qu
             num[far] = g(zt) - np.exp(-zt) - tail_const
         return np.where(head, 2.0 * x, 1.0) * num * z ** (-1.0 - al)
 
-    res = quadrature.integrate_semi_infinite(integrand, (0.0, 1.0, z0), rel_tol=rel_tol,
+    res = quadrature.integrate_semi_infinite(integrand, (0.0, 1.0, z0), rel_tol=REL_TOL,
                                              tail_rel=TAIL_REL,
                                              max_span=1e6 if divergent else 1e15)
     out = []

@@ -12,7 +12,11 @@ g(A) = int e^{-sA} nu(ds) is the scalar g on the spectrum,
 g(A) = V g(Lambda) V^H, so every matrix function here is a function of the
 eigenvalue array and no d x d matrix is formed.
 
-Operator norm is the spectral 2-norm throughout: ||V diag(f) V^H|| = max |f|.
+The rate bounds ask of f(A) only its norms, which GeneratorMatrix gives for
+a vectorized scalar f.  With the test vectors as columns of X and
+Y = V^H X (basis.solve, once for all the functions of one call),
+||f(A) x_i|| = ||f(Lambda) y_i|| (`norms`), and the operator norm is the
+spectral 2-norm ||f(A)|| = max |f(lambda)| (`opnorm`), since V is unitary.
 The semigroup constants M_beta = sup_t ||(tA)^beta e^{-tA}|| are the scalar
 suprema (beta/e)^beta max_lambda (|lambda|/Re lambda)^beta on the eigenvalues.
 """
@@ -116,6 +120,16 @@ class GeneratorMatrix:
     @property
     def dim(self) -> int:
         return len(self.eigs)
+
+    def norms(self, fs, vectors) -> list[list[float]]:
+        """[[||f(A) x|| for x in vectors] for f in fs], each f a vectorized
+        scalar function on the spectrum; the vectors go to the eigenbasis once."""
+        Y = self.basis.solve(np.column_stack(vectors))
+        return [np.linalg.norm(f(self.eigs)[:, None] * Y, axis=0).tolist() for f in fs]
+
+    def opnorm(self, f) -> float:
+        """||f(A)|| = max |f(lambda)|."""
+        return float(np.max(np.abs(f(self.eigs))))
 
 
 # ----------------------------------------------------------------------

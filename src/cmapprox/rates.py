@@ -6,11 +6,9 @@ every row's pass flag applies the floating-point slack policy
 
     pass  <=>  error <= bound * (1 + 1e-9) + 1e-13.
 
-Errors and norms are computed on the eigenvalue array: with the test
-vectors as columns of X and Y = V^H X (A.basis.solve: a DST, a DFT or
-the identity), a matrix function f(A) = V f(Lambda) V^H of the normal
-generator has ||f(A) x_i|| = ||f(Lambda) y_i|| and operator norm
-max |f(lambda)|, since V is unitary.
+Errors and norms are those of functions of the generator, read from
+GeneratorMatrix.norms and .opnorm (see opcalc), with the error and each
+power lambda^alpha given as a function of a spectral point.
 The defect g_t(t lambda/n)^n - e^{-t lambda} and the second-order residual
 are those of g_n = power_scale(g_t, n) (CMFunction.defect and .residual):
 for a g with a log-defect they come from it without cancellation.
@@ -27,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import functionals, opcalc
-from .cmfun import CMFunction, power_scale
+from .cmfun import CMFunction, check_bk, power_scale
 from .opcalc import GeneratorMatrix, frac_on_spectrum
 
 __all__ = [
@@ -117,53 +116,55 @@ def order_verdict(fit: OrderFit, expected: float) -> tuple[str, bool]:
 # helpers
 # ----------------------------------------------------------------------
 
-def _coords(A: GeneratorMatrix, vectors) -> np.ndarray:
-    """Y = V^H X: the test vectors (columns of X) in the eigenbasis of A."""
-    return A.basis.solve(np.column_stack(vectors))
+def _defect(g, t: float, n: int):
+    """scheme - e^{-tA} as a function of a spectral point lambda:
+    g_n(t lambda) - e^{-t lambda}, g_n = (g_t)_n."""
+    gn = power_scale(g.at(t), n)
+    return lambda lam: gn.defect(t * lam)
 
 
-def _norms(d: np.ndarray, Y: np.ndarray) -> list[float]:
-    """||V diag(d) V^H x_i|| = ||d * y_i|| for each column y_i of Y."""
-    return [float(v) for v in np.linalg.norm(d[:, None] * Y, axis=0)]
-
-
-def _opnorm(d: np.ndarray) -> float:
-    """||V diag(d) V^H|| = max |d|."""
-    return float(np.max(np.abs(d)))
-
-
-def _defect(g, A: GeneratorMatrix, t: float, n: int) -> np.ndarray:
-    """scheme - e^{-tA} on the spectrum: g_n(z) - e^{-z} at z = t lambda, g_n = (g_t)_n."""
-    return power_scale(g.at(t), n).defect(t * A.eigs)
-
-
-def _residual(g, A: GeneratorMatrix, t: float, n: int) -> np.ndarray:
-    """scheme - e^{-tA} - (2n)^{-1}(g_t''(0)-1) t^2 e^{-tA} A^2 on the spectrum."""
+def _residual(g, t: float, n: int):
+    """scheme - e^{-tA} - (2n)^{-1}(g_t''(0)-1) t^2 e^{-tA} A^2 as a function
+    of a spectral point."""
     gt = g.at(t)
-    if not math.isfinite(gt.moments[2]):
+    if not check_bk(gt, 2):
         raise ValueError(f"{g.name}: the second-order residual needs a finite g''(0)")
-    return power_scale(gt, n).residual(t * A.eigs)
+    gn = power_scale(gt, n)
+    return lambda lam: gn.residual(t * lam)
 
 
-def _frac_norms(A: GeneratorMatrix, alpha: float, Y) -> list[float]:
-    return _norms(frac_on_spectrum(A.eigs, alpha), Y)
+def _once(f):
+    """f keeping its value on the last array it was given, so that the norms
+    and the op-norm of one cell share one evaluation on the spectrum."""
+    last = [None, None]
+
+    def kept(lam):
+        if last[0] is not lam:
+            last[:] = lam, f(lam)
+        return last[1]
+
+    return kept
 
 
-class _Cell:
-    """One (t, n) cell of a suite: the test vectors in the eigenbasis of A,
-    the error ||E x|| of each (E on the spectrum) and the rows added."""
-
-    def __init__(self, g, A: GeneratorMatrix, t: float, n: int, vectors, E: np.ndarray):
-        self.A, self.key, self.rows = A, (g.name, A.name, t, n), []
-        self.Y = _coords(A, vectors)
-        self.errors = _norms(E, self.Y)
-
-    def add(self, alpha: float, tag: str, factor: float, norms=None) -> None:
-        """Rows with bound factor * ||A^alpha x||, or factor * norms[i] when given."""
-        if norms is None:
-            norms = _frac_norms(self.A, alpha, self.Y)
-        self.rows += [BoundReport(*self.key, alpha, i, err, factor * nx, tag)
-                      for i, (err, nx) in enumerate(zip(self.errors, norms))]
+def _cell(g, A: GeneratorMatrix, t: float, n: int, vectors, E, terms,
+          op_bound: float | None = None) -> list[BoundReport]:
+    """The rows of one (t, n) cell, each with the error ||E(A) x|| of a test
+    vector x: first, given op_bound, the holo-opnorm row ||E(A)||; then for
+    each term (alpha, tag, factor) the bound factor * ||A^alpha x||, or
+    factor * sum_p w ||A^p x|| when the term ends with its (p, w) pairs."""
+    E = _once(E)
+    pairs = [term[3] if len(term) > 3 else ((term[0], 1.0),) for term in terms]
+    powers = sorted({p for term in pairs for p, _ in term})
+    errors, *nx = A.norms([E, *(partial(frac_on_spectrum, alpha=p) for p in powers)], vectors)
+    nx = dict(zip(powers, nx))
+    key = (g.name, A.name, t, n)
+    rows = [] if op_bound is None else [
+        BoundReport(*key, 0.0, -1, A.opnorm(E), op_bound, "holo-opnorm")]
+    for (alpha, tag, factor, *_), weights in zip(terms, pairs):
+        rows += [BoundReport(*key, alpha, i, err,
+                             factor * sum(w * nx[p][i] for p, w in weights), tag)
+                 for i, err in enumerate(errors)]
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -217,7 +218,7 @@ def _inputs(name: str, g, A: GeneratorMatrix, t: float, alphas):
         raise ValueError(f"suite {name!r} needs g(inf) = 0, and {g.name} has "
                          f"g(inf) = {g.limit_at_inf:g}")
     k, prime = entry.moment, "'" * entry.moment
-    if k and not math.isfinite(gt.moments[k]):
+    if k and not check_bk(gt, k):
         raise ValueError(f"suite {name!r} needs a B{k} function, with g{prime}(0) finite, "
                          f"and {gt.name} is not one")
     Mc = opcalc.semigroup_constants(A)
@@ -239,15 +240,11 @@ def first_order_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
     """
     gt, Mc = _inputs("first", g, A, t, alphas)
     M, h = Mc[0], gt.moments[2] - 1.0
-    cell = _Cell(g, A, t, n, vectors, _defect(g, A, t, n))
-    for alpha in alphas:
-        if alpha == 2.0:
-            cell.add(alpha, "first-order-A2", M * 0.5 * h * t ** 2 / n)
-        elif alpha == 1.0:
-            cell.add(alpha, "first-order-A1", M * math.sqrt(h) * t / math.sqrt(n))
-        else:
-            cell.add(alpha, "first-order-frac", 4.0 * M * (h * t ** 2 / n) ** (alpha / 2.0))
-    return cell.rows
+    terms = [(alpha, "first-order-A2", M * 0.5 * h * t ** 2 / n) if alpha == 2.0
+             else (alpha, "first-order-A1", M * math.sqrt(h) * t / math.sqrt(n)) if alpha == 1.0
+             else (alpha, "first-order-frac", 4.0 * M * (h * t ** 2 / n) ** (alpha / 2.0))
+             for alpha in alphas]
+    return _cell(g, A, t, n, vectors, _defect(g, t, n), terms)
 
 
 def non_b2_bounds(g: CMFunction, A: GeneratorMatrix, t: float, n: int, alphas,
@@ -261,13 +258,10 @@ def non_b2_bounds(g: CMFunction, A: GeneratorMatrix, t: float, n: int, alphas,
     dg = g.derivative(1.0 / n, 1)
     lead = 4.0 * math.e * Mc[0] * (1.0 + 1.0 / abs(dg))
     root = max(1.0 + dg, 0.0)
-    cell = _Cell(g, A, t, n, vectors, _defect(g, A, t, n))
-    for alpha in alphas:
-        if alpha == 1.0:
-            cell.add(alpha, "slope-A1", lead * math.sqrt(root) * t)
-        else:
-            cell.add(alpha, "slope-frac", 4.0 * lead * root ** (alpha / 2.0) * t ** alpha)
-    return cell.rows
+    terms = [(alpha, "slope-A1", lead * math.sqrt(root) * t) if alpha == 1.0
+             else (alpha, "slope-frac", 4.0 * lead * root ** (alpha / 2.0) * t ** alpha)
+             for alpha in alphas]
+    return _cell(g, A, t, n, vectors, _defect(g, t, n), terms)
 
 
 def second_order_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
@@ -281,12 +275,9 @@ def second_order_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
     gt, Mc = _inputs("second", g, A, t, alphas)
     M, h2, h4 = Mc[0], gt.moments[2] - 1.0, gt.moments[4] - 1.0
     C, C1 = math.sqrt(h2 * h4 / 2.0), h4
-    cell = _Cell(g, A, t, n, vectors, _residual(g, A, t, n))
-    n3, n4 = _frac_norms(A, 3.0, cell.Y), _frac_norms(A, 4.0, cell.Y)
-    cell.add(3.0, "second-order-A3", M * C * t ** 3 * n ** -1.5, n3)
-    cell.add(4.0, "second-order-A4", M * C1 * t ** 3 * n ** -2.0,
-             [a + t * b for a, b in zip(n3, n4)])
-    return cell.rows
+    terms = [(3.0, "second-order-A3", M * C * t ** 3 * n ** -1.5),
+             (4.0, "second-order-A4", M * C1 * t ** 3 * n ** -2.0, ((3.0, 1.0), (4.0, t)))]
+    return _cell(g, A, t, n, vectors, _residual(g, t, n), terms)
 
 
 def holomorphic_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
@@ -304,26 +295,23 @@ def holomorphic_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
     h = gt.moments[2] - 1.0
     M0, M1, M2 = Mc[0], Mc[1], Mc[2]
     K = 3.0 * M0 + 3.0 * M1 + M2 / 2.0
-    d = _defect(g, A, t, n)
-    cell = _Cell(g, A, t, n, vectors, d)
-    cell.rows.append(BoundReport(*cell.key, 0.0, -1, _opnorm(d), K * h / n, "holo-opnorm"))
     quad = g.rational_n is None and gt is g and g.tail_integrable and g.measure is not None
     if quad:   # one quadrature for every alpha of the suite
         functionals.c_alpha_quads(power_scale(g, n), alphas)
+    terms = []
     for alpha in alphas:
-        nx = _frac_norms(A, alpha, cell.Y)
         if alpha == 1.0:
-            cell.add(alpha, "holo-A1", (2.0 * M0 + 1.5 * M1) * h / n * t, nx)
+            terms.append((alpha, "holo-A1", (2.0 * M0 + 1.5 * M1) * h / n * t))
         elif 0.0 < alpha < 1.0:
-            cell.add(alpha, "holo-frac", 3.0 * M0 * K * h / n * t ** alpha, nx)
+            terms.append((alpha, "holo-frac", 3.0 * M0 * K * h / n * t ** alpha))
         if g.rational_n is not None:
             c = euler_sharp_r(g.rational_n * n, alpha)
         elif quad:
             c = functionals.c_alpha_quad(power_scale(g, n), alpha).value
         else:
             continue
-        cell.add(alpha, "holo-sharp", Mc[2.0 - alpha] * c * t ** alpha, nx)
-    return cell.rows
+        terms.append((alpha, "holo-sharp", Mc[2.0 - alpha] * c * t ** alpha))
+    return _cell(g, A, t, n, vectors, _defect(g, t, n), terms, op_bound=K * h / n)
 
 
 def euler_sharp_r(n: int, alpha: float) -> float:
@@ -346,11 +334,10 @@ def holomorphic_second_order(g: CMFunction, A: GeneratorMatrix, t: float, n: int
     gn = power_scale(g, n)
     b_n = functionals.b_of(gn)
     d1_n = functionals.d1_of(gn)
-    cell = _Cell(g, A, t, n, vectors, _residual(g, A, t, n))
-    for alpha in alphas:
-        K = abs(b_n) * Mc[3.0 - alpha] + 0.5 * d1_n * Mc[4.0 - alpha]
-        cell.add(alpha, "holo-second", K * t ** alpha)
-    return cell.rows
+    terms = [(alpha, "holo-second",
+              (abs(b_n) * Mc[3.0 - alpha] + 0.5 * d1_n * Mc[4.0 - alpha]) * t ** alpha)
+             for alpha in alphas]
+    return _cell(g, A, t, n, vectors, _residual(g, t, n), terms)
 
 
 # ----------------------------------------------------------------------
@@ -364,11 +351,14 @@ def spectral_order(g, A: GeneratorMatrix, t: float, ns, alpha: float,
     weight lambda^{-alpha} is 0 at lambda = 0, where E_n vanishes.  Points at
     or below 100 eps ||e^{-tA} A^{-alpha}||, the size of either term of E_n,
     are roundoff and left out; with none left the flag is "exact"."""
-    zero = A.eigs == 0
-    weight = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, frac_on_spectrum(A.eigs, alpha)))
+    @_once
+    def weight(lam):
+        zero = lam == 0
+        return np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, frac_on_spectrum(lam, alpha)))
+
     E = _residual if second else _defect
-    floor = 100.0 * np.finfo(float).eps * _opnorm(np.exp(-t * A.eigs) * weight)
-    pts = [(n, _opnorm(E(g, A, t, n) * weight)) for n in ns]
+    floor = 100.0 * np.finfo(float).eps * A.opnorm(lambda lam: np.exp(-t * lam) * weight(lam))
+    pts = [(n, A.opnorm(lambda lam: E(g, t, n)(lam) * weight(lam))) for n in ns]
     return fit_order([(n, e) for n, e in pts if e > floor])
 
 

@@ -280,13 +280,13 @@ def test_holo_run_computes_each_c_alpha_once(tmp_path, monkeypatch):
     quadratures, reads = [], []
     inner_quad, inner_read = fns._c_alpha_quadrature, fns.c_alpha_quad
 
-    def quadrature(g, alphas, rel_tol):
+    def quadrature(g, alphas):
         quadratures.append((g.name, alphas))
-        return inner_quad(g, alphas, rel_tol)
+        return inner_quad(g, alphas)
 
-    def read(g, alpha, *args):
+    def read(g, alpha):
         reads.append((g.name, alpha))
-        return inner_read(g, alpha, *args)
+        return inner_read(g, alpha)
 
     monkeypatch.setattr(fns, "_c_alpha_quadrature", quadrature)
     monkeypatch.setattr(fns, "c_alpha_quad", read)

@@ -233,7 +233,7 @@ def test_c_alpha_three_alphas_share_one_quadrature(monkeypatch):
     # and 1, in a few integrand calls; the reads after it compute nothing
     gn = cmfun.power_scale(cmfun.spline(), 1024)
     for alpha in (0.0, 0.5, 1.0):
-        F._C_ALPHA.pop((gn, alpha, 1e-11), None)
+        F._C_ALPHA.pop((gn, alpha), None)
     points = []
     inner = quadrature.integrate
 

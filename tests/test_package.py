@@ -23,3 +23,17 @@ def test_all_entries_exist(name):
     assert len(set(exported)) == len(exported)
     missing = [attr for attr in exported if not hasattr(mod, attr)]
     assert not missing, f"cmapprox.{name}.__all__ names missing {missing}"
+
+
+def test_rates_reaches_the_operator_only_through_its_norms():
+    # the bounds read f(A) through GeneratorMatrix.norms and .opnorm, so that a
+    # generator held some other way than eigenvalues and a basis serves rates too
+    import ast
+
+    from cmapprox import rates
+
+    with open(rates.__file__) as fh:
+        tree = ast.parse(fh.read())
+    found = [(node.lineno, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("eigs", "basis")]
+    assert not found, f"rates.py reads the eigen-representation at {found}"

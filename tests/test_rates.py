@@ -50,13 +50,13 @@ def test_spectral_order_floor_follows_the_semigroup_scale():
     # it is exact
     A = opcalc.laplacian_dirichlet_1d(16)
     g = dataclasses.replace(cmfun.exponential(), name="exp-direct", log_defect=None)
-    ns, weight = (4, 8, 16, 32), 1.0 / A.eigs
-    pts = [(n, rates._opnorm(rates._defect(g, A, 1.0, n) * weight)) for n in ns]
+    ns = (4, 8, 16, 32)
+    pts = [(n, A.opnorm(lambda lam: rates._defect(g, 1.0, n)(lam) * (1.0 / lam))) for n in ns]
     assert fit_order(pts).used_points == 4
     fit = rates.spectral_order(g, A, 1.0, ns, alpha=1.0)
     assert fit.flag == "exact" and fit.used_points == 0
     # exp itself carries L = 0, and its defect is an exact zero
-    assert not np.any(rates._defect(cmfun.exponential(), A, 1.0, 4))
+    assert not np.any(rates._defect(cmfun.exponential(), 1.0, 4)(A.eigs))
     # a genuine rate stays above the floor
     fit = rates.spectral_order(cmfun.euler(), A, 1.0, ns, alpha=1.0)
     assert fit.used_points == 4 and fit.slope == pytest.approx(-1.0, abs=0.1)
@@ -134,6 +134,33 @@ def test_second_order_requires_b4():
     vecs = opcalc.test_vectors(A, count=2)
     with pytest.raises(ValueError):
         second_order_bounds(cmfun.frac_tail(0.5), A, 1.0, 4, (), vecs)
+
+
+@pytest.mark.parametrize("suite, scheme, alphas", [
+    ("first", "euler", (0.5, 1.0, 2.0)),
+    ("nonb2", "frac_tail:gamma=0.5", (0.5, 1.0)),
+    ("second", "euler", ()),
+    ("holo", "spline", (0.0, 0.5, 1.0)),
+    ("holo2", "spline", (0.0, 1.0, 3.0)),
+])
+def test_one_basis_solve_per_cell(suite, scheme, alphas, monkeypatch):
+    # every norm of a (t, n) cell, errors and bounds alike, reads the test
+    # vectors from one trip to the eigenbasis
+    A = opcalc.laplacian_dirichlet_1d(16)
+    vecs = opcalc.test_vectors(A)
+    calls = []
+    inner = A.basis.solve
+
+    def solve(X):
+        calls.append(X.shape)
+        return inner(X)
+
+    monkeypatch.setattr(A.basis, "solve", solve)
+    run, g = rates.SUITES[suite], cmfun.make_builtin(scheme)
+    cells = [(t, n) for t in (0.5, 2.0) for n in (4, 16, 64)]
+    for t, n in cells:
+        assert run(g, A, t, n, alphas, vecs)
+    assert calls == [(16, len(vecs))] * len(cells)
 
 
 def test_first_order_opnorm_slope_euler_laplacian():
