@@ -8,9 +8,11 @@ normalized classes, tested by check_bk(g, k), are
     B1: m_0 = m_1 = 1;  B2: additionally m_2 < inf;  B3, B4 likewise.
 
 Derivatives at zero are g^(k)(0) = (-1)^k m_k and are stored exactly
-from the moments.  Derivatives at z > 0 come from `deriv_real` or the
-measure; a power-scaled function (such as `euler_pow4` under the `nonb2`
-suite) gets its first two from those of g by the chain rule.
+from the moments.  Derivatives at z > 0 are the closed-form transform
+`PositiveMeasure.laplace(z, order)` of the measure; a power-scaled
+function (such as `euler_pow4` under the `nonb2` suite), which keeps no
+measure, gets its first two from those of g by the chain rule
+(`deriv_real`).
 
 Every B2 built-in also carries its log-defect L(w) = log g(w) + w
 (`LogDefect`): the cumulant series sum_{k>=2} (-1)^k kappa_k w^k/k! below a
@@ -37,8 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measures import PolyExpSegment, PositiveMeasure, PowerLawSegment, powerlaw_laplace
-from .polyexp import monomial_exp_integral
+from .measures import PolyExpSegment, PositiveMeasure, PowerLawSegment
 
 __all__ = [
     "CMFunction",
@@ -146,7 +147,7 @@ class CMFunction:
     measure: PositiveMeasure | None = None
     moments: tuple = (1.0, 1.0, math.inf, math.inf, math.inf)
     limit_at_inf: float = 0.0               # g(inf) = mass of the atom at 0
-    deriv_real: object = None               # optional callable (z, order) -> value
+    deriv_real: object = None               # (z, order) -> value, for g without a measure
     rational_n: int | None = None           # n with g(z) = (1 + z/n)^{-n} (Euler type)
     log_defect: LogDefect | None = None     # L(w) = log g(w) + w (B2 built-ins, measures)
 
@@ -212,8 +213,7 @@ class CMFunction:
             return float(self.deriv_real(z, order))
         if self.measure is None:
             raise ValueError(f"{self.name}: derivatives at z > 0 need deriv_real or a measure")
-        kernel = lambda s: (-s) ** order * np.exp(-z * s)
-        return self.measure.kernel_integral(kernel)
+        return float(self.measure.laplace(z, order))
 
 
 @dataclass(frozen=True)
@@ -351,7 +351,6 @@ def exponential() -> CMFunction:
         evaluate=lambda z: np.exp(-z),
         measure=nu,
         moments=(1.0, 1.0, 1.0, 1.0, 1.0),
-        deriv_real=lambda z, k: (-1.0) ** k * math.exp(-z),
         log_defect=_ZERO_DEFECT,
     )
 
@@ -364,7 +363,6 @@ def euler() -> CMFunction:
         evaluate=lambda z: 1.0 / (1.0 + z),
         measure=nu,
         moments=(1.0, 1.0, 2.0, 6.0, 24.0),
-        deriv_real=lambda z, k: (-1.0) ** k * math.factorial(k) * (1.0 + z) ** (-k - 1),
         rational_n=1,
         log_defect=_EULER_DEFECT,
     )
@@ -411,10 +409,6 @@ def spline() -> CMFunction:
         out = -np.expm1(-2.0 * zz) / (2.0 * zz)
         return np.where(small, 1.0 - z + (2.0 / 3.0) * z ** 2, out)
 
-    def deriv(z, k):
-        # g^(k)(z) = (1/2) int_0^2 (-s)^k e^{-zs} ds
-        return 0.5 * (-1.0) ** k * monomial_exp_integral(k, z, 0.0, 2.0)
-
     # L(w) = log(sinh(w)/w), an even series; g^(j)(0)/j! = (-2)^j/(j+1)!
     taylor = [(-2.0) ** j / math.factorial(j + 1) for j in range(SERIES_DEGREE + 1)]
     return CMFunction(
@@ -422,7 +416,6 @@ def spline() -> CMFunction:
         evaluate=evaluate,
         measure=nu,
         moments=(1.0, 1.0, 4.0 / 3.0, 2.0, 16.0 / 5.0),
-        deriv_real=deriv,
         log_defect=_log_defect(_log_series(taylor), lambda w: np.log(evaluate(w)) + w),
     )
 
@@ -449,7 +442,6 @@ def kendall(t: float) -> CMFunction:
         measure=nu,
         moments=(1.0, 1.0, inv_t, inv_t ** 2, inv_t ** 3),
         limit_at_inf=1.0 - t,
-        deriv_real=lambda z, k: t * (-inv_t) ** k * math.exp(-z * inv_t),
         log_defect=log_defect,
     )
 
@@ -558,26 +550,12 @@ def frac_tail(gamma: float) -> CMFunction:
     w, p = gamma * (gamma + 1.0), 2.0 + gamma
     nu = PositiveMeasure(atoms=((0.0, 1.0 - gamma),), segments=(PowerLawSegment(w, p),))
 
-    def evaluate(z):
-        out = (1.0 - gamma) + w * powerlaw_laplace(p, z)
-        return out if np.iscomplexobj(z) else out.real
-
-    def deriv(z, k):
-        # g^(k)(z) = w (-1)^k sum_j C(k,j)(-1)^{k-j} F(p-j, z),
-        # F(p, z) = int_0^inf e^{-zs} (1+s)^{-p} ds
-        acc = 0.0
-        for j in range(k + 1):
-            F = float(powerlaw_laplace(p - j, z).real)
-            acc += math.comb(k, j) * (-1.0) ** (k - j) * F
-        return w * (-1.0) ** k * acc
-
     return CMFunction(
         name=f"frac_tail(gamma={gamma:g})",
-        evaluate=evaluate,
+        evaluate=nu.laplace,
         measure=nu,
         moments=(1.0, 1.0, math.inf, math.inf, math.inf),
         limit_at_inf=1.0 - gamma,
-        deriv_real=deriv,
     )
 
 

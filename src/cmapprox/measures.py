@@ -4,13 +4,15 @@ A measure is a list of point atoms plus density segments.  Two segment
 shapes are supported: polynomial-times-exponential p(s)e^{-cs} on [a,b]
 (covers Gamma densities, uniform densities, truncated series), and a
 power-law tail w(1+s)^{-p} on [0, inf) (covers heavy-tailed examples
-whose second moment diverges).  Moments, partial moments, and Laplace
-transforms are all closed-form up to incomplete gamma/beta functions,
-so downstream functionals can be computed without sampling the measure.
-Laplace transforms are evaluated on whole arrays of z: the polynomial-
-exponential part by `polyexp_laplace_complex`, the power-law part
-e^z E_p(z) by `powerlaw_laplace` (a power series near 0, a continued
-fraction beyond).
+whose second moment diverges).  Moments, partial moments and Laplace
+transforms are closed-form, so downstream functionals can be computed
+without sampling the measure.  `PositiveMeasure.laplace(z, order)` gives
+int (-s)^order e^{-zs} nu(ds), the order-th derivative of the transform,
+on whole arrays of z: an atom as w (-loc)^order e^{-z loc}, the
+polynomial-exponential part by `polyexp_laplace_complex` on the
+coefficients of (-s)^order p(s), and the power-law part by a binomial sum
+of F(p-j, z) = e^z E_{p-j}(z) (`powerlaw_laplace`: a power series near
+0, a continued fraction beyond).
 """
 
 from __future__ import annotations
@@ -76,9 +78,11 @@ class PolyExpSegment:
             return 0.0
         return polyexp_moment(self.coeffs, self.rate, lo, hi, k)
 
-    def laplace(self, z):
-        """int_a^b e^{-zs} density(s) ds on an array of complex z (a complex for 0-d z)."""
-        return polyexp_laplace_complex(self.coeffs, self.rate, self.a, self.b, z)[()]
+    def laplace(self, z, order: int = 0):
+        """int_a^b (-s)^order e^{-zs} density(s) ds on an array of complex z
+        (a complex for 0-d z)."""
+        coeffs = (0.0,) * order + tuple((-1.0) ** order * c for c in self.coeffs)
+        return polyexp_laplace_complex(coeffs, self.rate, self.a, self.b, z)[()]
 
 
 SERIES_RADIUS = 1.5    # power series for |z| <= 1.5, continued fraction beyond
@@ -207,9 +211,18 @@ class PowerLawSegment:
             total += c * piece
         return self.weight * total
 
-    def laplace(self, z):
-        """int_0^inf e^{-zs} density(s) ds on an array of complex z (a complex for 0-d z)."""
-        return self.weight * powerlaw_laplace(self.exponent, z)[()]
+    def laplace(self, z, order: int = 0):
+        """int_0^inf (-s)^order e^{-zs} density(s) ds on an array of complex z
+        (a complex for 0-d z): with s^k = ((1+s) - 1)^k, the sum
+        sum_j C(k, j) (-1)^{k-j} F(p-j, z)."""
+        acc = 0.0
+        for j in range(order + 1):
+            acc = acc + math.comb(order, j) * (-1.0) ** (order - j) * powerlaw_laplace(
+                self.exponent - j, z)
+        return (self.weight * (-1.0) ** order * acc)[()]
+
+
+KERNEL_REL_TOL = 1e-12  # relative tolerance of the quadrature in kernel_integral
 
 
 @dataclass(frozen=True)
@@ -258,23 +271,24 @@ class PositiveMeasure:
 
     # -- transforms -------------------------------------------------------
 
-    def laplace(self, z):
-        """int e^{-zs} nu(ds) on an array of z with Re z >= 0 (includes the
-        imaginary axis); real z gives real values, a 0-d z a scalar."""
+    def laplace(self, z, order: int = 0):
+        """int (-s)^order e^{-zs} nu(ds), the order-th derivative of the Laplace
+        transform, on an array of z with Re z >= 0 (includes the imaginary
+        axis); real z gives real values, a 0-d z a scalar."""
         zc = np.asarray(z, dtype=complex)
         total = np.zeros_like(zc)
         for loc, w in self.atoms:
-            total += w * np.exp(-zc * loc)
+            total += w * (-loc) ** order * np.exp(-zc * loc)
         for seg in self.segments:
-            total += seg.laplace(zc)
+            total += seg.laplace(zc, order)
         return (total if np.iscomplexobj(z) else total.real)[()]
 
-    def kernel_integral(self, kernel, rel_tol: float = 1e-12) -> float:
+    def kernel_integral(self, kernel) -> float:
         """int kernel(tau) nu(dtau) with `kernel` vectorized over tau >= 0.
 
         Atoms are summed exactly; segment parts use adaptive quadrature of
-        kernel * density.  The kernel must be finite on the support, else
-        the result is inf.
+        kernel * density to KERNEL_REL_TOL.  The kernel must be finite on
+        the support, else the result is inf.
         """
         from . import quadrature
 
@@ -287,12 +301,12 @@ class PositiveMeasure:
         for seg in self.segments:
             f = lambda s, seg=seg: kernel(s) * seg.density(s)
             if math.isinf(seg.b):
-                res = quadrature.integrate_semi_infinite(f, seg.a, rel_tol=rel_tol)
+                res = quadrature.integrate_semi_infinite(f, seg.a, rel_tol=KERNEL_REL_TOL)
                 if not res.converged:
                     return math.inf
                 total += res.value
             else:
-                total += quadrature.integrate(f, seg.a, seg.b, rel_tol=rel_tol)
+                total += quadrature.integrate(f, seg.a, seg.b, rel_tol=KERNEL_REL_TOL)
         return total
 
     def zero_atom_mass(self) -> float:

@@ -67,10 +67,10 @@ def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _BATCH = 128   # panels per integrand call after the first, which takes every root panel
+_ABS_TOL = 1e-15   # an error estimate this small passes, however small the sums
 
 
-def integrate(f, a, b, rel_tol: float = 1e-12, abs_tol: float = 1e-15, max_depth: int = 40,
-              scale=0.0):
+def integrate(f, a, b, rel_tol: float = 1e-12, max_depth: int = 40, scale=0.0):
     """Integral of f over [a, b] (0 when b <= a).
 
     For arrays a and b, the integrals over the panels [a_i, b_i] as an
@@ -106,9 +106,10 @@ def integrate(f, a, b, rel_tol: float = 1e-12, abs_tol: float = 1e-15, max_depth
             finite = np.isfinite(fine) & np.isfinite(coarse)
             if totals is None:  # the first batch holds every root panel
                 totals = np.zeros((len(vals), lo.size))
-                rough = np.sum(np.abs(np.where(finite, coarse, 0.0)), axis=1) + abs_tol
+                rough = np.sum(np.abs(np.where(finite, coarse, 0.0)), axis=1) + _ABS_TOL
             total = np.sum(np.where(np.isfinite(totals), totals, 0.0), axis=1)
-            tol = np.maximum(abs_tol, rel_tol * np.maximum(np.maximum(rough, np.abs(total)), scale))
+            tol = np.maximum(_ABS_TOL,
+                             rel_tol * np.maximum(np.maximum(rough, np.abs(total)), scale))
             passed = (np.abs(fine - coarse) <= tol[:, None]) | ~finite
             done = np.all(passed, axis=0) | (depth >= max_depth)
             np.add.at(totals.T, root[done], fine[:, done].T)
@@ -141,11 +142,11 @@ class TailResult:
 
 
 _FIRST_STAGE = 4   # dyadic tail panels sent with the head; each later stage doubles
+_FIRST_WIDTH = 1.0   # width of the first dyadic tail panel
 
 
 def integrate_semi_infinite(f, a, rel_tol: float = 1e-12,
                             tail_rel: float = 1e-13,
-                            first_width: float = 1.0,
                             max_span: float = 1e15) -> TailResult:
     """Integral of f over [a, inf), or over [a[0], inf) for a sequence of breakpoints a.
 
@@ -163,7 +164,7 @@ def integrate_semi_infinite(f, a, rel_tol: float = 1e-12,
     k components every component stops on its own.
     """
     breaks = np.atleast_1d(np.asarray(a, dtype=float))
-    starts = first_width * (2.0 ** np.arange(64) - 1.0)
+    starts = _FIRST_WIDTH * (2.0 ** np.arange(64) - 1.0)
     edges = np.concatenate([breaks, breaks[-1] + starts[1:np.searchsorted(starts, max_span) + 1]])
     head = breaks.size - 1
     parts, size, end = [], _FIRST_STAGE, 0

@@ -295,7 +295,7 @@ def holomorphic_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
     h = gt.moments[2] - 1.0
     M0, M1, M2 = Mc[0], Mc[1], Mc[2]
     K = 3.0 * M0 + 3.0 * M1 + M2 / 2.0
-    quad = g.rational_n is None and gt is g and g.tail_integrable and g.measure is not None
+    quad = g.rational_n is None and gt is g and g.tail_integrable and g.log_defect is not None
     if quad:   # one quadrature for every alpha of the suite
         functionals.c_alpha_quads(power_scale(g, n), alphas)
     terms = []

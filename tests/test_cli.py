@@ -500,18 +500,25 @@ def test_commands_load_no_numpy_polynomial(argv, tmp_path):
 
 
 def test_scipy_paths_import_it_when_run(tmp_path):
-    # scipy is loaded in two places, each when it runs: the incomplete-gamma
-    # branch of monomial_exp_integral (c b >= m + 1) and sharpness --which shift
-    probe = ("import math, sys; from cmapprox import polyexp; "
-             "assert not any(m.startswith('scipy') for m in sys.modules); "
-             "v = polyexp.monomial_exp_integral(0, 2.0, 1.0, 4.0); "
-             "assert abs(v - (math.exp(-2.0) - math.exp(-8.0)) / 2.0) <= 1e-16, v; "
-             "assert 'scipy.special' in sys.modules")
+    # scipy is loaded in one place, when it runs: sharpness --which shift.
+    # Moments, derivatives and a measure: function's values take numpy alone
+    spec = tmp_path / "uniform.json"
+    spec.write_text('{"segments": [{"a": 0, "b": 2, "poly": [0.5]}]}')
+    probe = ("import math, sys; from cmapprox import cmfun; "
+             "m = [cmfun.euler().measure.moment(k) for k in range(5)]; "
+             "assert m == [1.0, 1.0, 2.0, 6.0, 24.0], m; "
+             "g = cmfun.make_builtin('measure:' + sys.argv[1]); "
+             "v = float(g(1.0)); "
+             "assert abs(v - (1.0 - math.exp(-2.0)) / 2.0) <= 1e-16, v; "
+             "fs = (g, cmfun.spline(), cmfun.yosida(1.0), cmfun.frac_tail(0.5)); "
+             "d = [f.derivative(0.5, k) for f in fs for k in (1, 2)]; "
+             "assert all(map(math.isfinite, d)), d; "
+             "assert not any(m.startswith('scipy') for m in sys.modules)")
     run_cli = ("import sys; from cmapprox.cli import main; "
                "assert not any(m.startswith('scipy') for m in sys.modules); "
                "code = main(sys.argv[1:]); assert 'scipy.special' in sys.modules; sys.exit(code)")
     out = str(tmp_path / "shift.csv")
-    for argv in ([sys.executable, "-c", probe],
+    for argv in ([sys.executable, "-c", probe, str(spec)],
                  [sys.executable, "-c", run_cli, "sharpness", "--which", "shift",
                   "--n", "4,16", "--out", out]):
         proc = subprocess.run(argv, capture_output=True, env=_src_env(), timeout=120)

@@ -122,6 +122,36 @@ def test_derivative_needs_deriv_real_or_a_measure():
         cmfun.make_builtin("euler_pow4").derivative(0.5, 3)
 
 
+_DERIVATIVE_POINTS = (1e-3, 1.0 / 64.0, 0.5, 4.0, 10.0)
+
+
+@pytest.mark.parametrize("g", b2_builtins() + [cmfun.frac_tail(0.5)], ids=lambda g: g.name)
+def test_derivatives_from_the_measure_match_mpmath(g, monkeypatch):
+    # g'(z) and g''(z) are the closed-form transforms int (-s)^k e^{-zs} nu(ds),
+    # against 40-digit derivatives of the closed forms; the power-law kernel
+    # of frac_tail is good to about 2e-13, every other kernel to a few ulp
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("derivative reached kernel_integral")
+
+    monkeypatch.setattr(PositiveMeasure, "kernel_integral", no_quadrature)
+    rel = 1e-12 if g.name.startswith("frac_tail") else 1e-13
+    f = mp_eval_map()[g.name]
+    for z in _DERIVATIVE_POINTS:
+        for order in (1, 2):
+            with mpmath.workdps(40):
+                want = float(mpmath.diff(f, mpmath.mpf(z), order))
+            assert g.derivative(z, order) == pytest.approx(want, rel=rel, abs=0.0), (z, order)
+
+
+@pytest.mark.parametrize("g", [cmfun.exponential(), cmfun.euler(), cmfun.spline(),
+                               cmfun.kendall(0.3), cmfun.kendall(0.5), cmfun.kendall(0.7)],
+                         ids=lambda g: g.name)
+def test_measure_moments_are_the_stated_moments(g):
+    # the kernel at z = 0 forms Euler's k! as an exact product
+    for k, want in enumerate(g.moments):
+        assert abs(g.measure.moment(k) - want) <= math.ulp(want), k
+
+
 def test_euler_power_measure_matches_rational_form():
     for n in (2, 8, 32):
         g = cmfun.euler_power(n)

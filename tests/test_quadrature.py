@@ -54,9 +54,10 @@ def test_integrate_returns_at_max_depth():
 @given(m=st.integers(0, 6), c=st.floats(0.0, 2.0), a=st.floats(0.0, 3.0),
        width=st.floats(0.01, 5.0))
 def test_integrate_monomial_exp_property(m, c, a, width):
-    # c * a <= 6 keeps the closed form's incomplete-gamma difference accurate
+    # int_a^b s^m e^{-cs} ds, the moment of the density e^{-cs}; c may be
+    # subnormal, where 1/c overflows
     b = a + width
-    want = polyexp.monomial_exp_integral(m, c, a, b)
+    want = polyexp.polyexp_moment((1.0,), c, a, b, m)
     got = quadrature.integrate(lambda s: s ** m * np.exp(-c * s), a, b)
     assert got == pytest.approx(want, rel=1e-11)
 
@@ -189,7 +190,7 @@ def test_semi_infinite_accepts_an_overflowing_far_tail():
 def test_monomial_exp_integral_against_quadrature():
     for m, c, a, b in ((0, 1.0, 0.0, 3.0), (2, 0.5, 1.0, 4.0), (5, 2.0, 0.0, math.inf),
                        (3, 0.0, 0.0, 2.0)):
-        got = polyexp.monomial_exp_integral(m, c, a, b)
+        got = polyexp.polyexp_moment((1.0,), c, a, b, m)
         hi = b if math.isfinite(b) else 60.0 / max(c, 1.0)
         want = quadrature.integrate(lambda s: s ** m * np.exp(-c * s), a, hi)
         assert got == pytest.approx(want, rel=1e-11)
@@ -197,26 +198,27 @@ def test_monomial_exp_integral_against_quadrature():
 
 def test_monomial_exp_small_rate_stability():
     # c*b << 1 hits the series branch; compare against the c = 0 limit
-    got = polyexp.monomial_exp_integral(2, 1e-9, 1.0, 2.0)
+    got = polyexp.polyexp_moment((1.0,), 1e-9, 1.0, 2.0, 2)
     assert got == pytest.approx(7.0 / 3.0, rel=1e-8)
     # c^-(m+1) would overflow here; e^{-cs} = 1 to double precision
-    assert polyexp.monomial_exp_integral(6, 1e-50, 0.0, 2.0) == pytest.approx(2.0 ** 7 / 7.0,
-                                                                             rel=1e-15)
-    # Gamma(m+1)/c^(m+1) overflows before P(m+1, c b) can cancel it; the
+    assert polyexp.polyexp_moment((1.0,), 1e-50, 0.0, 2.0, 6) == pytest.approx(2.0 ** 7 / 7.0,
+                                                                              rel=1e-15)
+    # Gamma(m+1)/c^(m+1) overflows before P(m+1, c b) could cancel it; the
     # reference is the lower incomplete gamma in 50-digit arithmetic
     with mpmath.workdps(50):
         for m, c in ((100, 0.01), (150, 0.01)):
             want = mpmath.gammainc(m + 1, 0, c) / mpmath.mpf(c) ** (m + 1)
-            assert polyexp.monomial_exp_integral(m, c, 0.0, 1.0) == pytest.approx(
+            assert polyexp.polyexp_moment((1.0,), c, 0.0, 1.0, m) == pytest.approx(
                 float(want), rel=1e-12)
 
 
 def test_monomial_exp_far_tail_keeps_relative_accuracy():
-    # P(m+1, c a) and P(m+1, c b) both round to 1 here; the upper tails do not
+    # P(m+1, c a) and P(m+1, c b) both round to 1 here, so a difference of
+    # lower incomplete gammas would hold nothing
     with mpmath.workdps(50):
         for m, c, a, b in ((0, 64.0, 1.0, 4.0), (3, 40.0, 2.0, 5.0)):
             want = mpmath.gammainc(m + 1, c * a, c * b) / mpmath.mpf(c) ** (m + 1)
-            assert polyexp.monomial_exp_integral(m, c, a, b) == pytest.approx(
+            assert polyexp.polyexp_moment((1.0,), c, a, b, m) == pytest.approx(
                 float(want), rel=1e-12, abs=0.0)
 
 

@@ -195,6 +195,25 @@ def test_holomorphic_sharp_euler_closed_form_bounds():
             assert r.bound <= 2.0 / n + 1.0  # r_{alpha,n} ~ 1/(2n) scale
 
 
+def test_holo_sharp_rows_of_a_power_scaled_function():
+    # spline_4 keeps no measure, but its log-defect is spline's at scale 4:
+    # its c_alpha[(spline_4)_n] is spline's c_alpha[spline_{4n}], so are the
+    # sharp bounds
+    A = opcalc.make_generator("laplacian:d=16")
+    vecs = opcalc.test_vectors(A, count=4)
+    g = cmfun.spline()
+    g4 = cmfun.power_scale(g, 4)
+    for n in (4, 16):
+        got = [r for r in rates.holomorphic_bounds(g4, A, 1.0, n, (0.0, 0.5, 1.0), vecs)
+               if r.tag == "holo-sharp"]
+        want = [r for r in rates.holomorphic_bounds(g, A, 1.0, 4 * n, (0.0, 0.5, 1.0), vecs)
+                if r.tag == "holo-sharp"]
+        assert len(got) == len(want) == 12
+        for r, w in zip(got, want):
+            assert (r.alpha, r.vector_id) == (w.alpha, w.vector_id)
+            assert r.bound == pytest.approx(w.bound, rel=1e-12, abs=0.0)
+
+
 def test_optimality_inconclusive_flag(tmp_path):
     # one point cannot support a fit: the row fails and orders exits 1
     out = tmp_path / "o.csv"
