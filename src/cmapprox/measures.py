@@ -89,6 +89,7 @@ SERIES_RADIUS = 1.5    # power series for |z| <= 1.5, continued fraction beyond
 SERIES_TERMS = 60      # 1.5^60/60! < 1e-70
 SERIES_STOP = 1e-17    # a series term this small against its sum no longer moves it
 CF_STEPS = 400         # just past |z| = 1.5 on the imaginary axis it takes about 125
+EPS = np.finfo(float).eps  # stop of the Lentz fraction here and of `rates._W_below`'s series
 EULER_GAMMA = 0.5772156649015329  # Euler-Mascheroni constant, -psi(1)
 
 
@@ -159,7 +160,7 @@ def _expint_fraction(p: float, z: np.ndarray) -> np.ndarray:
         c = b + a / c
         delta = c * d
         h[active] *= delta
-        going = np.abs(delta - 1.0) > np.finfo(float).eps
+        going = np.abs(delta - 1.0) > EPS
         active, b, c, d = active[going], b[going], c[going], d[going]
     return h.reshape(z.shape)
 

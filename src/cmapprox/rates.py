@@ -31,6 +31,7 @@ import numpy as np
 
 from . import functionals, opcalc
 from .cmfun import CMFunction, check_bk, power_scale
+from .measures import EPS
 from .opcalc import GeneratorMatrix, frac_on_spectrum
 
 __all__ = [
@@ -46,6 +47,7 @@ SLACK_ABS = 1e-13
 R2_MIN = 0.98
 EXPONENT_TOL = 0.1
 ORDER_ALPHA = (0.0, 4.0)
+W_BLOCK = 64  # terms per step of the series in `_W_below`: about 9 sqrt(n) are needed
 
 
 def within_bound(error: float, bound: float) -> bool:
@@ -416,15 +418,48 @@ def _W_density(n: int, tau: np.ndarray) -> np.ndarray:
 
     built from the Gamma measure nu_n = n^n s^{n-1} e^{-ns}/(n-1)! ds via
     int_0^tau nu_n = P(n, n tau) and int_0^tau y nu_n(dy) = P(n+1, n tau).
-    Above 1 the upper tails Q = 1 - P are taken as they are: forming 1 - P
-    cancels to 0 once P rounds to 1, as it does for n tau far above n.
+    Both differences cancel when formed as written, so neither is:
+    at and below 1 `_W_below` sums a series of positive terms, and above 1
+    the upper tails Q = 1 - P are taken as they are (forming 1 - P cancels
+    to 0 once P rounds to 1, as it does for n tau far above n).
     """
-    from scipy.special import gammainc, gammaincc
+    from scipy.special import gammaincc
 
     tau = np.asarray(tau, dtype=float)
+    out = np.empty(tau.shape)
+    below = tau <= 1.0
+    out[below] = _W_below(n, tau[below])
+    ta = tau[~below]
+    out[~below] = gammaincc(n + 1, n * ta) - ta * gammaincc(n, n * ta)
+    return out
+
+
+def _W_below(n: int, tau: np.ndarray) -> np.ndarray:
+    """W_n(tau) for 0 <= tau <= 1 as pmf * sum_{j>=1} j x^j / (n (n+1) ... (n+j)),
+    x = n tau, where pmf = e^{-x} x^n/n! = L[g_n] e^{-n D} with D = u - log1p(u),
+    u = tau - 1, and L[g_n] = n^n e^{-n}/n! from `functionals.euler_power_L`.
+    The ratio r of consecutive terms falls with j, so once it is below 1 the
+    rest of the sum is at most term * r/(1-r).  The terms are added W_BLOCK
+    at a time (a running product of the ratios); after each block an entry
+    stops once that bound is below EPS of its sum, and only the entries
+    still running are carried on."""
+    u = tau - 1.0
+    with np.errstate(divide="ignore"):  # tau = 0: log1p(-1) = -inf, pmf = 0
+        pmf = functionals.euler_power_L(n) * np.exp(-n * (u - np.log1p(u)))
     x = n * tau
-    return np.where(tau <= 1.0, tau * gammainc(n, x) - gammainc(n + 1, x),
-                    gammaincc(n + 1, x) - tau * gammaincc(n, x))
+    term = x / (n * (n + 1.0))
+    total = term.copy()
+    active = np.arange(x.size)
+    j = np.arange(1.0, W_BLOCK + 1.0)
+    while active.size:
+        r = (j + 1.0) / j * x[:, None] / (n + j + 1.0)
+        terms = term[:, None] * np.cumprod(r, axis=1)
+        total[active] += terms.sum(axis=1)
+        term, r = terms[:, -1], r[:, -1]
+        going = term * r > EPS * (1.0 - r) * total[active]
+        active, x, term = active[going], x[going], term[going]
+        j += W_BLOCK
+    return pmf * total
 
 
 def shift_second_order_sharpness(n_grid) -> dict:

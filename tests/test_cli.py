@@ -526,6 +526,20 @@ def test_scipy_paths_import_it_when_run(tmp_path):
     assert len(_read_csv(out)) == 2
 
 
+def test_main_freezes_the_import_time_heap(tmp_path):
+    # main moves every object alive at its entry to the permanent generation,
+    # which the run's and the exit's collections no longer walk
+    probe = ("import gc, sys; from cmapprox.cli import main; gc.collect(); "
+             "alive = len(gc.get_objects()); "
+             "code = main(['sharpness', '--which', 'euler', '--n', '4', '--out', sys.argv[1]]); "
+             "print(alive, gc.get_freeze_count()); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "euler.csv")],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    alive, frozen = map(int, proc.stdout.split())
+    assert frozen >= alive > 10_000
+
+
 def test_commands_run_without_mpmath(tmp_path):
     bump = tmp_path / "bump.json"
     bump.write_text(json.dumps(

@@ -1,7 +1,10 @@
 """Package hygiene: every name a module exports exists."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -37,3 +40,15 @@ def test_rates_reaches_the_operator_only_through_its_norms():
     found = [(node.lineno, node.attr) for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in ("eigs", "basis")]
     assert not found, f"rates.py reads the eigen-representation at {found}"
+
+
+def test_kernel_benchmarks_still_run():
+    # tests/bench_kernels.py is outside the default collection; run each of its
+    # cases once so that a renamed or removed function fails here, not there
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "pytest", "tests/bench_kernels.py",
+                           "--benchmark-disable", "-q", "-p", "no:cacheprovider"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
