@@ -163,13 +163,19 @@ def cmd_functionals(args) -> int:
             d1 = fns.d1_of(gn) if with_d1 else math.nan
         except fns.DivergentError:
             d1 = math.nan
+        # why a cell is nan: L without a measure (power_scale keeps none), d1
+        # when c_0 diverges (g(inf) > 0); c_alpha names its own
+        why_L = "no_measure" if math.isnan(L) else ""
+        diverges = with_d1 or not gn.tail_integrable
+        why_d1 = "tail_divergent" if math.isnan(d1) and diverges else ""
         for alpha in alphas:
             qv = fns.c_alpha_quad(gn, alpha)
             exact = fns.euler_c_alpha_exact(gn.rational_n, alpha) if gn.rational_n else math.nan
+            flags = dict.fromkeys(f for f in (why_L, qv.flag, why_d1) if f)
             rows.append({
                 "g": g.name, "n": n, "alpha": alpha, "L": L, "a": a, "b": b,
                 "c_alpha_quadrature": qv.value, "c_alpha_exact": exact,
-                "d0": d0, "d1": d1, "residual_flags": qv.flag,
+                "d0": d0, "d1": d1, "residual_flags": ";".join(flags),
             })
     rows.sort(key=lambda r: (r["n"], r["alpha"]))
     fields = ["g", "n", "alpha", "L", "a", "b", "c_alpha_quadrature",
@@ -187,7 +193,7 @@ def cmd_verify_bounds(args) -> int:
     g = make_builtin(cfg.get("scheme", "euler"))
     A = opcalc.make_generator(cfg.get("generator", "diag_imag:k=128"))
     vectors = opcalc.test_vectors(A, seed=args.seed)
-    rows = [r.row() for t in ts for n in ns for r in suite(g, A, t, n, alphas, vectors)]
+    rows = [r.row() for r in suite(g, A, ts, ns, alphas, vectors)]
     rows.sort(key=lambda r: (r["scheme"], r["generator"], r["t"], r["n"],
                              r["alpha"], r["vector_id"]))
     write_csv(args.out, BOUND_FIELDS, rows)

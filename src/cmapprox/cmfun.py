@@ -28,7 +28,10 @@ many digits; see Higham, Accuracy and Stability of Numerical Algorithms
 The power scaling g_n(z) = g(z/n)^n keeps no explicit measure (the
 n-fold convolution is not materialized); its derivatives at zero are
 filled in closed form from those of g, and its log-defect is
-L_n(z) = n L(z/n).
+L_n(z) = n L(z/n).  `g.defect(z, n)` and `g.residual(z, n)` are those of
+g_n without building it, with n a whole number or an array of them
+broadcasting against z, so that one call covers a grid of n; each value
+equals power_scale(g, n)'s bit for bit.
 """
 
 from __future__ import annotations
@@ -83,26 +86,33 @@ class LogDefect:
     closed: object = None
     scale: int = 1
 
-    def __call__(self, z, lead: bool = True):
-        """L_n(z); without `lead`, L_n(z) - coeffs[0] z^2/n, each part summed
-        without that leading term."""
-        n = self.scale
-        w = np.asarray(z) / n
+    def __call__(self, z, lead: bool = True, n=1):
+        """L_{mn}(z) = mn L(z/(mn)), m = scale: the log-defect of (g_m)_n, with n
+        a whole number or an array of them broadcasting against z.  Without
+        `lead`, L_{mn}(z) - coeffs[0] z^2/(mn), each part summed without that
+        leading term."""
+        m = self.scale * n
+        w = np.asarray(z) / m
         out = np.empty_like(w)
         near = np.abs(w) < self.radius
         wn = w[near]
         acc = np.zeros_like(wn)
         for c in self.coeffs[:0:-1]:     # c_K .. c_3: acc = sum_{k>=3} c_k w^{k-2}
-            acc = (acc + c) * wn
+            acc += c
+            acc *= wn
         if self.coeffs and lead:
-            acc = acc + self.coeffs[0]
-        out[near] = acc * wn * wn
+            acc += self.coeffs[0]
+        acc *= wn
+        acc *= wn
+        out[near] = acc
+        del wn, acc     # a stacked grid holds fewer full-size arrays at once
         if not near.all():
             wf = w[~near]
             with np.errstate(divide="ignore"):
                 val = self.closed(wf)
             out[~near] = val if lead else val - self.coeffs[0] * wf * wf
-        return n * out
+        out *= m
+        return out
 
 
 def _log_series(taylor) -> list:
@@ -130,12 +140,21 @@ def _log_defect(coeffs, closed) -> LogDefect:
 _ZERO_DEFECT = LogDefect((), math.inf)
 
 
+def _part(a, mask):
+    """The entries of a (a per-point n or scale, or a column of them) at the
+    points of mask; a scalar as it is."""
+    return np.broadcast_to(a, mask.shape)[mask] if np.ndim(a) else a
+
+
 def _expm1_minus(x):
     """expm1(x) - x = sum_{k>=2} x^k/k! for |x| <= 1, to SERIES_DEGREE terms."""
     acc = np.zeros_like(x)
     for k in range(SERIES_DEGREE, 1, -1):
-        acc = (acc + 1.0) * x / k
-    return acc * x
+        acc += 1.0
+        acc *= x
+        acc /= k
+    acc *= x
+    return acc
 
 
 @dataclass(frozen=True)
@@ -169,42 +188,72 @@ class CMFunction:
         """The member g_t of a family: a fixed function is its own (see ScaledFamily)."""
         return self
 
-    def defect(self, z):
-        """g(z) - e^{-z} on an array of z >= 0 or of complex z with Re z >= 0."""
-        return self._difference(np.asarray(z), second=False)
+    def defect(self, z, n=1):
+        """g_n(z) - e^{-z}, g_n = g(./n)^n, on an array of z >= 0 or of complex z
+        with Re z >= 0; n is a whole number or an array of them broadcasting
+        against z, and each value equals power_scale(g, n).defect(z)."""
+        return self._difference(np.asarray(z), n, second=False)
 
-    def residual(self, z):
-        """g(z) - e^{-z} - (g''(0) - 1)/2 z^2 e^{-z}, the second-order remainder."""
-        return self._difference(np.asarray(z), second=True)
+    def residual(self, z, n=1):
+        """g_n(z) - e^{-z} - (g_n''(0) - 1)/2 z^2 e^{-z}, the second-order
+        remainder, with n as in `defect`."""
+        return self._difference(np.asarray(z), n, second=True)
 
-    def _difference(self, z, second: bool):
-        """With x = L_n(z): e^{-z} expm1(x) where |x| <= 1, and for the remainder
-        e^{-z} ((expm1(x) - x) + (x - c_2 z^2/n)), each part without its
-        leading term.  Where |x| > 1 nothing cancels and the difference is taken
-        directly, with g(z) = e^{x - z} for |z| <= n (n ulp for the n-th
-        power would be worse) and g(z) itself beyond.  Without L every
-        point takes the direct difference."""
+    def _power(self, z, n):
+        """g(z/n)^n as g_n = power_scale(g, n) evaluates it: g itself at n = 1,
+        else one call of `evaluate` and the power with a whole n.  For an
+        array n (shaped as z) the power is taken per distinct n with a Python
+        int, since numpy squares (n = 2) a scalar exponent by another loop
+        than an array of them."""
+        if np.ndim(n) == 0:
+            return self.evaluate(z) if n == 1 else self.evaluate(z / n) ** n
+        v = self.evaluate(z / n)
+        for k in set(n.ravel().tolist()):   # not np.unique, which imports numpy.ma
+            if k != 1:
+                at = n == k
+                v[at] = v[at] ** k
+        return v
+
+    def _difference(self, z, n, second: bool):
+        """With x = L_{mn}(z), the log-defect of g_n: e^{-z} expm1(x) where
+        |x| <= 1, and for the remainder e^{-z} ((expm1(x) - x) + (x - c_2 z^2/(mn))),
+        each part without its leading term.  Where |x| > 1 nothing cancels and
+        the difference is taken directly, with g_n(z) = e^{x - z} for |z| <= mn
+        (n ulp for the n-th power would be worse) and g_n(z) itself beyond.
+        Without L every point takes the direct difference."""
+        if np.ndim(n):    # z on the full grid; n, and the scale m below, stay a column
+            n = np.asarray(n)
+            z = np.broadcast_to(z, np.broadcast_shapes(z.shape, n.shape))
         e = np.exp(-z)
         L = self.log_defect
         if L is None:
-            out = self.evaluate(z) - e
-            return out - 0.5 * (self.moments[2] - 1.0) * z * z * e if second else out
-        lead = L.coeffs[0] / L.scale if L.coeffs else 0.0
-        x = L(z)
+            out = self._power(z, np.broadcast_to(n, z.shape) if np.ndim(n) else n) - e
+            if not second:
+                return out
+            m2 = self.moments[2]    # g_n''(0) as power_scale's moments give it
+            h = np.where(n == 1, m2, 1.0 + (m2 - 1.0) / n) - 1.0
+            return out - 0.5 * h * z * z * e
+        m = L.scale * n
+        lead = L.coeffs[0] / m if L.coeffs else 0.0
+        x = L(z, n=n)
         out = np.empty_like(x)
         small = np.abs(x) <= 1.0
-        xs, es = x[small], e[small]
         if second:
-            out[small] = es * (_expm1_minus(xs) + L(z[small], lead=False))
+            part = L(z[small], lead=False, n=_part(n, small))
+            part += _expm1_minus(x[small])
         else:
-            out[small] = es * np.expm1(xs)
+            part = np.expm1(x[small])
+        part *= e[small]
+        out[small] = part
+        del part
         if not small.all():
-            zb, xb, eb = z[~small], x[~small], e[~small]
-            inner = np.abs(zb) <= L.scale
+            big = ~small
+            zb, xb, eb, nb = z[big], x[big], e[big], _part(n, big)
+            inner = np.abs(zb) <= _part(m, big)
             gb = np.empty_like(xb)
             gb[inner] = np.exp(xb[inner] - zb[inner])
-            gb[~inner] = self.evaluate(zb[~inner])
-            out[~small] = gb - eb - lead * zb * zb * eb if second else gb - eb
+            gb[~inner] = self._power(zb[~inner], _part(nb, ~inner))
+            out[big] = gb - eb - _part(lead, big) * zb * zb * eb if second else gb - eb
         return out
 
     def derivative(self, z: float, order: int = 1) -> float:
@@ -309,11 +358,10 @@ def _power_scale(g: CMFunction, n: int) -> CMFunction:
         raise ValueError("power scaling requires a B1 function")
     if n == 1:
         return g
-    base = g.evaluate
 
     def evaluate(z):
         # integer powers are branch-insensitive
-        return base(z / n) ** n
+        return g._power(z, n)
 
     def deriv(z, k):
         # chain rule at w = z/n: g_n' = g^{n-1} g' and

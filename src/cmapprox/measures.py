@@ -101,6 +101,8 @@ def powerlaw_laplace(p: float, z) -> np.ndarray:
     p at least 0.05 from an integer, and grows like 1/dist(p, Z) closer to one
     (1e-11 at 1e-3, 1e-8 at 1e-6), where the series' Gamma(1-p) z^{p-1} and
     its k = p-1 term nearly cancel; a whole p takes the exact log form.
+    Each entry's value is that of the entry alone: a stacked call gives the
+    values of separate calls bit for bit.
     """
     z = np.asarray(z, dtype=complex)
     out = np.empty(z.shape, dtype=complex)
@@ -116,20 +118,22 @@ def _expint_series(p: float, z: np.ndarray) -> np.ndarray:
     """E_p(z) = Gamma(1-p) z^{p-1} - sum_k (-z)^k / (k! (1-p+k)); for a whole
     p >= 1 the Gamma pole and the k = p-1 term merge into
     (-z)^{p-1}/(p-1)! (psi(p) - log z).  Past k = p the terms only shrink,
-    and the sum stops once each new one is below SERIES_STOP of its entry's
-    running sum."""
+    and each entry's sum stops once a new term is below SERIES_STOP of it."""
     m = p - 1.0
     whole = m >= 0.0 and m == int(m)
     term = np.ones_like(z)
     acc = np.zeros_like(z)
+    live = np.ones(z.shape, dtype=bool)
     for k in range(SERIES_TERMS):
         if k:
             term = term * (-z / k)
         if not (whole and k == m):
             step = term / (k - m)
-            acc += step
-            if k > p and np.all(np.abs(step) <= SERIES_STOP * np.abs(acc)):
-                break
+            acc += np.where(live, step, 0.0)
+            if k > p:
+                live &= np.abs(step) > SERIES_STOP * np.abs(acc)
+                if not live.any():
+                    break
     if whole:
         pole = (-z) ** int(m) / math.factorial(int(m)) * (_digamma_whole(int(p)) - np.log(z))
     else:

@@ -13,8 +13,9 @@ g(A) = V g(Lambda) V^H, so every matrix function here is a function of the
 eigenvalue array and no d x d matrix is formed.
 
 The rate bounds ask of f(A) only its norms, which GeneratorMatrix gives for
-a vectorized scalar f.  With the test vectors as columns of X and
-Y = V^H X (basis.solve, once for all the functions of one call),
+a vectorized scalar f, or for a stack of k of them evaluated at once (the
+errors of every (t, n) cell of a grid).  With the test vectors as columns
+of X and Y = V^H X (basis.solve, once for all the functions of one call),
 ||f(A) x_i|| = ||f(Lambda) y_i|| (`norms`), and the operator norm is the
 spectral 2-norm ||f(A)|| = max |f(lambda)| (`opnorm`), since V is unitary.
 The semigroup constants M_beta = sup_t ||(tA)^beta e^{-tA}|| are the scalar
@@ -121,15 +122,25 @@ class GeneratorMatrix:
     def dim(self) -> int:
         return len(self.eigs)
 
-    def norms(self, fs, vectors) -> list[list[float]]:
+    def norms(self, fs, vectors) -> list[list]:
         """[[||f(A) x|| for x in vectors] for f in fs], each f a vectorized
-        scalar function on the spectrum; the vectors go to the eigenbasis once."""
+        scalar function on the spectrum; an f whose values on the d
+        eigenvalues are a (k, d) stack of k functions gives the (k, m) norms
+        of the m vectors.  The vectors go to the eigenbasis once, and a
+        stack is normed one function at a time, so that its temporaries
+        are those of one function."""
         Y = self.basis.solve(np.column_stack(vectors))
-        return [np.linalg.norm(f(self.eigs)[:, None] * Y, axis=0).tolist() for f in fs]
+        out = []
+        for f in fs:
+            F = f(self.eigs)
+            rows = [np.linalg.norm(row[:, None] * Y, axis=0).tolist() for row in np.atleast_2d(F)]
+            out.append(rows if F.ndim > 1 else rows[0])
+        return out
 
-    def opnorm(self, f) -> float:
-        """||f(A)|| = max |f(lambda)|."""
-        return float(np.max(np.abs(f(self.eigs))))
+    def opnorm(self, f):
+        """||f(A)|| = max |f(lambda)|; for an f giving a (k, d) stack, the k norms."""
+        top = np.max(np.abs(f(self.eigs)), axis=-1)
+        return float(top) if top.ndim == 0 else top.tolist()
 
 
 # ----------------------------------------------------------------------

@@ -32,16 +32,17 @@ _FLAT = 2.0 ** -53
 def _lower_series(m: int, lam, x: float):
     """int_0^x s^m e^{-lam s} ds = x^{m+1} e^{-lam x} sum_k (lam x)^k / ((m+1)...(m+k+1)),
     for |lam| x < m + 1, where the terms fall at least geometrically; lam is an
-    array of complex rates."""
+    array of complex rates.  Each entry stops once its bound on the terms,
+    with ratio |lam x|, falls below 1e-17 of the first."""
     lx = lam * x
-    # ratio >= |lam x| of every entry, so bound >= |term| of every entry
-    ratio = float(np.abs(lx).max(initial=0.0))
-    term = total = bound = 1.0 / (m + 1)
+    ratio = np.abs(lx)
+    term = total = 1.0 / (m + 1)
+    bound = np.full(lx.shape, term)
     k = 1
-    while bound > 1e-17 / (m + 1):
+    while (live := bound > 1e-17 / (m + 1)).any():
         term = term * (lx / (m + 1 + k))
-        total = total + term
-        bound *= ratio / (m + 1 + k)
+        total = total + np.where(live, term, 0.0)
+        bound = bound * (ratio / (m + 1 + k))
         k += 1
     return x ** (m + 1) * np.exp(-lx) * total
 

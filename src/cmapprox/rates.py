@@ -1,17 +1,21 @@
 """Verification harness: errors vs. theoretical bounds, order fits, sharpness.
 
 Each bound suite of SUITES produces BoundReport rows (one per test vector)
-for one (t, n) cell, after checking what its theorem asks of g, A and alpha;
-every row's pass flag applies the floating-point slack policy
+for every (t, n) cell of a grid, after checking what its theorem asks of g,
+A and alpha; every row's pass flag applies the floating-point slack policy
 
     pass  <=>  error <= bound * (1 + 1e-9) + 1e-13.
 
 Errors and norms are those of functions of the generator, read from
-GeneratorMatrix.norms and .opnorm (see opcalc), with the error and each
-power lambda^alpha given as a function of a spectral point.
+GeneratorMatrix.norms and .opnorm (see opcalc), with the errors and each
+power lambda^alpha given as functions of a spectral point.
 The defect g_t(t lambda/n)^n - e^{-t lambda} and the second-order residual
-are those of g_n = power_scale(g_t, n) (CMFunction.defect and .residual):
-for a g with a log-defect they come from it without cancellation.
+are those of g_n = power_scale(g_t, n), given by g_t.defect(t lambda, n)
+and g_t.residual(t lambda, n) (see cmfun): for a g with a log-defect they
+come from it without cancellation.  A run evaluates them once on the
+(cells x d) stack of its grid, per t for a family g_t, and takes every norm
+from one `norms` call, so that the test vectors go to the eigenbasis and
+each ||A^p x|| is computed once; the bound scalars are still per cell.
 
 Order fits are least-squares slopes on (log n, log error).  spectral_order
 fits the n-exponent of ||E_n A^{-alpha}|| with E_n the defect (or the
@@ -48,6 +52,7 @@ R2_MIN = 0.98
 EXPONENT_TOL = 0.1
 ORDER_ALPHA = (0.0, 4.0)
 W_BLOCK = 64  # terms per step of the series in `_W_below`: about 9 sqrt(n) are needed
+D_TERMS = 56  # terms of u - log1p(u) at |u| <= 1/2: the last is 2^-55/57 of the first
 
 
 def within_bound(error: float, bound: float) -> bool:
@@ -118,54 +123,65 @@ def order_verdict(fit: OrderFit, expected: float) -> tuple[str, bool]:
 # helpers
 # ----------------------------------------------------------------------
 
-def _defect(g, t: float, n: int):
-    """scheme - e^{-tA} as a function of a spectral point lambda:
-    g_n(t lambda) - e^{-t lambda}, g_n = (g_t)_n."""
-    gn = power_scale(g.at(t), n)
-    return lambda lam: gn.defect(t * lam)
+def _errors(g, ts, ns, second: bool = False):
+    """The error of every (t, n) cell, t-major, as one function of a spectrum:
+    lam -> the (len(ts) len(ns), d) stack of g_n(t lam) - e^{-t lam},
+    g_n = (g_t)_n, or with `second` of the second-order residual
+    g_n(t lam) - e^{-t lam} - (2n)^{-1}(g_t''(0)-1) t^2 lam^2 e^{-t lam}.
+    A fixed g is evaluated once on the whole stack, a family once per t."""
+    gts = [g.at(t) for t in ts]
+    if second:
+        for gt in gts:
+            if not check_bk(gt, 2):
+                raise ValueError(f"{g.name}: the second-order residual needs a finite g''(0)")
+    col = np.array(ns)[:, None]
+    if all(gt is g for gt in gts):
+        groups = [(g, np.repeat(ts, len(ns))[:, None], np.tile(col, (len(ts), 1)))]
+    else:
+        groups = [(gt, t, col) for gt, t in zip(gts, ts)]
+
+    def stack(lam):
+        return np.vstack([(gt.residual if second else gt.defect)(t * lam, n)
+                          for gt, t, n in groups])
+
+    return stack
 
 
-def _residual(g, t: float, n: int):
-    """scheme - e^{-tA} - (2n)^{-1}(g_t''(0)-1) t^2 e^{-tA} A^2 as a function
-    of a spectral point."""
-    gt = g.at(t)
-    if not check_bk(gt, 2):
-        raise ValueError(f"{g.name}: the second-order residual needs a finite g''(0)")
-    gn = power_scale(gt, n)
-    return lambda lam: gn.residual(t * lam)
+def _grid(g, A: GeneratorMatrix, ts, ns, vectors, terms, second: bool = False,
+          op_bound=None) -> list[BoundReport]:
+    """The rows of every (t, n) cell, t-major, each with the error ||E(A) x||
+    of a test vector x, E the defect (the residual if `second`) of the cell:
+    first, given op_bound(t, n), the holo-opnorm row ||E(A)||; then for each
+    term (alpha, tag, factor) of terms(t, n) the bound factor * ||A^alpha x||,
+    or factor * sum_p w ||A^p x|| when the term ends with its (p, w) pairs.
+    The errors of every cell and each power A^p come from one `norms` call,
+    and the op-norms from the same stack of errors."""
+    cells = [(t, n) for t in ts for n in ns]
+    if not cells:
+        return []
+    cell_terms = [terms(t, n) for t, n in cells]
+    pairs = [[term[3] if len(term) > 3 else ((term[0], 1.0),) for term in tt]
+             for tt in cell_terms]
+    powers = sorted({p for cell in pairs for term in cell for p, _ in term})
+    errors_of, held = _errors(g, ts, ns, second), []
 
+    def errors(lam):
+        held.append(errors_of(lam))
+        return held[-1]
 
-def _once(f):
-    """f keeping its value on the last array it was given, so that the norms
-    and the op-norm of one cell share one evaluation on the spectrum."""
-    last = [None, None]
-
-    def kept(lam):
-        if last[0] is not lam:
-            last[:] = lam, f(lam)
-        return last[1]
-
-    return kept
-
-
-def _cell(g, A: GeneratorMatrix, t: float, n: int, vectors, E, terms,
-          op_bound: float | None = None) -> list[BoundReport]:
-    """The rows of one (t, n) cell, each with the error ||E(A) x|| of a test
-    vector x: first, given op_bound, the holo-opnorm row ||E(A)||; then for
-    each term (alpha, tag, factor) the bound factor * ||A^alpha x||, or
-    factor * sum_p w ||A^p x|| when the term ends with its (p, w) pairs."""
-    E = _once(E)
-    pairs = [term[3] if len(term) > 3 else ((term[0], 1.0),) for term in terms]
-    powers = sorted({p for term in pairs for p, _ in term})
-    errors, *nx = A.norms([E, *(partial(frac_on_spectrum, alpha=p) for p in powers)], vectors)
+    errors, *nx = A.norms([errors, *(partial(frac_on_spectrum, alpha=p) for p in powers)],
+                          vectors)
     nx = dict(zip(powers, nx))
-    key = (g.name, A.name, t, n)
-    rows = [] if op_bound is None else [
-        BoundReport(*key, 0.0, -1, A.opnorm(E), op_bound, "holo-opnorm")]
-    for (alpha, tag, factor, *_), weights in zip(terms, pairs):
-        rows += [BoundReport(*key, alpha, i, err,
-                             factor * sum(w * nx[p][i] for p, w in weights), tag)
-                 for i, err in enumerate(errors)]
+    ops = None if op_bound is None else A.opnorm(lambda lam: held[0])
+    rows = []
+    for c, ((t, n), tt, weights, errs) in enumerate(zip(cells, cell_terms, pairs, errors)):
+        key = (g.name, A.name, t, n)
+        if ops is not None:
+            rows.append(BoundReport(*key, 0.0, -1, ops[c], op_bound(t, n), "holo-opnorm"))
+        for (alpha, tag, factor, *_), ws in zip(tt, weights):
+            rows += [BoundReport(*key, alpha, i, err,
+                                 factor * sum(w * nx[p][i] for p, w in ws), tag)
+                     for i, err in enumerate(errs)]
     return rows
 
 
@@ -175,9 +191,10 @@ def _cell(g, A: GeneratorMatrix, t: float, n: int, vectors, E, terms,
 
 @dataclass(frozen=True)
 class Suite:
-    """A bound suite: the rates function (g, A, t, n, alphas, vectors) -> rows,
-    looked up when the suite runs so that a wrapper set on the module
-    attribute is the one called, and what its theorem asks of the inputs."""
+    """A bound suite: the rates function (g, A, ts, ns, alphas, vectors) -> the
+    rows of every (t, n) cell, looked up when the suite runs so that a wrapper
+    set on the module attribute is the one called, and what its theorem asks
+    of the inputs."""
 
     bounds: str
     alpha: tuple = (-math.inf, math.inf)   # the alpha range of the theorem
@@ -186,8 +203,8 @@ class Suite:
     tail: bool = False        # g(inf) = 0, else d1[g_n] = inf
     sectorial: bool = False   # finite M_1 and M_2
 
-    def __call__(self, g, A, t, n, alphas, vectors) -> list[BoundReport]:
-        return globals()[self.bounds](g, A, t, n, alphas, vectors)
+    def __call__(self, g, A, ts, ns, alphas, vectors) -> list[BoundReport]:
+        return globals()[self.bounds](g, A, ts, ns, alphas, vectors)
 
 
 SUITES = {
@@ -209,29 +226,31 @@ def suite(name: str, alphas) -> Suite:
     return SUITES[name]
 
 
-def _inputs(name: str, g, A: GeneratorMatrix, t: float, alphas):
-    """(g_t, the constants M_beta of A) once the inputs meet what suite `name`
-    asks of them; a ValueError naming the suite and the input otherwise."""
+def _inputs(name: str, g, A: GeneratorMatrix, ts, alphas):
+    """The constants M_beta of A once the inputs meet what suite `name` asks
+    of them at every t; a ValueError naming the suite and the first input
+    that does not otherwise."""
     entry = suite(name, alphas)
-    gt = g.at(t)
-    if entry.fixed and gt is not g:
-        raise ValueError(f"suite {name!r} needs a fixed function: give t, as in {g.name}:t=0.5")
-    if entry.tail and not g.tail_integrable:
-        raise ValueError(f"suite {name!r} needs g(inf) = 0, and {g.name} has "
-                         f"g(inf) = {g.limit_at_inf:g}")
     k, prime = entry.moment, "'" * entry.moment
-    if k and not check_bk(gt, k):
-        raise ValueError(f"suite {name!r} needs a B{k} function, with g{prime}(0) finite, "
-                         f"and {gt.name} is not one")
+    for t in ts:
+        gt = g.at(t)
+        if entry.fixed and gt is not g:
+            raise ValueError(f"suite {name!r} needs a fixed function: give t, "
+                             f"as in {g.name}:t=0.5")
+        if entry.tail and not g.tail_integrable:
+            raise ValueError(f"suite {name!r} needs g(inf) = 0, and {g.name} has "
+                             f"g(inf) = {g.limit_at_inf:g}")
+        if k and not check_bk(gt, k):
+            raise ValueError(f"suite {name!r} needs a B{k} function, with g{prime}(0) "
+                             f"finite, and {gt.name} is not one")
     Mc = opcalc.semigroup_constants(A)
     if entry.sectorial and not (math.isfinite(Mc[1]) and math.isfinite(Mc[2])):
         raise ValueError(f"suite {name!r} needs a sectorial generator; the spectrum of "
                          f"{A.name!r} is not sectorial (M_1 = {Mc[1]}, M_2 = {Mc[2]})")
-    return gt, Mc
+    return Mc
 
 
-def first_order_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
-                       vectors) -> list[BoundReport]:
+def first_order_bounds(g, A: GeneratorMatrix, ts, ns, alphas, vectors) -> list[BoundReport]:
     """First-order bounds for B2 (families), with M = M_0:
 
     alpha=2:       M (g_t''(0)-1)/2 * t^2/n * ||A^2 x||
@@ -240,50 +259,60 @@ def first_order_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
 
     (alpha = 0 gives 4M ||x||, which holds since ||g_t(tA/n)^n|| <= M.)
     """
-    gt, Mc = _inputs("first", g, A, t, alphas)
-    M, h = Mc[0], gt.moments[2] - 1.0
-    terms = [(alpha, "first-order-A2", M * 0.5 * h * t ** 2 / n) if alpha == 2.0
-             else (alpha, "first-order-A1", M * math.sqrt(h) * t / math.sqrt(n)) if alpha == 1.0
-             else (alpha, "first-order-frac", 4.0 * M * (h * t ** 2 / n) ** (alpha / 2.0))
-             for alpha in alphas]
-    return _cell(g, A, t, n, vectors, _defect(g, t, n), terms)
+    M = _inputs("first", g, A, ts, alphas)[0]
+
+    def terms(t, n):
+        h = g.at(t).moments[2] - 1.0
+        return [(alpha, "first-order-A2", M * 0.5 * h * t ** 2 / n) if alpha == 2.0
+                else (alpha, "first-order-A1", M * math.sqrt(h) * t / math.sqrt(n))
+                if alpha == 1.0
+                else (alpha, "first-order-frac", 4.0 * M * (h * t ** 2 / n) ** (alpha / 2.0))
+                for alpha in alphas]
+
+    return _grid(g, A, ts, ns, vectors, terms)
 
 
-def non_b2_bounds(g: CMFunction, A: GeneratorMatrix, t: float, n: int, alphas,
+def non_b2_bounds(g: CMFunction, A: GeneratorMatrix, ts, ns, alphas,
                   vectors) -> list[BoundReport]:
     """Bounds driven by g'(1/n) for fixed B1 functions with g''(0) = inf, M = M_0:
 
     alpha=1:       4eM (1 + 1/|g'(1/n)|) sqrt(1+g'(1/n)) t ||Ax||
     alpha in [0,1): 16eM (1 + 1/|g'(1/n)|) (1+g'(1/n))^{alpha/2} t^alpha ||A^alpha x||
+
+    g'(1/n) is taken once per n.
     """
-    _, Mc = _inputs("nonb2", g, A, t, alphas)
-    dg = g.derivative(1.0 / n, 1)
-    lead = 4.0 * math.e * Mc[0] * (1.0 + 1.0 / abs(dg))
-    root = max(1.0 + dg, 0.0)
-    terms = [(alpha, "slope-A1", lead * math.sqrt(root) * t) if alpha == 1.0
-             else (alpha, "slope-frac", 4.0 * lead * root ** (alpha / 2.0) * t ** alpha)
-             for alpha in alphas]
-    return _cell(g, A, t, n, vectors, _defect(g, t, n), terms)
+    M = _inputs("nonb2", g, A, ts, alphas)[0]
+    dg = {n: g.derivative(1.0 / n, 1) for n in ns}
+
+    def terms(t, n):
+        lead = 4.0 * math.e * M * (1.0 + 1.0 / abs(dg[n]))
+        root = max(1.0 + dg[n], 0.0)
+        return [(alpha, "slope-A1", lead * math.sqrt(root) * t) if alpha == 1.0
+                else (alpha, "slope-frac", 4.0 * lead * root ** (alpha / 2.0) * t ** alpha)
+                for alpha in alphas]
+
+    return _grid(g, A, ts, ns, vectors, terms)
 
 
-def second_order_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
-                        vectors) -> list[BoundReport]:
+def second_order_bounds(g, A: GeneratorMatrix, ts, ns, alphas, vectors) -> list[BoundReport]:
     """Residual R = scheme - e^{-tA} - (2n)^{-1}(g_t''(0)-1) t^2 e^{-tA} A^2 for
     B4 (families), with M = M_0; `alphas` is not read:
 
     ||Rx|| <= M C(g_t) t^3 n^{-3/2} ||A^3 x||,  C = sqrt((g''(0)-1)(g''''(0)-1)/2)
     ||Rx|| <= M C1(g_t) t^3 n^{-2} (||A^3 x|| + t ||A^4 x||),  C1 = g''''(0)-1
     """
-    gt, Mc = _inputs("second", g, A, t, alphas)
-    M, h2, h4 = Mc[0], gt.moments[2] - 1.0, gt.moments[4] - 1.0
-    C, C1 = math.sqrt(h2 * h4 / 2.0), h4
-    terms = [(3.0, "second-order-A3", M * C * t ** 3 * n ** -1.5),
-             (4.0, "second-order-A4", M * C1 * t ** 3 * n ** -2.0, ((3.0, 1.0), (4.0, t)))]
-    return _cell(g, A, t, n, vectors, _residual(g, t, n), terms)
+    M = _inputs("second", g, A, ts, alphas)[0]
+
+    def terms(t, n):
+        h2, h4 = g.at(t).moments[2] - 1.0, g.at(t).moments[4] - 1.0
+        C, C1 = math.sqrt(h2 * h4 / 2.0), h4
+        return [(3.0, "second-order-A3", M * C * t ** 3 * n ** -1.5),
+                (4.0, "second-order-A4", M * C1 * t ** 3 * n ** -2.0, ((3.0, 1.0), (4.0, t)))]
+
+    return _grid(g, A, ts, ns, vectors, terms, second=True)
 
 
-def holomorphic_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
-                       vectors) -> list[BoundReport]:
+def holomorphic_bounds(g, A: GeneratorMatrix, ts, ns, alphas, vectors) -> list[BoundReport]:
     """Bound families for sectorial generators:
 
     op-norm:       K (g_t''(0)-1)/n,                    K = 3M0 + 3M1 + M2/2
@@ -293,27 +322,34 @@ def holomorphic_bounds(g, A: GeneratorMatrix, t: float, n: int, alphas,
 
     c_alpha[g_n] is Euler's r_{alpha,Nn} for g.rational_n = N, else the quadrature.
     """
-    gt, Mc = _inputs("holo", g, A, t, alphas)
-    h = gt.moments[2] - 1.0
+    Mc = _inputs("holo", g, A, ts, alphas)
     M0, M1, M2 = Mc[0], Mc[1], Mc[2]
     K = 3.0 * M0 + 3.0 * M1 + M2 / 2.0
-    quad = g.rational_n is None and gt is g and g.tail_integrable and g.log_defect is not None
-    if quad:   # one quadrature for every alpha of the suite
-        functionals.c_alpha_quads(power_scale(g, n), alphas)
-    terms = []
-    for alpha in alphas:
-        if alpha == 1.0:
-            terms.append((alpha, "holo-A1", (2.0 * M0 + 1.5 * M1) * h / n * t))
-        elif 0.0 < alpha < 1.0:
-            terms.append((alpha, "holo-frac", 3.0 * M0 * K * h / n * t ** alpha))
-        if g.rational_n is not None:
-            c = euler_sharp_r(g.rational_n * n, alpha)
-        elif quad:
-            c = functionals.c_alpha_quad(power_scale(g, n), alpha).value
-        else:
-            continue
-        terms.append((alpha, "holo-sharp", Mc[2.0 - alpha] * c * t ** alpha))
-    return _cell(g, A, t, n, vectors, _defect(g, t, n), terms, op_bound=K * h / n)
+    fixed = all(g.at(t) is g for t in ts)
+    quad = g.rational_n is None and fixed and g.tail_integrable and g.log_defect is not None
+    if quad:   # one quadrature for every alpha of the suite, per n
+        for n in ns:
+            functionals.c_alpha_quads(power_scale(g, n), alphas)
+
+    def terms(t, n):
+        h = g.at(t).moments[2] - 1.0
+        out = []
+        for alpha in alphas:
+            if alpha == 1.0:
+                out.append((alpha, "holo-A1", (2.0 * M0 + 1.5 * M1) * h / n * t))
+            elif 0.0 < alpha < 1.0:
+                out.append((alpha, "holo-frac", 3.0 * M0 * K * h / n * t ** alpha))
+            if g.rational_n is not None:
+                c = euler_sharp_r(g.rational_n * n, alpha)
+            elif quad:
+                c = functionals.c_alpha_quad(power_scale(g, n), alpha).value
+            else:
+                continue
+            out.append((alpha, "holo-sharp", Mc[2.0 - alpha] * c * t ** alpha))
+        return out
+
+    return _grid(g, A, ts, ns, vectors, terms,
+                 op_bound=lambda t, n: K * (g.at(t).moments[2] - 1.0) / n)
 
 
 def euler_sharp_r(n: int, alpha: float) -> float:
@@ -324,22 +360,25 @@ def euler_sharp_r(n: int, alpha: float) -> float:
     return 1.0 / (2.0 * n)
 
 
-def holomorphic_second_order(g: CMFunction, A: GeneratorMatrix, t: float, n: int,
-                             alphas, vectors) -> list[BoundReport]:
+def holomorphic_second_order(g: CMFunction, A: GeneratorMatrix, ts, ns, alphas,
+                             vectors) -> list[BoundReport]:
     """Second-order residual bound on sectorial generators, g fixed in B4 with g(inf) = 0:
 
     ||R_n x|| <= (|b[g_n]| M_{3-alpha} + d1[g_n]/2 M_{4-alpha}) t^alpha ||A^alpha x||
 
     for alpha in [0, 3], where both M indices are >= 0.
     """
-    _, Mc = _inputs("holo2", g, A, t, alphas)
-    gn = power_scale(g, n)
-    b_n = functionals.b_of(gn)
-    d1_n = functionals.d1_of(gn)
-    terms = [(alpha, "holo-second",
-              (abs(b_n) * Mc[3.0 - alpha] + 0.5 * d1_n * Mc[4.0 - alpha]) * t ** alpha)
-             for alpha in alphas]
-    return _cell(g, A, t, n, vectors, _residual(g, t, n), terms)
+    Mc = _inputs("holo2", g, A, ts, alphas)
+    b_d1 = {n: (functionals.b_of(power_scale(g, n)), functionals.d1_of(power_scale(g, n)))
+            for n in ns}
+
+    def terms(t, n):
+        b_n, d1_n = b_d1[n]
+        return [(alpha, "holo-second",
+                 (abs(b_n) * Mc[3.0 - alpha] + 0.5 * d1_n * Mc[4.0 - alpha]) * t ** alpha)
+                for alpha in alphas]
+
+    return _grid(g, A, ts, ns, vectors, terms, second=True)
 
 
 # ----------------------------------------------------------------------
@@ -352,16 +391,18 @@ def spectral_order(g, A: GeneratorMatrix, t: float, ns, alpha: float,
     the defect (the second-order residual if `second`) on the spectrum and the
     weight lambda^{-alpha} is 0 at lambda = 0, where E_n vanishes.  Points at
     or below 100 eps ||e^{-tA} A^{-alpha}||, the size of either term of E_n,
-    are roundoff and left out; with none left the flag is "exact"."""
-    @_once
-    def weight(lam):
-        zero = lam == 0
-        return np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, frac_on_spectrum(lam, alpha)))
+    are roundoff and left out; with none left the flag is "exact".  That
+    scale and every E_n are the rows of one stack."""
+    errors = _errors(g, [t], ns, second)
 
-    E = _residual if second else _defect
-    floor = 100.0 * np.finfo(float).eps * A.opnorm(lambda lam: np.exp(-t * lam) * weight(lam))
-    pts = [(n, A.opnorm(lambda lam: E(g, t, n)(lam) * weight(lam))) for n in ns]
-    return fit_order([(n, e) for n, e in pts if e > floor])
+    def weighted(lam):
+        zero = lam == 0
+        weight = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, frac_on_spectrum(lam, alpha)))
+        return np.vstack([np.exp(-t * lam), errors(lam)]) * weight
+
+    scale, *norms = A.opnorm(weighted)
+    floor = 100.0 * np.finfo(float).eps * scale
+    return fit_order([(n, e) for n, e in zip(ns, norms) if e > floor])
 
 
 def expected_exponent(A: GeneratorMatrix, alpha: float, second: bool = False) -> float:
@@ -436,16 +477,15 @@ def _W_density(n: int, tau: np.ndarray) -> np.ndarray:
 
 def _W_below(n: int, tau: np.ndarray) -> np.ndarray:
     """W_n(tau) for 0 <= tau <= 1 as pmf * sum_{j>=1} j x^j / (n (n+1) ... (n+j)),
-    x = n tau, where pmf = e^{-x} x^n/n! = L[g_n] e^{-n D} with D = u - log1p(u),
-    u = tau - 1, and L[g_n] = n^n e^{-n}/n! from `functionals.euler_power_L`.
+    x = n tau, where pmf = e^{-x} x^n/n! = L[g_n] e^{-n D} with D = u - log1p(u)
+    (`_log1p_defect`), u = tau - 1, and L[g_n] = n^n e^{-n}/n! from
+    `functionals.euler_power_L`.
     The ratio r of consecutive terms falls with j, so once it is below 1 the
     rest of the sum is at most term * r/(1-r).  The terms are added W_BLOCK
     at a time (a running product of the ratios); after each block an entry
     stops once that bound is below EPS of its sum, and only the entries
     still running are carried on."""
-    u = tau - 1.0
-    with np.errstate(divide="ignore"):  # tau = 0: log1p(-1) = -inf, pmf = 0
-        pmf = functionals.euler_power_L(n) * np.exp(-n * (u - np.log1p(u)))
+    pmf = functionals.euler_power_L(n) * np.exp(-n * _log1p_defect(tau - 1.0))
     x = n * tau
     term = x / (n * (n + 1.0))
     total = term.copy()
@@ -460,6 +500,25 @@ def _W_below(n: int, tau: np.ndarray) -> np.ndarray:
         active, x, term = active[going], x[going], term[going]
         j += W_BLOCK
     return pmf * total
+
+
+def _log1p_defect(u: np.ndarray) -> np.ndarray:
+    """D = u - log1p(u) for -1 <= u <= 0 (inf at -1).  For u >= -1/2 it is the
+    series sum_{k>=2} |u|^k/k of positive terms, to k = D_TERMS + 1 by Horner,
+    so that D keeps a few ulp where the difference would lose the rounding of
+    log1p(u) (about 1e-17 near u = -0.1) against D itself; below -1/2 the
+    difference cancels by at most a factor of about 4."""
+    a = -u
+    near = a <= 0.5
+    an = a[near]
+    acc = np.zeros_like(an)
+    for k in range(D_TERMS + 1, 1, -1):
+        acc = acc * an + 1.0 / k
+    out = np.empty_like(u)
+    out[near] = acc * an * an
+    with np.errstate(divide="ignore"):  # tau = 0: log1p(-1) = -inf, pmf = 0
+        out[~near] = u[~near] - np.log1p(u[~near])
+    return out
 
 
 def shift_second_order_sharpness(n_grid) -> dict:

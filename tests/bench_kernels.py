@@ -14,10 +14,11 @@ and 600 integrand points in 3 calls.  The frac_tail case is the evaluation the n
 g(t lambda/n) on the 256 eigenvalues of `diag_imag:k=256,min=0.1,max=100`
 at t = 1, n = 4, which puts points on both sides of the power-law
 kernel's series/continued-fraction switch.
-The holomorphic case is one (t, n) cell of the `holo` suite on
+The holomorphic case is a 3 t x 4 n grid of the `holo` suite on
 `laplacian:d=2048` with Euler's scheme and its closed-form r_{alpha,n}, so
-that it times the operator side only: the DST-I eigenbasis and the
-eigenvalue-array norms.  The generator case builds `laplacian:d=4096`,
+that it times the operator side only: one trip of the vectors through the
+DST-I eigenbasis, one evaluation of the defect on the (12, 2048) stack of
+cells, and the eigenvalue-array norms.  The generator case builds `laplacian:d=4096`,
 its eigenvalues and DST-I basis without a dense matrix.
 """
 
@@ -60,12 +61,12 @@ def test_bench_frac_tail_eval_at(benchmark):
     assert values.shape == (256,)
 
 
-def test_bench_holomorphic_bounds_cell(benchmark):
+def test_bench_holomorphic_bounds_grid(benchmark):
     A = opcalc.make_generator("laplacian:d=2048")
     vectors = opcalc.test_vectors(A)
-    rows = benchmark(rates.holomorphic_bounds, cmfun.euler(), A, 1.0, 16, (0.0, 0.5, 1.0),
-                     vectors)
-    assert len(rows) == 41 and all(r.passed for r in rows)
+    rows = benchmark(rates.holomorphic_bounds, cmfun.euler(), A, (0.25, 1.0, 4.0),
+                     (4, 16, 64, 256), (0.0, 0.5, 1.0), vectors)
+    assert len(rows) == 12 * 41 and all(r.passed for r in rows)
 
 
 def test_bench_make_generator(benchmark):

@@ -123,9 +123,7 @@ def _first_order_suite_rows():
         ts = [0.25, 1.0, 4.0]
         if getattr(g, "name", "") == "kendall":
             ts = [0.25, 1.0]  # the Kendall family is defined for t <= 1 only
-        for t in ts:
-            for n in n_grid:
-                rows.extend(rates.first_order_bounds(g, A, t, n, alphas, vectors))
+        rows.extend(rates.first_order_bounds(g, A, ts, n_grid, alphas, vectors))
     return A, vectors, rows
 
 
@@ -135,7 +133,7 @@ def test_c05_first_order_suite():
     # Kendall's alpha=2 bound must be exactly t(1-t)/(2n) ||A^2 x||
     kend = cmfun.kendall_family()
     t, n = 0.25, 16
-    reps = rates.first_order_bounds(kend, A, t, n, (2.0,), vectors)
+    reps = rates.first_order_bounds(kend, A, [t], [n], (2.0,), vectors)
     M = diag_imag_matrix(128)
     A2 = M @ M
     worst = 0.0
@@ -154,10 +152,8 @@ def test_c06_heavy_tail_suite():
     details = []
     for gamma in (0.3, 0.5, 0.8):
         g = cmfun.frac_tail(gamma)
-        for t in (0.25, 1.0, 4.0):
-            for n in (16, 256, 4096):
-                reps = rates.non_b2_bounds(g, A, t, n, (1.0, 0.5), vectors)
-                ok = ok and all(r.passed for r in reps)
+        reps = rates.non_b2_bounds(g, A, (0.25, 1.0, 4.0), (16, 256, 4096), (1.0, 0.5), vectors)
+        ok = ok and len(reps) == 9 * 2 * len(vectors) and all(r.passed for r in reps)
         # the rate-carrying factor sqrt(1+g'(1/n)) of the alpha=1 bound
         # must scale like n^{-gamma/2}; the remaining factor tends to a
         # constant and the error sup itself decays strictly faster
@@ -176,10 +172,8 @@ def test_c07_second_order_suite():
     vectors = opcalc.test_vectors(A)
     ok = True
     for g in (cmfun.euler(), cmfun.spline()):
-        for t in (0.25, 1.0, 4.0):
-            for n in (4, 16, 64, 256):
-                reps = rates.second_order_bounds(g, A, t, n, (), vectors)
-                ok = ok and all(r.passed for r in reps)
+        reps = rates.second_order_bounds(g, A, (0.25, 1.0, 4.0), (4, 16, 64, 256), (), vectors)
+        ok = ok and len(reps) == 12 * 2 * len(vectors) and all(r.passed for r in reps)
 
     def residual_slope(g, A, M, vecs):
         # normalize per vector by ||A^3 x||, the quantity the bound scales
@@ -187,7 +181,8 @@ def test_c07_second_order_suite():
         # saturates) dominate the raw norm and mask the asymptotic order
         A3 = np.linalg.matrix_power(M, 3)
         norms = [float(np.linalg.norm(A3 @ x)) for x in vecs]
-        residuals = A.norms([rates._residual(g, 1.0, 2 ** k) for k in range(2, 13)], vecs)
+        [residuals] = A.norms([rates._errors(g, [1.0], [2 ** k for k in range(2, 13)],
+                                             second=True)], vecs)
         pts = []
         for k, errs in zip(range(2, 13), residuals):
             n = 2 ** k
@@ -212,12 +207,11 @@ def test_c08_holomorphic_suite():
         ok = ok and abs(Mc[1] - math.exp(-1.0)) < 1e-15
         ok = ok and abs(Mc[2] - 4.0 * math.exp(-2.0)) < 1e-15
         alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
-        for t in (0.25, 1.0, 4.0):
-            for n in (4, 16, 64, 256):
-                reps = rates.holomorphic_bounds(cmfun.euler(), A, t, n, alphas, vectors)
-                reps += rates.holomorphic_bounds(cmfun.spline(), A, t, n, alphas, vectors)
-                total += len(reps)
-                failed += sum(not r.passed for r in reps)
+        ts, ns = (0.25, 1.0, 4.0), (4, 16, 64, 256)
+        reps = rates.holomorphic_bounds(cmfun.euler(), A, ts, ns, alphas, vectors)
+        reps += rates.holomorphic_bounds(cmfun.spline(), A, ts, ns, alphas, vectors)
+        total += len(reps)
+        failed += sum(not r.passed for r in reps)
     ok = ok and failed == 0
     _report(8, "holomorphic bounds incl. sharp Euler r_{alpha,n}", ok,
             f"{total} reports, {failed} failed")

@@ -60,8 +60,36 @@ def test_functionals_flag_a_g_without_log_defect(tmp_path):
     rows = _read_csv(out)
     assert len(rows) == 6
     for r in rows:
-        assert r["c_alpha_quadrature"] == "nan" and r["residual_flags"] == "no_log_defect"
+        assert r["c_alpha_quadrature"] == "nan"
+        # L of g_4 has no measure to come from, and g(inf) = 1/2 makes c_0 diverge
+        assert r["residual_flags"] == {"1": "no_log_defect;tail_divergent",
+                                       "4": "no_measure;no_log_defect;tail_divergent"}[r["n"]]
         assert r["a"] == r["b"] == r["d0"] == r["d1"] == "nan"
+
+
+@pytest.mark.parametrize("spec", ["exp", "euler", "euler_pow4", "spline", "kendall:t=0.5",
+                                  "yosida:t=0.5", "hille", "chung:a=0.25+0.5+0.25,t=1",
+                                  "frac_tail:gamma=0.5"])
+def test_functionals_name_every_nan(spec, tmp_path):
+    # a nan value of g_n is never silent: L without a measure is flagged
+    # no_measure, d1 with a divergent c_0 (g(inf) > 0) tail_divergent, and a, b,
+    # d0 and c_alpha without a log-defect no_log_defect.  c_alpha_exact is
+    # Euler's closed form: a number for the functions of Euler type, nan for
+    # every other one
+    out = tmp_path / "fn.csv"
+    assert cli.main(["functionals", "--g", spec, "--n", "1,2,4", "--alpha", "0,0.5,1",
+                     "--out", str(out)]) == 0
+    g = cmfun.make_builtin(spec)
+    rows = _read_csv(out)
+    assert len(rows) == 9
+    for r in rows:
+        flags = r["residual_flags"].split(";") if r["residual_flags"] else []
+        nans = [k for k in ("L", "a", "b", "c_alpha_quadrature", "d0", "d1") if r[k] == "nan"]
+        assert not nans or flags, (r["n"], r["alpha"], nans)
+        assert (r["L"] == "nan") == ("no_measure" in flags)
+        if r["d1"] == "nan" and g.limit_at_inf > 0.0:
+            assert "tail_divergent" in flags
+        assert (r["c_alpha_exact"] == "nan") == (g.rational_n is None)
 
 
 def test_functionals_alpha_is_checked_before_any_work(monkeypatch, capsys):
@@ -242,7 +270,7 @@ def test_cli_looks_up_the_rates_functions_when_it_calls_them(monkeypatch, capsys
         assert cli.main(argv) == 0, name
         assert calls, f"cli did not reach rates.{name}"
         if argv[0] == "verify-bounds":
-            assert [args[2:4] for args in calls] == [(1.0, 4), (1.0, 8)]
+            assert [args[2:4] for args in calls] == [([1.0], [4, 8])]
     capsys.readouterr()
 
 

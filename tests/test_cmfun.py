@@ -293,3 +293,38 @@ def test_make_builtin_parsing(tmp_path):
     assert gm.moments[0] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         cmfun.make_builtin("nope")
+
+
+# ----------------------------------------------------------------------
+# the defect of g_n from g and n
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", ["exp", "euler", "spline", "kendall:t=0.5", "yosida:t=0.5",
+                                  "hille", "chung:a=0.25+0.5+0.25,t=1", "frac_tail:gamma=0.5",
+                                  "euler_pow4", "measure"])
+def test_defect_with_n_is_that_of_the_power_scaled_function(spec, tmp_path):
+    # g.defect(z, n) and g.residual(z, n) are power_scale(g, n)'s, bit for bit,
+    # with n a scalar or a column broadcasting against z; the points reach both
+    # sides of the |L_n(z)| <= 1 branch and, beyond |z| = n, the direct g_n(z)
+    if spec == "measure":
+        bump = {"segments": [{"a": 0, "b": 2, "poly": [0.0, 0.0, 3.75, -3.75, 0.9375]}]}
+        path = tmp_path / "bump.json"
+        path.write_text(json.dumps(bump))
+        spec = f"measure:{path}"
+    g = cmfun.make_builtin(spec)
+    mods = np.concatenate([[0.0], np.logspace(-3, 4, 57)])
+    z = np.concatenate([mods * np.exp(1j * phi) for phi in (0.0, 0.7, 1.5, math.pi / 2,
+                                                             -math.pi / 2)])
+    ns = (1, 2, 4, 256)
+    col = np.array(ns)[:, None]
+    kinds = ["defect", "residual"] if cmfun.check_bk(g, 2) else ["defect"]
+    for kind in kinds:
+        stacked = getattr(g, kind)(z, col)
+        assert stacked.shape == (len(ns), z.size)
+        for n, row in zip(ns, stacked):
+            want = getattr(cmfun.power_scale(g, n), kind)(z)
+            if g.log_defect and g.log_defect.coeffs:   # exp's L is an exact 0
+                small = np.abs(g.log_defect(z, n=n)) <= 1.0
+                assert small.any() and not small.all(), (kind, n)
+            assert np.array_equal(getattr(g, kind)(z, n), want, equal_nan=True), (kind, n)
+            assert np.array_equal(row, want, equal_nan=True), (kind, n)

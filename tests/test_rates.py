@@ -51,12 +51,12 @@ def test_spectral_order_floor_follows_the_semigroup_scale():
     A = opcalc.laplacian_dirichlet_1d(16)
     g = dataclasses.replace(cmfun.exponential(), name="exp-direct", log_defect=None)
     ns = (4, 8, 16, 32)
-    pts = [(n, A.opnorm(lambda lam: rates._defect(g, 1.0, n)(lam) * (1.0 / lam))) for n in ns]
+    pts = list(zip(ns, A.opnorm(lambda lam: rates._errors(g, [1.0], ns)(lam) * (1.0 / lam))))
     assert fit_order(pts).used_points == 4
     fit = rates.spectral_order(g, A, 1.0, ns, alpha=1.0)
     assert fit.flag == "exact" and fit.used_points == 0
     # exp itself carries L = 0, and its defect is an exact zero
-    assert not np.any(rates._defect(cmfun.exponential(), 1.0, 4)(A.eigs))
+    assert not np.any(rates._errors(cmfun.exponential(), [1.0], [4])(A.eigs))
     # a genuine rate stays above the floor
     fit = rates.spectral_order(cmfun.euler(), A, 1.0, ns, alpha=1.0)
     assert fit.used_points == 4 and fit.slope == pytest.approx(-1.0, abs=0.1)
@@ -91,7 +91,7 @@ def test_slack_policy_boundary():
 def test_first_order_exponential_zero_error():
     A = opcalc.diag_imag(16)
     vecs = opcalc.test_vectors(A, count=4)
-    reports = first_order_bounds(cmfun.exponential(), A, 1.0, 4,
+    reports = first_order_bounds(cmfun.exponential(), A, [1.0], [4],
                                  (2.0, 1.0, 0.5), vecs)
     for r in reports:
         assert r.error <= 1e-12 and r.passed
@@ -101,7 +101,7 @@ def test_first_order_requires_b2():
     A = opcalc.diag_imag(8)
     vecs = opcalc.test_vectors(A, count=2)
     with pytest.raises(ValueError):
-        first_order_bounds(cmfun.frac_tail(0.5), A, 1.0, 4, (1.0,), vecs)
+        first_order_bounds(cmfun.frac_tail(0.5), A, [1.0], [4], (1.0,), vecs)
 
 
 def test_first_order_kendall_alpha2_is_exact_on_diagonal():
@@ -114,7 +114,7 @@ def test_first_order_kendall_alpha2_is_exact_on_diagonal():
     tt, n = 0.5, 8
     gt = fam.at(tt)
     h = gt.moments[2] - 1.0
-    reports = first_order_bounds(fam, A, tt, n, (2.0,), vecs)
+    reports = first_order_bounds(fam, A, [tt], [n], (2.0,), vecs)
     M = diag_imag_matrix(32)
     for r, x in zip(reports, vecs):
         want = 0.5 * h * tt ** 2 / n * float(np.linalg.norm(M @ (M @ x)))
@@ -125,7 +125,7 @@ def test_first_order_kendall_alpha2_is_exact_on_diagonal():
 def test_second_order_exponential_zero_residual():
     A = opcalc.diag_positive(16)
     vecs = opcalc.test_vectors(A, count=4)
-    for r in second_order_bounds(cmfun.exponential(), A, 1.0, 4, (), vecs):
+    for r in second_order_bounds(cmfun.exponential(), A, [1.0], [4], (), vecs):
         assert r.error <= 1e-10 and r.passed
 
 
@@ -133,19 +133,22 @@ def test_second_order_requires_b4():
     A = opcalc.diag_positive(8)
     vecs = opcalc.test_vectors(A, count=2)
     with pytest.raises(ValueError):
-        second_order_bounds(cmfun.frac_tail(0.5), A, 1.0, 4, (), vecs)
+        second_order_bounds(cmfun.frac_tail(0.5), A, [1.0], [4], (), vecs)
 
 
-@pytest.mark.parametrize("suite, scheme, alphas", [
+SUITE_CASES = [
     ("first", "euler", (0.5, 1.0, 2.0)),
     ("nonb2", "frac_tail:gamma=0.5", (0.5, 1.0)),
     ("second", "euler", ()),
     ("holo", "spline", (0.0, 0.5, 1.0)),
     ("holo2", "spline", (0.0, 1.0, 3.0)),
-])
-def test_one_basis_solve_per_cell(suite, scheme, alphas, monkeypatch):
-    # every norm of a (t, n) cell, errors and bounds alike, reads the test
-    # vectors from one trip to the eigenbasis
+]
+
+
+@pytest.mark.parametrize("suite, scheme, alphas", SUITE_CASES)
+def test_one_basis_solve_per_run(suite, scheme, alphas, monkeypatch):
+    # every norm of a run, the errors of all its (t, n) cells and the bounds
+    # alike, reads the test vectors from one trip to the eigenbasis
     A = opcalc.laplacian_dirichlet_1d(16)
     vecs = opcalc.test_vectors(A)
     calls = []
@@ -157,10 +160,60 @@ def test_one_basis_solve_per_cell(suite, scheme, alphas, monkeypatch):
 
     monkeypatch.setattr(A.basis, "solve", solve)
     run, g = rates.SUITES[suite], cmfun.make_builtin(scheme)
-    cells = [(t, n) for t in (0.5, 2.0) for n in (4, 16, 64)]
-    for t, n in cells:
-        assert run(g, A, t, n, alphas, vecs)
-    assert calls == [(16, len(vecs))] * len(cells)
+    rows = run(g, A, (0.5, 2.0), (4, 16, 64), alphas, vecs)
+    assert {(r.t, r.n) for r in rows} == {(t, n) for t in (0.5, 2.0) for n in (4, 16, 64)}
+    assert calls == [(16, len(vecs))]
+
+
+def test_frac_tail_grid_is_one_array_evaluation(monkeypatch):
+    # the nonb2 suite on a 3 x 4 grid evaluates frac_tail's power-law transform
+    # on one stack of every cell's points, and g'(1/n) once per n (two
+    # binomial terms of a scalar each)
+    from cmapprox import measures
+
+    A = opcalc.make_generator("diag_imag:k=32,min=0.1,max=100")
+    calls = []
+    inner = measures.powerlaw_laplace
+
+    def spy(p, z):
+        calls.append(np.shape(z))
+        return inner(p, z)
+
+    monkeypatch.setattr(measures, "powerlaw_laplace", spy)
+    g = cmfun.frac_tail(0.5)
+    rows = rates.non_b2_bounds(g, A, (0.25, 1.0, 4.0), (4, 16, 64, 256), (0.5, 1.0),
+                               opcalc.test_vectors(A))
+    assert len(rows) == 12 * 2 * 8
+    assert [s for s in calls if s] == [(12, 32)]
+    assert len([s for s in calls if not s]) == 2 * 4
+
+
+@pytest.mark.parametrize("suite, scheme, alphas", SUITE_CASES + [
+    ("first", "kendall", (0.5, 1.0, 2.0)),
+    ("second", "yosida", ()),
+    ("holo", "kendall", (0.0, 0.5, 1.0)),
+])
+def test_suite_rows_equal_the_per_cell_reference(suite, scheme, alphas):
+    # the errors of a grid run are those of each cell's g_n = power_scale(g_t, n)
+    # through A.norms and A.opnorm, bit for bit, and every row is that of the
+    # cell run alone, in t-major cell order
+    A = opcalc.laplacian_dirichlet_1d(16)
+    vecs = opcalc.test_vectors(A)
+    run, g = rates.SUITES[suite], cmfun.make_builtin(scheme)
+    ts, ns = (0.25, 1.0), (2, 4, 64)
+    rows = run(g, A, ts, ns, alphas, vecs)
+    assert rows == [r for t in ts for n in ns for r in run(g, A, [t], [n], alphas, vecs)]
+    for t in ts:
+        for n in ns:
+            gn = cmfun.power_scale(g.at(t), n)
+            f = gn.residual if suite in ("second", "holo2") else gn.defect
+            [errors] = A.norms([lambda lam: f(t * lam)], vecs)
+            cell = [r for r in rows if (r.t, r.n) == (t, n)]
+            assert cell
+            for r in cell:
+                want = A.opnorm(lambda lam: f(t * lam)) if r.vector_id < 0 else (
+                    errors[r.vector_id])
+                assert r.error == want, (t, n, r.tag, r.vector_id)
 
 
 def test_first_order_opnorm_slope_euler_laplacian():
@@ -186,7 +239,7 @@ def test_holomorphic_sharp_euler_closed_form_bounds():
     vecs = opcalc.test_vectors(A, count=4)
     g = cmfun.euler()
     for n in (4, 32):
-        reports = rates.holomorphic_bounds(g, A, 1.0, n, (0.0, 0.5, 1.0),
+        reports = rates.holomorphic_bounds(g, A, [1.0], [n], (0.0, 0.5, 1.0),
                                            vecs)
         assert reports and all(r.passed for r in reports)
         sharp = [r for r in reports if r.tag == "holo-sharp"]
@@ -204,9 +257,9 @@ def test_holo_sharp_rows_of_a_power_scaled_function():
     g = cmfun.spline()
     g4 = cmfun.power_scale(g, 4)
     for n in (4, 16):
-        got = [r for r in rates.holomorphic_bounds(g4, A, 1.0, n, (0.0, 0.5, 1.0), vecs)
+        got = [r for r in rates.holomorphic_bounds(g4, A, [1.0], [n], (0.0, 0.5, 1.0), vecs)
                if r.tag == "holo-sharp"]
-        want = [r for r in rates.holomorphic_bounds(g, A, 1.0, 4 * n, (0.0, 0.5, 1.0), vecs)
+        want = [r for r in rates.holomorphic_bounds(g, A, [1.0], [4 * n], (0.0, 0.5, 1.0), vecs)
                 if r.tag == "holo-sharp"]
         assert len(got) == len(want) == 12
         for r, w in zip(got, want):
@@ -276,6 +329,22 @@ def test_w_density_at_and_below_one_matches_mpmath(n):
             assert w == pytest.approx(want, rel=1e-12, abs=0.0), tau
         else:
             assert 0.0 <= w <= 1e-290, tau
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096, 16384, 65536])
+def test_w_density_below_one_keeps_the_exponent(n):
+    # pmf = L[g_n] e^{-n D}, D = u - log1p(u), u = tau - 1: the rounding of
+    # log1p(u) in the difference, times n, was 3.2e-13 of W at n = 65536,
+    # tau = 0.9; the series of |u|^k/k keeps D, and W, to a few ulp
+    taus = [0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 1.0]
+    got = rates._W_density(n, np.array(taus))
+    for tau, w in zip(taus, got):
+        with mpmath.workdps(80):
+            x = n * mpmath.mpf(tau)
+            want = float(mpmath.mpf(tau) * mpmath.gammainc(n, b=x, regularized=True)
+                         - mpmath.gammainc(n + 1, b=x, regularized=True))
+        if want > 1e-300:
+            assert w == pytest.approx(want, rel=1e-13, abs=0.0), tau
 
 
 def test_shift_second_order_rows():
