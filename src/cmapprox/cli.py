@@ -151,23 +151,24 @@ def cmd_functionals(args) -> int:
     rows = []
     for n in ns:
         gn = power_scale(g, n)
-        L = fns.euler_power_L(gn.rational_n) if gn.rational_n else (
-            fns.functional_L(gn) if gn.measure is not None else math.nan)
+        # why a cell is nan: L without a measure (power_scale keeps none), d1
+        # when c_0 diverges (g(inf) > 0); c_alpha names its own
+        why_L = "" if gn.rational_n or gn.measure is not None else "no_measure"
+        why_d1 = "" if gn.tail_integrable else "tail_divergent"
+        L = (fns.euler_power_L(gn.rational_n) if gn.rational_n
+             else math.nan if why_L else fns.functional_L(gn))
         a = fns.a_of(gn) if check_bk(gn, 2) else math.nan
         b = fns.b_of(gn) if check_bk(gn, 3) else math.nan
         d0 = fns.d0_of(gn) if check_bk(gn, 4) else math.nan
-        with_d1 = check_bk(gn, 4) and gn.tail_integrable
+        with_d1 = check_bk(gn, 4) and not why_d1
         # one quadrature for every alpha of g_n: the grid's, and 0 and 1 for d1
         fns.c_alpha_quads(gn, [*alphas, 0.0, 1.0] if with_d1 else alphas)
-        try:
-            d1 = fns.d1_of(gn) if with_d1 else math.nan
-        except fns.DivergentError:
-            d1 = math.nan
-        # why a cell is nan: L without a measure (power_scale keeps none), d1
-        # when c_0 diverges (g(inf) > 0); c_alpha names its own
-        why_L = "no_measure" if math.isnan(L) else ""
-        diverges = with_d1 or not gn.tail_integrable
-        why_d1 = "tail_divergent" if math.isnan(d1) and diverges else ""
+        d1 = math.nan
+        if with_d1:
+            try:
+                d1 = fns.d1_of(gn)
+            except fns.DivergentError:
+                why_d1 = "tail_divergent"
         for alpha in alphas:
             qv = fns.c_alpha_quad(gn, alpha)
             exact = fns.euler_c_alpha_exact(gn.rational_n, alpha) if gn.rational_n else math.nan

@@ -13,8 +13,8 @@ g(A) = V g(Lambda) V^H, so every matrix function here is a function of the
 eigenvalue array and no d x d matrix is formed.
 
 The rate bounds ask of f(A) only its norms, which GeneratorMatrix gives for
-a vectorized scalar f, or for a stack of k of them evaluated at once (the
-errors of every (t, n) cell of a grid).  With the test vectors as columns
+a stack of k vectorized scalar functions evaluated at once (the errors of
+the (t, n) cells of a grid, or one function).  With the test vectors as columns
 of X and Y = V^H X (basis.solve, once for all the functions of one call),
 ||f(A) x_i|| = ||f(Lambda) y_i|| (`norms`), and the operator norm is the
 spectral 2-norm ||f(A)|| = max |f(lambda)| (`opnorm`), since V is unitary.
@@ -122,25 +122,31 @@ class GeneratorMatrix:
     def dim(self) -> int:
         return len(self.eigs)
 
-    def norms(self, fs, vectors) -> list[list]:
-        """[[||f(A) x|| for x in vectors] for f in fs], each f a vectorized
-        scalar function on the spectrum; an f whose values on the d
-        eigenvalues are a (k, d) stack of k functions gives the (k, m) norms
-        of the m vectors.  The vectors go to the eigenbasis once, and a
-        stack is normed one function at a time, so that its temporaries
-        are those of one function."""
+    def norms(self, fs, vectors) -> tuple[list, list]:
+        """(xs, tops) for fs, each f a vectorized function on the spectrum whose
+        values on the d eigenvalues are a (k, d) stack of k functions f_j (d
+        values are a stack of one): xs holds for each f the (k, m) array of
+        ||f_j(A) x_i|| over the m vectors, tops the (k,) array of ||f_j(A)||
+        (`opnorm`).  The vectors go to the eigenbasis once, and each f is
+        evaluated and normed in turn, one function of its stack at a time,
+        so that the temporaries are those of one f."""
         Y = self.basis.solve(np.column_stack(vectors))
-        out = []
+        xs, tops = [], []
         for f in fs:
-            F = f(self.eigs)
-            rows = [np.linalg.norm(row[:, None] * Y, axis=0).tolist() for row in np.atleast_2d(F)]
-            out.append(rows if F.ndim > 1 else rows[0])
-        return out
+            F = self._stack(f)
+            X = np.empty((len(F), Y.shape[1]))
+            for j, row in enumerate(F):
+                X[j] = np.linalg.norm(row[:, None] * Y, axis=0)
+            xs.append(X)
+            tops.append(np.max(np.abs(F), axis=1))
+        return xs, tops
 
-    def opnorm(self, f):
-        """||f(A)|| = max |f(lambda)|; for an f giving a (k, d) stack, the k norms."""
-        top = np.max(np.abs(f(self.eigs)), axis=-1)
-        return float(top) if top.ndim == 0 else top.tolist()
+    def opnorm(self, f) -> np.ndarray:
+        """The (k,) array of ||f_j(A)|| = max |f_j(lambda)| for the stack of f (see norms)."""
+        return np.max(np.abs(self._stack(f)), axis=1)
+
+    def _stack(self, f) -> np.ndarray:
+        return np.reshape(f(self.eigs), (-1, self.dim))
 
 
 # ----------------------------------------------------------------------

@@ -7,15 +7,16 @@ A and alpha; every row's pass flag applies the floating-point slack policy
     pass  <=>  error <= bound * (1 + 1e-9) + 1e-13.
 
 Errors and norms are those of functions of the generator, read from
-GeneratorMatrix.norms and .opnorm (see opcalc), with the errors and each
-power lambda^alpha given as functions of a spectral point.
+GeneratorMatrix.norms and .opnorm (see opcalc), with the errors and the
+powers lambda^alpha given as stacks of functions of a spectral point.
 The defect g_t(t lambda/n)^n - e^{-t lambda} and the second-order residual
 are those of g_n = power_scale(g_t, n), given by g_t.defect(t lambda, n)
 and g_t.residual(t lambda, n) (see cmfun): for a g with a log-defect they
-come from it without cancellation.  A run evaluates them once on the
-(cells x d) stack of its grid, per t for a family g_t, and takes every norm
-from one `norms` call, so that the test vectors go to the eigenbasis and
-each ||A^p x|| is computed once; the bound scalars are still per cell.
+come from it without cancellation.  A run evaluates them on (cells x d)
+stacks of its grid (one per t for a family g_t, each cut to at most
+STACK_POINTS values) and takes every norm from one `norms` call, so that
+the test vectors go to the eigenbasis and each ||A^p x|| is computed once;
+the bound scalars are still per cell.
 
 Order fits are least-squares slopes on (log n, log error).  spectral_order
 fits the n-exponent of ||E_n A^{-alpha}|| with E_n the defect (or the
@@ -53,6 +54,9 @@ EXPONENT_TOL = 0.1
 ORDER_ALPHA = (0.0, 4.0)
 W_BLOCK = 64  # terms per step of the series in `_W_below`: about 9 sqrt(n) are needed
 D_TERMS = 56  # terms of u - log1p(u) at |u| <= 1/2: the last is 2^-55/57 of the first
+# values (cells x points) of one evaluation of a scheme's errors: 0.5 MB per
+# complex array, of which about ten are alive at once
+STACK_POINTS = 1 << 15
 
 
 def within_bound(error: float, bound: float) -> bool:
@@ -123,28 +127,38 @@ def order_verdict(fit: OrderFit, expected: float) -> tuple[str, bool]:
 # helpers
 # ----------------------------------------------------------------------
 
-def _errors(g, ts, ns, second: bool = False):
-    """The error of every (t, n) cell, t-major, as one function of a spectrum:
-    lam -> the (len(ts) len(ns), d) stack of g_n(t lam) - e^{-t lam},
-    g_n = (g_t)_n, or with `second` of the second-order residual
-    g_n(t lam) - e^{-t lam} - (2n)^{-1}(g_t''(0)-1) t^2 lam^2 e^{-t lam}.
-    A fixed g is evaluated once on the whole stack, a family once per t."""
-    gts = [g.at(t) for t in ts]
-    if second:
-        for gt in gts:
-            if not check_bk(gt, 2):
-                raise ValueError(f"{g.name}: the second-order residual needs a finite g''(0)")
-    col = np.array(ns)[:, None]
-    if all(gt is g for gt in gts):
-        groups = [(g, np.repeat(ts, len(ns))[:, None], np.tile(col, (len(ts), 1)))]
-    else:
-        groups = [(gt, t, col) for gt, t in zip(gts, ts)]
+def _fixed(g) -> bool:
+    """Whether g is one function, its own g_t at every t, and not a family."""
+    return isinstance(g, CMFunction)
 
-    def stack(lam):
-        return np.vstack([(gt.residual if second else gt.defect)(t * lam, n)
-                          for gt, t, n in groups])
 
-    return stack
+def _errors(g, ts, ns, dim: int, second: bool = False) -> list:
+    """The error of every (t, n) cell, t-major, as functions of a spectrum of
+    `dim` points, each lam -> the stack of g_n(t lam) - e^{-t lam}, g_n = (g_t)_n,
+    of a block of consecutive cells, or with `second` of the second-order
+    residual g_n(t lam) - e^{-t lam} - (2n)^{-1}(g_t''(0)-1) t^2 lam^2 e^{-t lam}.
+    The cells of a fixed g form one group, those of a family one group per t;
+    a group is cut into blocks of at most STACK_POINTS values (and at least
+    one cell), so that an evaluation's temporaries do not grow with the grid.
+    A ValueError when some g_t is not in B1 (B2 with `second`)."""
+    for t in ts:
+        gt = g.at(t)
+        if second and not check_bk(gt, 2):
+            raise ValueError(f"{g.name}: the second-order residual needs a finite g''(0)")
+        if not check_bk(gt, 1):
+            raise ValueError("power scaling requires a B1 function")
+    groups = [[(t, n) for t in ts for n in ns]] if _fixed(g) else [
+        [(t, n) for n in ns] for t in ts]
+    size = max(1, STACK_POINTS // dim)
+    blocks = [group[i:i + size] for group in groups for i in range(0, len(group), size)]
+    return [partial(_stack, g.at(block[0][0]), second, np.array([t for t, _ in block])[:, None],
+                    np.array([n for _, n in block])[:, None]) for block in blocks]
+
+
+def _stack(gt, second: bool, t, n, lam):
+    """The defect (the residual if `second`) of g_n at t lam, one row per
+    entry of the columns t and n."""
+    return (gt.residual if second else gt.defect)(t * lam, n)
 
 
 def _grid(g, A: GeneratorMatrix, ts, ns, vectors, terms, second: bool = False,
@@ -154,29 +168,24 @@ def _grid(g, A: GeneratorMatrix, ts, ns, vectors, terms, second: bool = False,
     first, given op_bound(t, n), the holo-opnorm row ||E(A)||; then for each
     term (alpha, tag, factor) of terms(t, n) the bound factor * ||A^alpha x||,
     or factor * sum_p w ||A^p x|| when the term ends with its (p, w) pairs.
-    The errors of every cell and each power A^p come from one `norms` call,
-    and the op-norms from the same stack of errors."""
+    The errors of every cell, their op-norms and each power A^p come from
+    one `norms` call."""
     cells = [(t, n) for t in ts for n in ns]
     if not cells:
         return []
+    blocks = _errors(g, ts, ns, A.dim, second)
     cell_terms = [terms(t, n) for t, n in cells]
     pairs = [[term[3] if len(term) > 3 else ((term[0], 1.0),) for term in tt]
              for tt in cell_terms]
     powers = sorted({p for cell in pairs for term in cell for p, _ in term})
-    errors_of, held = _errors(g, ts, ns, second), []
-
-    def errors(lam):
-        held.append(errors_of(lam))
-        return held[-1]
-
-    errors, *nx = A.norms([errors, *(partial(frac_on_spectrum, alpha=p) for p in powers)],
-                          vectors)
-    nx = dict(zip(powers, nx))
-    ops = None if op_bound is None else A.opnorm(lambda lam: held[0])
+    xs, tops = A.norms([*blocks, lambda lam: [frac_on_spectrum(lam, p) for p in powers]],
+                       vectors)
+    errors, ops = np.vstack(xs[:-1]).tolist(), np.concatenate(tops[:-1]).tolist()
+    nx = dict(zip(powers, xs[-1].tolist()))
     rows = []
     for c, ((t, n), tt, weights, errs) in enumerate(zip(cells, cell_terms, pairs, errors)):
         key = (g.name, A.name, t, n)
-        if ops is not None:
+        if op_bound is not None:
             rows.append(BoundReport(*key, 0.0, -1, ops[c], op_bound(t, n), "holo-opnorm"))
         for (alpha, tag, factor, *_), ws in zip(tt, weights):
             rows += [BoundReport(*key, alpha, i, err,
@@ -232,14 +241,13 @@ def _inputs(name: str, g, A: GeneratorMatrix, ts, alphas):
     that does not otherwise."""
     entry = suite(name, alphas)
     k, prime = entry.moment, "'" * entry.moment
+    if entry.fixed and not _fixed(g):
+        raise ValueError(f"suite {name!r} needs a fixed function: give t, as in {g.name}:t=0.5")
+    if entry.tail and not g.tail_integrable:
+        raise ValueError(f"suite {name!r} needs g(inf) = 0, and {g.name} has "
+                         f"g(inf) = {g.limit_at_inf:g}")
     for t in ts:
         gt = g.at(t)
-        if entry.fixed and gt is not g:
-            raise ValueError(f"suite {name!r} needs a fixed function: give t, "
-                             f"as in {g.name}:t=0.5")
-        if entry.tail and not g.tail_integrable:
-            raise ValueError(f"suite {name!r} needs g(inf) = 0, and {g.name} has "
-                             f"g(inf) = {g.limit_at_inf:g}")
         if k and not check_bk(gt, k):
             raise ValueError(f"suite {name!r} needs a B{k} function, with g{prime}(0) "
                              f"finite, and {gt.name} is not one")
@@ -325,8 +333,7 @@ def holomorphic_bounds(g, A: GeneratorMatrix, ts, ns, alphas, vectors) -> list[B
     Mc = _inputs("holo", g, A, ts, alphas)
     M0, M1, M2 = Mc[0], Mc[1], Mc[2]
     K = 3.0 * M0 + 3.0 * M1 + M2 / 2.0
-    fixed = all(g.at(t) is g for t in ts)
-    quad = g.rational_n is None and fixed and g.tail_integrable and g.log_defect is not None
+    quad = g.rational_n is None and _fixed(g) and g.tail_integrable and g.log_defect is not None
     if quad:   # one quadrature for every alpha of the suite, per n
         for n in ns:
             functionals.c_alpha_quads(power_scale(g, n), alphas)
@@ -391,16 +398,14 @@ def spectral_order(g, A: GeneratorMatrix, t: float, ns, alpha: float,
     the defect (the second-order residual if `second`) on the spectrum and the
     weight lambda^{-alpha} is 0 at lambda = 0, where E_n vanishes.  Points at
     or below 100 eps ||e^{-tA} A^{-alpha}||, the size of either term of E_n,
-    are roundoff and left out; with none left the flag is "exact".  That
-    scale and every E_n are the rows of one stack."""
-    errors = _errors(g, [t], ns, second)
-
-    def weighted(lam):
+    are roundoff and left out; with none left the flag is "exact"."""
+    def weight(lam):
         zero = lam == 0
-        weight = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, frac_on_spectrum(lam, alpha)))
-        return np.vstack([np.exp(-t * lam), errors(lam)]) * weight
+        return np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, frac_on_spectrum(lam, alpha)))
 
-    scale, *norms = A.opnorm(weighted)
+    [scale] = A.opnorm(lambda lam: np.exp(-t * lam) * weight(lam))
+    norms = [e for f in _errors(g, [t], ns, A.dim, second)
+             for e in A.opnorm(lambda lam, f=f: f(lam) * weight(lam))]
     floor = 100.0 * np.finfo(float).eps * scale
     return fit_order([(n, e) for n, e in zip(ns, norms) if e > floor])
 

@@ -181,8 +181,9 @@ def test_c07_second_order_suite():
         # saturates) dominate the raw norm and mask the asymptotic order
         A3 = np.linalg.matrix_power(M, 3)
         norms = [float(np.linalg.norm(A3 @ x)) for x in vecs]
-        [residuals] = A.norms([rates._errors(g, [1.0], [2 ** k for k in range(2, 13)],
-                                             second=True)], vecs)
+        ns = [2 ** k for k in range(2, 13)]
+        xs, _ = A.norms(rates._errors(g, [1.0], ns, A.dim, second=True), vecs)
+        residuals = np.vstack(xs)
         pts = []
         for k, errs in zip(range(2, 13), residuals):
             n = 2 ** k

@@ -211,6 +211,24 @@ def test_holo_refuses_functions_outside_b2(capsys):
     assert "'holo'" in captured.err and "frac_tail(gamma=0.5) is not one" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-bounds", "--suite", "nonb2", "--alpha", "0.5,1"],
+    ["orders", "--suite", "first", "--alpha", "0.5"],
+])
+def test_errors_refuse_a_measure_outside_b1(argv, tmp_path, capsys):
+    # a measure of mass 1/2 gives g(0) = 1/2: no theorem applies to it, and
+    # nonb2 and the first-order fit ask nothing else of g than B1
+    half = tmp_path / "half.json"
+    half.write_text(json.dumps(
+        {"segments": [{"a": 0, "b": 2, "poly": [0, 0, 1.875, -1.875, 0.46875]}]}))
+    rc = cli.main([*argv, "--scheme", f"measure:{half}", "--generator", "diag_imag:k=16",
+                   "--n", "4,8,16,32"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: power scaling requires a B1 function\n"
+
+
 def test_first_order_errors_at_small_moduli_match_mpmath(tmp_path):
     # |t lambda| down to 1e-4 at n up to 16384: the defect is about 1e-13 of
     # either term, and the error column must still be the 50-digit one

@@ -51,12 +51,14 @@ def test_spectral_order_floor_follows_the_semigroup_scale():
     A = opcalc.laplacian_dirichlet_1d(16)
     g = dataclasses.replace(cmfun.exponential(), name="exp-direct", log_defect=None)
     ns = (4, 8, 16, 32)
-    pts = list(zip(ns, A.opnorm(lambda lam: rates._errors(g, [1.0], ns)(lam) * (1.0 / lam))))
+    [errors] = rates._errors(g, [1.0], ns, A.dim)
+    pts = list(zip(ns, A.opnorm(lambda lam: errors(lam) * (1.0 / lam))))
     assert fit_order(pts).used_points == 4
     fit = rates.spectral_order(g, A, 1.0, ns, alpha=1.0)
     assert fit.flag == "exact" and fit.used_points == 0
     # exp itself carries L = 0, and its defect is an exact zero
-    assert not np.any(rates._errors(cmfun.exponential(), [1.0], [4])(A.eigs))
+    [errors] = rates._errors(cmfun.exponential(), [1.0], [4], A.dim)
+    assert not np.any(errors(A.eigs))
     # a genuine rate stays above the floor
     fit = rates.spectral_order(cmfun.euler(), A, 1.0, ns, alpha=1.0)
     assert fit.used_points == 4 and fit.slope == pytest.approx(-1.0, abs=0.1)
@@ -186,6 +188,25 @@ def test_frac_tail_grid_is_one_array_evaluation(monkeypatch):
     assert len(rows) == 12 * 2 * 8
     assert [s for s in calls if s] == [(12, 32)]
     assert len([s for s in calls if not s]) == 2 * 4
+    # a grid of more than STACK_POINTS values is evaluated in blocks of at
+    # most that many, with every row as it was
+    calls.clear()
+    monkeypatch.setattr(rates, "STACK_POINTS", 5 * 32)
+    assert rates.non_b2_bounds(g, A, (0.25, 1.0, 4.0), (4, 16, 64, 256), (0.5, 1.0),
+                               opcalc.test_vectors(A)) == rows
+    assert [s for s in calls if s] == [(5, 32), (5, 32), (2, 32)]
+
+
+def test_family_blocks_stay_within_one_t(monkeypatch):
+    # a family is evaluated per t; blocks cut each t's cells, never join two t
+    A = opcalc.laplacian_dirichlet_1d(16)
+    vecs = opcalc.test_vectors(A)
+    g, ts, ns = cmfun.make_builtin("kendall"), (0.25, 1.0), (2, 4, 16, 64, 256)
+    rows = rates.first_order_bounds(g, A, ts, ns, (0.5, 1.0), vecs)
+    monkeypatch.setattr(rates, "STACK_POINTS", 2 * 16)
+    blocks = rates._errors(g, ts, ns, A.dim)
+    assert [f.args[3].ravel().tolist() for f in blocks] == [[2, 4], [16, 64], [256]] * 2
+    assert rates.first_order_bounds(g, A, ts, ns, (0.5, 1.0), vecs) == rows
 
 
 @pytest.mark.parametrize("suite, scheme, alphas", SUITE_CASES + [
@@ -207,7 +228,7 @@ def test_suite_rows_equal_the_per_cell_reference(suite, scheme, alphas):
         for n in ns:
             gn = cmfun.power_scale(g.at(t), n)
             f = gn.residual if suite in ("second", "holo2") else gn.defect
-            [errors] = A.norms([lambda lam: f(t * lam)], vecs)
+            [[errors]], _ = A.norms([lambda lam: f(t * lam)], vecs)
             cell = [r for r in rows if (r.t, r.n) == (t, n)]
             assert cell
             for r in cell:
