@@ -162,15 +162,15 @@ def cmd_functionals(args) -> int:
         d0 = fns.d0_of(gn) if check_bk(gn, 4) else math.nan
         with_d1 = check_bk(gn, 4) and not why_d1
         # one quadrature for every alpha of g_n: the grid's, and 0 and 1 for d1
-        fns.c_alpha_quads(gn, [*alphas, 0.0, 1.0] if with_d1 else alphas)
+        c = fns.c_alpha_quads(gn, [*alphas, 0.0, 1.0] if with_d1 else alphas)
         d1 = math.nan
         if with_d1:
             try:
-                d1 = fns.d1_of(gn)
+                d1 = fns.d1_of(gn, c)
             except fns.DivergentError:
                 why_d1 = "tail_divergent"
         for alpha in alphas:
-            qv = fns.c_alpha_quad(gn, alpha)
+            qv = c[alpha]
             exact = fns.euler_c_alpha_exact(gn.rational_n, alpha) if gn.rational_n else math.nan
             flags = dict.fromkeys(f for f in (why_L, qv.flag, why_d1) if f)
             rows.append({
@@ -238,7 +238,11 @@ def cmd_orders(args) -> int:
 
 def cmd_sharpness(args) -> int:
     ns = sorted(_load_config(args).get("n", [4, 16, 64, 256, 1024]))
-    rows = rates.sharpness_rows(ns, euler=args.which != "shift", shift=args.which != "euler")
+    shift = args.which != "euler"
+    if shift and ns[-1] < 2:
+        _usage_error(f"--n {','.join(map(str, ns))} has no n >= 2, which the shift "
+                     f"experiment of --which {args.which} needs")
+    rows = rates.sharpness_rows(ns, euler=args.which != "shift", shift=shift)
     write_csv(args.out, ["experiment", "n", "value", "scaled", "reference", "pass"], rows)
     return FAILURE if any(not r["pass"] for r in rows) else 0
 

@@ -176,13 +176,9 @@ class CMFunction:
         return self.limit_at_inf == 0.0
 
     def __call__(self, z):
-        """g(z) for real z >= 0 (scalar or array), with real values."""
-        return self.evaluate(np.asarray(z, dtype=float))
-
-    def eval_at(self, z):
-        """g(z) for complex z with Re z >= 0: a complex for a scalar, else an array."""
-        w = self.evaluate(np.asarray(z, dtype=complex))
-        return complex(w) if np.ndim(w) == 0 else w
+        """g(z) for real z >= 0, with real values, or for complex z with
+        Re z >= 0, with complex ones (scalar or array)."""
+        return self.evaluate(np.asarray(z, dtype=complex if np.iscomplexobj(z) else float))
 
     def at(self, t: float) -> CMFunction:
         """The member g_t of a family: a fixed function is its own (see ScaledFamily)."""
@@ -274,8 +270,9 @@ class ScaledFamily:
     rational_n = None    # no family is of Euler type (1 + z/n)^{-n}
 
     def at(self, t: float) -> CMFunction:
-        """g_t, built once per (factory, t) in a process, so that power_scale
-        and the results cached on g_t are shared across calls."""
+        """g_t, built once per (factory, t) in a process: a member such as
+        yosida(t), with its truncated measure series, is costly to build,
+        and a suite asks for it in every cell of its grid."""
         return _family_member(self.factory, t)
 
 
@@ -344,14 +341,9 @@ def _scaled_moments(moments, n: int):
 def power_scale(g: CMFunction, n: int) -> CMFunction:
     """g_n(z) = g(z/n)^n with derivatives at zero in closed form.
 
-    Repeated calls with the same (g, n) return the same object, so results
-    cached on g_n (the c_alpha quadrature) are shared across callers.
+    Each call builds a new g_n, which is cheap: it keeps no measure, only
+    closures over g and the moments and log-defect of g rescaled.
     """
-    return _power_scale(g, n)
-
-
-@lru_cache(maxsize=None)
-def _power_scale(g: CMFunction, n: int) -> CMFunction:
     if n < 1:
         raise ValueError("n must be a positive integer")
     if not check_bk(g, 1):
@@ -639,22 +631,9 @@ def make_builtin(spec: str, flag: str = "--scheme"):
     take, a value that is not a finite number, a missing key or a value out
     of range raises ValueError naming `flag`, the key and the value."""
     name, _, argstr = spec.partition(":")
+    where = f"{flag} {spec!r}"
     if name == "measure":
-        import json
-
-        with open(argstr) as fh:
-            desc = json.load(fh)
-        atoms = tuple((float(s), float(wt)) for s, wt in desc.get("atoms", []))
-        segs = tuple(
-            PolyExpSegment(
-                float(s["a"]),
-                math.inf if s["b"] in ("inf", None) else float(s["b"]),
-                tuple(float(c) for c in s["poly"]),
-                float(s.get("exp_rate", 0.0)),
-            )
-            for s in desc.get("segments", [])
-        )
-        return from_measure(PositiveMeasure(atoms=atoms, segments=segs), name=f"measure:{argstr}")
+        return from_measure(_read_measure(argstr, where), name=spec)
     pow_n = name[len("euler_pow"):]
     if name.startswith("euler_pow") and pow_n.isdigit() and int(pow_n) > 0:
         build, takes, needs = (lambda: power_scale(euler(), int(pow_n))), (), ()
@@ -662,7 +641,6 @@ def make_builtin(spec: str, flag: str = "--scheme"):
         build, takes, needs = _BUILDERS[name]
     else:
         raise ValueError(f"unknown function name {name!r}; available: {', '.join(BUILTIN_NAMES)}")
-    where = f"{flag} {spec!r}"
     kwargs = {}
     for item in filter(None, argstr.split(",")):
         key, _, val = (x.strip() for x in item.partition("="))
@@ -683,5 +661,48 @@ def make_builtin(spec: str, flag: str = "--scheme"):
             raise ValueError(f"{where}: {name} needs {key}=<value>")
     try:
         return build(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _atom(entry) -> tuple:
+    s, wt = entry
+    return float(s), float(wt)
+
+
+def _segment(entry) -> PolyExpSegment:
+    b = entry["b"]
+    poly = tuple(float(c) for c in entry["poly"])
+    return PolyExpSegment(float(entry["a"]), math.inf if b in ("inf", None) else float(b), poly,
+                          float(entry.get("exp_rate", 0.0)))
+
+
+def _read_measure(path: str, where: str) -> PositiveMeasure:
+    """The measure of a `measure:` JSON file, an object with a list "atoms" of
+    pairs [s, w] and a list "segments" of {"a", "b", "poly", "exp_rate"}; for
+    a file of another form a ValueError naming `where` and the first bad entry."""
+    import json
+
+    with open(path) as fh:
+        try:
+            desc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{where}: the file is not JSON ({exc})") from None
+    if not isinstance(desc, dict):
+        raise ValueError(f"{where}: the file holds a JSON {type(desc).__name__}, not an object")
+    parts = []
+    for key, parse in (("atoms", _atom), ("segments", _segment)):
+        items = desc.get(key, [])
+        if not isinstance(items, list):
+            raise ValueError(f"{where}: {key} {json.dumps(items)} is not a list")
+        parts.append([])
+        for entry in items:
+            try:
+                parts[-1].append(parse(entry))
+            except (KeyError, TypeError, ValueError) as exc:
+                why = f"no key {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{where}: {key} entry {json.dumps(entry)}: {why}") from None
+    try:
+        return PositiveMeasure(*map(tuple, parts))
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None

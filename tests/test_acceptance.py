@@ -34,7 +34,7 @@ def test_c01_euler_digamma_identity():
     for n in range(1, 65):
         gn = cmfun.power_scale(g, n)
         for alpha in (0.0, 1.0) + tuple(k / 10.0 for k in range(1, 10)):
-            qv = F.c_alpha_quad(gn, alpha)
+            qv = F.c_alpha_quads(gn, (alpha,))[alpha]
             exact = F.euler_c_alpha_exact(n, alpha)
             worst = max(worst, abs(qv.value - exact))
     _report(1, "Euler digamma/Gamma closed forms vs quadrature", worst <= 1e-8,

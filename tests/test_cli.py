@@ -229,6 +229,25 @@ def test_errors_refuse_a_measure_outside_b1(argv, tmp_path, capsys):
     assert captured.err == "error: power scaling requires a B1 function\n"
 
 
+@pytest.mark.parametrize("content, entry", [
+    ("[[1.0, 1.0]]", "JSON list"),
+    ('{"segments": [{"a": 0, "poly": [1]}]}', """{"a": 0, "poly": [1]}: no key 'b'"""),
+    ("atoms: 1", "not JSON"),
+    ('{"segments": [{"a": 0, "b": 1, "poly": ["x"]}]}', '"poly": ["x"]'),
+    ('{"atoms": "x"}', 'atoms "x"'),
+], ids=["list", "no-b", "not-json", "poly-string", "atoms-string"])
+def test_malformed_measure_file_names_flag_file_and_entry(content, entry, tmp_path, capsys):
+    # a measure: file comes from outside the program: a file of the wrong
+    # form is a usage error whose message names the flag, the file and the entry
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    assert cli.main(["functionals", "--g", f"measure:{path}", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --g 'measure:{path}'")
+    assert entry in captured.err
+
+
 def test_first_order_errors_at_small_moduli_match_mpmath(tmp_path):
     # |t lambda| down to 1e-4 at n up to 16384: the defect is about 1e-13 of
     # either term, and the error column must still be the 50-digit one
@@ -318,29 +337,53 @@ def test_suites_refuse_alpha_outside_their_theorem(suite, alpha, admitted, monke
     assert "--alpha" in captured.err and alpha in captured.err and f"'{suite}'" in captured.err
 
 
-def test_holo_run_computes_each_c_alpha_once(tmp_path, monkeypatch):
-    # 3 t x 4 n x 3 alpha cells ask for c_alpha[g_n] 36 times; 12 are distinct,
-    # and the 3 alphas of each of the 4 g_n share one quadrature
-    fns._C_ALPHA.clear()
-    cmfun._power_scale.cache_clear()
-    quadratures, reads = [], []
-    inner_quad, inner_read = fns._c_alpha_quadrature, fns.c_alpha_quad
+@pytest.fixture
+def quadratures(monkeypatch):
+    """The (g name, alphas) of each c_alpha quadrature run while the test runs."""
+    seen = []
+    inner = fns._c_alpha_quadrature
 
-    def quadrature(g, alphas):
-        quadratures.append((g.name, alphas))
-        return inner_quad(g, alphas)
+    def counted(g, alphas):
+        seen.append((g.name, alphas))
+        return inner(g, alphas)
 
-    def read(g, alpha):
-        reads.append((g.name, alpha))
-        return inner_read(g, alpha)
+    monkeypatch.setattr(fns, "_c_alpha_quadrature", counted)
+    return seen
 
-    monkeypatch.setattr(fns, "_c_alpha_quadrature", quadrature)
-    monkeypatch.setattr(fns, "c_alpha_quad", read)
+
+def test_holo_run_computes_each_c_alpha_once(tmp_path, quadratures):
+    # 3 t x 4 n x 3 alpha cells use c_alpha[g_n]; the 3 alphas of each of
+    # the 4 g_n share one quadrature
     assert cli.main(["verify-bounds", "--scheme", "spline", "--generator", "laplacian:d=16",
                      "--suite", "holo", "--t", "0.25,1,4", "--n", "4,16,64,256",
                      "--alpha", "0,0.5,1", "--out", str(tmp_path / "h.csv")]) == 0
     assert sorted(quadratures) == [(f"spline_pow{n}", (0.0, 0.5, 1.0)) for n in (16, 256, 4, 64)]
-    assert len(reads) == 36 and len(set(reads)) == 12
+
+
+def test_functionals_runs_one_quadrature_per_g_n_every_time(tmp_path, quadratures):
+    # the grid's alphas and d1's c_0 and c_1 share one quadrature per g_n in
+    # every run, and no value is kept between calls: the same g_n asked
+    # twice is computed twice
+    outs = []
+    for run in (1, 2):
+        outs.append(tmp_path / f"fn{run}.csv")
+        assert cli.main(["functionals", "--g", "spline", "--n", "1,4,16",
+                         "--alpha", "0,0.5,1", "--out", str(outs[-1])]) == 0
+        assert quadratures == [(name, (0.0, 0.5, 1.0))
+                               for name in ("spline", "spline_pow4", "spline_pow16")]
+        quadratures.clear()
+    assert outs[0].read_text() == outs[1].read_text()
+    gn = cmfun.power_scale(cmfun.spline(), 4)
+    assert fns.c_alpha_quads(gn, (0.5,)) == fns.c_alpha_quads(gn, (0.5,))
+    assert quadratures == [("spline_pow4", (0.5,))] * 2
+
+
+def test_holo2_runs_one_quadrature_per_n(tmp_path, quadratures):
+    # d1[g_n] reads c_0 and c_1 from one (0, 1) quadrature of each g_n
+    assert cli.main(["verify-bounds", "--scheme", "spline", "--generator", "laplacian:d=16",
+                     "--suite", "holo2", "--t", "0.25,1", "--n", "4,16",
+                     "--alpha", "0,1,3", "--out", str(tmp_path / "h2.csv")]) == 0
+    assert sorted(quadratures) == [("spline_pow16", (0.0, 1.0)), ("spline_pow4", (0.0, 1.0))]
 
 
 def test_empty_list_names_the_flag(capsys):
@@ -424,6 +467,20 @@ def test_sharpness_command(tmp_path):
     rows = _read_csv(out)
     assert {r["experiment"] for r in rows} == {"euler-scalar", "shift-I1I2"}
     assert all(r["pass"] == "true" for r in rows)
+
+
+@pytest.mark.parametrize("which", ["shift", "both"])
+def test_sharpness_shift_needs_an_n_of_two_or_more(which, capsys):
+    # the shift integrals exist for n >= 2 only: a grid without one is a usage
+    # error, not a header with no rows (shift) or rows without shift (both)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sharpness", "--which", which, "--n", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --n 1 ") and f"--which {which}" in captured.err
+    assert cli.main(["sharpness", "--which", "euler", "--n", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("euler-scalar,1,")
 
 
 def test_sharpness_euler_rows_check_the_bound(monkeypatch, capsys):

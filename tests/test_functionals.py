@@ -166,11 +166,11 @@ def test_bernoulli_numbers_are_exact():
 
 def test_c_alpha_euler_anchors():
     g = cmfun.euler()
-    assert F.c_alpha_quad(g, 0.0).value == pytest.approx(EULER_GAMMA, abs=1e-10)
-    assert F.c_alpha_quad(g, 1.0).value == pytest.approx(1.0 - EULER_GAMMA, abs=1e-10)
+    assert F.c_alpha_quads(g, (0.0,))[0.0].value == pytest.approx(EULER_GAMMA, abs=1e-10)
+    assert F.c_alpha_quads(g, (1.0,))[1.0].value == pytest.approx(1.0 - EULER_GAMMA, abs=1e-10)
     assert F.euler_c_alpha_exact(1, 0.5) == pytest.approx(4.0 - 2.0 * math.sqrt(math.pi),
                                                           rel=1e-13)
-    assert F.c_alpha_quad(cmfun.exponential(), 0.5).value == pytest.approx(0.0, abs=1e-13)
+    assert F.c_alpha_quads(cmfun.exponential(), (0.5,))[0.5].value == pytest.approx(0.0, abs=1e-13)
 
 
 def test_c_alpha_routes_agree():
@@ -178,7 +178,7 @@ def test_c_alpha_routes_agree():
         # kendall has an atom at 0 (g(inf) = 1/2), so c_0 diverges there
         alphas = (0.3, 1.0) if g.limit_at_inf > 0 else (0.0, 0.3, 1.0)
         for alpha in alphas:
-            qv = F.c_alpha_quad(g, alpha)
+            qv = F.c_alpha_quads(g, (alpha,))[alpha]
             assert qv.converged
             assert qv.value == pytest.approx(F.c_alpha_measure(g, alpha), rel=1e-8)
 
@@ -213,7 +213,7 @@ def test_c_alpha_quadrature_matches_euler_closed_form(g, n):
     # the quadrature of the cancellation-free defect of g_n against the closed
     # form, for Euler's g and for the Laplace transform of its measure e^{-s} ds
     for alpha in (0.0, 0.5, 1.0):
-        qv = F.c_alpha_quad(cmfun.power_scale(g, n), alpha)
+        qv = F.c_alpha_quads(cmfun.power_scale(g, n), (alpha,))[alpha]
         assert qv.converged
         assert qv.value == pytest.approx(F.euler_c_alpha_exact(n, alpha), rel=1e-11, abs=0.0)
 
@@ -223,17 +223,15 @@ def test_c_alpha_quadrature_interior_alphas(n):
     # z^{1-alpha} at 0 becomes x^{3-2 alpha} under z = x^2 on the head panel
     gn = cmfun.power_scale(cmfun.euler(), n)
     for alpha in (0.1, 0.25, 0.5):
-        qv = F.c_alpha_quad(gn, alpha)
+        qv = F.c_alpha_quads(gn, (alpha,))[alpha]
         assert qv.converged
         assert qv.value == pytest.approx(F.euler_c_alpha_exact(n, alpha), rel=1e-13, abs=0.0)
 
 
 def test_c_alpha_three_alphas_share_one_quadrature(monkeypatch):
     # the spline at n = 1024: one semi-infinite quadrature for alphas 0, 0.5
-    # and 1, in a few integrand calls; the reads after it compute nothing
+    # and 1, in a few integrand calls
     gn = cmfun.power_scale(cmfun.spline(), 1024)
-    for alpha in (0.0, 0.5, 1.0):
-        F._C_ALPHA.pop((gn, alpha), None)
     points = []
     inner = quadrature.integrate
 
@@ -246,7 +244,6 @@ def test_c_alpha_three_alphas_share_one_quadrature(monkeypatch):
     monkeypatch.setattr(quadrature, "integrate", counted)
     values = F.c_alpha_quads(gn, (1.0, 0.0, 0.5, 0.0))
     assert list(values) == [0.0, 0.5, 1.0]
-    assert [F.c_alpha_quad(gn, a) for a in values] == list(values.values())
     assert len(points) <= 6 and sum(points) <= 6000
     assert all(qv.converged for qv in values.values())
     # c_0 >= c_alpha >= c_1 and each near a[g_n] = (1/3)/(2n)
@@ -279,10 +276,10 @@ def test_euler_exact_envelopes():
 def test_c_alpha_divergence_flags():
     hille = cmfun.hille()  # g(inf) = 1/e > 0, so c_0 diverges
     assert math.isinf(F.c_alpha_measure(hille, 0.0))
-    qv = F.c_alpha_quad(hille, 0.0)
+    qv = F.c_alpha_quads(hille, (0.0,))[0.0]
     assert not qv.converged and qv.flag == "tail_divergent"
-    assert F.c_alpha_quad(hille, 0.5).converged
-    qv = F.c_alpha_quad(cmfun.power_scale(cmfun.hille(), 2), 0.0)
+    assert F.c_alpha_quads(hille, (0.5,))[0.5].converged
+    qv = F.c_alpha_quads(cmfun.power_scale(cmfun.hille(), 2), (0.0,))[0.0]
     assert not qv.converged and qv.flag == "tail_divergent"
 
 
@@ -302,7 +299,7 @@ def test_b_d0_d1_closed_values():
     e = cmfun.exponential()
     assert F.b_of(e) == pytest.approx(0.0, abs=1e-14)
     assert F.d0_of(e) == pytest.approx(0.0, abs=1e-14)
-    assert F.d1_of(e) == pytest.approx(0.0, abs=1e-10)
+    assert F.d1_of(e, F.c_alpha_quads(e, (0, 1))) == pytest.approx(0.0, abs=1e-10)
     g = cmfun.euler()
     assert F.b_of(g) == pytest.approx(-1.0 / 3.0, rel=1e-14)
     assert F.d0_of(g) == pytest.approx(0.75, rel=1e-14)
@@ -346,7 +343,8 @@ def test_b_requires_class():
 def test_functionals_need_the_log_defect():
     # a B4 function without a log-defect: a, b, d0 and d1 raise, naming it
     g = replace(cmfun.euler(), name="euler-without-L", log_defect=None)
-    for functional in (F.a_of, F.b_of, F.d0_of, F.d1_of):
+    d1_of = lambda g: F.d1_of(g, F.c_alpha_quads(g, (0, 1)))
+    for functional in (F.a_of, F.b_of, F.d0_of, d1_of):
         with pytest.raises(ValueError, match="euler-without-L"):
             functional(g)
 
@@ -366,7 +364,7 @@ def test_d1_scaling_euler():
     vals = []
     for n in (4, 8, 16):
         gn = cmfun.euler_power(n)
-        d1 = F.d1_of(gn)
+        d1 = F.d1_of(gn, F.c_alpha_quads(gn, (0, 1)))
         assert d1 >= -1e-12
         vals.append(d1 * n * n)
     # d1[g_n] <= C n^{-2}: the scaled sequence stays bounded
@@ -386,7 +384,7 @@ def test_moment_chain_b4():
 
 def test_c0_plus_c1_equals_sg_integral():
     for g in (cmfun.euler(), cmfun.spline()):
-        lhs = F.c_alpha_quad(g, 0.0).value + F.c_alpha_quad(g, 1.0).value
+        lhs = F.c_alpha_quads(g, (0.0,))[0.0].value + F.c_alpha_quads(g, (1.0,))[1.0].value
 
         def sg(z):
             z = np.asarray(z, dtype=float)
@@ -431,7 +429,7 @@ def test_interpolation_sup_bound():
                 assert abs(g.defect(np.array([z]))[0] / z ** alpha) <= cap
             for s in np.logspace(-1, 2, 8):
                 iz = 1j * float(s)
-                val = (g.eval_at(iz) - np.exp(-iz)) / iz ** alpha
+                val = (g(iz) - np.exp(-iz)) / iz ** alpha
                 assert abs(val) <= cap
 
 
@@ -447,4 +445,5 @@ def test_d1_diverges_when_g_has_an_atom_at_zero(g):
     # truncated at z = 1e6, for g itself and for g_n
     for n in (1, 2):
         with pytest.raises(F.DivergentError):
-            F.d1_of(cmfun.power_scale(g, n))
+            gn = cmfun.power_scale(g, n)
+            F.d1_of(gn, F.c_alpha_quads(gn, (0, 1)))

@@ -362,7 +362,7 @@ def test_g_of_A_on_the_spectrum_matches_dense(build, explicit):
     A, M = build(24), explicit(24)
     for g in (cmfun.exponential(), cmfun.euler(), cmfun.spline(), cmfun.kendall(0.5)):
         for t in (0.5, 2.0):
-            G = _on_spectrum(A, g.eval_at(t * A.eigs))
+            G = _on_spectrum(A, g(t * A.eigs))
             assert np.max(np.abs(G - dense_g(g, t * M))) <= 1e-11, (g.name, t)
 
 
@@ -370,7 +370,7 @@ def test_g_of_A_is_a_contraction():
     # |g(z)| <= g(0) = 1 on the closed right half-plane, so ||g(A)|| <= 1 for normal A
     for A in (diag_imag(24), laplacian_dirichlet_1d(24), advection_periodic(24)):
         for g in b2_builtins():
-            assert A.opnorm(g.eval_at) <= 1.0 + 1e-12, (A.name, g.name)
+            assert A.opnorm(g) <= 1.0 + 1e-12, (A.name, g.name)
 
 
 def test_exponential_scheme_has_no_defect():
