@@ -13,7 +13,6 @@ from .cmfun import (
     ScaledFamily,
     chung,
     euler,
-    euler_power,
     exponential,
     frac_tail,
     from_measure,

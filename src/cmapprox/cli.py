@@ -8,15 +8,18 @@ Subcommands:
     sharpness      sharp-constant experiments (scalar sup, shift integrals)
     report         aggregate CSVs into a pass/fail summary by bound tag
 
-The theorems live in rates: each verify-bounds suite checks its own inputs
-(rates.SUITES), rates.order_verdict passes or fails an `orders` fit against
-rates.expected_exponent, and rates.sharpness_rows checks each sharpness row;
-this module parses, loops, sorts and writes.  Every grid value, from a flag
-or from --config, is checked in one place: t positive and finite, n a whole
-number >= 1, alpha finite.
+The theorems live in rates and functionals: each verify-bounds suite checks
+its own inputs (rates.SUITES), rates.order_verdict passes or fails an
+`orders` fit, rates.sharpness_rows checks each sharpness row and
+functionals.table builds the functionals rows.  Each command parses its
+inputs and returns (fields, rows); `main` alone writes them and sets the
+exit code.  Every grid value, from a flag or from --config, is checked in
+one place: t positive and finite, n a whole number >= 1, alpha finite, and
+a repeated value dropped.
 
-Exit codes: 0 all pass, 1 any row failed or a fit missed its window
-(or standard output was closed early), 2 usage errors.  Output is
+Exit codes: 0 all pass, 1 a row has `pass` false or a report line is FAIL
+(or standard output was closed early), 2 usage errors, each a ValueError
+(or a file that cannot be opened) that `main` prints as `error: ...`.  Output is
 deterministic: rows are sorted by their grid coordinates.
 """
 
@@ -32,7 +35,7 @@ import sys
 
 from . import functionals as fns
 from . import opcalc, rates
-from .cmfun import ScaledFamily, check_bk, make_builtin, power_scale
+from .cmfun import ScaledFamily, make_builtin, read_json_object
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -66,11 +69,6 @@ def write_json(path: str, rows):
         fh.write("\n")
 
 
-def _usage_error(message: str):
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(USAGE_ERROR)
-
-
 # what the values of each grid must be, whether they come from a flag or --config
 GRID = {
     "t": ("a positive finite number", lambda x: 0.0 < x < math.inf),
@@ -80,13 +78,14 @@ GRID = {
 
 
 def _check_grid(key: str, values) -> list:
-    """The values of grid `key` as numbers (n as ints); exit 2 naming the flag otherwise."""
+    """The values of grid `key` as numbers (n as ints), each once, in the order
+    first given; a ValueError naming the flag otherwise."""
     if isinstance(values, str):
         values = [x for x in values.split(",") if x.strip()]
     elif not isinstance(values, list):
         values = [values]
     if not values:
-        _usage_error(f"--{key} needs a comma-separated list of values")
+        raise ValueError(f"--{key} needs a comma-separated list of values")
     what, ok = GRID[key]
     out = []
     for raw in values:
@@ -95,20 +94,21 @@ def _check_grid(key: str, values) -> list:
         except (TypeError, ValueError):
             x = math.nan
         if not ok(x):
-            _usage_error(f"--{key} {str(raw).strip()} is not {what}")
+            raise ValueError(f"--{key} {str(raw).strip()} is not {what}")
         out.append(int(x) if key == "n" else x)
-    return out
+    return list(dict.fromkeys(out))
 
 
 def _load_config(args) -> dict:
     """--config entries overridden by the flags given, every grid checked
     (and --json only with --out)."""
     if getattr(args, "json", False) and not args.out:
-        _usage_error("--json writes a mirror of the --out file, so it needs --out")
-    cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        raise ValueError("--json writes a mirror of the --out file, so it needs --out")
+    path = getattr(args, "config", None)
+    cfg = read_json_object(path, f"--config {path!r}") if path else {}
+    for key in ("scheme", "generator", "suite"):
+        if not isinstance(cfg.get(key, ""), str):
+            raise ValueError(f"--config {path!r}: {key} {json.dumps(cfg[key])} is not a string")
     for key in ("scheme", "generator", "suite", *GRID):
         val = getattr(args, key, None)
         if val is not None:
@@ -121,100 +121,52 @@ def _load_config(args) -> dict:
 
 def _grids(cfg):
     if "n" not in cfg:
-        _usage_error("--n is required")
+        raise ValueError("--n is required")
     return cfg.get("t", [1.0]), cfg["n"], cfg.get("alpha", [1.0])
-
-
-def _before_work(check, *args):
-    """check(*args), its ValueError a usage error before anything is built."""
-    try:
-        return check(*args)
-    except ValueError as exc:
-        _usage_error(str(exc))
 
 
 BOUND_FIELDS = ["scheme", "generator", "t", "n", "alpha", "vector_id",
                 "error", "bound", "slack", "tag", "pass"]
 
 
-def cmd_functionals(args) -> int:
+def cmd_functionals(args):
     cfg = _load_config(args)
     alphas = cfg.get("alpha", [0.0, 0.5, 1.0])
-    _before_work(rates.check_alphas, alphas, 0.0, 1.0, "functionals")
+    rates.check_alphas(alphas, 0.0, 1.0, "functionals")
     name = cfg.get("scheme") or args.g
     if not name:
         raise ValueError("--g is required")
     g = make_builtin(name, flag="--scheme" if cfg.get("scheme") else "--g")
     if isinstance(g, ScaledFamily):
         raise ValueError("functionals needs a fixed function (give t)")
-    ns = cfg.get("n", [1])
-    rows = []
-    for n in ns:
-        gn = power_scale(g, n)
-        # why a cell is nan: L without a measure (power_scale keeps none), d1
-        # when c_0 diverges (g(inf) > 0); c_alpha names its own
-        why_L = "" if gn.rational_n or gn.measure is not None else "no_measure"
-        why_d1 = "" if gn.tail_integrable else "tail_divergent"
-        L = (fns.euler_power_L(gn.rational_n) if gn.rational_n
-             else math.nan if why_L else fns.functional_L(gn))
-        a = fns.a_of(gn) if check_bk(gn, 2) else math.nan
-        b = fns.b_of(gn) if check_bk(gn, 3) else math.nan
-        d0 = fns.d0_of(gn) if check_bk(gn, 4) else math.nan
-        with_d1 = check_bk(gn, 4) and not why_d1
-        # one quadrature for every alpha of g_n: the grid's, and 0 and 1 for d1
-        c = fns.c_alpha_quads(gn, [*alphas, 0.0, 1.0] if with_d1 else alphas)
-        d1 = math.nan
-        if with_d1:
-            try:
-                d1 = fns.d1_of(gn, c)
-            except fns.DivergentError:
-                why_d1 = "tail_divergent"
-        for alpha in alphas:
-            qv = c[alpha]
-            exact = fns.euler_c_alpha_exact(gn.rational_n, alpha) if gn.rational_n else math.nan
-            flags = dict.fromkeys(f for f in (why_L, qv.flag, why_d1) if f)
-            rows.append({
-                "g": g.name, "n": n, "alpha": alpha, "L": L, "a": a, "b": b,
-                "c_alpha_quadrature": qv.value, "c_alpha_exact": exact,
-                "d0": d0, "d1": d1, "residual_flags": ";".join(flags),
-            })
-    rows.sort(key=lambda r: (r["n"], r["alpha"]))
-    fields = ["g", "n", "alpha", "L", "a", "b", "c_alpha_quadrature",
-              "c_alpha_exact", "d0", "d1", "residual_flags"]
-    write_csv(args.out, fields, rows)
-    if args.json:
-        write_json(args.out + ".json", rows)
-    return 0
+    return fns.FIELDS, fns.table(g, cfg.get("n", [1]), alphas)
 
 
-def cmd_verify_bounds(args) -> int:
+def cmd_verify_bounds(args):
     cfg = _load_config(args)
     ts, ns, alphas = _grids(cfg)
-    suite = _before_work(rates.suite, cfg.get("suite", "first"), alphas)
+    suite = rates.suite(cfg.get("suite", "first"), alphas)
     g = make_builtin(cfg.get("scheme", "euler"))
     A = opcalc.make_generator(cfg.get("generator", "diag_imag:k=128"))
     vectors = opcalc.test_vectors(A, seed=args.seed)
     rows = [r.row() for r in suite(g, A, ts, ns, alphas, vectors)]
     rows.sort(key=lambda r: (r["scheme"], r["generator"], r["t"], r["n"],
                              r["alpha"], r["vector_id"]))
-    write_csv(args.out, BOUND_FIELDS, rows)
-    if args.json:
-        write_json(args.out + ".json", rows)
-    return FAILURE if any(not r["pass"] for r in rows) else 0
+    return BOUND_FIELDS, rows
 
 
 ORDER_FIELDS = ["scheme", "generator", "t", "alpha", "slope", "expected_exponent",
                 "intercept", "r_squared", "used_points", "flag", "tag", "pass"]
 
 
-def cmd_orders(args) -> int:
+def cmd_orders(args):
     cfg = _load_config(args)
     scheme = cfg.get("scheme", "euler")
     suite = cfg.get("suite", "first")
     if suite not in ("first", "second"):
-        _usage_error(f"--suite {suite!r} is not a suite of orders, which takes first or second")
+        raise ValueError(f"--suite {suite!r} is not a suite of orders, which takes first or second")
     ts, ns, alphas = _grids(cfg)
-    _before_work(rates.check_alphas, alphas, *rates.ORDER_ALPHA, "orders")
+    rates.check_alphas(alphas, *rates.ORDER_ALPHA, "orders")
     g = make_builtin(scheme)
     A = opcalc.make_generator(cfg.get("generator", "diag_imag:k=128"))
     second = suite == "second"
@@ -232,22 +184,20 @@ def cmd_orders(args) -> int:
                 "pass": ok,
             })
     rows.sort(key=lambda r: (r["t"], r["alpha"]))
-    write_csv(args.out, ORDER_FIELDS, rows)
-    return FAILURE if any(not r["pass"] for r in rows) else 0
+    return ORDER_FIELDS, rows
 
 
-def cmd_sharpness(args) -> int:
+def cmd_sharpness(args):
     ns = sorted(_load_config(args).get("n", [4, 16, 64, 256, 1024]))
     shift = args.which != "euler"
     if shift and ns[-1] < 2:
-        _usage_error(f"--n {','.join(map(str, ns))} has no n >= 2, which the shift "
-                     f"experiment of --which {args.which} needs")
+        raise ValueError(f"--n {','.join(map(str, ns))} has no n >= 2, which the shift "
+                         f"experiment of --which {args.which} needs")
     rows = rates.sharpness_rows(ns, euler=args.which != "shift", shift=shift)
-    write_csv(args.out, ["experiment", "n", "value", "scaled", "reference", "pass"], rows)
-    return FAILURE if any(not r["pass"] for r in rows) else 0
+    return ["experiment", "n", "value", "scaled", "reference", "pass"], rows
 
 
-def cmd_report(args) -> int:
+def cmd_report(args):
     summary = {}
     for path in args.inputs:
         with open(path) as fh:
@@ -261,8 +211,7 @@ def cmd_report(args) -> int:
     rows = [{"tag": tag, "passed": c["pass"], "failed": c["fail"],
              "status": "ok" if c["fail"] == 0 else "FAIL"}
             for tag, c in sorted(summary.items())]
-    write_csv(args.out, ["tag", "passed", "failed", "status"], rows)
-    return FAILURE if any(r["failed"] for r in rows) else 0
+    return ["tag", "passed", "failed", "status"], rows
 
 
 # every option a subcommand may take; each subcommand registers only those it reads
@@ -305,21 +254,25 @@ def main(argv=None) -> int:
     # generation: neither the run's collections nor the interpreter's final
     # ones walk it again, which saves about 35 ms per command at exit.
     gc.freeze()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        fields, rows = args.func(args)
+        write_csv(args.out, fields, rows)
+        if getattr(args, "json", False):
+            write_json(args.out + ".json", rows)
         sys.stdout.flush()  # a closed pipe raises here, inside the handler
-        return code
     except BrokenPipeError:
         # the reader went away (e.g. `| head`): send what is left to devnull
         # so the flush at interpreter exit does not raise again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return FAILURE
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    # a failed check, or a report line that counts one
+    failed = any(not r.get("pass", True) or r.get("status") == "FAIL" for r in rows)
+    return FAILURE if failed else 0
 
 
 if __name__ == "__main__":

@@ -51,7 +51,6 @@ __all__ = [
     "from_measure",
     "power_scale",
     "euler",
-    "euler_power",
     "spline",
     "kendall",
     "yosida",
@@ -413,31 +412,6 @@ _EULER_DEFECT = _log_defect([(-1.0) ** k / k for k in range(2, SERIES_DEGREE + 1
                             lambda w: w - np.log1p(w))
 
 
-def euler_power(n: int) -> CMFunction:
-    """Euler's g_n with its explicit Gamma measure n^n s^{n-1} e^{-ns}/(n-1)! ds.
-
-    Unlike the generic power_scale (which drops the measure), the Euler
-    family's convolution power is again polynomial-exponential, so for
-    modest n we can materialize it.  Coefficients grow like e^n, so this
-    is restricted to n <= 64.
-    """
-    if n == 1:
-        return euler()
-    if n > 64:
-        raise ValueError("explicit Gamma measure limited to n <= 64")
-    coeff = math.exp(n * math.log(n) - math.lgamma(n))
-    coeffs = [0.0] * (n - 1) + [coeff]
-    nu = PositiveMeasure(segments=(PolyExpSegment(0.0, math.inf, tuple(coeffs), float(n)),))
-    g = from_measure(nu, name=f"euler_gamma{n}")
-    return replace(
-        g,
-        evaluate=lambda z: (1.0 + z / n) ** (-n),
-        moments=_scaled_moments((1.0, 1.0, 2.0, 6.0, 24.0), n),
-        rational_n=n,
-        log_defect=replace(_EULER_DEFECT, scale=n),
-    )
-
-
 def spline() -> CMFunction:
     """g(z) = (1 - e^{-2z})/(2z), measure = (1/2) Lebesgue on [0,2]."""
     nu = PositiveMeasure(segments=(PolyExpSegment(0.0, 2.0, (0.5,), 0.0),))
@@ -677,10 +651,9 @@ def _segment(entry) -> PolyExpSegment:
                           float(entry.get("exp_rate", 0.0)))
 
 
-def _read_measure(path: str, where: str) -> PositiveMeasure:
-    """The measure of a `measure:` JSON file, an object with a list "atoms" of
-    pairs [s, w] and a list "segments" of {"a", "b", "poly", "exp_rate"}; for
-    a file of another form a ValueError naming `where` and the first bad entry."""
+def read_json_object(path: str, where: str) -> dict:
+    """The JSON object in the file at `path` (a `measure:` or --config file);
+    a ValueError naming `where` for a file that is not JSON or holds no object."""
     import json
 
     with open(path) as fh:
@@ -690,6 +663,16 @@ def _read_measure(path: str, where: str) -> PositiveMeasure:
             raise ValueError(f"{where}: the file is not JSON ({exc})") from None
     if not isinstance(desc, dict):
         raise ValueError(f"{where}: the file holds a JSON {type(desc).__name__}, not an object")
+    return desc
+
+
+def _read_measure(path: str, where: str) -> PositiveMeasure:
+    """The measure of a `measure:` JSON file, an object with a list "atoms" of
+    pairs [s, w] and a list "segments" of {"a", "b", "poly", "exp_rate"}; for
+    a file of another form a ValueError naming `where` and the first bad entry."""
+    import json
+
+    desc = read_json_object(path, where)
     parts = []
     for key, parse in (("atoms", _atom), ("segments", _segment)):
         items = desc.get(key, [])

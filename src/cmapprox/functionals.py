@@ -21,6 +21,10 @@ alpha.  `c_alpha_quads` returns its values and keeps none: a caller asks
 once per g_n for every alpha it needs and holds on to the dict, and d1
 reads c_0 and c_1 from such a dict.  `c_alpha_measure` computes
 c_alpha = int K(tau) nu(dtau) from the measure instead, as a check.
+
+`table(g, ns, alphas)` gives the rows of FIELDS, every functional of each
+g_n over an (n, alpha) grid: which functional applies to which g_n, and why
+a cell is nan, is decided there.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .cmfun import CMFunction, check_bk
+from .cmfun import CMFunction, check_bk, power_scale
 
 __all__ = [
     "functional_L",
@@ -45,6 +49,7 @@ __all__ = [
     "d0_of",
     "d1_of",
     "euler_power_L",
+    "table",
 ]
 
 
@@ -331,3 +336,48 @@ def d1_of(g: CMFunction, c: dict) -> float:
         if not c[alpha].converged:
             raise DivergentError(f"d1[{g.name}]: c_{alpha:g} has not converged ({c[alpha].flag})")
     return c[0.0].value - c[1.0].value - b
+
+
+# ----------------------------------------------------------------------
+# the functionals of g_n over an (n, alpha) grid
+# ----------------------------------------------------------------------
+
+FIELDS = ["g", "n", "alpha", "L", "a", "b", "c_alpha_quadrature", "c_alpha_exact",
+          "d0", "d1", "residual_flags"]
+
+
+def table(g: CMFunction, ns, alphas) -> list[dict]:
+    """One row of FIELDS for each g_n = power_scale(g, n), n in ns, and alpha
+    in alphas, sorted by (n, alpha).  A nan cell names its cause in
+    residual_flags: no_measure for L (power_scale keeps no measure),
+    tail_divergent for d1 when c_0 diverges (g(inf) > 0), and c_alpha's own
+    flag; a, b and d0 are nan outside B2, B3 and B4."""
+    rows = []
+    for n in sorted(ns):
+        gn = power_scale(g, n)
+        why_L = "" if gn.rational_n or gn.measure is not None else "no_measure"
+        why_d1 = "" if gn.tail_integrable else "tail_divergent"
+        L = (euler_power_L(gn.rational_n) if gn.rational_n
+             else math.nan if why_L else functional_L(gn))
+        a = a_of(gn) if check_bk(gn, 2) else math.nan
+        b = b_of(gn) if check_bk(gn, 3) else math.nan
+        d0 = d0_of(gn) if check_bk(gn, 4) else math.nan
+        with_d1 = check_bk(gn, 4) and not why_d1
+        # one quadrature for every alpha of g_n: the grid's, and 0 and 1 for d1
+        c = c_alpha_quads(gn, [*alphas, 0.0, 1.0] if with_d1 else alphas)
+        d1 = math.nan
+        if with_d1:
+            try:
+                d1 = d1_of(gn, c)
+            except DivergentError:
+                why_d1 = "tail_divergent"
+        for alpha in sorted(alphas):
+            qv = c[alpha]
+            exact = euler_c_alpha_exact(gn.rational_n, alpha) if gn.rational_n else math.nan
+            flags = dict.fromkeys(f for f in (why_L, qv.flag, why_d1) if f)
+            rows.append({
+                "g": g.name, "n": n, "alpha": alpha, "L": L, "a": a, "b": b,
+                "c_alpha_quadrature": qv.value, "c_alpha_exact": exact,
+                "d0": d0, "d1": d1, "residual_flags": ";".join(flags),
+            })
+    return rows

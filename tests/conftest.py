@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import mpmath
 import numpy as np
 import scipy.linalg
 
 from cmapprox import cmfun
+from cmapprox.measures import PolyExpSegment, PositiveMeasure
 
 
 def b2_builtins():
@@ -20,6 +24,19 @@ def b2_builtins():
         cmfun.hille(),
         cmfun.chung((0.25, 0.5, 0.25), 1.0),
     ]
+
+
+def euler_power(n: int):
+    """Euler's g_n = (1 + z/n)^{-n} with its explicit Gamma measure
+    n^n s^{n-1} e^{-ns}/(n-1)! ds, which power_scale does not keep: a
+    reference for the measure routes.  The coefficient grows like e^n, so n
+    is limited to 64."""
+    if n > 64:
+        raise ValueError("explicit Gamma measure limited to n <= 64")
+    coeffs = (0.0,) * (n - 1) + (math.exp(n * math.log(n) - math.lgamma(n)),)
+    nu = PositiveMeasure(segments=(PolyExpSegment(0.0, math.inf, coeffs, float(n)),))
+    return dataclasses.replace(cmfun.power_scale(cmfun.euler(), n), name=f"euler_gamma{n}",
+                               measure=nu, deriv_real=None)
 
 
 def mp_eval_map():

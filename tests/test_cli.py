@@ -97,9 +97,7 @@ def test_functionals_alpha_is_checked_before_any_work(monkeypatch, capsys):
         raise AssertionError("function built before the alpha check")
 
     monkeypatch.setattr(cli, "make_builtin", no_build)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["functionals", "--g", "euler", "--n", "1", "--alpha", "0.5,2"])
-    assert exc.value.code == 2
+    assert cli.main(["functionals", "--g", "euler", "--n", "1", "--alpha", "0.5,2"]) == 2
     assert capsys.readouterr() == (
         "", "error: --alpha 2 is outside [0, 1], the range of functionals\n")
 
@@ -145,14 +143,47 @@ def test_verify_bounds_stdout_and_json(tmp_path, capsys):
     assert header.split(",")[:3] == ["scheme", "generator", "t"]
 
 
+def test_functionals_json_mirror_holds_the_csv_rows(tmp_path):
+    out = tmp_path / "fn.csv"
+    assert cli.main(["functionals", "--g", "spline", "--n", "1,4", "--alpha", "0,0.5,1",
+                     "--json", "--out", str(out)]) == 0
+    mirror = json.loads((tmp_path / "fn.csv.json").read_text())
+    assert all(set(r) == set(fns.FIELDS) for r in mirror)
+    assert [{k: cli._fmt(v) for k, v in r.items()} for r in mirror] == _read_csv(out)
+
+
+def test_main_is_the_one_writer_of_every_command(tmp_path, monkeypatch):
+    # each command returns its rows and main writes them: one write_csv call
+    # per run, given the list of rows that the CSV then holds
+    runs = {
+        "functionals": ["functionals", "--g", "euler", "--n", "1,4", "--alpha", "0,1"],
+        "verify-bounds": ["verify-bounds", "--scheme", "euler", "--generator", "diag_imag:k=8",
+                          "--suite", "first", "--n", "4"],
+        "orders": ["orders", "--scheme", "euler", "--generator", "laplacian:d=16",
+                   "--n", "4,8,16,32"],
+        "sharpness": ["sharpness", "--which", "euler", "--n", "4,16"],
+        "report": ["report", str(tmp_path / "sharpness.csv")],
+    }
+    real, calls = cli.write_csv, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "write_csv", spy)
+    for name, argv in runs.items():
+        calls.clear()
+        out = tmp_path / f"{name}.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 0, name
+        ((path, fields, rows),) = calls
+        assert path == str(out) and isinstance(rows, list) and rows, name
+        assert _read_csv(out) == [{k: cli._fmt(r[k]) for k in fields} for r in rows], name
+
+
 def test_verify_bounds_usage_errors(tmp_path, capsys):
     base = ["verify-bounds", "--scheme", "euler", "--generator", "diag_imag:k=8"]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(base + ["--suite", "first", "--n", ""])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(base + ["--suite", "mystery", "--n", "4"])
-    assert exc.value.code == 2
+    assert cli.main(base + ["--suite", "first", "--n", ""]) == 2
+    assert cli.main(base + ["--suite", "mystery", "--n", "4"]) == 2
     assert cli.main(["verify-bounds", "--scheme", "euler", "--generator",
                      "torus", "--suite", "first", "--n", "4"]) == 2
     assert "available" in capsys.readouterr().err
@@ -329,9 +360,7 @@ def test_suites_refuse_alpha_outside_their_theorem(suite, alpha, admitted, monke
         raise AssertionError("generator built before the alpha check")
 
     monkeypatch.setattr(cli.opcalc, "make_generator", no_compute)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(base + ["--alpha", f"0.5,{alpha}"])
-    assert exc.value.code == 2
+    assert cli.main(base + ["--alpha", f"0.5,{alpha}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--alpha" in captured.err and alpha in captured.err and f"'{suite}'" in captured.err
@@ -387,15 +416,25 @@ def test_holo2_runs_one_quadrature_per_n(tmp_path, quadratures):
 
 
 def test_empty_list_names_the_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify-bounds", "--scheme", "euler", "--generator", "diag_imag:k=8",
-                  "--suite", "first", "--n", ","])
-    assert exc.value.code == 2
+    assert cli.main(["verify-bounds", "--scheme", "euler", "--generator", "diag_imag:k=8",
+                     "--suite", "first", "--n", ","]) == 2
     assert "--n" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["functionals", "--g", "euler", "--alpha", ","])
-    assert exc.value.code == 2
+    assert cli.main(["functionals", "--g", "euler", "--alpha", ","]) == 2
     assert "--alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["functionals", "--g", "euler", "--alpha", "0,1"],
+    ["verify-bounds", "--scheme", "euler", "--generator", "laplacian:d=8", "--suite", "holo",
+     "--alpha", "0.5"],
+], ids=["functionals", "verify-bounds"])
+def test_repeated_grid_values_are_dropped(argv, tmp_path):
+    # a value given twice is one grid point: its rows are written, and counted
+    # by report, once
+    outs = [tmp_path / "once.csv", tmp_path / "twice.csv"]
+    for n, out in zip(("4", "4,4"), outs):
+        assert cli.main([*argv, "--n", n, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_closed_stdout_exits_without_traceback():
@@ -425,6 +464,30 @@ def test_config_file_with_flag_overrides(tmp_path):
                      "--n", "8", "--out", str(out)]) == 0
     rows = _read_csv(out)
     assert {r["n"] for r in rows} == {"8"}  # flag overrode the config grid
+
+
+@pytest.mark.parametrize("content, why", [
+    ("[1, 2]", "the file holds a JSON list, not an object"),
+    ("n: [4]", "the file is not JSON ("),
+    ('{"scheme": 5}', "scheme 5 is not a string"),
+], ids=["list", "not-json", "scheme-number"])
+def test_malformed_config_file_names_flag_and_file(content, why, tmp_path, capsys):
+    # a --config file of the wrong form is a usage error that names the flag
+    # and the file, not a traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(content)
+    assert cli.main(["functionals", "--config", str(path), "--n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --config {str(path)!r}: {why}")
+
+
+@pytest.mark.parametrize("flag", ["--config", "--out"])
+def test_a_directory_for_a_file_is_a_usage_error(flag, tmp_path, capsys):
+    assert cli.main(["functionals", "--g", "euler", "--n", "1", flag, str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
 
 
 def test_optimality_command(tmp_path):
@@ -473,9 +536,7 @@ def test_sharpness_command(tmp_path):
 def test_sharpness_shift_needs_an_n_of_two_or_more(which, capsys):
     # the shift integrals exist for n >= 2 only: a grid without one is a usage
     # error, not a header with no rows (shift) or rows without shift (both)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["sharpness", "--which", which, "--n", "1"])
-    assert exc.value.code == 2
+    assert cli.main(["sharpness", "--which", which, "--n", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --n 1 ") and f"--which {which}" in captured.err
@@ -748,9 +809,7 @@ def test_grid_values_are_checked_before_any_work(argv, message, tmp_path, monkey
     monkeypatch.setattr(cli.opcalc, "make_generator", no_compute)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps({"t": [1, -1], "n": [4]}))
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
+    assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 

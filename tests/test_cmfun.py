@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from cmapprox import cmfun
 from cmapprox.measures import PolyExpSegment, PositiveMeasure
 
-from conftest import b2_builtins, mp_eval_map
+from conftest import b2_builtins, euler_power, mp_eval_map
 
 
 # ----------------------------------------------------------------------
@@ -92,8 +92,8 @@ def test_power_scale_rejects():
 def test_rational_n_reads_the_power_not_the_name():
     # the CLI and the holo suite read rational_n (Euler's closed-form r_{alpha,n}),
     # so it must follow power scaling and survive a rename
-    composed = cmfun.power_scale(cmfun.euler_power(2), 2)  # (1 + z/4)^{-4}
-    renamed = dataclasses.replace(cmfun.euler_power(4), name="x")
+    composed = cmfun.power_scale(euler_power(2), 2)  # (1 + z/4)^{-4}
+    renamed = dataclasses.replace(euler_power(4), name="x")
     for g in (composed, renamed):
         assert g.rational_n == 4
     assert cmfun.power_scale(cmfun.spline(), 4).rational_n is None
@@ -154,11 +154,11 @@ def test_measure_moments_are_the_stated_moments(g):
 
 def test_euler_power_measure_matches_rational_form():
     for n in (2, 8, 32):
-        g = cmfun.euler_power(n)
+        g = euler_power(n)
         for z in (0.3, 2.0, 0.5 + 1.5j):
             assert g.measure.laplace(z) == pytest.approx((1 + z / n) ** -n, rel=1e-11)
     with pytest.raises(ValueError):
-        cmfun.euler_power(65)
+        euler_power(65)
 
 
 # ----------------------------------------------------------------------

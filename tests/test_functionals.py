@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from cmapprox import cmfun, quadrature
 from cmapprox import functionals as F
 
-from conftest import b2_builtins, mp_eval_map
+from conftest import b2_builtins, euler_power, mp_eval_map
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -142,7 +142,7 @@ def test_L_scaled_bound_dominates_euler_exact():
 def test_euler_power_L_matches_measure_route():
     for n in (2, 8, 32):
         assert F.euler_power_L(n) == pytest.approx(
-            F.functional_L(cmfun.euler_power(n)), abs=1e-12)
+            F.functional_L(euler_power(n)), abs=1e-12)
 
 
 def test_euler_power_L_matches_mpmath():
@@ -363,7 +363,7 @@ def test_d1_scaling_euler():
     g = cmfun.euler()
     vals = []
     for n in (4, 8, 16):
-        gn = cmfun.euler_power(n)
+        gn = euler_power(n)
         d1 = F.d1_of(gn, F.c_alpha_quads(gn, (0, 1)))
         assert d1 >= -1e-12
         vals.append(d1 * n * n)
