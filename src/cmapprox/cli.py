@@ -14,8 +14,9 @@ its own inputs (rates.SUITES), rates.order_verdict passes or fails an
 functionals.table builds the functionals rows.  Each command parses its
 inputs and returns (fields, rows); `main` alone writes them and sets the
 exit code.  Every grid value, from a flag or from --config, is checked in
-one place: t positive and finite, n a whole number >= 1, alpha finite, and
-a repeated value dropped.
+one place: t positive and finite, n a whole number in [1, 2^53] (where the
+float parse keeps every whole number exact), alpha finite (-0 read as 0),
+and a repeated value dropped; --seed is checked there too.
 
 Exit codes: 0 all pass, 1 a row has `pass` false or a report line is FAIL
 (or standard output was closed early), 2 usage errors, each a ValueError
@@ -72,7 +73,7 @@ def write_json(path: str, rows):
 # what the values of each grid must be, whether they come from a flag or --config
 GRID = {
     "t": ("a positive finite number", lambda x: 0.0 < x < math.inf),
-    "n": ("a whole number >= 1", lambda x: x >= 1 and x.is_integer()),
+    "n": ("a whole number in [1, 2^53]", lambda x: 1 <= x <= 2.0 ** 53 and x.is_integer()),
     "alpha": ("a finite number", math.isfinite),
 }
 
@@ -95,8 +96,19 @@ def _check_grid(key: str, values) -> list:
             x = math.nan
         if not ok(x):
             raise ValueError(f"--{key} {str(raw).strip()} is not {what}")
-        out.append(int(x) if key == "n" else x)
+        out.append(int(x) if key == "n" else x + 0.0)   # -0.0 + 0.0 is 0.0
     return list(dict.fromkeys(out))
+
+
+def _check_seed(raw: str) -> int:
+    """--seed as an int (decimal, or 0x... and the like); a ValueError naming the flag otherwise."""
+    try:
+        seed = int(raw, 0)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"--seed {raw.strip()} is not a whole number >= 0")
+    return seed
 
 
 def _load_config(args) -> dict:
@@ -116,6 +128,8 @@ def _load_config(args) -> dict:
     for key in GRID:
         if key in cfg:
             cfg[key] = _check_grid(key, cfg[key])
+    if hasattr(args, "seed"):
+        cfg["seed"] = _check_seed(args.seed)
     return cfg
 
 
@@ -148,7 +162,7 @@ def cmd_verify_bounds(args):
     suite = rates.suite(cfg.get("suite", "first"), alphas)
     g = make_builtin(cfg.get("scheme", "euler"))
     A = opcalc.make_generator(cfg.get("generator", "diag_imag:k=128"))
-    vectors = opcalc.test_vectors(A, seed=args.seed)
+    vectors = opcalc.test_vectors(A, seed=cfg["seed"])
     rows = [r.row() for r in suite(g, A, ts, ns, alphas, vectors)]
     rows.sort(key=lambda r: (r["scheme"], r["generator"], r["t"], r["n"],
                              r["alpha"], r["vector_id"]))
@@ -219,7 +233,7 @@ OPTIONS = {
     "config": {"help": "JSON config file"},
     "out": {"help": "output CSV path (default: stdout)"},
     "json": {"action": "store_true", "help": "also write a JSON mirror at OUT.json (needs --out)"},
-    "seed": {"type": lambda s: int(s, 0), "default": opcalc.DEFAULT_SEED},
+    "seed": {"default": str(opcalc.DEFAULT_SEED)},
     **{name: {} for name in ("scheme", "generator", "suite", "t", "n", "alpha")},
 }
 

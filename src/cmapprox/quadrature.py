@@ -20,14 +20,13 @@ divided by different powers) share every evaluation of it.
 
 `integrate` takes one interval or arrays of panel edges.  Given panels, it
 refines them all together and returns the integral over each.  A
-semi-infinite integral sends the caller's head breakpoints and the first
-dyadically widening tail panels to one such call, and further tail panels
-in stages of growing size, each only while some component has not met its
-stop rule (two consecutive tail panels below a relative threshold); the
-later stages keep the tolerance reference of what is already summed.  A
-panel whose rule sums are not finite (an integrand that overflows far out
-in a tail) is accepted as it is rather than bisected.  Integrands are
-expected to be vectorized over numpy arrays.
+semi-infinite integral sends the caller's head breakpoints and every
+dyadically widening tail panel up to a span cap to one such call, and sums
+the panels in order up to its stop rule (two consecutive tail panels below
+a relative threshold), each component on its own.  A panel whose rule sums
+are not finite (an integrand that overflows far out in a tail) is accepted
+as it is rather than bisected.  Integrands are expected to be vectorized
+over numpy arrays.
 """
 
 from __future__ import annotations
@@ -68,16 +67,16 @@ def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 _BATCH = 128   # panels per integrand call after the first, which takes every root panel
 _ABS_TOL = 1e-15   # an error estimate this small passes, however small the sums
+_MAX_DEPTH = 40   # bisections after which a panel is accepted as it is
 
 
-def integrate(f, a, b, rel_tol: float = 1e-12, max_depth: int = 40, scale=0.0):
+def integrate(f, a, b, rel_tol: float = 1e-12):
     """Integral of f over [a, b] (0 when b <= a).
 
     For arrays a and b, the integrals over the panels [a_i, b_i] as an
     array: the root panels go to f in one call, and every panel is accepted
-    once its estimate is within rel_tol of the sum over all of them, or of
-    `scale` (one value, or one per component) if that is larger.  For an f
-    with k components the result has a leading axis of length k.
+    once its estimate is within rel_tol of the sum over all of them.  For an
+    f with k components the result has a leading axis of length k.
     """
     lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     x20, w20 = _rule(20)
@@ -108,10 +107,9 @@ def integrate(f, a, b, rel_tol: float = 1e-12, max_depth: int = 40, scale=0.0):
                 totals = np.zeros((len(vals), lo.size))
                 rough = np.sum(np.abs(np.where(finite, coarse, 0.0)), axis=1) + _ABS_TOL
             total = np.sum(np.where(np.isfinite(totals), totals, 0.0), axis=1)
-            tol = np.maximum(_ABS_TOL,
-                             rel_tol * np.maximum(np.maximum(rough, np.abs(total)), scale))
+            tol = np.maximum(_ABS_TOL, rel_tol * np.maximum(rough, np.abs(total)))
             passed = (np.abs(fine - coarse) <= tol[:, None]) | ~finite
-            done = np.all(passed, axis=0) | (depth >= max_depth)
+            done = np.all(passed, axis=0) | (depth >= _MAX_DEPTH)
             np.add.at(totals.T, root[done], fine[:, done].T)
         split = ~done
         pend_lo = np.concatenate([pend_lo, lo_b[split], mid[split]])
@@ -141,7 +139,6 @@ class TailResult:
         return bool(np.all(self.stopped))
 
 
-_FIRST_STAGE = 4   # dyadic tail panels sent with the head; each later stage doubles
 _FIRST_WIDTH = 1.0   # width of the first dyadic tail panel
 
 
@@ -152,44 +149,26 @@ def integrate_semi_infinite(f, a, rel_tol: float = 1e-12,
 
     The panels between the breakpoints and the dyadic panels [b, b+w],
     [b+w, b+3w], ... beyond the last breakpoint b, as long as they start
-    less than max_span past it, are summed in order up to the first two
-    consecutive dyadic panels that each fall below tail_rel times the
-    running total.  If no two do (a tail that decays too slowly or not at
-    all), every panel is summed and the component is not stopped.
-
-    The breakpoint panels and the first _FIRST_STAGE dyadic panels go to
-    one call of `integrate`; then the next 8, 16, ... dyadic panels, each
-    stage only while some component has not stopped, with the tolerance
-    reference carried over from the panels already summed.  For an f with
-    k components every component stops on its own.
+    less than max_span past it, go to one call of `integrate`.  They are
+    summed in order up to the first two consecutive dyadic panels that each
+    fall below tail_rel times the running total; the panels past those are
+    evaluated but not summed.  If no two do (a tail that decays too slowly
+    or not at all), every panel is summed and the component is not stopped.
+    For an f with k components every component stops on its own.
     """
     breaks = np.atleast_1d(np.asarray(a, dtype=float))
     starts = _FIRST_WIDTH * (2.0 ** np.arange(64) - 1.0)
     edges = np.concatenate([breaks, breaks[-1] + starts[1:np.searchsorted(starts, max_span) + 1]])
-    head = breaks.size - 1
-    parts, size, end = [], _FIRST_STAGE, 0
-    while True:
-        start, end = end, min(edges.size - 1, (end if parts else head) + size)
-        ref = 0.0
-        if parts:
-            done = np.concatenate(parts, axis=1)
-            ref = np.sum(np.abs(np.where(np.isfinite(done), done, 0.0)), axis=1)
-        piece = integrate(f, edges[start:end], edges[start + 1:end + 1], rel_tol=rel_tol,
-                          scale=ref)
-        parts.append(piece if piece.ndim == 2 else piece[None])
-        pieces = np.concatenate(parts, axis=1)
-        stops = [_stop(p, head, tail_rel) for p in pieces]
-        if end == edges.size - 1 or None not in stops:
-            break
-        size *= 2
-    value, upper = [], []
-    for p, stop in zip(pieces, stops):
+    pieces = integrate(f, edges[:-1], edges[1:], rel_tol=rel_tol)
+    value, stopped, upper = [], [], []
+    for p in np.atleast_2d(pieces):
+        stop = _stop(p, breaks.size - 1, tail_rel)
         last = p.size - 1 if stop is None else stop
         with np.errstate(invalid="ignore"):
             value.append(float(np.cumsum(p)[last]))
+        stopped.append(stop is not None)
         upper.append(float(edges[last + 1]))
-    stopped = [s is not None for s in stops]
-    if piece.ndim == 1:
+    if pieces.ndim == 1:
         return TailResult(value[0], stopped[0], upper[0])
     return TailResult(np.array(value), np.array(stopped), np.array(upper))
 

@@ -9,9 +9,9 @@ in z, where its z^{1/2} at 0 makes bisection go 15 levels deep (1,740
 points in 15 calls), so it times the refinement loop of `integrate`.  The
 second is the three-alpha cell of the `functionals` command, c_0, c_{1/2}
 and c_1 in one quadrature (the head [0, 1] in z = x^2, where the
-singularity is gone): 6 root panels, the head and the first tail stage,
-and 600 integrand points in 3 calls.  The frac_tail case is the evaluation the non-B2 suite makes of
-g(t lambda/n) on the 256 eigenvalues of `diag_imag:k=256,min=0.1,max=100`
+singularity is gone): the head panels and every dyadic tail panel in one
+`integrate` call, 3,360 integrand points in 3 calls.  The frac_tail case
+is the evaluation the non-B2 suite makes of g(t lambda/n) on the 256 eigenvalues of `diag_imag:k=256,min=0.1,max=100`
 at t = 1, n = 4, which puts points on both sides of the power-law
 kernel's series/continued-fraction switch.
 The holomorphic case is a 3 t x 4 n grid of the `holo` suite on

@@ -783,22 +783,29 @@ def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
     (["verify-bounds", "--t", "inf", "--n", "4"], "--t inf is not a positive finite number"),
     (["verify-bounds", "--t", "0", "--n", "4"], "--t 0 is not a positive finite number"),
     (["orders", "--t", "nan", "--n", "4"], "--t nan is not a positive finite number"),
-    (["orders", "--n", "abc"], "--n abc is not a whole number >= 1"),
-    (["verify-bounds", "--n", "2.5"], "--n 2.5 is not a whole number >= 1"),
+    (["orders", "--n", "abc"], "--n abc is not a whole number in [1, 2^53]"),
+    (["verify-bounds", "--n", "2.5"], "--n 2.5 is not a whole number in [1, 2^53]"),
     (["orders", "--n", "4", "--alpha", "abc"], "--alpha abc is not a finite number"),
     (["verify-bounds", "--n", "4", "--alpha", "inf"], "--alpha inf is not a finite number"),
     (["orders", "--n", "4", "--alpha", "4.5"],
      "--alpha 4.5 is outside [0, 4], the range of orders"),
     (["orders", "--n", "4", "--suite", "holo"],
      "--suite 'holo' is not a suite of orders, which takes first or second"),
-    (["functionals", "--g", "euler", "--n", "0"], "--n 0 is not a whole number >= 1"),
+    (["functionals", "--g", "euler", "--n", "0"], "--n 0 is not a whole number in [1, 2^53]"),
     (["functionals", "--g", "euler", "--alpha", "nan"], "--alpha nan is not a finite number"),
-    (["sharpness", "--n", "1.5"], "--n 1.5 is not a whole number >= 1"),
+    (["sharpness", "--n", "1.5"], "--n 1.5 is not a whole number in [1, 2^53]"),
     (["orders", "--config", "cfg.json"], "--t -1 is not a positive finite number"),
     (["functionals", "--g", "euler", "--n", "1", "--alpha", "0", "--json"],
      "--json writes a mirror of the --out file, so it needs --out"),
     (["verify-bounds", "--n", "4", "--json"],
      "--json writes a mirror of the --out file, so it needs --out"),
+    # past 2^53 a float parse no longer keeps every whole number
+    (["functionals", "--g", "euler", "--n", "1e20"], "--n 1e20 is not a whole number in [1, 2^53]"),
+    (["verify-bounds", "--n", "1e20"], "--n 1e20 is not a whole number in [1, 2^53]"),
+    (["orders", "--n", "4,8,16,1e20"], "--n 1e20 is not a whole number in [1, 2^53]"),
+    (["sharpness", "--n", "1e20"], "--n 1e20 is not a whole number in [1, 2^53]"),
+    (["verify-bounds", "--n", "4", "--seed", "-1"], "--seed -1 is not a whole number >= 0"),
+    (["verify-bounds", "--n", "4", "--seed", "abc"], "--seed abc is not a whole number >= 0"),
 ])
 def test_grid_values_are_checked_before_any_work(argv, message, tmp_path, monkeypatch,
                                                  capsys):
@@ -811,6 +818,14 @@ def test_grid_values_are_checked_before_any_work(argv, message, tmp_path, monkey
     (tmp_path / "cfg.json").write_text(json.dumps({"t": [1, -1], "n": [4]}))
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_negative_zero_alpha_is_zero(tmp_path):
+    # -0 and 0 are one grid value, written as 0
+    out = tmp_path / "fn.csv"
+    assert cli.main(["functionals", "--g", "euler", "--n", "1", "--alpha=-0,0",
+                     "--out", str(out)]) == 0
+    assert [r["alpha"] for r in _read_csv(out)] == ["0"]
 
 
 def test_functionals_reads_grids_from_config(tmp_path):

@@ -36,16 +36,17 @@ def test_integrate_batches_many_panels():
     assert max(sizes) == quadrature._BATCH * 60
 
 
-def test_integrate_returns_at_max_depth():
+def test_integrate_returns_at_max_depth(monkeypatch):
     # a jump never meets the tolerance: the panel holding it is accepted at
-    # max_depth, so the result is off by at most that panel's width
+    # _MAX_DEPTH, so the result is off by at most that panel's width
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 20)
     calls = []
 
     def step(x):
         calls.append(1)
         return (x > 1.0 / 3.0).astype(float)
 
-    val = quadrature.integrate(step, 0.0, 1.0, max_depth=20)
+    val = quadrature.integrate(step, 0.0, 1.0)
     assert abs(val - 2.0 / 3.0) <= 2.0 ** -20
     assert len(calls) <= 21
 
@@ -123,49 +124,48 @@ def test_integrate_panels_in_one_pass():
     assert quadrature.integrate(lambda x: x, np.zeros((1, 2)), np.ones((1, 2))).shape == (1, 2)
 
 
-def _counted(f, points):
-    """f, adding the number of points of each call to points[0]."""
-    def counted(x):
-        points[0] += x.size
-        return f(x)
+@pytest.fixture
+def integrate_calls(monkeypatch):
+    """The number of `quadrature.integrate` calls made so far, as a list of one."""
+    calls = [0]
+    integrate = quadrature.integrate
 
-    return counted
+    def spy(*args, **kwargs):
+        calls[0] += 1
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", spy)
+    return calls
 
 
-def test_semi_infinite_is_one_integrate_call():
-    # the tail goes to `integrate` in stages of 4, 8, 16, ... dyadic panels
-    # (60 points each), sent only until the stop rule is met
-    points = [0]
+def test_semi_infinite_is_one_integrate_call(integrate_calls):
+    # the head breakpoints and every dyadic tail panel up to max_span go to
+    # one `integrate` call, whatever panel the stop rule picks
     # e^{-z}: [31, 63] and [63, 127] are the first two quiet panels
-    res = quadrature.integrate_semi_infinite(_counted(lambda z: np.exp(-z), points), 0.0)
+    res = quadrature.integrate_semi_infinite(lambda z: np.exp(-z), 0.0)
     assert res.converged and res.upper_limit == 127.0
     assert res.value == pytest.approx(1.0, rel=1e-14)
-    assert points[0] <= 12 * 60
+    assert integrate_calls == [1]
     # 1/z^2 from 1: the panel [2^k, 2^{k+1}] holds 2^{-k-1}, quiet from k = 43 on
-    points = [0]
-    res = quadrature.integrate_semi_infinite(_counted(lambda z: z ** -2.0, points), 1.0)
+    res = quadrature.integrate_semi_infinite(lambda z: z ** -2.0, 1.0)
     assert res.converged and res.upper_limit == 2.0 ** 45
     assert res.value == pytest.approx(1.0 - 2.0 ** -45, rel=1e-14)
-    assert points[0] <= 50 * 60
+    assert integrate_calls == [2]
     # 1/z never quiets: every panel up to the span cap is summed
-    points = [0]
-    res = quadrature.integrate_semi_infinite(_counted(lambda z: 1.0 / z, points), 1.0,
-                                             max_span=1e6)
+    res = quadrature.integrate_semi_infinite(lambda z: 1.0 / z, 1.0, max_span=1e6)
     assert not res.converged and res.upper_limit == 2.0 ** 20
     assert res.value == pytest.approx(20.0 * math.log(2.0), rel=1e-12)
-    assert points[0] <= 20 * 60
-    # head breakpoints join the first stage; e^{-40} is already quiet
-    points = [0]
-    res = quadrature.integrate_semi_infinite(_counted(lambda z: np.exp(-z), points),
-                                             (0.0, 1.0, 40.0))
+    assert integrate_calls == [3]
+    # head breakpoints join the same call; e^{-40} is already quiet
+    res = quadrature.integrate_semi_infinite(lambda z: np.exp(-z), (0.0, 1.0, 40.0))
     assert res.converged and res.upper_limit == 43.0
     assert res.value == pytest.approx(1.0, rel=1e-12)
-    assert points[0] <= 6 * 60
+    assert integrate_calls == [4]
 
 
 def test_semi_infinite_vector_components_stop_on_their_own():
     # e^{-z} and 1/(1+z)^2 in one integrand: the first stops at 127, the
-    # second runs on through later stages, which do not move the first
+    # second runs on to later panels, which do not move the first
     res = quadrature.integrate_semi_infinite(
         lambda z: np.array([np.exp(-z), (1.0 + z) ** -2.0]), 0.0)
     assert res.converged and res.value.shape == (2,)
@@ -185,6 +185,13 @@ def test_semi_infinite_accepts_an_overflowing_far_tail():
     res = quadrature.integrate_semi_infinite(lambda s: s ** 30 * np.exp(-s), 0.0)
     assert res.converged
     assert res.value == pytest.approx(math.factorial(30), rel=1e-13)
+    # every panel up to max_span is evaluated, so one that is inf or nan past
+    # the stop at 127 is evaluated too, and changes nothing
+    for far in (math.inf, math.nan):
+        res = quadrature.integrate_semi_infinite(
+            lambda z: np.where(z < 1e4, np.exp(-z), far), 0.0)
+        assert res.converged and res.upper_limit == 127.0
+        assert res.value == pytest.approx(1.0, rel=1e-14)
 
 
 def test_monomial_exp_integral_against_quadrature():
