@@ -263,12 +263,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_grid_values(argv) -> list:
+    """argv with each --t, --n and --alpha joined to the token after it, unless
+    that is an option, as --flag=value: argparse takes a value such as -0.5,1
+    for an option, and joined it reaches _check_grid, which names what is
+    wrong with it."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--t", "--n", "--alpha") and not token.startswith("--"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     # Move the import-time heap (numpy's ~21,000 objects) to the permanent
     # generation: neither the run's collections nor the interpreter's final
     # ones walk it again, which saves about 35 ms per command at exit.
     gc.freeze()
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
     try:
         fields, rows = args.func(args)
         write_csv(args.out, fields, rows)

@@ -59,6 +59,7 @@ __all__ = [
     "frac_tail",
     "exponential",
     "check_bk",
+    "require_b1",
     "BUILTIN_NAMES",
 ]
 
@@ -287,6 +288,13 @@ def check_bk(g: CMFunction, k: int) -> bool:
             and all(map(math.isfinite, m[2:k + 1])))
 
 
+def require_b1(g: CMFunction) -> None:
+    """A ValueError naming g and its m_0 and m_1 when g is not in B1."""
+    if not check_bk(g, 1):
+        raise ValueError(f"{g.name}: power scaling requires a B1 function, with m_0 = m_1 = 1; "
+                         f"it has m_0 = {g.moments[0]:g}, m_1 = {g.moments[1]:g}")
+
+
 def from_measure(nu: PositiveMeasure, name: str = "measure") -> CMFunction:
     """Laplace transform of a finite positive measure.  In B1 with every
     moment up to SERIES_DEGREE finite it carries its log-defect: the
@@ -345,8 +353,7 @@ def power_scale(g: CMFunction, n: int) -> CMFunction:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if not check_bk(g, 1):
-        raise ValueError("power scaling requires a B1 function")
+    require_b1(g)
     if n == 1:
         return g
 

@@ -12,6 +12,8 @@ L_n(z) = log g(z) + z = sum_{k>=2} l_k z^k / n^{k-1}:
 
 a, b and d0 are read from the series of L_n, which carries no
 cancellation; the moments of nu are O(1) while b and d0 are O(1/n^2).
+Only L reads the measure; its integrals for b, d0 and c_alpha are the
+tests' oracles.
 c_alpha integrates D from `CMFunction.defect`, e^{-z} expm1(L_n(z)), which
 keeps full relative precision at small z.  All the alphas asked for one g
 share one semi-infinite quadrature of a vector-valued integrand: the defect
@@ -19,8 +21,7 @@ is evaluated once per point and divided by each power of z, and the head
 panel [0, 1] is taken in z = x^2, where the integrand is smooth for every
 alpha.  `c_alpha_quads` returns its values and keeps none: a caller asks
 once per g_n for every alpha it needs and holds on to the dict, and d1
-reads c_0 and c_1 from such a dict.  `c_alpha_measure` computes
-c_alpha = int K(tau) nu(dtau) from the measure instead, as a check.
+reads c_0 and c_1 from such a dict.
 
 `table(g, ns, alphas)` gives the rows of FIELDS, every functional of each
 g_n over an (n, alpha) grid: which functional applies to which g_n, and why
@@ -39,9 +40,6 @@ from .cmfun import CMFunction, check_bk, power_scale
 
 __all__ = [
     "functional_L",
-    "L_upper_bound",
-    "L_scaled_bound",
-    "c_alpha_measure",
     "c_alpha_quads",
     "euler_c_alpha_exact",
     "a_of",
@@ -73,34 +71,6 @@ def functional_L(g: CMFunction) -> float:
     return nu.partial_moment(0, 0.0, 1.0) - nu.partial_moment(1, 0.0, 1.0)
 
 
-def L_upper_bound(g: CMFunction):
-    """Evaluation-only upper bound for L[g] on B1.
-
-    Returns sqrt((1+g'(1)) * int_0^1 g / (1-g(1))^2 - 1) + 2e int_0^1 (g+g'),
-    with int_0^1 g' = g(1) - 1.  Degenerate when g(1) = 1 (flagged +inf).
-    """
-    g1 = float(g(1.0))
-    dg1 = g.derivative(1.0, 1)
-    if 1.0 - g1 <= 0.0:
-        return math.inf, "degenerate"
-    beta = quadrature.integrate(g, 0.0, 1.0)
-    inner = (1.0 + dg1) * beta / (1.0 - g1) ** 2 - 1.0
-    term1 = math.sqrt(max(inner, 0.0))
-    term2 = 2.0 * math.e * (beta + g1 - 1.0)
-    return term1 + term2, "ok"
-
-
-def L_scaled_bound(g: CMFunction, n: int) -> float:
-    """Upper bound for L[g_n] in terms of g'(1/n):
-
-    2e (1 + 1/|g'(1/n)|) sqrt(1 + g'(1/n)).
-    """
-    dg = g.derivative(1.0 / n, 1)
-    if dg == 0.0:
-        return math.inf
-    return 2.0 * math.e * (1.0 + 1.0 / abs(dg)) * math.sqrt(max(1.0 + dg, 0.0))
-
-
 def euler_power_L(n: int) -> float:
     """Exact L[g_n] for Euler's scheme from the Gamma measure of g_n.
 
@@ -118,52 +88,8 @@ def euler_power_L(n: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# c_alpha: through the measure, by quadrature, Euler's closed form
+# c_alpha: by quadrature, Euler's closed form
 # ----------------------------------------------------------------------
-
-def _c_kernel(tau: np.ndarray, alpha: float) -> np.ndarray:
-    """K(tau) with c_alpha[g] = int K(tau) nu(dtau) (Fubini).
-
-    K(tau) = int_tau^1 (s-tau) s^{alpha-2} ds  for tau <= 1,
-             int_1^tau (tau-s) s^{alpha-2} ds  for tau > 1.
-    """
-    tau = np.asarray(tau, dtype=float)
-    out = np.empty_like(tau)
-    below = tau <= 1.0
-    tb = tau[below]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if alpha == 0.0:
-            vals = -np.log(tb) - 1.0 + tb
-        elif alpha == 1.0:
-            vals = 1.0 - tb + tb * np.log(tb)
-            vals = np.where(tb == 0.0, 1.0, vals)  # tau log tau -> 0
-        else:
-            vals = (1.0 - tb ** alpha) / alpha - tb * (1.0 - tb ** (alpha - 1.0)) / (alpha - 1.0)
-            # at tau = 0 the second term vanishes: K(0) = 1/alpha
-            vals = np.where(tb == 0.0, 1.0 / alpha, vals)
-    out[below] = vals
-    ta = tau[~below]
-    if alpha == 0.0:
-        vals = ta - 1.0 - np.log(ta)
-    elif alpha == 1.0:
-        vals = ta * np.log(ta) - (ta - 1.0)
-    else:
-        vals = ta * (ta ** (alpha - 1.0) - 1.0) / (alpha - 1.0) - (ta ** alpha - 1.0) / alpha
-    out[~below] = vals
-    return out
-
-
-def c_alpha_measure(g: CMFunction, alpha: float) -> float:
-    """c_alpha = int K(tau) nu(dtau) through the measure of g; inf when the
-    integral diverges (e.g. alpha = 0 with an atom at the origin)."""
-    if g.measure is None:
-        raise RequiresMeasureError(f"{g.name}: c_alpha_measure needs an explicit measure")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if alpha == 0.0 and g.measure.zero_atom_mass() > 0.0:
-        return math.inf
-    return g.measure.kernel_integral(lambda tau: _c_kernel(tau, alpha))
-
 
 @dataclass(frozen=True)
 class QuadValue:

@@ -63,11 +63,6 @@ class PolyExpSegment:
             acc = acc * s + c
         return acc
 
-    def density(self, s):
-        s = np.asarray(s, dtype=float)
-        val = self._poly(s) * np.exp(-self.rate * s)
-        return np.where((s >= self.a) & (s <= self.b), val, 0.0)
-
     def moment(self, k: int) -> float:
         return polyexp_moment(self.coeffs, self.rate, self.a, self.b, k)
 
@@ -182,13 +177,6 @@ class PowerLawSegment:
         if self.exponent <= 1.0:
             raise ValueError("power-law exponent must exceed 1 for finite mass")
 
-    a = 0.0
-    b = math.inf
-
-    def density(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.weight * (1.0 + s) ** (-self.exponent)
-
     def moment(self, k: int) -> float:
         # int_0^inf s^k (1+s)^{-p} ds = B(k+1, p-k-1), finite iff p > k+1
         p = self.exponent
@@ -225,9 +213,6 @@ class PowerLawSegment:
             acc = acc + math.comb(order, j) * (-1.0) ** (order - j) * powerlaw_laplace(
                 self.exponent - j, z)
         return (self.weight * (-1.0) ** order * acc)[()]
-
-
-KERNEL_REL_TOL = 1e-12  # relative tolerance of the quadrature in kernel_integral
 
 
 @dataclass(frozen=True)
@@ -287,32 +272,6 @@ class PositiveMeasure:
         for seg in self.segments:
             total += seg.laplace(zc, order)
         return (total if np.iscomplexobj(z) else total.real)[()]
-
-    def kernel_integral(self, kernel) -> float:
-        """int kernel(tau) nu(dtau) with `kernel` vectorized over tau >= 0.
-
-        Atoms are summed exactly; segment parts use adaptive quadrature of
-        kernel * density to KERNEL_REL_TOL.  The kernel must be finite on
-        the support, else the result is inf.
-        """
-        from . import quadrature
-
-        total = 0.0
-        for loc, w in self.atoms:
-            val = float(kernel(np.asarray([loc]))[0])
-            if math.isinf(val) or math.isnan(val):
-                return math.inf
-            total += w * val
-        for seg in self.segments:
-            f = lambda s, seg=seg: kernel(s) * seg.density(s)
-            if math.isinf(seg.b):
-                res = quadrature.integrate_semi_infinite(f, seg.a, rel_tol=KERNEL_REL_TOL)
-                if not res.converged:
-                    return math.inf
-                total += res.value
-            else:
-                total += quadrature.integrate(f, seg.a, seg.b, rel_tol=KERNEL_REL_TOL)
-        return total
 
     def zero_atom_mass(self) -> float:
         return sum(w for loc, w in self.atoms if loc == 0.0)

@@ -134,10 +134,6 @@ class TailResult:
     stopped: bool | np.ndarray      # whether the stop rule was met
     upper_limit: float | np.ndarray
 
-    @property
-    def converged(self) -> bool:
-        return bool(np.all(self.stopped))
-
 
 _FIRST_WIDTH = 1.0   # width of the first dyadic tail panel
 

@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from . import functionals, opcalc
-from .cmfun import CMFunction, check_bk, euler, power_scale
+from .cmfun import CMFunction, check_bk, euler, power_scale, require_b1
 from .measures import EPS
 from .opcalc import GeneratorMatrix, frac_on_spectrum
 
@@ -144,8 +144,7 @@ def _errors(g, ts, ns, dim: int, second: bool = False) -> list:
         gt = g.at(t)
         if second and not check_bk(gt, 2):
             raise ValueError(f"{g.name}: the second-order residual needs a finite g''(0)")
-        if not check_bk(gt, 1):
-            raise ValueError("power scaling requires a B1 function")
+        require_b1(gt)
     groups = [[(t, n) for t in ts for n in ns]] if _fixed(g) else [
         [(t, n) for n in ns] for t in ts]
     size = max(1, STACK_POINTS // dim)
@@ -513,7 +512,11 @@ def _W_below(n: int, tau: np.ndarray) -> np.ndarray:
 def shift_second_order_sharpness(n_grid) -> dict:
     """The integrals I_{1,n} = -int_0^2 W_n |tau-1| dtau and
     I_{2,n} = -int_2^inf W_n dtau, with |I_{2,n}| <= 2/n^2 and
-    liminf n^{3/2} |I_{1,n}| >= 1/(3 sqrt(2 pi))."""
+    liminf n^{3/2} |I_{1,n}| >= 1/(3 sqrt(2 pi)).  W_n peaks at tau = 1 with
+    a width of about n^{-1/2}, so I_{1,n} is taken on the panels
+    [0, 1-w, 1, 1+w, 2], w = min(1/2, 10/sqrt(n)), which put nodes on the
+    peak at any n.  `tail_stopped` says whether the tail of I_{2,n} met its
+    stop rule."""
     from . import quadrature
 
     rows = []
@@ -521,13 +524,15 @@ def shift_second_order_sharpness(n_grid) -> dict:
         if n < 2:
             raise ValueError("n >= 2 required")
         f1 = lambda tau: _W_density(n, tau) * np.abs(tau - 1.0)
-        i1 = -(quadrature.integrate(f1, 0.0, 1.0) + quadrature.integrate(f1, 1.0, 2.0))
+        w = min(0.5, 10.0 / math.sqrt(n))
+        edges = np.array([0.0, 1.0 - w, 1.0, 1.0 + w, 2.0])
+        i1 = -float(np.sum(quadrature.integrate(f1, edges[:-1], edges[1:])))
         tail = quadrature.integrate_semi_infinite(lambda tau: _W_density(n, tau), 2.0)
-        i2 = -tail.value
         rows.append({
-            "n": n, "I1": i1, "I2": i2,
+            "n": n, "I1": i1, "I2": -tail.value,
             "I2_bound": 2.0 / n ** 2,
             "I1_scaled": n ** 1.5 * abs(i1),
+            "tail_stopped": tail.stopped,
         })
     return {"rows": rows, "target": 1.0 / (3.0 * math.sqrt(2.0 * math.pi))}
 
@@ -535,7 +540,8 @@ def shift_second_order_sharpness(n_grid) -> dict:
 def sharpness_rows(ns, euler: bool, shift: bool) -> list[dict]:
     """The sharp-constant rows over the grid ns, each checked under the BoundReport
     slack: euler-scalar sup_t |(1+t/n)^{-n} - e^{-t}| <= M_2 r_{0,n}, the holo-sharp
-    bound at alpha = 0 on a positive spectrum (rho = 1); shift-I1I2 |I_{2,n}| <= 2/n^2."""
+    bound at alpha = 0 on a positive spectrum (rho = 1); shift-I1I2 |I_{2,n}| <= 2/n^2,
+    with the tail of I_{2,n} stopped."""
     rows = []
     if euler:
         m2 = opcalc.SemigroupConstants(rho=1.0)[2.0]
@@ -548,6 +554,6 @@ def sharpness_rows(ns, euler: bool, shift: bool) -> list[dict]:
         rep = shift_second_order_sharpness([n for n in ns if n >= 2])
         rows += [{"experiment": "shift-I1I2", "n": r["n"], "value": r["I1"],
                   "scaled": r["I1_scaled"], "reference": rep["target"],
-                  "pass": within_bound(abs(r["I2"]), r["I2_bound"])}
+                  "pass": r["tail_stopped"] and within_bound(abs(r["I2"]), r["I2_bound"])}
                  for r in rep["rows"]]
     return rows

@@ -7,10 +7,12 @@ import math
 
 import mpmath
 import numpy as np
+import scipy.integrate
 import scipy.linalg
+import scipy.special
 
 from cmapprox import cmfun
-from cmapprox.measures import PolyExpSegment, PositiveMeasure
+from cmapprox.measures import PolyExpSegment, PositiveMeasure, PowerLawSegment
 
 
 def b2_builtins():
@@ -37,6 +39,73 @@ def euler_power(n: int):
     nu = PositiveMeasure(segments=(PolyExpSegment(0.0, math.inf, coeffs, float(n)),))
     return dataclasses.replace(cmfun.power_scale(cmfun.euler(), n), name=f"euler_gamma{n}",
                                measure=nu, deriv_real=None)
+
+
+# ----------------------------------------------------------------------
+# the measure routes to c_alpha and L: references built from the measure
+# or from values of g by scipy's quadrature, sharing no code with
+# cmapprox.quadrature
+# ----------------------------------------------------------------------
+
+def density(seg, s):
+    """The density of a measure segment at s, from its definition."""
+    s = np.asarray(s, dtype=float)
+    if isinstance(seg, PowerLawSegment):
+        return seg.weight * (1.0 + s) ** -seg.exponent
+    val = np.polynomial.polynomial.polyval(s, seg.coeffs) * np.exp(-seg.rate * s)
+    return np.where((s >= seg.a) & (s <= seg.b), val, 0.0)
+
+
+def kernel_integral(nu, kernel):
+    """int kernel(tau) nu(dtau) for a kernel vectorized over tau >= 0: atoms
+    summed exactly (inf when the kernel is not finite at one), segments by
+    scipy's quad to 1e-12 relative (1e-15 absolute)."""
+    total = 0.0
+    for loc, w in nu.atoms:
+        val = float(kernel(np.array([loc]))[0])
+        if not math.isfinite(val):
+            return math.inf
+        total += w * val
+    for seg in nu.segments:
+        a, b = (0.0, math.inf) if isinstance(seg, PowerLawSegment) else (seg.a, seg.b)
+        f = lambda s, seg=seg: float(kernel(np.array([s]))[0] * density(seg, s))
+        total += scipy.integrate.quad(f, a, b, epsabs=1e-15, epsrel=1e-12, limit=200)[0]
+    return total
+
+
+def c_alpha_measure(g, alpha):
+    """c_alpha[g] = int K(tau) nu(dtau) through the measure of g (Fubini), with
+    K(tau) the integral of |s - tau| s^{alpha-2} ds between tau and 1, one
+    closed form on both sides of 1; inf for alpha = 0 and an atom at 0."""
+    def kernel(t):
+        with np.errstate(divide="ignore"):
+            if alpha == 0.0:
+                return t - 1.0 - np.log(t)
+        if alpha == 1.0:
+            return 1.0 - t + scipy.special.xlogy(t, t)
+        return (1.0 - t ** alpha) / alpha - (t - t ** alpha) / (alpha - 1.0)
+
+    return kernel_integral(g.measure, kernel)
+
+
+def L_upper_bound(g):
+    """(bound, flag): an upper bound on L[g] for g in B1 from values of g,
+    sqrt((1+g'(1)) int_0^1 g / (1-g(1))^2 - 1) + 2e int_0^1 (g+g'), with
+    int_0^1 g' = g(1) - 1; (inf, "degenerate") when g(1) = 1."""
+    g1 = float(g(1.0))
+    if g1 >= 1.0:
+        return math.inf, "degenerate"
+    beta = scipy.integrate.quad(lambda x: float(g(x)), 0.0, 1.0, epsabs=0.0, epsrel=1e-12)[0]
+    inner = (1.0 + g.derivative(1.0, 1)) * beta / (1.0 - g1) ** 2 - 1.0
+    return math.sqrt(max(inner, 0.0)) + 2.0 * math.e * (beta + g1 - 1.0), "ok"
+
+
+def L_scaled_bound(g, n):
+    """An upper bound on L[g_n] from g'(1/n): 2e (1 + 1/|g'(1/n)|) sqrt(1 + g'(1/n))."""
+    dg = g.derivative(1.0 / n, 1)
+    if dg == 0.0:
+        return math.inf
+    return 2.0 * math.e * (1.0 + 1.0 / abs(dg)) * math.sqrt(max(1.0 + dg, 0.0))
 
 
 def mp_eval_map():

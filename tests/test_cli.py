@@ -243,21 +243,24 @@ def test_holo_refuses_functions_outside_b2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify-bounds", "--suite", "nonb2", "--alpha", "0.5,1"],
-    ["orders", "--suite", "first", "--alpha", "0.5"],
+    ["verify-bounds", "--suite", "nonb2", "--alpha", "0.5,1", "--generator", "diag_imag:k=16",
+     "--n", "4,8,16,32", "--scheme"],
+    ["orders", "--suite", "first", "--alpha", "0.5", "--generator", "diag_imag:k=16",
+     "--n", "4,8,16,32", "--scheme"],
+    ["functionals", "--n", "1", "--g"],
 ])
 def test_errors_refuse_a_measure_outside_b1(argv, tmp_path, capsys):
     # a measure of mass 1/2 gives g(0) = 1/2: no theorem applies to it, and
-    # nonb2 and the first-order fit ask nothing else of g than B1
+    # nonb2 and the first-order fit ask nothing else of g than B1; the
+    # message names the function, its file, and its m_0 and m_1
     half = tmp_path / "half.json"
     half.write_text(json.dumps(
         {"segments": [{"a": 0, "b": 2, "poly": [0, 0, 1.875, -1.875, 0.46875]}]}))
-    rc = cli.main([*argv, "--scheme", f"measure:{half}", "--generator", "diag_imag:k=16",
-                   "--n", "4,8,16,32"])
-    assert rc == 2
+    assert cli.main([*argv, f"measure:{half}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: power scaling requires a B1 function\n"
+    assert captured.err == (f"error: measure:{half}: power scaling requires a B1 function, "
+                            "with m_0 = m_1 = 1; it has m_0 = 0.5, m_1 = 0.5\n")
 
 
 @pytest.mark.parametrize("content, entry", [
@@ -820,12 +823,17 @@ def test_grid_values_are_checked_before_any_work(argv, message, tmp_path, monkey
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def test_negative_zero_alpha_is_zero(tmp_path):
-    # -0 and 0 are one grid value, written as 0
-    out = tmp_path / "fn.csv"
-    assert cli.main(["functionals", "--g", "euler", "--n", "1", "--alpha=-0,0",
-                     "--out", str(out)]) == 0
-    assert [r["alpha"] for r in _read_csv(out)] == ["0"]
+def test_negative_zero_alpha_is_zero(tmp_path, capsys):
+    # -0 and 0 are one grid value, written as 0, whether the list is joined to
+    # its flag or not: argparse alone takes -0,0 and -0.5,1 for options
+    base = ["functionals", "--g", "euler", "--n", "1"]
+    outs = [tmp_path / f"fn{i}.csv" for i in range(3)]
+    for out, alpha in zip(outs, (["--alpha=-0,0"], ["--alpha", "-0,0"], ["--alpha", "0"])):
+        assert cli.main([*base, *alpha, "--out", str(out)]) == 0
+    assert [r["alpha"] for r in _read_csv(outs[0])] == ["0"]
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    assert cli.main([*base, "--alpha", "-0.5,1"]) == 2
+    assert capsys.readouterr().err.startswith("error: --alpha -0.5 is outside [0, 1]")
 
 
 def test_functionals_reads_grids_from_config(tmp_path):

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from cmapprox import cmfun, quadrature
 from cmapprox import functionals as F
 
-from conftest import b2_builtins, euler_power, mp_eval_map
+from conftest import (L_scaled_bound, L_upper_bound, b2_builtins, c_alpha_measure, euler_power,
+                      kernel_integral, mp_eval_map)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -124,19 +125,19 @@ def test_functional_L_values():
 
 def test_L_upper_bound_dominates():
     for g in (cmfun.euler(), cmfun.spline(), cmfun.yosida(1.0)):
-        bound, flag = F.L_upper_bound(g)
+        bound, flag = L_upper_bound(g)
         assert flag == "ok"
         assert bound >= F.functional_L(g)
     # g identically 1 (measure delta_0) degenerates the denominator
     g1 = cmfun.from_measure(cmfun.PositiveMeasure(atoms=((0.0, 1.0),)))
-    bound, flag = F.L_upper_bound(g1)
+    bound, flag = L_upper_bound(g1)
     assert flag == "degenerate" and math.isinf(bound)
 
 
 def test_L_scaled_bound_dominates_euler_exact():
     g = cmfun.euler()
     for n in (1, 4, 16, 64):
-        assert F.L_scaled_bound(g, n) >= F.euler_power_L(n)
+        assert L_scaled_bound(g, n) >= F.euler_power_L(n)
 
 
 def test_euler_power_L_matches_measure_route():
@@ -180,7 +181,7 @@ def test_c_alpha_routes_agree():
         for alpha in alphas:
             qv = F.c_alpha_quads(g, (alpha,))[alpha]
             assert qv.converged
-            assert qv.value == pytest.approx(F.c_alpha_measure(g, alpha), rel=1e-8)
+            assert qv.value == pytest.approx(c_alpha_measure(g, alpha), rel=1e-8)
 
 
 def test_c_alpha_convexity_in_alpha():
@@ -275,7 +276,7 @@ def test_euler_exact_envelopes():
 
 def test_c_alpha_divergence_flags():
     hille = cmfun.hille()  # g(inf) = 1/e > 0, so c_0 diverges
-    assert math.isinf(F.c_alpha_measure(hille, 0.0))
+    assert math.isinf(c_alpha_measure(hille, 0.0))
     qv = F.c_alpha_quads(hille, (0.0,))[0.0]
     assert not qv.converged and qv.flag == "tail_divergent"
     assert F.c_alpha_quads(hille, (0.5,))[0.5].converged
@@ -314,9 +315,9 @@ def test_b_d0_routes_agree():
     # d0 = int (1-tau)^4/12 nu(dtau)
     for g in b2_builtins():
         assert F.b_of(g) == pytest.approx(
-            g.measure.kernel_integral(lambda tau: (1.0 - tau) ** 3 / 6.0), abs=1e-8)
+            kernel_integral(g.measure, lambda tau: (1.0 - tau) ** 3 / 6.0), abs=1e-8)
         assert F.d0_of(g) == pytest.approx(
-            g.measure.kernel_integral(lambda tau: (1.0 - tau) ** 4 / 12.0), abs=1e-8)
+            kernel_integral(g.measure, lambda tau: (1.0 - tau) ** 4 / 12.0), abs=1e-8)
 
 
 @pytest.mark.parametrize("n", [1, 1024, 65536])

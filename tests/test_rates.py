@@ -376,3 +376,12 @@ def test_shift_second_order_rows():
     assert res["rows"][-1]["I1_scaled"] >= res["target"]
     with pytest.raises(ValueError):
         rates.shift_second_order_sharpness([1])
+
+
+def test_shift_I1_keeps_its_limit_at_large_n():
+    # n^{3/2} |I_{1,n}| -> 2/(3 sqrt(2 pi)); the peak of W_n at 1 is about
+    # n^{-1/2} wide, so the quadrature needs nodes on it at any n
+    limit = 2.0 / (3.0 * math.sqrt(2.0 * math.pi))
+    for r in rates.shift_second_order_sharpness([2 ** 28, 2 ** 32])["rows"]:
+        assert r["I1_scaled"] == pytest.approx(limit, rel=1e-6)
+        assert r["tail_stopped"]
