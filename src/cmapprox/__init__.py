@@ -8,30 +8,46 @@ generators, and a harness checking upper bounds, sharp constants, and
 lower-bound exponents.
 """
 
-from .cmfun import (
-    CMFunction,
-    ScaledFamily,
-    chung,
-    euler,
-    exponential,
-    frac_tail,
-    from_measure,
-    hille,
-    kendall,
-    make_builtin,
-    power_scale,
-    spline,
-    yosida,
-)
-from .measures import PolyExpSegment, PositiveMeasure, PowerLawSegment
-from .opcalc import (
-    GeneratorMatrix,
-    advection_periodic,
-    diag_imag,
-    diag_positive,
-    laplacian_dirichlet_1d,
-    make_generator,
-    semigroup_constants,
-)
+import gc as _gc
+
+# No cyclic collection while the package imports numpy: its objects would
+# trigger about 35 collections that find no garbage.  After the imports the
+# survivors go to the oldest generation in one step (freeze, then unfreeze,
+# unless a caller has frozen objects of its own), or the first collection
+# would walk them all; the collector comes back on only if it was on.
+_collecting = _gc.isenabled()
+_gc.disable()
+try:
+    from .cmfun import (
+        CMFunction,
+        ScaledFamily,
+        chung,
+        euler,
+        exponential,
+        frac_tail,
+        from_measure,
+        hille,
+        kendall,
+        make_builtin,
+        power_scale,
+        spline,
+        yosida,
+    )
+    from .measures import PolyExpSegment, PositiveMeasure, PowerLawSegment
+    from .opcalc import (
+        GeneratorMatrix,
+        advection_periodic,
+        diag_imag,
+        diag_positive,
+        laplacian_dirichlet_1d,
+        make_generator,
+        semigroup_constants,
+    )
+finally:
+    if _gc.get_freeze_count() == 0:
+        _gc.freeze()
+        _gc.unfreeze()
+    if _collecting:
+        _gc.enable()
 
 __version__ = "0.1.0"

@@ -239,12 +239,12 @@ OPTIONS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="cmapprox",
+    p = argparse.ArgumentParser(prog="cmapprox", allow_abbrev=False,
                                 description="semigroup approximation verification toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
     def command(name, help, func, *options):
-        sp = sub.add_parser(name, help=help)
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
         for opt in options:
             sp.add_argument(f"--{opt}", **OPTIONS[opt])
         sp.set_defaults(func=func)
@@ -267,7 +267,7 @@ def _join_grid_values(argv) -> list:
     """argv with each --t, --n and --alpha joined to the token after it, unless
     that is an option, as --flag=value: argparse takes a value such as -0.5,1
     for an option, and joined it reaches _check_grid, which names what is
-    wrong with it."""
+    wrong with it.  The parsers take no abbreviation such as --alph."""
     out = []
     for token in argv:
         if out and out[-1] in ("--t", "--n", "--alpha") and not token.startswith("--"):

@@ -37,8 +37,8 @@ equals power_scale(g, n)'s bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ SERIES_DEGREE = 32
 SERIES_TAIL = 1e-17
 
 
-@dataclass(frozen=True)
-class LogDefect:
+class LogDefect(NamedTuple):
     """L_n(z) = n L(z/n) with L(w) = log g(w) + w, the log-defect of g_n.
 
     For |w| < radius, L(w) = sum_{k>=2} coeffs[k-2] w^k, summed by Horner;
@@ -157,8 +156,7 @@ def _expm1_minus(x):
     return acc
 
 
-@dataclass(frozen=True)
-class CMFunction:
+class CMFunction(NamedTuple):
     """A bounded completely monotone function on [0, inf)."""
 
     name: str
@@ -261,8 +259,7 @@ class CMFunction:
         return float(self.measure.laplace(z, order))
 
 
-@dataclass(frozen=True)
-class ScaledFamily:
+class ScaledFamily(NamedTuple):
     """A parametrized family t > 0 -> g_t in B1."""
 
     name: str
@@ -315,8 +312,8 @@ def from_measure(nu: PositiveMeasure, name: str = "measure") -> CMFunction:
         return g
     series = _log_series([(-1.0) ** j * mj / (mass * math.factorial(j)) for j, mj in enumerate(m)])
     if series[0] == 0.0:
-        return replace(g, log_defect=_ZERO_DEFECT)
-    return replace(g, log_defect=_log_defect(series, lambda w: np.log(nu.laplace(w)) + w))
+        return g._replace(log_defect=_ZERO_DEFECT)
+    return g._replace(log_defect=_log_defect(series, lambda w: np.log(nu.laplace(w)) + w))
 
 
 # ----------------------------------------------------------------------
@@ -380,8 +377,8 @@ def power_scale(g: CMFunction, n: int) -> CMFunction:
         limit_at_inf=g.limit_at_inf ** n,
         deriv_real=deriv,
         rational_n=None if g.rational_n is None else g.rational_n * n,
-        log_defect=None if g.log_defect is None else replace(
-            g.log_defect, scale=g.log_defect.scale * n),
+        log_defect=None if g.log_defect is None else g.log_defect._replace(
+            scale=g.log_defect.scale * n),
     )
 
 

@@ -31,7 +31,7 @@ a cell is nan, is decided there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +91,7 @@ def euler_power_L(n: int) -> float:
 # c_alpha: by quadrature, Euler's closed form
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadValue:
+class QuadValue(NamedTuple):
     value: float
     converged: bool
     flag: str = ""

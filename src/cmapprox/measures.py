@@ -18,7 +18,7 @@ of F(p-j, z) = e^z E_{p-j}(z) (`powerlaw_laplace`: a power series near
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,24 +27,29 @@ from .polyexp import polyexp_laplace_complex, polyexp_moment
 __all__ = ["PolyExpSegment", "PowerLawSegment", "PositiveMeasure", "powerlaw_laplace"]
 
 
-@dataclass(frozen=True)
-class PolyExpSegment:
-    """Density p(s) e^{-rate*s} on [a, b]; rate > 0 required when b = inf."""
-
+class _PolyExpFields(NamedTuple):
     a: float
     b: float
     coeffs: tuple[float, ...]
     rate: float = 0.0
 
-    def __post_init__(self):
+
+class PolyExpSegment(_PolyExpFields):
+    """Density p(s) e^{-rate*s} on [a, b]; rate > 0 required when b = inf."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 <= self.a < self.b):
             raise ValueError("segment needs 0 <= a < b")
         if math.isinf(self.b) and self.rate <= 0.0:
             raise ValueError("infinite segment needs a positive exponential rate")
         if self.rate < 0.0:
             raise ValueError("negative exponential rate")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        self = self._replace(coeffs=tuple(float(c) for c in self.coeffs))
         self._check_nonnegative()
+        return self
 
     def _check_nonnegative(self):
         probes = [self.a, self.b if not math.isinf(self.b) else self.a + 1.0]
@@ -164,18 +169,23 @@ def _expint_fraction(p: float, z: np.ndarray) -> np.ndarray:
     return h.reshape(z.shape)
 
 
-@dataclass(frozen=True)
-class PowerLawSegment:
-    """Density weight * (1+s)^{-exponent} on [0, inf); exponent > 1."""
-
+class _PowerLawFields(NamedTuple):
     weight: float
     exponent: float
 
-    def __post_init__(self):
+
+class PowerLawSegment(_PowerLawFields):
+    """Density weight * (1+s)^{-exponent} on [0, inf); exponent > 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.weight < 0.0:
             raise ValueError("negative weight")
         if self.exponent <= 1.0:
             raise ValueError("power-law exponent must exceed 1 for finite mass")
+        return self
 
     def moment(self, k: int) -> float:
         # int_0^inf s^k (1+s)^{-p} ds = B(k+1, p-k-1), finite iff p > k+1
@@ -215,14 +225,18 @@ class PowerLawSegment:
         return (self.weight * (-1.0) ** order * acc)[()]
 
 
-@dataclass(frozen=True)
-class PositiveMeasure:
-    """Atoms plus density segments; all masses finite by construction."""
-
+class _MeasureFields(NamedTuple):
     atoms: tuple[tuple[float, float], ...] = ()
     segments: tuple = ()
 
-    def __post_init__(self):
+
+class PositiveMeasure(_MeasureFields):
+    """Atoms plus density segments; all masses finite by construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         cleaned = []
         for loc, w in self.atoms:
             if loc < 0.0:
@@ -230,8 +244,7 @@ class PositiveMeasure:
             if w <= 0.0:
                 raise ValueError("atom weight must be > 0")
             cleaned.append((float(loc), float(w)))
-        object.__setattr__(self, "atoms", tuple(cleaned))
-        object.__setattr__(self, "segments", tuple(self.segments))
+        return self._replace(atoms=tuple(cleaned), segments=tuple(self.segments))
 
     # -- moments ----------------------------------------------------------
 

@@ -25,7 +25,7 @@ suprema (beta/e)^beta max_lambda (|lambda|/Re lambda)^beta on the eigenvalues.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -264,8 +264,7 @@ def frac_on_spectrum(lam, alpha: float) -> np.ndarray:
 # semigroup constants
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SemigroupConstants:
+class SemigroupConstants(NamedTuple):
     """The constants M_beta = sup_t ||(tA)^beta e^{-tA}||, read as Mc[beta].
 
     For a normal A, ||f(A)|| = max_lambda |f(lambda)| and
@@ -275,6 +274,7 @@ class SemigroupConstants:
 
     rho: float      # max |lambda|/Re lambda over lambda != 0 (inf off a sector)
 
+    # Mc[beta] is M_beta, not a field: the namedtuple's own methods iterate
     def __getitem__(self, beta) -> float:
         if beta < 0:
             raise ValueError(f"M_beta is defined for beta >= 0, got beta = {beta}")

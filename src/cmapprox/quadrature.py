@@ -31,7 +31,7 @@ over numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,8 +125,7 @@ def integrate(f, a, b, rel_tol: float = 1e-12):
     return float(out[0]) if lo.ndim == 0 else out[0]
 
 
-@dataclass
-class TailResult:
+class TailResult(NamedTuple):
     """A semi-infinite integral: for a k-component integrand, `value`,
     `stopped` and `upper_limit` hold one entry per component."""
 

@@ -29,8 +29,8 @@ spectrum admits, and order_verdict passes or fails the fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +70,7 @@ def check_alphas(alphas, lo: float, hi: float, what: str) -> None:
             raise ValueError(f"--alpha {alpha:g} is outside [{lo:g}, {hi:g}], the range of {what}")
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     scheme: str
     generator: str
     t: float
@@ -87,11 +86,10 @@ class BoundReport:
         return within_bound(self.error, self.bound)
 
     def row(self) -> dict:
-        return {**vars(self), "slack": self.bound - self.error, "pass": self.passed}
+        return {**self._asdict(), "slack": self.bound - self.error, "pass": self.passed}
 
 
-@dataclass(frozen=True)
-class OrderFit:
+class OrderFit(NamedTuple):
     slope: float
     intercept: float
     r_squared: float
@@ -196,8 +194,7 @@ def _grid(g, A: GeneratorMatrix, ts, ns, vectors, terms, second: bool = False,
 # bound suites
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(NamedTuple):
     """A bound suite: the rates function (g, A, ts, ns, alphas, vectors) -> the
     rows of every (t, n) cell, looked up when the suite runs so that a wrapper
     set on the module attribute is the one called, and what its theorem asks

@@ -19,13 +19,21 @@ The holomorphic case is a 3 t x 4 n grid of the `holo` suite on
 that it times the operator side only: one trip of the vectors through the
 DST-I eigenbasis, one evaluation of the defect on the (12, 2048) stack of
 cells, and the eigenvalue-array norms.  The generator case builds `laplacian:d=4096`,
-its eigenvalues and DST-I basis without a dense matrix.
+its eigenvalues and DST-I basis without a dense matrix.  The start-up case
+is the fixed cost of every command: `import cmapprox.cli` in a fresh
+interpreter with `PYTHONDONTWRITEBYTECODE=1`, so that `src/` is compiled
+again, as the CLI benchmark (`perfbench/run.py`) runs it.
 """
+
+import subprocess
+import sys
 
 import pytest
 
 from cmapprox import cmfun, opcalc, quadrature, rates
 from cmapprox import functionals as F
+
+from conftest import src_env
 
 N = 1024
 ALPHAS = (0.0, 0.5, 1.0)
@@ -67,3 +75,9 @@ def test_bench_holomorphic_bounds_grid(benchmark):
 def test_bench_make_generator(benchmark):
     A = benchmark(opcalc.make_generator, "laplacian:d=4096")
     assert A.dim == 4096
+
+
+def test_bench_import_cli(benchmark):
+    code = benchmark(subprocess.call, [sys.executable, "-c", "import cmapprox.cli"],
+                     env=src_env(PYTHONDONTWRITEBYTECODE="1"))
+    assert code == 0

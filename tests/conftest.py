@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -13,6 +13,16 @@ import scipy.special
 
 from cmapprox import cmfun
 from cmapprox.measures import PolyExpSegment, PositiveMeasure, PowerLawSegment
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def src_env(**extra):
+    """The environment of a fresh interpreter that imports the package from
+    src/, with the variables in extra set."""
+    src = os.path.join(ROOT, "src")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+                **extra)
 
 
 def b2_builtins():
@@ -37,8 +47,8 @@ def euler_power(n: int):
         raise ValueError("explicit Gamma measure limited to n <= 64")
     coeffs = (0.0,) * (n - 1) + (math.exp(n * math.log(n) - math.lgamma(n)),)
     nu = PositiveMeasure(segments=(PolyExpSegment(0.0, math.inf, coeffs, float(n)),))
-    return dataclasses.replace(cmfun.power_scale(cmfun.euler(), n), name=f"euler_gamma{n}",
-                               measure=nu, deriv_real=None)
+    return cmfun.power_scale(cmfun.euler(), n)._replace(name=f"euler_gamma{n}", measure=nu,
+                                                        deriv_real=None)
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,8 @@ from cmapprox import cli, cmfun, opcalc, rates
 from cmapprox import functionals as fns
 from cmapprox.functionals import euler_c_alpha_exact
 
+from conftest import src_env
+
 
 def _read_csv(path):
     with open(path) as fh:
@@ -444,8 +446,7 @@ def test_closed_stdout_exits_without_traceback():
     # the reader of the pipe is gone before the first write, as after `| head -1`
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env = src_env()
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "cmapprox.cli", "verify-bounds", "--scheme", "euler",
@@ -627,11 +628,6 @@ def test_functionals_names_the_g_flag(capsys):
     assert "--g 'kendall:s=1'" in err and "s='1'" in err and "takes t" in err
 
 
-def _src_env():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-
-
 @pytest.mark.parametrize("argv", [
     ["functionals", "--g", "euler", "--n", "1,1024", "--alpha", "0,0.5,1"],
     ["verify-bounds", "--scheme", "spline", "--generator", "laplacian:d=64",
@@ -645,7 +641,7 @@ def test_spectral_and_functional_commands_load_no_scipy(argv, tmp_path):
                "assert not loaded, loaded; sys.exit(code)")
     out = str(tmp_path / "out.csv")
     proc = subprocess.run([sys.executable, "-c", run_cli, *argv, "--out", out],
-                          capture_output=True, env=_src_env(), timeout=120)
+                          capture_output=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert len(_read_csv(out)) > 1
 
@@ -661,7 +657,7 @@ def test_commands_load_no_numpy_polynomial(argv, tmp_path):
                "assert 'numpy.polynomial' not in sys.modules; sys.exit(code)")
     out = str(tmp_path / "out.csv")
     proc = subprocess.run([sys.executable, "-c", run_cli, *argv, "--out", out],
-                          capture_output=True, env=_src_env(), timeout=120)
+                          capture_output=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert len(_read_csv(out)) > 1
 
@@ -688,7 +684,7 @@ def test_scipy_paths_import_it_when_run(tmp_path):
     for argv in ([sys.executable, "-c", probe, str(spec)],
                  [sys.executable, "-c", run_cli, "sharpness", "--which", "shift",
                   "--n", "4,16", "--out", out]):
-        proc = subprocess.run(argv, capture_output=True, env=_src_env(), timeout=120)
+        proc = subprocess.run(argv, capture_output=True, env=src_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr.decode()
     assert len(_read_csv(out)) == 2
 
@@ -701,7 +697,7 @@ def test_main_freezes_the_import_time_heap(tmp_path):
              "code = main(['sharpness', '--which', 'euler', '--n', '4', '--out', sys.argv[1]]); "
              "print(alive, gc.get_freeze_count()); sys.exit(code)")
     proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "euler.csv")],
-                          capture_output=True, text=True, env=_src_env(), timeout=120)
+                          capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     alive, frozen = map(int, proc.stdout.split())
     assert frozen >= alive > 10_000
@@ -711,7 +707,7 @@ def test_commands_run_without_mpmath(tmp_path):
     bump = tmp_path / "bump.json"
     bump.write_text(json.dumps(
         {"segments": [{"a": 0, "b": 2, "poly": [0, 0, 3.75, -3.75, 0.9375]}]}))
-    env = _src_env()
+    env = src_env()
     blocked = "import sys; sys.modules['mpmath'] = None; "
     probe = subprocess.run([sys.executable, "-c", blocked + "import mpmath"],
                            capture_output=True, env=env, timeout=120)
@@ -770,6 +766,11 @@ def test_report_aggregation(tmp_path, capsys):
     ["sharpness", "--n", "4", "--config", "c.json"],
     ["report", "x.csv", "--n", "4"],
     ["optimality", "--scheme", "euler", "--n", "4,8"],
+    # no flag is taken by an abbreviation, which would also escape the joining
+    # of a grid flag to a value such as -0,0
+    ["functionals", "--g", "euler", "--n", "1", "--alph", "-0,0"],
+    ["functionals", "--g", "euler", "--n", "1", "--alph", "0"],
+    ["verify-bounds", "--sch", "euler", "--n", "4"],
 ])
 def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:

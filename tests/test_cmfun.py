@@ -1,6 +1,5 @@
 """Completely monotone built-ins: classes, scaling, pointwise invariants."""
 
-import dataclasses
 import json
 import math
 
@@ -93,7 +92,7 @@ def test_rational_n_reads_the_power_not_the_name():
     # the CLI and the holo suite read rational_n (Euler's closed-form r_{alpha,n}),
     # so it must follow power scaling and survive a rename
     composed = cmfun.power_scale(euler_power(2), 2)  # (1 + z/4)^{-4}
-    renamed = dataclasses.replace(euler_power(4), name="x")
+    renamed = euler_power(4)._replace(name="x")
     for g in (composed, renamed):
         assert g.rational_n == 4
     assert cmfun.power_scale(cmfun.spline(), 4).rational_n is None

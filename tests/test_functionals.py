@@ -3,7 +3,6 @@ measure and closed forms, special functions."""
 
 import cmath
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -343,7 +342,7 @@ def test_b_requires_class():
 
 def test_functionals_need_the_log_defect():
     # a B4 function without a log-defect: a, b, d0 and d1 raise, naming it
-    g = replace(cmfun.euler(), name="euler-without-L", log_defect=None)
+    g = cmfun.euler()._replace(name="euler-without-L", log_defect=None)
     d1_of = lambda g: F.d1_of(g, F.c_alpha_quads(g, (0, 1)))
     for functional in (F.a_of, F.b_of, F.d0_of, d1_of):
         with pytest.raises(ValueError, match="euler-without-L"):

@@ -36,18 +36,28 @@ def test_uniform_density_moments():
 
 
 def test_invalid_inputs_rejected():
-    with pytest.raises(ValueError):
-        PositiveMeasure(atoms=((1.0, -0.5),))
-    with pytest.raises(ValueError):
-        PositiveMeasure(atoms=((-1.0, 0.5),))
-    with pytest.raises(ValueError):
-        PolyExpSegment(0.0, math.inf, (1.0,), 0.0)  # infinite mass
-    with pytest.raises(ValueError):
-        PolyExpSegment(0.0, 2.0, (1.0, -2.0), 0.0)  # negative on (1/2, 2]
-    with pytest.raises(ValueError):
-        PolyExpSegment(3.0, 1.0, (1.0,), 0.0)
-    with pytest.raises(ValueError):
-        PowerLawSegment(1.0, 0.9)
+    for build, message in [
+        (lambda: PositiveMeasure(atoms=((1.0, -0.5),)), "atom weight must be > 0"),
+        (lambda: PositiveMeasure(atoms=((-1.0, 0.5),)), "atom location must be >= 0"),
+        (lambda: PolyExpSegment(0.0, math.inf, (1.0,), 0.0),  # infinite mass
+         "infinite segment needs a positive exponential rate"),
+        (lambda: PolyExpSegment(0.0, 2.0, (1.0, -2.0), 0.0),  # negative on (1/2, 2]
+         "segment density is negative somewhere on its interval"),
+        (lambda: PolyExpSegment(3.0, 1.0, (1.0,), 0.0), "segment needs 0 <= a < b"),
+        (lambda: PolyExpSegment(0.0, 1.0, (1.0,), rate=-1.0), "negative exponential rate"),
+        (lambda: PowerLawSegment(1.0, 0.9), "power-law exponent must exceed 1 for finite mass"),
+        (lambda: PowerLawSegment(exponent=2.0, weight=-1.0), "negative weight"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+def test_pieces_hold_floats_in_tuples():
+    seg = PolyExpSegment(0, 1, [1, 2])
+    nu = PositiveMeasure([(1, 2)], [seg])
+    assert seg.coeffs == (1.0, 2.0) and nu.atoms == ((1.0, 2.0),) and nu.segments == (seg,)
+    assert all(type(x) is float for x in (*seg.coeffs, *nu.atoms[0]))
 
 
 def test_partial_moments_match_quadrature():
