@@ -16,12 +16,12 @@ Only L reads the measure; its integrals for b, d0 and c_alpha are the
 tests' oracles.
 c_alpha integrates D from `CMFunction.defect`, e^{-z} expm1(L_n(z)), which
 keeps full relative precision at small z.  All the alphas asked for one g
-share one semi-infinite quadrature of a vector-valued integrand: the defect
-is evaluated once per point and divided by each power of z, and the head
-panel [0, 1] is taken in z = x^2, where the integrand is smooth for every
-alpha.  `c_alpha_quads` returns its values and keeps none: a caller asks
-once per g_n for every alpha it needs and holds on to the dict, and d1
-reads c_0 and c_1 from such a dict.
+share one double-exponential quadrature over [0, inf) of a vector-valued
+integrand: the defect is evaluated once per point and divided by each
+power of z; the rule takes the integrand's z^{1-alpha} at 0 and its
+algebraic tail as they are.  `c_alpha_quads` returns its values and keeps
+none: a caller asks once per g_n for every alpha it needs and holds on to
+the dict, and d1 reads c_0 and c_1 from such a dict.
 
 `table(g, ns, alphas)` gives the rows of FIELDS, every functional of each
 g_n over an (n, alpha) grid: which functional applies to which g_n, and why
@@ -97,14 +97,8 @@ class QuadValue(NamedTuple):
     flag: str = ""
 
 
-# the relative tolerance of each Gauss panel of the c_alpha quadrature
+# the relative tolerance of each alpha's c_alpha quadrature
 REL_TOL = 1e-11
-# The tail stops once two dyadic panels each hold less than this share of
-# the sum, so the truncated rest is about this size: with the head summed
-# to roundoff, 1e-13 would leave it the largest error of Euler's c_0 (2.5e-14
-# relative at n = 64).  A 1/z tail (g_1 for Euler or the spline) still
-# stops at z = 2^49, inside the span of 1e15.
-TAIL_REL = 1e-14
 
 
 def c_alpha_quads(g: CMFunction, alphas) -> dict:
@@ -115,57 +109,43 @@ def c_alpha_quads(g: CMFunction, alphas) -> dict:
     same for all of them.  Only values of g are read (through g.defect), so a
     power-scaled g without a measure is fine; one without a log-defect gets
     nan, flagged no_log_defect, since g(z) - e^{-z} is roundoff at small z.
-    When g(inf) = c > 0 the constant part of the tail is integrated
-    analytically for alpha > 0, and alpha = 0, which diverges, gets a
-    quadrature of its own, truncated and flagged tail_divergent.
+    When g(inf) = c > 0, c_0 diverges: it is nan, flagged tail_divergent,
+    and no quadrature is run for it.  A value whose quadrature did not
+    converge is flagged unconverged.
     """
     alphas = sorted({float(a) for a in alphas})
     if not all(0.0 <= a <= 1.0 for a in alphas):
         raise ValueError("alpha must lie in [0, 1]")
     if g.log_defect is None:
         return {a: QuadValue(math.nan, False, "no_log_defect") for a in alphas}
-    batches = [alphas]
-    if g.limit_at_inf > 0.0 and 0.0 in alphas:
-        batches = [[0.0], alphas[1:]]
     out = {}
-    for batch in batches:
-        if batch:
-            out.update(zip(batch, _c_alpha_quadrature(g, tuple(batch))))
+    if g.limit_at_inf > 0.0 and alphas[:1] == [0.0]:
+        out[0.0] = QuadValue(math.nan, False, "tail_divergent")
+        alphas = alphas[1:]
+    if alphas:
+        out.update(zip(alphas, _c_alpha_quadrature(g, tuple(alphas))))
     return out
 
 
 def _c_alpha_quadrature(g: CMFunction, alphas: tuple) -> list[QuadValue]:
-    """One quadrature of int_0^inf D(z) z^{-1-alpha} dz, D = g - e^{-z}, for
-    every alpha in alphas.  On the head panel [0, 1], z = x^2 turns
-    z^{1-alpha} at 0 into the smooth x^{3-2 alpha}; beyond it z = x."""
+    """One quadrature of int_0^inf D(z) z^{-1-alpha} dz, D = g - e^{-z}, over
+    [0, inf) for every alpha in alphas.  When g(inf) = c > 0, c z^2/(1+z)^2,
+    which has D's z^2 at 0 and its limit c at inf, is taken out of D and its
+    integral c Gamma(2-alpha) Gamma(alpha) added back, so that the integrand
+    decays like z^{-2-alpha}."""
     al = np.array(alphas)[:, None]
     c_inf = g.limit_at_inf
-    z0 = 40.0
-    # with c_inf > 0 and alpha = 0 the integral diverges (logarithmically):
-    # the truncation at z = 1e6 is returned and flagged; for alpha > 0 the
-    # constant c_inf/z^{1+alpha} beyond z0 is integrated analytically
-    divergent = c_inf > 0.0 and alphas == (0.0,)
-    tail_const = 0.0 if divergent else c_inf
 
-    def integrand(x):
-        head = x < 1.0
-        z = np.where(head, x * x, x)
-        num = g.defect(z)
-        if tail_const > 0.0:
-            far = z >= z0
-            zt = z[far]
-            num[far] = g(zt) - np.exp(-zt) - tail_const
-        return np.where(head, 2.0 * x, 1.0) * num * z ** (-1.0 - al)
+    def integrand(z):
+        return (g.defect(z) - c_inf * (z / (1.0 + z)) ** 2) * z ** (-1.0 - al)
 
-    res = quadrature.integrate_semi_infinite(integrand, (0.0, 1.0, z0), rel_tol=REL_TOL,
-                                             tail_rel=TAIL_REL,
-                                             max_span=1e6 if divergent else 1e15)
+    res = quadrature.integrate(integrand, 0.0, math.inf, rel_tol=REL_TOL)
     out = []
-    for alpha, value, stopped in zip(alphas, res.value.tolist(), res.stopped.tolist()):
-        analytic = tail_const * z0 ** (-alpha) / alpha if tail_const > 0.0 else 0.0
-        converged = stopped and not divergent
-        out.append(QuadValue((value + analytic) * (1.0 / math.gamma(2.0 - alpha)), converged,
-                             "" if converged else "tail_divergent"))
+    for alpha, value, converged in zip(alphas, res.value.tolist(), res.converged.tolist()):
+        value /= math.gamma(2.0 - alpha)
+        if c_inf:
+            value += c_inf * math.gamma(alpha)
+        out.append(QuadValue(value, converged, "" if converged else "unconverged"))
     return out
 
 
@@ -275,7 +255,8 @@ def table(g: CMFunction, ns, alphas) -> list[dict]:
     """One row of FIELDS for each g_n = power_scale(g, n), n in ns, and alpha
     in alphas, sorted by (n, alpha).  A nan cell names its cause in
     residual_flags: no_measure for L (power_scale keeps no measure),
-    tail_divergent for d1 when c_0 diverges (g(inf) > 0), and c_alpha's own
+    tail_divergent for d1 when c_0 diverges (g(inf) > 0), unconverged for
+    d1 when the quadrature of c_0 or c_1 did not converge, and c_alpha's own
     flag; a, b and d0 are nan outside B2, B3 and B4."""
     rows = []
     for n in sorted(ns):
@@ -294,8 +275,8 @@ def table(g: CMFunction, ns, alphas) -> list[dict]:
         if with_d1:
             try:
                 d1 = d1_of(gn, c)
-            except DivergentError:
-                why_d1 = "tail_divergent"
+            except DivergentError:   # c_0 or c_1 did not converge
+                why_d1 = c[0.0].flag or c[1.0].flag
         for alpha in sorted(alphas):
             qv = c[alpha]
             exact = euler_c_alpha_exact(gn.rational_n, alpha) if gn.rational_n else math.nan

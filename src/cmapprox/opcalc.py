@@ -3,14 +3,15 @@
 A generator is an operator A whose spectrum lies in the closed right
 half-plane (so that -A generates a bounded semigroup e^{-tA}) and which is
 normal: A = V diag(eigs) V^H with a unitary eigenbasis V.  It is held as its
-eigenvalue array and an Eigenbasis, which applies V and V^{-1} = V^H to
-blocks of columns without forming them: the identity for the diagonal
-generators, an orthonormal DST-I for the Dirichlet Laplacian and a unitary
-DFT for the periodic advection operator (both O(d log d) per column by
-numpy.fft).  For a normal A the Hille-Phillips calculus
-g(A) = int e^{-sA} nu(ds) is the scalar g on the spectrum,
-g(A) = V g(Lambda) V^H, so every matrix function here is a function of the
-eigenvalue array and no d x d matrix is formed.
+eigenvalue array and a basis object whose apply(Y) = V Y and
+solve(X) = V^{-1} X = V^H X act on blocks of columns (along axis 0)
+without forming V: the identity for the diagonal generators, an
+orthonormal DST-I for the Dirichlet Laplacian and a unitary DFT for the
+periodic advection operator (both O(d log d) per column by numpy.fft).
+For a normal A the Hille-Phillips calculus g(A) = int e^{-sA} nu(ds) is
+the scalar g on the spectrum, g(A) = V g(Lambda) V^H, so every matrix
+function here is a function of the eigenvalue array and no d x d matrix is
+formed.
 
 The rate bounds ask of f(A) only its norms, which GeneratorMatrix gives for
 a stack of k vectorized scalar functions evaluated at once (the errors of
@@ -31,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "GeneratorMatrix",
-    "Eigenbasis",
     "IdentityBasis",
     "SineBasis",
     "FourierBasis",
@@ -53,18 +53,7 @@ DEFAULT_SEED = 0x5EED
 # eigenbases
 # ----------------------------------------------------------------------
 
-class Eigenbasis:
-    """A unitary eigenvector matrix V as an operator on blocks of columns:
-    apply(Y) = V Y and solve(X) = V^{-1} X = V^H X along axis 0."""
-
-    def apply(self, Y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def solve(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class IdentityBasis(Eigenbasis):
+class IdentityBasis:
     """V = I: the generator is diag(eigs)."""
 
     def apply(self, Y):
@@ -74,7 +63,7 @@ class IdentityBasis(Eigenbasis):
         return X
 
 
-class SineBasis(Eigenbasis):
+class SineBasis:
     """Orthonormal DST-I, V_jk = sqrt(2/(d+1)) sin(jk pi/(d+1)) for j, k = 1..d.
 
     V is real, symmetric and orthogonal, so V^{-1} = V.  The FFT of the odd
@@ -93,7 +82,7 @@ class SineBasis(Eigenbasis):
         return self.apply(X)
 
 
-class FourierBasis(Eigenbasis):
+class FourierBasis:
     """Unitary DFT, V_jk = e^{2 pi i jk/d}/sqrt(d) for j, k = 0..d-1:
     V = sqrt(d) ifft and V^{-1} = V^H = fft/sqrt(d)."""
 
@@ -109,7 +98,7 @@ class GeneratorMatrix:
     closed right half-plane and its unitary eigenbasis V (the identity when
     none is given)."""
 
-    def __init__(self, name: str, eigs, basis: Eigenbasis | None = None):
+    def __init__(self, name: str, eigs, basis=None):
         self.name = name
         self.eigs = np.asarray(eigs, dtype=complex)
         self.basis = IdentityBasis() if basis is None else basis

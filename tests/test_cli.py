@@ -420,6 +420,24 @@ def test_holo2_runs_one_quadrature_per_n(tmp_path, quadratures):
     assert sorted(quadratures) == [("spline_pow16", (0.0, 1.0)), ("spline_pow4", (0.0, 1.0))]
 
 
+def test_holo_rows_fail_where_c_alpha_did_not_converge(tmp_path, monkeypatch):
+    # an unconverged c_alpha gives its holo-sharp rows, and the holo2 rows
+    # whose d1 reads it, a nan bound: those rows fail and the run exits 1
+    inner = fns._c_alpha_quadrature
+
+    def unconverged(g, alphas):
+        return [qv._replace(converged=False, flag="unconverged") for qv in inner(g, alphas)]
+
+    monkeypatch.setattr(fns, "_c_alpha_quadrature", unconverged)
+    for suite, tag in (("holo", "holo-sharp"), ("holo2", "holo-second")):
+        out = tmp_path / f"{suite}.csv"
+        assert cli.main(["verify-bounds", "--scheme", "spline", "--generator", "laplacian:d=16",
+                         "--suite", suite, "--t", "1", "--n", "4", "--alpha", "0,1",
+                         "--out", str(out)]) == 1
+        rows = [r for r in _read_csv(out) if r["tag"] == tag]
+        assert rows and all(r["bound"] == "nan" and r["pass"] == "false" for r in rows)
+
+
 def test_empty_list_names_the_flag(capsys):
     assert cli.main(["verify-bounds", "--scheme", "euler", "--generator", "diag_imag:k=8",
                      "--suite", "first", "--n", ","]) == 2

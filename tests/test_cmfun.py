@@ -133,7 +133,6 @@ def test_derivatives_from_the_measure_match_mpmath(g, monkeypatch):
         raise AssertionError("derivative reached a quadrature")
 
     monkeypatch.setattr(quadrature, "integrate", no_quadrature)
-    monkeypatch.setattr(quadrature, "integrate_semi_infinite", no_quadrature)
     rel = 1e-12 if g.name.startswith("frac_tail") else 1e-13
     f = mp_eval_map()[g.name]
     for z in _DERIVATIVE_POINTS:

@@ -183,6 +183,38 @@ def test_c_alpha_routes_agree():
             assert qv.value == pytest.approx(c_alpha_measure(g, alpha), rel=1e-8)
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(atoms=st.lists(st.tuples(st.floats(0.05, 4.0), st.floats(0.05, 1.0)), min_size=1,
+                      max_size=3),
+       zero=st.one_of(st.just(0.0), st.floats(0.05, 0.5)),
+       coeffs=st.lists(st.one_of(st.just(0.0), st.floats(0.05, 1.0)), min_size=1,
+                       max_size=3).filter(any),
+       rate=st.floats(0.0, 2.0), a=st.floats(0.0, 1.0),
+       width=st.one_of(st.just(math.inf), st.floats(0.5, 4.0)))
+def test_c_alpha_quads_match_the_measure_route(atoms, zero, coeffs, rate, a, width):
+    # a random B1 measure: 1 to 3 atoms, sometimes one at 0 (g(inf) > 0), and
+    # a polynomial-exponential segment, scaled to mass 1 and mean 1.  Weights
+    # and coefficients stay above 0.05: a segment of mass 1e-8 beside an atom
+    # at 1 leaves a variance of 1e-7, which from_measure's cumulants, taken
+    # from the raw moments, hold to only about 1e-8 (c_alpha then reports
+    # unconverged)
+    if math.isinf(width):
+        rate += 0.5   # an unbounded segment needs a positive rate
+    nu = cmfun.PositiveMeasure(
+        atoms=tuple(atoms) + (((0.0, zero),) if zero else ()),
+        segments=(cmfun.PolyExpSegment(a, a + width, tuple(coeffs), rate),))
+    mass = nu.total_mass()
+    mean = nu.moment(1) / mass
+    scaled = tuple(c * mean ** (j + 1) / mass for j, c in enumerate(coeffs))
+    nu = cmfun.PositiveMeasure(
+        atoms=tuple((loc / mean, w / mass) for loc, w in nu.atoms),
+        segments=(cmfun.PolyExpSegment(a / mean, (a + width) / mean, scaled, rate * mean),))
+    g = cmfun.from_measure(nu)
+    for alpha, qv in F.c_alpha_quads(g, (0.25, 0.5, 1.0)).items():
+        assert qv.converged
+        assert qv.value == pytest.approx(c_alpha_measure(g, alpha), rel=1e-9)
+
+
 def test_c_alpha_convexity_in_alpha():
     for g in (cmfun.euler(), cmfun.spline()):
         c = {alpha: qv.value for alpha, qv in F.c_alpha_quads(g, (0.0, 0.25, 0.5, 0.75, 1.0)).items()}
@@ -218,12 +250,13 @@ def test_c_alpha_quadrature_matches_euler_closed_form(g, n):
         assert qv.value == pytest.approx(F.euler_c_alpha_exact(n, alpha), rel=1e-11, abs=0.0)
 
 
-@pytest.mark.parametrize("n", [4 ** k for k in range(7)])
+@pytest.mark.parametrize("n", [4 ** k for k in range(7)] + [2 ** 40, 2 ** 53])
 def test_c_alpha_quadrature_interior_alphas(n):
-    # z^{1-alpha} at 0 becomes x^{3-2 alpha} under z = x^2 on the head panel
+    # the exp-sinh rule takes the z^{1-alpha} of the integrand at 0 as it is,
+    # for every alpha of one quadrature
     gn = cmfun.power_scale(cmfun.euler(), n)
-    for alpha in (0.1, 0.25, 0.5):
-        qv = F.c_alpha_quads(gn, (alpha,))[alpha]
+    alphas = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+    for alpha, qv in F.c_alpha_quads(gn, alphas).items():
         assert qv.converged
         assert qv.value == pytest.approx(F.euler_c_alpha_exact(n, alpha), rel=1e-13, abs=0.0)
 
@@ -392,8 +425,8 @@ def test_c0_plus_c1_equals_sg_integral():
             return (np.atleast_1d(g(z)) + gp) / z
 
         eps = 1e-6
-        head = quadrature.integrate(sg, eps, 40.0, rel_tol=1e-10)
-        tail = quadrature.integrate_semi_infinite(sg, 40.0).value
+        head = quadrature.integrate(sg, eps, 40.0, rel_tol=1e-10).value
+        tail = quadrature.integrate(sg, 40.0, math.inf).value
         # (g + g')/z -> m2 - 1 as z -> 0; account for the clipped [0, eps]
         origin = (g.moments[2] - 1.0) * eps
         assert lhs == pytest.approx(head + tail + origin, rel=1e-6)
@@ -412,7 +445,7 @@ def test_power_integrability_euler():
     # g^{k+1}(z) <= k ||g^k||_L1 |g'(z)| with k = 2: for 1/(1+z) this is
     # (1+z)^{-3} <= 2 * 1 * (1+z)^{-2}
     g = cmfun.euler()
-    norm_g2 = quadrature.integrate_semi_infinite(lambda z: np.atleast_1d(g(z)) ** 2, 0.0).value
+    norm_g2 = quadrature.integrate(lambda z: np.atleast_1d(g(z)) ** 2, 0.0, math.inf).value
     assert norm_g2 == pytest.approx(1.0, rel=1e-10)
     for z in np.logspace(-2, 2, 9):
         assert float(np.atleast_1d(g(z))[0]) ** 3 <= 2.0 * norm_g2 * abs(g.derivative(float(z), 1)) + 1e-14
@@ -441,8 +474,8 @@ def test_c_alpha_of_exponential_powers_is_zero():
 
 @pytest.mark.parametrize("g", [cmfun.hille(), cmfun.kendall(0.5), cmfun.yosida(1.0)])
 def test_d1_diverges_when_g_has_an_atom_at_zero(g):
-    # g(inf) > 0: c_0 diverges, and d1 raises instead of returning the value
-    # truncated at z = 1e6, for g itself and for g_n
+    # g(inf) > 0: c_0 diverges, and d1 raises instead of returning a value,
+    # for g itself and for g_n
     for n in (1, 2):
         with pytest.raises(F.DivergentError):
             gn = cmfun.power_scale(g, n)

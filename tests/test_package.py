@@ -59,7 +59,7 @@ VALUE_TYPES = [
     (cmfun.ScaledFamily, ("family", cmfun.yosida), {}),
     (functionals.QuadValue, (0.5, True), {"flag": ""}),
     (opcalc.SemigroupConstants, (1.0,), {}),
-    (quadrature.TailResult, (1.0, True, 2.0), {}),
+    (quadrature.Integral, (1.0, True), {}),
     (rates.BoundReport, ("euler", "diag", 1.0, 4, 0.5, 0, 0.1, 0.2, "first-frac"), {}),
     (rates.OrderFit, (-1.0, 0.5, 0.99, 4), {"flag": ""}),
     (rates.Suite, ("first_order_bounds",),
@@ -162,8 +162,6 @@ REACH_COMMANDS = [
 
 # functions no command needs to enter
 UNREACHED = {
-    # abstract: each basis overrides both
-    "opcalc.Eigenbasis.apply", "opcalc.Eigenbasis.solve",
     # no built-in has a whole power-law exponent
     "measures._digamma_whole",
     # frac_tail states its moments, and a measure: file holds no power-law segment
@@ -190,8 +188,7 @@ def test_every_function_is_reached_by_a_command(tmp_path, monkeypatch, capsys):
         {"atoms": [[1.0, 0.25]], "segments": [{"a": 0, "b": 2, "poly": [0.375]}]}))
     (tmp_path / "cfg.json").write_text(json.dumps({"n": [1, 2], "alpha": [0.5]}))
     monkeypatch.chdir(tmp_path)
-    # the package's two memos would let earlier tests hide what they skip
-    monkeypatch.setattr(quadrature, "_RULES", {})
+    # the package's memo would let earlier tests hide what it skips
     cmfun._family_member.cache_clear()
     entered = set()
 

@@ -1,4 +1,4 @@
-"""Adaptive quadrature and closed-form polynomial-exponential integrals."""
+"""Double-exponential quadrature and closed-form polynomial-exponential integrals."""
 
 import cmath
 import math
@@ -11,44 +11,51 @@ from hypothesis import given, settings, strategies as st
 from cmapprox import polyexp, quadrature
 
 
+def counted(f, sizes):
+    """f, recording the number of points of each call in sizes."""
+    def g(x):
+        sizes.append(x.size)
+        return f(x)
+    return g
+
+
 def test_integrate_polynomial_exact():
-    assert quadrature.integrate(lambda x: x ** 3, 0.0, 2.0) == pytest.approx(4.0, rel=1e-13)
-    assert quadrature.integrate(lambda x: np.ones_like(x), 1.0, 1.0) == 0.0
+    assert quadrature.integrate(lambda x: x ** 3, 0.0, 2.0).value == pytest.approx(4.0, rel=1e-13)
+    assert quadrature.integrate(lambda x: np.ones_like(x), 1.0, 1.0) == (0.0, True)
 
 
 def test_integrate_oscillatory():
-    val = quadrature.integrate(lambda x: np.sin(10.0 * x), 0.0, math.pi)
+    val = quadrature.integrate(lambda x: np.sin(10.0 * x), 0.0, math.pi).value
     assert val == pytest.approx((1.0 - math.cos(10.0 * math.pi)) / 10.0, abs=1e-12)
 
 
 def test_integrate_batches_many_panels():
-    # sin(2000 x) over [0, 10] needs thousands of panels: several integrand
-    # calls, none with more than the nodes of one batch
+    # sin(2000 x) over [0, 10] cut into 1000 panels: each call holds the
+    # nodes of every panel, and one level resolves them all
     sizes = []
-
-    def f(x):
-        sizes.append(x.size)
-        return np.sin(2000.0 * x)
-
-    val = quadrature.integrate(f, 0.0, 10.0)
-    assert val == pytest.approx((1.0 - math.cos(20000.0)) / 2000.0, abs=1e-12)
-    assert len(sizes) > 1
-    assert max(sizes) == quadrature._BATCH * 60
+    edges = np.linspace(0.0, 10.0, 1001)
+    res = quadrature.integrate(counted(lambda x: np.sin(2000.0 * x), sizes), edges[:-1], edges[1:])
+    assert res.converged and res.value.shape == (1000,)
+    assert res.value.sum() == pytest.approx((1.0 - math.cos(20000.0)) / 2000.0, abs=1e-12)
+    assert sizes == [273 * 1000]
 
 
-def test_integrate_returns_at_max_depth(monkeypatch):
-    # a jump never meets the tolerance: the panel holding it is accepted at
-    # _MAX_DEPTH, so the result is off by at most that panel's width
-    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 20)
-    calls = []
-
-    def step(x):
-        calls.append(1)
-        return (x > 1.0 / 3.0).astype(float)
-
-    val = quadrature.integrate(step, 0.0, 1.0)
-    assert abs(val - 2.0 / 3.0) <= 2.0 ** -20
-    assert len(calls) <= 21
+def test_integrate_returns_at_max_depth():
+    # what the rule cannot resolve is reported, after the step has halved
+    # from H_FIRST to H_LAST: every node of the first level in one call, then
+    # the odd nodes of each smaller step in one call each
+    levels = [273, 272, 544, 1088, 2176, 4352]
+    assert quadrature.H_FIRST / quadrature.H_LAST == 2 ** (len(levels) - 1)
+    for f, a, b in ((lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0),   # a jump
+                    (lambda x: np.sin(2000.0 * x), 0.0, 10.0),              # 3,000 periods
+                    (lambda x: 1.0 / (1.0 + x), 0.0, math.inf)):            # diverges
+        sizes = []
+        res = quadrature.integrate(counted(f, sizes), a, b)
+        assert not res.converged
+        assert sizes == levels
+    # the jump is still integrated to about 1e-3
+    res = quadrature.integrate(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0)
+    assert abs(res.value - 2.0 / 3.0) <= 1e-3
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -60,25 +67,26 @@ def test_integrate_monomial_exp_property(m, c, a, width):
     b = a + width
     want = polyexp.polyexp_moment((1.0,), c, a, b, m)
     got = quadrature.integrate(lambda s: s ** m * np.exp(-c * s), a, b)
-    assert got == pytest.approx(want, rel=1e-11)
+    assert got.converged
+    assert got.value == pytest.approx(want, rel=1e-11)
 
 
 def test_integrate_semi_infinite_gaussian():
-    res = quadrature.integrate_semi_infinite(lambda x: np.exp(-x * x), 0.0)
-    assert res.stopped
+    res = quadrature.integrate(lambda x: np.exp(-x * x), 0.0, math.inf)
+    assert res.converged
     assert res.value == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-11)
 
 
 def test_integrate_semi_infinite_heavy_tail():
-    res = quadrature.integrate_semi_infinite(lambda x: (1.0 + x) ** -2.5, 0.0)
-    assert res.stopped
+    res = quadrature.integrate(lambda x: (1.0 + x) ** -2.5, 0.0, math.inf)
+    assert res.converged
     assert res.value == pytest.approx(1.0 / 1.5, rel=1e-9)
 
 
 def test_integrate_semi_infinite_divergent_flags():
-    res = quadrature.integrate_semi_infinite(lambda x: 1.0 / (1.0 + x), 0.0,
-                                             max_span=1e4)
-    assert not res.stopped
+    # the terms at the far end of the t-range do not fall below the tolerance
+    res = quadrature.integrate(lambda x: 1.0 / (1.0 + x), 0.0, math.inf)
+    assert not res.converged
 
 
 def test_integrate_vector_integrand():
@@ -89,108 +97,80 @@ def test_integrate_vector_integrand():
 
     got = quadrature.integrate(f, 0.0, 2.0)
     want = [8.0 / 3.0, 1.0 - math.exp(-2.0), 1e-12 * (1.0 - math.cos(2.0))]
-    assert got.shape == (3,)
-    assert got == pytest.approx(want, rel=1e-14)
-    got = quadrature.integrate(f, [0.0, 1.0], [1.0, 2.0])
+    assert got.value.shape == got.converged.shape == (3,) and got.converged.all()
+    assert got.value == pytest.approx(want, rel=1e-14)
+    got = quadrature.integrate(f, [0.0, 1.0], [1.0, 2.0]).value
     assert got.shape == (3, 2)
     assert got[0] == pytest.approx([1.0 / 3.0, 7.0 / 3.0], rel=1e-14)
     assert got[2] == pytest.approx([1e-12 * (1.0 - math.cos(1.0)),
                                     1e-12 * (math.cos(1.0) - math.cos(2.0))], rel=1e-14)
     # one component is a scalar integrand with a leading axis of length 1
-    assert quadrature.integrate(lambda x: x[None] ** 3, 0.0, 2.0) == pytest.approx([4.0])
+    assert quadrature.integrate(lambda x: x[None] ** 3, 0.0, 2.0).value == pytest.approx([4.0])
 
 
-def test_gauss_legendre_rule():
-    # nodes as numpy's leggauss; weights within 1e-15 of a 40-digit
-    # reference (leggauss's own smallest weights are off by up to 7e-13
-    # relative, from a derivative taken before its last Newton step)
-    for order in (20, 40):
-        x, w = quadrature._rule(order)
-        xl, wl = np.polynomial.legendre.leggauss(order)
-        assert np.max(np.abs(x - xl)) <= 1e-15
-        assert np.max(np.abs(w - wl)) <= 5e-15
-        with mpmath.workdps(40):
-            for xi, wi in zip(x, w):
-                root = mpmath.findroot(lambda s: mpmath.legendre(order, s), mpmath.mpf(xi))
-                dp = mpmath.diff(lambda s: mpmath.legendre(order, s), root)
-                assert abs(xi - float(root)) <= 1e-15
-                assert abs(wi - float(2 / ((1 - root ** 2) * dp ** 2))) <= 1e-15
+def test_double_exponential_rule_takes_end_singularities():
+    # z^{1-alpha} at 0, with z^{-1/2} for a stronger singularity, and
+    # z^{1-alpha} e^{-z} out to inf, the shapes of the c_alpha integrands,
+    # need no substitution: the first level holds them to roundoff, in one
+    # integrand call
+    for alpha in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0):
+        for f, b, want in ((lambda z: z ** (1.0 - alpha), 1.0, 1.0 / (2.0 - alpha)),
+                           (lambda z: z ** -0.5, 1.0, 2.0),
+                           (lambda z: z ** (1.0 - alpha) * np.exp(-z), math.inf,
+                            math.gamma(2.0 - alpha))):
+            sizes = []
+            res = quadrature.integrate(counted(f, sizes), 0.0, b)
+            assert res.converged and sizes == [273]
+            assert res.value == pytest.approx(want, rel=2e-15)
 
 
 def test_integrate_panels_in_one_pass():
     # arrays of edges give the integral over each panel, shaped like the edges
-    got = quadrature.integrate(lambda x: x ** 2, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+    got = quadrature.integrate(lambda x: x ** 2, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0]).value
     assert got == pytest.approx([1.0 / 3.0, 7.0 / 3.0, 19.0 / 3.0], rel=1e-14)
-    assert quadrature.integrate(lambda x: x, np.zeros((1, 2)), np.ones((1, 2))).shape == (1, 2)
+    got = quadrature.integrate(lambda x: x, np.zeros((1, 2)), np.ones((1, 2))).value
+    assert got.shape == (1, 2)
 
 
-@pytest.fixture
-def integrate_calls(monkeypatch):
-    """The number of `quadrature.integrate` calls made so far, as a list of one."""
-    calls = [0]
-    integrate = quadrature.integrate
-
-    def spy(*args, **kwargs):
-        calls[0] += 1
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(quadrature, "integrate", spy)
-    return calls
-
-
-def test_semi_infinite_is_one_integrate_call(integrate_calls):
-    # the head breakpoints and every dyadic tail panel up to max_span go to
-    # one `integrate` call, whatever panel the stop rule picks
-    # e^{-z}: [31, 63] and [63, 127] are the first two quiet panels
-    res = quadrature.integrate_semi_infinite(lambda z: np.exp(-z), 0.0)
-    assert res.stopped and res.upper_limit == 127.0
-    assert res.value == pytest.approx(1.0, rel=1e-14)
-    assert integrate_calls == [1]
-    # 1/z^2 from 1: the panel [2^k, 2^{k+1}] holds 2^{-k-1}, quiet from k = 43 on
-    res = quadrature.integrate_semi_infinite(lambda z: z ** -2.0, 1.0)
-    assert res.stopped and res.upper_limit == 2.0 ** 45
-    assert res.value == pytest.approx(1.0 - 2.0 ** -45, rel=1e-14)
-    assert integrate_calls == [2]
-    # 1/z never quiets: every panel up to the span cap is summed
-    res = quadrature.integrate_semi_infinite(lambda z: 1.0 / z, 1.0, max_span=1e6)
-    assert not res.stopped and res.upper_limit == 2.0 ** 20
-    assert res.value == pytest.approx(20.0 * math.log(2.0), rel=1e-12)
-    assert integrate_calls == [3]
-    # head breakpoints join the same call; e^{-40} is already quiet
-    res = quadrature.integrate_semi_infinite(lambda z: np.exp(-z), (0.0, 1.0, 40.0))
-    assert res.stopped and res.upper_limit == 43.0
-    assert res.value == pytest.approx(1.0, rel=1e-12)
-    assert integrate_calls == [4]
+def test_semi_infinite_is_one_integrate_call():
+    # a converged integral over [a, inf) takes every node of the first level
+    # in one integrand call, whatever its decay; panels, finite and not, join
+    # the same call
+    for f, a, want in ((lambda z: np.exp(-z), 0.0, 1.0),
+                       (lambda z: z ** -2.0, 1.0, 1.0),
+                       (lambda z: (1.0 + z) ** -2.5, 0.0, 1.0 / 1.5)):
+        sizes = []
+        res = quadrature.integrate(counted(f, sizes), a, math.inf)
+        assert res.converged and sizes == [273]
+        assert res.value == pytest.approx(want, rel=1e-14)
+    sizes = []
+    res = quadrature.integrate(counted(lambda z: np.exp(-z), sizes),
+                               [0.0, 1.0, 40.0], [1.0, 40.0, math.inf])
+    assert res.converged and sizes == [3 * 273]
+    assert res.value.sum() == pytest.approx(1.0, rel=1e-14)
 
 
 def test_semi_infinite_vector_components_stop_on_their_own():
-    # e^{-z} and 1/(1+z)^2 in one integrand: the first stops at 127, the
-    # second runs on to later panels, which do not move the first
-    res = quadrature.integrate_semi_infinite(
-        lambda z: np.array([np.exp(-z), (1.0 + z) ** -2.0]), 0.0)
-    assert res.stopped.all() and res.value.shape == (2,)
-    assert res.upper_limit[0] == 127.0 and res.upper_limit[1] > 2.0 ** 40
+    # e^{-z} and 1/(1+z)^2 in one integrand both converge
+    res = quadrature.integrate(lambda z: np.array([np.exp(-z), (1.0 + z) ** -2.0]), 0.0, math.inf)
+    assert res.converged.all() and res.value.shape == (2,)
+    assert res.value == pytest.approx([1.0, 1.0], rel=1e-14)
+    # a component that does not converge is flagged on its own
+    res = quadrature.integrate(lambda z: np.array([np.exp(-z), 1.0 / (1.0 + z)]), 0.0, math.inf)
+    assert res.converged.tolist() == [True, False]
     assert res.value[0] == pytest.approx(1.0, rel=1e-14)
-    assert res.value[1] == pytest.approx(1.0 - 1.0 / (1.0 + res.upper_limit[1]), rel=1e-14)
-    # a component that never quiets is flagged on its own
-    res = quadrature.integrate_semi_infinite(
-        lambda z: np.array([np.exp(-z), 1.0 / (1.0 + z)]), 0.0, max_span=1e6)
-    assert not res.stopped.all() and res.stopped.tolist() == [True, False]
-    assert res.value[1] == pytest.approx(math.log(2.0 ** 20), rel=1e-12)
 
 
 def test_semi_infinite_accepts_an_overflowing_far_tail():
-    # s^30 overflows to inf far out, where e^{-s} is 0: those panels give nan
-    # and are accepted as they are, after the sum has stopped
-    res = quadrature.integrate_semi_infinite(lambda s: s ** 30 * np.exp(-s), 0.0)
-    assert res.stopped
+    # s^30 overflows to inf far out, where e^{-s} is 0: those terms give nan
+    # and count as 0
+    res = quadrature.integrate(lambda s: s ** 30 * np.exp(-s), 0.0, math.inf)
+    assert res.converged
     assert res.value == pytest.approx(math.factorial(30), rel=1e-13)
-    # every panel up to max_span is evaluated, so one that is inf or nan past
-    # the stop at 127 is evaluated too, and changes nothing
+    # an integrand that is inf or nan where e^{-z} is below the tolerance
     for far in (math.inf, math.nan):
-        res = quadrature.integrate_semi_infinite(
-            lambda z: np.where(z < 1e4, np.exp(-z), far), 0.0)
-        assert res.stopped and res.upper_limit == 127.0
+        res = quadrature.integrate(lambda z: np.where(z < 1e4, np.exp(-z), far), 0.0, math.inf)
+        assert res.converged
         assert res.value == pytest.approx(1.0, rel=1e-14)
 
 
@@ -199,7 +179,7 @@ def test_monomial_exp_integral_against_quadrature():
                        (3, 0.0, 0.0, 2.0)):
         got = polyexp.polyexp_moment((1.0,), c, a, b, m)
         hi = b if math.isfinite(b) else 60.0 / max(c, 1.0)
-        want = quadrature.integrate(lambda s: s ** m * np.exp(-c * s), a, hi)
+        want = quadrature.integrate(lambda s: s ** m * np.exp(-c * s), a, hi).value
         assert got == pytest.approx(want, rel=1e-11)
 
 
@@ -233,7 +213,7 @@ def test_polyexp_moment_shifts_degree():
     coeffs, rate = (0.3, 0.1), 0.7
     direct = polyexp.polyexp_moment(coeffs, rate, 0.0, 5.0, 2)
     want = quadrature.integrate(lambda s: s ** 2 * (0.3 + 0.1 * s) * np.exp(-0.7 * s),
-                                0.0, 5.0)
+                                0.0, 5.0).value
     assert direct == pytest.approx(want, rel=1e-11)
 
 

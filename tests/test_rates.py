@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cmapprox import cli, cmfun, opcalc, rates
+from cmapprox import cli, cmfun, opcalc, quadrature, rates
 from cmapprox.rates import (
     BoundReport,
     first_order_bounds,
@@ -377,10 +377,24 @@ def test_shift_second_order_rows():
         rates.shift_second_order_sharpness([1])
 
 
+def test_shift_row_passes_only_when_both_integrals_converged(monkeypatch):
+    # I_{1,n} is integrated on four panels and I_{2,n} over [2, inf): a row
+    # whose I_{1,n} or I_{2,n} did not converge fails
+    inner = quadrature.integrate
+    assert [r["pass"] for r in rates.sharpness_rows([16], euler=False, shift=True)] == [True]
+    for panels in (True, False):
+        def integrate(f, a, b, **kwargs):
+            res = inner(f, a, b, **kwargs)
+            return res._replace(converged=False) if (np.ndim(a) == 1) == panels else res
+
+        monkeypatch.setattr(quadrature, "integrate", integrate)
+        assert [r["pass"] for r in rates.sharpness_rows([16], euler=False, shift=True)] == [False]
+
+
 def test_shift_I1_keeps_its_limit_at_large_n():
     # n^{3/2} |I_{1,n}| -> 2/(3 sqrt(2 pi)); the peak of W_n at 1 is about
     # n^{-1/2} wide, so the quadrature needs nodes on it at any n
     limit = 2.0 / (3.0 * math.sqrt(2.0 * math.pi))
     for r in rates.shift_second_order_sharpness([2 ** 28, 2 ** 32])["rows"]:
         assert r["I1_scaled"] == pytest.approx(limit, rel=1e-6)
-        assert r["tail_stopped"]
+        assert r["converged"]
