@@ -10,7 +10,7 @@ Subcommands:
 
 The theorems live in rates and functionals: each verify-bounds suite checks
 its own inputs (rates.SUITES), rates.order_verdict passes or fails an
-`orders` fit, rates.sharpness_rows checks each sharpness row and
+`orders` fit, rates.sharpness_rows gives the checked sharpness rows and
 functionals.table builds the functionals rows.  Each command parses its
 inputs and returns (fields, rows); `main` alone writes them and sets the
 exit code.  Every grid value, from a flag or from --config, is checked in
@@ -46,8 +46,6 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
         return f"{x:.12g}"
     return str(x)
 
@@ -144,13 +142,15 @@ BOUND_FIELDS = ["scheme", "generator", "t", "n", "alpha", "vector_id",
 
 
 def cmd_functionals(args):
+    if args.g and args.scheme:
+        raise ValueError("--g and --scheme both name the function; give one of them")
     cfg = _load_config(args)
     alphas = cfg.get("alpha", [0.0, 0.5, 1.0])
     rates.check_alphas(alphas, 0.0, 1.0, "functionals")
-    name = cfg.get("scheme") or args.g
+    name = args.g or cfg.get("scheme")
     if not name:
         raise ValueError("--g is required")
-    g = make_builtin(name, flag="--scheme" if cfg.get("scheme") else "--g")
+    g = make_builtin(name, flag="--g" if args.g else "--scheme")
     if isinstance(g, ScaledFamily):
         raise ValueError("functionals needs a fixed function (give t)")
     return fns.FIELDS, fns.table(g, cfg.get("n", [1]), alphas)

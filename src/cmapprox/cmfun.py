@@ -23,7 +23,8 @@ e^{-z} expm1(L(z)), which does not cancel where g(z) and e^{-z} agree to
 many digits; see Higham, Accuracy and Stability of Numerical Algorithms
 (SIAM, 2nd ed. 2002), section 1.14.  A `from_measure` function in B1 (a
 `measure:` string) gets its cumulants from the raw moments of its measure;
-`frac_tail` (outside B2) carries none and takes the direct difference.
+`frac_tail` (outside B2) carries none: its defect is the direct difference,
+and it has no second-order remainder.
 
 The power scaling g_n(z) = g(z/n)^n keeps no explicit measure (the
 n-fold convolution is not materialized); its derivatives at zero are
@@ -214,19 +215,17 @@ class CMFunction(NamedTuple):
         each part without its leading term.  Where |x| > 1 nothing cancels and
         the difference is taken directly, with g_n(z) = e^{x - z} for |z| <= mn
         (n ulp for the n-th power would be worse) and g_n(z) itself beyond.
-        Without L every point takes the direct difference."""
+        Without L the defect is the direct difference at every point, and the
+        remainder a ValueError (every B2 function the package builds has L)."""
+        L = self.log_defect
+        if L is None and second:
+            raise ValueError(f"{self.name}: the second-order residual needs a log-defect")
         if np.ndim(n):    # z on the full grid; n, and the scale m below, stay a column
             n = np.asarray(n)
             z = np.broadcast_to(z, np.broadcast_shapes(z.shape, n.shape))
         e = np.exp(-z)
-        L = self.log_defect
         if L is None:
-            out = self._power(z, np.broadcast_to(n, z.shape) if np.ndim(n) else n) - e
-            if not second:
-                return out
-            m2 = self.moments[2]    # g_n''(0) as power_scale's moments give it
-            h = np.where(n == 1, m2, 1.0 + (m2 - 1.0) / n) - 1.0
-            return out - 0.5 * h * z * z * e
+            return self._power(z, np.broadcast_to(n, z.shape) if np.ndim(n) else n) - e
         m = L.scale * n
         lead = L.coeffs[0] / m if L.coeffs else 0.0
         x = L(z, n=n)
@@ -297,7 +296,7 @@ def from_measure(nu: PositiveMeasure, name: str = "measure") -> CMFunction:
     moment up to SERIES_DEGREE finite it carries its log-defect: the
     cumulant series of nu (exactly 0 for delta_1, whose variance is 0) and
     log g(w) + w beyond its radius."""
-    mass = nu.total_mass()
+    mass = nu.moment(0)
     if not math.isfinite(mass):
         raise ValueError("measure must have finite total mass")
     m = [nu.moment(k) for k in range(SERIES_DEGREE + 1)]
@@ -565,24 +564,16 @@ def frac_tail(gamma: float) -> CMFunction:
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("frac_tail requires gamma in (0, 1)")
-    w, p = gamma * (gamma + 1.0), 2.0 + gamma
-    nu = PositiveMeasure(atoms=((0.0, 1.0 - gamma),), segments=(PowerLawSegment(w, p),))
-
+    gp = (2.0 + gamma) - 2.0    # gamma as 2 + gamma rounds it: then m_0 = m_1 = 1 to roundoff
+    nu = PositiveMeasure(atoms=((0.0, 1.0 - gp),),
+                         segments=(PowerLawSegment(gp * (gp + 1.0), 2.0 + gp),))
     return CMFunction(
         name=f"frac_tail(gamma={gamma:g})",
         evaluate=nu.laplace,
         measure=nu,
-        moments=(1.0, 1.0, math.inf, math.inf, math.inf),
-        limit_at_inf=1.0 - gamma,
+        moments=tuple(nu.moment(k) for k in range(5)),
+        limit_at_inf=1.0 - gp,
     )
-
-
-def kendall_family() -> ScaledFamily:
-    return ScaledFamily("kendall", kendall)
-
-
-def yosida_family() -> ScaledFamily:
-    return ScaledFamily("yosida", yosida)
 
 
 BUILTIN_NAMES = ("euler", "euler_pow<N>", "spline", "kendall", "yosida", "hille", "chung",
@@ -596,8 +587,10 @@ _BUILDERS = {
     "spline": (spline, (), ()),
     "exp": (exponential, (), ()),
     "hille": (hille, (), ()),
-    "kendall": (lambda t=None: kendall_family() if t is None else kendall(t), ("t",), ()),
-    "yosida": (lambda t=None: yosida_family() if t is None else yosida(t), ("t",), ()),
+    "kendall": (lambda t=None: ScaledFamily("kendall", kendall) if t is None else kendall(t),
+                ("t",), ()),
+    "yosida": (lambda t=None: ScaledFamily("yosida", yosida) if t is None else yosida(t),
+               ("t",), ()),
     "chung": (chung, ("a", "t"), ("a", "t")),
     "frac_tail": (frac_tail, ("gamma",), ("gamma",)),
 }

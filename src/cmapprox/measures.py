@@ -90,7 +90,6 @@ SERIES_TERMS = 60      # 1.5^60/60! < 1e-70
 SERIES_STOP = 1e-17    # a series term this small against its sum no longer moves it
 CF_STEPS = 400         # just past |z| = 1.5 on the imaginary axis it takes about 125
 EPS = np.finfo(float).eps  # stop of the Lentz fraction here and of `rates._W_below`'s series
-EULER_GAMMA = 0.5772156649015329  # Euler-Mascheroni constant, -psi(1)
 
 
 def powerlaw_laplace(p: float, z) -> np.ndarray:
@@ -100,10 +99,12 @@ def powerlaw_laplace(p: float, z) -> np.ndarray:
     Against 40-digit references the relative error is at most about 2e-13 for
     p at least 0.05 from an integer, and grows like 1/dist(p, Z) closer to one
     (1e-11 at 1e-3, 1e-8 at 1e-6), where the series' Gamma(1-p) z^{p-1} and
-    its k = p-1 term nearly cancel; a whole p takes the exact log form.
+    its k = p-1 term nearly cancel; a whole p, where they merge into a log
+    term, is a ValueError (no measure of the package has one).
     Each entry's value is that of the entry alone: a stacked call gives the
     values of separate calls bit for bit.
     """
+    _check_exponent(p)
     z = np.asarray(z, dtype=complex)
     out = np.empty(z.shape, dtype=complex)
     zero, far = z == 0, np.abs(z) > SERIES_RADIUS
@@ -114,36 +115,30 @@ def powerlaw_laplace(p: float, z) -> np.ndarray:
     return out
 
 
+def _check_exponent(p: float) -> None:
+    if float(p).is_integer():
+        raise ValueError(f"power-law exponent {p:g} is a whole number, which the "
+                         f"series of e^z E_p(z) does not take")
+
+
 def _expint_series(p: float, z: np.ndarray) -> np.ndarray:
-    """E_p(z) = Gamma(1-p) z^{p-1} - sum_k (-z)^k / (k! (1-p+k)); for a whole
-    p >= 1 the Gamma pole and the k = p-1 term merge into
-    (-z)^{p-1}/(p-1)! (psi(p) - log z).  Past k = p the terms only shrink,
-    and each entry's sum stops once a new term is below SERIES_STOP of it."""
+    """E_p(z) = Gamma(1-p) z^{p-1} - sum_k (-z)^k / (k! (1-p+k)) for p not a
+    whole number.  Past k = p the terms only shrink, and each entry's sum
+    stops once a new term is below SERIES_STOP of it."""
     m = p - 1.0
-    whole = m >= 0.0 and m == int(m)
     term = np.ones_like(z)
     acc = np.zeros_like(z)
     live = np.ones(z.shape, dtype=bool)
     for k in range(SERIES_TERMS):
         if k:
             term = term * (-z / k)
-        if not (whole and k == m):
-            step = term / (k - m)
-            acc += np.where(live, step, 0.0)
-            if k > p:
-                live &= np.abs(step) > SERIES_STOP * np.abs(acc)
-                if not live.any():
-                    break
-    if whole:
-        pole = (-z) ** int(m) / math.factorial(int(m)) * (_digamma_whole(int(p)) - np.log(z))
-    else:
-        pole = math.gamma(-m) * z ** m
-    return pole - acc
-
-
-def _digamma_whole(p: int) -> float:
-    """psi(p) = H_{p-1} - Euler's gamma for a whole p >= 1."""
-    return math.fsum(1.0 / j for j in range(1, p)) - EULER_GAMMA
+        step = term / (k - m)
+        acc += np.where(live, step, 0.0)
+        if k > p:
+            live &= np.abs(step) > SERIES_STOP * np.abs(acc)
+            if not live.any():
+                break
+    return math.gamma(-m) * z ** m - acc
 
 
 def _expint_fraction(p: float, z: np.ndarray) -> np.ndarray:
@@ -175,7 +170,7 @@ class _PowerLawFields(NamedTuple):
 
 
 class PowerLawSegment(_PowerLawFields):
-    """Density weight * (1+s)^{-exponent} on [0, inf); exponent > 1."""
+    """Density weight * (1+s)^{-exponent} on [0, inf); exponent > 1, not whole."""
 
     __slots__ = ()
 
@@ -185,6 +180,7 @@ class PowerLawSegment(_PowerLawFields):
             raise ValueError("negative weight")
         if self.exponent <= 1.0:
             raise ValueError("power-law exponent must exceed 1 for finite mass")
+        _check_exponent(self.exponent)
         return self
 
     def moment(self, k: int) -> float:
@@ -258,9 +254,6 @@ class PositiveMeasure(_MeasureFields):
                 return math.inf
             total += m
         return total
-
-    def total_mass(self) -> float:
-        return self.moment(0)
 
     def partial_moment(self, k: int, lo: float, hi: float) -> float:
         """int_{[lo, hi]} s^k nu(ds) (atoms on the boundary included)."""

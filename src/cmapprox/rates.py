@@ -428,7 +428,8 @@ def expected_exponent(A: GeneratorMatrix, alpha: float, second: bool = False) ->
 # sharp-constant experiments
 # ----------------------------------------------------------------------
 
-def _golden_max(f, a: float, b: float, tol: float = 1e-10) -> tuple[float, float]:
+def _golden_max(f, a: float, b: float, tol: float = 1e-10) -> float:
+    """The maximum of a unimodal f on [a, b] by golden-section search."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - phi * (b - a)
     x2 = a + phi * (b - a)
@@ -442,23 +443,23 @@ def _golden_max(f, a: float, b: float, tol: float = 1e-10) -> tuple[float, float
             b, x2, f2 = x2, x1, f1
             x1 = b - phi * (b - a)
             f1 = f(x1)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
+    return f(0.5 * (a + b))
 
 
-def euler_scalar_sharpness(n_grid) -> dict:
-    """sup_t |(1 + t/n)^{-n} - e^{-t}| and its limit n * sup -> 2 e^{-2}."""
+def euler_scalar_sharpness(n_grid) -> list[dict]:
+    """The euler-scalar rows: the sup over t of Euler's `defect(t, n)` =
+    (1 + t/n)^{-n} - e^{-t} > 0 as `value`, n sup as `scaled` against its limit
+    2 e^{-2}, and `pass` from `within_bound(sup, M_2 r_{0,n})`, the holo-sharp
+    bound at alpha = 0 on a positive spectrum (rho = 1)."""
+    defect = euler().defect
+    m2 = opcalc.SemigroupConstants(rho=1.0)[2.0]
     rows = []
     for n in n_grid:
-        def diff(t):
-            return math.exp(-n * math.log1p(t / n)) - math.exp(-t)
-
-        t_star, sup = _golden_max(diff, 1e-6, 20.0)
-        rows.append({"n": n, "sup": sup, "t_star": t_star, "n_sup": n * sup})
-    # fitted next-order coefficient in sup ~ 4e^{-2} (1/(2n) + c/n^2)
-    lead = 2.0 * math.exp(-2.0)
-    cs = [(r["n_sup"] - lead) * r["n"] / (4.0 * math.exp(-2.0)) for r in rows]
-    return {"rows": rows, "limit": lead, "fitted_next_order": cs[-1]}
+        sup = _golden_max(lambda t: float(defect(t, n)), 1e-6, 20.0)
+        rows.append({"experiment": "euler-scalar", "n": n, "value": sup, "scaled": n * sup,
+                     "reference": 2.0 * math.exp(-2.0),
+                     "pass": within_bound(sup, m2 * euler_sharp_r(n, 0.0))})
+    return rows
 
 
 def _W_density(n: int, tau: np.ndarray) -> np.ndarray:
@@ -514,14 +515,14 @@ def _W_below(n: int, tau: np.ndarray) -> np.ndarray:
     return pmf * total
 
 
-def shift_second_order_sharpness(n_grid) -> dict:
-    """The integrals I_{1,n} = -int_0^2 W_n |tau-1| dtau and
-    I_{2,n} = -int_2^inf W_n dtau, with |I_{2,n}| <= 2/n^2 and
-    liminf n^{3/2} |I_{1,n}| >= 1/(3 sqrt(2 pi)).  W_n peaks at tau = 1 with
-    a width of about n^{-1/2}, so I_{1,n} is taken on the panels
+def shift_second_order_sharpness(n_grid) -> list[dict]:
+    """The shift-I1I2 rows: I_{1,n} = -int_0^2 W_n |tau-1| dtau as `value` and
+    n^{3/2} |I_{1,n}| as `scaled`, against its liminf bound 1/(3 sqrt(2 pi));
+    a row passes when I_{2,n} = -int_2^inf W_n dtau is within its bound
+    |I_{2,n}| <= 2/n^2 and both quadratures converged.  W_n peaks at tau = 1
+    with a width of about n^{-1/2}, so I_{1,n} is taken on the panels
     [0, 1-w, 1, 1+w, 2], w = min(1/2, 10/sqrt(n)), which put nodes on the
-    peak at any n, and I_{2,n} over [2, inf).  `converged` says whether both
-    quadratures converged."""
+    peak at any n, and I_{2,n} over [2, inf)."""
     from . import quadrature
 
     rows = []
@@ -534,32 +535,15 @@ def shift_second_order_sharpness(n_grid) -> dict:
         i1 = quadrature.integrate(f1, edges[:-1], edges[1:], rel_tol=W_REL_TOL)
         i2 = quadrature.integrate(lambda tau: _W_density(n, tau), 2.0, math.inf, rel_tol=W_REL_TOL)
         i1_value = -float(np.sum(i1.value))
-        rows.append({
-            "n": n, "I1": i1_value, "I2": -i2.value,
-            "I2_bound": 2.0 / n ** 2,
-            "I1_scaled": n ** 1.5 * abs(i1_value),
-            "converged": i1.converged and i2.converged,
-        })
-    return {"rows": rows, "target": 1.0 / (3.0 * math.sqrt(2.0 * math.pi))}
+        rows.append({"experiment": "shift-I1I2", "n": n, "value": i1_value,
+                     "scaled": n ** 1.5 * abs(i1_value),
+                     "reference": 1.0 / (3.0 * math.sqrt(2.0 * math.pi)),
+                     "pass": i1.converged and i2.converged
+                     and within_bound(abs(i2.value), 2.0 / n ** 2)})
+    return rows
 
 
 def sharpness_rows(ns, euler: bool, shift: bool) -> list[dict]:
-    """The sharp-constant rows over the grid ns, each checked under the BoundReport
-    slack: euler-scalar sup_t |(1+t/n)^{-n} - e^{-t}| <= M_2 r_{0,n}, the holo-sharp
-    bound at alpha = 0 on a positive spectrum (rho = 1); shift-I1I2 |I_{2,n}| <= 2/n^2,
-    with the quadratures of I_{1,n} and I_{2,n} converged."""
-    rows = []
-    if euler:
-        m2 = opcalc.SemigroupConstants(rho=1.0)[2.0]
-        rep = euler_scalar_sharpness(ns)
-        rows += [{"experiment": "euler-scalar", "n": r["n"], "value": r["sup"],
-                  "scaled": r["n_sup"], "reference": rep["limit"],
-                  "pass": within_bound(r["sup"], m2 * euler_sharp_r(r["n"], 0.0))}
-                 for r in rep["rows"]]
-    if shift:
-        rep = shift_second_order_sharpness([n for n in ns if n >= 2])
-        rows += [{"experiment": "shift-I1I2", "n": r["n"], "value": r["I1"],
-                  "scaled": r["I1_scaled"], "reference": rep["target"],
-                  "pass": r["converged"] and within_bound(abs(r["I2"]), r["I2_bound"])}
-                 for r in rep["rows"]]
-    return rows
+    """The euler-scalar rows over the grid ns, then the shift-I1I2 rows of its n >= 2."""
+    return ((euler_scalar_sharpness(ns) if euler else [])
+            + (shift_second_order_sharpness([n for n in ns if n >= 2]) if shift else []))

@@ -571,14 +571,13 @@ def test_sharpness_euler_rows_check_the_bound(monkeypatch, capsys):
     def bound(n):
         return (2.0 / math.e) ** 2 * rates.euler_sharp_r(n, 0.0)
 
-    rep = rates.euler_scalar_sharpness([1, 4, 1024])
-    ratios = [r["sup"] / bound(r["n"]) for r in rep["rows"]]
+    rows = rates.euler_scalar_sharpness([1, 4, 1024])
+    ratios = [r["value"] / bound(r["n"]) for r in rows]
     assert ratios == pytest.approx([0.645, 0.886, 0.9995], abs=1e-3)
 
+    # a sup above the bound fails its row
     sup = 1.01 * bound(4)
-    monkeypatch.setattr(cli.rates, "euler_scalar_sharpness", lambda ns: {
-        "rows": [{"n": 4, "sup": sup, "t_star": 1.0, "n_sup": 4 * sup}],
-        "limit": 2.0 * math.exp(-2.0), "fitted_next_order": 0.0})
+    monkeypatch.setattr(cli.rates, "_golden_max", lambda f, a, b: sup)
     assert cli.main(["sharpness", "--which", "euler", "--n", "4"]) == 1
     header, row = capsys.readouterr().out.splitlines()
     assert header.endswith(",pass") and row.endswith(",false")
@@ -862,6 +861,23 @@ def test_functionals_reads_grids_from_config(tmp_path):
     assert cli.main(["functionals", "--g", "euler", "--config", str(cfg),
                      "--out", str(out)]) == 0
     assert [(r["n"], r["alpha"]) for r in _read_csv(out)] == [("2", "0.5"), ("4", "0.5")]
+
+
+def test_functionals_g_flag_overrides_the_config_scheme(tmp_path, capsys):
+    # an explicit flag wins over a config entry: --g over the config's scheme;
+    # --g and --scheme together name two functions, a usage error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scheme": "spline", "n": [2], "alpha": [0.5]}))
+    out = tmp_path / "fn.csv"
+    assert cli.main(["functionals", "--config", str(cfg), "--g", "euler",
+                     "--out", str(out)]) == 0
+    assert [r["g"] for r in _read_csv(out)] == ["euler"]
+    assert cli.main(["functionals", "--config", str(cfg), "--out", str(out)]) == 0
+    assert [r["g"] for r in _read_csv(out)] == ["spline"]
+    assert cli.main(["functionals", "--g", "euler", "--scheme", "spline", "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "--g" in captured.err and "--scheme" in captured.err
 
 
 def test_rows_are_sorted_by_grid_coordinates(tmp_path):

@@ -249,6 +249,28 @@ def test_frac_tail_derivative_and_tail_flag():
         assert 0.0 < d < 3.0 * n ** -0.5
 
 
+@pytest.mark.parametrize("gamma", [1e-9, 0.01, 0.25, 0.5, 0.75, 0.99])
+def test_frac_tail_moments_come_from_its_measure(gamma):
+    # m_0 = m_1 = 1 from the closed-form moments of the atom and the power law,
+    # and m_2 = inf; the weights take the gamma of the rounded exponent 2 + gamma,
+    # without which m_1 was 8e-8 off at gamma = 1e-9
+    g = cmfun.frac_tail(gamma)
+    assert cmfun.check_bk(g, 1) and not cmfun.check_bk(g, 2)
+    assert g.moments == tuple(g.measure.moment(k) for k in range(5))
+    assert g.moments[:2] == pytest.approx((1.0, 1.0), rel=0.0, abs=1e-14)
+
+
+def test_residual_needs_a_log_defect():
+    # every B2 function the package builds carries L; without it the
+    # second-order remainder is a ValueError naming g, and the defect is the
+    # direct difference
+    g = cmfun.euler()._replace(name="euler-without-L", log_defect=None)
+    z = np.array([0.5, 2.0])
+    with pytest.raises(ValueError, match="^euler-without-L: the second-order residual"):
+        g.residual(z, 4)
+    assert np.array_equal(g.defect(z, 4), (1.0 / (1.0 + z / 4)) ** 4 - np.exp(-z))
+
+
 def test_yosida_moments_t1():
     g = cmfun.yosida(1.0)
     assert g.moments[0] == pytest.approx(1.0, abs=1e-14)

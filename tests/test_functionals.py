@@ -203,7 +203,7 @@ def test_c_alpha_quads_match_the_measure_route(atoms, zero, coeffs, rate, a, wid
     nu = cmfun.PositiveMeasure(
         atoms=tuple(atoms) + (((0.0, zero),) if zero else ()),
         segments=(cmfun.PolyExpSegment(a, a + width, tuple(coeffs), rate),))
-    mass = nu.total_mass()
+    mass = nu.moment(0)
     mean = nu.moment(1) / mass
     scaled = tuple(c * mean ** (j + 1) / mass for j, c in enumerate(coeffs))
     nu = cmfun.PositiveMeasure(

@@ -6,6 +6,7 @@ import ast
 import importlib
 import json
 import math
+import os
 import pkgutil
 import subprocess
 import sys
@@ -66,7 +67,7 @@ VALUE_TYPES = [
      {"alpha": (-math.inf, math.inf), "moment": 0, "fixed": False, "tail": False,
       "sectorial": False}),
     (measures.PolyExpSegment, (0.0, 1.0, (1.0,)), {"rate": 0.0}),
-    (measures.PowerLawSegment, (1.0, 2.0), {}),
+    (measures.PowerLawSegment, (1.0, 2.5), {}),
     (measures.PositiveMeasure, (), {"atoms": (), "segments": ()}),
 ]
 
@@ -133,6 +134,35 @@ def test_kernel_benchmarks_still_run():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_test_does_not_end_the_session(tmp_path):
+    # hypothesis reports a failing example through mypy_extensions, whose
+    # DeprecationWarning the "error" filter would turn into an INTERNALERROR
+    # that ends the session before the tests after it run
+    (tmp_path / "test_probe.py").write_text(FAILING_PROPERTY)
+    config = os.path.join(ROOT, "pyproject.toml")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-c", config, "--rootdir", str(tmp_path),
+                           "-p", "no:cacheprovider", "test_probe.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "1 failed, 1 passed" in proc.stdout and "INTERNALERROR" not in out, out
+
+
 # small commands that together take every subcommand, suite, generator and
 # built-in (a fixed function, a family, euler_pow4 and a measure: file)
 _VB = ["verify-bounds", "--t", "1", "--n", "4,8", "--alpha", "1", "--out"]
@@ -159,15 +189,6 @@ REACH_COMMANDS = [
     ["sharpness", "--which", "both", "--n", "4,16"],
     ["report", "first.csv", "holo.csv", "--out", "report.csv"],
 ]
-
-# functions no command needs to enter
-UNREACHED = {
-    # no built-in has a whole power-law exponent
-    "measures._digamma_whole",
-    # frac_tail states its moments, and a measure: file holds no power-law segment
-    "measures.PowerLawSegment.moment",
-}
-
 
 def _defs(node, prefix):
     """(qualified name, first line) of every def below an ast node; the first
@@ -210,5 +231,5 @@ def test_every_function_is_reached_by_a_command(tmp_path, monkeypatch, capsys):
         with open(path) as fh:
             tree = ast.parse(fh.read())
         missed += [qualname for qualname, line in _defs(tree, name)
-                   if (path, line) not in entered and qualname not in UNREACHED]
+                   if (path, line) not in entered]
     assert not missed, f"no command enters {missed}"
