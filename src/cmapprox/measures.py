@@ -89,7 +89,7 @@ SERIES_RADIUS = 1.5    # power series for |z| <= 1.5, continued fraction beyond
 SERIES_TERMS = 60      # 1.5^60/60! < 1e-70
 SERIES_STOP = 1e-17    # a series term this small against its sum no longer moves it
 CF_STEPS = 400         # just past |z| = 1.5 on the imaginary axis it takes about 125
-EPS = np.finfo(float).eps  # stop of the Lentz fraction here and of `rates._W_below`'s series
+EPS = np.finfo(float).eps  # stop of the Lentz fraction
 
 
 def powerlaw_laplace(p: float, z) -> np.ndarray:

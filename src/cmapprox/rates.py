@@ -34,9 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import functionals, opcalc
+from . import functionals, opcalc, quadrature
 from .cmfun import CMFunction, check_bk, euler, power_scale, require_b1
-from .measures import EPS
 from .opcalc import GeneratorMatrix, frac_on_spectrum
 
 __all__ = [
@@ -52,11 +51,6 @@ SLACK_ABS = 1e-13
 R2_MIN = 0.98
 EXPONENT_TOL = 0.1
 ORDER_ALPHA = (0.0, 4.0)
-W_BLOCK = 64  # terms per step of the series in `_W_below`: about 9 sqrt(n) are needed
-# The rounding of tau near 1 moves n D in e^{-n D} by about sqrt(n) eps, so
-# W_n holds about 7e-12 relative at n = 2^32: the quadratures of I_{1,n} and
-# I_{2,n} ask for 1e-11.
-W_REL_TOL = 1e-11
 # values (cells x points) of one evaluation of a scheme's errors: 0.5 MB per
 # complex array, of which about ten are alive at once
 STACK_POINTS = 1 << 15
@@ -428,22 +422,22 @@ def expected_exponent(A: GeneratorMatrix, alpha: float, second: bool = False) ->
 # sharp-constant experiments
 # ----------------------------------------------------------------------
 
-def _golden_max(f, a: float, b: float, tol: float = 1e-10) -> float:
-    """The maximum of a unimodal f on [a, b] by golden-section search."""
+def _golden_max(f, a, b, tol: float = 1e-10):
+    """The maxima of unimodal functions on the intervals [a, b] (arrays) by
+    one golden-section search: f takes an array of points, one per interval,
+    and an entry whose interval is within tol stays frozen while the others
+    go on."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = f(x1)
-    return f(0.5 * (a + b))
+    x1, x2 = b - phi * (b - a), a + phi * (b - a)
+    state = np.array([a, b, x1, x2, f(x1), f(x2)])
+    while (going := state[1] - state[0] > tol).any():
+        a, b, x1, x2, f1, f2 = state
+        up = f1 < f2
+        a, b = np.where(up, x1, a), np.where(up, b, x2)
+        x = np.where(up, a + phi * (b - a), b - phi * (b - a))
+        fx = f(x)
+        state[:, going] = np.where(up, [a, b, x2, x, f2, fx], [a, b, x, x1, fx, f1])[:, going]
+    return f(0.5 * (state[0] + state[1]))
 
 
 def euler_scalar_sharpness(n_grid) -> list[dict]:
@@ -453,93 +447,57 @@ def euler_scalar_sharpness(n_grid) -> list[dict]:
     bound at alpha = 0 on a positive spectrum (rho = 1)."""
     defect = euler().defect
     m2 = opcalc.SemigroupConstants(rho=1.0)[2.0]
-    rows = []
-    for n in n_grid:
-        sup = _golden_max(lambda t: float(defect(t, n)), 1e-6, 20.0)
-        rows.append({"experiment": "euler-scalar", "n": n, "value": sup, "scaled": n * sup,
-                     "reference": 2.0 * math.exp(-2.0),
-                     "pass": within_bound(sup, m2 * euler_sharp_r(n, 0.0))})
-    return rows
+    ns = np.array(n_grid)
+    sups = _golden_max(lambda t: defect(t, ns), np.full(ns.shape, 1e-6), np.full(ns.shape, 20.0))
+    return [{"experiment": "euler-scalar", "n": n, "value": sup, "scaled": n * sup,
+             "reference": 2.0 * math.exp(-2.0),
+             "pass": within_bound(sup, m2 * euler_sharp_r(n, 0.0))}
+            for n, sup in zip(n_grid, sups.tolist())]
 
 
-def _W_density(n: int, tau: np.ndarray) -> np.ndarray:
-    """Second-order density of Euler's g_n (two-sided around its break at 1):
+def _shift_integrals(n: int):
+    """[I_{1,n}, I_{2,n}] as an Integral, one `converged` flag each, for n >= 2.
 
-    W_n(tau) = tau P(n, n tau) - P(n+1, n tau)   for tau <= 1,
-               Q(n+1, n tau) - tau Q(n, n tau)   for tau > 1,
+    Euler's second-order density is W_n(tau) = int (tau-s)_+ nu_n(ds) at and
+    below 1 and int (s-tau)_+ nu_n(ds) above, nu_n the Gamma(n, n) measure of
+    g_n, so integrating over tau first (Fubini) gives
 
-    built from the Gamma measure nu_n = n^n s^{n-1} e^{-ns}/(n-1)! ds via
-    int_0^tau nu_n = P(n, n tau) and int_0^tau y nu_n(dy) = P(n+1, n tau).
-    Both differences cancel when formed as written, so neither is:
-    at and below 1 `_W_below` sums a series of positive terms, and above 1
-    the upper tails Q = 1 - P are taken as they are (forming 1 - P cancels
-    to 0 once P rounds to 1, as it does for n tau far above n).
-    """
-    from scipy.special import gammaincc
+        I_{1,n} = -int_0^2 W_n |tau-1| dtau = -int k(s) nu_n(ds),
+                  k = |s-1|^3/6 for s <= 2, (s-1)/2 - 1/3 beyond,
+        I_{2,n} = -int_2^inf W_n dtau = -int (s-2)_+^2/2 nu_n(ds),
 
-    tau = np.asarray(tau, dtype=float)
-    out = np.empty(tau.shape)
-    below = tau <= 1.0
-    out[below] = _W_below(n, tau[below])
-    ta = tau[~below]
-    out[~below] = gammaincc(n + 1, n * ta) - ta * gammaincc(n, n * ta)
-    return out
+    with nu_n(ds) = n L[g_n] e^{-n D(s-1)} ds/s = n L[g_n] e^{-x - (n-1) D(x)} ds
+    at s = 1 + x, L[g_n] from `functionals.euler_power_L` and D Euler's
+    log-defect, which does not cancel.  Both are one quadrature in v = |s-1|,
+    the two sides of s = 1 summed at each v, on the panels [0, w, 1, inf),
+    w = min(1/2, 10/sqrt(n)): nu_n peaks at s = 1 with a width of about
+    n^{-1/2}, and the nodes near v = 0 keep their full relative precision."""
+    D = euler().log_defect
+    lead = n * functionals.euler_power_L(n)
 
+    def f(v):
+        u = np.minimum(v, 1.0)    # the side s = 1 - v ends at s = 0, where D = inf
+        both = np.exp(u - (n - 1) * D(-u)) + np.exp(-v - (n - 1) * D(v))
+        k = np.where(v <= 1.0, v ** 3 / 6.0, v / 2.0 - 1.0 / 3.0)
+        return lead * np.array([k * both, 0.5 * np.maximum(v - 1.0, 0.0) ** 2 * both])
 
-def _W_below(n: int, tau: np.ndarray) -> np.ndarray:
-    """W_n(tau) for 0 <= tau <= 1 as pmf * sum_{j>=1} j x^j / (n (n+1) ... (n+j)),
-    x = n tau, where pmf = e^{-x} x^n/n! = L[g_n] e^{-n D} with D = u - log1p(u),
-    u = tau - 1, and L[g_n] = n^n e^{-n}/n! from `functionals.euler_power_L`.
-    D is Euler's log-defect at u: the series sum_{k>=2} |u|^k/k of positive
-    terms below its radius, where the difference would lose the rounding of
-    log1p(u) against D itself, and the difference beyond (inf at u = -1).
-    The ratio r of consecutive terms falls with j, so once it is below 1 the
-    rest of the sum is at most term * r/(1-r).  The terms are added W_BLOCK
-    at a time (a running product of the ratios); after each block an entry
-    stops once that bound is below EPS of its sum, and only the entries
-    still running are carried on."""
-    pmf = functionals.euler_power_L(n) * np.exp(-n * euler().log_defect(tau - 1.0))
-    x = n * tau
-    term = x / (n * (n + 1.0))
-    total = term.copy()
-    active = np.arange(x.size)
-    j = np.arange(1.0, W_BLOCK + 1.0)
-    while active.size:
-        r = (j + 1.0) / j * x[:, None] / (n + j + 1.0)
-        terms = term[:, None] * np.cumprod(r, axis=1)
-        total[active] += terms.sum(axis=1)
-        term, r = terms[:, -1], r[:, -1]
-        going = term * r > EPS * (1.0 - r) * total[active]
-        active, x, term = active[going], x[going], term[going]
-        j += W_BLOCK
-    return pmf * total
+    w = min(0.5, 10.0 / math.sqrt(n))
+    res = quadrature.integrate(f, [0.0, w, 1.0], [w, 1.0, math.inf])
+    return res._replace(value=(-res.value.sum(axis=1)).tolist())
 
 
 def shift_second_order_sharpness(n_grid) -> list[dict]:
-    """The shift-I1I2 rows: I_{1,n} = -int_0^2 W_n |tau-1| dtau as `value` and
+    """The shift-I1I2 rows (see `_shift_integrals`): I_{1,n} as `value` and
     n^{3/2} |I_{1,n}| as `scaled`, against its liminf bound 1/(3 sqrt(2 pi));
-    a row passes when I_{2,n} = -int_2^inf W_n dtau is within its bound
-    |I_{2,n}| <= 2/n^2 and both quadratures converged.  W_n peaks at tau = 1
-    with a width of about n^{-1/2}, so I_{1,n} is taken on the panels
-    [0, 1-w, 1, 1+w, 2], w = min(1/2, 10/sqrt(n)), which put nodes on the
-    peak at any n, and I_{2,n} over [2, inf)."""
-    from . import quadrature
-
+    a row passes when |I_{2,n}| <= 2/n^2 and both integrals converged."""
+    if min(n_grid, default=2) < 2:
+        raise ValueError("n >= 2 required")
     rows = []
     for n in n_grid:
-        if n < 2:
-            raise ValueError("n >= 2 required")
-        f1 = lambda tau: _W_density(n, tau) * np.abs(tau - 1.0)
-        w = min(0.5, 10.0 / math.sqrt(n))
-        edges = np.array([0.0, 1.0 - w, 1.0, 1.0 + w, 2.0])
-        i1 = quadrature.integrate(f1, edges[:-1], edges[1:], rel_tol=W_REL_TOL)
-        i2 = quadrature.integrate(lambda tau: _W_density(n, tau), 2.0, math.inf, rel_tol=W_REL_TOL)
-        i1_value = -float(np.sum(i1.value))
-        rows.append({"experiment": "shift-I1I2", "n": n, "value": i1_value,
-                     "scaled": n ** 1.5 * abs(i1_value),
+        (i1, i2), converged = _shift_integrals(n)
+        rows.append({"experiment": "shift-I1I2", "n": n, "value": i1, "scaled": n ** 1.5 * abs(i1),
                      "reference": 1.0 / (3.0 * math.sqrt(2.0 * math.pi)),
-                     "pass": i1.converged and i2.converged
-                     and within_bound(abs(i2.value), 2.0 / n ** 2)})
+                     "pass": bool(converged.all()) and within_bound(abs(i2), 2.0 / n ** 2)})
     return rows
 
 

@@ -12,6 +12,10 @@ exp-sinh quadrature over [0, inf): 273 integrand points in 1 call.  The frac_tai
 is the evaluation the non-B2 suite makes of g(t lambda/n) on the 256 eigenvalues of `diag_imag:k=256,min=0.1,max=100`
 at t = 1, n = 4, which puts points on both sides of the power-law
 kernel's series/continued-fraction switch.
+The shift case is the `sharpness --which shift` row at n = 2^32: both
+integrals over Euler's Gamma(n, n) measure in one quadrature, whose cost
+does not grow with n (a density summed as a series once took about
+9 sqrt(n) terms per node there).
 The holomorphic case is a 3 t x 4 n grid of the `holo` suite on
 `laplacian:d=2048` with Euler's scheme and its closed-form r_{alpha,n}, so
 that it times the operator side only: one trip of the vectors through the
@@ -60,6 +64,11 @@ def test_bench_frac_tail_eval_at(benchmark):
     z = t * opcalc.make_generator("diag_imag:k=256,min=0.1,max=100").eigs / n
     values = benchmark(g, z)
     assert values.shape == (256,)
+
+
+def test_bench_shift_sharpness(benchmark):
+    [row] = benchmark(rates.shift_second_order_sharpness, [2 ** 32])
+    assert row["pass"]
 
 
 def test_bench_holomorphic_bounds_grid(benchmark):

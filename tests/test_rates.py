@@ -333,49 +333,45 @@ def test_euler_scalar_sup_matches_mpmath(n):
     assert row["value"] == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("n, tau", [(64, 2.0), (64, 3.0), (1024, 1.2), (1024, 2.0),
-                                    (16384, 1.05), (16384, 1.2), (65536, 1.02), (65536, 1.05)])
-def test_w_density_above_one_from_the_upper_tails(n, tau):
-    # W_n(tau) = Q(n+1, n tau) - tau Q(n, n tau) for tau > 1, against 150 digits;
-    # forming Q as 1 - P lost up to 9e-5 of W here, or all of it (W = 0)
-    with mpmath.workdps(150):
-        x = n * mpmath.mpf(tau)
-        want = float(mpmath.gammainc(n + 1, a=x, regularized=True)
-                     - mpmath.mpf(tau) * mpmath.gammainc(n, a=x, regularized=True))
-    assert float(rates._W_density(n, tau)) == pytest.approx(want, rel=1e-9, abs=0.0)
+def _mp_shift_integrals(n):
+    # I_{1,n} = -int k(s) nu(ds), k = |s-1|^3/6 up to 2 and (s-1)/2 - 1/3 beyond,
+    # and I_{2,n} = -int (s-2)_+^2/2 nu(ds) under nu = Gamma(n, n), at 40 digits.
+    # mpmath's quad stops on an absolute error, so each integrand is scaled to
+    # its size: I_1 by n^{-3/2}, I_2 (in t = n (s - 2)) by the density at 2
+    with mpmath.workdps(40):
+        N = mpmath.mpf(n)
+        log_c = N * mpmath.log(N) - mpmath.loggamma(N)
+
+        def density(s):
+            return mpmath.exp(log_c + (N - 1) * mpmath.log(s) - N * s)
+
+        sd = 1 / mpmath.sqrt(N)
+        near = [1 + j * sd for j in (-40, -10, -3, -1, 0, 1, 3, 10, 40) if 0 < 1 + j * sd < 2]
+        i1 = (mpmath.quad(lambda s: abs(s - 1) ** 3 / 6 * density(s) / sd ** 3, [0, *near, 2])
+              + mpmath.quad(lambda s: ((s - 1) / 2 - mpmath.mpf(1) / 3) * density(s) / sd ** 3,
+                            [2, 3, mpmath.inf]))
+        scale = density(2) / N ** 3
+        i2 = mpmath.quad(lambda t: (t / N) ** 2 / 2 * density(2 + t / N) / N / scale,
+                         [0, 1, 4, 16, 64, mpmath.inf])
+        return float(-i1 * sd ** 3), float(-i2 * scale)
 
 
-@pytest.mark.parametrize("n", [2, 4, 16, 1024, 16384, 65536])
-def test_w_density_at_and_below_one_matches_mpmath(n):
-    # W_n(tau) = tau P(n, n tau) - P(n+1, n tau) for tau <= 1, against 60 digits;
-    # forming the difference lost 3.4e-11 of W at n = 65536, tau = 0.95
-    taus = [0.01, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0]
-    got = rates._W_density(n, np.array(taus))
-    for tau, w in zip(taus, got):
-        with mpmath.workdps(60):
-            x = n * mpmath.mpf(tau)
-            want = float(mpmath.mpf(tau) * mpmath.gammainc(n, b=x, regularized=True)
-                         - mpmath.gammainc(n + 1, b=x, regularized=True))
-        if want > 1e-300:
-            assert w == pytest.approx(want, rel=1e-12, abs=0.0), tau
-        else:
-            assert 0.0 <= w <= 1e-290, tau
-
-
-@pytest.mark.parametrize("n", [64, 1024, 4096, 16384, 65536])
-def test_w_density_below_one_keeps_the_exponent(n):
-    # pmf = L[g_n] e^{-n D}, D = u - log1p(u), u = tau - 1: the rounding of
-    # log1p(u) in the difference, times n, was 3.2e-13 of W at n = 65536,
-    # tau = 0.9; the series of |u|^k/k keeps D, and W, to a few ulp
-    taus = [0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 1.0]
-    got = rates._W_density(n, np.array(taus))
-    for tau, w in zip(taus, got):
-        with mpmath.workdps(80):
-            x = n * mpmath.mpf(tau)
-            want = float(mpmath.mpf(tau) * mpmath.gammainc(n, b=x, regularized=True)
-                         - mpmath.gammainc(n + 1, b=x, regularized=True))
-        if want > 1e-300:
-            assert w == pytest.approx(want, rel=1e-13, abs=0.0), tau
+@pytest.mark.parametrize("n", [2, 16, 1024, 2 ** 20, 2 ** 32])
+def test_shift_integrals_match_mpmath(n):
+    # both integrals of Euler's second-order density over the Gamma(n, n)
+    # measure; through W_n, a difference of incomplete gammas, I_{1,n} was
+    # 4.6e-13 relative off at n = 2^20 and 1.7e-13 at 2^32, and I_{2,n}
+    # 8e-10 at n = 1024.  I_{2,n} lies at s >= 2, where the exponent
+    # (n-1) D(s-1) of the density is about 0.3 n and its rounding moves the
+    # density by about n eps relative (2.1e-14 at n = 1024); from n = 2^20
+    # on it is below the smallest double
+    want = _mp_shift_integrals(n)
+    (i1, i2), converged = rates._shift_integrals(n)
+    assert converged.all()
+    assert i1 == pytest.approx(want[0], rel=1e-14, abs=0.0)
+    assert i2 == pytest.approx(want[1], rel=max(1e-14, n * np.finfo(float).eps), abs=0.0)
+    [row] = rates.shift_second_order_sharpness([n])
+    assert row["value"] == i1 and row["pass"]
 
 
 def test_shift_second_order_rows():
@@ -390,23 +386,27 @@ def test_shift_second_order_rows():
 
 
 def test_shift_row_passes_only_when_both_integrals_converged(monkeypatch):
-    # I_{1,n} is integrated on four panels and I_{2,n} over [2, inf): a row
+    # I_{1,n} and I_{2,n} are the two components of one quadrature: a row
     # whose I_{1,n} or I_{2,n} did not converge fails
     inner = quadrature.integrate
     assert [r["pass"] for r in rates.sharpness_rows([16], euler=False, shift=True)] == [True]
-    for panels in (True, False):
+    for component in (0, 1):
         def integrate(f, a, b, **kwargs):
             res = inner(f, a, b, **kwargs)
-            return res._replace(converged=False) if (np.ndim(a) == 1) == panels else res
+            assert res.converged.shape == (2,)
+            converged = res.converged.copy()
+            converged[component] = False
+            return res._replace(converged=converged)
 
         monkeypatch.setattr(quadrature, "integrate", integrate)
         assert [r["pass"] for r in rates.sharpness_rows([16], euler=False, shift=True)] == [False]
 
 
 def test_shift_I1_keeps_its_limit_at_large_n():
-    # n^{3/2} |I_{1,n}| -> 2/(3 sqrt(2 pi)); the peak of W_n at 1 is about
-    # n^{-1/2} wide, so the quadrature needs nodes on it at any n
+    # n^{3/2} |I_{1,n}| -> 2/(3 sqrt(2 pi)); the peak of the Gamma(n, n)
+    # measure at 1 is about n^{-1/2} wide, so the quadrature needs nodes on it
+    # at any n, up to the largest n the CLI takes
     limit = 2.0 / (3.0 * math.sqrt(2.0 * math.pi))
-    for r in rates.shift_second_order_sharpness([2 ** 28, 2 ** 32]):
+    for r in rates.shift_second_order_sharpness([2 ** 28, 2 ** 32, 2 ** 40, 2 ** 53]):
         assert r["scaled"] == pytest.approx(limit, rel=1e-6)
         assert r["pass"]
