@@ -2,7 +2,10 @@
 
 A CMFunction bundles one pointwise evaluator (numpy arrays of real z >= 0
 or of complex z with Re z >= 0), an optional explicit representing
-measure and the moments m_0..m_4 of that measure (extended reals).  The
+measure and the moments m_0..m_4 of that measure (extended reals).  A
+built-in or `measure:` function is its measure plus closed forms (the
+evaluator, the log-defect): one constructor, `_transform`, reads its
+moments and g(inf), the mass of the atom at 0, off the measure.  The
 normalized classes, tested by check_bk(g, k), are
 
     B1: m_0 = m_1 = 1;  B2: additionally m_2 < inf;  B3, B4 likewise.
@@ -23,8 +26,8 @@ e^{-z} expm1(L(z)), which does not cancel where g(z) and e^{-z} agree to
 many digits; see Higham, Accuracy and Stability of Numerical Algorithms
 (SIAM, 2nd ed. 2002), section 1.14.  A `from_measure` function in B1 (a
 `measure:` string) gets its cumulants from the raw moments of its measure;
-`frac_tail` (outside B2) carries none: its defect is the direct difference,
-and it has no second-order remainder.
+one outside B2, such as `frac_tail`, carries none: its defect is the direct
+difference, and it has no second-order remainder.
 
 The power scaling g_n(z) = g(z/n)^n keeps no explicit measure (the
 n-fold convolution is not materialized); its derivatives at zero are
@@ -65,6 +68,7 @@ __all__ = [
 ]
 
 MOMENT_TOL = 1e-12
+YOSIDA_TERMS = 400    # the most terms of yosida's measure series
 
 
 # the log-defect series runs to w^SERIES_DEGREE; its radius is where that
@@ -291,25 +295,28 @@ def require_b1(g: CMFunction) -> None:
                          f"it has m_0 = {g.moments[0]:g}, m_1 = {g.moments[1]:g}")
 
 
+def _transform(name: str, nu: PositiveMeasure, evaluate, log_defect: LogDefect | None = None,
+               rational_n: int | None = None) -> CMFunction:
+    """The Laplace transform of nu, evaluated by `evaluate`: its moments
+    m_0..m_4 are those of nu and g(inf) is the mass of nu's atom at 0."""
+    return CMFunction(name=name, evaluate=evaluate, measure=nu,
+                      moments=tuple(nu.moment(k) for k in range(5)),
+                      limit_at_inf=nu.zero_atom_mass(), rational_n=rational_n,
+                      log_defect=log_defect)
+
+
 def from_measure(nu: PositiveMeasure, name: str = "measure") -> CMFunction:
     """Laplace transform of a finite positive measure.  In B1 with every
     moment up to SERIES_DEGREE finite it carries its log-defect: the
     cumulant series of nu (exactly 0 for delta_1, whose variance is 0) and
     log g(w) + w beyond its radius."""
-    mass = nu.moment(0)
-    if not math.isfinite(mass):
+    g = _transform(name, nu, nu.laplace)
+    if not math.isfinite(g.moments[0]):
         raise ValueError("measure must have finite total mass")
-    m = [nu.moment(k) for k in range(SERIES_DEGREE + 1)]
-    g = CMFunction(
-        name=name,
-        evaluate=nu.laplace,
-        measure=nu,
-        moments=tuple(m[:5]),
-        limit_at_inf=nu.zero_atom_mass(),
-    )
+    m = g.moments + tuple(nu.moment(k) for k in range(5, SERIES_DEGREE + 1))
     if not (check_bk(g, 1) and all(map(math.isfinite, m))):
         return g
-    series = _log_series([(-1.0) ** j * mj / (mass * math.factorial(j)) for j, mj in enumerate(m)])
+    series = _log_series([(-1.0) ** j * mj / (m[0] * math.factorial(j)) for j, mj in enumerate(m)])
     if series[0] == 0.0:
         return g._replace(log_defect=_ZERO_DEFECT)
     return g._replace(log_defect=_log_defect(series, lambda w: np.log(nu.laplace(w)) + w))
@@ -387,27 +394,14 @@ def power_scale(g: CMFunction, n: int) -> CMFunction:
 
 def exponential() -> CMFunction:
     """g(z) = e^{-z}, the fixed point of the scaling (measure = delta_1)."""
-    nu = PositiveMeasure(atoms=((1.0, 1.0),))
-    return CMFunction(
-        name="exp",
-        evaluate=lambda z: np.exp(-z),
-        measure=nu,
-        moments=(1.0, 1.0, 1.0, 1.0, 1.0),
-        log_defect=_ZERO_DEFECT,
-    )
+    return _transform("exp", PositiveMeasure(atoms=((1.0, 1.0),)), lambda z: np.exp(-z),
+                      _ZERO_DEFECT)
 
 
 def euler() -> CMFunction:
     """g(z) = 1/(1+z), measure e^{-s} ds."""
     nu = PositiveMeasure(segments=(PolyExpSegment(0.0, math.inf, (1.0,), 1.0),))
-    return CMFunction(
-        name="euler",
-        evaluate=lambda z: 1.0 / (1.0 + z),
-        measure=nu,
-        moments=(1.0, 1.0, 2.0, 6.0, 24.0),
-        rational_n=1,
-        log_defect=_EULER_DEFECT,
-    )
+    return _transform("euler", nu, lambda z: 1.0 / (1.0 + z), _EULER_DEFECT, rational_n=1)
 
 
 # L(w) = w - log(1 + w) = sum_{k>=2} (-w)^k/k
@@ -428,13 +422,8 @@ def spline() -> CMFunction:
 
     # L(w) = log(sinh(w)/w), an even series; g^(j)(0)/j! = (-2)^j/(j+1)!
     taylor = [(-2.0) ** j / math.factorial(j + 1) for j in range(SERIES_DEGREE + 1)]
-    return CMFunction(
-        name="spline",
-        evaluate=evaluate,
-        measure=nu,
-        moments=(1.0, 1.0, 4.0 / 3.0, 2.0, 16.0 / 5.0),
-        log_defect=_log_defect(_log_series(taylor), lambda w: np.log(evaluate(w)) + w),
-    )
+    return _transform("spline", nu, evaluate,
+                      _log_defect(_log_series(taylor), lambda w: np.log(evaluate(w)) + w))
 
 
 def kendall(t: float) -> CMFunction:
@@ -444,81 +433,58 @@ def kendall(t: float) -> CMFunction:
     atoms = [(1.0 / t, t)]
     if t < 1.0:
         atoms.insert(0, (0.0, 1.0 - t))
-    nu = PositiveMeasure(atoms=tuple(atoms))
-    inv_t = 1.0 / t
     evaluate = lambda z: (1.0 - t) + t * np.exp(-z / t)
     if t == 1.0:
         log_defect = _ZERO_DEFECT
     else:
-        taylor = [1.0] + [t * (-inv_t) ** j / math.factorial(j)
+        taylor = [1.0] + [t * (-1.0 / t) ** j / math.factorial(j)
                           for j in range(1, SERIES_DEGREE + 1)]
         log_defect = _log_defect(_log_series(taylor), lambda w: np.log(evaluate(w)) + w)
-    return CMFunction(
-        name=f"kendall(t={t:g})",
-        evaluate=evaluate,
-        measure=nu,
-        moments=(1.0, 1.0, inv_t, inv_t ** 2, inv_t ** 3),
-        limit_at_inf=1.0 - t,
-        log_defect=log_defect,
-    )
+    return _transform(f"kendall(t={t:g})", PositiveMeasure(atoms=tuple(atoms)), evaluate,
+                      log_defect)
 
 
 def yosida(t: float) -> CMFunction:
     """g_t(z) = exp(-t z/(t + z)).
 
-    The representing measure is e^{-t}[delta_0 + sum_{m>=1}
-    (t^{2m}/(m!(m-1)!)) s^{m-1} e^{-ts} ds]; the series is truncated
-    where the remaining mass e^{-t} t^m/m! drops below 1e-19.
+    The representing measure is e^{-t}[delta_0 + sum_{m>=1} (t^{2m}/(m!(m-1)!))
+    s^{m-1} e^{-ts} ds], one segment of rate t, cut past the mode m = t where
+    the mass left, e^{-t} t^m/m!, drops below 1e-19: a ValueError past
+    t = 247.77, where that takes more than YOSIDA_TERMS terms.
     """
     if t <= 0.0:
         raise ValueError("yosida requires t > 0")
-    segs = []
+    coeffs = []
     m = 1
-    while True:
-        mass = math.exp(-t + m * math.log(t) - math.lgamma(m + 1))
-        if m > 4 and mass < 1e-19:
-            break
-        coeff = math.exp(-t + 2 * m * math.log(t) - math.lgamma(m + 1) - math.lgamma(m))
-        coeffs = [0.0] * (m - 1) + [coeff]
-        segs.append(PolyExpSegment(0.0, math.inf, tuple(coeffs), t))
+    while m <= max(4, t) or math.exp(-t + m * math.log(t) - math.lgamma(m + 1)) >= 1e-19:
+        if m > YOSIDA_TERMS:
+            raise ValueError(f"t = {t:g} is too large: the measure series of yosida needs more "
+                             f"than {YOSIDA_TERMS} terms there (t up to 247.77 is covered)")
+        coeffs.append(math.exp(-t + 2 * m * math.log(t) - math.lgamma(m + 1) - math.lgamma(m)))
         m += 1
-        if m > 400:
-            break
-    nu = PositiveMeasure(atoms=((0.0, math.exp(-t)),), segments=tuple(segs))
+    nu = PositiveMeasure(atoms=((0.0, math.exp(-t)),),
+                         segments=(PolyExpSegment(0.0, math.inf, tuple(coeffs), t),))
     # L(w) = w^2/(t + w) = sum_{k>=2} (-1)^k t^{1-k} w^k
     series = [(-1.0) ** k * t ** (1 - k) for k in range(2, SERIES_DEGREE + 1)]
-    return CMFunction(
-        name=f"yosida(t={t:g})",
-        evaluate=lambda z: np.exp(-t * z / (t + z)),
-        measure=nu,
-        moments=tuple(nu.moment(k) for k in range(5)),
-        limit_at_inf=math.exp(-t),
-        log_defect=_log_defect(series, lambda w: w * w / (t + w)),
-    )
+    return _transform(f"yosida(t={t:g})", nu, lambda z: np.exp(-t * z / (t + z)),
+                      _log_defect(series, lambda w: w * w / (t + w)))
 
 
 def hille() -> CMFunction:
     """g(z) = exp(-(1 - e^{-z})), measure e^{-1} sum_k delta_k / k!."""
-    ks = range(0, 31)
-    atoms = tuple((float(k), math.exp(-1.0 - math.lgamma(k + 1))) for k in ks)
-    nu = PositiveMeasure(atoms=atoms)
+    atoms = tuple((float(k), math.exp(-1.0 - math.lgamma(k + 1))) for k in range(31))
     # L(w) = expm1(-w) + w = sum_{k>=2} (-w)^k/k!
     series = [(-1.0) ** k / math.factorial(k) for k in range(2, SERIES_DEGREE + 1)]
-    return CMFunction(
-        name="hille",
-        evaluate=lambda z: np.exp(np.expm1(-z)),
-        measure=nu,
-        moments=tuple(nu.moment(k) for k in range(5)),
-        limit_at_inf=math.exp(-1.0),
-        log_defect=_log_defect(series, lambda w: np.expm1(-w) + w),
-    )
+    return _transform("hille", PositiveMeasure(atoms=atoms), lambda z: np.exp(np.expm1(-z)),
+                      _log_defect(series, lambda w: np.expm1(-w) + w))
 
 
 def chung(a, t: float) -> CMFunction:
     """g(z) = sum_k a_k (t/(t+z))^k for a finite coefficient sequence.
 
     Requires a_k >= 0, sum a_k = 1, and sum k a_k = t (so that the
-    function is normalized with g(0) = 1, g'(0) = -1).
+    function is normalized with g(0) = 1, g'(0) = -1).  The measure is
+    a_0 delta_0 + sum_{k>=1} a_k t^k s^{k-1} e^{-ts}/(k-1)! ds, one segment.
     """
     a = tuple(float(x) for x in a)
     if any(x < 0.0 for x in a):
@@ -529,15 +495,9 @@ def chung(a, t: float) -> CMFunction:
         raise ValueError("sum of k*a_k must equal t")
     if t <= 0.0:
         raise ValueError("chung requires t > 0")
-    segs = []
-    for k, ak in enumerate(a):
-        if k == 0 or ak == 0.0:
-            continue
-        coeff = ak * math.exp(k * math.log(t) - math.lgamma(k))
-        coeffs = [0.0] * (k - 1) + [coeff]
-        segs.append(PolyExpSegment(0.0, math.inf, tuple(coeffs), t))
-    atoms = ((0.0, a[0]),) if a and a[0] > 0.0 else ()
-    nu = PositiveMeasure(atoms=atoms, segments=tuple(segs))
+    coeffs = tuple(ak * math.exp(k * math.log(t) - math.lgamma(k)) for k, ak in enumerate(a) if k)
+    atoms = ((0.0, a[0]),) if a[0] > 0.0 else ()
+    nu = PositiveMeasure(atoms=atoms, segments=(PolyExpSegment(0.0, math.inf, coeffs, t),))
 
     def evaluate(z):
         x = t / (t + z)
@@ -546,14 +506,8 @@ def chung(a, t: float) -> CMFunction:
     # (t/(t+w))^k = sum_j C(k+j-1, j) (-w/t)^j
     taylor = [1.0] + [sum(a[k] * math.comb(k + j - 1, j) for k in range(1, len(a)))
                       * (-1.0 / t) ** j for j in range(1, SERIES_DEGREE + 1)]
-    return CMFunction(
-        name=f"chung(t={t:g})",
-        evaluate=evaluate,
-        measure=nu,
-        moments=tuple(nu.moment(k) for k in range(5)),
-        limit_at_inf=a[0] if a else 0.0,
-        log_defect=_log_defect(_log_series(taylor), lambda w: np.log(evaluate(w)) + w),
-    )
+    return _transform(f"chung(t={t:g})", nu, evaluate,
+                      _log_defect(_log_series(taylor), lambda w: np.log(evaluate(w)) + w))
 
 
 def frac_tail(gamma: float) -> CMFunction:
@@ -567,13 +521,7 @@ def frac_tail(gamma: float) -> CMFunction:
     gp = (2.0 + gamma) - 2.0    # gamma as 2 + gamma rounds it: then m_0 = m_1 = 1 to roundoff
     nu = PositiveMeasure(atoms=((0.0, 1.0 - gp),),
                          segments=(PowerLawSegment(gp * (gp + 1.0), 2.0 + gp),))
-    return CMFunction(
-        name=f"frac_tail(gamma={gamma:g})",
-        evaluate=nu.laplace,
-        measure=nu,
-        moments=tuple(nu.moment(k) for k in range(5)),
-        limit_at_inf=1.0 - gp,
-    )
+    return from_measure(nu, name=f"frac_tail(gamma={gamma:g})")
 
 
 BUILTIN_NAMES = ("euler", "euler_pow<N>", "spline", "kendall", "yosida", "hille", "chung",

@@ -58,7 +58,9 @@ class PolyExpSegment(_PolyExpFields):
                 probes.append(r.real)
         lo, hi = self.a, (self.b if not math.isinf(self.b) else self.a + 10.0)
         probes.extend(np.linspace(lo, hi, 17))
-        if min(self._poly(np.asarray(probes))) < -1e-12:
+        with np.errstate(over="ignore"):    # a high degree overflows to +inf, a positive probe
+            values = self._poly(np.asarray(probes))
+        if min(values) < -1e-12:
             raise ValueError("segment density is negative somewhere on its interval")
 
     def _poly(self, s: np.ndarray) -> np.ndarray:

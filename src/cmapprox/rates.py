@@ -98,8 +98,6 @@ class OrderFit(NamedTuple):
 def fit_order(points) -> OrderFit:
     """Least-squares slope of log(error) against log(n)."""
     pts = [(n, e) for n, e in points if e > 0.0 and math.isfinite(e)]
-    floor = 100.0 * np.finfo(float).eps * max((e for _, e in pts), default=1.0)
-    pts = [(n, e) for n, e in pts if e > floor]
     if len(pts) < 4:
         return OrderFit(math.nan, math.nan, 0.0, len(pts), "exact" if not pts else "too-few-points")
     ln = np.log([p[0] for p in pts])

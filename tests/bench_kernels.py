@@ -16,6 +16,9 @@ The shift case is the `sharpness --which shift` row at n = 2^32: both
 integrals over Euler's Gamma(n, n) measure in one quadrature, whose cost
 does not grow with n (a density summed as a series once took about
 9 sqrt(n) terms per node there).
+The yosida case builds yosida(30): its truncated measure series, 91
+polynomial-exponential terms of one rate, as one segment, in about 4 ms
+(one segment per power took about 80 ms on the same 2-core machine).
 The holomorphic case is a 3 t x 4 n grid of the `holo` suite on
 `laplacian:d=2048` with Euler's scheme and its closed-form r_{alpha,n}, so
 that it times the operator side only: one trip of the vectors through the
@@ -69,6 +72,11 @@ def test_bench_frac_tail_eval_at(benchmark):
 def test_bench_shift_sharpness(benchmark):
     [row] = benchmark(rates.shift_second_order_sharpness, [2 ** 32])
     assert row["pass"]
+
+
+def test_bench_build_yosida(benchmark):
+    g = benchmark(cmfun.yosida, 30.0)
+    assert len(g.measure.segments) == 1 and cmfun.check_bk(g, 2)
 
 
 def test_bench_holomorphic_bounds_grid(benchmark):

@@ -44,6 +44,16 @@ def test_functionals_euler_csv(tmp_path):
     assert float(n8["b"]) == pytest.approx(-1.0 / (3.0 * 64.0), rel=1e-9)
 
 
+def test_yosida_beyond_its_measure_series_exits_2_naming_t(capsys):
+    # 400 terms of yosida's measure series hold its mass up to t = 247.77;
+    # at t = 100 the series runs past its mode and g_t is in B2
+    argv = ["functionals", "--n", "1,4", "--alpha", "0.5", "--g"]
+    assert cli.main(argv + ["yosida:t=100"]) == 0
+    assert capsys.readouterr().err == ""
+    assert cli.main(argv + ["yosida:t=300"]) == 2
+    assert "t = 300 is too large" in capsys.readouterr().err
+
+
 def test_functionals_usage_errors(capsys):
     assert cli.main(["functionals"]) == 2
     assert "required" in capsys.readouterr().err

@@ -280,6 +280,50 @@ def test_yosida_moments_t1():
     assert g.moments[4] == pytest.approx(73.0, rel=1e-13)
 
 
+# each built-in spec and the closed form of its k-th moment m_k
+_CLOSED_MOMENTS = {
+    "exp": lambda k: 1.0,
+    "euler": math.factorial,
+    "spline": lambda k: 2.0 ** k / (k + 1),
+    **{f"kendall:t={t}": (lambda k, t=t: t ** (1 - k) if k else 1.0) for t in (0.25, 0.7, 0.9, 1)},
+    "hille": (1, 1, 2, 5, 15).__getitem__,      # Bell numbers, the moments of Poisson(1)
+    # from the cumulants kappa_1 = 1, kappa_k = k! t^{1-k} of L(w) = w^2/(t + w)
+    **{f"yosida:t={t}": (lambda k, t=t: (1, 1, 1 + 2 / t, 1 + 6 / t + 6 / t ** 2,
+                                         1 + 12 / t + 36 / t ** 2 + 24 / t ** 3)[k])
+       for t in (0.25, 1, 30, 100, 200)},
+    # sum_j a_j Gamma(j, t), a_0 at 0: m_k = sum_j a_j j(j+1)...(j+k-1) / t^k
+    **{f"chung:a={'+'.join(map(str, a))},t={t}": (lambda k, a=a, t=t: sum(
+        aj * math.prod(range(j, j + k)) for j, aj in enumerate(a)) / t ** k)
+       for a, t in (((0.25, 0.5, 0.25), 1), ((0, 0.5, 0.5), 1.5))},
+    **{f"frac_tail:gamma={gamma}": (lambda k: 1.0 if k < 2 else math.inf) for gamma in (0.3, 0.5)},
+}
+
+
+@pytest.mark.parametrize("spec", _CLOSED_MOMENTS)
+def test_builtin_moments_and_limit_come_from_its_measure(spec):
+    # a built-in is its measure and a closed-form evaluator: the measure's
+    # transform is g on and off the imaginary axis, its moments are the
+    # closed forms (yosida's m_0 and m_1 to MOMENT_TOL, for the truncation of
+    # its series) and its atom at 0 is g(inf)
+    g = cmfun.make_builtin(spec)
+    for z in (np.array([0.0, 0.01, 0.5, 3.0, 20.0]), np.array([0.1j, 1j, 7.3j, 0.5 + 2j, 3 + 10j])):
+        np.testing.assert_allclose(g.measure.laplace(z), g(z), rtol=1e-12, atol=0.0)
+    for k, mk in enumerate(g.moments):
+        assert mk == pytest.approx(_CLOSED_MOMENTS[spec](k), rel=cmfun.MOMENT_TOL, abs=0.0), k
+    assert g.limit_at_inf == pytest.approx(float(g(1e12)), rel=0.0, abs=1e-11)
+
+
+@pytest.mark.parametrize("g, rate", [(cmfun.yosida(30.0), 30.0),
+                                     (cmfun.chung((0.25, 0.5, 0.25), 1.0), 1.0),
+                                     (cmfun.chung((0.0, 0.5, 0.5), 1.5), 1.5)])
+def test_one_rate_is_one_segment(g, rate):
+    # the polynomial-exponential density sum_m c_m s^{m-1} e^{-ts} is one
+    # segment, with c_m the coefficient of s^{m-1}
+    [seg] = g.measure.segments
+    assert seg.rate == rate
+    assert all(c >= 0.0 for c in seg.coeffs) and seg.coeffs[-1] > 0.0
+
+
 def test_chung_validation():
     with pytest.raises(ValueError):
         cmfun.chung((0.5, 0.6), 0.6)          # masses do not sum to 1
