@@ -186,8 +186,9 @@ def cmd_orders(args):
     second = suite == "second"
     rows = []
     for t in ts:
+        gt = g.at(t)
         for alpha in alphas:
-            fit = rates.spectral_order(g, A, t, ns, alpha, second)
+            fit = rates.spectral_order(gt, A, t, ns, alpha, second)
             expected = rates.expected_exponent(A, alpha, second)
             flag, ok = rates.order_verdict(fit, expected)
             rows.append({

@@ -41,7 +41,6 @@ equals power_scale(g, n)'s bit for bit.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -267,18 +266,14 @@ class ScaledFamily(NamedTuple):
 
     name: str
     factory: object
-    rational_n = None    # no family is of Euler type (1 + z/n)^{-n}
 
     def at(self, t: float) -> CMFunction:
-        """g_t, built once per (factory, t) in a process: a member such as
-        yosida(t), with its truncated measure series, is costly to build,
-        and a suite asks for it in every cell of its grid."""
-        return _family_member(self.factory, t)
-
-
-@lru_cache(maxsize=None)
-def _family_member(factory, t: float) -> CMFunction:
-    return factory(t)
+        """The member g_t, built anew on each call; a ValueError naming the
+        family and t where the factory refuses t."""
+        try:
+            return self.factory(t)
+        except ValueError as exc:
+            raise ValueError(f"--scheme {self.name!r} at --t {t:g}: {exc}") from None
 
 
 def check_bk(g: CMFunction, k: int) -> bool:

@@ -52,9 +52,11 @@ class PolyExpSegment(_PolyExpFields):
         return self
 
     def _check_nonnegative(self):
+        if all(c >= 0.0 for c in self.coeffs):    # then p(s) >= 0 for s >= a >= 0
+            return
         probes = [self.a, self.b if not math.isinf(self.b) else self.a + 1.0]
         for r in np.roots(self.coeffs[::-1]):
-            if abs(r.imag) < 1e-12 and self.a < r.real < (self.b if not math.isinf(self.b) else math.inf):
+            if abs(r.imag) < 1e-12 and self.a < r.real < self.b:
                 probes.append(r.real)
         lo, hi = self.a, (self.b if not math.isinf(self.b) else self.a + 10.0)
         probes.extend(np.linspace(lo, hi, 17))

@@ -1,8 +1,10 @@
 """Verification harness: errors vs. theoretical bounds, order fits, sharpness.
 
-Each bound suite of SUITES produces BoundReport rows (one per test vector)
-for every (t, n) cell of a grid, after checking what its theorem asks of g,
-A and alpha; every row's pass flag applies the floating-point slack policy
+Each bound suite of SUITES holds its theorem's bound function and what the
+theorem asks of g, A and alpha.  It checks those once, then gives BoundReport
+rows (one per test vector) for every (t, n) cell of a grid, from its bound
+function on one fixed g, or on a family g_t one t at a time, on the member
+g_t; every row's pass flag applies the floating-point slack policy
 
     pass  <=>  error <= bound * (1 + 1e-9) + 1e-13.
 
@@ -12,11 +14,11 @@ powers lambda^alpha given as stacks of functions of a spectral point.
 The defect g_t(t lambda/n)^n - e^{-t lambda} and the second-order residual
 are those of g_n = power_scale(g_t, n), given by g_t.defect(t lambda, n)
 and g_t.residual(t lambda, n) (see cmfun): for a g with a log-defect they
-come from it without cancellation.  A run evaluates them on (cells x d)
-stacks of its grid (one per t for a family g_t, each cut to at most
-STACK_POINTS values) and takes every norm from one `norms` call, so that
-the test vectors go to the eigenbasis and each ||A^p x|| is computed once;
-the bound scalars are still per cell.
+come from it without cancellation.  A run of a fixed g evaluates them on
+(cells x d) stacks of its grid, each cut to at most STACK_POINTS values,
+and takes every norm from one `norms` call, so that the test vectors go to
+the eigenbasis and each ||A^p x|| is computed once; the bound scalars are
+still per cell.
 
 Order fits are least-squares slopes on (log n, log error).  spectral_order
 fits the n-exponent of ||E_n A^{-alpha}|| with E_n the defect (or the
@@ -120,37 +122,28 @@ def order_verdict(fit: OrderFit, expected: float) -> tuple[str, bool]:
 # helpers
 # ----------------------------------------------------------------------
 
-def _fixed(g) -> bool:
-    """Whether g is one function, its own g_t at every t, and not a family."""
-    return isinstance(g, CMFunction)
-
-
-def _errors(g, ts, ns, dim: int, second: bool = False) -> list:
+def _errors(g: CMFunction, ts, ns, dim: int, second: bool = False) -> list:
     """The error of every (t, n) cell, t-major, as functions of a spectrum of
-    `dim` points, each lam -> the stack of g_n(t lam) - e^{-t lam}, g_n = (g_t)_n,
-    of a block of consecutive cells, or with `second` of the second-order
-    residual g_n(t lam) - e^{-t lam} - (2n)^{-1}(g_t''(0)-1) t^2 lam^2 e^{-t lam}.
-    The cells of a fixed g form one group, those of a family one group per t;
-    a group is cut into blocks of at most STACK_POINTS values (and at least
+    `dim` points, each lam -> the stack of g_n(t lam) - e^{-t lam} of a block
+    of consecutive cells, or with `second` of the second-order residual
+    g_n(t lam) - e^{-t lam} - (2n)^{-1}(g''(0)-1) t^2 lam^2 e^{-t lam}.  The
+    cells are cut into blocks of at most STACK_POINTS values (and at least
     one cell), so that an evaluation's temporaries do not grow with the grid.
-    A ValueError when some g_t is not in B1 (B2 with `second`)."""
-    for t in ts:
-        gt = g.at(t)
-        if second and not check_bk(gt, 2):
-            raise ValueError(f"{g.name}: the second-order residual needs a finite g''(0)")
-        require_b1(gt)
-    groups = [[(t, n) for t in ts for n in ns]] if _fixed(g) else [
-        [(t, n) for n in ns] for t in ts]
+    A ValueError when g is not in B1 (B2 with `second`)."""
+    if second and not check_bk(g, 2):
+        raise ValueError(f"{g.name}: the second-order residual needs a finite g''(0)")
+    require_b1(g)
+    cells = [(t, n) for t in ts for n in ns]
     size = max(1, STACK_POINTS // dim)
-    blocks = [group[i:i + size] for group in groups for i in range(0, len(group), size)]
-    return [partial(_stack, g.at(block[0][0]), second, np.array([t for t, _ in block])[:, None],
+    blocks = [cells[i:i + size] for i in range(0, len(cells), size)]
+    return [partial(_stack, g, second, np.array([t for t, _ in block])[:, None],
                     np.array([n for _, n in block])[:, None]) for block in blocks]
 
 
-def _stack(gt, second: bool, t, n, lam):
+def _stack(g: CMFunction, second: bool, t, n, lam):
     """The defect (the residual if `second`) of g_n at t lam, one row per
     entry of the columns t and n."""
-    return (gt.residual if second else gt.defect)(t * lam, n)
+    return (g.residual if second else g.defect)(t * lam, n)
 
 
 def _grid(g, A: GeneratorMatrix, ts, ns, vectors, terms, second: bool = False,
@@ -191,77 +184,56 @@ def _grid(g, A: GeneratorMatrix, ts, ns, vectors, terms, second: bool = False,
 # ----------------------------------------------------------------------
 
 class Suite(NamedTuple):
-    """A bound suite: the rates function (g, A, ts, ns, alphas, vectors) -> the
-    rows of every (t, n) cell, looked up when the suite runs so that a wrapper
-    set on the module attribute is the one called, and what its theorem asks
-    of the inputs."""
+    """A bound suite: bounds(g, A, Mc, ts, ns, alphas, vectors), the rows of every
+    (t, n) cell of one fixed g given Mc = semigroup_constants(A), and what its
+    theorem asks of the inputs.  Calling it checks them once and runs `bounds`
+    on g, or on a family g_t one t at a time on the member g_t, in rows that
+    keep the family's name."""
 
-    bounds: str
+    name: str
+    bounds: object
     alpha: tuple = (-math.inf, math.inf)   # the alpha range of the theorem
     moment: int = 0           # g_t in B_k: g_t^(k)(0) finite
     fixed: bool = False       # one function g, not a family g_t
     tail: bool = False        # g(inf) = 0, else d1[g_n] = inf
     sectorial: bool = False   # finite M_1 and M_2
 
-    def __call__(self, g, A, ts, ns, alphas, vectors) -> list[BoundReport]:
-        return globals()[self.bounds](g, A, ts, ns, alphas, vectors)
+    def __call__(self, g, A: GeneratorMatrix, ts, ns, alphas, vectors) -> list[BoundReport]:
+        """The rows of every (t, n) cell, t-major; a ValueError naming the suite
+        and the first input that does not meet what the theorem asks of it."""
+        name, k, prime = self.name, self.moment, "'" * self.moment
+        check_alphas(alphas, *self.alpha, f"suite {name!r}")
+        fixed = isinstance(g, CMFunction)
+        if self.fixed and not fixed:
+            raise ValueError(f"suite {name!r} needs a fixed function: give t, as in {g.name}:t=0.5")
+        if self.tail and not g.tail_integrable:
+            raise ValueError(f"suite {name!r} needs g(inf) = 0, and {g.name} has "
+                             f"g(inf) = {g.limit_at_inf:g}")
+        runs = [(g, ts)] if fixed else [(g.at(t), [t]) for t in ts]
+        for gt, _ in runs:
+            if k and not check_bk(gt, k):
+                raise ValueError(f"suite {name!r} needs a B{k} function, with g{prime}(0) "
+                                 f"finite, and {gt.name} is not one")
+        Mc = opcalc.semigroup_constants(A)
+        if self.sectorial and not (math.isfinite(Mc[1]) and math.isfinite(Mc[2])):
+            raise ValueError(f"suite {name!r} needs a sectorial generator; the spectrum of "
+                             f"{A.name!r} is not sectorial (M_1 = {Mc[1]}, M_2 = {Mc[2]})")
+        rows = [r for gt, tt in runs for r in self.bounds(gt, A, Mc, tt, ns, alphas, vectors)]
+        return rows if fixed else [r._replace(scheme=g.name) for r in rows]
 
 
-SUITES = {
-    "first": Suite("first_order_bounds", (0.0, 2.0), moment=2),
-    "nonb2": Suite("non_b2_bounds", (0.0, 1.0), fixed=True),
-    "second": Suite("second_order_bounds", moment=4),
-    "holo": Suite("holomorphic_bounds", (0.0, 1.0), moment=2, sectorial=True),
-    "holo2": Suite("holomorphic_second_order", (0.0, 3.0), moment=4, fixed=True, tail=True,
-                   sectorial=True),
-}
+def _first_order(g, A, Mc, ts, ns, alphas, vectors) -> list[BoundReport]:
+    """First-order bounds for g in B2, with M = M_0 and h = g''(0) - 1:
 
+    alpha=2:       M h/2 * t^2/n * ||A^2 x||
+    alpha=1:       M sqrt(h) * t/sqrt(n) * ||A x||
+    alpha in [0,2): 4M (h t^2/n)^{alpha/2} * ||A^alpha x||
 
-def suite(name: str, alphas) -> Suite:
-    """SUITES[name], once every alpha lies in the range of its theorem;
-    a ValueError naming the suite and the input otherwise."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
-    check_alphas(alphas, *SUITES[name].alpha, f"suite {name!r}")
-    return SUITES[name]
-
-
-def _inputs(name: str, g, A: GeneratorMatrix, ts, alphas):
-    """The constants M_beta of A once the inputs meet what suite `name` asks
-    of them at every t; a ValueError naming the suite and the first input
-    that does not otherwise."""
-    entry = suite(name, alphas)
-    k, prime = entry.moment, "'" * entry.moment
-    if entry.fixed and not _fixed(g):
-        raise ValueError(f"suite {name!r} needs a fixed function: give t, as in {g.name}:t=0.5")
-    if entry.tail and not g.tail_integrable:
-        raise ValueError(f"suite {name!r} needs g(inf) = 0, and {g.name} has "
-                         f"g(inf) = {g.limit_at_inf:g}")
-    for t in ts:
-        gt = g.at(t)
-        if k and not check_bk(gt, k):
-            raise ValueError(f"suite {name!r} needs a B{k} function, with g{prime}(0) "
-                             f"finite, and {gt.name} is not one")
-    Mc = opcalc.semigroup_constants(A)
-    if entry.sectorial and not (math.isfinite(Mc[1]) and math.isfinite(Mc[2])):
-        raise ValueError(f"suite {name!r} needs a sectorial generator; the spectrum of "
-                         f"{A.name!r} is not sectorial (M_1 = {Mc[1]}, M_2 = {Mc[2]})")
-    return Mc
-
-
-def first_order_bounds(g, A: GeneratorMatrix, ts, ns, alphas, vectors) -> list[BoundReport]:
-    """First-order bounds for B2 (families), with M = M_0:
-
-    alpha=2:       M (g_t''(0)-1)/2 * t^2/n * ||A^2 x||
-    alpha=1:       M sqrt(g_t''(0)-1) * t/sqrt(n) * ||A x||
-    alpha in [0,2): 4M ((g_t''(0)-1) t^2/n)^{alpha/2} * ||A^alpha x||
-
-    (alpha = 0 gives 4M ||x||, which holds since ||g_t(tA/n)^n|| <= M.)
+    (alpha = 0 gives 4M ||x||, which holds since ||g(tA/n)^n|| <= M.)
     """
-    M = _inputs("first", g, A, ts, alphas)[0]
+    M, h = Mc[0], g.moments[2] - 1.0
 
     def terms(t, n):
-        h = g.at(t).moments[2] - 1.0
         return [(alpha, "first-order-A2", M * 0.5 * h * t ** 2 / n) if alpha == 2.0
                 else (alpha, "first-order-A1", M * math.sqrt(h) * t / math.sqrt(n))
                 if alpha == 1.0
@@ -271,20 +243,18 @@ def first_order_bounds(g, A: GeneratorMatrix, ts, ns, alphas, vectors) -> list[B
     return _grid(g, A, ts, ns, vectors, terms)
 
 
-def non_b2_bounds(g: CMFunction, A: GeneratorMatrix, ts, ns, alphas,
-                  vectors) -> list[BoundReport]:
-    """Bounds driven by g'(1/n) for fixed B1 functions with g''(0) = inf, M = M_0:
+def _non_b2(g, A, Mc, ts, ns, alphas, vectors) -> list[BoundReport]:
+    """Bounds driven by g'(1/n) for B1 functions with g''(0) = inf, M = M_0:
 
     alpha=1:       4eM (1 + 1/|g'(1/n)|) sqrt(1+g'(1/n)) t ||Ax||
     alpha in [0,1): 16eM (1 + 1/|g'(1/n)|) (1+g'(1/n))^{alpha/2} t^alpha ||A^alpha x||
 
     g'(1/n) is taken once per n.
     """
-    M = _inputs("nonb2", g, A, ts, alphas)[0]
     dg = {n: g.derivative(1.0 / n, 1) for n in ns}
 
     def terms(t, n):
-        lead = 4.0 * math.e * M * (1.0 + 1.0 / abs(dg[n]))
+        lead = 4.0 * math.e * Mc[0] * (1.0 + 1.0 / abs(dg[n]))
         root = max(1.0 + dg[n], 0.0)
         return [(alpha, "slope-A1", lead * math.sqrt(root) * t) if alpha == 1.0
                 else (alpha, "slope-frac", 4.0 * lead * root ** (alpha / 2.0) * t ** alpha)
@@ -293,43 +263,41 @@ def non_b2_bounds(g: CMFunction, A: GeneratorMatrix, ts, ns, alphas,
     return _grid(g, A, ts, ns, vectors, terms)
 
 
-def second_order_bounds(g, A: GeneratorMatrix, ts, ns, alphas, vectors) -> list[BoundReport]:
-    """Residual R = scheme - e^{-tA} - (2n)^{-1}(g_t''(0)-1) t^2 e^{-tA} A^2 for
-    B4 (families), with M = M_0; `alphas` is not read:
+def _second_order(g, A, Mc, ts, ns, alphas, vectors) -> list[BoundReport]:
+    """Residual R = scheme - e^{-tA} - (2n)^{-1}(g''(0)-1) t^2 e^{-tA} A^2 for g
+    in B4, with M = M_0; `alphas` is not read:
 
-    ||Rx|| <= M C(g_t) t^3 n^{-3/2} ||A^3 x||,  C = sqrt((g''(0)-1)(g''''(0)-1)/2)
-    ||Rx|| <= M C1(g_t) t^3 n^{-2} (||A^3 x|| + t ||A^4 x||),  C1 = g''''(0)-1
+    ||Rx|| <= M C t^3 n^{-3/2} ||A^3 x||,  C = sqrt((g''(0)-1)(g''''(0)-1)/2)
+    ||Rx|| <= M C1 t^3 n^{-2} (||A^3 x|| + t ||A^4 x||),  C1 = g''''(0)-1
     """
-    M = _inputs("second", g, A, ts, alphas)[0]
+    M, h2, h4 = Mc[0], g.moments[2] - 1.0, g.moments[4] - 1.0
+    C, C1 = math.sqrt(h2 * h4 / 2.0), h4
 
     def terms(t, n):
-        h2, h4 = g.at(t).moments[2] - 1.0, g.at(t).moments[4] - 1.0
-        C, C1 = math.sqrt(h2 * h4 / 2.0), h4
         return [(3.0, "second-order-A3", M * C * t ** 3 * n ** -1.5),
                 (4.0, "second-order-A4", M * C1 * t ** 3 * n ** -2.0, ((3.0, 1.0), (4.0, t)))]
 
     return _grid(g, A, ts, ns, vectors, terms, second=True)
 
 
-def holomorphic_bounds(g, A: GeneratorMatrix, ts, ns, alphas, vectors) -> list[BoundReport]:
-    """Bound families for sectorial generators:
+def _holomorphic(g, A, Mc, ts, ns, alphas, vectors) -> list[BoundReport]:
+    """Bounds for sectorial generators, with h = g''(0) - 1:
 
-    op-norm:       K (g_t''(0)-1)/n,                    K = 3M0 + 3M1 + M2/2
-    alpha=1:       (2M0 + 3M1/2)(g_t''(0)-1)/n * t ||Ax||
-    alpha in (0,1): 3 M0 K (g_t''(0)-1)/n * t^alpha ||A^alpha x||
-    sharp:         M_{2-alpha} c_alpha[g_n] t^alpha ||A^alpha x|| (fixed g only)
+    op-norm:       K h/n,                    K = 3M0 + 3M1 + M2/2
+    alpha=1:       (2M0 + 3M1/2) h/n * t ||Ax||
+    alpha in (0,1): 3 M0 K h/n * t^alpha ||A^alpha x||
+    sharp:         M_{2-alpha} c_alpha[g_n] t^alpha ||A^alpha x||
 
-    c_alpha[g_n] is Euler's r_{alpha,Nn} for g.rational_n = N, else the quadrature.
+    c_alpha[g_n] is Euler's r_{alpha,Nn} for g.rational_n = N, else the
+    quadrature where g(inf) = 0 and g has a log-defect; no sharp row otherwise.
     """
-    Mc = _inputs("holo", g, A, ts, alphas)
-    M0, M1, M2 = Mc[0], Mc[1], Mc[2]
-    K = 3.0 * M0 + 3.0 * M1 + M2 / 2.0
-    quad = g.rational_n is None and _fixed(g) and g.tail_integrable and g.log_defect is not None
+    M0, M1, h = Mc[0], Mc[1], g.moments[2] - 1.0
+    K = 3.0 * M0 + 3.0 * M1 + Mc[2] / 2.0
+    quad = g.rational_n is None and g.tail_integrable and g.log_defect is not None
     # one quadrature for every alpha of the suite, per n
     c = {n: functionals.c_alpha_quads(power_scale(g, n), alphas) for n in set(ns)} if quad else {}
 
     def terms(t, n):
-        h = g.at(t).moments[2] - 1.0
         out = []
         for alpha in alphas:
             if alpha == 1.0:
@@ -345,8 +313,7 @@ def holomorphic_bounds(g, A: GeneratorMatrix, ts, ns, alphas, vectors) -> list[B
             out.append((alpha, "holo-sharp", Mc[2.0 - alpha] * r * t ** alpha))
         return out
 
-    return _grid(g, A, ts, ns, vectors, terms,
-                 op_bound=lambda t, n: K * (g.at(t).moments[2] - 1.0) / n)
+    return _grid(g, A, ts, ns, vectors, terms, op_bound=lambda t, n: K * h / n)
 
 
 def euler_sharp_r(n: int, alpha: float) -> float:
@@ -357,15 +324,13 @@ def euler_sharp_r(n: int, alpha: float) -> float:
     return 1.0 / (2.0 * n)
 
 
-def holomorphic_second_order(g: CMFunction, A: GeneratorMatrix, ts, ns, alphas,
-                             vectors) -> list[BoundReport]:
-    """Second-order residual bound on sectorial generators, g fixed in B4 with g(inf) = 0:
+def _holomorphic_second(g, A, Mc, ts, ns, alphas, vectors) -> list[BoundReport]:
+    """Second-order residual bound on sectorial generators, g in B4 with g(inf) = 0:
 
     ||R_n x|| <= (|b[g_n]| M_{3-alpha} + d1[g_n]/2 M_{4-alpha}) t^alpha ||A^alpha x||
 
     for alpha in [0, 3], where both M indices are >= 0.
     """
-    Mc = _inputs("holo2", g, A, ts, alphas)
     b_d1 = {}
     for n in set(ns):
         gn = power_scale(g, n)
@@ -385,14 +350,33 @@ def holomorphic_second_order(g: CMFunction, A: GeneratorMatrix, ts, ns, alphas,
     return _grid(g, A, ts, ns, vectors, terms, second=True)
 
 
+first_order_bounds = Suite("first", _first_order, (0.0, 2.0), moment=2)
+non_b2_bounds = Suite("nonb2", _non_b2, (0.0, 1.0), fixed=True)
+second_order_bounds = Suite("second", _second_order, moment=4)
+holomorphic_bounds = Suite("holo", _holomorphic, (0.0, 1.0), moment=2, sectorial=True)
+holomorphic_second_order = Suite("holo2", _holomorphic_second, (0.0, 3.0), moment=4, fixed=True,
+                                 tail=True, sectorial=True)
+SUITES = {s.name: s for s in (first_order_bounds, non_b2_bounds, second_order_bounds,
+                              holomorphic_bounds, holomorphic_second_order)}
+
+
+def suite(name: str, alphas) -> Suite:
+    """SUITES[name], once every alpha lies in the range of its theorem;
+    a ValueError naming the suite and the input otherwise."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
+    check_alphas(alphas, *SUITES[name].alpha, f"suite {name!r}")
+    return SUITES[name]
+
+
 # ----------------------------------------------------------------------
 # order fits on the spectrum
 # ----------------------------------------------------------------------
 
-def spectral_order(g, A: GeneratorMatrix, t: float, ns, alpha: float,
+def spectral_order(g: CMFunction, A: GeneratorMatrix, t: float, ns, alpha: float,
                    second: bool = False) -> OrderFit:
     """Fit of the n-exponent of ||E_n A^{-alpha}|| over the grid ns, where E_n is
-    the defect (the second-order residual if `second`) on the spectrum and the
+    the defect of a fixed g (the residual if `second`) on the spectrum and the
     weight lambda^{-alpha} is 0 at lambda = 0, where E_n vanishes.  Points at
     or below 100 eps ||e^{-tA} A^{-alpha}||, the size of either term of E_n,
     are roundoff and left out; with none left the flag is "exact"."""

@@ -23,7 +23,11 @@ The holomorphic case is a 3 t x 4 n grid of the `holo` suite on
 `laplacian:d=2048` with Euler's scheme and its closed-form r_{alpha,n}, so
 that it times the operator side only: one trip of the vectors through the
 DST-I eigenbasis, one evaluation of the defect on the (12, 2048) stack of
-cells, and the eigenvalue-array norms.  The generator case builds `laplacian:d=4096`,
+cells, and the eigenvalue-array norms.  The family case runs the `second`
+suite on the yosida family over a 3 t x 4 n grid on `laplacian:d=128`: a
+suite builds each member g_t once per run, one t at a time, so it times
+those builds (yosida's measure series) with the operator side of each t.
+The generator case builds `laplacian:d=4096`,
 its eigenvalues and DST-I basis without a dense matrix.  The start-up case
 is the fixed cost of every command: `import cmapprox.cli` in a fresh
 interpreter with `PYTHONDONTWRITEBYTECODE=1`, so that `src/` is compiled
@@ -85,6 +89,14 @@ def test_bench_holomorphic_bounds_grid(benchmark):
     rows = benchmark(rates.holomorphic_bounds, cmfun.euler(), A, (0.25, 1.0, 4.0),
                      (4, 16, 64, 256), (0.0, 0.5, 1.0), vectors)
     assert len(rows) == 12 * 41 and all(r.passed for r in rows)
+
+
+def test_bench_second_order_family_grid(benchmark):
+    A = opcalc.make_generator("laplacian:d=128")
+    vectors = opcalc.test_vectors(A)
+    rows = benchmark(rates.SUITES["second"], cmfun.make_builtin("yosida"), A, (0.25, 1.0, 4.0),
+                     (4, 16, 64, 256), (), vectors)
+    assert len(rows) == 12 * 2 * len(vectors) and all(r.scheme == "yosida" for r in rows)
 
 
 def test_bench_make_generator(benchmark):

@@ -54,6 +54,20 @@ def test_yosida_beyond_its_measure_series_exits_2_naming_t(capsys):
     assert "t = 300 is too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["verify-bounds", "--suite", "first", "--alpha", "1"],
+    ["orders", "--suite", "first", "--alpha", "1"],
+])
+def test_family_member_that_cannot_be_built_names_scheme_and_t(command, capsys):
+    # the family yosida is built from --scheme, its member from one --t value
+    argv = [*command, "--scheme", "yosida", "--generator", "diag_pos:k=8", "--t", "1,300",
+            "--n", "4,8,16,32"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --scheme 'yosida' at --t 300: t = 300 is too large")
+
+
 def test_functionals_usage_errors(capsys):
     assert cli.main(["functionals"]) == 2
     assert "required" in capsys.readouterr().err
@@ -322,26 +336,14 @@ def test_holo2_residuals_at_small_moduli_pass():
 
 
 def test_cli_looks_up_the_rates_functions_when_it_calls_them(monkeypatch, capsys):
-    # a profiler wraps the module attributes of rates after import: each suite of
-    # rates.SUITES and the functions with the orders and sharpness verdicts must be
-    # reached through the attribute, so that the wrapper is the one called
-    grid = ["--t", "1", "--n", "4,8"]
+    # a profiler wraps the module attributes of rates after import: the functions
+    # with the orders and sharpness verdicts must be reached through the
+    # attribute, so that the wrapper is the one called
     runs = {
-        "first_order_bounds": ["--scheme", "euler", "--generator", "diag_imag:k=8",
-                               "--suite", "first", "--alpha", "1"],
-        "non_b2_bounds": ["--scheme", "frac_tail:gamma=0.5", "--generator", "diag_imag:k=8",
-                          "--suite", "nonb2", "--alpha", "1"],
-        "second_order_bounds": ["--scheme", "euler", "--generator", "diag_pos:k=8",
-                                "--suite", "second"],
-        "holomorphic_bounds": ["--scheme", "euler", "--generator", "laplacian:d=8",
-                               "--suite", "holo", "--alpha", "1"],
-        "holomorphic_second_order": ["--scheme", "spline", "--generator", "laplacian:d=8",
-                                     "--suite", "holo2", "--alpha", "1"],
+        "order_verdict": ["orders", "--scheme", "euler", "--generator", "laplacian:d=16",
+                          "--n", "4,8,16,32"],
+        "sharpness_rows": ["sharpness", "--which", "euler", "--n", "4"],
     }
-    runs = {name: ["verify-bounds", *argv, *grid] for name, argv in runs.items()}
-    runs["order_verdict"] = ["orders", "--scheme", "euler", "--generator", "laplacian:d=16",
-                             "--n", "4,8,16,32"]
-    runs["sharpness_rows"] = ["sharpness", "--which", "euler", "--n", "4"]
     for name, argv in runs.items():
         real, calls = getattr(rates, name), []
 
@@ -352,8 +354,6 @@ def test_cli_looks_up_the_rates_functions_when_it_calls_them(monkeypatch, capsys
         monkeypatch.setattr(rates, name, spy)
         assert cli.main(argv) == 0, name
         assert calls, f"cli did not reach rates.{name}"
-        if argv[0] == "verify-bounds":
-            assert [args[2:4] for args in calls] == [([1.0], [4, 8])]
     capsys.readouterr()
 
 

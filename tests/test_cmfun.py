@@ -142,15 +142,6 @@ def test_derivatives_from_the_measure_match_mpmath(g, monkeypatch):
             assert g.derivative(z, order) == pytest.approx(want, rel=rel, abs=0.0), (z, order)
 
 
-@pytest.mark.parametrize("g", [cmfun.exponential(), cmfun.euler(), cmfun.spline(),
-                               cmfun.kendall(0.3), cmfun.kendall(0.5), cmfun.kendall(0.7)],
-                         ids=lambda g: g.name)
-def test_measure_moments_are_the_stated_moments(g):
-    # the kernel at z = 0 forms Euler's k! as an exact product
-    for k, want in enumerate(g.moments):
-        assert abs(g.measure.moment(k) - want) <= math.ulp(want), k
-
-
 def test_euler_power_measure_matches_rational_form():
     for n in (2, 8, 32):
         g = euler_power(n)

@@ -43,6 +43,8 @@ def test_invalid_inputs_rejected():
          "infinite segment needs a positive exponential rate"),
         (lambda: PolyExpSegment(0.0, 2.0, (1.0, -2.0), 0.0),  # negative on (1/2, 2]
          "segment density is negative somewhere on its interval"),
+        (lambda: PolyExpSegment(0.0, 2.0, (0.0, -1.5, 0.75), 0.0),  # negative on (0, 2)
+         "segment density is negative somewhere on its interval"),
         (lambda: PolyExpSegment(3.0, 1.0, (1.0,), 0.0), "segment needs 0 <= a < b"),
         (lambda: PolyExpSegment(0.0, 1.0, (1.0,), rate=-1.0), "negative exponential rate"),
         (lambda: PowerLawSegment(1.0, 0.9), "power-law exponent must exceed 1 for finite mass"),
@@ -51,6 +53,18 @@ def test_invalid_inputs_rejected():
         with pytest.raises(ValueError) as exc:
             build()
         assert str(exc.value) == message
+
+
+def test_nonnegative_coefficients_skip_the_roots(monkeypatch):
+    # p(s) = sum c_j s^j with every c_j >= 0 is nonnegative for s >= a >= 0
+    def no_roots(coeffs):
+        raise AssertionError("np.roots called")
+
+    monkeypatch.setattr(np, "roots", no_roots)
+    for coeffs, rate, b in [((0.5,), 0.0, 2.0), ((0.0, 1.0, 3.0), 1.0, math.inf), ((), 0.0, 1.0)]:
+        PolyExpSegment(0.0, b, coeffs, rate)
+    with pytest.raises(AssertionError, match="np.roots"):
+        PolyExpSegment(0.0, 2.0, (0.0, 1.5, -0.75))
 
 
 def test_pieces_hold_floats_in_tuples():

@@ -213,8 +213,8 @@ def test_eigen_path_matches_dense(build, explicit):
         for t, n in ((0.5, 3), (1.0, 200)):
             E = scipy.linalg.expm(-t * M)
             D = dense_scheme(g, M, t, n) - E
-            [defect] = rates._errors(g, [t], [n], A.dim)
-            [residual] = rates._errors(g, [t], [n], A.dim, True)
+            [defect] = rates._errors(g.at(t), [t], [n], A.dim)
+            [residual] = rates._errors(g.at(t), [t], [n], A.dim, True)
             ([errors], [residuals]), _ = A.norms([defect, residual], vectors)
             for got, x in zip(errors, vectors):
                 assert close(got, np.linalg.norm(D @ x))
@@ -396,6 +396,6 @@ def test_scheme_values_from_closed_forms():
     fam = cmfun.make_builtin("kendall")
     A, t, n = diag_positive(8), 0.5, 3
     want = ((1.0 - t) + t * np.exp(-A.eigs.real / n)) ** n
-    [errors] = rates._errors(fam, [t], [n], A.dim)
+    [errors] = rates._errors(fam.at(t), [t], [n], A.dim)
     got = errors(A.eigs)[0] + np.exp(-t * A.eigs)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)

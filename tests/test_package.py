@@ -51,6 +51,18 @@ def test_rates_reaches_the_operator_only_through_its_norms():
     assert not found, f"rates.py reads the eigen-representation at {found}"
 
 
+def test_no_module_calls_globals():
+    # the package dispatches on values, never on names looked up at run time
+    found = []
+    for name in MODULES:
+        with open(importlib.import_module(f"cmapprox.{name}").__file__) as fh:
+            tree = ast.parse(fh.read())
+        found += [(name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "globals"]
+    assert not found, f"globals() is called at {found}"
+
+
 # every value type: (class, its required fields, the defaults of the others)
 VALUE_TYPES = [
     (cmfun.LogDefect, ((0.5,), 1.0), {"closed": None, "scale": 1}),
@@ -63,7 +75,7 @@ VALUE_TYPES = [
     (quadrature.Integral, (1.0, True), {}),
     (rates.BoundReport, ("euler", "diag", 1.0, 4, 0.5, 0, 0.1, 0.2, "first-frac"), {}),
     (rates.OrderFit, (-1.0, 0.5, 0.99, 4), {"flag": ""}),
-    (rates.Suite, ("first_order_bounds",),
+    (rates.Suite, ("first", rates.first_order_bounds.bounds),
      {"alpha": (-math.inf, math.inf), "moment": 0, "fixed": False, "tail": False,
       "sectorial": False}),
     (measures.PolyExpSegment, (0.0, 1.0, (1.0,)), {"rate": 0.0}),
@@ -172,6 +184,8 @@ REACH_COMMANDS = [
     ["functionals", "--g", "hille", "--n", "1,2", "--alpha", "0,1"],
     ["functionals", "--g", "frac_tail:gamma=0.5", "--n", "1,2", "--alpha", "1"],
     ["functionals", "--g", "measure:nu.json", "--n", "1,2", "--alpha", "1"],
+    # a density with a negative coefficient, nonnegative on its interval
+    ["functionals", "--g", "measure:mixed.json", "--n", "1,2", "--alpha", "1"],
     ["functionals", "--scheme", "spline", "--config", "cfg.json"],
     [*_VB, "first.csv", "--scheme", "kendall", "--generator", "diag_imag:k=4", "--suite", "first"],
     [*_VB, "nonb2.csv", "--scheme", "euler_pow4", "--generator", "diag_imag:k=4",
@@ -208,9 +222,9 @@ def test_every_function_is_reached_by_a_command(tmp_path, monkeypatch, capsys):
     (tmp_path / "nu.json").write_text(json.dumps(
         {"atoms": [[1.0, 0.25]], "segments": [{"a": 0, "b": 2, "poly": [0.375]}]}))
     (tmp_path / "cfg.json").write_text(json.dumps({"n": [1, 2], "alpha": [0.5]}))
+    (tmp_path / "mixed.json").write_text(json.dumps(
+        {"segments": [{"a": 0, "b": 2, "poly": [0, 1.5, -0.75]}]}))
     monkeypatch.chdir(tmp_path)
-    # the package's memo would let earlier tests hide what it skips
-    cmfun._family_member.cache_clear()
     entered = set()
 
     def profile(frame, event, arg):

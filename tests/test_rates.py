@@ -194,13 +194,13 @@ def test_frac_tail_grid_is_one_array_evaluation(monkeypatch):
 
 
 def test_family_blocks_stay_within_one_t(monkeypatch):
-    # a family is evaluated per t; blocks cut each t's cells, never join two t
+    # a family is run per t, on its member; blocks cut each t's cells, never join two t
     A = opcalc.laplacian_dirichlet_1d(16)
     vecs = opcalc.test_vectors(A)
     g, ts, ns = cmfun.make_builtin("kendall"), (0.25, 1.0), (2, 4, 16, 64, 256)
     rows = rates.first_order_bounds(g, A, ts, ns, (0.5, 1.0), vecs)
     monkeypatch.setattr(rates, "STACK_POINTS", 2 * 16)
-    blocks = rates._errors(g, ts, ns, A.dim)
+    blocks = [f for t in ts for f in rates._errors(g.at(t), [t], ns, A.dim)]
     assert [f.args[3].ravel().tolist() for f in blocks] == [[2, 4], [16, 64], [256]] * 2
     assert rates.first_order_bounds(g, A, ts, ns, (0.5, 1.0), vecs) == rows
 
