@@ -23,13 +23,13 @@ try:
         ScaledFamily,
         chung,
         euler,
+        euler_pow,
         exponential,
         frac_tail,
         from_measure,
         hille,
         kendall,
         make_builtin,
-        power_scale,
         spline,
         yosida,
     )

@@ -1,4 +1,4 @@
-"""Bounded completely monotone functions, their normalized classes, and power scaling.
+"""Bounded completely monotone functions and their normalized classes.
 
 A CMFunction bundles one pointwise evaluator (numpy arrays of real z >= 0
 or of complex z with Re z >= 0), an optional explicit representing
@@ -12,10 +12,7 @@ normalized classes, tested by check_bk(g, k), are
 
 Derivatives at zero are g^(k)(0) = (-1)^k m_k and are stored exactly
 from the moments.  Derivatives at z > 0 are the closed-form transform
-`PositiveMeasure.laplace(z, order)` of the measure; a power-scaled
-function (such as `euler_pow4` under the `nonb2` suite), which keeps no
-measure, gets its first two from those of g by the chain rule
-(`deriv_real`).
+`PositiveMeasure.laplace(z, order)` of the measure.
 
 Every B2 built-in also carries its log-defect L(w) = log g(w) + w
 (`LogDefect`): the cumulant series sum_{k>=2} (-1)^k kappa_k w^k/k! below a
@@ -29,13 +26,13 @@ many digits; see Higham, Accuracy and Stability of Numerical Algorithms
 one outside B2, such as `frac_tail`, carries none: its defect is the direct
 difference, and it has no second-order remainder.
 
-The power scaling g_n(z) = g(z/n)^n keeps no explicit measure (the
-n-fold convolution is not materialized); its derivatives at zero are
-filled in closed form from those of g, and its log-defect is
-L_n(z) = n L(z/n).  `g.defect(z, n)` and `g.residual(z, n)` are those of
-g_n without building it, with n a whole number or an array of them
-broadcasting against z, so that one call covers a grid of n; each value
-equals power_scale(g, n)'s bit for bit.
+The scheme g_n(z) = g(z/n)^n is the pair (g, n): nothing builds it as a
+function.  Its log-defect is L_n(z) = n L(z/n), and `g.defect(z, n)` and
+`g.residual(z, n)` are those of g_n, with n a whole number or an array of
+them broadcasting against z, so that one call covers a grid of n; a
+stacked call gives each value as the call with that n alone does.  The
+one power a user names, `euler_pow<N>` = Euler's g_N, is a built-in of
+its own: the Gamma(N, N) measure.
 """
 
 from __future__ import annotations
@@ -52,8 +49,8 @@ __all__ = [
     "LogDefect",
     "ScaledFamily",
     "from_measure",
-    "power_scale",
     "euler",
+    "euler_pow",
     "spline",
     "kendall",
     "yosida",
@@ -68,6 +65,7 @@ __all__ = [
 
 MOMENT_TOL = 1e-12
 YOSIDA_TERMS = 400    # the most terms of yosida's measure series
+EULER_POW_MAX = 116   # the largest N of euler_pow<N>; see euler_pow
 
 
 # the log-defect series runs to w^SERIES_DEGREE; its radius is where that
@@ -168,7 +166,6 @@ class CMFunction(NamedTuple):
     measure: PositiveMeasure | None = None
     moments: tuple = (1.0, 1.0, math.inf, math.inf, math.inf)
     limit_at_inf: float = 0.0               # g(inf) = mass of the atom at 0
-    deriv_real: object = None               # (z, order) -> value, for g without a measure
     rational_n: int | None = None           # n with g(z) = (1 + z/n)^{-n} (Euler type)
     log_defect: LogDefect | None = None     # L(w) = log g(w) + w (B2 built-ins, measures)
 
@@ -189,7 +186,7 @@ class CMFunction(NamedTuple):
     def defect(self, z, n=1):
         """g_n(z) - e^{-z}, g_n = g(./n)^n, on an array of z >= 0 or of complex z
         with Re z >= 0; n is a whole number or an array of them broadcasting
-        against z, and each value equals power_scale(g, n).defect(z)."""
+        against z."""
         return self._difference(np.asarray(z), n, second=False)
 
     def residual(self, z, n=1):
@@ -198,14 +195,13 @@ class CMFunction(NamedTuple):
         return self._difference(np.asarray(z), n, second=True)
 
     def _power(self, z, n):
-        """g(z/n)^n as g_n = power_scale(g, n) evaluates it: g itself at n = 1,
-        else one call of `evaluate` and the power with a whole n.  For an
-        array n (shaped as z) the power is taken per distinct n with a Python
-        int, since numpy squares (n = 2) a scalar exponent by another loop
-        than an array of them."""
+        """g(z/n)^n: g itself at n = 1, else one call of g and the power with
+        a whole n.  For an array n (shaped as z) the power is taken per
+        distinct n with a Python int, since numpy squares (n = 2) a scalar
+        exponent by another loop than an array of them."""
         if np.ndim(n) == 0:
-            return self.evaluate(z) if n == 1 else self.evaluate(z / n) ** n
-        v = self.evaluate(z / n)
+            return self(z) if n == 1 else self(z / n) ** n
+        v = self(z / n)
         for k in set(n.ravel().tolist()):   # not np.unique, which imports numpy.ma
             if k != 1:
                 at = n == k
@@ -253,11 +249,9 @@ class CMFunction(NamedTuple):
         return out
 
     def derivative(self, z: float, order: int = 1) -> float:
-        """g^(order)(z) for z > 0, from deriv_real or else the measure."""
-        if self.deriv_real is not None:
-            return float(self.deriv_real(z, order))
+        """g^(order)(z) for z > 0, from the measure."""
         if self.measure is None:
-            raise ValueError(f"{self.name}: derivatives at z > 0 need deriv_real or a measure")
+            raise ValueError(f"{self.name}: derivatives at z > 0 need a measure")
         return float(self.measure.laplace(z, order))
 
 
@@ -318,72 +312,6 @@ def from_measure(nu: PositiveMeasure, name: str = "measure") -> CMFunction:
 
 
 # ----------------------------------------------------------------------
-# power scaling g_n(z) = g(z/n)^n
-# ----------------------------------------------------------------------
-
-def _scaled_moments(moments, n: int):
-    """Moments (= signed derivatives at 0) of g_n from those of g in B1."""
-    _, _, m2, m3, m4 = moments
-    g2 = m2  # g''(0)
-    g3 = -m3
-    g4 = m4
-    gn2 = 1.0 + (g2 - 1.0) / n if math.isfinite(g2) else math.inf
-    if math.isfinite(g3) and math.isfinite(g2):
-        gn3 = (-(n - 1.0) * (n - 2.0) - 3.0 * (n - 1.0) * g2 + g3) / n ** 2
-    else:
-        gn3 = -math.inf
-    if math.isfinite(g4) and math.isfinite(g3) and math.isfinite(g2):
-        gn4 = ((n - 1.0) * (n - 2.0) * (n - 3.0)
-               + 6.0 * (n - 1.0) * (n - 2.0) * g2
-               + 3.0 * (n - 1.0) * g2 ** 2
-               - 4.0 * (n - 1.0) * g3
-               + g4) / n ** 3
-    else:
-        gn4 = math.inf
-    return (1.0, 1.0, gn2, -gn3 if math.isfinite(gn3) else math.inf, gn4)
-
-
-def power_scale(g: CMFunction, n: int) -> CMFunction:
-    """g_n(z) = g(z/n)^n with derivatives at zero in closed form.
-
-    Each call builds a new g_n, which is cheap: it keeps no measure, only
-    closures over g and the moments and log-defect of g rescaled.
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    require_b1(g)
-    if n == 1:
-        return g
-
-    def evaluate(z):
-        # integer powers are branch-insensitive
-        return g._power(z, n)
-
-    def deriv(z, k):
-        # chain rule at w = z/n: g_n' = g^{n-1} g' and
-        # g_n'' = ((n-1) g^{n-2} g'^2 + g^{n-1} g'')/n
-        w = z / n
-        gw, d1 = float(g(w)), g.derivative(w, 1)
-        if k == 1:
-            return gw ** (n - 1) * d1
-        if k == 2:
-            return ((n - 1) * gw ** (n - 2) * d1 * d1 + gw ** (n - 1) * g.derivative(w, 2)) / n
-        raise ValueError(f"{g.name}_pow{n}: derivatives of orders 1 and 2 only, not {k}")
-
-    return CMFunction(
-        name=f"{g.name}_pow{n}",
-        evaluate=evaluate,
-        measure=None,
-        moments=_scaled_moments(g.moments, n),
-        limit_at_inf=g.limit_at_inf ** n,
-        deriv_real=deriv,
-        rational_n=None if g.rational_n is None else g.rational_n * n,
-        log_defect=None if g.log_defect is None else g.log_defect._replace(
-            scale=g.log_defect.scale * n),
-    )
-
-
-# ----------------------------------------------------------------------
 # built-in constructors
 # ----------------------------------------------------------------------
 
@@ -402,6 +330,22 @@ def euler() -> CMFunction:
 # L(w) = w - log(1 + w) = sum_{k>=2} (-w)^k/k
 _EULER_DEFECT = _log_defect([(-1.0) ** k / k for k in range(2, SERIES_DEGREE + 1)],
                             lambda w: w - np.log1p(w))
+
+
+def euler_pow(N: int) -> CMFunction:
+    """g(z) = (1 + z/N)^{-N}, Euler's g_N: the Gamma(N, N) measure
+    N^N s^{N-1} e^{-Ns}/(N-1)! ds, one segment of rate N, whose coefficient
+    is an exact integer quotient.  Up to N = EULER_POW_MAX its h = m_2 - 1,
+    which every first-order bound reads, is 1/N within 1e-12 relative;
+    beyond, a ValueError points to euler at N*n, the same scheme."""
+    if not 1 <= N <= EULER_POW_MAX:
+        raise ValueError(f"N = {N} is outside [1, {EULER_POW_MAX}]: above it the moments of "
+                         f"the Gamma measure lose g''(0) - 1 = 1/N; euler_pow<N> at n is euler "
+                         f"at N*n")
+    nu = PositiveMeasure(segments=(PolyExpSegment(
+        0.0, math.inf, (0.0,) * (N - 1) + (N ** N / math.factorial(N - 1),), float(N)),))
+    return _transform(f"euler_pow{N}", nu, lambda z: (1.0 / (1.0 + z / N)) ** N,
+                      _EULER_DEFECT._replace(scale=N), rational_n=N)
 
 
 def spline() -> CMFunction:
@@ -541,7 +485,7 @@ _BUILDERS = {
 
 def make_builtin(spec: str, flag: str = "--scheme"):
     """Parse a constructor string like 'kendall:t=0.5', 'frac_tail:gamma=0.3' or
-    'euler_pow4' (= power_scale(euler(), 4)).  A key the constructor does not
+    'euler_pow4' (= euler_pow(4)).  A key the constructor does not
     take, a value that is not a finite number, a missing key or a value out
     of range raises ValueError naming `flag`, the key and the value."""
     name, _, argstr = spec.partition(":")
@@ -549,12 +493,13 @@ def make_builtin(spec: str, flag: str = "--scheme"):
     if name == "measure":
         return from_measure(_read_measure(argstr, where), name=spec)
     pow_n = name[len("euler_pow"):]
-    if name.startswith("euler_pow") and pow_n.isdigit() and int(pow_n) > 0:
-        build, takes, needs = (lambda: power_scale(euler(), int(pow_n))), (), ()
+    if name.startswith("euler_pow") and pow_n.isdecimal():
+        build, takes, needs = (lambda: euler_pow(int(pow_n))), (), ()
     elif name in _BUILDERS:
         build, takes, needs = _BUILDERS[name]
     else:
-        raise ValueError(f"unknown function name {name!r}; available: {', '.join(BUILTIN_NAMES)}")
+        raise ValueError(f"{where}: unknown function name {name!r}; "
+                         f"available: {', '.join(BUILTIN_NAMES)}")
     kwargs = {}
     for item in filter(None, argstr.split(",")):
         key, _, val = (x.strip() for x in item.partition("="))

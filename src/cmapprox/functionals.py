@@ -1,31 +1,34 @@
 """Rate functionals of completely monotone approximations.
 
-For g = g_n with measure nu, defect D(z) = g(z) - e^{-z} and log-defect
-L_n(z) = log g(z) + z = sum_{k>=2} l_k z^k / n^{k-1}:
+The functionals are those of the scheme g_n(z) = g(z/n)^n, given as the
+pair (g, n): no function g_n is built.  With nu_n the measure of g_n,
+D(z) = g_n(z) - e^{-z} its defect and L_n(z) = log g_n(z) + z =
+sum_{k>=2} l_k z^k / (mn)^{k-1} its log-defect, l_k and m = `scale` those
+of the log-defect of g:
 
-    L[g]   = int_0^1 (1-s) nu(ds)            (operator-norm driver)
-    a[g]   = (g''(0)-1)/2                    = l_2/n
-    b[g]   = int (1-s)^3/6 nu(ds)            = l_3/n^2
-    d0[g]  = int (1-s)^4/12 nu(ds)           = a^2 + 2 l_4/n^3
-    c_a[g] = Gamma(2-a)^{-1} int_0^inf D(z) z^{-1-a} dz
-    d1[g]  = c_0 - c_1 - b
+    L[g_n]   = int_0^1 (1-s) nu_n(ds)          (operator-norm driver)
+    a[g_n]   = (g_n''(0)-1)/2                  = l_2/(mn)
+    b[g_n]   = int (1-s)^3/6 nu_n(ds)          = l_3/(mn)^2
+    d0[g_n]  = int (1-s)^4/12 nu_n(ds)         = a^2 + 2 l_4/(mn)^3
+    c_a[g_n] = Gamma(2-a)^{-1} int_0^inf D(z) z^{-1-a} dz
+    d1[g_n]  = c_0 - c_1 - b
 
 a, b and d0 are read from the series of L_n, which carries no
-cancellation; the moments of nu are O(1) while b and d0 are O(1/n^2).
-Only L reads the measure; its integrals for b, d0 and c_alpha are the
-tests' oracles.
-c_alpha integrates D from `CMFunction.defect`, e^{-z} expm1(L_n(z)), which
-keeps full relative precision at small z.  All the alphas asked for one g
-share one double-exponential quadrature over [0, inf) of a vector-valued
-integrand: the defect is evaluated once per point and divided by each
-power of z; the rule takes the integrand's z^{1-alpha} at 0 and its
-algebraic tail as they are.  `c_alpha_quads` returns its values and keeps
-none: a caller asks once per g_n for every alpha it needs and holds on to
-the dict, and d1 reads c_0 and c_1 from such a dict.
+cancellation; the moments of nu_n are O(1) while b and d0 are O(1/n^2).
+Only L reads a measure, that of g at n = 1; the integrals of the measure
+for b, d0 and c_alpha are the tests' oracles.
+c_alpha integrates D from `g.defect(z, n)`, e^{-z} expm1(L_n(z)), which
+keeps full relative precision at small z.  All the alphas asked for one
+g_n share one double-exponential quadrature over [0, inf) of a
+vector-valued integrand: the defect is evaluated once per point and
+divided by each power of z; the rule takes the integrand's z^{1-alpha} at
+0 and its algebraic tail as they are.  `c_alpha_quads` returns its values
+and keeps none: a caller asks once per g_n for every alpha it needs and
+holds on to the dict, and d1 reads c_0 and c_1 from such a dict.
 
 `table(g, ns, alphas)` gives the rows of FIELDS, every functional of each
-g_n over an (n, alpha) grid: which functional applies to which g_n, and why
-a cell is nan, is decided there.
+(g, n) over an (n, alpha) grid: which functional applies to which g_n, and
+why a cell is nan, is decided there.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import quadrature
-from .cmfun import CMFunction, check_bk, power_scale
+from .cmfun import CMFunction, check_bk, require_b1
 
 __all__ = [
     "functional_L",
@@ -101,17 +104,18 @@ class QuadValue(NamedTuple):
 REL_TOL = 1e-11
 
 
-def c_alpha_quads(g: CMFunction, alphas) -> dict:
-    """{alpha: c_alpha[g]} for the alphas asked, ascending, each a QuadValue of
-    Gamma(2-alpha)^{-1} int_0^inf D(z) z^{-1-alpha} dz.
+def c_alpha_quads(g: CMFunction, n: int, alphas) -> dict:
+    """{alpha: c_alpha[g_n]} for the alphas asked, ascending, each a QuadValue
+    of Gamma(2-alpha)^{-1} int_0^inf D(z) z^{-1-alpha} dz.
 
-    The alphas share one quadrature: its costly part, the defect of g, is the
-    same for all of them.  Only values of g are read (through g.defect), so a
-    power-scaled g without a measure is fine; one without a log-defect gets
-    nan, flagged no_log_defect, since g(z) - e^{-z} is roundoff at small z.
-    When g(inf) = c > 0, c_0 diverges: it is nan, flagged tail_divergent,
-    and no quadrature is run for it.  A value whose quadrature did not
-    converge is flagged unconverged.
+    The alphas share one quadrature: its costly part, the defect of g_n, is
+    the same for all of them.  Only values of g_n are read (through
+    g.defect(z, n)), never a measure; a g without a log-defect gets nan,
+    flagged no_log_defect, since g_n(z) - e^{-z} is roundoff at small z.
+    When g(inf) > 0, so is g_n(inf) = g(inf)^n, even where it underflows:
+    c_0 diverges, it is nan, flagged tail_divergent, and no quadrature is
+    run for it.  A value whose quadrature did not converge is flagged
+    unconverged.
     """
     alphas = sorted({float(a) for a in alphas})
     if not all(0.0 <= a <= 1.0 for a in alphas):
@@ -119,25 +123,25 @@ def c_alpha_quads(g: CMFunction, alphas) -> dict:
     if g.log_defect is None:
         return {a: QuadValue(math.nan, False, "no_log_defect") for a in alphas}
     out = {}
-    if g.limit_at_inf > 0.0 and alphas[:1] == [0.0]:
+    if not g.tail_integrable and alphas[:1] == [0.0]:
         out[0.0] = QuadValue(math.nan, False, "tail_divergent")
         alphas = alphas[1:]
     if alphas:
-        out.update(zip(alphas, _c_alpha_quadrature(g, tuple(alphas))))
+        out.update(zip(alphas, _c_alpha_quadrature(g, n, tuple(alphas))))
     return out
 
 
-def _c_alpha_quadrature(g: CMFunction, alphas: tuple) -> list[QuadValue]:
-    """One quadrature of int_0^inf D(z) z^{-1-alpha} dz, D = g - e^{-z}, over
-    [0, inf) for every alpha in alphas.  When g(inf) = c > 0, c z^2/(1+z)^2,
+def _c_alpha_quadrature(g: CMFunction, n: int, alphas: tuple) -> list[QuadValue]:
+    """One quadrature of int_0^inf D(z) z^{-1-alpha} dz, D = g_n - e^{-z}, over
+    [0, inf) for every alpha in alphas.  When g_n(inf) = c > 0, c z^2/(1+z)^2,
     which has D's z^2 at 0 and its limit c at inf, is taken out of D and its
     integral c Gamma(2-alpha) Gamma(alpha) added back, so that the integrand
     decays like z^{-2-alpha}."""
     al = np.array(alphas)[:, None]
-    c_inf = g.limit_at_inf
+    c_inf = g.limit_at_inf ** n
 
     def integrand(z):
-        return (g.defect(z) - c_inf * (z / (1.0 + z)) ** 2) * z ** (-1.0 - al)
+        return (g.defect(z, n) - c_inf * (z / (1.0 + z)) ** 2) * z ** (-1.0 - al)
 
     res = quadrature.integrate(integrand, 0.0, math.inf, rel_tol=REL_TOL)
     out = []
@@ -202,44 +206,45 @@ def euler_c_alpha_exact(n: int, alpha: float) -> float:
 # a, b, d0, d1
 # ----------------------------------------------------------------------
 
-def _log_defect_terms(g: CMFunction, k: int, what: str) -> list:
-    """[l_2/n, ..., l_k/n^{k-1}], the z^2..z^k coefficients of the log-defect
-    L_n of g = g_n, for g in B_k.  ValueError for a g outside B_k, and for
-    one without a log-defect."""
+def _log_defect_terms(g: CMFunction, n: int, k: int, what: str) -> list:
+    """[l_2/(mn), ..., l_k/(mn)^{k-1}], the z^2..z^k coefficients of the
+    log-defect L_n of g_n, m the scale of g's, for g in B_k (so is g_n).
+    ValueError for a g outside B_k, and for one without a log-defect."""
     if not check_bk(g, k):
         raise ValueError(f"{g.name}: {what} requires B{k}")
     L = g.log_defect
     if L is None:
         raise ValueError(f"{g.name}: {what} is read from the log-defect, which it does not carry")
     coeffs = L.coeffs[:k - 1] + (0.0,) * max(k - 1 - len(L.coeffs), 0)
-    return [c / float(L.scale) ** (j - 1) for j, c in enumerate(coeffs, start=2)]
+    return [c / float(L.scale * n) ** (j - 1) for j, c in enumerate(coeffs, start=2)]
 
 
-def a_of(g: CMFunction) -> float:
-    """a[g] = (g''(0) - 1)/2 = kappa_2/2 = l_2/n."""
-    return _log_defect_terms(g, 2, "a[g]")[0]
+def a_of(g: CMFunction, n: int) -> float:
+    """a[g_n] = (g_n''(0) - 1)/2 = kappa_2/2 = l_2/(mn)."""
+    return _log_defect_terms(g, n, 2, "a[g]")[0]
 
 
-def b_of(g: CMFunction) -> float:
-    """b[g] = int (1-s)^3/6 nu(ds) = -kappa_3/6 = l_3/n^2."""
-    return _log_defect_terms(g, 3, "b[g]")[1]
+def b_of(g: CMFunction, n: int) -> float:
+    """b[g_n] = int (1-s)^3/6 nu_n(ds) = -kappa_3/6 = l_3/(mn)^2."""
+    return _log_defect_terms(g, n, 3, "b[g]")[1]
 
 
-def d0_of(g: CMFunction) -> float:
-    """d0[g] = int (1-s)^4/12 nu(ds) = (kappa_4 + 3 kappa_2^2)/12 = a^2 + 2 l_4/n^3."""
-    a, _, l4 = _log_defect_terms(g, 4, "d0[g]")
+def d0_of(g: CMFunction, n: int) -> float:
+    """d0[g_n] = int (1-s)^4/12 nu_n(ds) = (kappa_4 + 3 kappa_2^2)/12 = a^2 + 2 l_4/(mn)^3."""
+    a, _, l4 = _log_defect_terms(g, n, 4, "d0[g]")
     return a * a + 2.0 * l4
 
 
-def d1_of(g: CMFunction, c: dict) -> float:
-    """d1[g] = c_0[g] - c_1[g] - b[g], with c_0 and c_1 read from c, the dict
-    `c_alpha_quads(g, alphas)` returns for some alphas that include 0 and 1.
-    When g(inf) > 0, c_0 diverges and DivergentError is raised rather than
-    a truncated value returned."""
-    b = _log_defect_terms(g, 4, "d1[g]")[1]
+def d1_of(g: CMFunction, n: int, c: dict) -> float:
+    """d1[g_n] = c_0[g_n] - c_1[g_n] - b[g_n], with c_0 and c_1 read from c, the
+    dict `c_alpha_quads(g, n, alphas)` returns for some alphas that include 0
+    and 1.  When g(inf) > 0, c_0 diverges and DivergentError is raised rather
+    than a truncated value returned."""
+    b = _log_defect_terms(g, n, 4, "d1[g]")[1]
     for alpha in (0.0, 1.0):
         if not c[alpha].converged:
-            raise DivergentError(f"d1[{g.name}]: c_{alpha:g} has not converged ({c[alpha].flag})")
+            raise DivergentError(f"d1[{g.name}] at n = {n}: c_{alpha:g} has not converged "
+                                 f"({c[alpha].flag})")
     return c[0.0].value - c[1.0].value - b
 
 
@@ -252,34 +257,35 @@ FIELDS = ["g", "n", "alpha", "L", "a", "b", "c_alpha_quadrature", "c_alpha_exact
 
 
 def table(g: CMFunction, ns, alphas) -> list[dict]:
-    """One row of FIELDS for each g_n = power_scale(g, n), n in ns, and alpha
-    in alphas, sorted by (n, alpha).  A nan cell names its cause in
-    residual_flags: no_measure for L (power_scale keeps no measure),
-    tail_divergent for d1 when c_0 diverges (g(inf) > 0), unconverged for
-    d1 when the quadrature of c_0 or c_1 did not converge, and c_alpha's own
-    flag; a, b and d0 are nan outside B2, B3 and B4."""
+    """One row of FIELDS for each g_n, n in ns, and alpha in alphas, sorted by
+    (n, alpha), for g in B1 (a ValueError otherwise); g_n is in B_k when g
+    is.  A nan cell names its cause in residual_flags: no_measure for L at
+    n >= 2 (only g's own measure is at hand) but for g_n of Euler type,
+    whose L is exact, tail_divergent for d1 when c_0 diverges (g(inf) > 0),
+    unconverged for d1 when the quadrature of c_0 or c_1 did not converge,
+    and c_alpha's own flag; a, b and d0 are nan outside B2, B3 and B4."""
+    require_b1(g)
     rows = []
     for n in sorted(ns):
-        gn = power_scale(g, n)
-        why_L = "" if gn.rational_n or gn.measure is not None else "no_measure"
-        why_d1 = "" if gn.tail_integrable else "tail_divergent"
-        L = (euler_power_L(gn.rational_n) if gn.rational_n
-             else math.nan if why_L else functional_L(gn))
-        a = a_of(gn) if check_bk(gn, 2) else math.nan
-        b = b_of(gn) if check_bk(gn, 3) else math.nan
-        d0 = d0_of(gn) if check_bk(gn, 4) else math.nan
-        with_d1 = check_bk(gn, 4) and not why_d1
+        rational = g.rational_n and g.rational_n * n   # g_n = Euler's g_{Nn}
+        why_L = "" if rational or (n == 1 and g.measure is not None) else "no_measure"
+        why_d1 = "" if g.tail_integrable else "tail_divergent"
+        L = euler_power_L(rational) if rational else math.nan if why_L else functional_L(g)
+        a = a_of(g, n) if check_bk(g, 2) else math.nan
+        b = b_of(g, n) if check_bk(g, 3) else math.nan
+        d0 = d0_of(g, n) if check_bk(g, 4) else math.nan
+        with_d1 = check_bk(g, 4) and not why_d1
         # one quadrature for every alpha of g_n: the grid's, and 0 and 1 for d1
-        c = c_alpha_quads(gn, [*alphas, 0.0, 1.0] if with_d1 else alphas)
+        c = c_alpha_quads(g, n, [*alphas, 0.0, 1.0] if with_d1 else alphas)
         d1 = math.nan
         if with_d1:
             try:
-                d1 = d1_of(gn, c)
+                d1 = d1_of(g, n, c)
             except DivergentError:   # c_0 or c_1 did not converge
                 why_d1 = c[0.0].flag or c[1.0].flag
         for alpha in sorted(alphas):
             qv = c[alpha]
-            exact = euler_c_alpha_exact(gn.rational_n, alpha) if gn.rational_n else math.nan
+            exact = euler_c_alpha_exact(rational, alpha) if rational else math.nan
             flags = dict.fromkeys(f for f in (why_L, qv.flag, why_d1) if f)
             rows.append({
                 "g": g.name, "n": n, "alpha": alpha, "L": L, "a": a, "b": b,

@@ -194,7 +194,8 @@ def make_generator(spec: str) -> GeneratorMatrix:
     generator built is its full spec, which parses back to the same one."""
     name, _, argstr = spec.partition(":")
     if name not in GALLERY:
-        raise ValueError(f"unknown generator {name!r}; available: {', '.join(GALLERY)}")
+        raise ValueError(f"--generator {spec!r}: unknown generator {name!r}; available: "
+                         f"{', '.join(GALLERY)}")
     build, kw = GALLERY[name]
     kw = dict(kw)
     for item in filter(None, argstr.split(",")):

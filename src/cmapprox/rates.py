@@ -12,9 +12,9 @@ Errors and norms are those of functions of the generator, read from
 GeneratorMatrix.norms and .opnorm (see opcalc), with the errors and the
 powers lambda^alpha given as stacks of functions of a spectral point.
 The defect g_t(t lambda/n)^n - e^{-t lambda} and the second-order residual
-are those of g_n = power_scale(g_t, n), given by g_t.defect(t lambda, n)
-and g_t.residual(t lambda, n) (see cmfun): for a g with a log-defect they
-come from it without cancellation.  A run of a fixed g evaluates them on
+are those of g_n, the pair (g_t, n), given by g_t.defect(t lambda, n) and
+g_t.residual(t lambda, n) (see cmfun): for a g with a log-defect they come
+from it without cancellation.  A run of a fixed g evaluates them on
 (cells x d) stacks of its grid, each cut to at most STACK_POINTS values,
 and takes every norm from one `norms` call, so that the test vectors go to
 the eigenbasis and each ||A^p x|| is computed once; the bound scalars are
@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import functionals, opcalc, quadrature
-from .cmfun import CMFunction, check_bk, euler, power_scale, require_b1
+from .cmfun import CMFunction, check_bk, euler, require_b1
 from .opcalc import GeneratorMatrix, frac_on_spectrum
 
 __all__ = [
@@ -295,7 +295,7 @@ def _holomorphic(g, A, Mc, ts, ns, alphas, vectors) -> list[BoundReport]:
     K = 3.0 * M0 + 3.0 * M1 + Mc[2] / 2.0
     quad = g.rational_n is None and g.tail_integrable and g.log_defect is not None
     # one quadrature for every alpha of the suite, per n
-    c = {n: functionals.c_alpha_quads(power_scale(g, n), alphas) for n in set(ns)} if quad else {}
+    c = {n: functionals.c_alpha_quads(g, n, alphas) for n in set(ns)} if quad else {}
 
     def terms(t, n):
         out = []
@@ -333,13 +333,12 @@ def _holomorphic_second(g, A, Mc, ts, ns, alphas, vectors) -> list[BoundReport]:
     """
     b_d1 = {}
     for n in set(ns):
-        gn = power_scale(g, n)
-        c = functionals.c_alpha_quads(gn, (0, 1))   # c_0 and c_1 of d1 in one quadrature
+        c = functionals.c_alpha_quads(g, n, (0, 1))   # c_0 and c_1 of d1 in one quadrature
         try:
-            d1 = functionals.d1_of(gn, c)
+            d1 = functionals.d1_of(g, n, c)
         except functionals.DivergentError:   # a nan bound fails the rows
             d1 = math.nan
-        b_d1[n] = functionals.b_of(gn), d1
+        b_d1[n] = functionals.b_of(g, n), d1
 
     def terms(t, n):
         b_n, d1_n = b_d1[n]
@@ -364,7 +363,7 @@ def suite(name: str, alphas) -> Suite:
     """SUITES[name], once every alpha lies in the range of its theorem;
     a ValueError naming the suite and the input otherwise."""
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
+        raise ValueError(f"--suite {name!r}: unknown suite; available: {', '.join(SUITES)}")
     check_alphas(alphas, *SUITES[name].alpha, f"suite {name!r}")
     return SUITES[name]
 

@@ -12,7 +12,7 @@ import scipy.linalg
 import scipy.special
 
 from cmapprox import cmfun
-from cmapprox.measures import PolyExpSegment, PositiveMeasure, PowerLawSegment
+from cmapprox.measures import PowerLawSegment
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -36,19 +36,6 @@ def b2_builtins():
         cmfun.hille(),
         cmfun.chung((0.25, 0.5, 0.25), 1.0),
     ]
-
-
-def euler_power(n: int):
-    """Euler's g_n = (1 + z/n)^{-n} with its explicit Gamma measure
-    n^n s^{n-1} e^{-ns}/(n-1)! ds, which power_scale does not keep: a
-    reference for the measure routes.  The coefficient grows like e^n, so n
-    is limited to 64."""
-    if n > 64:
-        raise ValueError("explicit Gamma measure limited to n <= 64")
-    coeffs = (0.0,) * (n - 1) + (math.exp(n * math.log(n) - math.lgamma(n)),)
-    nu = PositiveMeasure(segments=(PolyExpSegment(0.0, math.inf, coeffs, float(n)),))
-    return cmfun.power_scale(cmfun.euler(), n)._replace(name=f"euler_gamma{n}", measure=nu,
-                                                        deriv_real=None)
 
 
 # ----------------------------------------------------------------------

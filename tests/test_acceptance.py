@@ -32,13 +32,25 @@ def test_c01_euler_digamma_identity():
     g = cmfun.euler()
     worst = 0.0
     for n in range(1, 65):
-        gn = cmfun.power_scale(g, n)
         for alpha in (0.0, 1.0) + tuple(k / 10.0 for k in range(1, 10)):
-            qv = F.c_alpha_quads(gn, (alpha,))[alpha]
+            qv = F.c_alpha_quads(g, n, (alpha,))[alpha]
             exact = F.euler_c_alpha_exact(n, alpha)
             worst = max(worst, abs(qv.value - exact))
     _report(1, "Euler digamma/Gamma closed forms vs quadrature", worst <= 1e-8,
             f"max |quad - exact| = {worst:.3e}")
+
+
+def _scaled_derivatives(g, n):
+    """g_n^(k)(0) = (-1)^k m_k, k = 0..4, as the pair (g, n) gives them: the
+    measure of g_n has mean 1 and cumulants kappa_2 = 2a, kappa_3 = -6b and
+    kappa_4 = 12 d0 - 3 kappa_2^2 (a, b, d0 of g_n); outside B4 only
+    m_0 = m_1 = 1."""
+    if not cmfun.check_bk(g, 4):
+        return [1.0, -1.0]
+    k2, k3 = 2.0 * F.a_of(g, n), -6.0 * F.b_of(g, n)
+    k4 = 12.0 * F.d0_of(g, n) - 3.0 * k2 ** 2
+    m = [1.0, 1.0, 1.0 + k2, 1.0 + 3.0 * k2 + k3, 1.0 + 6.0 * k2 + 4.0 * k3 + 3.0 * k2 ** 2 + k4]
+    return [(-1.0) ** k * mk for k, mk in enumerate(m)]
 
 
 def test_c03_scaled_derivatives_vs_finite_differences():
@@ -49,18 +61,11 @@ def test_c03_scaled_derivatives_vs_finite_differences():
         mpg = evals[g.name]
         one_sided = g.name.startswith("frac_tail")
         for n in (1, 2, 3, 5, 8):
-            gn = cmfun.power_scale(g, n)
-
             def f(z, mpg=mpg, n=n):
                 return mpg(z / n) ** n
 
-            for k in range(5):
-                if not math.isfinite(gn.moments[k]):
-                    continue
-                if one_sided and k >= 2:
-                    continue  # central stencils need z < 0; heavy tail has no m2 anyway
-                closed = (-1.0) ** k * gn.moments[k]
-                # the heavy tail is not C^2 at 0 (a z^{1+gamma} term), so its
+            for k, closed in enumerate(_scaled_derivatives(g, n)):
+                # the heavy tail has no m_2 and is not C^2 at 0 (a z^{1+gamma} term), so its
                 # difference quotient converges like h^gamma: take a tiny
                 # step, which the high-precision evaluation makes safe
                 step = "1e-13" if one_sided else "1e-4"
@@ -68,14 +73,13 @@ def test_c03_scaled_derivatives_vs_finite_differences():
                 worst_fd = max(worst_fd, abs(fd - closed) / max(1.0, abs(closed)))
     worst_b = worst_d0 = 0.0
     for g in b2_builtins():
-        b1 = F.b_of(g)
+        b1 = F.b_of(g, 1)
         g2, g3, g4 = g.moments[2], -g.moments[3], g.moments[4]
         for n in (1, 2, 3, 5, 8):
-            gn = cmfun.power_scale(g, n)
-            worst_b = max(worst_b, abs(F.b_of(gn) * n ** 2 - b1))
+            worst_b = max(worst_b, abs(F.b_of(g, n) * n ** 2 - b1))
             d0_pred = (g2 - 1.0) ** 2 / (4.0 * n ** 2) + (
                 -6.0 + 12.0 * g2 - 3.0 * g2 ** 2 + 4.0 * g3 + g4) / (12.0 * n ** 3)
-            worst_d0 = max(worst_d0, abs(F.d0_of(gn) - d0_pred))
+            worst_d0 = max(worst_d0, abs(F.d0_of(g, n) - d0_pred))
     ok = worst_fd <= 1e-6 and worst_b <= 1e-10 and worst_d0 <= 1e-10
     _report(3, "power-scale derivative closed forms vs Richardson differences", ok,
             f"fd rel {worst_fd:.2e}, b scaling {worst_b:.2e}, d0 formula {worst_d0:.2e}")
@@ -92,7 +96,7 @@ def test_c04_c_alpha_asymptotics():
         rows = [{"alpha": alpha, "resid_scaled": n ** 2 * abs(qv.value - lead / n),
                  "flag": qv.flag}
                 for n in n_grid
-                for alpha, qv in F.c_alpha_quads(cmfun.power_scale(g, n), alphas).items()]
+                for alpha, qv in F.c_alpha_quads(g, n, alphas).items()]
         clean = [r for r in rows if not r["flag"]]
         flagged = [r for r in rows if r["flag"]]
         # hille has g(inf) > 0, so c_0 genuinely diverges: those rows must

@@ -209,12 +209,22 @@ def test_main_is_the_one_writer_of_every_command(tmp_path, monkeypatch):
 def test_verify_bounds_usage_errors(tmp_path, capsys):
     base = ["verify-bounds", "--scheme", "euler", "--generator", "diag_imag:k=8"]
     assert cli.main(base + ["--suite", "first", "--n", ""]) == 2
+    assert capsys.readouterr().err == "error: --n needs a comma-separated list of values\n"
+    # an unknown name is named with its flag, as every other input error is
     assert cli.main(base + ["--suite", "mystery", "--n", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --suite 'mystery': unknown suite; available: first, nonb2, second, holo, holo2\n")
     assert cli.main(["verify-bounds", "--scheme", "euler", "--generator",
                      "torus", "--suite", "first", "--n", "4"]) == 2
-    assert "available" in capsys.readouterr().err
-    assert cli.main(["verify-bounds", "--scheme", "mystery", "--generator",
-                     "diag_imag:k=8", "--suite", "first", "--n", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --generator 'torus': unknown generator 'torus'; "
+        "available: diag_imag, diag_pos, advection, laplacian\n")
+    for flag in ("--scheme", "--g"):
+        command = "verify-bounds" if flag == "--scheme" else "functionals"
+        assert cli.main([command, flag, "mystery", "--n", "4"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} 'mystery': unknown function name 'mystery'; available: euler, "
+            f"euler_pow<N>, spline, kendall, yosida, hille, chung, frac_tail, exp\n")
 
 
 @pytest.mark.parametrize("suite", ["holo", "holo2"])
@@ -383,13 +393,13 @@ def test_suites_refuse_alpha_outside_their_theorem(suite, alpha, admitted, monke
 
 @pytest.fixture
 def quadratures(monkeypatch):
-    """The (g name, alphas) of each c_alpha quadrature run while the test runs."""
+    """The (g name, n, alphas) of each c_alpha quadrature run while the test runs."""
     seen = []
     inner = fns._c_alpha_quadrature
 
-    def counted(g, alphas):
-        seen.append((g.name, alphas))
-        return inner(g, alphas)
+    def counted(g, n, alphas):
+        seen.append((g.name, n, alphas))
+        return inner(g, n, alphas)
 
     monkeypatch.setattr(fns, "_c_alpha_quadrature", counted)
     return seen
@@ -401,7 +411,7 @@ def test_holo_run_computes_each_c_alpha_once(tmp_path, quadratures):
     assert cli.main(["verify-bounds", "--scheme", "spline", "--generator", "laplacian:d=16",
                      "--suite", "holo", "--t", "0.25,1,4", "--n", "4,16,64,256",
                      "--alpha", "0,0.5,1", "--out", str(tmp_path / "h.csv")]) == 0
-    assert sorted(quadratures) == [(f"spline_pow{n}", (0.0, 0.5, 1.0)) for n in (16, 256, 4, 64)]
+    assert sorted(quadratures) == [("spline", n, (0.0, 0.5, 1.0)) for n in (4, 16, 64, 256)]
 
 
 def test_functionals_runs_one_quadrature_per_g_n_every_time(tmp_path, quadratures):
@@ -413,13 +423,12 @@ def test_functionals_runs_one_quadrature_per_g_n_every_time(tmp_path, quadrature
         outs.append(tmp_path / f"fn{run}.csv")
         assert cli.main(["functionals", "--g", "spline", "--n", "1,4,16",
                          "--alpha", "0,0.5,1", "--out", str(outs[-1])]) == 0
-        assert quadratures == [(name, (0.0, 0.5, 1.0))
-                               for name in ("spline", "spline_pow4", "spline_pow16")]
+        assert quadratures == [("spline", n, (0.0, 0.5, 1.0)) for n in (1, 4, 16)]
         quadratures.clear()
     assert outs[0].read_text() == outs[1].read_text()
-    gn = cmfun.power_scale(cmfun.spline(), 4)
-    assert fns.c_alpha_quads(gn, (0.5,)) == fns.c_alpha_quads(gn, (0.5,))
-    assert quadratures == [("spline_pow4", (0.5,))] * 2
+    g = cmfun.spline()
+    assert fns.c_alpha_quads(g, 4, (0.5,)) == fns.c_alpha_quads(g, 4, (0.5,))
+    assert quadratures == [("spline", 4, (0.5,))] * 2
 
 
 def test_holo2_runs_one_quadrature_per_n(tmp_path, quadratures):
@@ -427,7 +436,7 @@ def test_holo2_runs_one_quadrature_per_n(tmp_path, quadratures):
     assert cli.main(["verify-bounds", "--scheme", "spline", "--generator", "laplacian:d=16",
                      "--suite", "holo2", "--t", "0.25,1", "--n", "4,16",
                      "--alpha", "0,1,3", "--out", str(tmp_path / "h2.csv")]) == 0
-    assert sorted(quadratures) == [("spline_pow16", (0.0, 1.0)), ("spline_pow4", (0.0, 1.0))]
+    assert sorted(quadratures) == [("spline", 4, (0.0, 1.0)), ("spline", 16, (0.0, 1.0))]
 
 
 def test_holo_rows_fail_where_c_alpha_did_not_converge(tmp_path, monkeypatch):
@@ -435,8 +444,8 @@ def test_holo_rows_fail_where_c_alpha_did_not_converge(tmp_path, monkeypatch):
     # whose d1 reads it, a nan bound: those rows fail and the run exits 1
     inner = fns._c_alpha_quadrature
 
-    def unconverged(g, alphas):
-        return [qv._replace(converged=False, flag="unconverged") for qv in inner(g, alphas)]
+    def unconverged(g, n, alphas):
+        return [qv._replace(converged=False, flag="unconverged") for qv in inner(g, n, alphas)]
 
     monkeypatch.setattr(fns, "_c_alpha_quadrature", unconverged)
     for suite, tag in (("holo", "holo-sharp"), ("holo2", "holo-second")):
@@ -593,7 +602,23 @@ def test_sharpness_euler_rows_check_the_bound(monkeypatch, capsys):
     assert header.endswith(",pass") and row.endswith(",false")
 
 
-def test_functionals_read_rational_n(tmp_path):
+def test_functionals_read_rational_n(tmp_path, capsys):
+    # euler_pow4 at n is Euler's scheme at 4n: every column but g and n is the same
+    rows = {}
+    for g, n in (("euler_pow4", "1,4"), ("euler", "4,16")):
+        out = tmp_path / f"{g}-pair.csv"
+        assert cli.main(["functionals", "--g", g, "--n", n, "--alpha", "0.5",
+                         "--out", str(out)]) == 0
+        rows[g] = _read_csv(out)
+    assert [r["L"] for r in rows["euler"]] == ["0.195366814813", "0.0992175316222"]
+    assert [int(r.pop("n")) * 4 for r in rows["euler_pow4"]] == [
+        int(r.pop("n")) for r in rows["euler"]]
+    assert [{**r, "g": "euler"} for r in rows["euler_pow4"]] == rows["euler"]
+    # beyond its largest N, euler_pow<N> is refused and points to euler at N*n
+    N = cmfun.EULER_POW_MAX + 1
+    assert cli.main(["functionals", "--g", f"euler_pow{N}", "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --g 'euler_pow{N}': N = {N} is outside") and "N*n" in err
     # euler_pow2 at n = 2 is Euler's scheme at n = 4, so it gets the same closed forms
     rows = {}
     for g, n in (("euler_pow2", "2"), ("euler", "4")):

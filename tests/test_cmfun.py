@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmapprox import cmfun, quadrature
+from cmapprox import functionals as F
 from cmapprox.measures import PolyExpSegment, PositiveMeasure
 
-from conftest import b2_builtins, euler_power, mp_eval_map
+from conftest import b2_builtins, mp_eval_map
 
 
 # ----------------------------------------------------------------------
@@ -57,52 +58,82 @@ def test_eval_imag():
 
 
 # ----------------------------------------------------------------------
-# power scaling
+# power scaling: g_n = g(./n)^n is the pair (g, n), and euler_pow<N> is
+# Euler's g_N as a built-in of its own
 # ----------------------------------------------------------------------
 
 def test_power_scale_fixed_point():
+    # exp is the fixed point of the scaling: its g_n is e^{-z} and its
+    # log-defect an exact 0 at every n
     g = cmfun.exponential()
-    gn = cmfun.power_scale(g, 7)
     z = np.array([0.2, 1.0, 9.0])
-    assert np.allclose(gn(z), np.exp(-z), rtol=1e-13)
-    assert gn.moments == (1.0, 1.0, 1.0, 1.0, 1.0)
+    assert not np.any(g.defect(z, 7)) and not np.any(g.residual(z, 7))
+    assert F.a_of(g, 7) == F.b_of(g, 7) == F.d0_of(g, 7) == 0.0
+    assert g.moments == (1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_power_scale_euler_n2():
-    g2 = cmfun.power_scale(cmfun.euler(), 2)
+    g2 = cmfun.make_builtin("euler_pow2")
     z = 0.7
     assert float(np.atleast_1d(g2(z))[0]) == pytest.approx((1 + z / 2) ** -2, rel=1e-13)
     assert g2.moments[2] == pytest.approx(1.5)
     assert (-1.0) ** 2 * g2.moments[2] == pytest.approx(1.5)  # g''(0) = (-1)^2 m_2
+    # euler_pow2 is Euler's g at n = 2
+    zs = np.array([1e-3, 0.7, 5.0, 40.0])
+    assert np.allclose(g2.defect(zs), cmfun.euler().defect(zs, 2), rtol=1e-14, atol=0.0)
 
 
 def test_power_scale_spline_second_derivative():
-    g4 = cmfun.power_scale(cmfun.spline(), 4)
-    assert g4.moments[2] == pytest.approx(13.0 / 12.0, rel=1e-14)
+    # g_4''(0) = 1 + (g''(0) - 1)/4 = 13/12 for the spline: a[g_4] = 1/24
+    assert F.a_of(cmfun.spline(), 4) == pytest.approx(1.0 / 24.0, rel=1e-14)
 
 
 def test_power_scale_rejects():
-    with pytest.raises(ValueError):
-        cmfun.power_scale(cmfun.euler(), 0)
-    with pytest.raises(ValueError):
-        cmfun.power_scale(cmfun.from_measure(PositiveMeasure(atoms=((2.0, 1.0),))), 2)
+    not_b1 = cmfun.from_measure(PositiveMeasure(atoms=((2.0, 1.0),)))
+    with pytest.raises(ValueError, match="power scaling requires a B1 function"):
+        F.table(not_b1, [2], [0.5])
+    for N in (0, cmfun.EULER_POW_MAX + 1):
+        with pytest.raises(ValueError, match=f"--scheme 'euler_pow{N}': N = {N} is outside"):
+            cmfun.make_builtin(f"euler_pow{N}")
+    assert cmfun.make_builtin(f"euler_pow{cmfun.EULER_POW_MAX}").rational_n == cmfun.EULER_POW_MAX
+
+
+@pytest.mark.parametrize("N", [2, 4, 16])
+def test_euler_pow_moments_are_those_of_g_n(N):
+    # the raw moments of Euler's g_N from its derivatives at 0: m_2 = 1 + 1/N,
+    # m_3 = m_2 (1 + 2/N), m_4 = m_3 (1 + 3/N), exact in binary at these N
+    m2 = 1.0 + 1.0 / N
+    m3 = m2 * (1.0 + 2.0 / N)
+    assert cmfun.euler_pow(N).moments == (1.0, 1.0, m2, m3, m3 * (1.0 + 3.0 / N))
+
+
+def test_euler_pow_limit_is_where_h_leaves_1e_12():
+    # every first-order bound reads h = m_2 - 1 = 1/N: up to EULER_POW_MAX the
+    # Gamma measure holds it within 1e-12 relative, one N more it does not
+    def h_error(m2, N):
+        return abs(m2 - 1.0 - 1.0 / N) * N
+
+    top = cmfun.EULER_POW_MAX
+    assert max(h_error(cmfun.euler_pow(N).moments[2], N) for N in range(1, top + 1)) <= 1e-12
+    past = PositiveMeasure(segments=(PolyExpSegment(
+        0.0, math.inf, (0.0,) * top + ((top + 1) ** (top + 1) / math.factorial(top),),
+        float(top + 1)),))
+    assert h_error(past.moment(2), top + 1) > 1e-12
 
 
 def test_rational_n_reads_the_power_not_the_name():
     # the CLI and the holo suite read rational_n (Euler's closed-form r_{alpha,n}),
-    # so it must follow power scaling and survive a rename
-    composed = cmfun.power_scale(euler_power(2), 2)  # (1 + z/4)^{-4}
-    renamed = euler_power(4)._replace(name="x")
-    for g in (composed, renamed):
-        assert g.rational_n == 4
-    assert cmfun.power_scale(cmfun.spline(), 4).rational_n is None
+    # so it must survive a rename
+    assert cmfun.make_builtin("euler_pow4")._replace(name="x").rational_n == 4
+    assert cmfun.spline().rational_n is None
 
 
 @pytest.mark.parametrize("N", [4, 16])
 @pytest.mark.parametrize("n", [4, 64, 1024, 4096, 16384, 65536])
 def test_power_scaled_derivative_by_the_chain_rule(N, n):
-    # 1 + g'(1/n) of euler_pow<N>, the factor the nonb2 suite reads, against
-    # 40-digit mpmath: g_N'(z) = -(1 + z/N)^{-N-1}, g_N''(z) = (N+1)/N (1 + z/N)^{-N-2};
+    # 1 + g'(1/n) of euler_pow<N>, the factor the nonb2 suite reads, from its
+    # Gamma measure against the chain rule in 40-digit mpmath:
+    # g_N'(z) = -(1 + z/N)^{-N-1}, g_N''(z) = (N+1)/N (1 + z/N)^{-N-2};
     # 1 + g' is about (N+1)/(N n), so a few ulp of g' are ~1e-11 of it at n = 65536
     g = cmfun.make_builtin(f"euler_pow{N}")
     with mpmath.workdps(40):
@@ -113,12 +144,14 @@ def test_power_scaled_derivative_by_the_chain_rule(N, n):
     assert g.derivative(1.0 / n, 2) == pytest.approx(second, rel=1e-14, abs=0.0)
 
 
-def test_derivative_needs_deriv_real_or_a_measure():
+def test_derivative_needs_a_measure():
     bare = cmfun.CMFunction(name="bare", evaluate=lambda z: 1.0 / (1.0 + z))
-    with pytest.raises(ValueError, match="bare: derivatives at z > 0 need"):
+    with pytest.raises(ValueError, match="bare: derivatives at z > 0 need a measure"):
         bare.derivative(0.5, 1)
-    with pytest.raises(ValueError, match="euler_pow4: derivatives of orders 1 and 2 only"):
-        cmfun.make_builtin("euler_pow4").derivative(0.5, 3)
+    # every order comes from the measure: the third derivative of (1 + z/4)^{-4}
+    # is -(5/4)(6/4) (1 + z/4)^{-7}
+    assert cmfun.make_builtin("euler_pow4").derivative(0.5, 3) == pytest.approx(
+        -1.875 * 1.125 ** -7, rel=1e-14, abs=0.0)
 
 
 _DERIVATIVE_POINTS = (1e-3, 1.0 / 64.0, 0.5, 4.0, 10.0)
@@ -143,12 +176,10 @@ def test_derivatives_from_the_measure_match_mpmath(g, monkeypatch):
 
 
 def test_euler_power_measure_matches_rational_form():
-    for n in (2, 8, 32):
-        g = euler_power(n)
+    for n in (2, 8, 32, cmfun.EULER_POW_MAX):
+        g = cmfun.euler_pow(n)
         for z in (0.3, 2.0, 0.5 + 1.5j):
             assert g.measure.laplace(z) == pytest.approx((1 + z / n) ** -n, rel=1e-11)
-    with pytest.raises(ValueError):
-        euler_power(65)
 
 
 # ----------------------------------------------------------------------
@@ -359,9 +390,11 @@ def test_make_builtin_parsing(tmp_path):
                                   "hille", "chung:a=0.25+0.5+0.25,t=1", "frac_tail:gamma=0.5",
                                   "euler_pow4", "measure"])
 def test_defect_with_n_is_that_of_the_power_scaled_function(spec, tmp_path):
-    # g.defect(z, n) and g.residual(z, n) are power_scale(g, n)'s, bit for bit,
-    # with n a scalar or a column broadcasting against z; the points reach both
-    # sides of the |L_n(z)| <= 1 branch and, beyond |z| = n, the direct g_n(z)
+    # g.defect(z, n) and g.residual(z, n) are those of g_n = g(./n)^n: with n a
+    # column broadcasting against z, each row is the call with that n alone,
+    # bit for bit; the points reach both sides of the |L_n(z)| <= 1 branch,
+    # and beyond it and |z| = mn (m the scale of L) the defect is the direct
+    # g(z/n)^n - e^{-z}, bit for bit
     if spec == "measure":
         bump = {"segments": [{"a": 0, "b": 2, "poly": [0.0, 0.0, 3.75, -3.75, 0.9375]}]}
         path = tmp_path / "bump.json"
@@ -378,9 +411,16 @@ def test_defect_with_n_is_that_of_the_power_scaled_function(spec, tmp_path):
         stacked = getattr(g, kind)(z, col)
         assert stacked.shape == (len(ns), z.size)
         for n, row in zip(ns, stacked):
-            want = getattr(cmfun.power_scale(g, n), kind)(z)
-            if g.log_defect and g.log_defect.coeffs:   # exp's L is an exact 0
-                small = np.abs(g.log_defect(z, n=n)) <= 1.0
-                assert small.any() and not small.all(), (kind, n)
-            assert np.array_equal(getattr(g, kind)(z, n), want, equal_nan=True), (kind, n)
+            want = getattr(g, kind)(z, n)
             assert np.array_equal(row, want, equal_nan=True), (kind, n)
+    for n in ns:
+        direct = np.abs(z) > n * (g.log_defect.scale if g.log_defect else 0)
+        if g.log_defect:
+            small = np.abs(g.log_defect(z, n=n)) <= 1.0
+            direct &= ~small
+            if g.log_defect.coeffs:   # exp's L is an exact 0, so small is everywhere
+                assert small.any() and not small.all() and direct.any(), n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            power = g(z[direct] / n) ** n
+        assert np.array_equal(g.defect(z, n)[direct], power - np.exp(-z[direct]),
+                              equal_nan=True), n

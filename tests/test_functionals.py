@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from cmapprox import cmfun, quadrature
 from cmapprox import functionals as F
 
-from conftest import (L_scaled_bound, L_upper_bound, b2_builtins, c_alpha_measure, euler_power,
+from conftest import (L_scaled_bound, L_upper_bound, b2_builtins, c_alpha_measure,
                       kernel_integral, mp_eval_map)
 
 EULER_GAMMA = 0.5772156649015329
@@ -81,9 +81,8 @@ def test_defect_and_residual_match_mpmath(k, n, zs):
     # leading term listed above.  Below the smallest normal double nothing is
     # relative.
     g, mp_g, k2, lead_ulp = _WITH_L[k]
-    gn = cmfun.power_scale(g, n)
     z = np.array(zs)
-    got_d, got_r = gn.defect(z), gn.residual(z)
+    got_d, got_r = g.defect(z, n), g.residual(z, n)
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     k2 = Fraction(k2)
     with mpmath.workdps(80):
@@ -106,8 +105,7 @@ def test_zero_log_defect_is_exact():
     delta_1 = cmfun.from_measure(cmfun.PositiveMeasure(atoms=((1.0, 1.0),)))
     for g in (cmfun.exponential(), cmfun.kendall(1.0), delta_1):
         for n in (1, 7, 2 ** 16):
-            gn = cmfun.power_scale(g, n)
-            assert not np.any(gn.defect(z)) and not np.any(gn.residual(z))
+            assert not np.any(g.defect(z, n)) and not np.any(g.residual(z, n))
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +117,7 @@ def test_functional_L_values():
     assert F.functional_L(cmfun.euler()) == pytest.approx(math.exp(-1.0), rel=1e-13)
     assert F.functional_L(cmfun.spline()) == pytest.approx(0.25, rel=1e-13)
     with pytest.raises(F.RequiresMeasureError):
-        F.functional_L(cmfun.power_scale(cmfun.spline(), 3))
+        F.functional_L(cmfun.CMFunction("bare", lambda z: 1.0 / (1.0 + z)))
 
 
 def test_L_upper_bound_dominates():
@@ -142,7 +140,7 @@ def test_L_scaled_bound_dominates_euler_exact():
 def test_euler_power_L_matches_measure_route():
     for n in (2, 8, 32):
         assert F.euler_power_L(n) == pytest.approx(
-            F.functional_L(euler_power(n)), abs=1e-12)
+            F.functional_L(cmfun.euler_pow(n)), abs=1e-12)
 
 
 def test_euler_power_L_matches_mpmath():
@@ -166,11 +164,11 @@ def test_bernoulli_numbers_are_exact():
 
 def test_c_alpha_euler_anchors():
     g = cmfun.euler()
-    assert F.c_alpha_quads(g, (0.0,))[0.0].value == pytest.approx(EULER_GAMMA, abs=1e-10)
-    assert F.c_alpha_quads(g, (1.0,))[1.0].value == pytest.approx(1.0 - EULER_GAMMA, abs=1e-10)
+    assert F.c_alpha_quads(g, 1, (0.0,))[0.0].value == pytest.approx(EULER_GAMMA, abs=1e-10)
+    assert F.c_alpha_quads(g, 1, (1.0,))[1.0].value == pytest.approx(1.0 - EULER_GAMMA, abs=1e-10)
     assert F.euler_c_alpha_exact(1, 0.5) == pytest.approx(4.0 - 2.0 * math.sqrt(math.pi),
                                                           rel=1e-13)
-    assert F.c_alpha_quads(cmfun.exponential(), (0.5,))[0.5].value == pytest.approx(0.0, abs=1e-13)
+    assert F.c_alpha_quads(cmfun.exponential(), 1, (0.5,))[0.5].value == pytest.approx(0.0, abs=1e-13)
 
 
 def test_c_alpha_routes_agree():
@@ -178,7 +176,7 @@ def test_c_alpha_routes_agree():
         # kendall has an atom at 0 (g(inf) = 1/2), so c_0 diverges there
         alphas = (0.3, 1.0) if g.limit_at_inf > 0 else (0.0, 0.3, 1.0)
         for alpha in alphas:
-            qv = F.c_alpha_quads(g, (alpha,))[alpha]
+            qv = F.c_alpha_quads(g, 1, (alpha,))[alpha]
             assert qv.converged
             assert qv.value == pytest.approx(c_alpha_measure(g, alpha), rel=1e-8)
 
@@ -210,14 +208,14 @@ def test_c_alpha_quads_match_the_measure_route(atoms, zero, coeffs, rate, a, wid
         atoms=tuple((loc / mean, w / mass) for loc, w in nu.atoms),
         segments=(cmfun.PolyExpSegment(a / mean, (a + width) / mean, scaled, rate * mean),))
     g = cmfun.from_measure(nu)
-    for alpha, qv in F.c_alpha_quads(g, (0.25, 0.5, 1.0)).items():
+    for alpha, qv in F.c_alpha_quads(g, 1, (0.25, 0.5, 1.0)).items():
         assert qv.converged
         assert qv.value == pytest.approx(c_alpha_measure(g, alpha), rel=1e-9)
 
 
 def test_c_alpha_convexity_in_alpha():
     for g in (cmfun.euler(), cmfun.spline()):
-        c = {alpha: qv.value for alpha, qv in F.c_alpha_quads(g, (0.0, 0.25, 0.5, 0.75, 1.0)).items()}
+        c = {alpha: qv.value for alpha, qv in F.c_alpha_quads(g, 1, (0.0, 0.25, 0.5, 0.75, 1.0)).items()}
         for alpha in (0.25, 0.5, 0.75):
             assert c[alpha] <= (1 - alpha) * c[0.0] + alpha * c[1.0] + 1e-12
 
@@ -245,7 +243,7 @@ def test_c_alpha_quadrature_matches_euler_closed_form(g, n):
     # the quadrature of the cancellation-free defect of g_n against the closed
     # form, for Euler's g and for the Laplace transform of its measure e^{-s} ds
     for alpha in (0.0, 0.5, 1.0):
-        qv = F.c_alpha_quads(cmfun.power_scale(g, n), (alpha,))[alpha]
+        qv = F.c_alpha_quads(g, n, (alpha,))[alpha]
         assert qv.converged
         assert qv.value == pytest.approx(F.euler_c_alpha_exact(n, alpha), rel=1e-11, abs=0.0)
 
@@ -254,9 +252,8 @@ def test_c_alpha_quadrature_matches_euler_closed_form(g, n):
 def test_c_alpha_quadrature_interior_alphas(n):
     # the exp-sinh rule takes the z^{1-alpha} of the integrand at 0 as it is,
     # for every alpha of one quadrature
-    gn = cmfun.power_scale(cmfun.euler(), n)
     alphas = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
-    for alpha, qv in F.c_alpha_quads(gn, alphas).items():
+    for alpha, qv in F.c_alpha_quads(cmfun.euler(), n, alphas).items():
         assert qv.converged
         assert qv.value == pytest.approx(F.euler_c_alpha_exact(n, alpha), rel=1e-13, abs=0.0)
 
@@ -264,7 +261,6 @@ def test_c_alpha_quadrature_interior_alphas(n):
 def test_c_alpha_three_alphas_share_one_quadrature(monkeypatch):
     # the spline at n = 1024: one semi-infinite quadrature for alphas 0, 0.5
     # and 1, in a few integrand calls
-    gn = cmfun.power_scale(cmfun.spline(), 1024)
     points = []
     inner = quadrature.integrate
 
@@ -275,7 +271,7 @@ def test_c_alpha_three_alphas_share_one_quadrature(monkeypatch):
         return inner(g, *args, **kwargs)
 
     monkeypatch.setattr(quadrature, "integrate", counted)
-    values = F.c_alpha_quads(gn, (1.0, 0.0, 0.5, 0.0))
+    values = F.c_alpha_quads(cmfun.spline(), 1024, (1.0, 0.0, 0.5, 0.0))
     assert list(values) == [0.0, 0.5, 1.0]
     assert len(points) <= 6 and sum(points) <= 6000
     assert all(qv.converged for qv in values.values())
@@ -288,9 +284,9 @@ def test_c_alpha_three_alphas_share_one_quadrature(monkeypatch):
 def test_a_of_power_reads_the_log_defect():
     # g_n''(0) = 1 + (g''(0) - 1)/n cancels in (g_n''(0) - 1)/2; c_2/n does not
     for n in (1024, 65536):
-        gn = cmfun.power_scale(cmfun.spline(), n)
-        assert F.a_of(gn) == pytest.approx(float(Fraction(1, 6 * n)), rel=1e-15, abs=0.0)
-    assert F.a_of(cmfun.exponential()) == 0.0
+        assert F.a_of(cmfun.spline(), n) == pytest.approx(float(Fraction(1, 6 * n)), rel=1e-15,
+                                                          abs=0.0)
+    assert F.a_of(cmfun.exponential(), 1) == 0.0
 
 
 def test_euler_exact_envelopes():
@@ -306,21 +302,35 @@ def test_euler_exact_envelopes():
             assert F.euler_c_alpha_exact(n, alpha) <= half + 1e-12
 
 
+def _hille_2():
+    """hille's g_2(z) = exp(-2(1 - e^{-z/2})) from its own measure, the
+    Poisson(2) law on the multiples of 1/2 (to k = 40, a tail below 1e-30)."""
+    atoms = tuple((k / 2.0, math.exp(-2.0 + k * math.log(2.0) - math.lgamma(k + 1)))
+                  for k in range(41))
+    return cmfun.from_measure(cmfun.PositiveMeasure(atoms=atoms))
+
+
 def test_c_alpha_divergence_flags():
     hille = cmfun.hille()  # g(inf) = 1/e > 0, so c_0 diverges
     assert math.isinf(c_alpha_measure(hille, 0.0))
-    qv = F.c_alpha_quads(hille, (0.0,))[0.0]
+    qv = F.c_alpha_quads(hille, 1, (0.0,))[0.0]
     assert not qv.converged and qv.flag == "tail_divergent"
-    assert F.c_alpha_quads(hille, (0.5,))[0.5].converged
-    qv = F.c_alpha_quads(cmfun.power_scale(cmfun.hille(), 2), (0.0,))[0.0]
+    assert F.c_alpha_quads(hille, 1, (0.5,))[0.5].converged
+    qv = F.c_alpha_quads(hille, 2, (0.0,))[0.0]
     assert not qv.converged and qv.flag == "tail_divergent"
+    # hille's g_2 tends to g(inf)^2 = e^{-2}, which is taken out of its defect:
+    # taking out e^{-1} leaves a tail like z^{-1-alpha} that the quadrature of
+    # c_{1/4} does not converge on
+    for alpha, qv in F.c_alpha_quads(hille, 2, (0.25, 1.0)).items():
+        assert qv.converged
+        assert qv.value == pytest.approx(c_alpha_measure(_hille_2(), alpha), rel=1e-9)
 
 
 def test_c_alpha_without_log_defect_is_flagged():
     # frac_tail carries no log-defect: its direct difference g(z) - e^{-z} is
     # roundoff at small z, so no quadrature is run and the value is nan
-    for gn in (cmfun.frac_tail(0.5), cmfun.power_scale(cmfun.frac_tail(0.5), 4)):
-        for alpha, qv in F.c_alpha_quads(gn, (0.0, 0.5, 1.0)).items():
+    for n in (1, 4):
+        for alpha, qv in F.c_alpha_quads(cmfun.frac_tail(0.5), n, (0.0, 0.5, 1.0)).items():
             assert math.isnan(qv.value) and not qv.converged and qv.flag == "no_log_defect"
 
 
@@ -330,15 +340,14 @@ def test_c_alpha_without_log_defect_is_flagged():
 
 def test_b_d0_d1_closed_values():
     e = cmfun.exponential()
-    assert F.b_of(e) == pytest.approx(0.0, abs=1e-14)
-    assert F.d0_of(e) == pytest.approx(0.0, abs=1e-14)
-    assert F.d1_of(e, F.c_alpha_quads(e, (0, 1))) == pytest.approx(0.0, abs=1e-10)
+    assert F.b_of(e, 1) == pytest.approx(0.0, abs=1e-14)
+    assert F.d0_of(e, 1) == pytest.approx(0.0, abs=1e-14)
+    assert F.d1_of(e, 1, F.c_alpha_quads(e, 1, (0, 1))) == pytest.approx(0.0, abs=1e-10)
     g = cmfun.euler()
-    assert F.b_of(g) == pytest.approx(-1.0 / 3.0, rel=1e-14)
-    assert F.d0_of(g) == pytest.approx(0.75, rel=1e-14)
+    assert F.b_of(g, 1) == pytest.approx(-1.0 / 3.0, rel=1e-14)
+    assert F.d0_of(g, 1) == pytest.approx(0.75, rel=1e-14)
     for n in (2, 5, 11):
-        assert F.b_of(cmfun.power_scale(g, n)) == pytest.approx(-1.0 / (3.0 * n * n),
-                                                                rel=1e-12)
+        assert F.b_of(g, n) == pytest.approx(-1.0 / (3.0 * n * n), rel=1e-12)
     assert cmfun.kendall(0.5).moments[4] == pytest.approx(8.0)
 
 
@@ -346,9 +355,9 @@ def test_b_d0_routes_agree():
     # the log-defect series against the measure: b = int (1-tau)^3/6 nu(dtau),
     # d0 = int (1-tau)^4/12 nu(dtau)
     for g in b2_builtins():
-        assert F.b_of(g) == pytest.approx(
+        assert F.b_of(g, 1) == pytest.approx(
             kernel_integral(g.measure, lambda tau: (1.0 - tau) ** 3 / 6.0), abs=1e-8)
-        assert F.d0_of(g) == pytest.approx(
+        assert F.d0_of(g, 1) == pytest.approx(
             kernel_integral(g.measure, lambda tau: (1.0 - tau) ** 4 / 12.0), abs=1e-8)
 
 
@@ -360,35 +369,33 @@ def test_b_d0_of_power_are_exact(n):
     cases = [(cmfun.euler(), Fraction(-1, 3 * n * n), Fraction(1, 4 * n * n) + Fraction(1, 2 * n ** 3)),
              (cmfun.spline(), Fraction(0), Fraction(1, 36 * n * n) - Fraction(1, 90 * n ** 3))]
     for g, b, d0 in cases:
-        gn = cmfun.power_scale(g, n)
-        assert F.b_of(gn) == pytest.approx(float(b), rel=1e-13, abs=0.0), g.name
-        assert F.d0_of(gn) == pytest.approx(float(d0), rel=1e-13, abs=0.0), g.name
+        assert F.b_of(g, n) == pytest.approx(float(b), rel=1e-13, abs=0.0), g.name
+        assert F.d0_of(g, n) == pytest.approx(float(d0), rel=1e-13, abs=0.0), g.name
 
 
 def test_b_requires_class():
     ft = cmfun.frac_tail(0.5)
     with pytest.raises(ValueError):
-        F.b_of(ft)
+        F.b_of(ft, 1)
     with pytest.raises(ValueError):
-        F.a_of(ft)
+        F.a_of(ft, 4)
 
 
 def test_functionals_need_the_log_defect():
     # a B4 function without a log-defect: a, b, d0 and d1 raise, naming it
     g = cmfun.euler()._replace(name="euler-without-L", log_defect=None)
-    d1_of = lambda g: F.d1_of(g, F.c_alpha_quads(g, (0, 1)))
+    d1_of = lambda g, n: F.d1_of(g, n, F.c_alpha_quads(g, n, (0, 1)))
     for functional in (F.a_of, F.b_of, F.d0_of, d1_of):
         with pytest.raises(ValueError, match="euler-without-L"):
-            functional(g)
+            functional(g, 2)
 
 
 def test_scaled_b_d0_inequalities():
     for g in b2_builtins():
         cap = g.moments[4] - 1.0
         for n in (1, 2, 4, 8):
-            gn = cmfun.power_scale(g, n)
-            assert abs(F.b_of(gn)) <= cap / n ** 2 + 1e-12
-            d0 = F.d0_of(gn)
+            assert abs(F.b_of(g, n)) <= cap / n ** 2 + 1e-12
+            d0 = F.d0_of(g, n)
             assert -1e-12 <= d0 <= cap / n ** 2 + 1e-12
 
 
@@ -396,8 +403,7 @@ def test_d1_scaling_euler():
     g = cmfun.euler()
     vals = []
     for n in (4, 8, 16):
-        gn = euler_power(n)
-        d1 = F.d1_of(gn, F.c_alpha_quads(gn, (0, 1)))
+        d1 = F.d1_of(g, n, F.c_alpha_quads(g, n, (0, 1)))
         assert d1 >= -1e-12
         vals.append(d1 * n * n)
     # d1[g_n] <= C n^{-2}: the scaled sequence stays bounded
@@ -417,7 +423,7 @@ def test_moment_chain_b4():
 
 def test_c0_plus_c1_equals_sg_integral():
     for g in (cmfun.euler(), cmfun.spline()):
-        lhs = F.c_alpha_quads(g, (0.0,))[0.0].value + F.c_alpha_quads(g, (1.0,))[1.0].value
+        lhs = F.c_alpha_quads(g, 1, (0.0,))[0.0].value + F.c_alpha_quads(g, 1, (1.0,))[1.0].value
 
         def sg(z):
             z = np.asarray(z, dtype=float)
@@ -468,15 +474,14 @@ def test_interpolation_sup_bound():
 
 def test_c_alpha_of_exponential_powers_is_zero():
     for n in (2, 8):
-        for qv in F.c_alpha_quads(cmfun.power_scale(cmfun.exponential(), n), (0.0, 1.0)).values():
+        for qv in F.c_alpha_quads(cmfun.exponential(), n, (0.0, 1.0)).values():
             assert abs(qv.value) <= 1e-10 and n ** 2 * abs(qv.value) <= 1e-8
 
 
 @pytest.mark.parametrize("g", [cmfun.hille(), cmfun.kendall(0.5), cmfun.yosida(1.0)])
 def test_d1_diverges_when_g_has_an_atom_at_zero(g):
     # g(inf) > 0: c_0 diverges, and d1 raises instead of returning a value,
-    # for g itself and for g_n
-    for n in (1, 2):
+    # for g itself and for g_n, also where g(inf)^n underflows to 0
+    for n in (1, 2, 1024):
         with pytest.raises(F.DivergentError):
-            gn = cmfun.power_scale(g, n)
-            F.d1_of(gn, F.c_alpha_quads(gn, (0, 1)))
+            F.d1_of(g, n, F.c_alpha_quads(g, n, (0, 1)))

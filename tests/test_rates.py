@@ -211,7 +211,7 @@ def test_family_blocks_stay_within_one_t(monkeypatch):
     ("holo", "kendall", (0.0, 0.5, 1.0)),
 ])
 def test_suite_rows_equal_the_per_cell_reference(suite, scheme, alphas):
-    # the errors of a grid run are those of each cell's g_n = power_scale(g_t, n)
+    # the errors of a grid run are those of each cell's g_n, the pair (g_t, n),
     # through A.norms and A.opnorm, bit for bit, and every row is that of the
     # cell run alone, in t-major cell order
     A = opcalc.laplacian_dirichlet_1d(16)
@@ -222,13 +222,13 @@ def test_suite_rows_equal_the_per_cell_reference(suite, scheme, alphas):
     assert rows == [r for t in ts for n in ns for r in run(g, A, [t], [n], alphas, vecs)]
     for t in ts:
         for n in ns:
-            gn = cmfun.power_scale(g.at(t), n)
-            f = gn.residual if suite in ("second", "holo2") else gn.defect
-            [[errors]], _ = A.norms([lambda lam: f(t * lam)], vecs)
+            gt = g.at(t)
+            f = gt.residual if suite in ("second", "holo2") else gt.defect
+            [[errors]], _ = A.norms([lambda lam: f(t * lam, n)], vecs)
             cell = [r for r in rows if (r.t, r.n) == (t, n)]
             assert cell
             for r in cell:
-                want = A.opnorm(lambda lam: f(t * lam)) if r.vector_id < 0 else (
+                want = A.opnorm(lambda lam: f(t * lam, n)) if r.vector_id < 0 else (
                     errors[r.vector_id])
                 assert r.error == want, (t, n, r.tag, r.vector_id)
 
@@ -266,13 +266,13 @@ def test_holomorphic_sharp_euler_closed_form_bounds():
 
 
 def test_holo_sharp_rows_of_a_power_scaled_function():
-    # spline_4 keeps no measure, but its log-defect is spline's at scale 4:
-    # its c_alpha[(spline_4)_n] is spline's c_alpha[spline_{4n}], so are the
-    # sharp bounds
+    # euler_pow4's log-defect is Euler's at scale 4: without its rational_n,
+    # which gives the closed-form r_{alpha,4n}, its sharp rows come from the
+    # quadrature of c_alpha[(g_4)_n], which is c_alpha[g_{4n}] of Euler's g
     A = opcalc.make_generator("laplacian:d=16")
     vecs = opcalc.test_vectors(A, count=4)
-    g = cmfun.spline()
-    g4 = cmfun.power_scale(g, 4)
+    g = cmfun.euler()._replace(rational_n=None)
+    g4 = cmfun.euler_pow(4)._replace(rational_n=None)
     for n in (4, 16):
         got = [r for r in rates.holomorphic_bounds(g4, A, [1.0], [n], (0.0, 0.5, 1.0), vecs)
                if r.tag == "holo-sharp"]
