@@ -1,0 +1,11 @@
+"""The golden corpus (tests/golden.py) prints and writes what tests/golden/ records."""
+
+import golden
+
+
+def test_outputs_are_the_recorded_bytes():
+    # a difference is a change in output: `python tests/golden.py` prints its
+    # table, and `--update` records it
+    new = golden.records()
+    changed = [name for name, data in new.items() if golden.recorded(name) != data]
+    assert not changed, f"outputs differ from tests/golden/ for {changed}"
