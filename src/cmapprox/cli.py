@@ -13,10 +13,11 @@ its own inputs (rates.SUITES), rates.order_verdict passes or fails an
 `orders` fit, rates.sharpness_rows gives the checked sharpness rows and
 functionals.table builds the functionals rows.  Each command parses its
 inputs and returns (fields, rows); `main` alone writes them and sets the
-exit code.  Every grid value, from a flag or from --config, is checked in
-one place: t positive and finite, n a whole number in [1, 2^53] (where the
-float parse keeps every whole number exact), alpha finite (-0 read as 0),
-and a repeated value dropped; --seed is checked there too.
+exit code.  Every grid value, from a flag or from --config, is checked by
+cmfun.read_value, as the values of --scheme and --generator strings are:
+t positive and finite, n a whole number in [1, 2^53] (where the float
+parse keeps every whole number), alpha finite (-0 read as 0), and a
+repeated value dropped; --seed is checked with them.
 
 Exit codes: 0 all pass, 1 a row has `pass` false or a report line is FAIL
 (or standard output was closed early), 2 usage errors, each a ValueError
@@ -30,13 +31,12 @@ import argparse
 import csv
 import gc
 import json
-import math
 import os
 import sys
 
 from . import functionals as fns
 from . import opcalc, rates
-from .cmfun import ScaledFamily, make_builtin, read_json_object
+from .cmfun import FINITE, POSITIVE, ScaledFamily, make_builtin, read_json_object, read_value
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -68,34 +68,24 @@ def write_json(path: str, rows):
         fh.write("\n")
 
 
-# what the values of each grid must be, whether they come from a flag or --config
+# the kind of each grid's values, whether they come from a flag or --config
 GRID = {
-    "t": ("a positive finite number", lambda x: 0.0 < x < math.inf),
-    "n": ("a whole number in [1, 2^53]", lambda x: 1 <= x <= 2.0 ** 53 and x.is_integer()),
-    "alpha": ("a finite number", math.isfinite),
+    "t": POSITIVE,
+    "n": ("a whole number in [1, 2^53]", lambda x: 1 <= x <= 2.0 ** 53 and x.is_integer(), int),
+    "alpha": FINITE,
 }
 
 
 def _check_grid(key: str, values) -> list:
-    """The values of grid `key` as numbers (n as ints), each once, in the order
-    first given; a ValueError naming the flag otherwise."""
+    """The values of grid `key`, read as its kind, each once, in the order first given."""
     if isinstance(values, str):
         values = [x for x in values.split(",") if x.strip()]
     elif not isinstance(values, list):
         values = [values]
     if not values:
         raise ValueError(f"--{key} needs a comma-separated list of values")
-    what, ok = GRID[key]
-    out = []
-    for raw in values:
-        try:
-            x = float(raw)
-        except (TypeError, ValueError):
-            x = math.nan
-        if not ok(x):
-            raise ValueError(f"--{key} {str(raw).strip()} is not {what}")
-        out.append(int(x) if key == "n" else x + 0.0)   # -0.0 + 0.0 is 0.0
-    return list(dict.fromkeys(out))
+    return list(dict.fromkeys(read_value(raw, GRID[key], f"--{key} {str(raw).strip()}")
+                              for raw in values))
 
 
 def _check_seed(raw: str) -> int:
@@ -175,13 +165,12 @@ ORDER_FIELDS = ["scheme", "generator", "t", "alpha", "slope", "expected_exponent
 
 def cmd_orders(args):
     cfg = _load_config(args)
-    scheme = cfg.get("scheme", "euler")
     suite = cfg.get("suite", "first")
     if suite not in ("first", "second"):
         raise ValueError(f"--suite {suite!r} is not a suite of orders, which takes first or second")
     ts, ns, alphas = _grids(cfg)
     rates.check_alphas(alphas, *rates.ORDER_ALPHA, "orders")
-    g = make_builtin(scheme)
+    g = make_builtin(cfg.get("scheme", "euler"))
     A = opcalc.make_generator(cfg.get("generator", "diag_imag:k=128"))
     second = suite == "second"
     rows = []
@@ -192,7 +181,7 @@ def cmd_orders(args):
             expected = rates.expected_exponent(A, alpha, second)
             flag, ok = rates.order_verdict(fit, expected)
             rows.append({
-                "scheme": scheme, "generator": A.name, "t": t, "alpha": alpha,
+                "scheme": g.name, "generator": A.name, "t": t, "alpha": alpha,
                 "slope": fit.slope, "expected_exponent": expected,
                 "intercept": fit.intercept, "r_squared": fit.r_squared,
                 "used_points": fit.used_points, "flag": flag, "tag": f"order-{suite}",

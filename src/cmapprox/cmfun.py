@@ -1,12 +1,11 @@
 """Bounded completely monotone functions and their normalized classes.
 
 A CMFunction bundles one pointwise evaluator (numpy arrays of real z >= 0
-or of complex z with Re z >= 0), an optional explicit representing
-measure and the moments m_0..m_4 of that measure (extended reals).  A
-built-in or `measure:` function is its measure plus closed forms (the
-evaluator, the log-defect): one constructor, `_transform`, reads its
-moments and g(inf), the mass of the atom at 0, off the measure.  The
-normalized classes, tested by check_bk(g, k), are
+or of complex z with Re z >= 0), its representing measure and the moments
+m_0..m_4 of that measure (extended reals).  Every function is its measure
+plus closed forms (the evaluator, the log-defect): one constructor,
+`_transform`, reads its moments and g(inf), the mass of the atom at 0,
+off the measure.  The normalized classes, tested by check_bk(g, k), are
 
     B1: m_0 = m_1 = 1;  B2: additionally m_2 < inf;  B3, B4 likewise.
 
@@ -25,6 +24,11 @@ many digits; see Higham, Accuracy and Stability of Numerical Algorithms
 `measure:` string) gets its cumulants from the raw moments of its measure;
 one outside B2, such as `frac_tail`, carries none: its defect is the direct
 difference, and it has no second-order remainder.
+
+Functions and generators (opcalc.GALLERY) are named by `name:key=value`
+strings with one reader, `read_spec`, and every value, there and in the
+CLI's grids, has one check, `read_value` against its kind (FINITE,
+POSITIVE, WHOLE).  A built-in's name gives each of its values in full.
 
 The scheme g_n(z) = g(z/n)^n is the pair (g, n): nothing builds it as a
 function.  Its log-defect is L_n(z) = n L(z/n), and `g.defect(z, n)` and
@@ -60,7 +64,6 @@ __all__ = [
     "exponential",
     "check_bk",
     "require_b1",
-    "BUILTIN_NAMES",
 ]
 
 MOMENT_TOL = 1e-12
@@ -163,7 +166,7 @@ class CMFunction(NamedTuple):
 
     name: str
     evaluate: object                        # numpy array -> array; real input gives real output
-    measure: PositiveMeasure | None = None
+    measure: PositiveMeasure                # the representing measure nu: g = int e^{-zs} nu(ds)
     moments: tuple = (1.0, 1.0, math.inf, math.inf, math.inf)
     limit_at_inf: float = 0.0               # g(inf) = mass of the atom at 0
     rational_n: int | None = None           # n with g(z) = (1 + z/n)^{-n} (Euler type)
@@ -250,8 +253,6 @@ class CMFunction(NamedTuple):
 
     def derivative(self, z: float, order: int = 1) -> float:
         """g^(order)(z) for z > 0, from the measure."""
-        if self.measure is None:
-            raise ValueError(f"{self.name}: derivatives at z > 0 need a measure")
         return float(self.measure.laplace(z, order))
 
 
@@ -379,7 +380,7 @@ def kendall(t: float) -> CMFunction:
         taylor = [1.0] + [t * (-1.0 / t) ** j / math.factorial(j)
                           for j in range(1, SERIES_DEGREE + 1)]
         log_defect = _log_defect(_log_series(taylor), lambda w: np.log(evaluate(w)) + w)
-    return _transform(f"kendall(t={t:g})", PositiveMeasure(atoms=tuple(atoms)), evaluate,
+    return _transform(f"kendall(t={_num(t)})", PositiveMeasure(atoms=tuple(atoms)), evaluate,
                       log_defect)
 
 
@@ -405,7 +406,7 @@ def yosida(t: float) -> CMFunction:
                          segments=(PolyExpSegment(0.0, math.inf, tuple(coeffs), t),))
     # L(w) = w^2/(t + w) = sum_{k>=2} (-1)^k t^{1-k} w^k
     series = [(-1.0) ** k * t ** (1 - k) for k in range(2, SERIES_DEGREE + 1)]
-    return _transform(f"yosida(t={t:g})", nu, lambda z: np.exp(-t * z / (t + z)),
+    return _transform(f"yosida(t={_num(t)})", nu, lambda z: np.exp(-t * z / (t + z)),
                       _log_defect(series, lambda w: w * w / (t + w)))
 
 
@@ -445,7 +446,7 @@ def chung(a, t: float) -> CMFunction:
     # (t/(t+w))^k = sum_j C(k+j-1, j) (-w/t)^j
     taylor = [1.0] + [sum(a[k] * math.comb(k + j - 1, j) for k in range(1, len(a)))
                       * (-1.0 / t) ** j for j in range(1, SERIES_DEGREE + 1)]
-    return _transform(f"chung(t={t:g})", nu, evaluate,
+    return _transform(f"chung(a={'+'.join(map(_num, a))},t={_num(t)})", nu, evaluate,
                       _log_defect(_log_series(taylor), lambda w: np.log(evaluate(w)) + w))
 
 
@@ -460,61 +461,58 @@ def frac_tail(gamma: float) -> CMFunction:
     gp = (2.0 + gamma) - 2.0    # gamma as 2 + gamma rounds it: then m_0 = m_1 = 1 to roundoff
     nu = PositiveMeasure(atoms=((0.0, 1.0 - gp),),
                          segments=(PowerLawSegment(gp * (gp + 1.0), 2.0 + gp),))
-    return from_measure(nu, name=f"frac_tail(gamma={gamma:g})")
+    return from_measure(nu, name=f"frac_tail(gamma={_num(gamma)})")
 
 
-BUILTIN_NAMES = ("euler", "euler_pow<N>", "spline", "kendall", "yosida", "hille", "chung",
-                 "frac_tail", "exp")
+# ----------------------------------------------------------------------
+# name:key=value strings
+# ----------------------------------------------------------------------
+
+def _num(x: float) -> str:
+    """The shortest of '%g' and repr that reads back as x exactly."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
 
 
-# each constructor string: its builder, the keys it takes and those it needs;
-# a family without t is the family itself, with t its member g_t
-_BUILDERS = {
-    "euler": (euler, (), ()),
-    "spline": (spline, (), ()),
-    "exp": (exponential, (), ()),
-    "hille": (hille, (), ()),
-    "kendall": (lambda t=None: ScaledFamily("kendall", kendall) if t is None else kendall(t),
-                ("t",), ()),
-    "yosida": (lambda t=None: ScaledFamily("yosida", yosida) if t is None else yosida(t),
-               ("t",), ()),
-    "chung": (chung, ("a", "t"), ("a", "t")),
-    "frac_tail": (frac_tail, ("gamma",), ("gamma",)),
-}
+# A kind of value is (what it must be, the test of its float, the cast of a
+# float that passes); a list [kind] is its values joined by '+'.
+FINITE = ("a finite number", math.isfinite, lambda x: x + 0.0)   # -0 reads as 0
+POSITIVE = ("a positive finite number", lambda x: 0.0 < x < math.inf, float)
+WHOLE = ("a positive whole number", lambda x: x >= 1.0 and x.is_integer(), int)
 
 
-def make_builtin(spec: str, flag: str = "--scheme"):
-    """Parse a constructor string like 'kendall:t=0.5', 'frac_tail:gamma=0.3' or
-    'euler_pow4' (= euler_pow(4)).  A key the constructor does not
-    take, a value that is not a finite number, a missing key or a value out
-    of range raises ValueError naming `flag`, the key and the value."""
+def read_value(raw, kind, where: str):
+    """raw, a string or a number from a --config file, as a value of kind; a
+    ValueError '{where} is not {what}' otherwise."""
+    if isinstance(kind, list):
+        return [read_value(x, kind[0], where) for x in raw.split("+")]
+    what, ok, cast = kind
+    try:
+        x = float(raw)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not ok(x):
+        raise ValueError(f"{where} is not {what}")
+    return cast(x)
+
+
+def read_spec(spec: str, flag: str, table: dict, what: str):
+    """What a 'name:key=value,...' string names: table maps a name to (builder,
+    {key: kind}, keys it needs), or to None if it is only listed.  A bad name,
+    key or value, or one the builder refuses, is a ValueError naming flag and spec."""
     name, _, argstr = spec.partition(":")
     where = f"{flag} {spec!r}"
-    if name == "measure":
-        return from_measure(_read_measure(argstr, where), name=spec)
-    pow_n = name[len("euler_pow"):]
-    if name.startswith("euler_pow") and pow_n.isdecimal():
-        build, takes, needs = (lambda: euler_pow(int(pow_n))), (), ()
-    elif name in _BUILDERS:
-        build, takes, needs = _BUILDERS[name]
-    else:
-        raise ValueError(f"{where}: unknown function name {name!r}; "
-                         f"available: {', '.join(BUILTIN_NAMES)}")
+    if not table.get(name):
+        raise ValueError(f"{where}: unknown {what} {name!r}; available: {', '.join(table)}")
+    build, kinds, needs = table[name]
     kwargs = {}
     for item in filter(None, argstr.split(",")):
         key, _, val = (x.strip() for x in item.partition("="))
         bad = f"{where}: {key}={val!r}"
-        if key not in takes:
+        if key not in kinds:
             raise ValueError(f"{bad} is not a key of {name}, which takes "
-                             f"{', '.join(takes) or 'no keys'}")
-        try:
-            # a: the coefficients of chung, joined by '+'
-            x = [float(v) for v in val.split("+")] if key == "a" else [float(val)]
-        except ValueError:
-            raise ValueError(f"{bad} is not a number") from None
-        if not all(map(math.isfinite, x)):
-            raise ValueError(f"{bad} is not a finite number")
-        kwargs[key] = x if key == "a" else x[0]
+                             f"{', '.join(kinds) or 'no keys'}")
+        kwargs[key] = read_value(val, kinds[key], bad)
     for key in needs:
         if key not in kwargs:
             raise ValueError(f"{where}: {name} needs {key}=<value>")
@@ -522,6 +520,36 @@ def make_builtin(spec: str, flag: str = "--scheme"):
         return build(**kwargs)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
+
+
+# the --scheme names: a family without t is the family, with t its member
+# g_t; euler_pow<N> is only listed, make_builtin reads euler_pow1, euler_pow2, ...
+_BUILDERS = {
+    "euler": (euler, {}, ()),
+    "euler_pow<N>": None,
+    "spline": (spline, {}, ()),
+    "kendall": (lambda t=None: ScaledFamily("kendall", kendall) if t is None else kendall(t),
+                {"t": FINITE}, ()),
+    "yosida": (lambda t=None: ScaledFamily("yosida", yosida) if t is None else yosida(t),
+               {"t": FINITE}, ()),
+    "hille": (hille, {}, ()),
+    "chung": (chung, {"a": [FINITE], "t": FINITE}, ("a", "t")),
+    "frac_tail": (frac_tail, {"gamma": FINITE}, ("gamma",)),
+    "exp": (exponential, {}, ()),
+}
+
+
+def make_builtin(spec: str, flag: str = "--scheme"):
+    """The function or family a --scheme (or --g) string names: 'measure:<file>',
+    'euler_pow<N>' (= euler_pow(N)) or a name of _BUILDERS with its keys, as in
+    'kendall:t=0.5' or 'chung:a=0.25+0.5+0.25,t=1'; ValueErrors as in read_spec."""
+    name, _, path = spec.partition(":")
+    if name == "measure":
+        return from_measure(_read_measure(path, f"{flag} {spec!r}"), name=spec)
+    N = name[len("euler_pow"):]
+    if name.startswith("euler_pow") and N.isdecimal():   # takes no keys
+        return read_spec(spec, flag, {name: (lambda: euler_pow(int(N)), {}, ())}, "function name")
+    return read_spec(spec, flag, _BUILDERS, "function name")
 
 
 def _atom(entry) -> tuple:

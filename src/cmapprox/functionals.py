@@ -54,22 +54,12 @@ __all__ = [
 ]
 
 
-class RequiresMeasureError(ValueError):
-    pass
-
-
-class DivergentError(ArithmeticError):
-    pass
-
-
 # ----------------------------------------------------------------------
 # L
 # ----------------------------------------------------------------------
 
 def functional_L(g: CMFunction) -> float:
     """L[g] = int_0^1 (1-s) nu(ds), from the partial moments of the measure."""
-    if g.measure is None:
-        raise RequiresMeasureError(f"{g.name}: L needs an explicit measure")
     nu = g.measure
     return nu.partial_moment(0, 0.0, 1.0) - nu.partial_moment(1, 0.0, 1.0)
 
@@ -238,13 +228,11 @@ def d0_of(g: CMFunction, n: int) -> float:
 def d1_of(g: CMFunction, n: int, c: dict) -> float:
     """d1[g_n] = c_0[g_n] - c_1[g_n] - b[g_n], with c_0 and c_1 read from c, the
     dict `c_alpha_quads(g, n, alphas)` returns for some alphas that include 0
-    and 1.  When g(inf) > 0, c_0 diverges and DivergentError is raised rather
-    than a truncated value returned."""
+    and 1.  nan where c_0 or c_1 has not converged, whose flag says why: c_0
+    diverges when g(inf) > 0 (tail_divergent)."""
     b = _log_defect_terms(g, n, 4, "d1[g]")[1]
-    for alpha in (0.0, 1.0):
-        if not c[alpha].converged:
-            raise DivergentError(f"d1[{g.name}] at n = {n}: c_{alpha:g} has not converged "
-                                 f"({c[alpha].flag})")
+    if not (c[0.0].converged and c[1.0].converged):
+        return math.nan
     return c[0.0].value - c[1.0].value - b
 
 
@@ -268,7 +256,7 @@ def table(g: CMFunction, ns, alphas) -> list[dict]:
     rows = []
     for n in sorted(ns):
         rational = g.rational_n and g.rational_n * n   # g_n = Euler's g_{Nn}
-        why_L = "" if rational or (n == 1 and g.measure is not None) else "no_measure"
+        why_L = "" if rational or n == 1 else "no_measure"
         why_d1 = "" if g.tail_integrable else "tail_divergent"
         L = euler_power_L(rational) if rational else math.nan if why_L else functional_L(g)
         a = a_of(g, n) if check_bk(g, 2) else math.nan
@@ -278,11 +266,8 @@ def table(g: CMFunction, ns, alphas) -> list[dict]:
         # one quadrature for every alpha of g_n: the grid's, and 0 and 1 for d1
         c = c_alpha_quads(g, n, [*alphas, 0.0, 1.0] if with_d1 else alphas)
         d1 = math.nan
-        if with_d1:
-            try:
-                d1 = d1_of(g, n, c)
-            except DivergentError:   # c_0 or c_1 did not converge
-                why_d1 = c[0.0].flag or c[1.0].flag
+        if with_d1:   # nan, and flagged, where c_0 or c_1 did not converge
+            d1, why_d1 = d1_of(g, n, c), c[0.0].flag or c[1.0].flag
         for alpha in sorted(alphas):
             qv = c[alpha]
             exact = euler_c_alpha_exact(rational, alpha) if rational else math.nan

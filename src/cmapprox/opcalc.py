@@ -21,6 +21,9 @@ of X and Y = V^H X (basis.solve, once for all the functions of one call),
 spectral 2-norm ||f(A)|| = max |f(lambda)| (`opnorm`), since V is unitary.
 The semigroup constants M_beta = sup_t ||(tA)^beta e^{-tA}|| are the scalar
 suprema (beta/e)^beta max_lambda (|lambda|/Re lambda)^beta on the eigenvalues.
+
+The gallery (GALLERY) names each generator by a `name:key=value` string,
+read by cmfun.read_spec; a generator's name is its full spec.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+
+from .cmfun import POSITIVE, WHOLE, _num, read_spec
 
 __all__ = [
     "GeneratorMatrix",
@@ -142,25 +147,17 @@ class GeneratorMatrix:
 # gallery
 # ----------------------------------------------------------------------
 
-def _num(x: float) -> str:
-    """The shortest of '%g' and repr that reads back as x exactly."""
-    short = f"{x:g}"
-    return short if float(short) == x else repr(x)
-
-
-def diag_imag(k: int = 128, mod_min: float = 1e-1, mod_max: float = 1e2) -> GeneratorMatrix:
+def diag_imag(k: int = 128, min: float = 1e-1, max: float = 1e2) -> GeneratorMatrix:
     """Diagonal skew generator with log-spaced imaginary eigenvalues (alternating signs)."""
-    mods = np.logspace(math.log10(mod_min), math.log10(mod_max), k)
-    signs = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
-    eigs = 1j * signs * mods
-    name = f"diag_imag:k={k},min={_num(mod_min)},max={_num(mod_max)}"
-    return GeneratorMatrix(name=name, eigs=eigs)
+    eigs = 1j * np.where(np.arange(k) % 2 == 0, 1.0, -1.0) * np.logspace(
+        math.log10(min), math.log10(max), k)
+    return GeneratorMatrix(name=f"diag_imag:k={k},min={_num(min)},max={_num(max)}", eigs=eigs)
 
 
-def diag_positive(k: int = 128, lam_min: float = 1e-2, lam_max: float = 1e2) -> GeneratorMatrix:
-    eigs = np.logspace(math.log10(lam_min), math.log10(lam_max), k).astype(complex)
-    name = f"diag_pos:k={k},min={_num(lam_min)},max={_num(lam_max)}"
-    return GeneratorMatrix(name=name, eigs=eigs)
+def diag_positive(k: int = 128, min: float = 1e-2, max: float = 1e2) -> GeneratorMatrix:
+    """Diagonal generator with log-spaced positive eigenvalues."""
+    eigs = np.logspace(math.log10(min), math.log10(max), k).astype(complex)
+    return GeneratorMatrix(name=f"diag_pos:k={k},min={_num(min)},max={_num(max)}", eigs=eigs)
 
 
 def advection_periodic(d: int = 256) -> GeneratorMatrix:
@@ -179,42 +176,21 @@ def laplacian_dirichlet_1d(d: int = 128) -> GeneratorMatrix:
     return GeneratorMatrix(name=f"laplacian:d={d}", eigs=eigs, basis=SineBasis())
 
 
-# each gallery member with its keys (in constructor order) and their defaults
+# each gallery member: its constructor, whose defaults are those of the spec,
+# and the kinds of its keys
 GALLERY = {
-    "diag_imag": (diag_imag, {"k": 128, "min": 1e-1, "max": 1e2}),
-    "diag_pos": (diag_positive, {"k": 128, "min": 1e-2, "max": 1e2}),
-    "advection": (advection_periodic, {"d": 256}),
-    "laplacian": (laplacian_dirichlet_1d, {"d": 128}),
+    "diag_imag": (diag_imag, {"k": WHOLE, "min": POSITIVE, "max": POSITIVE}, ()),
+    "diag_pos": (diag_positive, {"k": WHOLE, "min": POSITIVE, "max": POSITIVE}, ()),
+    "advection": (advection_periodic, {"d": WHOLE}, ()),
+    "laplacian": (laplacian_dirichlet_1d, {"d": WHOLE}, ()),
 }
 
 
 def make_generator(spec: str) -> GeneratorMatrix:
-    """Parse gallery strings like 'diag_imag:k=128,max=100'; k and d are
-    positive integers, min and max positive numbers.  The name of the
-    generator built is its full spec, which parses back to the same one."""
-    name, _, argstr = spec.partition(":")
-    if name not in GALLERY:
-        raise ValueError(f"--generator {spec!r}: unknown generator {name!r}; available: "
-                         f"{', '.join(GALLERY)}")
-    build, kw = GALLERY[name]
-    kw = dict(kw)
-    for item in filter(None, argstr.split(",")):
-        key, _, val = (x.strip() for x in item.partition("="))
-        bad = f"--generator {spec!r}: {key}={val!r}"
-        if key not in kw:
-            raise ValueError(f"{bad} is not a key of {name}, which takes {', '.join(kw)}")
-        try:
-            x = float(val)
-        except ValueError:
-            raise ValueError(f"{bad} is not a number") from None
-        if not 0 < x < math.inf:
-            raise ValueError(f"{bad} is not a positive number")
-        if key in ("k", "d"):
-            if x != int(x):
-                raise ValueError(f"{bad} is not a whole number")
-            x = int(x)
-        kw[key] = x
-    return build(*kw.values())
+    """The gallery member a --generator string such as 'diag_imag:k=128,max=100'
+    names (cmfun.read_spec).  Its name is its full spec, which reads back as
+    the same generator."""
+    return read_spec(spec, "--generator", GALLERY, "generator")
 
 
 def test_vectors(A: GeneratorMatrix, count: int = 8, seed: int = DEFAULT_SEED) -> list[np.ndarray]:

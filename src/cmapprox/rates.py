@@ -334,11 +334,7 @@ def _holomorphic_second(g, A, Mc, ts, ns, alphas, vectors) -> list[BoundReport]:
     b_d1 = {}
     for n in set(ns):
         c = functionals.c_alpha_quads(g, n, (0, 1))   # c_0 and c_1 of d1 in one quadrature
-        try:
-            d1 = functionals.d1_of(g, n, c)
-        except functionals.DivergentError:   # a nan bound fails the rows
-            d1 = math.nan
-        b_d1[n] = functionals.b_of(g, n), d1
+        b_d1[n] = functionals.b_of(g, n), functionals.d1_of(g, n, c)   # a nan fails the rows
 
     def terms(t, n):
         b_n, d1_n = b_d1[n]

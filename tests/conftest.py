@@ -134,7 +134,7 @@ def mp_eval_map():
         "kendall(t=0.5)": lambda z: mpmath.mpf("0.5") + mpmath.mpf("0.5") * mpmath.exp(-2 * z),
         "yosida(t=1)": lambda z: mpmath.exp(-z / (1 + z)),
         "hille": lambda z: mpmath.exp(mpmath.exp(-z) - 1),
-        "chung(t=1)": mp_chung,
+        "chung(a=0.25+0.5+0.25,t=1)": mp_chung,
         "frac_tail(gamma=0.5)": mp_frac_tail,
     }
 

@@ -11,7 +11,8 @@ with these files byte for byte, with no tolerance.
 
 Both print, for each numeric CSV column of the corpus, the largest relative
 change from the recorded files and the command where it occurs, and then
-the records whose text changed; the first exits 1 when one did.
+each record whose text changed with the sections that differ; the first
+exits 1 when one did.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def column_changes(old: dict, new: dict) -> dict:
         if old.get(name) is None:
             continue
         was, now = _sections(old[name]), _sections(new[name])
-        for title in now.keys() & was.keys() - {"exit", "stderr"}:
+        for title in (now.keys() & was.keys()) - {"exit", "stderr"}:
             rows_was = list(csv.reader(io.StringIO(was[title])))
             rows_now = list(csv.reader(io.StringIO(now[title])))
             if not rows_now or rows_was[:1] != rows_now[:1]:
@@ -167,9 +168,14 @@ def report(old: dict, new: dict) -> list:
         print(f"{column:<24} {change:>24.3g}  {name if change else ''}")
     changed = [name for name in new if old.get(name) != new[name]]
     gone = [name for name in old if name not in new]
-    print(f"records changed: {', '.join(changed) or 'none'}")
-    if gone:
-        print(f"records no longer in the corpus: {', '.join(gone)}")
+    for name in changed:
+        was, now = _sections(old.get(name) or b""), _sections(new[name])
+        parts = sorted(t for t in was.keys() | now.keys() if was.get(t) != now.get(t))
+        print(f"changed: {name} ({', '.join(parts) or 'new record'})")
+    for name in gone:
+        print(f"no longer in the corpus: {name}")
+    if not changed + gone:
+        print("no record changed")
     return changed + gone
 
 

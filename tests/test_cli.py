@@ -227,6 +227,38 @@ def test_verify_bounds_usage_errors(tmp_path, capsys):
             f"euler_pow<N>, spline, kendall, yosida, hille, chung, frac_tail, exp\n")
 
 
+@pytest.mark.parametrize("flag, spec, message", [
+    ("--scheme", "euler:foo=1", "foo='1' is not a key of euler, which takes no keys"),
+    ("--scheme", "kendall:t=abc", "t='abc' is not a finite number"),
+    ("--scheme", "yosida:t=inf", "t='inf' is not a finite number"),
+    ("--scheme", "chung:a=0.5+nan,t=1", "a='0.5+nan' is not a finite number"),
+    ("--scheme", "frac_tail", "frac_tail needs gamma=<value>"),
+    ("--generator", "diag_imag:q=1", "q='1' is not a key of diag_imag, which takes k, min, max"),
+    ("--generator", "diag_pos:min=0", "min='0' is not a positive finite number"),
+    ("--generator", "laplacian:d=2.5", "d='2.5' is not a positive whole number"),
+    ("--generator", "advection:d=-4", "d='-4' is not a positive whole number"),
+])
+def test_spec_errors_name_flag_spec_key_and_value(flag, spec, message, capsys):
+    # --scheme and --generator strings have one reader: a bad key or value is
+    # named with its flag and spec, and says what the value must be
+    assert cli.main(["verify-bounds", flag, spec, "--n", "4"]) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} {spec!r}: {message}\n")
+
+
+@pytest.mark.parametrize("scheme", ["kendall:t=0.25", "kendall", "euler_pow4",
+                                    "chung:a=0.25+0.5+0.25,t=1"])
+def test_orders_and_verify_bounds_name_a_scheme_alike(scheme, capsys):
+    # a report aggregates both kinds of CSV: one scheme has one name in them
+    grid = ["--scheme", scheme, "--generator", "diag_imag:k=16", "--t", "0.25",
+            "--n", "4,8,16,32", "--alpha", "1"]
+    names = []
+    for command in ("verify-bounds", "orders"):
+        assert cli.main([command, *grid]) == 0, command
+        out = capsys.readouterr().out
+        names.append({r["scheme"] for r in csv.DictReader(out.splitlines())})
+    assert names[0] == names[1] == {cmfun.make_builtin(scheme).name}
+
+
 @pytest.mark.parametrize("suite", ["holo", "holo2"])
 def test_holo_suites_refuse_imaginary_spectrum(suite, capsys):
     rc = cli.main(["verify-bounds", "--scheme", "spline", "--generator", "diag_imag:k=64",

@@ -145,9 +145,9 @@ def test_power_scaled_derivative_by_the_chain_rule(N, n):
 
 
 def test_derivative_needs_a_measure():
-    bare = cmfun.CMFunction(name="bare", evaluate=lambda z: 1.0 / (1.0 + z))
-    with pytest.raises(ValueError, match="bare: derivatives at z > 0 need a measure"):
-        bare.derivative(0.5, 1)
+    # every CMFunction carries its measure: one without is not built
+    with pytest.raises(TypeError, match="measure"):
+        cmfun.CMFunction(name="bare", evaluate=lambda z: 1.0 / (1.0 + z))
     # every order comes from the measure: the third derivative of (1 + z/4)^{-4}
     # is -(5/4)(6/4) (1 + z/4)^{-7}
     assert cmfun.make_builtin("euler_pow4").derivative(0.5, 3) == pytest.approx(
@@ -380,6 +380,20 @@ def test_make_builtin_parsing(tmp_path):
     assert gm.moments[0] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         cmfun.make_builtin("nope")
+
+
+def test_a_name_identifies_its_function():
+    # a built-in's name gives each of its values in full, so that two functions
+    # of one name are one function: the two chung have g''(0) = 2 and 3
+    names = {"kendall:t=0.123456789": "kendall(t=0.123456789)",
+             "kendall:t=0.5": "kendall(t=0.5)",
+             "yosida:t=1e-7": "yosida(t=1e-07)",
+             "chung:a=0+1,t=1": "chung(a=0+1,t=1)",
+             "chung:a=0.5+0+0.5,t=1": "chung(a=0.5+0+0.5,t=1)",
+             "frac_tail:gamma=0.5": "frac_tail(gamma=0.5)"}
+    assert {spec: cmfun.make_builtin(spec).name for spec in names} == names
+    assert cmfun.make_builtin("chung:a=0+1,t=1").moments[2] == pytest.approx(2.0)
+    assert cmfun.make_builtin("chung:a=0.5+0+0.5,t=1").moments[2] == pytest.approx(3.0)
 
 
 # ----------------------------------------------------------------------

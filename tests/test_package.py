@@ -66,8 +66,8 @@ def test_no_module_calls_globals():
 # every value type: (class, its required fields, the defaults of the others)
 VALUE_TYPES = [
     (cmfun.LogDefect, ((0.5,), 1.0), {"closed": None, "scale": 1}),
-    (cmfun.CMFunction, ("g", math.exp),
-     {"measure": None, "moments": (1.0, 1.0, math.inf, math.inf, math.inf),
+    (cmfun.CMFunction, ("g", math.exp, measures.PositiveMeasure()),
+     {"moments": (1.0, 1.0, math.inf, math.inf, math.inf),
       "limit_at_inf": 0.0, "rational_n": None, "log_defect": None}),
     (cmfun.ScaledFamily, ("family", cmfun.yosida), {}),
     (functionals.QuadValue, (0.5, True), {"flag": ""}),
