@@ -12,7 +12,9 @@ with these files byte for byte, with no tolerance.
 Both print, for each numeric CSV column of the corpus, the largest relative
 change from the recorded files and the command where it occurs, and then
 each record whose text changed with the sections that differ; the first
-exits 1 when one did.
+exits 1 when one did.  The records are made with one numpy, whose version
+--update writes to tests/golden/numpy-version; a change seen under another
+version names both versions.
 """
 
 from __future__ import annotations
@@ -25,9 +27,12 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from cmapprox import cli
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+NUMPY_VERSION = os.path.join(GOLDEN, "numpy-version")
 
 _PERF_GRID = "--t 0.25,1,4 --n 4,16,64,256"
 _PERF_FN = "--n 1,4,16,64,256,1024 --alpha 0,0.5,1"
@@ -66,6 +71,10 @@ CORPUS = [
     ("error-generator-key", "verify-bounds --generator diag_imag:q=1 --n 4"),
     ("error-generator-value", "verify-bounds --generator diag_imag:k=2.5 --n 4"),
     ("error-grid-value", "orders --n 4,2.5"),
+    # one functionals table per built-in, so every measure shape is recorded
+    *((f"builtin-{spec.partition(':')[0]}", f"functionals --g {spec} --n 1,4,64 --alpha 0,0.5,1")
+      for spec in ("exp", "euler", "euler_pow4", "spline", "kendall:t=0.5", "yosida:t=2",
+                   "hille", "chung:a=0.25+0.5+0.25,t=1", "frac_tail:gamma=0.5")),
 ]
 
 
@@ -107,6 +116,16 @@ def recorded(name: str) -> bytes | None:
             return fh.read()
     except FileNotFoundError:
         return None
+
+
+def numpy_note() -> str:
+    """'' if the records were made with the running numpy, else a note naming both versions."""
+    try:
+        with open(NUMPY_VERSION) as fh:
+            was = fh.read().strip()
+    except FileNotFoundError:
+        was = "an unrecorded version"
+    return "" if was == np.__version__ else f" (recorded with numpy {was}, run with numpy {np.__version__})"
 
 
 def _sections(data: bytes) -> dict:
@@ -176,6 +195,8 @@ def report(old: dict, new: dict) -> list:
         print(f"no longer in the corpus: {name}")
     if not changed + gone:
         print("no record changed")
+    elif numpy_note():
+        print(f"the records differ{numpy_note()}")
     return changed + gone
 
 
@@ -194,6 +215,8 @@ def main(argv) -> int:
     for name, data in new.items():
         with open(path_of(name), "wb") as fh:
             fh.write(data)
+    with open(NUMPY_VERSION, "w") as fh:
+        fh.write(np.__version__ + "\n")
     return 0
 
 
