@@ -6,6 +6,9 @@ monotone functions g: exact measure representations, the rate
 functionals, the Hille-Phillips calculus on the spectra of normal
 generators, and a harness checking upper bounds, sharp constants, and
 lower-bound exponents.
+
+The package namespace holds its modules and __version__ only: names are
+imported from the module that defines them, as `from cmapprox.cmfun import euler`.
 """
 
 import gc as _gc
@@ -18,36 +21,13 @@ import gc as _gc
 _collecting = _gc.isenabled()
 _gc.disable()
 try:
-    from .cmfun import (
-        CMFunction,
-        ScaledFamily,
-        chung,
-        euler,
-        euler_pow,
-        exponential,
-        frac_tail,
-        from_measure,
-        hille,
-        kendall,
-        make_builtin,
-        spline,
-        yosida,
-    )
-    from .measures import PolyExpSegment, PositiveMeasure, PowerLawSegment
-    from .opcalc import (
-        GeneratorMatrix,
-        advection_periodic,
-        diag_imag,
-        diag_positive,
-        laplacian_dirichlet_1d,
-        make_generator,
-        semigroup_constants,
-    )
+    from . import cmfun
 finally:
     if _gc.get_freeze_count() == 0:
         _gc.freeze()
         _gc.unfreeze()
     if _collecting:
         _gc.enable()
+del _gc, _collecting
 
 __version__ = "0.1.0"

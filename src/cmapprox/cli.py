@@ -16,8 +16,8 @@ inputs and returns (fields, rows); `main` alone writes them and sets the
 exit code.  Every grid value, from a flag or from --config, is checked by
 cmfun.read_value, as the values of --scheme and --generator strings are:
 t positive and finite, n a whole number in [1, 2^53] (where the float
-parse keeps every whole number), alpha finite (-0 read as 0), and a
-repeated value dropped; --seed is checked with them.
+parse keeps every whole number), alpha finite (-0 read as 0), no JSON
+boolean, and a repeated value dropped; --seed is checked with them.
 
 Exit codes: 0 all pass, 1 a row has `pass` false or a report line is FAIL
 (or standard output was closed early), 2 usage errors, each a ValueError
@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import json
 import os
 import sys
 
@@ -63,6 +62,8 @@ def write_csv(path: str, fieldnames, rows):
 
 
 def write_json(path: str, rows):
+    import json
+
     with open(path, "w") as fh:
         json.dump(rows, fh, indent=2, sort_keys=True, default=_fmt)
         fh.write("\n")
@@ -108,6 +109,8 @@ def _load_config(args) -> dict:
     cfg = read_json_object(path, f"--config {path!r}") if path else {}
     for key in ("scheme", "generator", "suite"):
         if not isinstance(cfg.get(key, ""), str):
+            import json
+
             raise ValueError(f"--config {path!r}: {key} {json.dumps(cfg[key])} is not a string")
     for key in ("scheme", "generator", "suite", *GRID):
         val = getattr(args, key, None)

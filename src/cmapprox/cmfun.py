@@ -483,7 +483,7 @@ WHOLE = ("a positive whole number", lambda x: x >= 1.0 and x.is_integer(), int)
 
 def read_value(raw, kind, where: str):
     """raw, a string or a number from a --config file, as a value of kind; a
-    ValueError '{where} is not {what}' otherwise."""
+    ValueError '{where} is not {what}' otherwise, also for a JSON true or false."""
     if isinstance(kind, list):
         return [read_value(x, kind[0], where) for x in raw.split("+")]
     what, ok, cast = kind
@@ -491,7 +491,7 @@ def read_value(raw, kind, where: str):
         x = float(raw)
     except (TypeError, ValueError):
         x = math.nan
-    if not ok(x):
+    if isinstance(raw, bool) or not ok(x):
         raise ValueError(f"{where} is not {what}")
     return cast(x)
 

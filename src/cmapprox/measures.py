@@ -4,9 +4,11 @@ A measure is a list of point atoms plus density segments.  Two segment
 shapes are supported: polynomial-times-exponential p(s)e^{-cs} on [a,b]
 (covers Gamma densities, uniform densities, truncated series), and a
 power-law tail w(1+s)^{-p} on [0, inf) (covers heavy-tailed examples
-whose second moment diverges).  Moments, partial moments and Laplace
-transforms are closed-form, so downstream functionals can be computed
-without sampling the measure.  `PositiveMeasure.laplace(z, order)` gives
+whose second moment diverges).  Partial moments and Laplace transforms
+are closed-form, so downstream functionals can be computed without
+sampling the measure; a moment m_k is the partial moment over [0, inf),
+so each piece integrates s^k one way: the power-law piece by the binomial
+sum of s^k = ((1+s) - 1)^k.  `PositiveMeasure.laplace(z, order)` gives
 int (-s)^order e^{-zs} nu(ds), the order-th derivative of the transform,
 on whole arrays of z: an atom as w (-loc)^order e^{-z loc}, the
 polynomial-exponential part by `polyexp_laplace_complex` on the
@@ -71,9 +73,6 @@ class PolyExpSegment(_PolyExpFields):
         for c in self.coeffs[::-1]:
             acc = acc * s + c
         return acc
-
-    def moment(self, k: int) -> float:
-        return polyexp_moment(self.coeffs, self.rate, self.a, self.b, k)
 
     def partial_moment(self, k: int, lo: float, hi: float) -> float:
         lo = max(lo, self.a)
@@ -187,14 +186,6 @@ class PowerLawSegment(_PowerLawFields):
         _check_exponent(self.exponent)
         return self
 
-    def moment(self, k: int) -> float:
-        # int_0^inf s^k (1+s)^{-p} ds = B(k+1, p-k-1), finite iff p > k+1
-        p = self.exponent
-        if p <= k + 1:
-            return math.inf
-        logb = math.lgamma(k + 1) + math.lgamma(p - k - 1) - math.lgamma(p)
-        return self.weight * math.exp(logb)
-
     def partial_moment(self, k: int, lo: float, hi: float) -> float:
         lo = max(lo, 0.0)
         if hi <= lo:
@@ -251,13 +242,7 @@ class PositiveMeasure(_MeasureFields):
     def moment(self, k: int) -> float:
         if k < 0:
             raise ValueError("moments are defined for k >= 0")
-        total = sum(w * loc ** k for loc, w in self.atoms)
-        for seg in self.segments:
-            m = seg.moment(k)
-            if math.isinf(m):
-                return math.inf
-            total += m
-        return total
+        return self.partial_moment(k, 0.0, math.inf)
 
     def partial_moment(self, k: int, lo: float, hi: float) -> float:
         """int_{[lo, hi]} s^k nu(ds) (atoms on the boundary included)."""

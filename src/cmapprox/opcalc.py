@@ -193,8 +193,8 @@ def make_generator(spec: str) -> GeneratorMatrix:
     return read_spec(spec, "--generator", GALLERY, "generator")
 
 
-def test_vectors(A: GeneratorMatrix, count: int = 8, seed: int = DEFAULT_SEED) -> list[np.ndarray]:
-    """Deterministic unit test vectors: all-ones, random complex, eigenvector mixtures."""
+def test_vectors(A: GeneratorMatrix, seed: int = DEFAULT_SEED) -> list[np.ndarray]:
+    """Eight deterministic unit test vectors: all-ones, random complex, eigenvector mixtures."""
     d = A.dim
     rng = np.random.default_rng(seed)
     vecs = [np.ones(d, dtype=complex) / math.sqrt(d)]
@@ -208,7 +208,7 @@ def test_vectors(A: GeneratorMatrix, count: int = 8, seed: int = DEFAULT_SEED) -
         E[j, col] += 1.0
     mixes = A.basis.apply(E)
     vecs.extend(v / np.linalg.norm(v) for v in mixes.T)
-    return vecs[:count]
+    return vecs
 
 
 # ----------------------------------------------------------------------

@@ -897,6 +897,12 @@ def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
     (["sharpness", "--n", "1e20"], "--n 1e20 is not a whole number in [1, 2^53]"),
     (["verify-bounds", "--n", "4", "--seed", "-1"], "--seed -1 is not a whole number >= 0"),
     (["verify-bounds", "--n", "4", "--seed", "abc"], "--seed abc is not a whole number >= 0"),
+    # Python's float reads JSON's true and false as 1 and 0
+    (["verify-bounds", "--config", "bool-t.json"], "--t True is not a positive finite number"),
+    (["functionals", "--g", "euler", "--config", "bools.json"],
+     "--n True is not a whole number in [1, 2^53]"),
+    (["functionals", "--g", "euler", "--config", "bools.json", "--n", "4"],
+     "--alpha False is not a finite number"),
 ])
 def test_grid_values_are_checked_before_any_work(argv, message, tmp_path, monkeypatch,
                                                  capsys):
@@ -907,6 +913,8 @@ def test_grid_values_are_checked_before_any_work(argv, message, tmp_path, monkey
     monkeypatch.setattr(cli.opcalc, "make_generator", no_compute)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps({"t": [1, -1], "n": [4]}))
+    (tmp_path / "bool-t.json").write_text(json.dumps({"t": [1, True], "n": [4]}))
+    (tmp_path / "bools.json").write_text(json.dumps({"n": [True, 4], "alpha": [False]}))
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmapprox import quadrature
+from cmapprox.cmfun import frac_tail
 from cmapprox.measures import (SERIES_RADIUS, PolyExpSegment, PositiveMeasure,
                                PowerLawSegment, powerlaw_laplace)
 
@@ -85,16 +86,34 @@ def test_partial_moments_match_quadrature():
 
 def test_powerlaw_moments_and_partials():
     seg = PowerLawSegment(0.75, 2.5)  # the gamma = 1/2 heavy tail
-    assert math.isinf(seg.moment(2))
-    assert math.isinf(seg.moment(3))
     cut = 1e6
     head = quadrature.integrate(lambda s: s * density(seg, s), 0.0, cut).value
     # analytic remainder: int_S^inf s w (1+s)^{-5/2} ds = w[2u^{-1/2} - (2/3)u^{-3/2}], u = 1+S
     tail = 0.75 * (2.0 * (1.0 + cut) ** -0.5 - (2.0 / 3.0) * (1.0 + cut) ** -1.5)
-    assert seg.moment(1) == pytest.approx(head + tail, rel=1e-8)
+    assert seg.partial_moment(1, 0.0, math.inf) == pytest.approx(head + tail, rel=1e-8)
     q = quadrature.integrate(lambda s: s * density(seg, s), 0.5, 8.0).value
     assert seg.partial_moment(1, 0.5, 8.0) == pytest.approx(q, rel=1e-11)
     assert math.isinf(seg.partial_moment(2, 0.0, math.inf))
+    assert math.isinf(seg.partial_moment(3, 0.0, math.inf))
+
+
+def test_powerlaw_moments_are_beta_functions():
+    # int_0^inf s^k (1+s)^{-p} ds = B(k+1, p-k-1) for p > k+1; the binomial sum
+    # of s^k = ((1+s) - 1)^k cancels more as k and p grow (2.5e-15 at k = 3,
+    # p = 5.5), past what any measure of the package needs: frac_tail has p < 3
+    for p in (1.5, 2.25, 2.5, 2.75, 3.5, 4.5, 5.5):
+        for k in range(min(3, math.ceil(p - 1.0))):
+            with mpmath.workdps(30):
+                ref = float(mpmath.beta(k + 1, p - k - 1))
+            value = PowerLawSegment(1.0, p).partial_moment(k, 0.0, math.inf)
+            assert abs(value - ref) <= 1e-15 * ref, (k, p)
+
+
+@pytest.mark.parametrize("gamma", [0.01, 0.25, 0.5, 0.75, 0.99])
+def test_frac_tail_is_in_b1_exactly(gamma):
+    # the atom 1 - gamma at 0 and the tail gamma(gamma+1)(1+s)^{-2-gamma} give m_0
+    # and m_1 as 1 to the last bit at these gammas, and m_2 diverges
+    assert frac_tail(gamma).moments[:3] == (1.0, 1.0, math.inf)
 
 
 def test_powerlaw_laplace_vs_quadrature():

@@ -26,6 +26,13 @@ def test_modules_are_found():
     assert {"cli", "cmfun", "functionals", "opcalc", "rates"} <= set(MODULES)
 
 
+def test_the_package_namespace_holds_only_its_modules():
+    # names are imported from the module that defines them, as cmapprox.cmfun.euler
+    names = {name for name in vars(cmapprox) if not (name.startswith("__") and name.endswith("__"))}
+    assert names <= set(MODULES)
+    assert isinstance(cmapprox.__version__, str)
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_all_entries_exist(name):
     # perfbench/tracer.py wraps the public names of each module through its
@@ -101,10 +108,11 @@ def test_value_types_are_immutable_records(cls, required, defaults):
 
 # what `import cmapprox.cli` must not load: scipy and mpmath are imported
 # where they are called, and the others cost start-up that no import needs
-NOT_IMPORTED = ("dataclasses", "scipy", "mpmath", "numpy.random", "numpy.polynomial", "numpy.ma")
+NOT_IMPORTED = ("dataclasses", "json", "scipy", "mpmath", "numpy.random", "numpy.polynomial",
+                "numpy.ma")
 
 PROBE_IMPORT = """
-import gc, json, sys
+import gc, sys
 {before}
 frozen, walked = gc.get_freeze_count(), []
 
@@ -115,8 +123,8 @@ def count(phase, info):
 gc.callbacks.append(count)
 import cmapprox.cli
 gc.callbacks.remove(count)
-print(json.dumps([gc.isenabled(), gc.get_freeze_count() == frozen, sum(walked),
-                  [m for m in {not_imported!r} if m in sys.modules]]))
+print([gc.isenabled(), gc.get_freeze_count() == frozen, sum(walked),
+       [m for m in {not_imported!r} if m in sys.modules]])
 """
 
 
@@ -131,7 +139,7 @@ def test_cli_import_loads_little_and_restores_the_collector(before):
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    enabled, same_frozen, walked, loaded = json.loads(proc.stdout)
+    enabled, same_frozen, walked, loaded = ast.literal_eval(proc.stdout)
     assert (enabled, same_frozen, loaded) == (before != "gc.disable()", True, [])
     if before == "gc.enable()":
         assert walked < 10_000
