@@ -71,6 +71,24 @@ CORPUS = [
     ("error-generator-key", "verify-bounds --generator diag_imag:q=1 --n 4"),
     ("error-generator-value", "verify-bounds --generator diag_imag:k=2.5 --n 4"),
     ("error-grid-value", "orders --n 4,2.5"),
+    # each subcommand on its defaults, and the usage errors of its input checks
+    ("defaults-functionals", "functionals --g euler"),
+    ("defaults-verify-bounds", "verify-bounds --n 4"),
+    ("defaults-orders", "orders --n 4,8,16,32"),
+    ("defaults-sharpness", "sharpness"),
+    ("error-functionals-no-g", "functionals --n 4"),
+    ("error-verify-bounds-no-n", "verify-bounds --t 1"),
+    ("error-json-without-out", "functionals --g euler --json"),
+    ("error-seed", "verify-bounds --n 4 --seed -1"),
+    ("error-grid-negative", "verify-bounds --n 4 --alpha -0.5,1"),
+    ("error-grid-empty", "verify-bounds --n ,"),
+    ("error-orders-suite", "orders --n 4 --suite holo"),
+    ("error-sharpness-shift-n", "sharpness --which shift --n 1"),
+    # the second-order suites: a family under verify-bounds, and the residual fit of orders
+    ("second-yosida", "verify-bounds --scheme yosida --generator diag_pos:k=16 --suite second "
+                      "--t 0.5,1 --n 4,16"),
+    ("second-orders-spline", "orders --scheme spline --generator laplacian:d=32 --suite second "
+                             "--n 4,8,16,32 --alpha 0,1"),
     # one functionals table per built-in, so every measure shape is recorded
     *((f"builtin-{spec.partition(':')[0]}", f"functionals --g {spec} --n 1,4,64 --alpha 0,0.5,1")
       for spec in ("exp", "euler", "euler_pow4", "spline", "kendall:t=0.5", "yosida:t=2",
