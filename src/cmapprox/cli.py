@@ -1,4 +1,4 @@
-"""Command-line entry point: configs in, reproducible CSV/JSON reports out.
+"""Command-line entry point: flags in, reproducible CSV/JSON reports out.
 
 Subcommands:
 
@@ -13,11 +13,12 @@ its own inputs (rates.SUITES), rates.order_verdict passes or fails an
 `orders` fit, rates.sharpness_rows gives the checked sharpness rows and
 functionals.table builds the functionals rows.  Each command parses its
 inputs and returns (fields, rows); `main` alone writes them and sets the
-exit code.  Every grid value, from a flag or from --config, is checked by
-cmfun.read_value, as the values of --scheme and --generator strings are:
-t positive and finite, n a whole number in [1, 2^53] (where the float
-parse keeps every whole number), alpha finite (-0 read as 0), no JSON
-boolean, and a repeated value dropped; --seed is checked with them.
+exit code.  Each subcommand's defaults are those of its parser.  Every grid
+value is checked by cmfun.read_value, as the values of --scheme and
+--generator strings are: t positive and finite, n a whole number in
+[1, 2^53] (where the float parse keeps every whole number), alpha finite
+(-0 read as 0), and a repeated value dropped; --seed is checked with them,
+by `_check_args`, before any work.
 
 Exit codes: 0 all pass, 1 a row has `pass` false or a report line is FAIL
 (or standard output was closed early), 2 usage errors, each a ValueError
@@ -35,7 +36,7 @@ import sys
 
 from . import functionals as fns
 from . import opcalc, rates
-from .cmfun import FINITE, POSITIVE, ScaledFamily, make_builtin, read_json_object, read_value
+from .cmfun import FINITE, POSITIVE, ScaledFamily, make_builtin, read_value
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -69,7 +70,7 @@ def write_json(path: str, rows):
         fh.write("\n")
 
 
-# the kind of each grid's values, whether they come from a flag or --config
+# the kind of each grid's values
 GRID = {
     "t": POSITIVE,
     "n": ("a whole number in [1, 2^53]", lambda x: 1 <= x <= 2.0 ** 53 and x.is_integer(), int),
@@ -77,16 +78,12 @@ GRID = {
 }
 
 
-def _check_grid(key: str, values) -> list:
+def _check_grid(key: str, values: str) -> list:
     """The values of grid `key`, read as its kind, each once, in the order first given."""
-    if isinstance(values, str):
-        values = [x for x in values.split(",") if x.strip()]
-    elif not isinstance(values, list):
-        values = [values]
+    values = [x.strip() for x in values.split(",") if x.strip()]
     if not values:
         raise ValueError(f"--{key} needs a comma-separated list of values")
-    return list(dict.fromkeys(read_value(raw, GRID[key], f"--{key} {str(raw).strip()}")
-                              for raw in values))
+    return list(dict.fromkeys(read_value(raw, GRID[key], f"--{key} {raw}") for raw in values))
 
 
 def _check_seed(raw: str) -> int:
@@ -100,34 +97,18 @@ def _check_seed(raw: str) -> int:
     return seed
 
 
-def _load_config(args) -> dict:
-    """--config entries overridden by the flags given, every grid checked
-    (and --json only with --out)."""
+def _check_args(args) -> None:
+    """Check the flags in place, before any work: --json only with --out, then
+    each grid given, read as its kind, then --n given, then --seed."""
     if getattr(args, "json", False) and not args.out:
         raise ValueError("--json writes a mirror of the --out file, so it needs --out")
-    path = getattr(args, "config", None)
-    cfg = read_json_object(path, f"--config {path!r}") if path else {}
-    for key in ("scheme", "generator", "suite"):
-        if not isinstance(cfg.get(key, ""), str):
-            import json
-
-            raise ValueError(f"--config {path!r}: {key} {json.dumps(cfg[key])} is not a string")
-    for key in ("scheme", "generator", "suite", *GRID):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
     for key in GRID:
-        if key in cfg:
-            cfg[key] = _check_grid(key, cfg[key])
-    if hasattr(args, "seed"):
-        cfg["seed"] = _check_seed(args.seed)
-    return cfg
-
-
-def _grids(cfg):
-    if "n" not in cfg:
+        if isinstance(getattr(args, key, None), str):
+            setattr(args, key, _check_grid(key, getattr(args, key)))
+    if getattr(args, "n", []) is None:
         raise ValueError("--n is required")
-    return cfg.get("t", [1.0]), cfg["n"], cfg.get("alpha", [1.0])
+    if hasattr(args, "seed"):
+        args.seed = _check_seed(args.seed)
 
 
 BOUND_FIELDS = ["scheme", "generator", "t", "n", "alpha", "vector_id",
@@ -135,28 +116,21 @@ BOUND_FIELDS = ["scheme", "generator", "t", "n", "alpha", "vector_id",
 
 
 def cmd_functionals(args):
-    if args.g and args.scheme:
-        raise ValueError("--g and --scheme both name the function; give one of them")
-    cfg = _load_config(args)
-    alphas = cfg.get("alpha", [0.0, 0.5, 1.0])
-    rates.check_alphas(alphas, 0.0, 1.0, "functionals")
-    name = args.g or cfg.get("scheme")
-    if not name:
+    rates.check_alphas(args.alpha, 0.0, 1.0, "functionals")
+    if not args.g:
         raise ValueError("--g is required")
-    g = make_builtin(name, flag="--g" if args.g else "--scheme")
+    g = make_builtin(args.g, flag="--g")
     if isinstance(g, ScaledFamily):
         raise ValueError("functionals needs a fixed function (give t)")
-    return fns.FIELDS, fns.table(g, cfg.get("n", [1]), alphas)
+    return fns.FIELDS, fns.table(g, args.n, args.alpha)
 
 
 def cmd_verify_bounds(args):
-    cfg = _load_config(args)
-    ts, ns, alphas = _grids(cfg)
-    suite = rates.suite(cfg.get("suite", "first"), alphas)
-    g = make_builtin(cfg.get("scheme", "euler"))
-    A = opcalc.make_generator(cfg.get("generator", "diag_imag:k=128"))
-    vectors = opcalc.test_vectors(A, seed=cfg["seed"])
-    rows = [r.row() for r in suite(g, A, ts, ns, alphas, vectors)]
+    suite = rates.suite(args.suite, args.alpha)
+    g = make_builtin(args.scheme)
+    A = opcalc.make_generator(args.generator)
+    vectors = opcalc.test_vectors(A, seed=args.seed)
+    rows = [r.row() for r in suite(g, A, args.t, args.n, args.alpha, vectors)]
     rows.sort(key=lambda r: (r["scheme"], r["generator"], r["t"], r["n"],
                              r["alpha"], r["vector_id"]))
     return BOUND_FIELDS, rows
@@ -167,20 +141,18 @@ ORDER_FIELDS = ["scheme", "generator", "t", "alpha", "slope", "expected_exponent
 
 
 def cmd_orders(args):
-    cfg = _load_config(args)
-    suite = cfg.get("suite", "first")
+    suite = args.suite
     if suite not in ("first", "second"):
         raise ValueError(f"--suite {suite!r} is not a suite of orders, which takes first or second")
-    ts, ns, alphas = _grids(cfg)
-    rates.check_alphas(alphas, *rates.ORDER_ALPHA, "orders")
-    g = make_builtin(cfg.get("scheme", "euler"))
-    A = opcalc.make_generator(cfg.get("generator", "diag_imag:k=128"))
+    rates.check_alphas(args.alpha, *rates.ORDER_ALPHA, "orders")
+    g = make_builtin(args.scheme)
+    A = opcalc.make_generator(args.generator)
     second = suite == "second"
     rows = []
-    for t in ts:
+    for t in args.t:
         gt = g.at(t)
-        for alpha in alphas:
-            fit = rates.spectral_order(gt, A, t, ns, alpha, second)
+        for alpha in args.alpha:
+            fit = rates.spectral_order(gt, A, t, args.n, alpha, second)
             expected = rates.expected_exponent(A, alpha, second)
             flag, ok = rates.order_verdict(fit, expected)
             rows.append({
@@ -195,7 +167,7 @@ def cmd_orders(args):
 
 
 def cmd_sharpness(args):
-    ns = sorted(_load_config(args).get("n", [4, 16, 64, 256, 1024]))
+    ns = sorted(args.n)
     shift = args.which != "euler"
     if shift and ns[-1] < 2:
         raise ValueError(f"--n {','.join(map(str, ns))} has no n >= 2, which the shift "
@@ -223,11 +195,15 @@ def cmd_report(args):
 
 # every option a subcommand may take; each subcommand registers only those it reads
 OPTIONS = {
-    "config": {"help": "JSON config file"},
     "out": {"help": "output CSV path (default: stdout)"},
     "json": {"action": "store_true", "help": "also write a JSON mirror at OUT.json (needs --out)"},
     "seed": {"default": str(opcalc.DEFAULT_SEED)},
-    **{name: {} for name in ("scheme", "generator", "suite", "t", "n", "alpha")},
+    "scheme": {"default": "euler"},
+    "generator": {"default": "diag_imag:k=128"},
+    "suite": {"default": "first"},
+    "t": {"default": "1"},
+    "n": {},
+    "alpha": {"default": "1"},
 }
 
 
@@ -244,13 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = command("functionals", "rate functionals over an (n, alpha) grid", cmd_functionals,
-                 "config", "out", "json", "scheme", "n", "alpha")
+                 "out", "json", "n", "alpha")
     sp.add_argument("--g", help="function name, e.g. euler or kendall:t=0.5")
+    sp.set_defaults(n="1", alpha="0,0.5,1")
     command("verify-bounds", "error-vs-bound suites", cmd_verify_bounds, *OPTIONS)
     command("orders", "convergence-order fits of ||E_n A^{-alpha}||", cmd_orders,
-            "config", "out", "scheme", "generator", "suite", "t", "n", "alpha")
+            "out", "scheme", "generator", "suite", "t", "n", "alpha")
     sp = command("sharpness", "sharp-constant experiments", cmd_sharpness, "out", "n")
     sp.add_argument("--which", choices=("euler", "shift", "both"), default="both")
+    sp.set_defaults(n="4,16,64,256,1024")
     sp = command("report", "aggregate CSVs into a pass/fail summary", cmd_report, "out")
     sp.add_argument("inputs", nargs="+", help="CSV files to aggregate")
     return p
@@ -277,6 +255,7 @@ def main(argv=None) -> int:
     gc.freeze()
     args = build_parser().parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
     try:
+        _check_args(args)
         fields, rows = args.func(args)
         write_csv(args.out, fields, rows)
         if getattr(args, "json", False):

@@ -322,15 +322,14 @@ def exponential() -> CMFunction:
                       _ZERO_DEFECT)
 
 
-def euler() -> CMFunction:
-    """g(z) = 1/(1+z), measure e^{-s} ds."""
-    nu = PositiveMeasure(segments=(PolyExpSegment(0.0, math.inf, (1.0,), 1.0),))
-    return _transform("euler", nu, lambda z: 1.0 / (1.0 + z), _EULER_DEFECT, rational_n=1)
-
-
 # L(w) = w - log(1 + w) = sum_{k>=2} (-w)^k/k
 _EULER_DEFECT = _log_defect([(-1.0) ** k / k for k in range(2, SERIES_DEGREE + 1)],
                             lambda w: w - np.log1p(w))
+
+
+def euler() -> CMFunction:
+    """g(z) = 1/(1+z), measure e^{-s} ds: euler_pow(1) by its own name."""
+    return euler_pow(1)._replace(name="euler")
 
 
 def euler_pow(N: int) -> CMFunction:
@@ -481,17 +480,17 @@ POSITIVE = ("a positive finite number", lambda x: 0.0 < x < math.inf, float)
 WHOLE = ("a positive whole number", lambda x: x >= 1.0 and x.is_integer(), int)
 
 
-def read_value(raw, kind, where: str):
-    """raw, a string or a number from a --config file, as a value of kind; a
-    ValueError '{where} is not {what}' otherwise, also for a JSON true or false."""
+def read_value(raw: str, kind, where: str):
+    """The string raw as a value of kind; a ValueError '{where} is not {what}'
+    otherwise."""
     if isinstance(kind, list):
         return [read_value(x, kind[0], where) for x in raw.split("+")]
     what, ok, cast = kind
     try:
         x = float(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         x = math.nan
-    if isinstance(raw, bool) or not ok(x):
+    if not ok(x):
         raise ValueError(f"{where} is not {what}")
     return cast(x)
 
@@ -564,9 +563,10 @@ def _segment(entry) -> PolyExpSegment:
                           float(entry.get("exp_rate", 0.0)))
 
 
-def read_json_object(path: str, where: str) -> dict:
-    """The JSON object in the file at `path` (a `measure:` or --config file);
-    a ValueError naming `where` for a file that is not JSON or holds no object."""
+def _read_measure(path: str, where: str) -> PositiveMeasure:
+    """The measure of a `measure:` JSON file, an object with a list "atoms" of
+    pairs [s, w] and a list "segments" of {"a", "b", "poly", "exp_rate"}; for
+    a file of another form a ValueError naming `where` and the first bad entry."""
     import json
 
     with open(path) as fh:
@@ -576,16 +576,6 @@ def read_json_object(path: str, where: str) -> dict:
             raise ValueError(f"{where}: the file is not JSON ({exc})") from None
     if not isinstance(desc, dict):
         raise ValueError(f"{where}: the file holds a JSON {type(desc).__name__}, not an object")
-    return desc
-
-
-def _read_measure(path: str, where: str) -> PositiveMeasure:
-    """The measure of a `measure:` JSON file, an object with a list "atoms" of
-    pairs [s, w] and a list "segments" of {"a", "b", "poly", "exp_rate"}; for
-    a file of another form a ValueError naming `where` and the first bad entry."""
-    import json
-
-    desc = read_json_object(path, where)
     parts = []
     for key, parse in (("atoms", _atom), ("segments", _segment)):
         items = desc.get(key, [])

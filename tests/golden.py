@@ -127,6 +127,12 @@ def path_of(name: str) -> str:
     return os.path.join(GOLDEN, f"{name}.txt")
 
 
+def recorded_names() -> list:
+    """The names of the records in tests/golden/."""
+    files = os.listdir(GOLDEN) if os.path.isdir(GOLDEN) else ()
+    return [fname[:-4] for fname in files if fname.endswith(".txt")]
+
+
 def recorded(name: str) -> bytes | None:
     """The recorded bytes of a command, None if it has no file."""
     try:
@@ -221,9 +227,8 @@ def report(old: dict, new: dict) -> list:
 def main(argv) -> int:
     new = records()
     old = {name: recorded(name) for name in new}
-    for fname in os.listdir(GOLDEN) if os.path.isdir(GOLDEN) else ():
-        if fname.endswith(".txt"):
-            old.setdefault(fname[:-4], recorded(fname[:-4]))
+    for name in recorded_names():
+        old.setdefault(name, recorded(name))
     changed = report(old, new)
     if "--update" not in argv:
         return 1 if changed else 0

@@ -527,37 +527,11 @@ def test_closed_stdout_exits_without_traceback():
     assert proc.stderr.decode() == ""
 
 
-def test_config_file_with_flag_overrides(tmp_path):
-    cfg = {"scheme": "euler", "generator": "diag_imag:k=8", "suite": "first",
-           "t": [1.0], "n": [4], "alpha": [1.0]}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out = tmp_path / "c.csv"
-    assert cli.main(["verify-bounds", "--config", str(cfg_path),
-                     "--n", "8", "--out", str(out)]) == 0
-    rows = _read_csv(out)
-    assert {r["n"] for r in rows} == {"8"}  # flag overrode the config grid
-
-
-@pytest.mark.parametrize("content, why", [
-    ("[1, 2]", "the file holds a JSON list, not an object"),
-    ("n: [4]", "the file is not JSON ("),
-    ('{"scheme": 5}', "scheme 5 is not a string"),
-], ids=["list", "not-json", "scheme-number"])
-def test_malformed_config_file_names_flag_and_file(content, why, tmp_path, capsys):
-    # a --config file of the wrong form is a usage error that names the flag
-    # and the file, not a traceback
-    path = tmp_path / "cfg.json"
-    path.write_text(content)
-    assert cli.main(["functionals", "--config", str(path), "--n", "4"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: --config {str(path)!r}: {why}")
-
-
-@pytest.mark.parametrize("flag", ["--config", "--out"])
-def test_a_directory_for_a_file_is_a_usage_error(flag, tmp_path, capsys):
-    assert cli.main(["functionals", "--g", "euler", "--n", "1", flag, str(tmp_path)]) == 2
+@pytest.mark.parametrize("tail", [["--g", "euler", "--out", ""], ["--g", "measure:"]],
+                         ids=["--out", "measure"])
+def test_a_directory_for_a_file_is_a_usage_error(tail, tmp_path, capsys):
+    # the file written with --out, or the file a measure: string reads
+    assert cli.main(["functionals", "--n", "1", *tail[:-1], tail[-1] + str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
@@ -851,6 +825,10 @@ def test_report_aggregation(tmp_path, capsys):
     ["orders", "--scheme", "euler", "--n", "4,8", "--json"],
     ["sharpness", "--n", "4", "--seed", "1"],
     ["sharpness", "--n", "4", "--config", "c.json"],
+    ["functionals", "--g", "euler", "--config", "c.json"],
+    ["verify-bounds", "--n", "4", "--config", "c.json"],
+    ["orders", "--n", "4,8", "--config", "c.json"],
+    ["functionals", "--scheme", "euler"],
     ["report", "x.csv", "--n", "4"],
     ["optimality", "--scheme", "euler", "--n", "4,8"],
     # no flag is taken by an abbreviation, which would also escape the joining
@@ -885,7 +863,7 @@ def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
     (["functionals", "--g", "euler", "--n", "0"], "--n 0 is not a whole number in [1, 2^53]"),
     (["functionals", "--g", "euler", "--alpha", "nan"], "--alpha nan is not a finite number"),
     (["sharpness", "--n", "1.5"], "--n 1.5 is not a whole number in [1, 2^53]"),
-    (["orders", "--config", "cfg.json"], "--t -1 is not a positive finite number"),
+    (["orders", "--t", "1,-1", "--n", "4"], "--t -1 is not a positive finite number"),
     (["functionals", "--g", "euler", "--n", "1", "--alpha", "0", "--json"],
      "--json writes a mirror of the --out file, so it needs --out"),
     (["verify-bounds", "--n", "4", "--json"],
@@ -897,24 +875,13 @@ def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
     (["sharpness", "--n", "1e20"], "--n 1e20 is not a whole number in [1, 2^53]"),
     (["verify-bounds", "--n", "4", "--seed", "-1"], "--seed -1 is not a whole number >= 0"),
     (["verify-bounds", "--n", "4", "--seed", "abc"], "--seed abc is not a whole number >= 0"),
-    # Python's float reads JSON's true and false as 1 and 0
-    (["verify-bounds", "--config", "bool-t.json"], "--t True is not a positive finite number"),
-    (["functionals", "--g", "euler", "--config", "bools.json"],
-     "--n True is not a whole number in [1, 2^53]"),
-    (["functionals", "--g", "euler", "--config", "bools.json", "--n", "4"],
-     "--alpha False is not a finite number"),
 ])
-def test_grid_values_are_checked_before_any_work(argv, message, tmp_path, monkeypatch,
-                                                 capsys):
-    # flags and --config entries go through one check, ahead of any generator
+def test_grid_values_are_checked_before_any_work(argv, message, monkeypatch, capsys):
+    # every grid goes through one check, ahead of any generator
     def no_compute(spec):
         raise AssertionError("generator built before the grid check")
 
     monkeypatch.setattr(cli.opcalc, "make_generator", no_compute)
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text(json.dumps({"t": [1, -1], "n": [4]}))
-    (tmp_path / "bool-t.json").write_text(json.dumps({"t": [1, True], "n": [4]}))
-    (tmp_path / "bools.json").write_text(json.dumps({"n": [True, 4], "alpha": [False]}))
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
@@ -930,32 +897,6 @@ def test_negative_zero_alpha_is_zero(tmp_path, capsys):
     assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
     assert cli.main([*base, "--alpha", "-0.5,1"]) == 2
     assert capsys.readouterr().err.startswith("error: --alpha -0.5 is outside [0, 1]")
-
-
-def test_functionals_reads_grids_from_config(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": [2, 4], "alpha": [0.5]}))
-    out = tmp_path / "fn.csv"
-    assert cli.main(["functionals", "--g", "euler", "--config", str(cfg),
-                     "--out", str(out)]) == 0
-    assert [(r["n"], r["alpha"]) for r in _read_csv(out)] == [("2", "0.5"), ("4", "0.5")]
-
-
-def test_functionals_g_flag_overrides_the_config_scheme(tmp_path, capsys):
-    # an explicit flag wins over a config entry: --g over the config's scheme;
-    # --g and --scheme together name two functions, a usage error
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scheme": "spline", "n": [2], "alpha": [0.5]}))
-    out = tmp_path / "fn.csv"
-    assert cli.main(["functionals", "--config", str(cfg), "--g", "euler",
-                     "--out", str(out)]) == 0
-    assert [r["g"] for r in _read_csv(out)] == ["euler"]
-    assert cli.main(["functionals", "--config", str(cfg), "--out", str(out)]) == 0
-    assert [r["g"] for r in _read_csv(out)] == ["spline"]
-    assert cli.main(["functionals", "--g", "euler", "--scheme", "spline", "--n", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
-    assert "--g" in captured.err and "--scheme" in captured.err
 
 
 def test_rows_are_sorted_by_grid_coordinates(tmp_path):

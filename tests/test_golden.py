@@ -10,3 +10,6 @@ def test_outputs_are_the_recorded_bytes():
     new = golden.records()
     changed = [name for name, data in new.items() if golden.recorded(name) != data]
     assert not changed, f"outputs differ from tests/golden/ for {changed}{golden.numpy_note()}"
+    # a record that no command of the corpus makes any more is stale
+    stale = sorted(set(golden.recorded_names()) - new.keys())
+    assert not stale, f"tests/golden/ records commands no longer in the corpus: {stale}"

@@ -194,7 +194,7 @@ REACH_COMMANDS = [
     ["functionals", "--g", "measure:nu.json", "--n", "1,2", "--alpha", "1"],
     # a density with a negative coefficient, nonnegative on its interval
     ["functionals", "--g", "measure:mixed.json", "--n", "1,2", "--alpha", "1"],
-    ["functionals", "--scheme", "spline", "--config", "cfg.json"],
+    ["functionals", "--g", "spline"],
     [*_VB, "first.csv", "--scheme", "kendall", "--generator", "diag_imag:k=4", "--suite", "first"],
     [*_VB, "nonb2.csv", "--scheme", "euler_pow4", "--generator", "diag_imag:k=4",
      "--suite", "nonb2"],
@@ -229,7 +229,6 @@ def test_every_function_is_reached_by_a_command(tmp_path, monkeypatch, capsys):
     # code that no command runs belongs in the tests, as an oracle
     (tmp_path / "nu.json").write_text(json.dumps(
         {"atoms": [[1.0, 0.25]], "segments": [{"a": 0, "b": 2, "poly": [0.375]}]}))
-    (tmp_path / "cfg.json").write_text(json.dumps({"n": [1, 2], "alpha": [0.5]}))
     (tmp_path / "mixed.json").write_text(json.dumps(
         {"segments": [{"a": 0, "b": 2, "poly": [0, 1.5, -0.75]}]}))
     monkeypatch.chdir(tmp_path)
