@@ -1,10 +1,11 @@
 """Golden outputs: what a fixed corpus of commands prints and writes.
 
-Each command of CORPUS runs in-process, in order, in one empty working
-directory.  Its record, tests/golden/<name>.txt, holds the command line,
-its exit code, its standard error, its standard output and the file it
-writes with --out, one section each.  test_golden.py compares the records
-with these files byte for byte, with no tolerance.
+Each command of CORPUS runs in-process, in order, in one working directory
+that holds only the MEASURES files.  Its record, tests/golden/<name>.txt,
+holds the command line, its exit code, its standard error, its standard
+output, and the file it writes with --out and that file's JSON mirror, one
+section each.  test_golden.py compares the records with these files byte
+for byte, with no tolerance.
 
     PYTHONPATH=src python tests/golden.py            # compare only
     PYTHONPATH=src python tests/golden.py --update   # and rewrite tests/golden/
@@ -22,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import json
 import math
 import os
 import sys
@@ -37,6 +39,14 @@ NUMPY_VERSION = os.path.join(GOLDEN, "numpy-version")
 _PERF_GRID = "--t 0.25,1,4 --n 4,16,64,256"
 _PERF_FN = "--n 1,4,16,64,256,1024 --alpha 0,0.5,1"
 _PERF_LAPLACIAN = "--scheme spline --generator laplacian:d=512"
+BUILTINS = ("exp", "euler", "euler_pow4", "spline", "kendall:t=0.5", "yosida:t=2", "hille",
+            "chung:a=0.25+0.5+0.25,t=1", "frac_tail:gamma=0.5")
+# the measure: files the corpus reads, written into its working directory: an
+# atom and a segment, and a density with a negative coefficient, nonnegative on [0, 2]
+MEASURES = {
+    "nu.json": {"atoms": [[1.0, 0.25]], "segments": [{"a": 0, "b": 2, "poly": [0.375]}]},
+    "mixed.json": {"segments": [{"a": 0, "b": 2, "poly": [0, 1.5, -0.75]}]},
+}
 
 # (name, command line); report reads the CSVs the README commands before it write
 CORPUS = [
@@ -89,10 +99,16 @@ CORPUS = [
                       "--t 0.5,1 --n 4,16"),
     ("second-orders-spline", "orders --scheme spline --generator laplacian:d=32 --suite second "
                              "--n 4,8,16,32 --alpha 0,1"),
-    # one functionals table per built-in, so every measure shape is recorded
+    # one functionals table and one orders fit per built-in, so every measure shape is recorded
     *((f"builtin-{spec.partition(':')[0]}", f"functionals --g {spec} --n 1,4,64 --alpha 0,0.5,1")
-      for spec in ("exp", "euler", "euler_pow4", "spline", "kendall:t=0.5", "yosida:t=2",
-                   "hille", "chung:a=0.25+0.5+0.25,t=1", "frac_tail:gamma=0.5")),
+      for spec in BUILTINS),
+    *((f"orders-{spec.partition(':')[0]}", f"orders --scheme {spec} --generator laplacian:d=32 "
+                                           "--n 16,64,256,1024 --alpha 0,1") for spec in BUILTINS),
+    # measure: files, and the JSON mirror
+    ("measure-functionals", "functionals --g measure:nu.json --n 1,2 --alpha 1 --out nu.csv "
+                            "--json"),
+    ("measure-verify-bounds", "verify-bounds --scheme measure:mixed.json --generator laplacian:d=8 "
+                              "--n 4,8"),
 ]
 
 
@@ -105,10 +121,11 @@ def record(line: str) -> bytes:
     parts = [f"$ cmapprox {line}\n", f"==> exit <==\n{code}\n",
              f"==> stderr <==\n{err.getvalue()}", f"==> stdout <==\n{out.getvalue()}"]
     if "--out" in argv:
-        path = argv[argv.index("--out") + 1]
-        if os.path.exists(path):
-            with open(path, newline="") as fh:
-                parts.append(f"==> {path} <==\n{fh.read()}")
+        written = argv[argv.index("--out") + 1]
+        for path in (written, written + ".json"):
+            if os.path.exists(path):
+                with open(path, newline="") as fh:
+                    parts.append(f"==> {path} <==\n{fh.read()}")
     return "".join(parts).encode()
 
 
@@ -117,6 +134,9 @@ def records() -> dict:
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
+        for fname, measure in MEASURES.items():
+            with open(fname, "w") as fh:
+                json.dump(measure, fh)
         try:
             return {name: record(line) for name, line in CORPUS}
         finally:
