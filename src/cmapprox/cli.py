@@ -9,11 +9,11 @@ Subcommands:
     report         aggregate CSVs into a pass/fail summary by bound tag
 
 The theorems live in rates and functionals: each verify-bounds suite checks
-its own inputs (rates.SUITES), rates.order_verdict passes or fails an
-`orders` fit, rates.sharpness_rows gives the checked sharpness rows and
-functionals.table builds the functionals rows.  Each command parses its
-inputs and returns (fields, rows); `main` alone writes them and sets the
-exit code.  Each subcommand's defaults are those of its parser.  Every grid
+its own inputs (rates.SUITES) and asks the same of each g_t of an `orders`
+fit, which rates.order_verdict passes or fails; rates gives the checked
+sharpness rows and functionals.table the functionals rows.  Each command
+parses its inputs and returns (fields, rows); `main` alone writes them and
+sets the exit code.  Each subcommand's defaults are its parser's.  Every grid
 value is checked by cmfun.read_value, as the values of --scheme and
 --generator strings are: t positive and finite, n a whole number in
 [1, 2^53] (where the float parse keeps every whole number), alpha finite
@@ -130,7 +130,7 @@ def cmd_verify_bounds(args):
     g = make_builtin(args.scheme)
     A = opcalc.make_generator(args.generator)
     vectors = opcalc.test_vectors(A, seed=args.seed)
-    rows = [r.row() for r in suite(g, A, args.t, args.n, args.alpha, vectors)]
+    rows = [r.row() for r in suite(g, A, args.t, args.n, args.alpha or [1.0], vectors)]
     rows.sort(key=lambda r: (r["scheme"], r["generator"], r["t"], r["n"],
                              r["alpha"], r["vector_id"]))
     return BOUND_FIELDS, rows
@@ -146,11 +146,11 @@ def cmd_orders(args):
         raise ValueError(f"--suite {suite!r} is not a suite of orders, which takes first or second")
     rates.check_alphas(args.alpha, *rates.ORDER_ALPHA, "orders")
     g = make_builtin(args.scheme)
+    members = [rates.SUITES[suite].admit(g.at(t)) for t in args.t]
     A = opcalc.make_generator(args.generator)
     second = suite == "second"
     rows = []
-    for t in args.t:
-        gt = g.at(t)
+    for t, gt in zip(args.t, members):
         for alpha in args.alpha:
             fit = rates.spectral_order(gt, A, t, args.n, alpha, second)
             expected = rates.expected_exponent(A, alpha, second)
@@ -172,7 +172,8 @@ def cmd_sharpness(args):
     if shift and ns[-1] < 2:
         raise ValueError(f"--n {','.join(map(str, ns))} has no n >= 2, which the shift "
                          f"experiment of --which {args.which} needs")
-    rows = rates.sharpness_rows(ns, euler=args.which != "shift", shift=shift)
+    rows = ((rates.euler_scalar_sharpness(ns) if args.which != "shift" else [])
+            + (rates.shift_second_order_sharpness([n for n in ns if n >= 2]) if shift else []))
     return ["experiment", "n", "value", "scaled", "reference", "pass"], rows
 
 
@@ -203,7 +204,7 @@ OPTIONS = {
     "suite": {"default": "first"},
     "t": {"default": "1"},
     "n": {},
-    "alpha": {"default": "1"},
+    "alpha": {},   # verify-bounds reads None as 1; a suite with rows_alpha takes none
 }
 
 
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(n="1", alpha="0,0.5,1")
     command("verify-bounds", "error-vs-bound suites", cmd_verify_bounds, *OPTIONS)
     command("orders", "convergence-order fits of ||E_n A^{-alpha}||", cmd_orders,
-            "out", "scheme", "generator", "suite", "t", "n", "alpha")
+            "out", "scheme", "generator", "suite", "t", "n", "alpha").set_defaults(alpha="1")
     sp = command("sharpness", "sharp-constant experiments", cmd_sharpness, "out", "n")
     sp.add_argument("--which", choices=("euler", "shift", "both"), default="both")
     sp.set_defaults(n="4,16,64,256,1024")

@@ -28,7 +28,7 @@ difference, and it has no second-order remainder.
 Functions and generators (opcalc.GALLERY) are named by `name:key=value`
 strings with one reader, `read_spec`, and every value, there and in the
 CLI's grids, has one check, `read_value` against its kind (FINITE,
-POSITIVE, WHOLE).  A built-in's name gives each of its values in full.
+POSITIVE, SIZE).  A built-in's name gives each of its values in full.
 
 The scheme g_n(z) = g(z/n)^n is the pair (g, n): nothing builds it as a
 function.  Its log-defect is L_n(z) = n L(z/n), and `g.defect(z, n)` and
@@ -477,7 +477,7 @@ def _num(x: float) -> str:
 # float that passes); a list [kind] is its values joined by '+'.
 FINITE = ("a finite number", math.isfinite, lambda x: x + 0.0)   # -0 reads as 0
 POSITIVE = ("a positive finite number", lambda x: 0.0 < x < math.inf, float)
-WHOLE = ("a positive whole number", lambda x: x >= 1.0 and x.is_integer(), int)
+SIZE = ("a whole number in [1, 2^16]", lambda x: 1.0 <= x <= 2.0 ** 16 and x.is_integer(), int)
 
 
 def read_value(raw: str, kind, where: str):

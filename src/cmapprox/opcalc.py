@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cmfun import POSITIVE, WHOLE, _num, read_spec
+from .cmfun import POSITIVE, SIZE, _num, read_spec
 
 __all__ = [
     "GeneratorMatrix",
@@ -179,10 +179,10 @@ def laplacian_dirichlet_1d(d: int = 128) -> GeneratorMatrix:
 # each gallery member: its constructor, whose defaults are those of the spec,
 # and the kinds of its keys
 GALLERY = {
-    "diag_imag": (diag_imag, {"k": WHOLE, "min": POSITIVE, "max": POSITIVE}, ()),
-    "diag_pos": (diag_positive, {"k": WHOLE, "min": POSITIVE, "max": POSITIVE}, ()),
-    "advection": (advection_periodic, {"d": WHOLE}, ()),
-    "laplacian": (laplacian_dirichlet_1d, {"d": WHOLE}, ()),
+    "diag_imag": (diag_imag, {"k": SIZE, "min": POSITIVE, "max": POSITIVE}, ()),
+    "diag_pos": (diag_positive, {"k": SIZE, "min": POSITIVE, "max": POSITIVE}, ()),
+    "advection": (advection_periodic, {"d": SIZE}, ()),
+    "laplacian": (laplacian_dirichlet_1d, {"d": SIZE}, ()),
 }
 
 

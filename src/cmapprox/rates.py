@@ -44,7 +44,7 @@ __all__ = [
     "BoundReport", "within_bound", "OrderFit", "fit_order", "order_verdict", "suite",
     "first_order_bounds", "non_b2_bounds", "second_order_bounds", "holomorphic_bounds",
     "holomorphic_second_order", "spectral_order", "expected_exponent",
-    "euler_scalar_sharpness", "shift_second_order_sharpness", "sharpness_rows",
+    "euler_scalar_sharpness", "shift_second_order_sharpness",
 ]
 
 SLACK_REL = 1e-9
@@ -127,11 +127,9 @@ def _errors(g: CMFunction, ts, ns, dim: int, second: bool = False) -> list:
     `dim` points, each lam -> the stack of g_n(t lam) - e^{-t lam} of a block
     of consecutive cells, or with `second` of the second-order residual
     g_n(t lam) - e^{-t lam} - (2n)^{-1}(g''(0)-1) t^2 lam^2 e^{-t lam}.  The
-    cells are cut into blocks of at most STACK_POINTS values (and at least
-    one cell), so that an evaluation's temporaries do not grow with the grid.
-    A ValueError when g is not in B1 (B2 with `second`)."""
-    if second and not check_bk(g, 2):
-        raise ValueError(f"{g.name}: the second-order residual needs a finite g''(0)")
+    cells are cut into blocks of at most STACK_POINTS values (and at least one
+    cell), so that an evaluation's temporaries do not grow with the grid; a
+    ValueError when g is not in B1."""
     require_b1(g)
     cells = [(t, n) for t in ts for n in ns]
     size = max(1, STACK_POINTS // dim)
@@ -197,11 +195,19 @@ class Suite(NamedTuple):
     fixed: bool = False       # one function g, not a family g_t
     tail: bool = False        # g(inf) = 0, else d1[g_n] = inf
     sectorial: bool = False   # finite M_1 and M_2
+    rows_alpha: tuple = ()    # the alphas of the rows where the theorem fixes them: no --alpha
+
+    def admit(self, gt) -> CMFunction:
+        """g_t, once it is in B_k, k = moment; a ValueError naming the suite otherwise."""
+        if self.moment and not check_bk(gt, self.moment):
+            raise ValueError(f"suite {self.name!r} needs a B{self.moment} function, with g"
+                             + "'" * self.moment + f"(0) finite, and {gt.name} is not one")
+        return gt
 
     def __call__(self, g, A: GeneratorMatrix, ts, ns, alphas, vectors) -> list[BoundReport]:
         """The rows of every (t, n) cell, t-major; a ValueError naming the suite
         and the first input that does not meet what the theorem asks of it."""
-        name, k, prime = self.name, self.moment, "'" * self.moment
+        name = self.name
         check_alphas(alphas, *self.alpha, f"suite {name!r}")
         fixed = isinstance(g, CMFunction)
         if self.fixed and not fixed:
@@ -209,11 +215,7 @@ class Suite(NamedTuple):
         if self.tail and not g.tail_integrable:
             raise ValueError(f"suite {name!r} needs g(inf) = 0, and {g.name} has "
                              f"g(inf) = {g.limit_at_inf:g}")
-        runs = [(g, ts)] if fixed else [(g.at(t), [t]) for t in ts]
-        for gt, _ in runs:
-            if k and not check_bk(gt, k):
-                raise ValueError(f"suite {name!r} needs a B{k} function, with g{prime}(0) "
-                                 f"finite, and {gt.name} is not one")
+        runs = [(self.admit(g), ts)] if fixed else [(self.admit(g.at(t)), [t]) for t in ts]
         Mc = opcalc.semigroup_constants(A)
         if self.sectorial and not (math.isfinite(Mc[1]) and math.isfinite(Mc[2])):
             raise ValueError(f"suite {name!r} needs a sectorial generator; the spectrum of "
@@ -347,7 +349,7 @@ def _holomorphic_second(g, A, Mc, ts, ns, alphas, vectors) -> list[BoundReport]:
 
 first_order_bounds = Suite("first", _first_order, (0.0, 2.0), moment=2)
 non_b2_bounds = Suite("nonb2", _non_b2, (0.0, 1.0), fixed=True)
-second_order_bounds = Suite("second", _second_order, moment=4)
+second_order_bounds = Suite("second", _second_order, moment=4, rows_alpha=(3.0, 4.0))
 holomorphic_bounds = Suite("holo", _holomorphic, (0.0, 1.0), moment=2, sectorial=True)
 holomorphic_second_order = Suite("holo2", _holomorphic_second, (0.0, 3.0), moment=4, fixed=True,
                                  tail=True, sectorial=True)
@@ -356,11 +358,14 @@ SUITES = {s.name: s for s in (first_order_bounds, non_b2_bounds, second_order_bo
 
 
 def suite(name: str, alphas) -> Suite:
-    """SUITES[name], once every alpha lies in the range of its theorem;
-    a ValueError naming the suite and the input otherwise."""
+    """SUITES[name], once every alpha lies in its theorem's range, and alphas is None
+    (no --alpha) where it has rows_alpha; a ValueError naming the suite otherwise."""
     if name not in SUITES:
         raise ValueError(f"--suite {name!r}: unknown suite; available: {', '.join(SUITES)}")
-    check_alphas(alphas, *SUITES[name].alpha, f"suite {name!r}")
+    if SUITES[name].rows_alpha and alphas is not None:
+        raise ValueError(f"suite {name!r} takes no --alpha: its rows are at alpha "
+                         + " and ".join(f"{a:g}" for a in SUITES[name].rows_alpha))
+    check_alphas(alphas or (), *SUITES[name].alpha, f"suite {name!r}")
     return SUITES[name]
 
 
@@ -476,9 +481,3 @@ def shift_second_order_sharpness(n_grid) -> list[dict]:
                      "reference": 1.0 / (3.0 * math.sqrt(2.0 * math.pi)),
                      "pass": bool(converged.all()) and within_bound(abs(i2), 2.0 / n ** 2)})
     return rows
-
-
-def sharpness_rows(ns, euler: bool, shift: bool) -> list[dict]:
-    """The euler-scalar rows over the grid ns, then the shift-I1I2 rows of its n >= 2."""
-    return ((euler_scalar_sharpness(ns) if euler else [])
-            + (shift_second_order_sharpness([n for n in ns if n >= 2]) if shift else []))

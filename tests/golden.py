@@ -1,11 +1,12 @@
 """Golden outputs: what a fixed corpus of commands prints and writes.
 
-Each command of CORPUS runs in-process, in order, in one working directory
-that holds only the MEASURES files.  Its record, tests/golden/<name>.txt,
-holds the command line, its exit code, its standard error, its standard
-output, and the file it writes with --out and that file's JSON mirror, one
-section each.  test_golden.py compares the records with these files byte
-for byte, with no tolerance.
+Each command of CORPUS, the README's read from its "Command line" block, runs
+in-process, in order, in one directory that holds the MEASURES files.  Its
+record, tests/golden/<name>.txt, holds the command line, its exit code,
+standard error and output, and the file it writes with --out and its JSON
+mirror, one section each.  test_golden.py compares the records with these
+files byte for byte, with no tolerance, and lists each function of
+src/cmapprox that no command enters (by a profile hook) as a failure.
 
     PYTHONPATH=src python tests/golden.py            # compare only
     PYTHONPATH=src python tests/golden.py --update   # and rewrite tests/golden/
@@ -15,22 +16,26 @@ change from the recorded files and the command where it occurs, and then
 each record whose text changed with the sections that differ; the first
 exits 1 when one did.  The records are made with one numpy, whose version
 --update writes to tests/golden/numpy-version; a change seen under another
-version names both versions.
+version names both versions.  Both print each function that no command
+enters and then exit 1 and write nothing.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import csv
+import importlib
 import io
-import json
 import math
 import os
+import pkgutil
 import sys
 import tempfile
 
 import numpy as np
 
+import cmapprox
 from cmapprox import cli
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -41,27 +46,24 @@ _PERF_FN = "--n 1,4,16,64,256,1024 --alpha 0,0.5,1"
 _PERF_LAPLACIAN = "--scheme spline --generator laplacian:d=512"
 BUILTINS = ("exp", "euler", "euler_pow4", "spline", "kendall:t=0.5", "yosida:t=2", "hille",
             "chung:a=0.25+0.5+0.25,t=1", "frac_tail:gamma=0.5")
-# the measure: files the corpus reads, written into its working directory: an
-# atom and a segment, and a density with a negative coefficient, nonnegative on [0, 2]
-MEASURES = {
-    "nu.json": {"atoms": [[1.0, 0.25]], "segments": [{"a": 0, "b": 2, "poly": [0.375]}]},
-    "mixed.json": {"segments": [{"a": 0, "b": 2, "poly": [0, 1.5, -0.75]}]},
-}
+# the measure: files: an atom and a segment; a density with a negative coefficient
+MEASURES = {"nu.json": '{"atoms": [[1.0, 0.25]], "segments": [{"a": 0, "b": 2, "poly": [0.375]}]}',
+            "mixed.json": '{"segments": [{"a": 0, "b": 2, "poly": [0, 1.5, -0.75]}]}'}
+
+
+def readme_commands() -> list:
+    """The `cmapprox ...` lines of the README "Command line" block, continuations
+    joined, each without its `cmapprox`."""
+    with open(os.path.join(GOLDEN, "..", "..", "README.md")) as fh:
+        block = fh.read().split("## Command line")[1].split("```sh\n")[1].split("```")[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [" ".join(line.split()[1:]) for line in lines if line.startswith("cmapprox ")]
+
 
 # (name, command line); report reads the CSVs the README commands before it write
 CORPUS = [
-    # the README commands
-    ("readme-functionals", "functionals --g euler --n 1,2,4,8 --alpha 0,0.5,1 --out fn.csv"),
-    ("readme-first", "verify-bounds --scheme euler --generator diag_imag:k=128 --suite first "
-                     "--t 0.25,1,4 --n 4,16,64,256 --alpha 0.5,1,2 --out first.csv"),
-    ("readme-holo", "verify-bounds --scheme euler --generator laplacian:d=128 --suite holo "
-                    "--t 1 --n 4,16,64 --alpha 0,0.5,1 --out holo.csv"),
-    ("readme-orders-imag", "orders --scheme euler --generator diag_imag:k=400,min=0.01,max=1e5 "
-                           "--alpha 0.5,1 --n 16,32,64,128,256,512,1024,2048,4096"),
-    ("readme-orders-laplacian", "orders --scheme euler --generator laplacian:d=64 --t 1 "
-                                "--n 4,8,16,32,64 --alpha 0,1"),
-    ("readme-sharpness", "sharpness --which both --n 4,16,64,256,1024"),
-    ("readme-report", "report first.csv holo.csv --out summary.csv"),
+    # the README commands, named by their place in the README block and their subcommand
+    *((f"readme-{i}-{line.split()[0]}", line) for i, line in enumerate(readme_commands(), 1)),
     # the perfbench commands at --seed 1
     ("perfbench-holo", f"verify-bounds {_PERF_LAPLACIAN} --suite holo {_PERF_GRID} "
                        "--alpha 0,0.5,1 --seed 1"),
@@ -94,6 +96,9 @@ CORPUS = [
     ("error-grid-empty", "verify-bounds --n ,"),
     ("error-orders-suite", "orders --n 4 --suite holo"),
     ("error-sharpness-shift-n", "sharpness --which shift --n 1"),
+    ("error-second-alpha", "verify-bounds --suite second --scheme spline --generator diag_pos:k=4 "
+                           "--n 4 --alpha 0.25"),
+    ("error-generator-size", "verify-bounds --generator laplacian:d=1e15 --n 4"),
     # the second-order suites: a family under verify-bounds, and the residual fit of orders
     ("second-yosida", "verify-bounds --scheme yosida --generator diag_pos:k=16 --suite second "
                       "--t 0.5,1 --n 4,16"),
@@ -129,18 +134,47 @@ def record(line: str) -> bytes:
     return "".join(parts).encode()
 
 
-def records() -> dict:
-    """{name: record} of the corpus, run in a fresh temporary directory."""
+def _defs(node, prefix):
+    """(qualified name, first line) of every def below an ast node; the first
+    line of a decorated def is that of its first decorator, as in its code."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                yield name, min([child.lineno] + [d.lineno for d in child.decorator_list])
+            yield from _defs(child, name)
+        else:
+            yield from _defs(child, prefix)
+
+
+def run() -> tuple[dict, list]:
+    """({name: record} of the corpus, run in a fresh temporary directory, and
+    the qualified names of the package's functions that no command enters)."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        for fname, measure in MEASURES.items():
+        for fname, text in MEASURES.items():
             with open(fname, "w") as fh:
-                json.dump(measure, fh)
+                fh.write(text)
+        sys.setprofile(profile)
         try:
-            return {name: record(line) for name, line in CORPUS}
+            new = {name: record(line) for name, line in CORPUS}
         finally:
+            sys.setprofile(None)
             os.chdir(here)
+    missed = []
+    for module in pkgutil.iter_modules(cmapprox.__path__):
+        path = importlib.import_module(f"cmapprox.{module.name}").__file__
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        missed += [name for name, line in _defs(tree, module.name) if (path, line) not in entered]
+    return new, missed
 
 
 def path_of(name: str) -> str:
@@ -245,11 +279,14 @@ def report(old: dict, new: dict) -> list:
 
 
 def main(argv) -> int:
-    new = records()
+    new, missed = run()
     old = {name: recorded(name) for name in new}
     for name in recorded_names():
         old.setdefault(name, recorded(name))
     changed = report(old, new)
+    if missed:
+        print(f"no command enters {missed}")
+        return 1
     if "--update" not in argv:
         return 1 if changed else 0
     os.makedirs(GOLDEN, exist_ok=True)

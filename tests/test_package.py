@@ -1,21 +1,19 @@
 """Package hygiene: every name a module exports exists, the value types are
-immutable records, importing the CLI loads only what it needs, and every
-function in the package is reached by some command."""
+immutable records, and importing the CLI loads only what it needs; that every
+function in the package is reached by some command is tests/test_golden.py's."""
 
 import ast
 import importlib
-import json
 import math
 import os
 import pkgutil
 import subprocess
 import sys
-import time
 
 import pytest
 
 import cmapprox
-from cmapprox import cli, cmfun, functionals, measures, opcalc, quadrature, rates
+from cmapprox import cmfun, functionals, measures, opcalc, quadrature, rates
 
 from conftest import ROOT, src_env
 
@@ -84,7 +82,7 @@ VALUE_TYPES = [
     (rates.OrderFit, (-1.0, 0.5, 0.99, 4), {"flag": ""}),
     (rates.Suite, ("first", rates.first_order_bounds.bounds),
      {"alpha": (-math.inf, math.inf), "moment": 0, "fixed": False, "tail": False,
-      "sectorial": False}),
+      "sectorial": False, "rows_alpha": ()}),
     (measures.PolyExpSegment, (0.0, 1.0, (1.0,)), {"rate": 0.0}),
     (measures.PowerLawSegment, (1.0, 2.5), {}),
     (measures.PositiveMeasure, (), {"atoms": (), "segments": ()}),
@@ -181,77 +179,3 @@ def test_a_failing_property_test_does_not_end_the_session(tmp_path):
     out = proc.stdout + proc.stderr
     assert proc.returncode == 1, out
     assert "1 failed, 1 passed" in proc.stdout and "INTERNALERROR" not in out, out
-
-
-# small commands that together take every subcommand, suite, generator and
-# built-in (a fixed function, a family, euler_pow4 and a measure: file)
-_VB = ["verify-bounds", "--t", "1", "--n", "4,8", "--alpha", "1", "--out"]
-REACH_COMMANDS = [
-    ["functionals", "--g", "euler", "--n", "1,2", "--alpha", "0,0.5,1", "--out", "fn.csv",
-     "--json"],
-    ["functionals", "--g", "hille", "--n", "1,2", "--alpha", "0,1"],
-    ["functionals", "--g", "frac_tail:gamma=0.5", "--n", "1,2", "--alpha", "1"],
-    ["functionals", "--g", "measure:nu.json", "--n", "1,2", "--alpha", "1"],
-    # a density with a negative coefficient, nonnegative on its interval
-    ["functionals", "--g", "measure:mixed.json", "--n", "1,2", "--alpha", "1"],
-    ["functionals", "--g", "spline"],
-    [*_VB, "first.csv", "--scheme", "kendall", "--generator", "diag_imag:k=4", "--suite", "first"],
-    [*_VB, "nonb2.csv", "--scheme", "euler_pow4", "--generator", "diag_imag:k=4",
-     "--suite", "nonb2"],
-    [*_VB, "frac.csv", "--scheme", "frac_tail:gamma=0.5", "--generator", "diag_imag:k=4",
-     "--suite", "nonb2"],
-    [*_VB, "second.csv", "--scheme", "yosida", "--generator", "diag_pos:k=4", "--suite", "second"],
-    [*_VB, "holo.csv", "--scheme", "spline", "--generator", "laplacian:d=4", "--suite", "holo",
-     "--alpha", "0,0.5,1"],
-    [*_VB, "holo2.csv", "--scheme", "euler", "--generator", "advection:d=4", "--suite", "holo2"],
-    ["orders", "--scheme", "chung:a=0.25+0.5+0.25,t=1", "--generator", "diag_imag:k=16",
-     "--n", "4,8,16,32", "--alpha", "1"],
-    ["orders", "--scheme", "exp", "--generator", "laplacian:d=8", "--suite", "second",
-     "--n", "4,8,16,32", "--alpha", "1"],
-    ["sharpness", "--which", "both", "--n", "4,16"],
-    ["report", "first.csv", "holo.csv", "--out", "report.csv"],
-]
-
-def _defs(node, prefix):
-    """(qualified name, first line) of every def below an ast node; the first
-    line of a decorated def is that of its first decorator, as in its code."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            name = f"{prefix}.{child.name}"
-            if not isinstance(child, ast.ClassDef):
-                yield name, min([child.lineno] + [d.lineno for d in child.decorator_list])
-            yield from _defs(child, name)
-        else:
-            yield from _defs(child, prefix)
-
-
-def test_every_function_is_reached_by_a_command(tmp_path, monkeypatch, capsys):
-    # code that no command runs belongs in the tests, as an oracle
-    (tmp_path / "nu.json").write_text(json.dumps(
-        {"atoms": [[1.0, 0.25]], "segments": [{"a": 0, "b": 2, "poly": [0.375]}]}))
-    (tmp_path / "mixed.json").write_text(json.dumps(
-        {"segments": [{"a": 0, "b": 2, "poly": [0, 1.5, -0.75]}]}))
-    monkeypatch.chdir(tmp_path)
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
-
-    start = time.perf_counter()
-    sys.setprofile(profile)
-    try:
-        codes = [cli.main(argv) for argv in REACH_COMMANDS]
-    finally:
-        sys.setprofile(None)
-    assert time.perf_counter() - start < 3.0
-    err = capsys.readouterr().err   # read, or the captured CSV reaches the terminal
-    assert codes == [0] * len(REACH_COMMANDS), err
-    missed = []
-    for name in MODULES:
-        path = importlib.import_module(f"cmapprox.{name}").__file__
-        with open(path) as fh:
-            tree = ast.parse(fh.read())
-        missed += [qualname for qualname, line in _defs(tree, name)
-                   if (path, line) not in entered]
-    assert not missed, f"no command enters {missed}"

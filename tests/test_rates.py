@@ -386,7 +386,7 @@ def test_shift_row_passes_only_when_both_integrals_converged(monkeypatch):
     # I_{1,n} and I_{2,n} are the two components of one quadrature: a row
     # whose I_{1,n} or I_{2,n} did not converge fails
     inner = quadrature.integrate
-    assert [r["pass"] for r in rates.sharpness_rows([16], euler=False, shift=True)] == [True]
+    assert [r["pass"] for r in rates.shift_second_order_sharpness([16])] == [True]
     for component in (0, 1):
         def integrate(f, a, b, **kwargs):
             res = inner(f, a, b, **kwargs)
@@ -396,7 +396,7 @@ def test_shift_row_passes_only_when_both_integrals_converged(monkeypatch):
             return res._replace(converged=converged)
 
         monkeypatch.setattr(quadrature, "integrate", integrate)
-        assert [r["pass"] for r in rates.sharpness_rows([16], euler=False, shift=True)] == [False]
+        assert [r["pass"] for r in rates.shift_second_order_sharpness([16])] == [False]
 
 
 def test_shift_I1_keeps_its_limit_at_large_n():
