@@ -562,6 +562,16 @@ def test_orders_command(tmp_path):
     assert float(row["r_squared"]) > 0.99
 
 
+def test_orders_exact_scheme_over_a_long_grid(tmp_path):
+    # exp carries L = 0, so its defect is an exact zero at every n up to 1024
+    out = tmp_path / "ord.csv"
+    assert cli.main(["orders", "--scheme", "exp", "--generator", "laplacian:d=16",
+                     "--n", ",".join(str(4 * 2 ** k) for k in range(9)),
+                     "--out", str(out)]) == 0
+    (row,) = _read_csv(out)
+    assert row["flag"] == "exact" and row["pass"] == "true"
+
+
 def test_sharpness_command(tmp_path):
     out = tmp_path / "s.csv"
     assert cli.main(["sharpness", "--which", "both", "--n", "4,16,64",
