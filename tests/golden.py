@@ -46,9 +46,17 @@ _PERF_FN = "--n 1,4,16,64,256,1024 --alpha 0,0.5,1"
 _PERF_LAPLACIAN = "--scheme spline --generator laplacian:d=512"
 BUILTINS = ("exp", "euler", "euler_pow4", "spline", "kendall:t=0.5", "yosida:t=2", "hille",
             "chung:a=0.25+0.5+0.25,t=1", "frac_tail:gamma=0.5")
-# the measure: files: an atom and a segment; a density with a negative coefficient
+# the files of the wrong form that a measure: string may name, by what is wrong
+MALFORMED = {"list": "[[1.0, 1.0]]", "no-b": '{"segments": [{"a": 0, "poly": [1]}]}',
+             "not-json": "atoms: 1",
+             "poly-string": '{"segments": [{"a": 0, "b": 1, "poly": ["x"]}]}',
+             "atoms-string": '{"atoms": "x"}'}
+# the measure: files: an atom and a segment; a density with a negative coefficient;
+# a density of mass 1/2, outside B1 with g''(0) finite; and the malformed ones
 MEASURES = {"nu.json": '{"atoms": [[1.0, 0.25]], "segments": [{"a": 0, "b": 2, "poly": [0.375]}]}',
-            "mixed.json": '{"segments": [{"a": 0, "b": 2, "poly": [0, 1.5, -0.75]}]}'}
+            "mixed.json": '{"segments": [{"a": 0, "b": 2, "poly": [0, 1.5, -0.75]}]}',
+            "half.json": '{"segments": [{"a": 0, "b": 2, "poly": [0, 0, 1.875, -1.875, 0.46875]}]}',
+            **{f"{name}.json": text for name, text in MALFORMED.items()}}
 
 
 def readme_commands() -> list:
@@ -83,6 +91,22 @@ CORPUS = [
     ("error-generator-key", "verify-bounds --generator diag_imag:q=1 --n 4"),
     ("error-generator-value", "verify-bounds --generator diag_imag:k=2.5 --n 4"),
     ("error-grid-value", "orders --n 4,2.5"),
+    ("error-scheme-inf", "verify-bounds --scheme yosida:t=inf --n 4"),
+    ("error-scheme-list-nan", "verify-bounds --scheme chung:a=0.5+nan,t=1 --n 4"),
+    ("error-scheme-no-gamma", "verify-bounds --scheme frac_tail --n 4"),
+    ("error-scheme-no-t", "verify-bounds --scheme chung:a=0.5+0.5 --n 4"),
+    ("error-scheme-unknown", "verify-bounds --scheme mystery --n 4"),
+    ("error-g-key", "functionals --g kendall:s=1 --n 1"),
+    ("error-g-unknown", "functionals --g mystery --n 4"),
+    ("error-generator-extra-key", "verify-bounds --generator diag_imag:k=4,foo=3 --n 4"),
+    ("error-generator-word", "verify-bounds --generator diag_imag:k=abc --n 4"),
+    ("error-generator-zero-k", "verify-bounds --generator diag_imag:k=0 --n 4"),
+    ("error-generator-zero-d", "verify-bounds --generator laplacian:d=0 --n 4"),
+    ("error-generator-fraction", "verify-bounds --generator laplacian:d=2.5 --n 4"),
+    ("error-generator-negative", "verify-bounds --generator advection:d=-4 --n 4"),
+    ("error-generator-min", "verify-bounds --generator diag_pos:min=0 --n 4"),
+    ("error-generator-unknown", "verify-bounds --generator torus --n 4"),
+    ("error-suite-unknown", "verify-bounds --suite mystery --n 4"),
     # each subcommand on its defaults, and the usage errors of its input checks
     ("defaults-functionals", "functionals --g euler"),
     ("defaults-verify-bounds", "verify-bounds --n 4"),
@@ -94,11 +118,49 @@ CORPUS = [
     ("error-seed", "verify-bounds --n 4 --seed -1"),
     ("error-grid-negative", "verify-bounds --n 4 --alpha -0.5,1"),
     ("error-grid-empty", "verify-bounds --n ,"),
+    ("error-alpha-empty", "functionals --g euler --alpha ,"),
     ("error-orders-suite", "orders --n 4 --suite holo"),
+    ("orders-short-grid", "orders --n 4,8,16"),
+    ("orders-exp-short-grid", "orders --scheme exp --n 4,8,16"),
     ("error-sharpness-shift-n", "sharpness --which shift --n 1"),
+    ("error-sharpness-both-n", "sharpness --which both --n 1"),
+    ("sharpness-euler-n1", "sharpness --which euler --n 1"),
     ("error-second-alpha", "verify-bounds --suite second --scheme spline --generator diag_pos:k=4 "
                            "--n 4 --alpha 0.25"),
     ("error-generator-size", "verify-bounds --generator laplacian:d=1e15 --n 4"),
+    # what a suite's theorem does not cover: a spectrum that is not sectorial, a
+    # family where the suite needs one g, g(inf) > 0 in holo2, g outside B2 or B1
+    *((f"error-{suite}-imaginary", "verify-bounds --scheme spline --generator diag_imag:k=64 "
+                                   f"--suite {suite} --n 4,16 --alpha 0.5")
+      for suite in ("holo", "holo2")),
+    ("error-nonb2-family", "verify-bounds --scheme kendall --suite nonb2 --generator diag_imag:k=8 "
+                           "--n 4 --alpha 0.5"),
+    *((f"error-holo2-family-{g}", f"verify-bounds --scheme {g} --suite holo2 "
+                                  "--generator laplacian:d=16 --n 4 --alpha 1")
+      for g in ("yosida", "kendall")),
+    *((f"error-holo2-atom-{g.partition(':')[0]}", f"verify-bounds --scheme {g} --suite holo2 "
+                                                  "--generator laplacian:d=8 --n 1,2 --alpha 1")
+      for g in ("hille", "kendall:t=0.5", "yosida:t=1")),
+    ("error-holo-frac_tail", "verify-bounds --scheme frac_tail:gamma=0.5 --suite holo "
+                             "--generator laplacian:d=8 --n 4 --alpha 0.5"),
+    ("error-half-first", "verify-bounds --scheme measure:half.json --n 4"),
+    ("error-half-nonb2", "verify-bounds --scheme measure:half.json --suite nonb2 "
+                         "--generator diag_imag:k=16 --n 4,8,16,32 --alpha 0.5,1"),
+    ("error-half-orders", "orders --scheme measure:half.json --generator diag_imag:k=16 "
+                          "--n 4,8,16,32 --alpha 0.5"),
+    ("error-half-functionals", "functionals --g measure:half.json --n 1"),
+    *((f"error-measure-{name}", f"functionals --g measure:{name}.json --n 1")
+      for name in MALFORMED),
+    # a family: a member t that its measure series holds and one it does not, and no t
+    ("functionals-yosida-100", "functionals --g yosida:t=100 --n 1,4 --alpha 0.5"),
+    ("error-yosida-300", "functionals --g yosida:t=300 --n 1,4 --alpha 0.5"),
+    *((f"error-family-member-{command}", f"{command} --scheme yosida --generator diag_pos:k=8 "
+                                         "--t 1,300 --n 4,8,16,32 --alpha 1")
+      for command in ("verify-bounds", "orders")),
+    ("error-functionals-family", "functionals --g kendall"),
+    # holo2 where the residual is about 1e-13 of its terms
+    ("holo2-small-moduli", "verify-bounds --scheme euler --suite holo2 --t 1 --n 4096,16384 "
+                           "--generator diag_pos:k=128,min=1e-4,max=1e-1 --alpha 0,1,2"),
     # the second-order suites: a family under verify-bounds, and the residual fit of orders
     ("second-yosida", "verify-bounds --scheme yosida --generator diag_pos:k=16 --suite second "
                       "--t 0.5,1 --n 4,16"),
