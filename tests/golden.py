@@ -1,23 +1,31 @@
 """Golden outputs: what a fixed corpus of commands prints and writes.
 
-Each command of CORPUS, the README's read from its "Command line" block, runs
-in-process, in order, in one directory that holds the MEASURES files.  Its
-record, tests/golden/<name>.txt, holds the command line, its exit code,
-standard error and output, and the file it writes with --out and its JSON
-mirror, one section each.  test_golden.py compares the records with these
-files byte for byte, with no tolerance, and lists each function of
-src/cmapprox that no command enters (by a profile hook) as a failure.
+The one harness for whole commands.  Each command of CORPUS, the README's
+read from its "Command line" block, runs in-process, in order, in one
+directory that holds the MEASURES files.  Its record,
+tests/golden/<name>.txt, holds the command line, its exit code, standard
+error and output, and the file it writes with --out and its JSON mirror, one
+section each.  Run as a script, in a fresh interpreter, it compares the
+records with these files byte for byte, with no tolerance:
 
     PYTHONPATH=src python tests/golden.py            # compare only
     PYTHONPATH=src python tests/golden.py --update   # and rewrite tests/golden/
 
 Both print, for each numeric CSV column of the corpus, the largest relative
 change from the recorded files and the command where it occurs, and then
-each record whose text changed with the sections that differ; the first
-exits 1 when one did.  The records are made with one numpy, whose version
---update writes to tests/golden/numpy-version; a change seen under another
-version names both versions.  Both print each function that no command
-enters and then exit 1 and write nothing.
+each record whose text changed (or that no command makes any more) with the
+sections that differ; the first exits 1 when one did.  The records are made
+with one numpy, whose version --update writes to tests/golden/numpy-version;
+a change seen under another numpy names both versions.
+
+The script runs the corpus as an install without the test extras would: it
+blocks scipy and mpmath before it imports cmapprox, so a command that imports
+either fails, and an exception that escapes a command names its record and
+command line.  It also prints each function of src/cmapprox that no command
+enters (by a profile hook), and numpy.polynomial or numpy.ma if the corpus
+loaded it; either makes both forms exit 1 and write nothing.  Imported as a
+module (for readme_commands), it blocks nothing.  test_golden.py runs the
+script.
 """
 
 from __future__ import annotations
@@ -33,6 +41,9 @@ import pkgutil
 import sys
 import tempfile
 
+if __name__ == "__main__":
+    sys.modules["scipy"] = sys.modules["mpmath"] = None
+
 import numpy as np
 
 import cmapprox
@@ -40,6 +51,8 @@ from cmapprox import cli
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 NUMPY_VERSION = os.path.join(GOLDEN, "numpy-version")
+# the numpy modules that no command needs, which cost start-up
+NOT_LOADED = ("numpy.polynomial", "numpy.ma")
 
 _PERF_GRID = "--t 0.25,1,4 --n 4,16,64,256"
 _PERF_FN = "--n 1,4,16,64,256,1024 --alpha 0,0.5,1"
@@ -179,12 +192,16 @@ CORPUS = [
 ]
 
 
-def record(line: str) -> bytes:
-    """The record of one command, run in the working directory."""
+def record(name: str, line: str) -> bytes:
+    """The record of one command, run in the working directory; an exception
+    that escapes the command is raised again, naming the record and the line."""
     argv = line.split()
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except (Exception, SystemExit) as exc:
+        raise RuntimeError(f"record {name!r}, `cmapprox {line}`: {exc!r}") from exc
     parts = [f"$ cmapprox {line}\n", f"==> exit <==\n{code}\n",
              f"==> stderr <==\n{err.getvalue()}", f"==> stdout <==\n{out.getvalue()}"]
     if "--out" in argv:
@@ -226,7 +243,7 @@ def run() -> tuple[dict, list]:
                 fh.write(text)
         sys.setprofile(profile)
         try:
-            new = {name: record(line) for name, line in CORPUS}
+            new = {name: record(name, line) for name, line in CORPUS}
         finally:
             sys.setprofile(None)
             os.chdir(here)
@@ -346,8 +363,12 @@ def main(argv) -> int:
     for name in recorded_names():
         old.setdefault(name, recorded(name))
     changed = report(old, new)
+    loaded = [module for module in NOT_LOADED if module in sys.modules]
     if missed:
         print(f"no command enters {missed}")
+    if loaded:
+        print(f"the corpus loads {loaded}")
+    if missed or loaded:
         return 1
     if "--update" not in argv:
         return 1 if changed else 0

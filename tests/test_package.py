@@ -1,6 +1,8 @@
 """Package hygiene: every name a module exports exists, the value types are
-immutable records, and importing the CLI loads only what it needs; that every
-function in the package is reached by some command is tests/test_golden.py's."""
+immutable records, no module imports a test extra, and importing the CLI
+loads only what it needs; that every function in the package is reached by
+some command, and that the commands run without the test extras, is
+tests/test_golden.py's."""
 
 import ast
 import importlib
@@ -57,15 +59,23 @@ def test_rates_reaches_the_operator_only_through_its_norms():
 
 
 def test_no_module_calls_globals():
-    # the package dispatches on values, never on names looked up at run time
+    # the package dispatches on values, never on names looked up at run time;
+    # and it imports no test extra, scipy or mpmath, on any path: the golden
+    # corpus runs without them, but some paths, such as derivative(z, 2), no
+    # command takes
     found = []
     for name in MODULES:
         with open(importlib.import_module(f"cmapprox.{name}").__file__) as fh:
             tree = ast.parse(fh.read())
-        found += [(name, node.lineno) for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                  and node.func.id == "globals"]
-    assert not found, f"globals() is called at {found}"
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "globals"):
+                found.append((name, node.lineno, "globals()"))
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [(name, node.lineno, f"import {m}") for m in modules
+                      if m.partition(".")[0] in ("scipy", "mpmath")]
+    assert not found, f"found at {found}"
 
 
 # every value type: (class, its required fields, the defaults of the others)
@@ -104,8 +114,9 @@ def test_value_types_are_immutable_records(cls, required, defaults):
     assert type(copy) is cls and copy == x
 
 
-# what `import cmapprox.cli` must not load: scipy and mpmath are imported
-# where they are called, and the others cost start-up that no import needs
+# what `import cmapprox.cli` must not load: the package imports no scipy or
+# mpmath (test_no_module_calls_globals), and the others cost start-up that no
+# import needs
 NOT_IMPORTED = ("dataclasses", "json", "scipy", "mpmath", "numpy.random", "numpy.polynomial",
                 "numpy.ma")
 
