@@ -121,7 +121,8 @@ def cmd_functionals(args):
         raise ValueError("--g is required")
     g = make_builtin(args.g, flag="--g")
     if isinstance(g, ScaledFamily):
-        raise ValueError("functionals needs a fixed function (give t)")
+        raise ValueError(f"--g {args.g!r}: functionals needs a fixed function: give t, "
+                         f"as in {g.name}:t=0.5")
     return fns.FIELDS, fns.table(g, args.n, args.alpha)
 
 
@@ -145,6 +146,9 @@ def cmd_orders(args):
     if suite not in ("first", "second"):
         raise ValueError(f"--suite {suite!r} is not a suite of orders, which takes first or second")
     rates.check_alphas(args.alpha, *rates.ORDER_ALPHA, "orders")
+    if len(args.n) < rates.FIT_POINTS:
+        raise ValueError(f"--n {','.join(map(str, args.n))} has {len(args.n)} distinct values, "
+                         f"and an orders fit needs at least {rates.FIT_POINTS}")
     g = make_builtin(args.scheme)
     members = [rates.SUITES[suite].admit(g.at(t)) for t in args.t]
     A = opcalc.make_generator(args.generator)

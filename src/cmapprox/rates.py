@@ -52,6 +52,8 @@ SLACK_ABS = 1e-13
 # an order fit passes when r^2 >= R2_MIN and |fitted - expected| <= EXPONENT_TOL
 R2_MIN = 0.98
 EXPONENT_TOL = 0.1
+# the fewest points a fit takes, and so the fewest --n values of orders
+FIT_POINTS = 4
 ORDER_ALPHA = (0.0, 4.0)
 # values (cells x points) of one evaluation of a scheme's errors: 0.5 MB per
 # complex array, of which about ten are alive at once
@@ -100,7 +102,7 @@ class OrderFit(NamedTuple):
 def fit_order(points) -> OrderFit:
     """Least-squares slope of log(error) against log(n)."""
     pts = [(n, e) for n, e in points if e > 0.0 and math.isfinite(e)]
-    if len(pts) < 4:
+    if len(pts) < FIT_POINTS:
         return OrderFit(math.nan, math.nan, 0.0, len(pts), "exact" if not pts else "too-few-points")
     ln = np.log([p[0] for p in pts])
     le = np.log([p[1] for p in pts])
@@ -198,7 +200,9 @@ class Suite(NamedTuple):
     rows_alpha: tuple = ()    # the alphas of the rows where the theorem fixes them: no --alpha
 
     def admit(self, gt) -> CMFunction:
-        """g_t, once it is in B_k, k = moment; a ValueError naming the suite otherwise."""
+        """g_t, once it is in B1 and then in B_k, k = moment; a ValueError naming
+        g_t's m_0 and m_1, or then the suite, otherwise."""
+        require_b1(gt)
         if self.moment and not check_bk(gt, self.moment):
             raise ValueError(f"suite {self.name!r} needs a B{self.moment} function, with g"
                              + "'" * self.moment + f"(0) finite, and {gt.name} is not one")

@@ -284,14 +284,13 @@ def test_holo_sharp_rows_of_a_power_scaled_function():
             assert r.bound == pytest.approx(w.bound, rel=1e-12, abs=0.0)
 
 
-def test_optimality_inconclusive_flag(tmp_path):
-    # one point cannot support a fit: the row fails and orders exits 1
-    out = tmp_path / "o.csv"
-    assert cli.main(["orders", "--scheme", "euler", "--generator", "diag_pos:k=400",
-                     "--n", "4", "--out", str(out)]) == 1
-    with open(out) as fh:
-        (row,) = csv.DictReader(fh)
-    assert row["flag"] == "too-few-points" and row["pass"] == "false"
+def test_optimality_inconclusive_flag():
+    # orders refuses fewer than FIT_POINTS --n values before any work (golden
+    # record orders-short-grid), so only points below the roundoff floor leave
+    # a fit that short: it is flagged, and its row fails
+    fit = fit_order([(4, 1e-3), (8, 5e-4), (16, 0.0), (32, 0.0)])
+    assert (fit.flag, fit.used_points) == ("too-few-points", 2)
+    assert rates.order_verdict(fit, -1.0) == ("too-few-points", False)
 
 
 def test_second_order_fit_needs_finite_second_moment(capsys):
