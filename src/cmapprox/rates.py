@@ -200,8 +200,8 @@ class Suite(NamedTuple):
     rows_alpha: tuple = ()    # the alphas of the rows where the theorem fixes them: no --alpha
 
     def admit(self, gt) -> CMFunction:
-        """g_t, once it is in B1 and then in B_k, k = moment; a ValueError naming
-        g_t's m_0 and m_1, or then the suite, otherwise."""
+        """g_t, once it is in B1 and in B_k, k = moment; a ValueError naming its
+        m_0 and m_1 when it is outside B1, else naming the suite."""
         require_b1(gt)
         if self.moment and not check_bk(gt, self.moment):
             raise ValueError(f"suite {self.name!r} needs a B{self.moment} function, with g"
