@@ -1,7 +1,8 @@
 """Command-line interface: exit codes, CSV determinism, report aggregation.
 
 What a command prints on a usage error is a golden record (tests/golden.py);
-the tests here need a spy, a patch, an oracle or a fresh interpreter."""
+the tests here need a spy, a patch, an oracle or a fresh interpreter, except
+the two tables of spec and measure-file errors, which also run in-process."""
 
 import argparse
 import csv
@@ -159,6 +160,24 @@ def test_main_is_the_one_writer_of_every_command(tmp_path, monkeypatch):
         assert _read_csv(out) == [{k: cli._fmt(r[k]) for k in fields} for r in rows], name
 
 
+@pytest.mark.parametrize("flag, spec, message", [
+    ("--scheme", "euler:foo=1", "foo='1' is not a key of euler, which takes no keys"),
+    ("--scheme", "kendall:t=abc", "t='abc' is not a finite number"),
+    ("--scheme", "yosida:t=inf", "t='inf' is not a finite number"),
+    ("--scheme", "chung:a=0.5+nan,t=1", "a='0.5+nan' is not a finite number"),
+    ("--scheme", "frac_tail", "frac_tail needs gamma=<value>"),
+    ("--generator", "diag_imag:q=1", "q='1' is not a key of diag_imag, which takes k, min, max"),
+    ("--generator", "diag_pos:min=0", "min='0' is not a positive finite number"),
+    ("--generator", "laplacian:d=2.5", "d='2.5' is not a whole number in [1, 2^16]"),
+    ("--generator", "advection:d=-4", "d='-4' is not a whole number in [1, 2^16]"),
+])
+def test_spec_errors_name_flag_spec_key_and_value(flag, spec, message, capsys):
+    # --scheme and --generator strings have one reader: a bad key or value is
+    # named with its flag and spec, and says what the value must be
+    assert cli.main(["verify-bounds", flag, spec, "--n", "4"]) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} {spec!r}: {message}\n")
+
+
 @pytest.mark.parametrize("scheme", ["kendall:t=0.25", "kendall", "euler_pow4",
                                     "chung:a=0.25+0.5+0.25,t=1"])
 def test_orders_and_verify_bounds_name_a_scheme_alike(scheme, capsys):
@@ -171,6 +190,25 @@ def test_orders_and_verify_bounds_name_a_scheme_alike(scheme, capsys):
         out = capsys.readouterr().out
         names.append({r["scheme"] for r in csv.DictReader(out.splitlines())})
     assert names[0] == names[1] == {cmfun.make_builtin(scheme).name}
+
+
+@pytest.mark.parametrize("content, entry", [
+    ("[[1.0, 1.0]]", "JSON list"),
+    ('{"segments": [{"a": 0, "poly": [1]}]}', """{"a": 0, "poly": [1]}: no key 'b'"""),
+    ("atoms: 1", "not JSON"),
+    ('{"segments": [{"a": 0, "b": 1, "poly": ["x"]}]}', '"poly": ["x"]'),
+    ('{"atoms": "x"}', 'atoms "x"'),
+], ids=["list", "no-b", "not-json", "poly-string", "atoms-string"])
+def test_malformed_measure_file_names_flag_file_and_entry(content, entry, tmp_path, capsys):
+    # a measure: file comes from outside the program: a file of the wrong
+    # form is a usage error whose message names the flag, the file and the entry
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    assert cli.main(["functionals", "--g", f"measure:{path}", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --g 'measure:{path}'")
+    assert entry in captured.err
 
 
 def test_first_order_errors_at_small_moduli_match_mpmath(tmp_path):
