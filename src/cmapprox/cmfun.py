@@ -4,8 +4,9 @@ A CMFunction bundles one pointwise evaluator (numpy arrays of real z >= 0
 or of complex z with Re z >= 0), its representing measure and the moments
 m_0..m_4 of that measure (extended reals).  Every function is its measure
 plus closed forms (the evaluator, the log-defect): one constructor,
-`_transform`, reads its moments and g(inf), the mass of the atom at 0,
-off the measure.  The normalized classes, tested by check_bk(g, k), are
+`_transform`, reads its moments, its log-defect series and g(inf), the
+mass of the atom at 0, off the measure, with one kernel pass per segment.
+The normalized classes, tested by check_bk(g, k), are
 
     B1: m_0 = m_1 = 1;  B2: additionally m_2 < inf;  B3, B4 likewise.
 
@@ -20,9 +21,10 @@ near 0.  `CMFunction.defect` and `CMFunction.residual` build the defect
 g(z) - e^{-z} and its second-order remainder from it as
 e^{-z} expm1(L(z)), which does not cancel where g(z) and e^{-z} agree to
 many digits; see Higham, Accuracy and Stability of Numerical Algorithms
-(SIAM, 2nd ed. 2002), section 1.14.  A `from_measure` function in B1 (a
-`measure:` string) gets its cumulants from the raw moments of its measure;
-one outside B2, such as `frac_tail`, carries none: its defect is the direct
+(SIAM, 2nd ed. 2002), section 1.14.  A B1 function with finite moments
+gets its cumulants from the raw moments of its measure; euler, yosida and
+hille state their exact series, far smaller than their moments.  One
+outside B2, such as `frac_tail`, carries none: its defect is the direct
 difference, and it has no second-order remainder.
 
 Functions and generators (opcalc.GALLERY) are named by `name:key=value`
@@ -287,29 +289,26 @@ def require_b1(g: CMFunction) -> None:
 
 def _transform(name: str, nu: PositiveMeasure, evaluate, log_defect: LogDefect | None = None,
                rational_n: int | None = None) -> CMFunction:
-    """The Laplace transform of nu, evaluated by `evaluate`: its moments
-    m_0..m_4 are those of nu and g(inf) is the mass of nu's atom at 0."""
-    return CMFunction(name=name, evaluate=evaluate, measure=nu,
-                      moments=tuple(nu.moment(k) for k in range(5)),
-                      limit_at_inf=nu.zero_atom_mass(), rational_n=rational_n,
-                      log_defect=log_defect)
+    """The Laplace transform of nu, evaluated by `evaluate`, with nu's moments
+    m_0..m_4 and g(inf) = the mass of its atom at 0.  Without a log_defect, a
+    B1 function whose moments up to SERIES_DEGREE are finite gets the cumulant
+    series of nu (0 for delta_1) and log evaluate(w) + w beyond its radius."""
+    top = SERIES_DEGREE if log_defect is None else 4
+    m = nu.partial_moment(range(top + 1), 0.0, math.inf).tolist()    # one pass
+    g = CMFunction(name, evaluate, nu, tuple(m[:5]), nu.zero_atom_mass(), rational_n, log_defect)
+    if log_defect is not None or not (check_bk(g, 1) and all(map(math.isfinite, m))):
+        return g
+    series = _log_series([(-1.0) ** j * mj / (m[0] * math.factorial(j)) for j, mj in enumerate(m)])
+    return g._replace(log_defect=_log_defect(series, lambda w: np.log(evaluate(w)) + w)
+                      if series[0] else _ZERO_DEFECT)
 
 
 def from_measure(nu: PositiveMeasure, name: str = "measure") -> CMFunction:
-    """Laplace transform of a finite positive measure.  In B1 with every
-    moment up to SERIES_DEGREE finite it carries its log-defect: the
-    cumulant series of nu (exactly 0 for delta_1, whose variance is 0) and
-    log g(w) + w beyond its radius."""
+    """Laplace transform of a finite positive measure (see `_transform`)."""
     g = _transform(name, nu, nu.laplace)
     if not math.isfinite(g.moments[0]):
         raise ValueError("measure must have finite total mass")
-    m = g.moments + tuple(nu.moment(k) for k in range(5, SERIES_DEGREE + 1))
-    if not (check_bk(g, 1) and all(map(math.isfinite, m))):
-        return g
-    series = _log_series([(-1.0) ** j * mj / (m[0] * math.factorial(j)) for j, mj in enumerate(m)])
-    if series[0] == 0.0:
-        return g._replace(log_defect=_ZERO_DEFECT)
-    return g._replace(log_defect=_log_defect(series, lambda w: np.log(nu.laplace(w)) + w))
+    return g
 
 
 # ----------------------------------------------------------------------
@@ -318,8 +317,7 @@ def from_measure(nu: PositiveMeasure, name: str = "measure") -> CMFunction:
 
 def exponential() -> CMFunction:
     """g(z) = e^{-z}, the fixed point of the scaling (measure = delta_1)."""
-    return _transform("exp", PositiveMeasure(atoms=((1.0, 1.0),)), lambda z: np.exp(-z),
-                      _ZERO_DEFECT)
+    return _transform("exp", PositiveMeasure(atoms=((1.0, 1.0),)), lambda z: np.exp(-z))
 
 
 # L(w) = w - log(1 + w) = sum_{k>=2} (-w)^k/k
@@ -359,10 +357,7 @@ def spline() -> CMFunction:
         out = -np.expm1(-2.0 * zz) / (2.0 * zz)
         return np.where(small, 1.0 - z + (2.0 / 3.0) * z ** 2, out)
 
-    # L(w) = log(sinh(w)/w), an even series; g^(j)(0)/j! = (-2)^j/(j+1)!
-    taylor = [(-2.0) ** j / math.factorial(j + 1) for j in range(SERIES_DEGREE + 1)]
-    return _transform("spline", nu, evaluate,
-                      _log_defect(_log_series(taylor), lambda w: np.log(evaluate(w)) + w))
+    return _transform("spline", nu, evaluate)
 
 
 def kendall(t: float) -> CMFunction:
@@ -372,15 +367,8 @@ def kendall(t: float) -> CMFunction:
     atoms = [(1.0 / t, t)]
     if t < 1.0:
         atoms.insert(0, (0.0, 1.0 - t))
-    evaluate = lambda z: (1.0 - t) + t * np.exp(-z / t)
-    if t == 1.0:
-        log_defect = _ZERO_DEFECT
-    else:
-        taylor = [1.0] + [t * (-1.0 / t) ** j / math.factorial(j)
-                          for j in range(1, SERIES_DEGREE + 1)]
-        log_defect = _log_defect(_log_series(taylor), lambda w: np.log(evaluate(w)) + w)
-    return _transform(f"kendall(t={_num(t)})", PositiveMeasure(atoms=tuple(atoms)), evaluate,
-                      log_defect)
+    return _transform(f"kendall(t={_num(t)})", PositiveMeasure(atoms=tuple(atoms)),
+                      lambda z: (1.0 - t) + t * np.exp(-z / t))
 
 
 def yosida(t: float) -> CMFunction:
@@ -442,11 +430,7 @@ def chung(a, t: float) -> CMFunction:
         x = t / (t + z)
         return sum(ak * x ** k for k, ak in enumerate(a))
 
-    # (t/(t+w))^k = sum_j C(k+j-1, j) (-w/t)^j
-    taylor = [1.0] + [sum(a[k] * math.comb(k + j - 1, j) for k in range(1, len(a)))
-                      * (-1.0 / t) ** j for j in range(1, SERIES_DEGREE + 1)]
-    return _transform(f"chung(a={'+'.join(map(_num, a))},t={_num(t)})", nu, evaluate,
-                      _log_defect(_log_series(taylor), lambda w: np.log(evaluate(w)) + w))
+    return _transform(f"chung(a={'+'.join(map(_num, a))},t={_num(t)})", nu, evaluate)
 
 
 def frac_tail(gamma: float) -> CMFunction:

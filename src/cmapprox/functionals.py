@@ -60,8 +60,8 @@ __all__ = [
 
 def functional_L(g: CMFunction) -> float:
     """L[g] = int_0^1 (1-s) nu(ds), from the partial moments of the measure."""
-    nu = g.measure
-    return nu.partial_moment(0, 0.0, 1.0) - nu.partial_moment(1, 0.0, 1.0)
+    m0, m1 = g.measure.partial_moment((0, 1), 0.0, 1.0)
+    return float(m0 - m1)
 
 
 def euler_power_L(n: int) -> float:

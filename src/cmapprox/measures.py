@@ -6,8 +6,9 @@ shapes are supported: polynomial-times-exponential p(s)e^{-cs} on [a,b]
 power-law tail w(1+s)^{-p} on [0, inf) (covers heavy-tailed examples
 whose second moment diverges).  Partial moments and Laplace transforms
 are closed-form, so downstream functionals can be computed without
-sampling the measure; a moment m_k is the partial moment over [0, inf),
-so each piece integrates s^k one way: the power-law piece by the binomial
+sampling the measure; `partial_moment(ks, lo, hi)` takes every order k
+of ks at once (a moment m_k is the one over [0, inf)), a polynomial-
+exponential piece in one kernel pass, the power-law piece by the binomial
 sum of s^k = ((1+s) - 1)^k.  `PositiveMeasure.laplace(z, order)` gives
 int (-s)^order e^{-zs} nu(ds), the order-th derivative of the transform,
 on whole arrays of z: an atom as w (-loc)^order e^{-z loc}, the
@@ -74,12 +75,13 @@ class PolyExpSegment(_PolyExpFields):
             acc = acc * s + c
         return acc
 
-    def partial_moment(self, k: int, lo: float, hi: float) -> float:
+    def partial_moment(self, ks, lo: float, hi: float) -> np.ndarray:
+        """int_lo^hi s^k density(s) ds for each k of ks, in one kernel pass."""
         lo = max(lo, self.a)
         hi = min(hi, self.b)
         if hi <= lo:
-            return 0.0
-        return polyexp_moment(self.coeffs, self.rate, lo, hi, k)
+            return np.zeros(len(ks))
+        return polyexp_moment(self.coeffs, self.rate, lo, hi, ks)
 
     def laplace(self, z, order: int = 0):
         """int_a^b (-s)^order e^{-zs} density(s) ds on an array of complex z
@@ -186,24 +188,23 @@ class PowerLawSegment(_PowerLawFields):
         _check_exponent(self.exponent)
         return self
 
-    def partial_moment(self, k: int, lo: float, hi: float) -> float:
+    def partial_moment(self, ks, lo: float, hi: float) -> np.ndarray:
+        """int_lo^hi s^k density(s) ds for each k of ks, +inf where it diverges:
+        s^k = ((1+s) - 1)^k, with (1+s)^{j-p} integrated termwise."""
         lo = max(lo, 0.0)
-        if hi <= lo:
-            return 0.0
-        # expand s^k = ((1+s) - 1)^k and integrate (1+s)^{j-p} termwise
         p = self.exponent
-        total = 0.0
-        for j in range(k + 1):
-            c = math.comb(k, j) * (-1.0) ** (k - j)
-            q = j - p + 1.0
-            if math.isinf(hi):
-                if q >= 0.0:
-                    return math.inf
-                piece = -((1.0 + lo) ** q) / q
-            else:
-                piece = ((1.0 + hi) ** q - (1.0 + lo) ** q) / q
-            total += c * piece
-        return self.weight * total
+        out = np.zeros(len(ks))
+        for i, k in enumerate(ks if hi > lo else ()):
+            if math.isinf(hi) and k + 1.0 - p >= 0.0:
+                out[i] = math.inf
+                continue
+            total = 0.0
+            for j in range(k + 1):
+                q = j - p + 1.0
+                upper = 0.0 if math.isinf(hi) else (1.0 + hi) ** q
+                total += math.comb(k, j) * (-1.0) ** (k - j) * ((upper - (1.0 + lo) ** q) / q)
+            out[i] = self.weight * total
+        return out
 
     def laplace(self, z, order: int = 0):
         """int_0^inf (-s)^order e^{-zs} density(s) ds on an array of complex z
@@ -239,19 +240,13 @@ class PositiveMeasure(_MeasureFields):
 
     # -- moments ----------------------------------------------------------
 
-    def moment(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("moments are defined for k >= 0")
-        return self.partial_moment(k, 0.0, math.inf)
-
-    def partial_moment(self, k: int, lo: float, hi: float) -> float:
-        """int_{[lo, hi]} s^k nu(ds) (atoms on the boundary included)."""
-        total = sum(w * loc ** k for loc, w in self.atoms if lo <= loc <= hi)
+    def partial_moment(self, ks, lo: float, hi: float) -> np.ndarray:
+        """int_{[lo, hi]} s^k nu(ds) for each k of ks (atoms on the boundary
+        included), +inf where a piece diverges; each segment in one pass."""
+        total = np.array([sum(w * loc ** k for loc, w in self.atoms if lo <= loc <= hi)
+                          for k in ks], dtype=float)
         for seg in self.segments:
-            pm = seg.partial_moment(k, lo, hi)
-            if math.isinf(pm):
-                return math.inf
-            total += pm
+            total += seg.partial_moment(ks, lo, hi)
         return total
 
     # -- transforms -------------------------------------------------------

@@ -9,8 +9,8 @@ I_m = int_a^b s^m e^{-lam s} ds at lam = rate + z: on a finite segment
 inside |lam| b < m + 1 the all-positive Kummer series of int_0^x, which
 is the power rule at lam = 0 and never forms the lam^-(m+1) Gamma(m+1)
 that overflows at small rates or high degrees, and an upward recurrence
-elsewhere.  Moments are the kernel at z = 0 with the coefficients of
-s^k p(s), and the derivatives of a Laplace transform those of (-s)^k p(s).
+elsewhere.  Moments are the kernel at z = 0 on the stack of rows s^k p(s),
+and the derivatives of a Laplace transform the kernel on (-s)^k p(s).
 """
 
 from __future__ import annotations
@@ -47,13 +47,16 @@ def _lower_series(m: int, lam, x: float):
     return x ** (m + 1) * np.exp(-lx) * total
 
 
-def polyexp_moment(coeffs, rate: float, a: float, b: float, k: int) -> float:
-    """int_a^b s^k p(s) exp(-rate s) ds: the kernel at z = 0 for s^k p(s)."""
-    return float(polyexp_laplace_complex((0.0,) * k + tuple(coeffs), rate, a, b, 0.0).real)
+def polyexp_moment(coeffs, rate: float, a: float, b: float, ks) -> np.ndarray:
+    """int_a^b s^k p(s) exp(-rate s) ds for each k of ks: the kernel at z = 0
+    for the stack of rows s^k p(s), in one pass."""
+    rows = [(0.0,) * k + tuple(coeffs) + (0.0,) * (max(ks) - k) for k in ks]
+    return polyexp_laplace_complex(rows, rate, a, b, 0.0).real
 
 
 def polyexp_laplace_complex(coeffs, rate: float, a: float, b: float, z) -> np.ndarray:
-    """int_a^b p(s) exp(-(rate + z) s) ds on an array of complex z with Re z >= 0.
+    """int_a^b p(s) exp(-(rate + z) s) ds on an array of complex z with Re z >= 0,
+    for one row of coefficients p or for each row of a stack, in one pass.
 
     Per monomial I_m = int_a^b s^m e^{-lam s} ds with lam = rate + z:
     I_0 = e^{-lam a} (-expm1(-lam (b-a)))/lam, or e^{-lam a} (b-a) where
@@ -61,7 +64,10 @@ def polyexp_laplace_complex(coeffs, rate: float, a: float, b: float, z) -> np.nd
     where |lam| b < m+1, the Kummer series of int_0^b minus that of int_0^a,
     and elsewhere the upward recurrence
     I_m = (a^m e^{-lam a} - b^m e^{-lam b})/lam + (m/lam) I_{m-1}.
+    A row skips its zero coefficients, so that none takes the nan of 0 times
+    an overflowed I_m: each row is the one-row call bit for bit.
     """
+    rows = np.array(coeffs, dtype=float, ndmin=2)
     z = np.asarray(z, dtype=complex)
     lam = rate + z.ravel()
     finite = not math.isinf(b)
@@ -77,17 +83,18 @@ def polyexp_laplace_complex(coeffs, rate: float, a: float, b: float, z) -> np.nd
         else:
             eb = 0.0
             I = ea / lam
-        total = coeffs[0] * I
+        total = rows[:, :1] * I
         pa = pb = 1.0
-        for m in range(1, len(coeffs)):
+        for m in range(1, rows.shape[1]):
             pa *= a
             pb = pb * b if finite else 0.0
             I = (pa * ea - pb * eb) / safe + (m / safe) * I
-            if coeffs[m] == 0.0:
+            live = rows[:, m] != 0.0
+            if not live.any():
                 continue  # entries left to the series below only feed further series
             if finite:
                 series = np.abs(lam) * b < m + 1
                 near = lam[series]
                 I[series] = _lower_series(m, near, b) - _lower_series(m, near, a)
-            total = total + coeffs[m] * I
-    return total.reshape(z.shape)
+            total[live] += rows[live, m:m + 1] * I
+    return total.reshape(np.shape(coeffs)[:-1] + z.shape)

@@ -118,7 +118,7 @@ def test_euler_pow_limit_is_where_h_leaves_1e_12():
     past = PositiveMeasure(segments=(PolyExpSegment(
         0.0, math.inf, (0.0,) * top + ((top + 1) ** (top + 1) / math.factorial(top),),
         float(top + 1)),))
-    assert h_error(past.moment(2), top + 1) > 1e-12
+    assert h_error(past.partial_moment((2,), 0.0, math.inf)[0], top + 1) > 1e-12
 
 
 def test_rational_n_reads_the_power_not_the_name():
@@ -278,7 +278,7 @@ def test_frac_tail_moments_come_from_its_measure(gamma):
     # without which m_1 was 8e-8 off at gamma = 1e-9
     g = cmfun.frac_tail(gamma)
     assert cmfun.check_bk(g, 1) and not cmfun.check_bk(g, 2)
-    assert g.moments == tuple(g.measure.moment(k) for k in range(5))
+    assert g.moments == tuple(g.measure.partial_moment(range(5), 0.0, math.inf))
     assert g.moments[:2] == pytest.approx((1.0, 1.0), rel=0.0, abs=1e-14)
 
 
@@ -333,6 +333,31 @@ def test_builtin_moments_and_limit_come_from_its_measure(spec):
     for k, mk in enumerate(g.moments):
         assert mk == pytest.approx(_CLOSED_MOMENTS[spec](k), rel=cmfun.MOMENT_TOL, abs=0.0), k
     assert g.limit_at_inf == pytest.approx(float(g(1e12)), rel=0.0, abs=1e-11)
+
+
+@pytest.mark.parametrize("spec", ["spline", "kendall:t=0.3", "chung:a=0.25+0.5+0.25,t=1"])
+def test_log_defect_series_is_that_of_its_measure(spec):
+    # a built-in without an exact series takes the cumulant series of its
+    # measure, as from_measure does: the same coefficients to the last bit
+    g = cmfun.make_builtin(spec)
+    want = cmfun.from_measure(g.measure).log_defect.coeffs
+    assert [c.hex() for c in g.log_defect.coeffs] == [c.hex() for c in want]
+
+
+def test_zero_variance_gives_the_zero_log_defect():
+    # c_2 = 0 exactly for delta_1, whichever constructor reads its moments
+    delta_1 = cmfun.from_measure(PositiveMeasure(atoms=((1.0, 1.0),)))
+    for g in (cmfun.exponential(), cmfun.kendall(1.0), delta_1):
+        assert g.log_defect is cmfun._ZERO_DEFECT, g.name
+
+
+def test_overflowing_moments_leave_the_mass_alone():
+    # the density 1e-9 e^{-1e-9 s} on [0, inf): m_30 = 30!/1e-9^30 overflows,
+    # and m_0 = 1 still comes out finite
+    tiny = PolyExpSegment(0.0, math.inf, (1e-9,), 1e-9)
+    g = cmfun.from_measure(PositiveMeasure(segments=(tiny,)))
+    assert g.moments[0] == pytest.approx(1.0, rel=1e-15) and g.log_defect is None
+    assert math.isinf(tiny.partial_moment((30,), 0.0, math.inf)[0])
 
 
 @pytest.mark.parametrize("g, rate", [(cmfun.yosida(30.0), 30.0),

@@ -199,8 +199,8 @@ def test_c_alpha_quads_match_the_measure_route(atoms, zero, coeffs, rate, a, wid
     nu = cmfun.PositiveMeasure(
         atoms=tuple(atoms) + (((0.0, zero),) if zero else ()),
         segments=(cmfun.PolyExpSegment(a, a + width, tuple(coeffs), rate),))
-    mass = nu.moment(0)
-    mean = nu.moment(1) / mass
+    mass, mean = nu.partial_moment((0, 1), 0.0, math.inf)
+    mean /= mass
     scaled = tuple(c * mean ** (j + 1) / mass for j, c in enumerate(coeffs))
     nu = cmfun.PositiveMeasure(
         atoms=tuple((loc / mean, w / mass) for loc, w in nu.atoms),

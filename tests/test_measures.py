@@ -18,22 +18,22 @@ from conftest import density, kernel_integral
 
 def test_dirac_moment():
     nu = PositiveMeasure(atoms=((1.0, 1.0),))
-    assert nu.moment(2) == 1.0
-    assert nu.moment(0) == 1.0
+    assert nu.partial_moment((2, 0), 0.0, math.inf).tolist() == [1.0, 1.0]
 
 
 def test_exponential_density_moments():
     nu = PositiveMeasure(segments=(PolyExpSegment(0.0, math.inf, (1.0,), 1.0),))
     # int s^k e^{-s} ds = k!
-    for k in range(5):
-        assert nu.moment(k) == pytest.approx(math.factorial(k), rel=1e-14)
+    for k, m in enumerate(nu.partial_moment(range(5), 0.0, math.inf)):
+        assert m == pytest.approx(math.factorial(k), rel=1e-14)
 
 
 def test_uniform_density_moments():
     nu = PositiveMeasure(segments=(PolyExpSegment(0.0, 2.0, (0.5,), 0.0),))
-    assert nu.moment(0) == pytest.approx(1.0, abs=1e-15)
-    assert nu.moment(1) == pytest.approx(1.0, abs=1e-15)
-    assert nu.moment(2) == pytest.approx(4.0 / 3.0, rel=1e-14)
+    m0, m1, m2 = nu.partial_moment(range(3), 0.0, math.inf)
+    assert m0 == pytest.approx(1.0, abs=1e-15)
+    assert m1 == pytest.approx(1.0, abs=1e-15)
+    assert m2 == pytest.approx(4.0 / 3.0, rel=1e-14)
 
 
 def test_invalid_inputs_rejected():
@@ -77,11 +77,11 @@ def test_pieces_hold_floats_in_tuples():
 
 def test_partial_moments_match_quadrature():
     seg = PolyExpSegment(0.5, 6.0, (0.2, 0.3, 0.1), 0.7)
-    for k in (0, 1, 3):
-        for lo, hi in ((0.0, 1.0), (1.0, 4.0), (2.5, 100.0)):
+    for lo, hi in ((0.0, 1.0), (1.0, 4.0), (2.5, 100.0)):
+        for k, moment in zip((0, 1, 3), seg.partial_moment((0, 1, 3), lo, hi)):
             quad = quadrature.integrate(lambda s: s ** k * density(seg, s),
                                         max(lo, seg.a), min(hi, seg.b)).value
-            assert seg.partial_moment(k, lo, hi) == pytest.approx(quad, rel=1e-11, abs=1e-13)
+            assert moment == pytest.approx(quad, rel=1e-11, abs=1e-13)
 
 
 def test_powerlaw_moments_and_partials():
@@ -90,11 +90,11 @@ def test_powerlaw_moments_and_partials():
     head = quadrature.integrate(lambda s: s * density(seg, s), 0.0, cut).value
     # analytic remainder: int_S^inf s w (1+s)^{-5/2} ds = w[2u^{-1/2} - (2/3)u^{-3/2}], u = 1+S
     tail = 0.75 * (2.0 * (1.0 + cut) ** -0.5 - (2.0 / 3.0) * (1.0 + cut) ** -1.5)
-    assert seg.partial_moment(1, 0.0, math.inf) == pytest.approx(head + tail, rel=1e-8)
+    m1, m2, m3 = seg.partial_moment((1, 2, 3), 0.0, math.inf)
+    assert m1 == pytest.approx(head + tail, rel=1e-8)
     q = quadrature.integrate(lambda s: s * density(seg, s), 0.5, 8.0).value
-    assert seg.partial_moment(1, 0.5, 8.0) == pytest.approx(q, rel=1e-11)
-    assert math.isinf(seg.partial_moment(2, 0.0, math.inf))
-    assert math.isinf(seg.partial_moment(3, 0.0, math.inf))
+    assert seg.partial_moment((1,), 0.5, 8.0)[0] == pytest.approx(q, rel=1e-11)
+    assert math.isinf(m2) and math.isinf(m3)
 
 
 def test_powerlaw_moments_are_beta_functions():
@@ -105,7 +105,7 @@ def test_powerlaw_moments_are_beta_functions():
         for k in range(min(3, math.ceil(p - 1.0))):
             with mpmath.workdps(30):
                 ref = float(mpmath.beta(k + 1, p - k - 1))
-            value = PowerLawSegment(1.0, p).partial_moment(k, 0.0, math.inf)
+            [value] = PowerLawSegment(1.0, p).partial_moment((k,), 0.0, math.inf)
             assert abs(value - ref) <= 1e-15 * ref, (k, p)
 
 

@@ -65,7 +65,7 @@ def test_integrate_monomial_exp_property(m, c, a, width):
     # int_a^b s^m e^{-cs} ds, the moment of the density e^{-cs}; c may be
     # subnormal, where 1/c overflows
     b = a + width
-    want = polyexp.polyexp_moment((1.0,), c, a, b, m)
+    [want] = polyexp.polyexp_moment((1.0,), c, a, b, (m,))
     got = quadrature.integrate(lambda s: s ** m * np.exp(-c * s), a, b)
     assert got.converged
     assert got.value == pytest.approx(want, rel=1e-11)
@@ -177,7 +177,7 @@ def test_semi_infinite_accepts_an_overflowing_far_tail():
 def test_monomial_exp_integral_against_quadrature():
     for m, c, a, b in ((0, 1.0, 0.0, 3.0), (2, 0.5, 1.0, 4.0), (5, 2.0, 0.0, math.inf),
                        (3, 0.0, 0.0, 2.0)):
-        got = polyexp.polyexp_moment((1.0,), c, a, b, m)
+        [got] = polyexp.polyexp_moment((1.0,), c, a, b, (m,))
         hi = b if math.isfinite(b) else 60.0 / max(c, 1.0)
         want = quadrature.integrate(lambda s: s ** m * np.exp(-c * s), a, hi).value
         assert got == pytest.approx(want, rel=1e-11)
@@ -185,18 +185,18 @@ def test_monomial_exp_integral_against_quadrature():
 
 def test_monomial_exp_small_rate_stability():
     # c*b << 1 hits the series branch; compare against the c = 0 limit
-    got = polyexp.polyexp_moment((1.0,), 1e-9, 1.0, 2.0, 2)
+    [got] = polyexp.polyexp_moment((1.0,), 1e-9, 1.0, 2.0, (2,))
     assert got == pytest.approx(7.0 / 3.0, rel=1e-8)
     # c^-(m+1) would overflow here; e^{-cs} = 1 to double precision
-    assert polyexp.polyexp_moment((1.0,), 1e-50, 0.0, 2.0, 6) == pytest.approx(2.0 ** 7 / 7.0,
-                                                                              rel=1e-15)
+    [got] = polyexp.polyexp_moment((1.0,), 1e-50, 0.0, 2.0, (6,))
+    assert got == pytest.approx(2.0 ** 7 / 7.0, rel=1e-15)
     # Gamma(m+1)/c^(m+1) overflows before P(m+1, c b) could cancel it; the
     # reference is the lower incomplete gamma in 50-digit arithmetic
     with mpmath.workdps(50):
         for m, c in ((100, 0.01), (150, 0.01)):
             want = mpmath.gammainc(m + 1, 0, c) / mpmath.mpf(c) ** (m + 1)
-            assert polyexp.polyexp_moment((1.0,), c, 0.0, 1.0, m) == pytest.approx(
-                float(want), rel=1e-12)
+            [got] = polyexp.polyexp_moment((1.0,), c, 0.0, 1.0, (m,))
+            assert got == pytest.approx(float(want), rel=1e-12)
 
 
 def test_monomial_exp_far_tail_keeps_relative_accuracy():
@@ -205,16 +205,40 @@ def test_monomial_exp_far_tail_keeps_relative_accuracy():
     with mpmath.workdps(50):
         for m, c, a, b in ((0, 64.0, 1.0, 4.0), (3, 40.0, 2.0, 5.0)):
             want = mpmath.gammainc(m + 1, c * a, c * b) / mpmath.mpf(c) ** (m + 1)
-            assert polyexp.polyexp_moment((1.0,), c, a, b, m) == pytest.approx(
-                float(want), rel=1e-12, abs=0.0)
+            [got] = polyexp.polyexp_moment((1.0,), c, a, b, (m,))
+            assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 
 def test_polyexp_moment_shifts_degree():
     coeffs, rate = (0.3, 0.1), 0.7
-    direct = polyexp.polyexp_moment(coeffs, rate, 0.0, 5.0, 2)
+    [direct] = polyexp.polyexp_moment(coeffs, rate, 0.0, 5.0, (2,))
     want = quadrature.integrate(lambda s: s ** 2 * (0.3 + 0.1 * s) * np.exp(-0.7 * s),
                                 0.0, 5.0).value
     assert direct == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("coeffs, rate, a, b", [
+    ((1e-9,), 1e-9, 0.0, math.inf),             # I_30 and up overflow
+    ((0.5,), 0.0, 0.0, 2.0),                    # spline: the series at every m
+    ((0.0, 1.5, -0.75), 0.0, 0.0, 2.0),
+    ((0.2, 0.0, 0.3, 0.0, 0.1), 0.7, 0.5, 6.0),  # the series below some m, not above
+    ((1.0,), 1e-300, 0.0, 2.0),
+    ((2.0, 0.0, 1.0), 30.0, 0.0, math.inf),
+])
+def test_polyexp_moments_in_one_pass_are_the_one_row_calls(coeffs, rate, a, b):
+    # every row of a stack skips its own zero coefficients, so 0 times an
+    # overflowed monomial reaches no row; a nan, if any, equals a nan
+    ks = range(33)
+    stacked = polyexp.polyexp_moment(coeffs, rate, a, b, ks).tolist()
+    single = [polyexp.polyexp_moment(coeffs, rate, a, b, (k,))[0] for k in ks]
+    assert [x.hex() for x in stacked] == [x.hex() for x in single]
+    rows = [(0.0,) * k + coeffs + (0.0,) * (4 - k) for k in range(5)]
+    zs = np.array([0.0, 0.3, 2.0 + 5.0j, 40.0j, 1e3])
+    got = polyexp.polyexp_laplace_complex(rows, rate, a, b, zs)
+    want = [polyexp.polyexp_laplace_complex(row, rate, a, b, zs) for row in rows]
+    assert got.shape == (5, 5) and np.array_equal(got, want, equal_nan=True)
+    if rate == 1e-9:
+        assert np.isfinite(stacked[:30]).all() and stacked[30] == math.inf
 
 
 def test_polyexp_laplace_complex():
