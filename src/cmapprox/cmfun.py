@@ -280,11 +280,12 @@ def check_bk(g: CMFunction, k: int) -> bool:
             and all(map(math.isfinite, m[2:k + 1])))
 
 
-def require_b1(g: CMFunction) -> None:
-    """A ValueError naming g and its m_0 and m_1 when g is not in B1."""
+def require_b1(g: CMFunction, where: str = "") -> CMFunction:
+    """g, or a ValueError naming `where` (or g) and its m_0 and m_1 outside B1."""
     if not check_bk(g, 1):
-        raise ValueError(f"{g.name}: power scaling requires a B1 function, with m_0 = m_1 = 1; "
-                         f"it has m_0 = {g.moments[0]:g}, m_1 = {g.moments[1]:g}")
+        raise ValueError(f"{where or g.name}: power scaling requires a B1 function, with "
+                         f"m_0 = m_1 = 1; it has m_0 = {g.moments[0]:g}, m_1 = {g.moments[1]:g}")
+    return g
 
 
 def _transform(name: str, nu: PositiveMeasure, evaluate, log_defect: LogDefect | None = None,
@@ -523,12 +524,13 @@ _BUILDERS = {
 
 
 def make_builtin(spec: str, flag: str = "--scheme"):
-    """The function or family a --scheme (or --g) string names: 'measure:<file>',
-    'euler_pow<N>' (= euler_pow(N)) or a name of _BUILDERS with its keys, as in
-    'kendall:t=0.5' or 'chung:a=0.25+0.5+0.25,t=1'; ValueErrors as in read_spec."""
+    """The function or family a --scheme (or --g) string names: 'measure:<file>'
+    (in B1), 'euler_pow<N>' (= euler_pow(N)) or a name of _BUILDERS with its keys,
+    as in 'kendall:t=0.5' or 'chung:a=0.25+0.5+0.25,t=1'; ValueErrors as in read_spec."""
     name, _, path = spec.partition(":")
     if name == "measure":
-        return from_measure(_read_measure(path, f"{flag} {spec!r}"), name=spec)
+        where = f"{flag} {spec!r}"
+        return require_b1(from_measure(_read_measure(path, where), name=spec), where)
     N = name[len("euler_pow"):]
     if name.startswith("euler_pow") and N.isdecimal():   # takes no keys
         return read_spec(spec, flag, {name: (lambda: euler_pow(int(N)), {}, ())}, "function name")

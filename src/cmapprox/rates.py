@@ -381,17 +381,19 @@ def spectral_order(g: CMFunction, A: GeneratorMatrix, t: float, ns, alpha: float
                    second: bool = False) -> OrderFit:
     """Fit of the n-exponent of ||E_n A^{-alpha}|| over the grid ns, where E_n is
     the defect of a fixed g (the residual if `second`) on the spectrum and the
-    weight lambda^{-alpha} is 0 at lambda = 0, where E_n vanishes.  Points at
-    or below 100 eps ||e^{-tA} A^{-alpha}||, the size of either term of E_n,
-    are roundoff and left out; with none left the flag is "exact"."""
+    weight lambda^{-alpha} is 0 at lambda = 0, where E_n vanishes.  A g with a
+    log-defect has E_n to a few ulp of itself, so only exact zeros are left
+    out; without one, E_n is the direct difference, and points at or below
+    100 eps ||e^{-tA} A^{-alpha}||, the size of either of its terms, are
+    roundoff and left out too.  With no point left the flag is "exact"."""
     def weight(lam):
         zero = lam == 0
         return np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, frac_on_spectrum(lam, alpha)))
 
-    [scale] = A.opnorm(lambda lam: np.exp(-t * lam) * weight(lam))
     norms = [e for f in _errors(g, [t], ns, A.dim, second)
              for e in A.opnorm(lambda lam, f=f: f(lam) * weight(lam))]
-    floor = 100.0 * np.finfo(float).eps * scale
+    floor = 0.0 if g.log_defect is not None else 100.0 * np.finfo(float).eps * A.opnorm(
+        lambda lam: np.exp(-t * lam) * weight(lam))[0]
     return fit_order([(n, e) for n, e in zip(ns, norms) if e > floor])
 
 

@@ -16,9 +16,13 @@ The shift case is the `sharpness --which shift` row at n = 2^32: both
 integrals over Euler's Gamma(n, n) measure in one quadrature, whose cost
 does not grow with n (a density summed as a series once took about
 9 sqrt(n) terms per node there).
-The yosida case builds yosida(30): its truncated measure series, 91
-polynomial-exponential terms of one rate, as one segment, in about 4 ms
-(one segment per power took about 80 ms on the same 2-core machine).
+The build cases make each built-in from its --scheme string, all that its
+constructor does: the moments of its measure, m_0..m_32 in one kernel pass
+per segment where the log-defect series comes from them (exp, spline,
+kendall, chung, frac_tail) and m_0..m_4 beside an exact series; for
+yosida:t=30 also its truncated measure series, 91 polynomial-exponential
+terms of one rate, as one segment, in about 1.1 ms (one segment per power
+took about 80 ms on the same 2-core machine).
 The holomorphic case is a 3 t x 4 n grid of the `holo` suite on
 `laplacian:d=2048` with Euler's scheme and its closed-form r_{alpha,n}, so
 that it times the operator side only: one trip of the vectors through the
@@ -80,9 +84,13 @@ def test_bench_shift_sharpness(benchmark):
     assert row["pass"]
 
 
-def test_bench_build_yosida(benchmark):
-    g = benchmark(cmfun.yosida, 30.0)
-    assert len(g.measure.segments) == 1 and cmfun.check_bk(g, 2)
+@pytest.mark.parametrize("spec", ["exp", "euler", "euler_pow4", "spline", "kendall:t=0.5",
+                                  "yosida:t=30", "hille", "chung:a=0.25+0.5+0.25,t=1",
+                                  "frac_tail:gamma=0.5"])
+def test_bench_build(benchmark, spec):
+    # every B2 built-in carries its log-defect
+    g = benchmark(cmfun.make_builtin, spec)
+    assert cmfun.check_bk(g, 1) and (g.log_defect is None) == spec.startswith("frac_tail")
 
 
 def test_bench_holomorphic_bounds_grid(benchmark):

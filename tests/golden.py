@@ -179,6 +179,9 @@ CORPUS = [
                       "--t 0.5,1 --n 4,16"),
     ("second-orders-spline", "orders --scheme spline --generator laplacian:d=32 --suite second "
                              "--n 4,8,16,32 --alpha 0,1"),
+    # residual norms below 100 eps of the semigroup's, which a log-defect holds to a few ulp
+    ("second-orders-spline-small", "orders --scheme spline --generator laplacian:d=64 "
+                                   "--suite second --n 4,8,16,32,64 --alpha 3,4"),
     # one functionals table and one orders fit per built-in, so every measure shape is recorded
     *((f"builtin-{spec.partition(':')[0]}", f"functionals --g {spec} --n 1,4,64 --alpha 0,0.5,1")
       for spec in BUILTINS),

@@ -46,9 +46,12 @@ def _mp_bump(z):
 
 
 # (function, 80-digit g, exact k2 = g''(0) - 1, ulp of the residual's leading
-# term allowed) for every built-in that carries a log-defect L, whose series
-# coefficients are exact to rounding, and for two from_measure functions,
-# whose coefficients come from rounded raw moments: the bump's c_3, 0 in
+# term allowed) for every built-in that carries a log-defect L: euler, yosida
+# and hille state their series exactly to rounding, spline, kendall and chung
+# take it from the rounded raw moments of their measure, which for these
+# three hold each coefficient to a few ulp of c_2 (spline's c_5, 0 in exact
+# arithmetic, comes out 1.4e-17), with no ulp of the leading term needed.
+# Likewise for two from_measure functions, where it is: the bump's c_3, 0 in
 # exact arithmetic, comes out 6e-16 against c_2 = 1/14, which leaves
 # |c_3/c_2| |w| <= 64 ulp of the leading term below the series radius
 _MP = mp_eval_map()
