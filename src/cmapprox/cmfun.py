@@ -295,7 +295,7 @@ def _transform(name: str, nu: PositiveMeasure, evaluate, log_defect: LogDefect |
     B1 function whose moments up to SERIES_DEGREE are finite gets the cumulant
     series of nu (0 for delta_1) and log evaluate(w) + w beyond its radius."""
     top = SERIES_DEGREE if log_defect is None else 4
-    m = nu.partial_moment(range(top + 1), 0.0, math.inf).tolist()    # one pass
+    m = nu.partial_moment(range(top + 1), 0.0, math.inf).tolist()
     g = CMFunction(name, evaluate, nu, tuple(m[:5]), nu.zero_atom_mass(), rational_n, log_defect)
     if log_defect is not None or not (check_bk(g, 1) and all(map(math.isfinite, m))):
         return g
