@@ -133,6 +133,8 @@ CORPUS = [
     ("error-grid-empty", "verify-bounds --n ,"),
     ("error-alpha-empty", "functionals --g euler --alpha ,"),
     ("error-orders-suite", "orders --n 4 --suite holo"),
+    *((f"error-orders-suite-{suite}", f"orders --suite {suite} --n 4,8,16,32")
+      for suite in ("nonb2", "holo2", "mystery")),
     ("orders-short-grid", "orders --n 4,8,16"),
     ("orders-exp-short-grid", "orders --scheme exp --n 4,8,16"),
     ("error-sharpness-shift-n", "sharpness --which shift --n 1"),
