@@ -8,17 +8,16 @@ Subcommands:
     sharpness      sharp-constant experiments (scalar sup, shift integrals)
     report         aggregate CSVs into a pass/fail summary by bound tag
 
-The theorems live in rates and functionals: each verify-bounds suite checks
-its own inputs (rates.SUITES) and asks the same of each g_t of an `orders`
-fit, which rates.order_verdict passes or fails; rates gives the checked
-sharpness rows and functionals.table the functionals rows.  Each command
-parses its inputs and returns (fields, rows); `main` alone writes them and
-sets the exit code.  Each subcommand's defaults are its parser's.  Every grid
-value is checked by cmfun.read_value, as the values of --scheme and
---generator strings are: t positive and finite, n a whole number in
-[1, 2^53] (where the float parse keeps every whole number), alpha finite
-(-0 read as 0), and a repeated value dropped; --seed is checked with them,
-by `_check_args`, before any work.
+The theorems live in rates and functionals: verify-bounds and orders look
+their suite up (rates.suite, rates.order_suite: the flags are checked before
+any work), build g and A, and call it; rates gives the checked sharpness rows
+and functionals.table the functionals rows.  Each command parses its inputs
+and returns (fields, rows); `main` alone writes them and sets the exit code.
+Each subcommand's defaults are its parser's.  Every grid value is checked by
+cmfun.read_value, as the values of --scheme and --generator strings are: t
+positive and finite, n a whole number in [1, 2^53] (where the float parse
+keeps every whole number), alpha finite (-0 read as 0), and a repeated value
+dropped; --seed is checked with them, by `_check_args`, before any work.
 
 Exit codes: 0 all pass, 1 a row has `pass` false or a report line is FAIL
 (or standard output was closed early), 2 usage errors, each a ValueError
@@ -131,10 +130,9 @@ def cmd_verify_bounds(args):
     g = make_builtin(args.scheme)
     A = opcalc.make_generator(args.generator)
     vectors = opcalc.test_vectors(A, seed=args.seed)
-    rows = [r.row() for r in suite(g, A, args.t, args.n, args.alpha or [1.0], vectors)]
-    rows.sort(key=lambda r: (r["scheme"], r["generator"], r["t"], r["n"],
-                             r["alpha"], r["vector_id"]))
-    return BOUND_FIELDS, rows
+    rows = suite(g, A, args.t, args.n, args.alpha or [1.0], vectors)
+    rows.sort(key=lambda r: (r.t, r.n, r.alpha, r.vector_id))   # one scheme, one generator
+    return BOUND_FIELDS, [r.row() for r in rows]
 
 
 ORDER_FIELDS = ["scheme", "generator", "t", "alpha", "slope", "expected_exponent",
@@ -142,32 +140,10 @@ ORDER_FIELDS = ["scheme", "generator", "t", "alpha", "slope", "expected_exponent
 
 
 def cmd_orders(args):
-    suite = args.suite
-    if suite not in ("first", "second"):
-        raise ValueError(f"--suite {suite!r} is not a suite of orders, which takes first or second")
-    rates.check_alphas(args.alpha, *rates.ORDER_ALPHA, "orders")
-    if len(args.n) < rates.FIT_POINTS:
-        raise ValueError(f"--n {','.join(map(str, args.n))} has {len(args.n)} distinct values, "
-                         f"and an orders fit needs at least {rates.FIT_POINTS}")
+    suite = rates.order_suite(args.suite, args.alpha, args.n)
     g = make_builtin(args.scheme)
-    members = [rates.SUITES[suite].admit(g.at(t)) for t in args.t]
     A = opcalc.make_generator(args.generator)
-    second = suite == "second"
-    rows = []
-    for t, gt in zip(args.t, members):
-        for alpha in args.alpha:
-            fit = rates.spectral_order(gt, A, t, args.n, alpha, second)
-            expected = rates.expected_exponent(A, alpha, second)
-            flag, ok = rates.order_verdict(fit, expected)
-            rows.append({
-                "scheme": g.name, "generator": A.name, "t": t, "alpha": alpha,
-                "slope": fit.slope, "expected_exponent": expected,
-                "intercept": fit.intercept, "r_squared": fit.r_squared,
-                "used_points": fit.used_points, "flag": flag, "tag": f"order-{suite}",
-                "pass": ok,
-            })
-    rows.sort(key=lambda r: (r["t"], r["alpha"]))
-    return ORDER_FIELDS, rows
+    return ORDER_FIELDS, suite.orders(g, A, args.t, args.n, args.alpha)
 
 
 def cmd_sharpness(args):

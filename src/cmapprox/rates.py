@@ -1,10 +1,11 @@
 """Verification harness: errors vs. theoretical bounds, order fits, sharpness.
 
-Each bound suite of SUITES holds its theorem's bound function and what the
-theorem asks of g, A and alpha.  It checks those once, then gives BoundReport
-rows (one per test vector) for every (t, n) cell of a grid, from its bound
-function on one fixed g, or on a family g_t one t at a time, on the member
-g_t; every row's pass flag applies the floating-point slack policy
+Each bound suite of SUITES states its theorem once: the error of g_n it
+bounds, the n-exponent of its orders fit, what it asks of g, A and alpha, and
+the bound terms(t, n) of every cell.  Calling it checks its inputs, then gives
+BoundReport rows (one per test vector) for every (t, n) cell of a grid, on one
+fixed g, or on a family g_t one t at a time, on the member g_t; every row's
+pass flag applies the floating-point slack policy
 
     pass  <=>  error <= bound * (1 + 1e-9) + 1e-13.
 
@@ -21,11 +22,11 @@ the eigenbasis and each ||A^p x|| is computed once; the bound scalars are
 still per cell.
 
 Order fits are least-squares slopes on (log n, log error).  spectral_order
-fits the n-exponent of ||E_n A^{-alpha}|| with E_n the defect (or the
-second-order residual) on the eigenvalues; on a normal generator with a
-dense spectral grid that norm is the scalar supremum whose decay the
-paper's optimal rates describe, expected_exponent gives the rate the
-spectrum admits, and order_verdict passes or fails the fit.
+fits the n-exponent of ||E_n A^{-alpha}|| with E_n a suite's error on the
+eigenvalues; on a normal generator with a dense spectral grid that norm is
+the scalar supremum whose decay the paper's optimal rates describe.
+Suite.orders passes or fails each fit against the rate the spectrum admits,
+once order_suite has checked the flags of the run.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .opcalc import GeneratorMatrix, frac_on_spectrum
 __all__ = [
     "BoundReport", "within_bound", "OrderFit", "fit_order", "order_verdict", "suite",
     "first_order_bounds", "non_b2_bounds", "second_order_bounds", "holomorphic_bounds",
-    "holomorphic_second_order", "spectral_order", "expected_exponent",
+    "holomorphic_second_order", "order_suite", "spectral_order",
     "euler_scalar_sharpness", "shift_second_order_sharpness",
 ]
 
@@ -124,41 +125,38 @@ def order_verdict(fit: OrderFit, expected: float) -> tuple[str, bool]:
 # helpers
 # ----------------------------------------------------------------------
 
-def _errors(g: CMFunction, ts, ns, dim: int, second: bool = False) -> list:
+def _errors(g: CMFunction, ts, ns, dim: int, error=CMFunction.defect) -> list:
     """The error of every (t, n) cell, t-major, as functions of a spectrum of
-    `dim` points, each lam -> the stack of g_n(t lam) - e^{-t lam} of a block
-    of consecutive cells, or with `second` of the second-order residual
-    g_n(t lam) - e^{-t lam} - (2n)^{-1}(g''(0)-1) t^2 lam^2 e^{-t lam}.  The
-    cells are cut into blocks of at most STACK_POINTS values (and at least one
-    cell), so that an evaluation's temporaries do not grow with the grid; a
+    `dim` points, each lam -> the stack of error(g, t lam, n) of a block of
+    consecutive cells, the defect g_n(t lam) - e^{-t lam} or CMFunction.residual.
+    The cells are cut into blocks of at most STACK_POINTS values (and at least
+    one cell), so that an evaluation's temporaries do not grow with the grid; a
     ValueError when g is not in B1."""
     require_b1(g)
     cells = [(t, n) for t in ts for n in ns]
     size = max(1, STACK_POINTS // dim)
     blocks = [cells[i:i + size] for i in range(0, len(cells), size)]
-    return [partial(_stack, g, second, np.array([t for t, _ in block])[:, None],
+    return [partial(_stack, g, error, np.array([t for t, _ in block])[:, None],
                     np.array([n for _, n in block])[:, None]) for block in blocks]
 
 
-def _stack(g: CMFunction, second: bool, t, n, lam):
-    """The defect (the residual if `second`) of g_n at t lam, one row per
-    entry of the columns t and n."""
-    return (g.residual if second else g.defect)(t * lam, n)
+def _stack(g: CMFunction, error, t, n, lam):
+    """error(g, t lam, n), one row per entry of the columns t and n."""
+    return error(g, t * lam, n)
 
 
-def _grid(g, A: GeneratorMatrix, ts, ns, vectors, terms, second: bool = False,
-          op_bound=None) -> list[BoundReport]:
+def _grid(g, A: GeneratorMatrix, ts, ns, vectors, error, terms, op_bound) -> list[BoundReport]:
     """The rows of every (t, n) cell, t-major, each with the error ||E(A) x||
-    of a test vector x, E the defect (the residual if `second`) of the cell:
-    first, given op_bound(t, n), the holo-opnorm row ||E(A)||; then for each
-    term (alpha, tag, factor) of terms(t, n) the bound factor * ||A^alpha x||,
-    or factor * sum_p w ||A^p x|| when the term ends with its (p, w) pairs.
+    of a test vector x, E = error(g, t ., n): first, given op_bound(t, n) (not
+    None), the holo-opnorm row ||E(A)||; then for each term (alpha, tag,
+    factor) of terms(t, n) the bound factor * ||A^alpha x||, or
+    factor * sum_p w ||A^p x|| when the term ends with its (p, w) pairs.
     The errors of every cell, their op-norms and each power A^p come from
     one `norms` call."""
     cells = [(t, n) for t in ts for n in ns]
     if not cells:
         return []
-    blocks = _errors(g, ts, ns, A.dim, second)
+    blocks = _errors(g, ts, ns, A.dim, error)
     cell_terms = [terms(t, n) for t, n in cells]
     pairs = [[term[3] if len(term) > 3 else ((term[0], 1.0),) for term in tt]
              for tt in cell_terms]
@@ -184,14 +182,16 @@ def _grid(g, A: GeneratorMatrix, ts, ns, vectors, terms, second: bool = False,
 # ----------------------------------------------------------------------
 
 class Suite(NamedTuple):
-    """A bound suite: bounds(g, A, Mc, ts, ns, alphas, vectors), the rows of every
-    (t, n) cell of one fixed g given Mc = semigroup_constants(A), and what its
-    theorem asks of the inputs.  Calling it checks them once and runs `bounds`
-    on g, or on a family g_t one t at a time on the member g_t, in rows that
-    keep the family's name."""
+    """A bound suite: terms(g, Mc, ns, alphas) gives the bound terms(t, n) of
+    every cell of one fixed g, Mc = semigroup_constants(A), and its holo-opnorm
+    bound op(t, n) or None.  Calling it checks what its theorem asks of the
+    inputs, once, and runs _grid on g, or on a family g_t one t at a time on
+    the member g_t, in rows that keep the family's name."""
 
     name: str
-    bounds: object
+    terms: object
+    error: object = CMFunction.defect   # error(g, z, n): the defect or the residual of g_n
+    order: float | None = None          # orders expects n^-order on a sector; None: no fit
     alpha: tuple = (-math.inf, math.inf)   # the alpha range of the theorem
     moment: int = 0           # g_t in B_k: g_t^(k)(0) finite
     fixed: bool = False       # one function g, not a family g_t
@@ -224,11 +224,30 @@ class Suite(NamedTuple):
         if self.sectorial and not (math.isfinite(Mc[1]) and math.isfinite(Mc[2])):
             raise ValueError(f"suite {name!r} needs a sectorial generator; the spectrum of "
                              f"{A.name!r} is not sectorial (M_1 = {Mc[1]}, M_2 = {Mc[2]})")
-        rows = [r for gt, tt in runs for r in self.bounds(gt, A, Mc, tt, ns, alphas, vectors)]
+        rows = [r for gt, tt in runs for r in _grid(gt, A, tt, ns, vectors, self.error,
+                                                    *self.terms(gt, Mc, ns, alphas))]
         return rows if fixed else [r._replace(scheme=g.name) for r in rows]
 
+    def orders(self, g, A: GeneratorMatrix, ts, ns, alphas) -> list[dict]:
+        """The orders rows, sorted by (t, alpha): the spectral_order fit of each
+        member g_t, admitted as a call admits it, against the rate the spectrum
+        admits, n^-order on a sector (finite M_1) and n^-min(alpha/2, order) off
+        one, as on the imaginary axis, passed or failed by order_verdict."""
+        members = {t: self.admit(g.at(t)) for t in ts}
+        sector = math.isfinite(opcalc.semigroup_constants(A)[1])
+        rows = []
+        for t in sorted(members):
+            for alpha in sorted(alphas):
+                fit = spectral_order(members[t], A, t, ns, alpha, self.error)
+                expected = -self.order if sector else 0.0 - min(alpha / 2.0, self.order)
+                flag, ok = order_verdict(fit, expected)
+                rows.append({**fit._asdict(), "scheme": g.name, "generator": A.name, "t": t,
+                             "alpha": alpha, "expected_exponent": expected, "flag": flag,
+                             "tag": f"order-{self.name}", "pass": ok})
+        return rows
 
-def _first_order(g, A, Mc, ts, ns, alphas, vectors) -> list[BoundReport]:
+
+def _first_order(g, Mc, ns, alphas):
     """First-order bounds for g in B2, with M = M_0 and h = g''(0) - 1:
 
     alpha=2:       M h/2 * t^2/n * ||A^2 x||
@@ -246,10 +265,10 @@ def _first_order(g, A, Mc, ts, ns, alphas, vectors) -> list[BoundReport]:
                 else (alpha, "first-order-frac", 4.0 * M * (h * t ** 2 / n) ** (alpha / 2.0))
                 for alpha in alphas]
 
-    return _grid(g, A, ts, ns, vectors, terms)
+    return terms, None
 
 
-def _non_b2(g, A, Mc, ts, ns, alphas, vectors) -> list[BoundReport]:
+def _non_b2(g, Mc, ns, alphas):
     """Bounds driven by g'(1/n) for B1 functions with g''(0) = inf, M = M_0:
 
     alpha=1:       4eM (1 + 1/|g'(1/n)|) sqrt(1+g'(1/n)) t ||Ax||
@@ -266,10 +285,10 @@ def _non_b2(g, A, Mc, ts, ns, alphas, vectors) -> list[BoundReport]:
                 else (alpha, "slope-frac", 4.0 * lead * root ** (alpha / 2.0) * t ** alpha)
                 for alpha in alphas]
 
-    return _grid(g, A, ts, ns, vectors, terms)
+    return terms, None
 
 
-def _second_order(g, A, Mc, ts, ns, alphas, vectors) -> list[BoundReport]:
+def _second_order(g, Mc, ns, alphas):
     """Residual R = scheme - e^{-tA} - (2n)^{-1}(g''(0)-1) t^2 e^{-tA} A^2 for g
     in B4, with M = M_0; `alphas` is not read:
 
@@ -283,10 +302,10 @@ def _second_order(g, A, Mc, ts, ns, alphas, vectors) -> list[BoundReport]:
         return [(3.0, "second-order-A3", M * C * t ** 3 * n ** -1.5),
                 (4.0, "second-order-A4", M * C1 * t ** 3 * n ** -2.0, ((3.0, 1.0), (4.0, t)))]
 
-    return _grid(g, A, ts, ns, vectors, terms, second=True)
+    return terms, None
 
 
-def _holomorphic(g, A, Mc, ts, ns, alphas, vectors) -> list[BoundReport]:
+def _holomorphic(g, Mc, ns, alphas):
     """Bounds for sectorial generators, with h = g''(0) - 1:
 
     op-norm:       K h/n,                    K = 3M0 + 3M1 + M2/2
@@ -319,18 +338,16 @@ def _holomorphic(g, A, Mc, ts, ns, alphas, vectors) -> list[BoundReport]:
             out.append((alpha, "holo-sharp", Mc[2.0 - alpha] * r * t ** alpha))
         return out
 
-    return _grid(g, A, ts, ns, vectors, terms, op_bound=lambda t, n: K * h / n)
+    return terms, lambda t, n: K * h / n
 
 
 def euler_sharp_r(n: int, alpha: float) -> float:
     """r_{alpha,n} for Euler's scheme: 1/(2n) + (1-2 alpha)/(12 n^2) below
     alpha = 1/2, and 1/(2n) from alpha = 1/2 on."""
-    if alpha < 0.5:
-        return 1.0 / (2.0 * n) + (1.0 - 2.0 * alpha) / (12.0 * n * n)
-    return 1.0 / (2.0 * n)
+    return 1.0 / (2.0 * n) + max(1.0 - 2.0 * alpha, 0.0) / (12.0 * n * n)
 
 
-def _holomorphic_second(g, A, Mc, ts, ns, alphas, vectors) -> list[BoundReport]:
+def _holomorphic_second(g, Mc, ns, alphas):
     """Second-order residual bound on sectorial generators, g in B4 with g(inf) = 0:
 
     ||R_n x|| <= (|b[g_n]| M_{3-alpha} + d1[g_n]/2 M_{4-alpha}) t^alpha ||A^alpha x||
@@ -348,15 +365,17 @@ def _holomorphic_second(g, A, Mc, ts, ns, alphas, vectors) -> list[BoundReport]:
                  (abs(b_n) * Mc[3.0 - alpha] + 0.5 * d1_n * Mc[4.0 - alpha]) * t ** alpha)
                 for alpha in alphas]
 
-    return _grid(g, A, ts, ns, vectors, terms, second=True)
+    return terms, None
 
 
-first_order_bounds = Suite("first", _first_order, (0.0, 2.0), moment=2)
-non_b2_bounds = Suite("nonb2", _non_b2, (0.0, 1.0), fixed=True)
-second_order_bounds = Suite("second", _second_order, moment=4, rows_alpha=(3.0, 4.0))
-holomorphic_bounds = Suite("holo", _holomorphic, (0.0, 1.0), moment=2, sectorial=True)
-holomorphic_second_order = Suite("holo2", _holomorphic_second, (0.0, 3.0), moment=4, fixed=True,
-                                 tail=True, sectorial=True)
+first_order_bounds = Suite("first", _first_order, order=1.0, alpha=(0.0, 2.0), moment=2)
+non_b2_bounds = Suite("nonb2", _non_b2, alpha=(0.0, 1.0), fixed=True)
+second_order_bounds = Suite("second", _second_order, CMFunction.residual, order=2.0, moment=4,
+                            rows_alpha=(3.0, 4.0))
+holomorphic_bounds = Suite("holo", _holomorphic, alpha=(0.0, 1.0), moment=2, sectorial=True)
+holomorphic_second_order = Suite("holo2", _holomorphic_second, CMFunction.residual,
+                                 alpha=(0.0, 3.0), moment=4, fixed=True, tail=True,
+                                 sectorial=True)
 SUITES = {s.name: s for s in (first_order_bounds, non_b2_bounds, second_order_bounds,
                               holomorphic_bounds, holomorphic_second_order)}
 
@@ -373,37 +392,42 @@ def suite(name: str, alphas) -> Suite:
     return SUITES[name]
 
 
+def order_suite(name: str, alphas, ns) -> Suite:
+    """SUITES[name] for an orders run, once it has an order, every alpha lies in
+    ORDER_ALPHA and ns has FIT_POINTS values; a ValueError naming the flag otherwise."""
+    fits = [s.name for s in SUITES.values() if s.order is not None]
+    if name not in fits:
+        raise ValueError(f"--suite {name!r} is not a suite of orders, which takes "
+                         + " or ".join(fits))
+    check_alphas(alphas, *ORDER_ALPHA, "orders")
+    if len(ns) < FIT_POINTS:
+        raise ValueError(f"--n {','.join(map(str, ns))} has {len(ns)} distinct values, "
+                         f"and an orders fit needs at least {FIT_POINTS}")
+    return SUITES[name]
+
+
 # ----------------------------------------------------------------------
 # order fits on the spectrum
 # ----------------------------------------------------------------------
 
 def spectral_order(g: CMFunction, A: GeneratorMatrix, t: float, ns, alpha: float,
-                   second: bool = False) -> OrderFit:
+                   error=CMFunction.defect) -> OrderFit:
     """Fit of the n-exponent of ||E_n A^{-alpha}|| over the grid ns, where E_n is
-    the defect of a fixed g (the residual if `second`) on the spectrum and the
-    weight lambda^{-alpha} is 0 at lambda = 0, where E_n vanishes.  A g with a
-    log-defect has E_n to a few ulp of itself, so only exact zeros are left
-    out; without one, E_n is the direct difference, and points at or below
-    100 eps ||e^{-tA} A^{-alpha}||, the size of either of its terms, are
-    roundoff and left out too.  With no point left the flag is "exact"."""
+    error(g, ., n) of a fixed g on the spectrum and the weight lambda^{-alpha}
+    is 0 at lambda = 0, where E_n vanishes.  A g with a log-defect has E_n to a
+    few ulp of itself, so only exact zeros are left out; without one, E_n is
+    the direct difference, and points at or below 100 eps ||e^{-tA} A^{-alpha}||,
+    the size of either of its terms, are roundoff and left out too.  With no
+    point left the flag is "exact"."""
     def weight(lam):
         zero = lam == 0
         return np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, frac_on_spectrum(lam, alpha)))
 
-    norms = [e for f in _errors(g, [t], ns, A.dim, second)
+    norms = [e for f in _errors(g, [t], ns, A.dim, error)
              for e in A.opnorm(lambda lam, f=f: f(lam) * weight(lam))]
     floor = 0.0 if g.log_defect is not None else 100.0 * np.finfo(float).eps * A.opnorm(
         lambda lam: np.exp(-t * lam) * weight(lam))[0]
     return fit_order([(n, e) for n, e in zip(ns, norms) if e > floor])
-
-
-def expected_exponent(A: GeneratorMatrix, alpha: float, second: bool = False) -> float:
-    """The n-exponent spectral_order should find: -order on a sectorial spectrum
-    (finite M_1), and -min(alpha/2, order) off a sector, as on the imaginary axis."""
-    order = 2.0 if second else 1.0
-    if math.isfinite(opcalc.semigroup_constants(A)[1]):
-        return -order
-    return 0.0 - min(alpha / 2.0, order)
 
 
 # ----------------------------------------------------------------------

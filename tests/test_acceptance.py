@@ -186,7 +186,7 @@ def test_c07_second_order_suite():
         A3 = np.linalg.matrix_power(M, 3)
         norms = [float(np.linalg.norm(A3 @ x)) for x in vecs]
         ns = [2 ** k for k in range(2, 13)]
-        xs, _ = A.norms(rates._errors(g, [1.0], ns, A.dim, second=True), vecs)
+        xs, _ = A.norms(rates._errors(g, [1.0], ns, A.dim, cmfun.CMFunction.residual), vecs)
         residuals = np.vstack(xs)
         pts = []
         for k, errs in zip(range(2, 13), residuals):
@@ -236,22 +236,17 @@ def test_c10_optimality_exponents():
     n_grid = [2 ** k for k in range(4, 13)]
     imag = opcalc.make_generator("diag_imag:k=400,min=0.01,max=1e5")
     pos = opcalc.make_generator("diag_pos:k=400,min=0.01,max=1e5")
-    cases = [
-        dict(A=imag, alpha=0.5, second=False),
-        dict(A=imag, alpha=1.0, second=False),
-        dict(A=pos, alpha=0.0, second=False),
-        dict(A=pos, alpha=0.0, second=True),
-    ]
+    cases = [(imag, 0.5, "first"), (imag, 1.0, "first"), (pos, 0.0, "first"),
+             (pos, 0.0, "second")]
     ok = True
     details = []
-    for case in cases:
-        fit = rates.spectral_order(g, case["A"], 1.0, n_grid, case["alpha"], case["second"])
-        expected = rates.expected_exponent(case["A"], case["alpha"], case["second"])
-        good = fit.r_squared >= 0.98 and abs(fit.slope - expected) <= 0.1
+    for A, alpha, suite in cases:
+        # the suite's own orders row: its error, fit and expected exponent
+        [row] = rates.SUITES[suite].orders(g, A, [1.0], n_grid, [alpha])
+        good = row["r_squared"] >= 0.98 and abs(row["slope"] - row["expected_exponent"]) <= 0.1
         ok = ok and good
-        details.append(f"{case['A'].name.split(':')[0]}/a={case['alpha']}/"
-                       f"o={1 + case['second']}: "
-                       f"{fit.slope:.3f} vs {expected:.2f}")
+        details.append(f"{A.name.split(':')[0]}/a={alpha}/{suite}: "
+                       f"{row['slope']:.3f} vs {row['expected_exponent']:.2f}")
     _report(10, "lower-bound exponents on dense spectral grids", ok, "; ".join(details))
 
 

@@ -418,6 +418,26 @@ def test_orders_exact_scheme_over_a_long_grid(tmp_path):
     assert row["flag"] == "exact" and row["pass"] == "true"
 
 
+# the n-exponent of each suite's orders fit on a sector: the first-order defect
+# decays like 1/n, the second-order residual like 1/n^2; the others state none
+ORDER_EXPONENTS = {"first": -1.0, "second": -2.0}
+
+
+@pytest.mark.parametrize("suite", list(rates.SUITES))
+def test_orders_runs_exactly_the_suites_with_an_exponent(suite, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    code = cli.main(["orders", "--suite", suite, "--scheme", "spline", "--generator",
+                     "laplacian:d=16", "--n", "4,8,16,32", "--alpha", "0", "--out", str(out)])
+    err = capsys.readouterr().err
+    if suite in ORDER_EXPONENTS:
+        (row,) = _read_csv(out)
+        assert code == 0 and err == "" and row["tag"] == f"order-{suite}"
+        assert float(row["expected_exponent"]) == ORDER_EXPONENTS[suite]
+    else:
+        assert code == 2 and not out.exists()
+        assert err.startswith(f"error: --suite {suite!r} is not a suite of orders")
+
+
 def test_sharpness_command(tmp_path):
     out = tmp_path / "s.csv"
     assert cli.main(["sharpness", "--which", "both", "--n", "4,16,64",

@@ -214,7 +214,7 @@ def test_eigen_path_matches_dense(build, explicit):
             E = scipy.linalg.expm(-t * M)
             D = dense_scheme(g, M, t, n) - E
             [defect] = rates._errors(g.at(t), [t], [n], A.dim)
-            [residual] = rates._errors(g.at(t), [t], [n], A.dim, True)
+            [residual] = rates._errors(g.at(t), [t], [n], A.dim, cmfun.CMFunction.residual)
             ([errors], [residuals]), _ = A.norms([defect, residual], vectors)
             for got, x in zip(errors, vectors):
                 assert close(got, np.linalg.norm(D @ x))

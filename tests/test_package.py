@@ -90,9 +90,9 @@ VALUE_TYPES = [
     (quadrature.Integral, (1.0, True), {}),
     (rates.BoundReport, ("euler", "diag", 1.0, 4, 0.5, 0, 0.1, 0.2, "first-frac"), {}),
     (rates.OrderFit, (-1.0, 0.5, 0.99, 4), {"flag": ""}),
-    (rates.Suite, ("first", rates.first_order_bounds.bounds),
-     {"alpha": (-math.inf, math.inf), "moment": 0, "fixed": False, "tail": False,
-      "sectorial": False, "rows_alpha": ()}),
+    (rates.Suite, ("first", rates.first_order_bounds.terms),
+     {"error": cmfun.CMFunction.defect, "order": None, "alpha": (-math.inf, math.inf),
+      "moment": 0, "fixed": False, "tail": False, "sectorial": False, "rows_alpha": ()}),
     (measures.PolyExpSegment, (0.0, 1.0, (1.0,)), {"rate": 0.0}),
     (measures.PowerLawSegment, (1.0, 2.5), {}),
     (measures.PositiveMeasure, (), {"atoms": (), "segments": ()}),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cmapprox import cli, cmfun, opcalc, quadrature, rates
+from cmapprox import cli, cmfun, functionals, opcalc, quadrature, rates
 from cmapprox.rates import (
     BoundReport,
     first_order_bounds,
@@ -85,6 +85,35 @@ def test_slack_policy_boundary():
 # ----------------------------------------------------------------------
 # bound suites on small generators
 # ----------------------------------------------------------------------
+
+def test_bound_functions_read_constants_not_a_generator():
+    # each suite's bound function takes g, M_beta, the n grid and the alphas, and
+    # gives terms(t, n) (and the holo-opnorm bound): no generator, t grid or
+    # test vector reaches it.  On a positive spectrum (rho = 1) M_0 = 1,
+    # M_1 = 1/e and M_2 = 4/e^2; Euler's g has g''(0) - 1 = 1 and g''''(0) - 1 = 23
+    Mc = opcalc.SemigroupConstants(rho=1.0)
+    e, t, n = math.e, 0.5, 8
+    euler, tail = cmfun.euler(), cmfun.frac_tail(0.5)
+    dg = tail.derivative(1.0 / n, 1)
+    b, d1 = functionals.b_of(euler, n), functionals.d1_of(
+        euler, n, functionals.c_alpha_quads(euler, n, (0, 1)))
+    cases = {   # suite: (g, alphas, the tag of the first term, its closed form)
+        "first": (euler, (2.0,), "first-order-A2", t ** 2 / (2 * n)),
+        "nonb2": (tail, (1.0,), "slope-A1", 4 * e * (1 + 1 / abs(dg)) * math.sqrt(1 + dg) * t),
+        "second": (euler, (), "second-order-A3", math.sqrt(23 / 2) * t ** 3 / n ** 1.5),
+        "holo": (euler, (1.0,), "holo-A1", (2 + 1.5 / e) / n * t),
+        "holo2": (euler, (1.0,), "holo-second", (abs(b) * Mc[2.0] + d1 / 2 * Mc[3.0]) * t),
+    }
+    assert set(cases) == set(rates.SUITES)
+    for name, (g, alphas, tag, want) in cases.items():
+        terms, op = rates.SUITES[name].terms(g, Mc, [n], alphas)
+        _, got_tag, factor, *_ = terms(t, n)[0]
+        assert (got_tag, factor) == (tag, pytest.approx(want, rel=1e-14)), name
+        if name == "holo":   # K h/n, K = 3 M_0 + 3 M_1 + M_2/2
+            assert op(t, n) == pytest.approx((3.0 + 3.0 / e + 2.0 / e ** 2) / n, rel=1e-14)
+        else:
+            assert op is None
+
 
 def test_first_order_exponential_zero_error():
     A = opcalc.diag_imag(16)
