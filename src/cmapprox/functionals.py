@@ -251,18 +251,23 @@ def table(g: CMFunction, ns, alphas) -> list[dict]:
     n >= 2 (only g's own measure is at hand) but for g_n of Euler type,
     whose L is exact, tail_divergent for d1 when c_0 diverges (g(inf) > 0),
     unconverged for d1 when the quadrature of c_0 or c_1 did not converge,
-    and c_alpha's own flag; a, b and d0 are nan outside B2, B3 and B4."""
+    and c_alpha's own flag; a, b and d0 are nan outside B2, B3 and B4, and
+    with d1 for a g without a log-defect, flagged no_log_defect as c_alpha is."""
     require_b1(g)
+
+    def series(k):   # a, b, d0 and d1 read the log-defect series of a g in B_k
+        return g.log_defect is not None and check_bk(g, k)
+
     rows = []
     for n in sorted(ns):
         rational = g.rational_n and g.rational_n * n   # g_n = Euler's g_{Nn}
         why_L = "" if rational or n == 1 else "no_measure"
         why_d1 = "" if g.tail_integrable else "tail_divergent"
         L = euler_power_L(rational) if rational else math.nan if why_L else functional_L(g)
-        a = a_of(g, n) if check_bk(g, 2) else math.nan
-        b = b_of(g, n) if check_bk(g, 3) else math.nan
-        d0 = d0_of(g, n) if check_bk(g, 4) else math.nan
-        with_d1 = check_bk(g, 4) and not why_d1
+        a = a_of(g, n) if series(2) else math.nan
+        b = b_of(g, n) if series(3) else math.nan
+        d0 = d0_of(g, n) if series(4) else math.nan
+        with_d1 = series(4) and not why_d1
         # one quadrature for every alpha of g_n: the grid's, and 0 and 1 for d1
         c = c_alpha_quads(g, n, [*alphas, 0.0, 1.0] if with_d1 else alphas)
         d1 = math.nan

@@ -242,9 +242,14 @@ class PositiveMeasure(_MeasureFields):
 
     def partial_moment(self, ks, lo: float, hi: float) -> np.ndarray:
         """int_{[lo, hi]} s^k nu(ds) for each k of ks (atoms on the boundary
-        included), +inf where a piece diverges; each segment in one pass."""
-        total = np.array([sum(w * loc ** k for loc, w in self.atoms if lo <= loc <= hi)
-                          for k in ks], dtype=float)
+        included), +inf where a piece diverges or an atom's loc^k is past the
+        largest float; each segment in one pass."""
+        total = np.zeros(len(ks))
+        for i, k in enumerate(ks):
+            try:
+                total[i] = sum(w * loc ** k for loc, w in self.atoms if lo <= loc <= hi)
+            except OverflowError:
+                total[i] = math.inf
         for seg in self.segments:
             total += seg.partial_moment(ks, lo, hi)
         return total

@@ -173,6 +173,9 @@ CORPUS = [
                                          "--t 1,300 --n 4,8,16,32 --alpha 1")
       for command in ("verify-bounds", "orders")),
     ("error-functionals-family", "functionals --g kendall"),
+    # an atom at 1e10, whose m_32 is past the largest float: no log-defect series
+    ("functionals-kendall-tiny-t", "functionals --g kendall:t=1e-10 --n 1"),
+    ("verify-bounds-kendall-tiny-t", "verify-bounds --scheme kendall:t=1e-10 --n 4"),
     # holo2 where the residual is about 1e-13 of its terms
     ("holo2-small-moduli", "verify-bounds --scheme euler --suite holo2 --t 1 --n 4096,16384 "
                            "--generator diag_pos:k=128,min=1e-4,max=1e-1 --alpha 0,1,2"),

@@ -360,6 +360,16 @@ def test_overflowing_moments_leave_the_mass_alone():
     assert math.isinf(tiny.partial_moment((30,), 0.0, math.inf)[0])
 
 
+def test_an_overflowing_atom_moment_is_inf():
+    # kendall at t = 1e-10 has an atom at 1e10: m_32 = 1e-10 * 1e320 is past the
+    # largest float, so it is +inf, as a divergent segment's moment is, and the
+    # function is built with m_0..m_4 and without a log-defect series
+    g = cmfun.kendall(1e-10)
+    assert g.measure.partial_moment((4, 32), 0.0, math.inf).tolist() == [
+        pytest.approx(1e30, rel=1e-15), math.inf]
+    assert all(map(math.isfinite, g.moments)) and g.log_defect is None
+
+
 @pytest.mark.parametrize("g, rate", [(cmfun.yosida(30.0), 30.0),
                                      (cmfun.chung((0.25, 0.5, 0.25), 1.0), 1.0),
                                      (cmfun.chung((0.0, 0.5, 0.5), 1.5), 1.5)])

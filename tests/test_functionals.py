@@ -311,6 +311,15 @@ def _hille_2():
     return cmfun.from_measure(cmfun.PositiveMeasure(atoms=atoms))
 
 
+def test_functionals_without_a_log_defect_are_nan_and_flagged():
+    # a B4 function whose series could not be read (an atom moment past the
+    # largest float) has nan a, b, d0 and d1, flagged no_log_defect as c_alpha is
+    g = cmfun.kendall(1e-10)
+    rows = F.table(g, [1, 4], [0.5])
+    assert all(math.isnan(r[k]) for r in rows for k in ("a", "b", "d0", "d1"))
+    assert all("no_log_defect" in r["residual_flags"].split(";") for r in rows)
+
+
 def test_c_alpha_divergence_flags():
     hille = cmfun.hille()  # g(inf) = 1/e > 0, so c_0 diverges
     assert math.isinf(c_alpha_measure(hille, 0.0))
