@@ -61,7 +61,8 @@ def polyexp_laplace_complex(coeffs, rate: float, a: float, b: float, z) -> np.nd
     Per monomial I_m = int_a^b s^m e^{-lam s} ds with lam = rate + z:
     I_0 = e^{-lam a} (-expm1(-lam (b-a)))/lam, or e^{-lam a} (b-a) where
     |lam| (b-a) < _FLAT; above it, on a finite segment
-    where |lam| b < m+1, the Kummer series of int_0^b minus that of int_0^a,
+    where |lam| b < m+1, the Kummer series of int_0^b minus that of int_0^a
+    (none at a = 0),
     and elsewhere the upward recurrence
     I_m = (a^m e^{-lam a} - b^m e^{-lam b})/lam + (m/lam) I_{m-1}.
     A row skips its zero coefficients, so that none takes the nan of 0 times
@@ -95,6 +96,8 @@ def polyexp_laplace_complex(coeffs, rate: float, a: float, b: float, z) -> np.nd
             if finite:
                 series = np.abs(lam) * b < m + 1
                 near = lam[series]
-                I[series] = _lower_series(m, near, b) - _lower_series(m, near, a)
+                I[series] = _lower_series(m, near, b)
+                if a:   # the series of int_0^a, which is exactly 0 at a = 0
+                    I[series] -= _lower_series(m, near, a)
             total[live] += rows[live, m:m + 1] * I
     return total.reshape(np.shape(coeffs)[:-1] + z.shape)

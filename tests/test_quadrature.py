@@ -252,6 +252,24 @@ def test_polyexp_laplace_complex():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_kummer_series_is_not_summed_at_a_zero_lower_end(monkeypatch):
+    # int_0^a of the series is exactly 0 at a = 0: a density on [0, 2] sums
+    # the series at b alone
+    z = np.array([0.3, 0.2 + 0.1j])
+    want = [complex(mpmath.quad(lambda s: (0.5 + 0.25 * s + 0.125 * s * s) * mpmath.exp(-w * s),
+                                [0, 2])) for w in z]
+    ends = []
+    inner = polyexp._lower_series
+
+    def spy(m, lam, x):
+        ends.append(x)
+        return inner(m, lam, x)
+
+    monkeypatch.setattr(polyexp, "_lower_series", spy)
+    got = polyexp.polyexp_laplace_complex((0.5, 0.25, 0.125), 0.0, 0.0, 2.0, z)
+    assert ends == [2.0, 2.0] and got == pytest.approx(want, rel=1e-14)
+
+
 # one monomial s^m on [a, b], b = a + width or inf, against
 # gamma(m+1, lam a, lam b)/lam^(m+1) at 40 digits.  Widths stay below 4 so that
 # |z| b <= 6e3: the phase of e^{-zb} moves by |z b| ulp when z b is rounded,
