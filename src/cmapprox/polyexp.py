@@ -60,10 +60,9 @@ def polyexp_laplace_complex(coeffs, rate: float, a: float, b: float, z) -> np.nd
 
     Per monomial I_m = int_a^b s^m e^{-lam s} ds with lam = rate + z:
     I_0 = e^{-lam a} (-expm1(-lam (b-a)))/lam, or e^{-lam a} (b-a) where
-    |lam| (b-a) < _FLAT; above it, on a finite segment
-    where |lam| b < m+1, the Kummer series of int_0^b minus that of int_0^a
-    (none at a = 0),
-    and elsewhere the upward recurrence
+    |lam| (b-a) < _FLAT; above it, on a finite segment where |lam| b < m+1,
+    the Kummer series of int_0^b minus that of int_0^a (none at a = 0), and
+    elsewhere the upward recurrence
     I_m = (a^m e^{-lam a} - b^m e^{-lam b})/lam + (m/lam) I_{m-1}.
     A row skips its zero coefficients, so that none takes the nan of 0 times
     an overflowed I_m: each row is the one-row call bit for bit.
