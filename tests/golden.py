@@ -65,10 +65,13 @@ MALFORMED = {"list": "[[1.0, 1.0]]", "no-b": '{"segments": [{"a": 0, "poly": [1]
              "poly-string": '{"segments": [{"a": 0, "b": 1, "poly": ["x"]}]}',
              "atoms-string": '{"atoms": "x"}'}
 # the measure: files: an atom and a segment; a density with a negative coefficient;
-# a density of mass 1/2, outside B1 with g''(0) finite; and the malformed ones
+# a density of mass 1/2, outside B1 with g''(0) finite; an atom and a segment that
+# starts past 1, of mass 1 and mean 1; and the malformed ones
 MEASURES = {"nu.json": '{"atoms": [[1.0, 0.25]], "segments": [{"a": 0, "b": 2, "poly": [0.375]}]}',
             "mixed.json": '{"segments": [{"a": 0, "b": 2, "poly": [0, 1.5, -0.75]}]}',
             "half.json": '{"segments": [{"a": 0, "b": 2, "poly": [0, 0, 1.875, -1.875, 0.46875]}]}',
+            "shifted.json": '{"atoms": [[0.6666666666666666, 0.75]], '
+                            '"segments": [{"a": 1.5, "b": 2.5, "poly": [0.25]}]}',
             **{f"{name}.json": text for name, text in MALFORMED.items()}}
 
 
@@ -176,6 +179,17 @@ CORPUS = [
     # an atom at 1e10, whose m_32 is past the largest float: no log-defect series
     ("functionals-kendall-tiny-t", "functionals --g kendall:t=1e-10 --n 1"),
     ("verify-bounds-kendall-tiny-t", "verify-bounds --scheme kendall:t=1e-10 --n 4"),
+    # its residual, which needs the log-defect it does not carry, under each command
+    ("error-second-kendall-tiny-t", "verify-bounds --scheme kendall:t=1e-10 --suite second "
+                                    "--generator diag_pos:k=4 --n 4"),
+    ("error-orders-second-kendall-tiny-t", "orders --scheme kendall:t=1e-10 --suite second "
+                                           "--n 4,8,16,32"),
+    # its defect, the direct difference, at the roundoff floor of an orders fit
+    ("orders-kendall-tiny-t", "orders --scheme kendall:t=1e-10 --generator laplacian:d=32 "
+                              "--n 16,64,256,1024"),
+    # holo on a g with g(inf) > 0: no sharp row
+    ("holo-kendall", "verify-bounds --scheme kendall:t=0.5 --generator laplacian:d=8 --suite holo "
+                     "--n 4 --alpha 0.5"),
     # holo2 where the residual is about 1e-13 of its terms
     ("holo2-small-moduli", "verify-bounds --scheme euler --suite holo2 --t 1 --n 4096,16384 "
                            "--generator diag_pos:k=128,min=1e-4,max=1e-1 --alpha 0,1,2"),
@@ -197,6 +211,10 @@ CORPUS = [
                             "--json"),
     ("measure-verify-bounds", "verify-bounds --scheme measure:mixed.json --generator laplacian:d=8 "
                               "--n 4,8"),
+    # a segment whose lower end is past 0, and so past the range [0, 1] of L
+    ("measure-shifted-functionals", "functionals --g measure:shifted.json --n 1,4 --alpha 0,0.5,1"),
+    ("measure-shifted-verify-bounds", "verify-bounds --scheme measure:shifted.json "
+                                      "--generator laplacian:d=8 --n 4,8"),
 ]
 
 
