@@ -90,15 +90,12 @@ class LogDefect(NamedTuple):
     coeffs: tuple
     radius: float
     closed: object = None
-    scale: int = 1
 
     def __call__(self, z, lead: bool = True, n=1):
-        """L_{mn}(z) = mn L(z/(mn)), m = scale: the log-defect of (g_m)_n, with n
-        a whole number or an array of them broadcasting against z.  Without
-        `lead`, L_{mn}(z) - coeffs[0] z^2/(mn), each part summed without that
-        leading term."""
-        m = self.scale * n
-        w = np.asarray(z) / m
+        """L_n(z) = n L(z/n), with n a whole number or an array of them
+        broadcasting against z.  Without `lead`, L_n(z) - coeffs[0] z^2/n, each
+        part summed without that leading term."""
+        w = np.asarray(z) / n
         out = np.empty_like(w)
         near = np.abs(w) < self.radius
         wn = w[near]
@@ -117,7 +114,7 @@ class LogDefect(NamedTuple):
             with np.errstate(divide="ignore"):
                 val = self.closed(wf)
             out[~near] = val if lead else val - self.coeffs[0] * wf * wf
-        out *= m
+        out *= n
         return out
 
 
@@ -144,12 +141,6 @@ def _log_defect(coeffs, closed) -> LogDefect:
 
 
 _ZERO_DEFECT = LogDefect((), math.inf)
-
-
-def _part(a, mask):
-    """The entries of a (a per-point n or scale, or a column of them) at the
-    points of mask; a scalar as it is."""
-    return np.broadcast_to(a, mask.shape)[mask] if np.ndim(a) else a
 
 
 def _expm1_minus(x):
@@ -199,44 +190,40 @@ class CMFunction(NamedTuple):
         remainder, with n as in `defect`."""
         return self._difference(np.asarray(z), n, second=True)
 
-    def _power(self, z, n):
-        """g(z/n)^n: g itself at n = 1, else one call of g and the power with
-        a whole n.  For an array n (shaped as z) the power is taken per
-        distinct n with a Python int, since numpy squares (n = 2) a scalar
-        exponent by another loop than an array of them."""
-        if np.ndim(n) == 0:
-            return self(z) if n == 1 else self(z / n) ** n
+    def _power(self, z, n, ks):
+        """g(z/n)^n for n shaped as z, with ks its distinct values: one call of g,
+        then the power per distinct n other than 1 with a Python int, since
+        numpy squares (n = 2) a scalar exponent by another loop than an array."""
         v = self(z / n)
-        for k in set(n.ravel().tolist()):   # not np.unique, which imports numpy.ma
-            if k != 1:
-                at = n == k
-                v[at] = v[at] ** k
+        for k in ks - {1}:
+            at = n == k
+            v[at] = v[at] ** k
         return v
 
     def _difference(self, z, n, second: bool):
-        """With x = L_{mn}(z), the log-defect of g_n: e^{-z} expm1(x) where
-        |x| <= 1, and for the remainder e^{-z} ((expm1(x) - x) + (x - c_2 z^2/(mn))),
-        each part without its leading term.  Where |x| > 1 nothing cancels and
-        the difference is taken directly, with g_n(z) = e^{x - z} for |z| <= mn
-        (n ulp for the n-th power would be worse) and g_n(z) itself beyond.
+        """With m = Nn, N = rational_n (1 for a g not of Euler type), and x =
+        L_m(z), the log-defect of g_n: e^{-z} expm1(x) where |x| <= 1, and for
+        the remainder e^{-z} ((expm1(x) - x) + (x - c_2 z^2/m)), each part
+        without its leading term.  Where |x| > 1 nothing cancels and the
+        difference is taken directly, with g_n(z) = e^{x - z} for |z| <= m (n
+        ulp for the n-th power would be worse) and g_n(z) itself beyond.
         Without L the defect is the direct difference at every point, and the
         remainder a ValueError (every B2 function the package builds has L)."""
         L = self.log_defect
         if L is None and second:
             raise ValueError(f"{self.name}: the second-order residual needs a log-defect")
-        if np.ndim(n):    # z on the full grid; n, and the scale m below, stay a column
-            n = np.asarray(n)
-            z = np.broadcast_to(z, np.broadcast_shapes(z.shape, n.shape))
+        # m and the distinct n from n as given, so that a column stays one
+        ks = set(np.ravel(n).tolist())   # not np.unique, which imports numpy.ma
+        m = (self.rational_n or 1) * np.asarray(n)
+        z, n, m = np.broadcast_arrays(z, n, m)
         e = np.exp(-z)
         if L is None:
-            return self._power(z, np.broadcast_to(n, z.shape) if np.ndim(n) else n) - e
-        m = L.scale * n
-        lead = L.coeffs[0] / m if L.coeffs else 0.0
-        x = L(z, n=n)
+            return self._power(z, n, ks) - e
+        x = L(z, n=m)
         out = np.empty_like(x)
         small = np.abs(x) <= 1.0
         if second:
-            part = L(z[small], lead=False, n=_part(n, small))
+            part = L(z[small], lead=False, n=m[small])
             part += _expm1_minus(x[small])
         else:
             part = np.expm1(x[small])
@@ -245,12 +232,12 @@ class CMFunction(NamedTuple):
         del part
         if not small.all():
             big = ~small
-            zb, xb, eb, nb = z[big], x[big], e[big], _part(n, big)
-            inner = np.abs(zb) <= _part(m, big)
+            zb, xb, eb, nb, mb = z[big], x[big], e[big], n[big], m[big]
+            inner = np.abs(zb) <= mb
             gb = np.empty_like(xb)
             gb[inner] = np.exp(xb[inner] - zb[inner])
-            gb[~inner] = self._power(zb[~inner], _part(nb, ~inner))
-            out[big] = gb - eb - _part(lead, big) * zb * zb * eb if second else gb - eb
+            gb[~inner] = self._power(zb[~inner], nb[~inner], ks)
+            out[big] = gb - eb - L.coeffs[0] / mb * zb * zb * eb if second else gb - eb
         return out
 
     def derivative(self, z: float, order: int = 1) -> float:
@@ -344,7 +331,7 @@ def euler_pow(N: int) -> CMFunction:
     nu = PositiveMeasure(segments=(PolyExpSegment(
         0.0, math.inf, (0.0,) * (N - 1) + (N ** N / math.factorial(N - 1),), float(N)),))
     return _transform(f"euler_pow{N}", nu, lambda z: (1.0 / (1.0 + z / N)) ** N,
-                      _EULER_DEFECT._replace(scale=N), rational_n=N)
+                      _EULER_DEFECT, rational_n=N)
 
 
 def spline() -> CMFunction:

@@ -3,8 +3,8 @@
 The functionals are those of the scheme g_n(z) = g(z/n)^n, given as the
 pair (g, n): no function g_n is built.  With nu_n the measure of g_n,
 D(z) = g_n(z) - e^{-z} its defect and L_n(z) = log g_n(z) + z =
-sum_{k>=2} l_k z^k / (mn)^{k-1} its log-defect, l_k and m = `scale` those
-of the log-defect of g:
+sum_{k>=2} l_k z^k / (mn)^{k-1} its log-defect, l_k those of the log-defect
+of g and m = `rational_n` (1 for a g not of Euler type):
 
     L[g_n]   = int_0^1 (1-s) nu_n(ds)          (operator-norm driver)
     a[g_n]   = (g_n''(0)-1)/2                  = l_2/(mn)
@@ -198,7 +198,7 @@ def euler_c_alpha_exact(n: int, alpha: float) -> float:
 
 def _log_defect_terms(g: CMFunction, n: int, k: int, what: str) -> list:
     """[l_2/(mn), ..., l_k/(mn)^{k-1}], the z^2..z^k coefficients of the
-    log-defect L_n of g_n, m the scale of g's, for g in B_k (so is g_n).
+    log-defect L_n of g_n, m = g.rational_n or 1, for g in B_k (so is g_n).
     ValueError for a g outside B_k, and for one without a log-defect."""
     if not check_bk(g, k):
         raise ValueError(f"{g.name}: {what} requires B{k}")
@@ -206,7 +206,8 @@ def _log_defect_terms(g: CMFunction, n: int, k: int, what: str) -> list:
     if L is None:
         raise ValueError(f"{g.name}: {what} is read from the log-defect, which it does not carry")
     coeffs = L.coeffs[:k - 1] + (0.0,) * max(k - 1 - len(L.coeffs), 0)
-    return [c / float(L.scale * n) ** (j - 1) for j, c in enumerate(coeffs, start=2)]
+    m = float((g.rational_n or 1) * n)
+    return [c / m ** (j - 1) for j, c in enumerate(coeffs, start=2)]
 
 
 def a_of(g: CMFunction, n: int) -> float:

@@ -440,9 +440,10 @@ def test_a_name_identifies_its_function():
                                   "euler_pow4", "measure"])
 def test_defect_with_n_is_that_of_the_power_scaled_function(spec, tmp_path):
     # g.defect(z, n) and g.residual(z, n) are those of g_n = g(./n)^n: with n a
-    # column broadcasting against z, each row is the call with that n alone,
-    # bit for bit; the points reach both sides of the |L_n(z)| <= 1 branch,
-    # and beyond it and |z| = mn (m the scale of L) the defect is the direct
+    # column broadcasting against z, or a full (cells x points) array, each row
+    # is the call with that n alone, bit for bit; the points reach both sides
+    # of the |L_m(z)| <= 1 branch, m = Nn with N = rational_n (1 for a g not of
+    # Euler type), and beyond it and |z| = m the defect is the direct
     # g(z/n)^n - e^{-z}, bit for bit
     if spec == "measure":
         bump = {"segments": [{"a": 0, "b": 2, "poly": [0.0, 0.0, 3.75, -3.75, 0.9375]}]}
@@ -455,17 +456,20 @@ def test_defect_with_n_is_that_of_the_power_scaled_function(spec, tmp_path):
                                                              -math.pi / 2)])
     ns = (1, 2, 4, 256)
     col = np.array(ns)[:, None]
+    full = np.repeat(col, z.size, axis=1)
     kinds = ["defect", "residual"] if cmfun.check_bk(g, 2) else ["defect"]
     for kind in kinds:
         stacked = getattr(g, kind)(z, col)
         assert stacked.shape == (len(ns), z.size)
+        assert np.array_equal(getattr(g, kind)(z, full), stacked, equal_nan=True), kind
         for n, row in zip(ns, stacked):
             want = getattr(g, kind)(z, n)
             assert np.array_equal(row, want, equal_nan=True), (kind, n)
     for n in ns:
-        direct = np.abs(z) > n * (g.log_defect.scale if g.log_defect else 0)
+        m = (g.rational_n or 1) * n
+        direct = np.abs(z) > (m if g.log_defect else 0)
         if g.log_defect:
-            small = np.abs(g.log_defect(z, n=n)) <= 1.0
+            small = np.abs(g.log_defect(z, n=m)) <= 1.0
             direct &= ~small
             if g.log_defect.coeffs:   # exp's L is an exact 0, so small is everywhere
                 assert small.any() and not small.all() and direct.any(), n

@@ -80,7 +80,7 @@ def test_no_module_calls_globals():
 
 # every value type: (class, its required fields, the defaults of the others)
 VALUE_TYPES = [
-    (cmfun.LogDefect, ((0.5,), 1.0), {"closed": None, "scale": 1}),
+    (cmfun.LogDefect, ((0.5,), 1.0), {"closed": None}),
     (cmfun.CMFunction, ("g", math.exp, measures.PositiveMeasure()),
      {"moments": (1.0, 1.0, math.inf, math.inf, math.inf),
       "limit_at_inf": 0.0, "rational_n": None, "log_defect": None}),

@@ -295,22 +295,18 @@ def test_holomorphic_sharp_euler_closed_form_bounds():
 
 
 def test_holo_sharp_rows_of_a_power_scaled_function():
-    # euler_pow4's log-defect is Euler's at scale 4: without its rational_n,
-    # which gives the closed-form r_{alpha,4n}, its sharp rows come from the
-    # quadrature of c_alpha[(g_4)_n], which is c_alpha[g_{4n}] of Euler's g
-    A = opcalc.make_generator("laplacian:d=16")
-    vecs = opcalc.test_vectors(A)[:4]
-    g = cmfun.euler()._replace(rational_n=None)
-    g4 = cmfun.euler_pow(4)._replace(rational_n=None)
+    # euler_pow4 at n is Euler's scheme at 4n: its defect reads Euler's
+    # log-defect at 4n through rational_n, so the quadrature of c_alpha[(g_4)_n],
+    # which holo's sharp rows take for a g without a closed form, is that of
+    # c_alpha[g_{4n}] of Euler's g
+    g, g4 = cmfun.euler(), cmfun.euler_pow(4)
     for n in (4, 16):
-        got = [r for r in rates.holomorphic_bounds(g4, A, [1.0], [n], (0.0, 0.5, 1.0), vecs)
-               if r.tag == "holo-sharp"]
-        want = [r for r in rates.holomorphic_bounds(g, A, [1.0], [4 * n], (0.0, 0.5, 1.0), vecs)
-                if r.tag == "holo-sharp"]
-        assert len(got) == len(want) == 12
-        for r, w in zip(got, want):
-            assert (r.alpha, r.vector_id) == (w.alpha, w.vector_id)
-            assert r.bound == pytest.approx(w.bound, rel=1e-12, abs=0.0)
+        got = functionals.c_alpha_quads(g4, n, (0.0, 0.5, 1.0))
+        want = functionals.c_alpha_quads(g, 4 * n, (0.0, 0.5, 1.0))
+        assert got.keys() == want.keys()
+        for alpha, qv in got.items():
+            assert qv.converged and want[alpha].converged
+            assert qv.value == pytest.approx(want[alpha].value, rel=1e-12, abs=0.0), (n, alpha)
 
 
 def test_optimality_inconclusive_flag():
