@@ -200,12 +200,16 @@ class Suite(NamedTuple):
     rows_alpha: tuple = ()    # the alphas of the rows where the theorem fixes them: no --alpha
 
     def admit(self, gt) -> CMFunction:
-        """g_t, once it is in B1 and in B_k, k = moment; a ValueError naming its
-        m_0 and m_1 when it is outside B1, else naming the suite."""
+        """g_t, once it is in B1 and in B_k, k = moment, and carries a log-defect
+        where the suite bounds the residual; a ValueError naming its m_0 and m_1
+        when it is outside B1, else naming the suite."""
         require_b1(gt)
         if self.moment and not check_bk(gt, self.moment):
             raise ValueError(f"suite {self.name!r} needs a B{self.moment} function, with g"
                              + "'" * self.moment + f"(0) finite, and {gt.name} is not one")
+        if self.error is CMFunction.residual and gt.log_defect is None:
+            raise ValueError(f"suite {self.name!r} needs a function with a log-defect, from "
+                             f"which it takes the second-order residual, and {gt.name} has none")
         return gt
 
     def __call__(self, g, A: GeneratorMatrix, ts, ns, alphas, vectors) -> list[BoundReport]:

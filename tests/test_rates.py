@@ -318,6 +318,20 @@ def test_optimality_inconclusive_flag():
     assert rates.order_verdict(fit, -1.0) == ("too-few-points", False)
 
 
+def test_residual_suites_refuse_a_function_without_log_defect():
+    # kendall at t = 1e-10 is in B4 but carries no log-defect (its m_32 is past
+    # the largest float): the suites that bound the residual refuse it when
+    # they admit it, naming themselves and the function, and the defect suites
+    # take it
+    g = cmfun.kendall(1e-10)
+    assert g.log_defect is None and cmfun.check_bk(g, 4)
+    for s in (rates.second_order_bounds, rates.holomorphic_second_order):
+        with pytest.raises(ValueError, match=rf"suite '{s.name}' needs a function with a "
+                                             r"log-defect.*kendall\(t=1e-10\) has none"):
+            s.admit(g)
+    assert rates.first_order_bounds.admit(g) is g
+
+
 def test_second_order_fit_needs_finite_second_moment(capsys):
     # g''(0) = inf leaves the residual undefined: a usage error, not an "exact" row
     assert cli.main(["orders", "--scheme", "frac_tail:gamma=0.5", "--generator",
