@@ -38,7 +38,8 @@ function.  Its log-defect is L_n(z) = n L(z/n), and `g.defect(z, n)` and
 them broadcasting against z, so that one call covers a grid of n; a
 stacked call gives each value as the call with that n alone does.  The
 one power a user names, `euler_pow<N>` = Euler's g_N, is a built-in of
-its own: the Gamma(N, N) measure.
+its own: the Gamma(N, N) measure, with Euler's log-defect, which the defect
+of its g_n reads at Nn from `rational_n` = N.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ class CMFunction(NamedTuple):
         L = self.log_defect
         if L is None and second:
             raise ValueError(f"{self.name}: the second-order residual needs a log-defect")
-        # m and the distinct n from n as given, so that a column stays one
+        # m and the distinct n from n as given: a column of n makes no full-size int array
         ks = set(np.ravel(n).tolist())   # not np.unique, which imports numpy.ma
         m = (self.rational_n or 1) * np.asarray(n)
         z, n, m = np.broadcast_arrays(z, n, m)
