@@ -59,14 +59,20 @@ _PERF_FN = "--n 1,4,16,64,256,1024 --alpha 0,0.5,1"
 _PERF_LAPLACIAN = "--scheme spline --generator laplacian:d=512"
 BUILTINS = ("exp", "euler", "euler_pow4", "spline", "kendall:t=0.5", "yosida:t=2", "hille",
             "chung:a=0.25+0.5+0.25,t=1", "frac_tail:gamma=0.5")
-# the files of the wrong form that a measure: string may name, by what is wrong
+# the files that a measure: string may name and that are refused, by what is
+# wrong: of the wrong form, then of the right form but not a positive measure
 MALFORMED = {"list": "[[1.0, 1.0]]", "no-b": '{"segments": [{"a": 0, "poly": [1]}]}',
              "not-json": "atoms: 1",
              "poly-string": '{"segments": [{"a": 0, "b": 1, "poly": ["x"]}]}',
-             "atoms-string": '{"atoms": "x"}'}
+             "atoms-string": '{"atoms": "x"}',
+             "negw": '{"atoms": [[1.0, -0.5]]}', "negloc": '{"atoms": [[-1.0, 1.0]]}',
+             "backwards": '{"segments": [{"a": 2, "b": 1, "poly": [1]}]}',
+             "inf-no-rate": '{"segments": [{"a": 0, "b": "inf", "poly": [1]}]}',
+             "neg-rate": '{"segments": [{"a": 0, "b": 1, "poly": [1], "exp_rate": -1}]}',
+             "neg-poly": '{"segments": [{"a": 0, "b": 2, "poly": [-1, 2]}]}'}
 # the measure: files: an atom and a segment; a density with a negative coefficient;
 # a density of mass 1/2, outside B1 with g''(0) finite; an atom and a segment that
-# starts past 1, of mass 1 and mean 1; and the malformed ones
+# starts past 1, of mass 1 and mean 1; and the refused ones
 MEASURES = {"nu.json": '{"atoms": [[1.0, 0.25]], "segments": [{"a": 0, "b": 2, "poly": [0.375]}]}',
             "mixed.json": '{"segments": [{"a": 0, "b": 2, "poly": [0, 1.5, -0.75]}]}',
             "half.json": '{"segments": [{"a": 0, "b": 2, "poly": [0, 0, 1.875, -1.875, 0.46875]}]}',
@@ -88,6 +94,8 @@ def readme_commands() -> list:
 CORPUS = [
     # the README commands, named by their place in the README block and their subcommand
     *((f"readme-{i}-{line.split()[0]}", line) for i, line in enumerate(readme_commands(), 1)),
+    # report on a CSV with no pass column, the functionals table of the first
+    ("error-report-no-pass", "report fn.csv"),
     # the perfbench commands at --seed 1
     ("perfbench-holo", f"verify-bounds {_PERF_LAPLACIAN} --suite holo {_PERF_GRID} "
                        "--alpha 0,0.5,1 --seed 1"),
@@ -112,6 +120,15 @@ CORPUS = [
     ("error-scheme-no-gamma", "verify-bounds --scheme frac_tail --n 4"),
     ("error-scheme-no-t", "verify-bounds --scheme chung:a=0.5+0.5 --n 4"),
     ("error-scheme-unknown", "verify-bounds --scheme mystery --n 4"),
+    # a value that each builder refuses
+    ("error-scheme-euler_pow117", "verify-bounds --scheme euler_pow117 --n 4"),
+    ("error-scheme-kendall-t", "verify-bounds --scheme kendall:t=2 --n 4"),
+    ("error-scheme-yosida-t", "verify-bounds --scheme yosida:t=-1 --n 4"),
+    ("error-g-chung-negative", "functionals --g chung:a=-0.5+1.5,t=1.5 --n 1"),
+    ("error-g-chung-sum", "functionals --g chung:a=0.5+0.6,t=0.6 --n 1"),
+    ("error-g-chung-mean", "functionals --g chung:a=0.5+0.5,t=2 --n 1"),
+    ("error-g-chung-t", "functionals --g chung:a=1,t=0 --n 1"),
+    ("error-g-frac_tail-gamma", "functionals --g frac_tail:gamma=1 --n 1"),
     ("error-g-key", "functionals --g kendall:s=1 --n 1"),
     ("error-g-unknown", "functionals --g mystery --n 4"),
     ("error-generator-extra-key", "verify-bounds --generator diag_imag:k=4,foo=3 --n 4"),
@@ -132,6 +149,7 @@ CORPUS = [
     ("error-verify-bounds-no-n", "verify-bounds --t 1"),
     ("error-json-without-out", "functionals --g euler --json"),
     ("error-seed", "verify-bounds --n 4 --seed -1"),
+    ("error-seed-word", "verify-bounds --n 4 --seed abc"),
     ("error-grid-negative", "verify-bounds --n 4 --alpha -0.5,1"),
     ("error-grid-empty", "verify-bounds --n ,"),
     ("error-alpha-empty", "functionals --g euler --alpha ,"),
@@ -167,8 +185,9 @@ CORPUS = [
     ("error-half-orders", "orders --scheme measure:half.json --generator diag_imag:k=16 "
                           "--n 4,8,16,32 --alpha 0.5"),
     ("error-half-functionals", "functionals --g measure:half.json --n 1"),
+    # each refused file, and one that does not exist
     *((f"error-measure-{name}", f"functionals --g measure:{name}.json --n 1")
-      for name in MALFORMED),
+      for name in (*MALFORMED, "missing")),
     # a family: a member t that its measure series holds and one it does not, and no t
     ("functionals-yosida-100", "functionals --g yosida:t=100 --n 1,4 --alpha 0.5"),
     ("error-yosida-300", "functionals --g yosida:t=300 --n 1,4 --alpha 0.5"),
