@@ -527,7 +527,7 @@ def make_builtin(spec: str, flag: str = "--scheme"):
 
 def _atom(entry) -> tuple:
     s, wt = entry
-    return float(s), float(wt)
+    return PositiveMeasure(atoms=((float(s), float(wt)),)).atoms[0]
 
 
 def _segment(entry) -> PolyExpSegment:
@@ -540,14 +540,17 @@ def _segment(entry) -> PolyExpSegment:
 def _read_measure(path: str, where: str) -> PositiveMeasure:
     """The measure of a `measure:` JSON file, an object with a list "atoms" of
     pairs [s, w] and a list "segments" of {"a", "b", "poly", "exp_rate"}; for
-    a file of another form a ValueError naming `where` and the first bad entry."""
+    a file that cannot be read, or of another form, a ValueError naming `where`
+    and the first bad entry."""
     import json
 
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             desc = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"{where}: the file is not JSON ({exc})") from None
+    except OSError as exc:
+        raise ValueError(f"{where}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"{where}: the file is not JSON ({exc})") from None
     if not isinstance(desc, dict):
         raise ValueError(f"{where}: the file holds a JSON {type(desc).__name__}, not an object")
     parts = []
