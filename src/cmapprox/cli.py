@@ -11,8 +11,9 @@ Subcommands:
 The theorems live in rates and functionals: verify-bounds and orders look
 their suite up (rates.suite, rates.order_suite: the flags are checked before
 any work), build g and A, and call it; rates gives the checked sharpness rows
-and functionals.table the functionals rows.  Each command parses its inputs
-and returns (fields, rows); `main` alone writes them and sets the exit code.
+and functionals.table the functionals rows, each beside its columns, so that
+cli declares only report's.  Each command parses its inputs and returns
+(fields, rows); `main` alone writes them and sets the exit code.
 Each subcommand's defaults are its parser's.  Every grid value is checked by
 cmfun.read_value, as the values of --scheme and --generator strings are: t
 positive and finite, n a whole number in [1, 2^53] (where the float parse
@@ -110,10 +111,6 @@ def _check_args(args) -> None:
         args.seed = _check_seed(args.seed)
 
 
-BOUND_FIELDS = ["scheme", "generator", "t", "n", "alpha", "vector_id",
-                "error", "bound", "slack", "tag", "pass"]
-
-
 def cmd_functionals(args):
     rates.check_alphas(args.alpha, 0.0, 1.0, "functionals")
     if not args.g:
@@ -130,20 +127,14 @@ def cmd_verify_bounds(args):
     g = make_builtin(args.scheme)
     A = opcalc.make_generator(args.generator)
     vectors = opcalc.test_vectors(A, seed=args.seed)
-    rows = suite(g, A, args.t, args.n, args.alpha or [1.0], vectors)
-    rows.sort(key=lambda r: (r.t, r.n, r.alpha, r.vector_id))   # one scheme, one generator
-    return BOUND_FIELDS, [r.row() for r in rows]
-
-
-ORDER_FIELDS = ["scheme", "generator", "t", "alpha", "slope", "expected_exponent",
-                "intercept", "r_squared", "used_points", "flag", "tag", "pass"]
+    return rates.BOUND_FIELDS, suite(g, A, args.t, args.n, args.alpha or [1.0], vectors)
 
 
 def cmd_orders(args):
     suite = rates.order_suite(args.suite, args.alpha, args.n)
     g = make_builtin(args.scheme)
     A = opcalc.make_generator(args.generator)
-    return ORDER_FIELDS, suite.orders(g, A, args.t, args.n, args.alpha)
+    return rates.ORDER_FIELDS, suite.orders(g, A, args.t, args.n, args.alpha)
 
 
 def cmd_sharpness(args):
@@ -154,7 +145,7 @@ def cmd_sharpness(args):
                          f"experiment of --which {args.which} needs")
     rows = ((rates.euler_scalar_sharpness(ns) if args.which != "shift" else [])
             + (rates.shift_second_order_sharpness([n for n in ns if n >= 2]) if shift else []))
-    return ["experiment", "n", "value", "scaled", "reference", "pass"], rows
+    return rates.SHARPNESS_FIELDS, rows
 
 
 def cmd_report(args):

@@ -3,9 +3,10 @@
 Each bound suite of SUITES states its theorem once: the error of g_n it
 bounds, the n-exponent of its orders fit, what it asks of g, A and alpha, and
 the bound terms(t, n) of every cell.  Calling it checks its inputs, then gives
-BoundReport rows (one per test vector) for every (t, n) cell of a grid, on one
-fixed g, or on a family g_t one t at a time, on the member g_t; every row's
-pass flag applies the floating-point slack policy
+the verify-bounds rows, dicts with the keys BOUND_FIELDS (one per test vector,
+or one for the operator norm), for every (t, n) cell of a grid, on one fixed g,
+or on a family g_t one t at a time, on the member g_t; every row's pass flag
+applies the floating-point slack policy
 
     pass  <=>  error <= bound * (1 + 1e-9) + 1e-13.
 
@@ -42,7 +43,7 @@ from .cmfun import CMFunction, check_bk, euler, require_b1
 from .opcalc import GeneratorMatrix, frac_on_spectrum
 
 __all__ = [
-    "BoundReport", "within_bound", "OrderFit", "fit_order", "order_verdict", "suite",
+    "within_bound", "OrderFit", "fit_order", "order_verdict", "suite",
     "first_order_bounds", "non_b2_bounds", "second_order_bounds", "holomorphic_bounds",
     "holomorphic_second_order", "order_suite", "spectral_order",
     "euler_scalar_sharpness", "shift_second_order_sharpness",
@@ -71,25 +72,6 @@ def check_alphas(alphas, lo: float, hi: float, what: str) -> None:
     for alpha in alphas:
         if not lo <= alpha <= hi:
             raise ValueError(f"--alpha {alpha:g} is outside [{lo:g}, {hi:g}], the range of {what}")
-
-
-class BoundReport(NamedTuple):
-    scheme: str
-    generator: str
-    t: float
-    n: int
-    alpha: float
-    vector_id: int
-    error: float
-    bound: float
-    tag: str
-
-    @property
-    def passed(self) -> bool:
-        return within_bound(self.error, self.bound)
-
-    def row(self) -> dict:
-        return {**self._asdict(), "slack": self.bound - self.error, "pass": self.passed}
 
 
 class OrderFit(NamedTuple):
@@ -145,14 +127,26 @@ def _stack(g: CMFunction, error, t, n, lam):
     return error(g, t * lam, n)
 
 
-def _grid(g, A: GeneratorMatrix, ts, ns, vectors, error, terms, op_bound) -> list[BoundReport]:
-    """The rows of every (t, n) cell, t-major, each with the error ||E(A) x||
-    of a test vector x, E = error(g, t ., n): first, given op_bound(t, n) (not
-    None), the holo-opnorm row ||E(A)||; then for each term (alpha, tag,
-    factor) of terms(t, n) the bound factor * ||A^alpha x||, or
-    factor * sum_p w ||A^p x|| when the term ends with its (p, w) pairs.
-    The errors of every cell, their op-norms and each power A^p come from
-    one `norms` call."""
+BOUND_FIELDS = ["scheme", "generator", "t", "n", "alpha", "vector_id",
+                "error", "bound", "slack", "tag", "pass"]
+
+
+def _row(scheme, generator, t, n, alpha, vector_id, error, bound, tag) -> dict:
+    """A verify-bounds row, its keys in BOUND_FIELDS order: slack = bound - error,
+    and pass by within_bound."""
+    return {"scheme": scheme, "generator": generator, "t": t, "n": n, "alpha": alpha,
+            "vector_id": vector_id, "error": error, "bound": bound, "slack": bound - error,
+            "tag": tag, "pass": within_bound(error, bound)}
+
+
+def _grid(g, A: GeneratorMatrix, ts, ns, vectors, error, terms, scheme: str) -> list[dict]:
+    """The rows of every (t, n) cell, t-major, named `scheme`, with the errors
+    of E = error(g, t ., n): for each term (alpha, tag, factor) of terms(t, n),
+    one row per test vector x with the error ||E(A) x|| and the bound
+    factor * ||A^alpha x||, or factor * sum_p w ||A^p x|| when the term ends
+    with its (p, w) pairs; a term that ends with None bounds the operator norm
+    ||E(A)||, in one row with vector_id -1.  The errors of every cell, their
+    operator norms and each power A^p come from one `norms` call."""
     cells = [(t, n) for t in ts for n in ns]
     if not cells:
         return []
@@ -160,19 +154,19 @@ def _grid(g, A: GeneratorMatrix, ts, ns, vectors, error, terms, op_bound) -> lis
     cell_terms = [terms(t, n) for t, n in cells]
     pairs = [[term[3] if len(term) > 3 else ((term[0], 1.0),) for term in tt]
              for tt in cell_terms]
-    powers = sorted({p for cell in pairs for term in cell for p, _ in term})
+    powers = sorted({p for cell in pairs for ws in cell if ws for p, _ in ws})
     xs, tops = A.norms([*blocks, lambda lam: [frac_on_spectrum(lam, p) for p in powers]],
                        vectors)
     errors, ops = np.vstack(xs[:-1]).tolist(), np.concatenate(tops[:-1]).tolist()
     nx = dict(zip(powers, xs[-1].tolist()))
     rows = []
-    for c, ((t, n), tt, weights, errs) in enumerate(zip(cells, cell_terms, pairs, errors)):
-        key = (g.name, A.name, t, n)
-        if op_bound is not None:
-            rows.append(BoundReport(*key, 0.0, -1, ops[c], op_bound(t, n), "holo-opnorm"))
+    for (t, n), tt, weights, errs, op in zip(cells, cell_terms, pairs, errors, ops):
         for (alpha, tag, factor, *_), ws in zip(tt, weights):
-            rows += [BoundReport(*key, alpha, i, err,
-                                 factor * sum(w * nx[p][i] for p, w in ws), tag)
+            if ws is None:
+                rows.append(_row(scheme, A.name, t, n, alpha, -1, op, factor, tag))
+                continue
+            rows += [_row(scheme, A.name, t, n, alpha, i, err,
+                          factor * sum(w * nx[p][i] for p, w in ws), tag)
                      for i, err in enumerate(errs)]
     return rows
 
@@ -181,12 +175,16 @@ def _grid(g, A: GeneratorMatrix, ts, ns, vectors, error, terms, op_bound) -> lis
 # bound suites
 # ----------------------------------------------------------------------
 
+ORDER_FIELDS = ["scheme", "generator", "t", "alpha", "slope", "expected_exponent",
+                "intercept", "r_squared", "used_points", "flag", "tag", "pass"]
+
+
 class Suite(NamedTuple):
     """A bound suite: terms(g, Mc, ns, alphas) gives the bound terms(t, n) of
-    every cell of one fixed g, Mc = semigroup_constants(A), and its holo-opnorm
-    bound op(t, n) or None.  Calling it checks what its theorem asks of the
-    inputs, once, and runs _grid on g, or on a family g_t one t at a time on
-    the member g_t, in rows that keep the family's name."""
+    every cell of one fixed g, Mc = semigroup_constants(A).  Calling it checks
+    what its theorem asks of the inputs, once, and runs _grid on g, or on a
+    family g_t one t at a time on the member g_t, in rows that keep the
+    family's name."""
 
     name: str
     terms: object
@@ -212,9 +210,10 @@ class Suite(NamedTuple):
                              f"which it takes the second-order residual, and {gt.name} has none")
         return gt
 
-    def __call__(self, g, A: GeneratorMatrix, ts, ns, alphas, vectors) -> list[BoundReport]:
-        """The rows of every (t, n) cell, t-major; a ValueError naming the suite
-        and the first input that does not meet what the theorem asks of it."""
+    def __call__(self, g, A: GeneratorMatrix, ts, ns, alphas, vectors) -> list[dict]:
+        """The rows of every (t, n) cell, sorted by (t, n, alpha, vector_id); a
+        ValueError naming the suite and the first input that does not meet what
+        the theorem asks of it."""
         name = self.name
         check_alphas(alphas, *self.alpha, f"suite {name!r}")
         fixed = isinstance(g, CMFunction)
@@ -229,8 +228,8 @@ class Suite(NamedTuple):
             raise ValueError(f"suite {name!r} needs a sectorial generator; the spectrum of "
                              f"{A.name!r} is not sectorial (M_1 = {Mc[1]}, M_2 = {Mc[2]})")
         rows = [r for gt, tt in runs for r in _grid(gt, A, tt, ns, vectors, self.error,
-                                                    *self.terms(gt, Mc, ns, alphas))]
-        return rows if fixed else [r._replace(scheme=g.name) for r in rows]
+                                                    self.terms(gt, Mc, ns, alphas), g.name)]
+        return sorted(rows, key=lambda r: (r["t"], r["n"], r["alpha"], r["vector_id"]))
 
     def orders(self, g, A: GeneratorMatrix, ts, ns, alphas) -> list[dict]:
         """The orders rows, sorted by (t, alpha): the spectral_order fit of each
@@ -269,7 +268,7 @@ def _first_order(g, Mc, ns, alphas):
                 else (alpha, "first-order-frac", 4.0 * M * (h * t ** 2 / n) ** (alpha / 2.0))
                 for alpha in alphas]
 
-    return terms, None
+    return terms
 
 
 def _non_b2(g, Mc, ns, alphas):
@@ -289,7 +288,7 @@ def _non_b2(g, Mc, ns, alphas):
                 else (alpha, "slope-frac", 4.0 * lead * root ** (alpha / 2.0) * t ** alpha)
                 for alpha in alphas]
 
-    return terms, None
+    return terms
 
 
 def _second_order(g, Mc, ns, alphas):
@@ -306,7 +305,7 @@ def _second_order(g, Mc, ns, alphas):
         return [(3.0, "second-order-A3", M * C * t ** 3 * n ** -1.5),
                 (4.0, "second-order-A4", M * C1 * t ** 3 * n ** -2.0, ((3.0, 1.0), (4.0, t)))]
 
-    return terms, None
+    return terms
 
 
 def _holomorphic(g, Mc, ns, alphas):
@@ -327,7 +326,7 @@ def _holomorphic(g, Mc, ns, alphas):
     c = {n: functionals.c_alpha_quads(g, n, alphas) for n in set(ns)} if quad else {}
 
     def terms(t, n):
-        out = []
+        out = [(0.0, "holo-opnorm", K * h / n, None)]
         for alpha in alphas:
             if alpha == 1.0:
                 out.append((alpha, "holo-A1", (2.0 * M0 + 1.5 * M1) * h / n * t))
@@ -342,7 +341,7 @@ def _holomorphic(g, Mc, ns, alphas):
             out.append((alpha, "holo-sharp", Mc[2.0 - alpha] * r * t ** alpha))
         return out
 
-    return terms, lambda t, n: K * h / n
+    return terms
 
 
 def euler_sharp_r(n: int, alpha: float) -> float:
@@ -369,7 +368,7 @@ def _holomorphic_second(g, Mc, ns, alphas):
                  (abs(b_n) * Mc[3.0 - alpha] + 0.5 * d1_n * Mc[4.0 - alpha]) * t ** alpha)
                 for alpha in alphas]
 
-    return terms, None
+    return terms
 
 
 first_order_bounds = Suite("first", _first_order, order=1.0, alpha=(0.0, 2.0), moment=2)
@@ -454,6 +453,9 @@ def _golden_max(f, a, b, tol: float = 1e-10):
         fx = f(x)
         state[:, going] = np.where(up, [a, b, x2, x, f2, fx], [a, b, x, x1, fx, f1])[:, going]
     return f(0.5 * (state[0] + state[1]))
+
+
+SHARPNESS_FIELDS = ["experiment", "n", "value", "scaled", "reference", "pass"]
 
 
 def euler_scalar_sharpness(n_grid) -> list[dict]:

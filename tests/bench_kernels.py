@@ -98,7 +98,7 @@ def test_bench_holomorphic_bounds_grid(benchmark):
     vectors = opcalc.test_vectors(A)
     rows = benchmark(rates.holomorphic_bounds, cmfun.euler(), A, (0.25, 1.0, 4.0),
                      (4, 16, 64, 256), (0.0, 0.5, 1.0), vectors)
-    assert len(rows) == 12 * 41 and all(r.passed for r in rows)
+    assert len(rows) == 12 * 41 and all(r["pass"] for r in rows)
 
 
 def test_bench_second_order_family_grid(benchmark):
@@ -106,7 +106,7 @@ def test_bench_second_order_family_grid(benchmark):
     vectors = opcalc.test_vectors(A)
     rows = benchmark(rates.SUITES["second"], cmfun.make_builtin("yosida"), A, (0.25, 1.0, 4.0),
                      (4, 16, 64, 256), (), vectors)
-    assert len(rows) == 12 * 2 * len(vectors) and all(r.scheme == "yosida" for r in rows)
+    assert len(rows) == 12 * 2 * len(vectors) and all(r["scheme"] == "yosida" for r in rows)
 
 
 def test_bench_make_generator(benchmark):

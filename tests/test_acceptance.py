@@ -133,7 +133,7 @@ def _first_order_suite_rows():
 
 def test_c05_first_order_suite():
     A, vectors, rows = _first_order_suite_rows()
-    failed = [r for r in rows if not r.passed]
+    failed = [r for r in rows if not r["pass"]]
     # Kendall's alpha=2 bound must be exactly t(1-t)/(2n) ||A^2 x||
     kend = cmfun.make_builtin("kendall")
     t, n = 0.25, 16
@@ -142,8 +142,8 @@ def test_c05_first_order_suite():
     A2 = M @ M
     worst = 0.0
     for r in reps:
-        ref = t * (1.0 - t) / (2.0 * n) * float(np.linalg.norm(A2 @ vectors[r.vector_id]))
-        worst = max(worst, abs(r.bound - ref) / ref)
+        ref = t * (1.0 - t) / (2.0 * n) * float(np.linalg.norm(A2 @ vectors[r["vector_id"]]))
+        worst = max(worst, abs(r["bound"] - ref) / ref)
     ok = not failed and worst <= 1e-12
     _report(5, "first-order bounds on the skew gallery", ok,
             f"{len(rows)} reports, {len(failed)} failed; kendall form dev {worst:.1e}")
@@ -157,7 +157,7 @@ def test_c06_heavy_tail_suite():
     for gamma in (0.3, 0.5, 0.8):
         g = cmfun.frac_tail(gamma)
         reps = rates.non_b2_bounds(g, A, (0.25, 1.0, 4.0), (16, 256, 4096), (1.0, 0.5), vectors)
-        ok = ok and len(reps) == 9 * 2 * len(vectors) and all(r.passed for r in reps)
+        ok = ok and len(reps) == 9 * 2 * len(vectors) and all(r["pass"] for r in reps)
         # the rate-carrying factor sqrt(1+g'(1/n)) of the alpha=1 bound
         # must scale like n^{-gamma/2}; the remaining factor tends to a
         # constant and the error sup itself decays strictly faster
@@ -177,7 +177,7 @@ def test_c07_second_order_suite():
     ok = True
     for g in (cmfun.euler(), cmfun.spline()):
         reps = rates.second_order_bounds(g, A, (0.25, 1.0, 4.0), (4, 16, 64, 256), (), vectors)
-        ok = ok and len(reps) == 12 * 2 * len(vectors) and all(r.passed for r in reps)
+        ok = ok and len(reps) == 12 * 2 * len(vectors) and all(r["pass"] for r in reps)
 
     def residual_slope(g, A, M, vecs):
         # normalize per vector by ||A^3 x||, the quantity the bound scales
@@ -216,7 +216,7 @@ def test_c08_holomorphic_suite():
         reps = rates.holomorphic_bounds(cmfun.euler(), A, ts, ns, alphas, vectors)
         reps += rates.holomorphic_bounds(cmfun.spline(), A, ts, ns, alphas, vectors)
         total += len(reps)
-        failed += sum(not r.passed for r in reps)
+        failed += sum(not r["pass"] for r in reps)
     ok = ok and failed == 0
     _report(8, "holomorphic bounds incl. sharp Euler r_{alpha,n}", ok,
             f"{total} reports, {failed} failed")

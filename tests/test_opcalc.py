@@ -230,7 +230,7 @@ def test_rows_carry_python_scalars():
     # so that the CSV prints pass as true/false
     A = laplacian_dirichlet_1d(24)
     rows = rates.holomorphic_bounds(cmfun.spline(), A, [1.0], [4], (0.5,), opcalc.test_vectors(A))
-    assert all(type(r.error) is float and type(r.passed) is bool for r in rows)
+    assert all(type(r["error"]) is float and type(r["pass"]) is bool for r in rows)
 
 
 # ----------------------------------------------------------------------

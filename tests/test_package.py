@@ -88,7 +88,6 @@ VALUE_TYPES = [
     (functionals.QuadValue, (0.5, True), {"flag": ""}),
     (opcalc.SemigroupConstants, (1.0,), {}),
     (quadrature.Integral, (1.0, True), {}),
-    (rates.BoundReport, ("euler", "diag", 1.0, 4, 0.5, 0, 0.1, 0.2, "first-frac"), {}),
     (rates.OrderFit, (-1.0, 0.5, 0.99, 4), {"flag": ""}),
     (rates.Suite, ("first", rates.first_order_bounds.terms),
      {"error": cmfun.CMFunction.defect, "order": None, "alpha": (-math.inf, math.inf),

@@ -10,7 +10,6 @@ import scipy.linalg
 
 from cmapprox import cli, cmfun, functionals, opcalc, quadrature, rates
 from cmapprox.rates import (
-    BoundReport,
     first_order_bounds,
     fit_order,
     second_order_bounds,
@@ -72,14 +71,15 @@ def test_exact_scheme_order_is_exact(tmp_path):
 
 
 def test_slack_policy_boundary():
-    mk = lambda err, bound: BoundReport("g", "A", 1.0, 2, 1.0, 0, err, bound, "t")
-    assert mk(1.0, 1.0).passed
-    assert mk(1.0 + 5e-10, 1.0).passed          # inside relative slack
-    assert not mk(1.0 + 1e-8, 1.0).passed       # outside
-    assert mk(5e-14, 0.0).passed                # inside absolute slack
-    assert not mk(1e-12, 0.0).passed
-    row = mk(0.5, 1.0).row()
+    mk = lambda err, bound: rates._row("g", "A", 1.0, 2, 1.0, 0, err, bound, "t")
+    assert mk(1.0, 1.0)["pass"]
+    assert mk(1.0 + 5e-10, 1.0)["pass"]          # inside relative slack
+    assert not mk(1.0 + 1e-8, 1.0)["pass"]       # outside
+    assert mk(5e-14, 0.0)["pass"]                # inside absolute slack
+    assert not mk(1e-12, 0.0)["pass"]
+    row = mk(0.5, 1.0)
     assert row["pass"] is True and row["slack"] == pytest.approx(0.5)
+    assert list(row) == rates.BOUND_FIELDS
 
 
 # ----------------------------------------------------------------------
@@ -88,8 +88,7 @@ def test_slack_policy_boundary():
 
 def test_bound_functions_read_constants_not_a_generator():
     # each suite's bound function takes g, M_beta, the n grid and the alphas, and
-    # gives terms(t, n) (and the holo-opnorm bound): no generator, t grid or
-    # test vector reaches it.  On a positive spectrum (rho = 1) M_0 = 1,
+    # gives terms(t, n): no generator, t grid or test vector reaches it.  On a positive spectrum (rho = 1) M_0 = 1,
     # M_1 = 1/e and M_2 = 4/e^2; Euler's g has g''(0) - 1 = 1 and g''''(0) - 1 = 23
     Mc = opcalc.SemigroupConstants(rho=1.0)
     e, t, n = math.e, 0.5, 8
@@ -97,7 +96,7 @@ def test_bound_functions_read_constants_not_a_generator():
     dg = tail.derivative(1.0 / n, 1)
     b, d1 = functionals.b_of(euler, n), functionals.d1_of(
         euler, n, functionals.c_alpha_quads(euler, n, (0, 1)))
-    cases = {   # suite: (g, alphas, the tag of the first term, its closed form)
+    cases = {   # suite: (g, alphas, the tag of the first term on x, its closed form)
         "first": (euler, (2.0,), "first-order-A2", t ** 2 / (2 * n)),
         "nonb2": (tail, (1.0,), "slope-A1", 4 * e * (1 + 1 / abs(dg)) * math.sqrt(1 + dg) * t),
         "second": (euler, (), "second-order-A3", math.sqrt(23 / 2) * t ** 3 / n ** 1.5),
@@ -106,13 +105,18 @@ def test_bound_functions_read_constants_not_a_generator():
     }
     assert set(cases) == set(rates.SUITES)
     for name, (g, alphas, tag, want) in cases.items():
-        terms, op = rates.SUITES[name].terms(g, Mc, [n], alphas)
-        _, got_tag, factor, *_ = terms(t, n)[0]
-        assert (got_tag, factor) == (tag, pytest.approx(want, rel=1e-14)), name
-        if name == "holo":   # K h/n, K = 3 M_0 + 3 M_1 + M_2/2
-            assert op(t, n) == pytest.approx((3.0 + 3.0 / e + 2.0 / e ** 2) / n, rel=1e-14)
+        terms = rates.SUITES[name].terms(g, Mc, [n], alphas)(t, n)
+        # a term whose norm is None bounds the operator norm ||E(A)||: holo's
+        # first, K h/n with K = 3 M_0 + 3 M_1 + M_2/2, and no other suite's
+        opnorm = [term for term in terms if len(term) > 3 and term[3] is None]
+        if name == "holo":
+            K = 3.0 + 3.0 / e + 2.0 / e ** 2
+            assert opnorm == [terms[0]] == [(0.0, "holo-opnorm", pytest.approx(K / n, rel=1e-14),
+                                              None)]
         else:
-            assert op is None
+            assert not opnorm, name
+        _, got_tag, factor, *_ = terms[len(opnorm)]
+        assert (got_tag, factor) == (tag, pytest.approx(want, rel=1e-14)), name
 
 
 def test_first_order_exponential_zero_error():
@@ -121,7 +125,7 @@ def test_first_order_exponential_zero_error():
     reports = first_order_bounds(cmfun.exponential(), A, [1.0], [4],
                                  (2.0, 1.0, 0.5), vecs)
     for r in reports:
-        assert r.error <= 1e-12 and r.passed
+        assert r["error"] <= 1e-12 and r["pass"]
 
 
 def test_first_order_requires_b2():
@@ -145,15 +149,15 @@ def test_first_order_kendall_alpha2_is_exact_on_diagonal():
     M = diag_imag_matrix(32)
     for r, x in zip(reports, vecs):
         want = 0.5 * h * tt ** 2 / n * float(np.linalg.norm(M @ (M @ x)))
-        assert r.bound == pytest.approx(want, rel=1e-12)
-        assert r.passed
+        assert r["bound"] == pytest.approx(want, rel=1e-12)
+        assert r["pass"]
 
 
 def test_second_order_exponential_zero_residual():
     A = opcalc.diag_positive(16)
     vecs = opcalc.test_vectors(A)[:4]
     for r in second_order_bounds(cmfun.exponential(), A, [1.0], [4], (), vecs):
-        assert r.error <= 1e-10 and r.passed
+        assert r["error"] <= 1e-10 and r["pass"]
 
 
 def test_second_order_requires_b4():
@@ -188,7 +192,7 @@ def test_one_basis_solve_per_run(suite, scheme, alphas, monkeypatch):
     monkeypatch.setattr(A.basis, "solve", solve)
     run, g = rates.SUITES[suite], cmfun.make_builtin(scheme)
     rows = run(g, A, (0.5, 2.0), (4, 16, 64), alphas, vecs)
-    assert {(r.t, r.n) for r in rows} == {(t, n) for t in (0.5, 2.0) for n in (4, 16, 64)}
+    assert {(r["t"], r["n"]) for r in rows} == {(t, n) for t in (0.5, 2.0) for n in (4, 16, 64)}
     assert calls == [(16, len(vecs))]
 
 
@@ -254,12 +258,12 @@ def test_suite_rows_equal_the_per_cell_reference(suite, scheme, alphas):
             gt = g.at(t)
             f = gt.residual if suite in ("second", "holo2") else gt.defect
             [[errors]], _ = A.norms([lambda lam: f(t * lam, n)], vecs)
-            cell = [r for r in rows if (r.t, r.n) == (t, n)]
+            cell = [r for r in rows if (r["t"], r["n"]) == (t, n)]
             assert cell
             for r in cell:
-                want = A.opnorm(lambda lam: f(t * lam, n)) if r.vector_id < 0 else (
-                    errors[r.vector_id])
-                assert r.error == want, (t, n, r.tag, r.vector_id)
+                want = A.opnorm(lambda lam: f(t * lam, n)) if r["vector_id"] < 0 else (
+                    errors[r["vector_id"]])
+                assert r["error"] == want, (t, n, r["tag"], r["vector_id"])
 
 
 def test_first_order_opnorm_slope_euler_laplacian():
@@ -287,11 +291,11 @@ def test_holomorphic_sharp_euler_closed_form_bounds():
     for n in (4, 32):
         reports = rates.holomorphic_bounds(g, A, [1.0], [n], (0.0, 0.5, 1.0),
                                            vecs)
-        assert reports and all(r.passed for r in reports)
-        sharp = [r for r in reports if r.tag == "holo-sharp"]
+        assert reports and all(r["pass"] for r in reports)
+        sharp = [r for r in reports if r["tag"] == "holo-sharp"]
         assert sharp
         for r in sharp:
-            assert r.bound <= 2.0 / n + 1.0  # r_{alpha,n} ~ 1/(2n) scale
+            assert r["bound"] <= 2.0 / n + 1.0  # r_{alpha,n} ~ 1/(2n) scale
 
 
 def test_holo_sharp_rows_of_a_power_scaled_function():
