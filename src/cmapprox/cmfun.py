@@ -217,6 +217,10 @@ class CMFunction(NamedTuple):
         ks = set(np.ravel(n).tolist())   # not np.unique, which imports numpy.ma
         m = (self.rational_n or 1) * np.asarray(n)
         z, n, m = np.broadcast_arrays(z, n, m)
+        if (top := np.isinf(z)).any():   # the limit g(inf)^n, which no formula below reaches
+            out = self._difference(np.where(top, 0.0, z), n, second)
+            out[top] = self.limit_at_inf ** n[top]
+            return out
         e = np.exp(-z)
         if L is None:
             return self._power(z, n, ks) - e

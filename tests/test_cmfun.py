@@ -293,6 +293,22 @@ def test_residual_needs_a_log_defect():
     assert np.array_equal(g.defect(z, 4), (1.0 / (1.0 + z / 4)) ** 4 - np.exp(-z))
 
 
+@pytest.mark.parametrize("spec", ["exp", "euler", "euler_pow4", "spline", "kendall:t=0.5",
+                                  "kendall:t=1", "yosida:t=2", "hille",
+                                  "chung:a=0.25+0.5+0.25,t=1", "frac_tail:gamma=0.5"])
+def test_defect_and_residual_at_infinity_are_the_limit(spec):
+    # at z = inf both are g_n(inf) = g(inf)^n, with no warning (an error under
+    # the test settings), whether L is the zero series (exp, kendall:t=1), a
+    # closed form, or absent (frac_tail, which has no residual); the finite
+    # point beside it is the value it has alone
+    g = cmfun.make_builtin(spec)
+    z = np.array([1.0, np.inf])
+    for n in (1, 4):
+        for error in [g.defect] + [g.residual] * (g.log_defect is not None):
+            at_one, at_inf = error(z, n)
+            assert at_inf == g.limit_at_inf ** n and at_one == error(z[:1], n)[0], (error, n)
+
+
 def test_yosida_moments_t1():
     g = cmfun.yosida(1.0)
     assert g.moments[0] == pytest.approx(1.0, abs=1e-14)
