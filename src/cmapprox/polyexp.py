@@ -65,9 +65,12 @@ def polyexp_laplace_complex(coeffs, rate: float, a: float, b: float, z) -> np.nd
     elsewhere the upward recurrence
     I_m = (a^m e^{-lam a} - b^m e^{-lam b})/lam + (m/lam) I_{m-1}.
     A row skips its zero coefficients, so that none takes the nan of 0 times
-    an overflowed I_m: each row is the one-row call bit for bit.
+    an overflowed I_m: each row is the one-row call bit for bit.  Real z keeps
+    each I_m's imaginary part 0, not the nan of 0 * inf that an overflowed real
+    part would give it and pass on to the next real part.
     """
     rows = np.array(coeffs, dtype=float, ndmin=2)
+    real = not np.iscomplexobj(z)
     z = np.asarray(z, dtype=complex)
     lam = rate + z.ravel()
     finite = not math.isinf(b)
@@ -89,6 +92,8 @@ def polyexp_laplace_complex(coeffs, rate: float, a: float, b: float, z) -> np.nd
             pa *= a
             pb = pb * b if finite else 0.0
             I = (pa * ea - pb * eb) / safe + (m / safe) * I
+            if real:
+                I.imag = 0.0
             live = rows[:, m] != 0.0
             if not live.any():
                 continue  # entries left to the series below only feed further series
