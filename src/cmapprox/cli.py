@@ -143,9 +143,9 @@ def cmd_sharpness(args):
     if shift and ns[-1] < 2:
         raise ValueError(f"--n {','.join(map(str, ns))} has no n >= 2, which the shift "
                          f"experiment of --which {args.which} needs")
-    rows = ((rates.euler_scalar_sharpness(ns) if args.which != "shift" else [])
-            + (rates.shift_second_order_sharpness([n for n in ns if n >= 2]) if shift else []))
-    return rates.SHARPNESS_FIELDS, rows
+    return rates.SHARPNESS_FIELDS, (
+        (rates.euler_scalar_sharpness(ns) if args.which != "shift" else [])
+        + (rates.shift_second_order_sharpness([n for n in ns if n >= 2]) if shift else []))
 
 
 def cmd_report(args):

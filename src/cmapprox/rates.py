@@ -3,10 +3,9 @@
 Each bound suite of SUITES states its theorem once: the error of g_n it
 bounds, the n-exponent of its orders fit, what it asks of g, A and alpha, and
 the bound terms(t, n) of every cell.  Calling it checks its inputs, then gives
-the verify-bounds rows, dicts with the keys BOUND_FIELDS (one per test vector,
-or one for the operator norm), for every (t, n) cell of a grid, on one fixed g,
-or on a family g_t one t at a time, on the member g_t; every row's pass flag
-applies the floating-point slack policy
+the rows (dicts with the keys BOUND_FIELDS) of every (t, n) cell of a grid, on
+one fixed g, or on a family g_t one t at a time, on the member g_t; every row's
+pass flag applies the floating-point slack policy
 
     pass  <=>  error <= bound * (1 + 1e-9) + 1e-13.
 
@@ -43,10 +42,9 @@ from .cmfun import CMFunction, check_bk, euler, require_b1
 from .opcalc import GeneratorMatrix, frac_on_spectrum
 
 __all__ = [
-    "within_bound", "OrderFit", "fit_order", "order_verdict", "suite",
-    "first_order_bounds", "non_b2_bounds", "second_order_bounds", "holomorphic_bounds",
-    "holomorphic_second_order", "order_suite", "spectral_order",
-    "euler_scalar_sharpness", "shift_second_order_sharpness",
+    "within_bound", "OrderFit", "fit_order", "order_verdict", "suite", "first_order_bounds",
+    "non_b2_bounds", "second_order_bounds", "holomorphic_bounds", "holomorphic_second_order",
+    "order_suite", "spectral_order", "euler_scalar_sharpness", "shift_second_order_sharpness",
 ]
 
 SLACK_REL = 1e-9
@@ -132,21 +130,18 @@ BOUND_FIELDS = ["scheme", "generator", "t", "n", "alpha", "vector_id",
 
 
 def _row(scheme, generator, t, n, alpha, vector_id, error, bound, tag) -> dict:
-    """A verify-bounds row, its keys in BOUND_FIELDS order: slack = bound - error,
-    and pass by within_bound."""
-    return {"scheme": scheme, "generator": generator, "t": t, "n": n, "alpha": alpha,
-            "vector_id": vector_id, "error": error, "bound": bound, "slack": bound - error,
-            "tag": tag, "pass": within_bound(error, bound)}
+    """A verify-bounds row: slack = bound - error, and pass by within_bound."""
+    return dict(zip(BOUND_FIELDS, (scheme, generator, t, n, alpha, vector_id, error, bound,
+                                   bound - error, tag, within_bound(error, bound))))
 
 
 def _grid(g, A: GeneratorMatrix, ts, ns, vectors, error, terms, scheme: str) -> list[dict]:
-    """The rows of every (t, n) cell, t-major, named `scheme`, with the errors
-    of E = error(g, t ., n): for each term (alpha, tag, factor) of terms(t, n),
-    one row per test vector x with the error ||E(A) x|| and the bound
-    factor * ||A^alpha x||, or factor * sum_p w ||A^p x|| when the term ends
-    with its (p, w) pairs; a term that ends with None bounds the operator norm
-    ||E(A)||, in one row with vector_id -1.  The errors of every cell, their
-    operator norms and each power A^p come from one `norms` call."""
+    """The rows of every (t, n) cell, t-major, named `scheme`: for each term
+    (alpha, tag, factor[, norm]) of terms(t, n), with E = error(g, t ., n), one
+    row per test vector x, of ||E(A) x|| against factor * ||A^alpha x||, or
+    factor * sum_p w ||A^p x|| where the norm is its (p, w) pairs; a norm of
+    None bounds ||E(A)||, in one row with vector_id -1.  The errors of every
+    cell, their operator norms and each power A^p come from one `norms` call."""
     cells = [(t, n) for t in ts for n in ns]
     if not cells:
         return []
@@ -212,8 +207,7 @@ class Suite(NamedTuple):
 
     def __call__(self, g, A: GeneratorMatrix, ts, ns, alphas, vectors) -> list[dict]:
         """The rows of every (t, n) cell, sorted by (t, n, alpha, vector_id); a
-        ValueError naming the suite and the first input that does not meet what
-        the theorem asks of it."""
+        ValueError naming the suite and the first input its theorem refuses."""
         name = self.name
         check_alphas(alphas, *self.alpha, f"suite {name!r}")
         fixed = isinstance(g, CMFunction)
